@@ -1,4 +1,4 @@
-.PHONY: all build test check faults experiments load-smoke obs-smoke commit-smoke consistency-smoke bench-json bench-diff bench-baseline clean
+.PHONY: all build test check faults experiments load-smoke obs-smoke commit-smoke consistency-smoke transport-smoke bench-json bench-diff bench-baseline clean
 
 all: build
 
@@ -42,6 +42,12 @@ commit-smoke:
 # `experiments_main -- consistency`.
 consistency-smoke:
 	dune exec bin/experiments_main.exe -- --quick consistency
+
+# RaTP transport smoke grid (loss 0/5% x 1.4K/64K x selective vs
+# full-burst, plus the same-node bypass); the full grid is
+# `experiments_main -- transport`.
+transport-smoke:
+	dune exec bin/experiments_main.exe -- --quick transport
 
 # Machine-readable benchmark baseline (wall-clock + simulated
 # metrics); BENCH_QUICK=1 selects the reduced sizes CI uses.

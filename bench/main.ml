@@ -511,7 +511,6 @@ let simulated_metrics ~quick =
                            j_field "loss_pct" (j_int p.loss_pct);
                            j_field "size" (j_int p.size);
                            j_field "selective" (string_of_bool p.selective);
-                           j_field "adaptive" (string_of_bool p.adaptive);
                            j_field "oks" (j_int p.oks);
                            j_field "timeouts" (j_int p.timeouts);
                            j_field "elapsed_ms" (j_num p.elapsed_ms);

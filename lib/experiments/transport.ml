@@ -4,8 +4,8 @@
 
    1. Bulk transfers under loss.  A client echoes messages of 1.4 K /
       8 K / 64 K bytes off a server while a uniform per-frame loss
-      probability (0 / 1 / 5 / 10 %) chews on the segment, once per
-      arm of {selective retransmission, adaptive RTO}.  The headline
+      probability (0 / 1 / 5 / 10 %) chews on the segment, with
+      selective and with full-burst retransmission.  The headline
       metric is retransmitted payload bytes: full-burst retransmission
       resends every fragment of a 47-fragment message to recover one
       lost frame, selective resends only what the peer is missing.
@@ -31,7 +31,6 @@ type point = {
   loss_pct : int;
   size : int;  (** request bytes; the reply echoes the same size *)
   selective : bool;
-  adaptive : bool;
   calls : int;
   oks : int;
   timeouts : int;
@@ -64,19 +63,14 @@ let ether_config =
 
 (* Generous attempt budget: at 10 % loss the point of the experiment
    is how much each policy spends to finish, not whether it gives up. *)
-let ratp_config ~selective ~adaptive =
-  {
-    E.default_config with
-    selective_retransmit = selective;
-    adaptive_rto = adaptive;
-    max_attempts = 12;
-  }
+let ratp_config ~selective =
+  { E.default_config with selective_retransmit = selective; max_attempts = 12 }
 
-let measure_point ~loss_pct ~size ~selective ~adaptive ~calls =
+let measure_point ~loss_pct ~size ~selective ~calls =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
       let ether = Net.Ethernet.create eng ~config:ether_config () in
-      let cfg = ratp_config ~selective ~adaptive in
+      let cfg = ratp_config ~selective in
       let server =
         Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:cfg ()
       in
@@ -113,7 +107,6 @@ let measure_point ~loss_pct ~size ~selective ~adaptive ~calls =
         loss_pct;
         size;
         selective;
-        adaptive;
         calls;
         oks = !oks;
         timeouts = !timeouts;
@@ -168,27 +161,20 @@ let measure_bypass ~invocations =
 
 let run ?(losses = [ 0; 1; 5; 10 ]) ?(sizes = [ 1400; 8192; 65536 ])
     ?(calls = 5) ?(invocations = 50) () =
-  let arms =
-    [ (false, false); (false, true); (true, false); (true, true) ]
-  in
   let points =
     List.concat_map
       (fun loss_pct ->
         List.concat_map
           (fun size ->
             List.map
-              (fun (selective, adaptive) ->
-                measure_point ~loss_pct ~size ~selective ~adaptive ~calls)
-              arms)
+              (fun selective -> measure_point ~loss_pct ~size ~selective ~calls)
+              [ false; true ])
           sizes)
       losses
   in
   { points; bypass = measure_bypass ~invocations }
 
-let arm_name p =
-  Printf.sprintf "%s/%s"
-    (if p.selective then "selective" else "full-burst")
-    (if p.adaptive then "adaptive" else "fixed")
+let arm_name p = if p.selective then "selective" else "full-burst"
 
 let report r =
   let point_rows =
@@ -229,7 +215,5 @@ let report r =
       };
     ]
   in
-  Report.table
-    ~title:
-      "Transport: selective retransmission, adaptive RTO, same-node bypass"
+  Report.table ~title:"Transport: selective retransmission, same-node bypass"
     (point_rows @ bypass_rows)

@@ -6,7 +6,6 @@ type config = {
   server_cache_ttl : Sim.Time.span;
   proc_cost : Sim.Time.span;
   selective_retransmit : bool;
-  adaptive_rto : bool;
   rto_min : Sim.Time.span;
   rto_max : Sim.Time.span;
 }
@@ -20,7 +19,6 @@ let default_config =
     server_cache_ttl = Sim.Time.sec 5;
     proc_cost = Sim.Time.us 590;
     selective_retransmit = true;
-    adaptive_rto = false;
     rto_min = Sim.Time.ms 2;
     rto_max = Sim.Time.sec 4;
   }
@@ -33,7 +31,9 @@ type client_pending = {
   complete : Packet.body Sim.Mailbox.t;
   mutable reply_got : bool array;  (* sized on first reply fragment *)
   mutable reply_missing : int;  (* -1 until sized *)
+  mutable reply_last : Sim.Time.t;  (* arrival of the latest new fragment *)
   mutable busy : bool;  (* server said it is working; be patient *)
+  mutable quiet_since : Sim.Time.t;  (* first send, or the latest Busy *)
   mutable heard : bool;
       (* any feedback (reply fragment, Nack, Busy) since the last
          retransmission: silence means control packets are dying too,
@@ -42,7 +42,6 @@ type client_pending = {
   service : int;
   req_body : Packet.body;
   req_size : int;
-  mutable retransmitted : bool;  (* Karn: poisons the RTT sample *)
 }
 
 type server_state =
@@ -56,15 +55,12 @@ type server_state =
   | In_progress
   | Done of { reply : Packet.body; reply_size : int }
 
-(* Per-destination round-trip estimator (Jacobson/Karels).  Always
-   maintained — the current estimate is surfaced through the
-   per-peer [ratp.rto_us] gauge either way — but only consulted for
-   the retry timer when [adaptive_rto] is on. *)
+(* Per-destination round-trip estimator (Jacobson/Karels): every
+   call's retry timer, surfaced as the per-peer [ratp.rto_us] gauge. *)
 type rto_state = {
   mutable srtt : float;  (* ns *)
   mutable rttvar : float;  (* ns *)
   mutable rto : Sim.Time.span;
-  mutable samples : int;
 }
 
 module Tid_table = Hashtbl.Make (struct
@@ -116,42 +112,56 @@ let metrics t =
 
 (* --- adaptive retransmission timeout -------------------------------- *)
 
-let rto_state_for t dst =
-  match Hashtbl.find_opt t.rto dst with
-  | Some st -> st
-  | None ->
-      let st =
-        { srtt = 0.0; rttvar = 0.0; rto = t.cfg.retry_initial; samples = 0 }
-      in
-      Hashtbl.replace t.rto dst st;
-      st
-
-(* One clean (never-retransmitted: Karn's rule) transaction sample.
-   Standard Jacobson/Karels constants: alpha 1/8, beta 1/4, RTO =
-   SRTT + 4 RTTVAR, clamped to [rto_min, rto_max]. *)
+(* One unambiguous transaction sample (Karn's rule).  Standard
+   Jacobson/Karels constants: alpha 1/8, beta 1/4, RTO = SRTT + 4
+   RTTVAR, clamped to [rto_min, rto_max]. *)
 let note_rtt t ~dst span =
-  let st = rto_state_for t dst in
   let rtt = float_of_int span in
-  if st.samples = 0 then begin
-    st.srtt <- rtt;
-    st.rttvar <- rtt /. 2.0
-  end
-  else begin
-    st.rttvar <- (0.75 *. st.rttvar) +. (0.25 *. Float.abs (st.srtt -. rtt));
-    st.srtt <- (0.875 *. st.srtt) +. (0.125 *. rtt)
-  end;
-  st.samples <- st.samples + 1;
+  let st =
+    match Hashtbl.find_opt t.rto dst with
+    | Some st ->
+        st.rttvar <-
+          (0.75 *. st.rttvar) +. (0.25 *. Float.abs (st.srtt -. rtt));
+        st.srtt <- (0.875 *. st.srtt) +. (0.125 *. rtt);
+        st
+    | None ->
+        let st = { srtt = rtt; rttvar = rtt /. 2.0; rto = 0 } in
+        Hashtbl.replace t.rto dst st;
+        st
+  in
   let rto = int_of_float (st.srtt +. (4.0 *. st.rttvar)) in
   st.rto <- max t.cfg.rto_min (min t.cfg.rto_max rto);
   Sim.Stats.kset t.rto_by dst (st.rto / 1_000)
 
+(* A destination with no sample yet gets [retry_initial]. *)
 let rto_for t dst =
-  if not t.cfg.adaptive_rto then t.cfg.retry_initial
-  else begin
-    match Hashtbl.find_opt t.rto dst with
-    | Some st when st.samples > 0 -> st.rto
-    | Some _ | None -> t.cfg.retry_initial
-  end
+  match Hashtbl.find_opt t.rto dst with
+  | Some st -> st.rto
+  | None -> t.cfg.retry_initial
+
+let backoff cfg interval =
+  int_of_float (float_of_int interval *. cfg.retry_backoff)
+
+(* The give-up budget: the silence the classic fixed ladder allowed,
+   [max_attempts] waits from [retry_initial], truncated as it was. *)
+let give_up_budget cfg =
+  let rec sum k interval =
+    if k = 0 then 0 else interval + sum (k - 1) (backoff cfg interval)
+  in
+  sum cfg.max_attempts cfg.retry_initial
+
+(* A reply stream has stalled, rather than yielded the shared wire to
+   other traffic, once quiet for four fragment gaps: the slowest of
+   sender driver, wire and receiver driver for one full fragment. *)
+let stall_after t =
+  let e = Net.Ethernet.config t.ether in
+  let bytes =
+    t.cfg.frag_payload + Packet.header_bytes + Net.Frame.header_bytes
+  in
+  4
+  * max (Net.Ethernet.wire_time e bytes)
+      ((e.cost_per_byte_ns * bytes)
+      + max e.send_cost_per_frame e.recv_cost_per_frame)
 
 type peer_stats = {
   peer : Net.Address.t;
@@ -173,10 +183,7 @@ let peer_stats t =
            peer;
            retrans = Sim.Stats.kvalue t.retrans_by peer;
            nacks = Sim.Stats.kvalue t.nacks_by peer;
-           rto_ms =
-             (match Hashtbl.find_opt t.rto peer with
-             | Some st when st.samples > 0 -> Sim.Time.to_ms_f st.rto
-             | Some _ | None -> Sim.Time.to_ms_f t.cfg.retry_initial);
+           rto_ms = Sim.Time.to_ms_f (rto_for t peer);
          })
 
 (* --- transmission --------------------------------------------------- *)
@@ -188,46 +195,59 @@ let peer_stats t =
    effect-handler setup per fragment (an 8 K transfer used to spawn
    six).  [frags] is the fragment indices to put on the wire — the
    full burst on first transmission, only the missing ones on a
-   selective retransmission. *)
-let send_frag_list t ~dst ~service ~tid ~kind ~total_size body frags =
+   selective retransmission.  With [~until] the calling process
+   carries the burst and returns once it has left the host (a client
+   arms its retry timer only then), or early once [until ()] holds
+   (the reply is in).  [~resent] counts payload in [retrans_bytes]. *)
+let send_frag_list ?until ?(resent = false) t ~dst ~service ~tid ~kind
+    ~total_size body frags =
   let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload total_size in
+  let frag_size i =
+    Packet.frag_bytes ~frag_payload:t.cfg.frag_payload ~total_size i
+  in
   let frame_for i =
-    let frag_size =
-      Packet.frag_bytes ~frag_payload:t.cfg.frag_payload ~total_size i
-    in
     let pkt =
       { Packet.tid; service; kind; frag = i; nfrags = n; total_size; body }
     in
     Net.Frame.make ~src:t.address ~dst:(Net.Frame.Unicast dst)
-      ~payload_bytes:(frag_size + Packet.header_bytes)
+      ~payload_bytes:(frag_size i + Packet.header_bytes)
       (Packet.Ratp pkt)
   in
-  ignore
-    (Sim.Engine.spawn
-       (Net.Ethernet.engine t.ether)
-       ?group:t.group "ratp-tx"
-       (fun () ->
-         let cfg = Net.Ethernet.config t.ether in
-         let t0 = Sim.now () in
-         List.iter
-           (fun i ->
-             let frame = frame_for i in
-             (* the host is ready to hand fragment [i] to the wire once
-                its own driver cost has elapsed from the start of the
-                burst; by then the bus is usually still busy with the
-                previous fragment, so the cost is hidden *)
-             let ready =
-               Sim.Time.add t0 (Net.Ethernet.host_send_cost cfg frame)
-             in
-             let now = Sim.now () in
-             if Sim.Time.compare ready now > 0 then
-               Sim.sleep (Sim.Time.diff ready now);
-             Net.Ethernet.transmit_prepared t.ether frame)
-           frags))
+  let burst stop =
+    let cfg = Net.Ethernet.config t.ether in
+    let t0 = Sim.now () in
+    let rec go = function
+      | i :: rest when not (stop ()) ->
+          let frame = frame_for i in
+          (* the host is ready to hand fragment [i] to the wire once
+             its own driver cost has elapsed from the start of the
+             burst; by then the bus is usually still busy with the
+             previous fragment, so the cost is hidden *)
+          let ready =
+            Sim.Time.add t0 (Net.Ethernet.host_send_cost cfg frame)
+          in
+          let now = Sim.now () in
+          if Sim.Time.compare ready now > 0 then
+            Sim.sleep (Sim.Time.diff ready now);
+          Net.Ethernet.transmit_prepared t.ether frame;
+          if resent then Sim.Stats.incr_by t.retrans_bytes (frag_size i);
+          go rest
+      | _ -> ()
+    in
+    go frags
+  in
+  match until with
+  | Some stop -> burst stop
+  | None ->
+      ignore
+        (Sim.Engine.spawn
+           (Net.Ethernet.engine t.ether)
+           ?group:t.group "ratp-tx"
+           (fun () -> burst (fun () -> false)))
 
-let send_fragments t ~dst ~service ~tid ~kind ~total_size body =
+let send_fragments ?until ?resent t ~dst ~service ~tid ~kind ~total_size body =
   let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload total_size in
-  send_frag_list t ~dst ~service ~tid ~kind ~total_size body
+  send_frag_list ?until ?resent t ~dst ~service ~tid ~kind ~total_size body
     (List.init n Fun.id)
 
 (* Acks ride the same prepared-transmit path as every other packet
@@ -237,8 +257,8 @@ let send_ack t ~dst ~tid ~service =
   send_fragments t ~dst ~service ~tid ~kind:Packet.Ack ~total_size:0
     Packet.Empty
 
-let send_control t ~dst ~tid ~service ~kind bits =
-  send_frag_list t ~dst ~service ~tid ~kind
+let send_control ?until t ~dst ~tid ~service ~kind bits =
+  send_frag_list ?until t ~dst ~service ~tid ~kind
     ~total_size:(Packet.bitmap_bytes (Array.length bits))
     (Packet.Bitmap (Array.copy bits))
     [ 0 ]
@@ -301,10 +321,9 @@ let handle_request t ~src (pkt : Packet.t) =
       (* duplicate request: retransmit the cached reply once per
          request burst (triggered by fragment 0) *)
       if pkt.frag = 0 then begin
-        Sim.Stats.incr_by t.retrans_bytes reply_size;
         Sim.Stats.kincr t.retrans_by src;
-        send_fragments t ~dst:src ~service:pkt.service ~tid:pkt.tid
-          ~kind:Packet.Reply ~total_size:reply_size reply
+        send_fragments ~resent:true t ~dst:src ~service:pkt.service
+          ~tid:pkt.tid ~kind:Packet.Reply ~total_size:reply_size reply
       end
   | Some In_progress ->
       (* tell the retransmitting client the handler is still running
@@ -341,6 +360,16 @@ let handle_request t ~src (pkt : Packet.t) =
         schedule_accumulation_expiry t pkt.tid
       end
 
+(* The fragments of a [total_size] message that a peer's bitmap says
+   it lacks; a bitmap of the wrong size (or none) means the peer holds
+   no state, so all of them. *)
+let missing_frags t ~total_size body =
+  let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload total_size in
+  match body with
+  | Packet.Bitmap got when Array.length got = n ->
+      List.filter (fun i -> not got.(i)) (List.init n Fun.id)
+  | _ -> List.init n Fun.id
+
 (* A retransmit probe asks "what are you missing?".  The answer
    depends on where the transaction stands:
    - reply cached: resend only the reply fragments the probe's bitmap
@@ -352,23 +381,11 @@ let handle_request t ~src (pkt : Packet.t) =
 let handle_probe t ~src (pkt : Packet.t) =
   match Tid_table.find_opt t.servers pkt.tid with
   | Some (Done { reply; reply_size }) ->
-      let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload reply_size in
-      let missing =
-        match pkt.body with
-        | Packet.Bitmap got when Array.length got = n ->
-            List.filter (fun i -> not got.(i)) (List.init n Fun.id)
-        | _ -> List.init n Fun.id
-      in
+      let missing = missing_frags t ~total_size:reply_size pkt.body in
       if missing <> [] then begin
-        List.iter
-          (fun i ->
-            Sim.Stats.incr_by t.retrans_bytes
-              (Packet.frag_bytes ~frag_payload:t.cfg.frag_payload
-                 ~total_size:reply_size i))
-          missing;
         Sim.Stats.kincr t.retrans_by src;
-        send_frag_list t ~dst:src ~service:pkt.service ~tid:pkt.tid
-          ~kind:Packet.Reply ~total_size:reply_size reply missing
+        send_frag_list ~resent:true t ~dst:src ~service:pkt.service
+          ~tid:pkt.tid ~kind:Packet.Reply ~total_size:reply_size reply missing
       end
   | Some In_progress ->
       send_fragments t ~dst:src ~service:pkt.service ~tid:pkt.tid
@@ -399,6 +416,7 @@ let handle_reply t (pkt : Packet.t) =
       if not pc.reply_got.(pkt.frag) then begin
         pc.reply_got.(pkt.frag) <- true;
         pc.reply_missing <- pc.reply_missing - 1;
+        pc.reply_last <- Sim.now ();
         if pc.reply_missing = 0 then Sim.Mailbox.send pc.complete pkt.body
       end
 
@@ -410,25 +428,11 @@ let handle_nack t (pkt : Packet.t) =
   | None -> ()
   | Some pc ->
       pc.heard <- true;
-      let n =
-        Packet.nfrags_of ~frag_payload:t.cfg.frag_payload pc.req_size
-      in
-      let missing =
-        match pkt.body with
-        | Packet.Bitmap got when Array.length got = n ->
-            List.filter (fun i -> not got.(i)) (List.init n Fun.id)
-        | _ -> List.init n Fun.id
-      in
-      if missing <> [] then begin
-        List.iter
-          (fun i ->
-            Sim.Stats.incr_by t.retrans_bytes
-              (Packet.frag_bytes ~frag_payload:t.cfg.frag_payload
-                 ~total_size:pc.req_size i))
-          missing;
-        send_frag_list t ~dst:pc.dst ~service:pc.service ~tid:pkt.tid
-          ~kind:Packet.Request ~total_size:pc.req_size pc.req_body missing
-      end
+      let missing = missing_frags t ~total_size:pc.req_size pkt.body in
+      if missing <> [] then
+        send_frag_list ~resent:true t ~dst:pc.dst ~service:pc.service
+          ~tid:pkt.tid ~kind:Packet.Request ~total_size:pc.req_size
+          pc.req_body missing
 
 let handle_packet t ~src (pkt : Packet.t) =
   match pkt.kind with
@@ -441,7 +445,8 @@ let handle_packet t ~src (pkt : Packet.t) =
       match Tid_table.find_opt t.clients pkt.tid with
       | Some pc ->
           pc.busy <- true;
-          pc.heard <- true
+          pc.heard <- true;
+          pc.quiet_since <- Sim.now ()
       | None -> ())
 
 let rec rx_loop t =
@@ -511,13 +516,14 @@ let call t ~dst ~service ~size body =
       complete = Sim.Mailbox.create "ratp-reply";
       reply_got = [||];
       reply_missing = -1;
+      reply_last = Sim.Time.zero;
       busy = false;
+      quiet_since = Sim.now ();
       heard = false;
       dst;
       service;
       req_body = body;
       req_size = size;
-      retransmitted = false;
     }
   in
   Tid_table.replace t.clients tid pc;
@@ -534,7 +540,7 @@ let call t ~dst ~service ~size body =
       Obs.Tracer.finish span;
       Tid_table.remove t.clients tid)
     (fun () ->
-      let t_start = Sim.now () in
+      let t_start = pc.quiet_since in
       (* Retransmission: under [selective_retransmit] a timeout sends
          a 1-frame probe and lets the server's answer drive exactly
          the missing fragments back onto the wire.  Two exceptions
@@ -549,52 +555,64 @@ let call t ~dst ~service ~size body =
          complete, so the escalation is pointless: a resent burst
          could only trigger the server's full cached-reply resend,
          while a probe pulls exactly the missing reply fragments. *)
-      let retransmit ~sends =
+      let replied () = pc.reply_missing = 0 in
+      let budget = give_up_budget t.cfg in
+      let rec retransmit ~sends interval =
         let heard = pc.heard in
         pc.heard <- false;
-        pc.retransmitted <- true;
         Sim.Stats.incr t.retrans;
         Sim.Stats.kincr t.retrans_by dst;
         if
           t.cfg.selective_retransmit
           && (sends = 1 || heard || pc.reply_missing >= 0)
           && not (req_nfrags = 1 && pc.reply_missing = -1)
-        then send_control t ~dst ~tid ~service ~kind:Packet.Probe pc.reply_got
-        else begin
-          Sim.Stats.incr_by t.retrans_bytes size;
-          send_fragments t ~dst ~service ~tid ~kind:Packet.Request
-            ~total_size:size body
-        end
+        then
+          send_control ~until:replied t ~dst ~tid ~service ~kind:Packet.Probe
+            pc.reply_got
+        else
+          send_fragments ~until:replied ~resent:true t ~dst ~service ~tid
+            ~kind:Packet.Request ~total_size:size body;
+        await ~sends interval interval
+      (* The retry timer is the learned RTO, armed once the attempt's
+         burst has left the host and doubled on every silent round.
+         Giving up is a budget of silence since the first send or the
+         latest Busy; the last wait is clamped to what is left of it.
+         A timer that fires while the reply is still streaming in (an
+         RTO learned from small calls undercuts a long reply's wire
+         time) rechecks later instead of probing for fragments that
+         are in flight.  [sends] counts retransmissions so far. *)
+      and await ~sends interval wait =
+        let deadline = Sim.Time.add pc.quiet_since budget in
+        let left = Sim.Time.diff deadline (Sim.now ()) in
+        match Sim.Mailbox.recv_timeout pc.complete (max 0 (min wait left)) with
+        | Some reply ->
+            (* Karn's rule, except that a Busy (which moved the silence
+               clock) proves the reply answers the original request *)
+            if sends = 0 || pc.quiet_since > t_start then
+              note_rtt t ~dst (Sim.Time.diff (Sim.now ()) t_start);
+            Sim.sleep t.cfg.proc_cost;
+            send_ack t ~dst ~tid ~service;
+            Sim.Stats.incr t.completed;
+            Ok reply
+        | None ->
+            if pc.busy then begin
+              (* the server is working on it: keep waiting without
+                 backing off (deadlock breaking is the caller's job,
+                 e.g. abort-after-timeout) *)
+              pc.busy <- false;
+              retransmit ~sends:(sends + 1) interval
+            end
+            else if Sim.Time.compare (Sim.now ()) deadline >= 0 then
+              Error Timeout
+            else
+              let stall = stall_after t in
+              if
+                pc.reply_missing > 0
+                && Sim.Time.diff (Sim.now ()) pc.reply_last < stall
+              then await ~sends interval stall
+              else retransmit ~sends:(sends + 1) (backoff t.cfg interval)
       in
-      (* [n] counts attempts against the give-up budget; [sends]
-         counts wire sends, so Busy-path probes register as
-         retransmissions without burning attempts *)
-      let rec attempt ~sends n interval =
-        if n > t.cfg.max_attempts then Error Timeout
-        else begin
-          if sends = 0 then
-            send_fragments t ~dst ~service ~tid ~kind:Packet.Request
-              ~total_size:size body
-          else retransmit ~sends;
-          match Sim.Mailbox.recv_timeout pc.complete interval with
-          | Some reply ->
-              if not pc.retransmitted then
-                note_rtt t ~dst (Sim.Time.diff (Sim.now ()) t_start);
-              Sim.sleep t.cfg.proc_cost;
-              send_ack t ~dst ~tid ~service;
-              Sim.Stats.incr t.completed;
-              Ok reply
-          | None ->
-              if pc.busy then begin
-                (* the server is working on it: keep waiting without
-                   burning attempts (deadlock breaking is the
-                   caller's job, e.g. abort-after-timeout) *)
-                pc.busy <- false;
-                attempt ~sends:(sends + 1) n interval
-              end
-              else
-                attempt ~sends:(sends + 1) (n + 1)
-                  (int_of_float (float_of_int interval *. t.cfg.retry_backoff))
-        end
-      in
-      attempt ~sends:0 1 (rto_for t dst))
+      send_fragments ~until:replied t ~dst ~service ~tid ~kind:Packet.Request
+        ~total_size:size body;
+      let rto = rto_for t dst in
+      await ~sends:0 rto rto)

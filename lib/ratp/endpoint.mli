@@ -12,10 +12,9 @@
     the peer answers with a received-fragment bitmap ({!Packet.Nack})
     or with just the missing reply fragments, so a single lost
     fragment of a large message costs one fragment on the wire, not
-    the whole burst.  The retry timer is fixed by default; with
-    [adaptive_rto] it follows a per-destination Jacobson/Karels
-    SRTT/RTTVAR estimate (Karn's rule: retransmitted transactions
-    contribute no samples).
+    the whole burst.  The retry timer is a per-destination
+    Jacobson/Karels estimate, and a call gives up after a budget of
+    silence rather than a count of attempts (DESIGN.md §12).
 
     Each endpoint owns the NIC of one machine and runs a receive loop
     process; server handlers run in their own processes so a slow
@@ -23,9 +22,11 @@
 
 type config = {
   frag_payload : int;  (** max message bytes per fragment *)
-  retry_initial : Sim.Time.span;  (** first retransmission delay *)
-  retry_backoff : float;  (** multiplier per retry *)
-  max_attempts : int;  (** send attempts before giving up *)
+  retry_initial : Sim.Time.span;  (** RTO before the first RTT sample *)
+  retry_backoff : float;  (** timer multiplier per silent retry *)
+  max_attempts : int;
+      (** sizes the give-up budget: a call gives up after the silence
+          of [max_attempts] backed-off waits from [retry_initial] *)
   server_cache_ttl : Sim.Time.span;  (** reply retention for dedup *)
   proc_cost : Sim.Time.span;
       (** protocol processing charged per transaction step (request
@@ -34,21 +35,18 @@ type config = {
       (** on timeout, probe for the peer's received-fragment bitmap
           and resend only what is missing (default on; loss-free
           packet streams are identical to the full-burst path) *)
-  adaptive_rto : bool;
-      (** derive the retry timer from the per-destination SRTT/RTTVAR
-          estimate instead of [retry_initial] (default off; the
-          estimator is maintained and surfaced either way) *)
-  rto_min : Sim.Time.span;  (** adaptive RTO clamp, lower bound *)
-  rto_max : Sim.Time.span;  (** adaptive RTO clamp, upper bound *)
+  rto_min : Sim.Time.span;  (** learned RTO clamp, lower bound *)
+  rto_max : Sim.Time.span;  (** learned RTO clamp, upper bound *)
 }
 
 val default_config : config
 (** Calibrated so that a null transaction costs about twice the raw
     72-byte Ethernet round trip, matching the paper's 4.8 ms vs
-    2.4 ms.  [selective_retransmit] on, [adaptive_rto] off. *)
+    2.4 ms.  [selective_retransmit] on; 50 ms initial RTO doubling over
+    8 waits (a 12.75 s give-up budget); RTO clamped to [2 ms, 4 s]. *)
 
 type error = Timeout
-(** The transaction gave up after [max_attempts]. *)
+(** The transaction's give-up budget of silence ran out. *)
 
 type handler = src:Net.Address.t -> Packet.body -> Packet.body * int
 (** A service: receives the request body, returns the reply body and
@@ -83,7 +81,8 @@ val call :
   (Packet.body, error) result
 (** Perform a message transaction from the current process: fragment
     and send the request, await the complete reply, acknowledge it.
-    Returns [Error Timeout] if no reply after [max_attempts]. *)
+    Returns [Error Timeout] once the give-up budget of silence has
+    passed with no reply. *)
 
 val restart : t -> unit
 (** After a machine crash ({!Sim.Engine.kill_group} plus NIC detach),

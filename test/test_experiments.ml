@@ -171,15 +171,13 @@ let test_transport_acceptance () =
       ~invocations:10 ()
   in
   let open Experiments.Transport in
-  let point ~loss_pct ~selective ~adaptive =
+  let point ~loss_pct ~selective =
     List.find
-      (fun p ->
-        p.loss_pct = loss_pct && p.selective = selective
-        && p.adaptive = adaptive)
+      (fun p -> p.loss_pct = loss_pct && p.selective = selective)
       r.points
   in
-  (* loss-free: no arm retransmits anything, and all four arms report
-     identical timing (the flags must be invisible without loss) *)
+  (* loss-free: no arm retransmits anything, and both arms report
+     identical timing (the flag must be invisible without loss) *)
   List.iter
     (fun p ->
       if p.loss_pct = 0 then begin
@@ -187,13 +185,13 @@ let test_transport_acceptance () =
         check_bool "loss-free arm all ok" true (p.oks = p.calls)
       end)
     r.points;
-  let clean = point ~loss_pct:0 ~selective:true ~adaptive:false in
-  let clean_full = point ~loss_pct:0 ~selective:false ~adaptive:false in
+  let clean = point ~loss_pct:0 ~selective:true in
+  let clean_full = point ~loss_pct:0 ~selective:false in
   check_bool "loss-free timing identical across arms" true
     (clean.elapsed_ms = clean_full.elapsed_ms);
   (* at 5% loss selective must resend far fewer bytes *)
-  let sel = point ~loss_pct:5 ~selective:true ~adaptive:false in
-  let full = point ~loss_pct:5 ~selective:false ~adaptive:false in
+  let sel = point ~loss_pct:5 ~selective:true in
+  let full = point ~loss_pct:5 ~selective:false in
   check_bool "full-burst resends under loss" true (full.retrans_bytes > 0);
   check_bool
     (Printf.sprintf "selective %dB vs full-burst %dB" sel.retrans_bytes

@@ -148,7 +148,7 @@ let test_timeout_when_unreachable () =
   (match fst r with
   | Error Endpoint.Timeout -> ()
   | Ok _ -> Alcotest.fail "should have timed out");
-  (* 8 attempts with 50ms doubling backoff = 12.75 s of waiting *)
+  (* the give-up budget: 8 waits of 50ms doubling = 12.75 s of silence *)
   check_bool "waited through full backoff" true (snd r >= Time.ms 12_000)
 
 let test_unknown_service_times_out () =
@@ -315,7 +315,7 @@ let test_busy_does_not_burn_attempts () =
   check_int "still a single transaction" 1 txns
 
 (* ------------------------------------------------------------------ *)
-(* Selective retransmission and adaptive RTO *)
+(* Selective retransmission and the learned RTO *)
 
 (* The fast interconnect used by Experiments.Transport: a 64 K burst
    finishes in a few ms, well inside the 50 ms retry timer, so the
@@ -570,27 +570,29 @@ let test_selective_under_reorder_and_dup () =
   check_int "at-most-once held" 10 executions;
   check_bool "selective path was exercised" true (nacks > 0)
 
-let test_adaptive_rto_and_karn () =
-  let config =
-    { Endpoint.default_config with adaptive_rto = true; max_attempts = 12 }
-  in
-  with_fast_pair ~config (fun ether a b ->
+let rto_of e =
+  match Endpoint.peer_stats e with
+  | [ { Endpoint.peer = 2; rto_ms; _ } ] -> rto_ms
+  | _ -> Alcotest.fail "expected stats for exactly peer 2"
+
+let warm_up a ~calls ~size =
+  for _ = 1 to calls do
+    match Endpoint.call a ~dst:2 ~service:echo_service ~size (Echo "x") with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "loss-free warm-up call timed out"
+  done
+
+let test_learned_rto_and_karn () =
+  with_fast_pair ~config:Endpoint.default_config (fun ether a b ->
       serve_echo b;
-      let rto_of e =
-        match Endpoint.peer_stats e with
-        | [ { Endpoint.peer = 2; rto_ms; _ } ] -> rto_ms
-        | _ -> Alcotest.fail "expected stats for exactly peer 2"
-      in
-      for _ = 1 to 5 do
-        match Endpoint.call a ~dst:2 ~service:echo_service ~size:64 (Echo "x") with
-        | Ok _ -> ()
-        | Error _ -> Alcotest.fail "loss-free call timed out"
-      done;
+      check_bool "no sample yet: the timer is retry_initial" true
+        (Endpoint.peer_stats a = []);
+      warm_up a ~calls:5 ~size:64;
       let settled = rto_of a in
       (* sub-ms RTT on the fast wire: the estimate must undercut the
-         50 ms fixed timer but stay above the 2 ms clamp *)
+         50 ms initial timer but stay above the 2 ms clamp *)
       check_bool
-        (Printf.sprintf "adapted rto %.2fms below fixed 50ms" settled)
+        (Printf.sprintf "adapted rto %.2fms below initial 50ms" settled)
         true
         (settled < 50.0 && settled >= 2.0);
       (* Karn's rule: a transaction that retransmitted contributes no
@@ -610,6 +612,100 @@ let test_adaptive_rto_and_karn () =
       Alcotest.(check (float 0.0))
         "Karn: no sample from a retransmitted transaction" settled (rto_of a);
       check_bool "the retry was recorded" true (Endpoint.retransmissions a > 0))
+
+let slow_service = 8
+
+let test_busy_answer_gives_sample () =
+  (* A Busy answer proves the server is running the original request,
+     so the reply is unambiguous and Karn's rule must not discard it:
+     after one slow call the timer covers the handler, and a second
+     identical call waits instead of probing every few ms. *)
+  with_fast_pair ~config:Endpoint.default_config (fun _ether a b ->
+      serve_echo b;
+      Endpoint.serve b ~service:slow_service (fun ~src:_ body ->
+          Sim.sleep (Time.ms 200);
+          (body, 8));
+      warm_up a ~calls:5 ~size:64;
+      let fast = rto_of a in
+      let slow_call () =
+        let before = Endpoint.retransmissions a in
+        (match
+           Endpoint.call a ~dst:2 ~service:slow_service ~size:8 (Echo "s")
+         with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "slow handler should still reply");
+        Endpoint.retransmissions a - before
+      in
+      let first = slow_call () in
+      check_bool "the first slow call was probed" true (first > 0);
+      check_bool
+        (Printf.sprintf "busy-answered call sampled: rto %.2f -> %.2fms" fast
+           (rto_of a))
+        true
+        (rto_of a > fast);
+      let second = slow_call () in
+      check_bool
+        (Printf.sprintf "second slow call sent %d probes (<= 1)" second)
+        true (second <= 1))
+
+let sink_service = 9
+
+let test_timer_starts_after_burst () =
+  (* On the paper's 10 Mbit Ethernet a 47-fragment (64 KB) request
+     takes ~56 ms to leave the host, far longer than the RTO learned
+     from null calls.  The timer must not run while the burst is still
+     going out, or the client probes its own half-sent request and the
+     server answers with a Nack. *)
+  let nacks, retrans, reply =
+    with_pair (fun _ether a b ->
+        serve_echo b;
+        Endpoint.serve b ~service:sink_service (fun ~src:_ _ -> (Echo "ok", 2));
+        warm_up a ~calls:10 ~size:32;
+        check_bool
+          (Printf.sprintf "rto %.2fms adapted below the burst time" (rto_of a))
+          true
+          (rto_of a < 50.0);
+        let reply =
+          Endpoint.call a ~dst:2 ~service:sink_service ~size:65536 (Blob 65536)
+        in
+        (Endpoint.nacks_sent b, Endpoint.retransmissions a, reply))
+  in
+  (match reply with
+  | Ok (Echo "ok") -> ()
+  | Ok _ | Error _ -> Alcotest.fail "64 KB request failed");
+  check_int "no Nack for a loss-free burst" 0 nacks;
+  check_int "no retransmission for a loss-free burst" 0 retrans
+
+let test_give_up_budget_is_time () =
+  (* Giving up is a budget of silence, not a count of attempts: with
+     retry_initial 20 ms and 3 attempts, a dead peer is declared after
+     exactly 20+40+80 = 140 ms since the first send — even though the
+     learned 2 ms RTO would exhaust three doublings in 14 ms. *)
+  let config =
+    { Endpoint.default_config with retry_initial = Time.ms 20; max_attempts = 3 }
+  in
+  let rto, reply, waited =
+    with_fast_pair ~config (fun ether a b ->
+        serve_echo b;
+        warm_up a ~calls:10 ~size:64;
+        let rto = rto_of a in
+        Net.Ethernet.detach ether 2;
+        let t0 = Sim.now () in
+        let reply =
+          Endpoint.call a ~dst:2 ~service:echo_service ~size:8 (Echo "x")
+        in
+        (rto, reply, Time.diff (Sim.now ()) t0))
+  in
+  check_bool (Printf.sprintf "estimator settled near 2 ms (%.2f)" rto) true
+    (rto <= 3.0);
+  (match reply with
+  | Error Endpoint.Timeout -> ()
+  | Ok _ -> Alcotest.fail "a detached peer cannot reply");
+  (* the silence clock starts at the first send, after the request's
+     protocol processing *)
+  check_int "timeout exactly 140 ms after the first send"
+    (Endpoint.default_config.proc_cost + Time.ms 140)
+    waited
 
 (* ------------------------------------------------------------------ *)
 (* Comparators: the paper's 8K transfer comparison *)
@@ -714,7 +810,13 @@ let () =
           Alcotest.test_case "selective under reorder+dup" `Quick
             test_selective_under_reorder_and_dup;
           Alcotest.test_case "adaptive rto and karn's rule" `Quick
-            test_adaptive_rto_and_karn;
+            test_learned_rto_and_karn;
+          Alcotest.test_case "busy answer gives an rtt sample" `Quick
+            test_busy_answer_gives_sample;
+          Alcotest.test_case "timer starts after the burst" `Quick
+            test_timer_starts_after_burst;
+          Alcotest.test_case "give-up budget is time" `Quick
+            test_give_up_budget_is_time;
         ] );
       ( "comparators",
         [
