@@ -485,3 +485,42 @@ let crash_report o =
             o.recovered_records;
       };
     ]
+
+
+(* The A/B points plus the crash scenario; simulated metrics only. *)
+let to_json points (o : crash_outcome) =
+  let open Obs.Export in
+  let int i = int i in
+  let point (p : point) =
+    Obj
+      [
+        ("label", Str p.cell.label); ("clients", int p.cell.clients);
+        ("footprint", int p.cell.footprint);
+        ( "window_ms",
+          match p.cell.window with
+          | None -> Null
+          | Some w -> Num (Sim.Time.to_ms_f w) );
+        ("committed", int p.committed); ("retries", int p.retries);
+        ("p50_ms", Num p.p50_ms); ("p95_ms", Num p.p95_ms);
+        ("mean_ms", Num p.mean_ms); ("throughput", Num p.throughput);
+        ("wal_records", int p.wal_records); ("wal_flushes", int p.wal_flushes);
+        ("mean_batch", Num p.mean_batch); ("sim_ms", Num p.sim_ms);
+      ]
+  in
+  Obj
+    [
+      ("cells", Arr (List.map point points));
+      ( "crash",
+        Obj
+          [
+            ("seed", int o.seed); ("sessions", int o.sessions);
+            ("deposits_per_session", int o.deposits_per_session);
+            ("acked", int o.acked); ("crash_retries", int o.crash_retries);
+            ("lost", int o.lost); ("ghosts", int o.ghosts);
+            ("checkpoints", int o.checkpoints);
+            ("log_truncated", int o.log_truncated);
+            ("recovered_records", int o.recovered_records);
+            ("violations", Arr (List.map (fun v -> Str v) o.violations));
+            ("trace", Str o.trace);
+          ] );
+    ]

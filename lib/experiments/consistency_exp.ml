@@ -340,3 +340,41 @@ let report r =
   Report.table
     ~title:"Consistency modes: one-copy vs release vs commutative (DESIGN §17)"
     (scoped_rows @ counter_rows @ sort_rows)
+
+
+let to_json r =
+  let open Obs.Export in
+  let int i = int i in
+  let scoped (p : scoped_point) =
+    Obj
+      [
+        ("mode", Str p.mode); ("copyset", int p.copyset);
+        ("writes", int p.writes); ("inval_rpcs", int p.inval_rpcs);
+        ("deferred", int p.deferred); ("page_moves", int p.page_moves);
+        ("elapsed_ms", Num p.elapsed_ms);
+      ]
+  in
+  let counter (p : counter_point) =
+    Obj
+      [
+        ("mode", Str p.mode); ("clients", int p.clients);
+        ("increments", int p.increments); ("stalls", int p.stalls);
+        ("page_moves", int p.page_moves); ("merge_rpcs", int p.merge_rpcs);
+        ("converged", Bool p.converged); ("elapsed_ms", Num p.elapsed_ms);
+      ]
+  in
+  let sort (p : sort_point) =
+    Obj
+      [
+        ("mode", Str p.mode); ("workers", int p.workers);
+        ("total_ms", Num p.total_ms); ("page_moves", int p.page_moves);
+        ("inval_rpcs", int p.inval_rpcs);
+      ]
+  in
+  Obj
+    [
+      ("scoped", Arr (List.map scoped r.scoped));
+      ("counters", Arr (List.map counter r.counters));
+      ("sort", Arr (List.map sort r.sort));
+      ("inval_reduction_at_2", Num (inval_reduction r ~copyset:2));
+    ]

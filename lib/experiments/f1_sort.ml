@@ -54,3 +54,16 @@ let report r =
                (Report.ms p.sort_ms) (Report.ms p.merge_ms) p.page_moves;
          })
        r.points)
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  let point p =
+    Obj
+      [
+        ("workers", int p.workers); ("total_ms", Num p.total_ms);
+        ("speedup", Num p.speedup); ("page_moves", int p.page_moves);
+      ]
+  in
+  Obj
+    [ ("elements", int r.elements); ("points", Arr (List.map point r.points)) ]

@@ -151,3 +151,25 @@ let report r =
              note = "locks + 2-phase commit + WAL";
            })
          r.spans)
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  let mode (m : mode_point) =
+    Obj
+      [
+        ("mode", Str m.mode); ("mean_ms", Num m.mean_ms);
+        ("throughput_per_s", Num m.throughput_per_s);
+        ("lock_rpcs", int m.lock_rpcs);
+      ]
+  in
+  let span (s : span_point) =
+    Obj
+      [
+        ("objects_touched", int s.objects_touched);
+        ("servers_involved", int s.servers_involved);
+        ("mean_ms", Num s.mean_ms);
+      ]
+  in
+  Obj
+    [ ("modes", Arr (List.map mode r.modes)); ("spans", Arr (List.map span r.spans)) ]

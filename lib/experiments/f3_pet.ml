@@ -121,3 +121,20 @@ let report r =
                p.completions p.trials p.mean_thread_ms;
          })
        r.points)
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  let point p =
+    Obj
+      [
+        ("parallel", int p.parallel);
+        ("completion_rate", Num p.completion_rate);
+        ("mean_thread_ms", Num p.mean_thread_ms);
+      ]
+  in
+  Obj
+    [
+      ("replicas", int r.replicas); ("quorum", int r.quorum);
+      ("points", Arr (List.map point r.points));
+    ]

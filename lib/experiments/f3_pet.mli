@@ -25,3 +25,5 @@ type result = {
 
 val run : ?trials:int -> ?parallel_counts:int list -> unit -> result
 val report : result -> string
+
+val to_json : result -> Obs.Export.json

@@ -257,3 +257,25 @@ let report points =
                p.throughput (p.sim_ms /. 1000.0) p.wall_s;
          })
        points)
+
+
+(* Simulated metrics only: [wall_s] is host time and stays out. *)
+let to_json points =
+  let open Obs.Export in
+  let point (p : point) =
+    let c = p.cell in
+    Obj
+      [
+        ("label", Str c.label); ("sharded", Bool c.sharded);
+        ("data", int c.data); ("compute", int c.compute);
+        ("clients", int c.clients); ("rate", Num c.rate);
+        ("invocations", int c.invocations);
+        ("write_pct", int c.write_pct);
+        ("completed", int p.completed); ("misses", int p.misses);
+        ("retries", int p.retries); ("p50_ms", Num p.p50_ms);
+        ("p95_ms", Num p.p95_ms); ("p99_ms", Num p.p99_ms);
+        ("mean_ms", Num p.mean_ms); ("throughput", Num p.throughput);
+        ("sim_ms", Num p.sim_ms);
+      ]
+  in
+  Obj [ ("cells", Arr (List.map point points)) ]

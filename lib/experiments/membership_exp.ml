@@ -345,3 +345,21 @@ let report outcomes =
                o.lost_writes;
          })
        outcomes)
+
+
+let to_json outcomes =
+  let open Obs.Export in
+  let arm (o : outcome) =
+    Obj
+      [
+        ("arm", Str o.arm); ("replication", int o.replication);
+        ("kills", int o.kills); ("ops", int o.ops);
+        ("oks", int o.oks); ("retried", int o.retried);
+        ("failed", int o.failed); ("detect_ms", Num o.detect_ms);
+        ("unavail_ms", Num o.unavail_ms); ("reheal_ms", Num o.reheal_ms);
+        ("pages_copied", int o.pages_copied);
+        ("lost_writes", int o.lost_writes);
+        ("final_epoch", int o.final_epoch); ("trace", Str o.trace);
+      ]
+  in
+  Obj [ ("arms", Arr (List.map arm outcomes)) ]

@@ -174,3 +174,29 @@ let report r =
       "Page batching: fault-ahead prefetch and batched writeback (16-page \
        segment)"
     (scan_rows @ flush_rows)
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  let scan s =
+    Obj
+      [
+        ("window", int s.window); ("sequential", Bool s.sequential);
+        ("fetch_rpcs", int s.fetch_rpcs);
+        ("prefetched", int s.prefetched); ("scan_ms", Num s.scan_ms);
+      ]
+  in
+  let flush f =
+    Obj
+      [
+        ("pages", int f.pages); ("serial_ms", Num f.serial_ms);
+        ("batched_ms", Num f.batched_ms);
+        ("serial_rpcs", int f.serial_rpcs);
+        ("batched_rpcs", int f.batched_rpcs);
+      ]
+  in
+  Obj
+    [
+      ("scans", Arr (List.map scan r.scans));
+      ("flushes", Arr (List.map flush r.flushes));
+    ]

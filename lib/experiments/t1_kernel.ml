@@ -74,3 +74,13 @@ let report r =
         note = "local page, data present";
       };
     ]
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  Obj
+    [
+      ("context_switch_ms", Num r.context_switch_ms);
+      ("fault_zero_fill_ms", Num r.fault_zero_fill_ms);
+      ("fault_data_ms", Num r.fault_data_ms); ("samples", int r.samples);
+    ]

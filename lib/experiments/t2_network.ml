@@ -124,3 +124,13 @@ let report r =
         note = "1K READ rpcs";
       };
     ]
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  Obj
+    [
+      ("eth_rtt_ms", Num r.eth_rtt_ms); ("ratp_rtt_ms", Num r.ratp_rtt_ms);
+      ("page_ratp_ms", Num r.page_ratp_ms); ("page_ftp_ms", Num r.page_ftp_ms);
+      ("page_nfs_ms", Num r.page_nfs_ms); ("samples", int r.samples);
+    ]

@@ -85,3 +85,12 @@ let report r =
           Printf.sprintf "%d invocations, 90%% repeat" r.locality_invocations;
       };
     ]
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  Obj
+    [
+      ("warm_ms", Num r.warm_ms); ("cold_ms", Num r.cold_ms);
+      ("locality_avg_ms", Num r.locality_avg_ms);
+    ]

@@ -49,3 +49,27 @@ let run ?(seed = 42) ?(cell = default_cell) () =
     registries_json = !registries_json;
     totals = !totals;
   }
+
+(* The bench "obs" section: span counts, the critical-path stage
+   decomposition and the cluster-wide registry rollup. *)
+let to_json r =
+  let open Obs.Export in
+  let stages st =
+    [
+      ("transport_ms", Num st.transport_ms); ("fault_ms", Num st.fault_ms);
+      ("commit_ms", Num st.commit_ms); ("other_ms", Num st.other_ms);
+    ]
+  in
+  let pick = function
+    | None -> Null
+    | Some ts ->
+        Obj (("total_ms", Num ts.total_ms) :: ("spans", int ts.nspans) :: stages ts.st)
+  in
+  let s = r.summary in
+  Obj
+    [
+      ("cell", Str r.point.Load.cell.label); ("traces", int s.traces);
+      ("spans", int s.spans); ("mean", Obj (stages s.mean.st));
+      ("p50", pick s.p50); ("p95", pick s.p95); ("p99", pick s.p99);
+      ("registry", Obj (List.map (fun (path, v) -> (path, int v)) r.totals));
+    ]

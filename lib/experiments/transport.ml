@@ -217,3 +217,30 @@ let report r =
   in
   Report.table ~title:"Transport: selective retransmission, same-node bypass"
     (point_rows @ bypass_rows)
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  let point p =
+    Obj
+      [
+        ("loss_pct", int p.loss_pct); ("size", int p.size);
+        ("selective", Bool p.selective); ("oks", int p.oks);
+        ("timeouts", int p.timeouts); ("elapsed_ms", Num p.elapsed_ms);
+        ("retrans", int p.retrans);
+        ("retrans_bytes", int p.retrans_bytes);
+        ("nacks", int p.nacks); ("rto_ms", Num p.rto_ms);
+      ]
+  in
+  let b = r.bypass in
+  Obj
+    [
+      ("points", Arr (List.map point r.points));
+      ( "bypass",
+        Obj
+          [
+            ("invocations", int b.invocations);
+            ("local_ms", Num b.local_ms); ("remote_ms", Num b.remote_ms);
+            ("local_invokes", int b.local_invokes);
+          ] );
+    ]

@@ -144,3 +144,20 @@ let report r =
           note = "no invalidations; both modes identical";
         }
      :: (rows_of "healthy" r.healthy @ rows_of "suspects" r.suspected))
+
+
+let to_json (r : result) =
+  let open Obs.Export in
+  let point p =
+    Obj
+      [
+        ("copyset", int p.copyset); ("suspects", int p.suspects);
+        ("serial_ms", Num p.serial_ms); ("parallel_ms", Num p.parallel_ms);
+      ]
+  in
+  Obj
+    [
+      ("rtt_ms", Num r.rtt_ms); ("baseline_ms", Num r.baseline_ms);
+      ("healthy", Arr (List.map point r.healthy));
+      ("suspected", Arr (List.map point r.suspected));
+    ]

@@ -106,6 +106,64 @@ let per_trace (t : Tracer.t) =
   List.rev_map (fun tid -> Hashtbl.find traces tid) !order
 
 (* ------------------------------------------------------------------ *)
+(* JSON values and the one printer every export goes through: ", " and
+   ": " separators, integer-valued numbers as integers, the rest at a
+   fixed 6 decimals, so fixed-seed output is byte-stable. *)
+
+type json =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+let add_str b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let add_items b opening closing add l =
+  Buffer.add_char b opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b ", ";
+      add x)
+    l;
+  Buffer.add_char b closing
+
+let rec add_json b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Num f when Float.is_integer f && Float.abs f < 1e15 -> Printf.bprintf b "%.0f" f
+  | Num f when Float.is_finite f -> Printf.bprintf b "%.6f" f
+  | Num _ -> Buffer.add_string b "null"
+  | Str s -> add_str b s
+  | Arr l -> add_items b '[' ']' (add_json b) l
+  | Obj l ->
+      add_items b '{' '}'
+        (fun (k, v) ->
+          add_str b k;
+          Buffer.add_string b ": ";
+          add_json b v)
+        l
+
+let to_string v =
+  let b = Buffer.create 1024 in
+  add_json b v;
+  Buffer.contents b
+
+let int n = Num (float_of_int n)
+
+(* ------------------------------------------------------------------ *)
 (* Critical-path report *)
 
 let mean l =
@@ -121,65 +179,24 @@ let line b tag (ts : trace_sum) =
        tag ts.total_ms ts.st.transport_ms ts.st.fault_ms ts.st.commit_ms
        ts.st.other_ms ts.trace ts.nspans)
 
-(* The report reads the traces whose root span has the given name
-   (default "request", the load harness's root) and prints the mean
-   stage decomposition plus the actual traces at p50/p95/p99 of
-   total latency: "p99 invocation = X ms transport + Y ms fault +
-   Z ms commit". *)
-let report ?(root = "request") (t : Tracer.t) =
-  let all = per_trace t in
-  let reqs =
-    List.filter (fun ts -> String.equal ts.root root) all
-    |> List.sort (fun a b -> Float.compare a.total_ms b.total_ms)
-  in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "critical path: %d %s traces of %d total, %d spans recorded\n"
-       (List.length reqs) root (List.length all) (Tracer.span_count t));
-  (match reqs with
-  | [] -> Buffer.add_string b "  (no traces with that root)\n"
-  | _ ->
-      let arr = Array.of_list reqs in
-      let n = Array.length arr in
-      let at p = arr.(int_of_float (p /. 100.0 *. float_of_int (n - 1))) in
-      let mean_ts =
-        {
-          trace = -1;
-          root;
-          total_ms = mean (List.map (fun ts -> ts.total_ms) reqs);
-          nspans =
-            List.fold_left (fun a ts -> a + ts.nspans) 0 reqs
-            / max 1 (List.length reqs);
-          st =
-            {
-              transport_ms = mean (List.map (fun ts -> ts.st.transport_ms) reqs);
-              fault_ms = mean (List.map (fun ts -> ts.st.fault_ms) reqs);
-              commit_ms = mean (List.map (fun ts -> ts.st.commit_ms) reqs);
-              other_ms = mean (List.map (fun ts -> ts.st.other_ms) reqs);
-            };
-        }
-      in
-      line b "mean" mean_ts;
-      line b "p50" (at 50.0);
-      line b "p95" (at 95.0);
-      line b "p99" (at 99.0));
-  Buffer.contents b
-
-(* Aggregate stage means and tail picks for machine-readable output
-   (the bench "obs" section). *)
+(* Aggregate stage means and tail picks over the traces whose root
+   span has the given name (default "request", the load harness's
+   root): "p99 invocation = X ms transport + Y ms fault + Z ms
+   commit". *)
 type summary = {
+  all_traces : int;
   traces : int;
   spans : int;
-  s_mean : stages;
+  mean : trace_sum;
   p50 : trace_sum option;
   p95 : trace_sum option;
   p99 : trace_sum option;
 }
 
 let summarize ?(root = "request") (t : Tracer.t) =
+  let all = per_trace t in
   let reqs =
-    List.filter (fun ts -> String.equal ts.root root) (per_trace t)
+    List.filter (fun ts -> String.equal ts.root root) all
     |> List.sort (fun a b -> Float.compare a.total_ms b.total_ms)
   in
   let arr = Array.of_list reqs in
@@ -189,19 +206,43 @@ let summarize ?(root = "request") (t : Tracer.t) =
     else Some arr.(int_of_float (p /. 100.0 *. float_of_int (n - 1)))
   in
   {
+    all_traces = List.length all;
     traces = n;
     spans = Tracer.span_count t;
-    s_mean =
+    mean =
       {
-        transport_ms = mean (List.map (fun ts -> ts.st.transport_ms) reqs);
-        fault_ms = mean (List.map (fun ts -> ts.st.fault_ms) reqs);
-        commit_ms = mean (List.map (fun ts -> ts.st.commit_ms) reqs);
-        other_ms = mean (List.map (fun ts -> ts.st.other_ms) reqs);
+        trace = -1;
+        root;
+        total_ms = mean (List.map (fun ts -> ts.total_ms) reqs);
+        nspans = List.fold_left (fun a ts -> a + ts.nspans) 0 reqs / max 1 n;
+        st =
+          {
+            transport_ms = mean (List.map (fun ts -> ts.st.transport_ms) reqs);
+            fault_ms = mean (List.map (fun ts -> ts.st.fault_ms) reqs);
+            commit_ms = mean (List.map (fun ts -> ts.st.commit_ms) reqs);
+            other_ms = mean (List.map (fun ts -> ts.st.other_ms) reqs);
+          };
       };
     p50 = at 50.0;
     p95 = at 95.0;
     p99 = at 99.0;
   }
+
+let report ?(root = "request") (t : Tracer.t) =
+  let s = summarize ~root t in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    (Printf.sprintf
+       "critical path: %d %s traces of %d total, %d spans recorded\n" s.traces
+       root s.all_traces s.spans);
+  if s.traces = 0 then Buffer.add_string b "  (no traces with that root)\n"
+  else begin
+    line b "mean" s.mean;
+    List.iter
+      (fun (tag, p) -> Option.iter (line b tag) p)
+      [ ("p50", s.p50); ("p95", s.p95); ("p99", s.p99) ]
+  end;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON *)
@@ -210,35 +251,27 @@ let summarize ?(root = "request") (t : Tracer.t) =
    the format requires, tid = trace id so Perfetto lays each
    invocation out on its own track, pid = node address. *)
 let chrome_json (t : Tracer.t) =
-  let b = Buffer.create (256 * max 1 (Tracer.span_count t)) in
-  Buffer.add_string b "{\"traceEvents\": [";
-  let first = ref true in
+  let events = ref [] in
   Tracer.iter t (fun sp ->
-      if !first then first := false else Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %.3f, \
-            \"dur\": %.3f, \"pid\": %d, \"tid\": %d, \"args\": {\"span\": \
-            %d, \"parent\": %d}}"
-           sp.Tracer.name
-           (stage_label (stage_of sp.Tracer.name))
-           (Sim.Time.to_us_f sp.Tracer.start)
-           (Sim.Time.to_us_f (Sim.Time.diff sp.Tracer.stop sp.Tracer.start))
-           sp.Tracer.node sp.Tracer.trace sp.Tracer.id sp.Tracer.parent));
-  Buffer.add_string b "], \"displayTimeUnit\": \"ms\"}";
-  Buffer.contents b
+      let us = Sim.Time.to_us_f in
+      events :=
+        Obj
+          [
+            ("name", Str sp.Tracer.name);
+            ("cat", Str (stage_label (stage_of sp.Tracer.name)));
+            ("ph", Str "X"); ("ts", Num (us sp.Tracer.start));
+            ("dur", Num (us (Sim.Time.diff sp.Tracer.stop sp.Tracer.start)));
+            ("pid", int sp.Tracer.node); ("tid", int sp.Tracer.trace);
+            ( "args",
+              Obj [ ("span", int sp.Tracer.id); ("parent", int sp.Tracer.parent) ] );
+          ]
+        :: !events);
+  to_string
+    (Obj [ ("traceEvents", Arr (List.rev !events)); ("displayTimeUnit", Str "ms") ])
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON reader — enough to validate our own exports without
    a JSON dependency: full value grammar, string escapes, numbers. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
 
 exception Bad of string
 
@@ -331,6 +364,28 @@ let parse s =
     | Some f -> f
     | None -> fail "bad number"
   in
+  (* comma-separated items up to [close]; the opener is consumed *)
+  let sequence close item =
+    skip_ws ();
+    if peek () = Some close then begin
+      incr pos;
+      []
+    end
+    else
+      let rec go acc =
+        let x = item () in
+        skip_ws ();
+        match peek () with
+        | Some ',' ->
+            incr pos;
+            go (x :: acc)
+        | Some c when c = close ->
+            incr pos;
+            List.rev (x :: acc)
+        | _ -> fail (Printf.sprintf "expected ',' or '%c'" close)
+      in
+      go []
+  in
   let rec parse_value () =
     skip_ws ();
     match peek () with
@@ -338,54 +393,16 @@ let parse s =
     | Some '"' -> Str (parse_string ())
     | Some '{' ->
         incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
+        Obj
+          (sequence '}' (fun () ->
+               skip_ws ();
+               let key = parse_string () in
+               skip_ws ();
+               expect ':';
+               (key, parse_value ())))
     | Some '[' ->
         incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let elts = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            elts := v :: !elts;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elements ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          Arr (List.rev !elts)
-        end
+        Arr (sequence ']' parse_value)
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
@@ -404,6 +421,39 @@ let parse s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+(* Every changed, added or removed leaf between two documents, as
+   "path: old → new" / "path: added" / "path: removed" lines.  Object
+   members match by key, array elements by index; numbers compare at
+   the printer's precision, so 2 and 2.0 are equal. *)
+let diff a b =
+  let rec go path a b =
+    match (a, b) with
+    | Obj la, Obj lb ->
+        let key k = if path = "" then k else path ^ "." ^ k in
+        List.concat_map
+          (fun (k, va) ->
+            match List.assoc_opt k lb with
+            | Some vb -> go (key k) va vb
+            | None -> [ key k ^ ": removed" ])
+          la
+        @ List.filter_map
+            (fun (k, _) ->
+              if List.mem_assoc k la then None else Some (key k ^ ": added"))
+            lb
+    | Arr la, Arr lb ->
+        let la = Array.of_list la and lb = Array.of_list lb in
+        List.concat
+          (List.init (max (Array.length la) (Array.length lb)) (fun i ->
+               let at = Printf.sprintf "%s[%d]" path i in
+               if i >= Array.length lb then [ at ^ ": removed" ]
+               else if i >= Array.length la then [ at ^ ": added" ]
+               else go at la.(i) lb.(i)))
+    | _ ->
+        let sa = to_string a and sb = to_string b in
+        if String.equal sa sb then [] else [ path ^ ": " ^ sa ^ " → " ^ sb ]
+  in
+  go "" a b
 
 (* A valid non-empty Chrome trace export: parses, has a traceEvents
    array with at least one complete event carrying name/ts/dur. *)

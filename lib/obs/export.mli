@@ -2,8 +2,8 @@
 
     Deterministic renderings: Chrome trace-event JSON (Perfetto /
     chrome://tracing), a per-trace transport/fault/commit stage
-    breakdown, a text critical-path report, and a dependency-free
-    JSON reader used to validate our own exports. *)
+    breakdown, a text critical-path report, and the one JSON printer,
+    reader and differ behind every machine-readable output. *)
 
 type stage = Transport | Fault | Commit | Other
 
@@ -42,24 +42,23 @@ val report : ?root:string -> Tracer.t -> string
     p50/p95/p99 of total latency. *)
 
 type summary = {
+  all_traces : int;  (** traces of any root *)
   traces : int;
   spans : int;
-  s_mean : stages;
+  mean : trace_sum;  (** per-stage means; trace id -1 *)
   p50 : trace_sum option;
   p95 : trace_sum option;
   p99 : trace_sum option;
 }
 
 val summarize : ?root:string -> Tracer.t -> summary
-(** The report's numbers in machine-readable form (bench "obs"
-    section). *)
+(** The report's numbers in machine-readable form. *)
 
 val chrome_json : Tracer.t -> string
 (** Chrome trace-event JSON: one complete ("X") event per span,
     ts/dur in microseconds, tid = trace id, pid = node address. *)
 
-(** Minimal JSON values, for validating exports without a JSON
-    dependency. *)
+(** Minimal JSON values: every export is built as one. *)
 type json =
   | Null
   | Bool of bool
@@ -68,11 +67,22 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
+val to_string : json -> string
+(** One line, [", "]/[": "] separators; integer-valued numbers print
+    as integers, other finite ones as [%.6f], the rest as [null]. *)
+
+val int : int -> json
+
 val parse : string -> (json, string) result
 (** Strict parse of one JSON document (non-ASCII [\u] escapes are
     replaced, not decoded). *)
 
 val member : string -> json -> json option
+
+val diff : json -> json -> string list
+(** One ["path: old → new"], ["path: added"] or ["path: removed"]
+    line per differing leaf (paths like [a.b[0].c]); members match by
+    key and numbers compare as {!to_string} prints them. *)
 
 val validate_chrome : string -> (int, string) result
 (** Check a string is valid JSON with a non-empty [traceEvents]

@@ -15,10 +15,8 @@ type metric =
 type t = { label : string; tbl : (string, metric) Hashtbl.t }
 
 let create label = { label; tbl = Hashtbl.create 32 }
-let label t = t.label
 let register t path m = Hashtbl.replace t.tbl path m
 let register_all t ms = List.iter (fun (path, m) -> register t path m) ms
-let find t path = Hashtbl.find_opt t.tbl path
 
 let items t =
   Hashtbl.fold (fun path m acc -> (path, m) :: acc) t.tbl []
@@ -46,85 +44,36 @@ let totals regs =
   Hashtbl.fold (fun path v l -> (path, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* ---- JSON rendering (hand-rolled, same conventions as bench) ---- *)
+(* ---- JSON rendering, through the shared Export printer ---- *)
 
-let j_str b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let j_num b f = Buffer.add_string b (Printf.sprintf "%.6f" f)
-
-let summary_json b ~n ~mean ~p50 ~p95 ~p99 ~max =
-  Buffer.add_string b "{\"n\": ";
-  Buffer.add_string b (string_of_int n);
-  Buffer.add_string b ", \"mean_ms\": ";
-  j_num b mean;
-  Buffer.add_string b ", \"p50_ms\": ";
-  j_num b p50;
-  Buffer.add_string b ", \"p95_ms\": ";
-  j_num b p95;
-  Buffer.add_string b ", \"p99_ms\": ";
-  j_num b p99;
-  Buffer.add_string b ", \"max_ms\": ";
-  j_num b max;
-  Buffer.add_char b '}'
-
-let metric_json b = function
-  | Counter c -> Buffer.add_string b (string_of_int (Sim.Stats.value c))
+let metric_json m =
+  let dist ~n ~mean ~p ~max =
+    Export.(
+      Obj
+        [
+          ("n", int n); ("mean_ms", Num mean); ("p50_ms", Num (p 50.0));
+          ("p95_ms", Num (p 95.0)); ("p99_ms", Num (p 99.0)); ("max_ms", Num max);
+        ])
+  in
+  match m with
+  | Counter c -> Export.int (Sim.Stats.value c)
   | Keyed k ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (key, v) ->
-          if i > 0 then Buffer.add_string b ", ";
-          j_str b (string_of_int key);
-          Buffer.add_string b ": ";
-          Buffer.add_string b (string_of_int v))
-        (Sim.Stats.kitems k);
-      Buffer.add_char b '}'
+      Export.Obj
+        (List.map (fun (key, v) -> (string_of_int key, Export.int v)) (Sim.Stats.kitems k))
   | Series s ->
-      let p = Sim.Stats.percentile s in
-      summary_json b ~n:(Sim.Stats.n s) ~mean:(Sim.Stats.mean s)
-        ~p50:(p 50.0) ~p95:(p 95.0) ~p99:(p 99.0) ~max:(Sim.Stats.max_v s)
+      dist ~n:(Sim.Stats.n s) ~mean:(Sim.Stats.mean s) ~p:(Sim.Stats.percentile s)
+        ~max:(Sim.Stats.max_v s)
   | Hist h ->
-      let p = Sim.Stats.hist_percentile h in
-      summary_json b ~n:(Sim.Stats.hist_n h) ~mean:(Sim.Stats.hist_mean h)
-        ~p50:(p 50.0) ~p95:(p 95.0) ~p99:(p 99.0) ~max:(Sim.Stats.hist_max h)
-
-let to_buffer b t =
-  Buffer.add_string b "{\"node\": ";
-  j_str b t.label;
-  Buffer.add_string b ", \"metrics\": {";
-  List.iteri
-    (fun i (path, m) ->
-      if i > 0 then Buffer.add_string b ", ";
-      j_str b path;
-      Buffer.add_string b ": ";
-      metric_json b m)
-    (items t);
-  Buffer.add_string b "}}"
-
-let to_json t =
-  let b = Buffer.create 512 in
-  to_buffer b t;
-  Buffer.contents b
+      dist ~n:(Sim.Stats.hist_n h) ~mean:(Sim.Stats.hist_mean h)
+        ~p:(Sim.Stats.hist_percentile h) ~max:(Sim.Stats.hist_max h)
 
 let snapshot_json regs =
-  let b = Buffer.create 4096 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ", ";
-      to_buffer b r)
-    regs;
-  Buffer.add_char b ']';
-  Buffer.contents b
+  let node t =
+    Export.Obj
+      [
+        ("node", Export.Str t.label);
+        ( "metrics",
+          Export.Obj (List.map (fun (path, m) -> (path, metric_json m)) (items t)) );
+      ]
+  in
+  Export.to_string (Export.Arr (List.map node regs))

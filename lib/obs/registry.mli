@@ -20,14 +20,11 @@ type t
 val create : string -> t
 (** A registry labelled with its owner, e.g. ["data-3"]. *)
 
-val label : t -> string
-
 val register : t -> string -> metric -> unit
 (** [register t path m] adds (or replaces) the metric at a
     slash-separated path, e.g. ["ratp/retrans"]. *)
 
 val register_all : t -> (string * metric) list -> unit
-val find : t -> string -> metric option
 
 val items : t -> (string * metric) list
 (** All (path, metric) pairs sorted by path. *)
@@ -37,10 +34,8 @@ val totals : t list -> (string * int) list
     rolled up across registries by path, sorted — the cluster-wide
     view bench snapshots. *)
 
-val to_json : t -> string
-(** [{"node": label, "metrics": {path: value, ...}}] with sorted
-    paths; counters render as integers, keyed families as objects,
-    series/histograms as summary objects. *)
-
 val snapshot_json : t list -> string
-(** JSON array of {!to_json} objects, in list order. *)
+(** JSON array with one [{"node": label, "metrics": {path: value,
+    ...}}] object per registry, in list order, paths sorted; counters
+    render as integers, keyed families as objects, series/histograms
+    as summary objects. *)

@@ -18,7 +18,6 @@ module Mutex = Mutex
 module Condition = Condition
 module Rwlock = Rwlock
 module Stats = Stats
-module Trace = Trace
 module Fanout = Fanout
 
 exception Killed

@@ -265,9 +265,47 @@ let test_transport_deterministic () =
   in
   check_bool "identical results" true (run () = run ())
 
+(* ------------------------------------------------------------------ *)
+(* The registry *)
+
+let test_registry_unique () =
+  let open Experiments in
+  let unique what l =
+    check_bool (what ^ " unique") true
+      (List.length (List.sort_uniq String.compare l) = List.length l)
+  in
+  unique "ids and aliases" (List.concat_map (fun e -> e.id :: e.aliases) all);
+  unique "json keys" (List.filter_map (fun e -> e.key) all);
+  check_bool "aliases resolve" true
+    (Option.map (fun e -> e.id) (find "wf") = Some "fanout");
+  check_bool "unknown ids do not" true (find "nosuch" = None)
+
+let test_registry_json_roundtrip () =
+  (* every keyed section survives print -> parse: nothing diff can see
+     changes, and reprinting is byte-identical *)
+  let open Experiments in
+  List.iter
+    (fun e ->
+      if e.key <> None then
+        let v = (e.run ~quick:true).json in
+        let printed = Obs.Export.to_string v in
+        match Obs.Export.parse printed with
+        | Error msg -> Alcotest.failf "%s: %s" e.id msg
+        | Ok v' ->
+            Alcotest.(check (list string)) e.id [] (Obs.Export.diff v v');
+            Alcotest.(check string) e.id printed (Obs.Export.to_string v'))
+    all
+
 let () =
   Alcotest.run "experiments"
     [
+      ( "registry",
+        [
+          Alcotest.test_case "ids, aliases and keys unique" `Quick
+            test_registry_unique;
+          Alcotest.test_case "quick sections round-trip" `Quick
+            test_registry_json_roundtrip;
+        ] );
       ( "calibration",
         [
           Alcotest.test_case "T1 kernel" `Quick test_t1_matches_paper;

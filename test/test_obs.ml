@@ -93,6 +93,51 @@ let test_validate_chrome_rejects () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a trace without traceEvents"
 
+let parse_ok s =
+  match Export.parse s with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "parse %s: %s" s e
+
+let test_json_diff_paths () =
+  let base =
+    parse_ok {|{"a": {"n": 1.5, "gone": 2}, "cells": [{"p99_ms": 53.4}, {"x": 1}], "l": [1, 2, 3]}|}
+  in
+  let now =
+    parse_ok {|{"a": {"n": 1.5, "new": true}, "cells": [{"p99_ms": 55.1}, {"x": 1}], "l": [1, 2]}|}
+  in
+  Alcotest.(check (list string))
+    "one line per changed, added and removed path"
+    [
+      "a.gone: removed";
+      "a.new: added";
+      "cells[0].p99_ms: 53.400000 → 55.100000";
+      "l[2]: removed";
+    ]
+    (Export.diff base now);
+  Alcotest.(check (list string)) "identical documents" [] (Export.diff base base);
+  Alcotest.(check (list string))
+    "a longer array reports the added index" [ "[1]: added" ]
+    (Export.diff (Export.Arr [ Export.Null ]) (Export.Arr [ Export.Null; Export.Null ]))
+
+let test_json_printer () =
+  let v =
+    Export.(
+      Obj
+        [
+          ("i", Num 1500.0); ("f", Num 0.629); ("s", Str "q\"\n");
+          ("l", Arr [ Bool true; Null ]);
+        ])
+  in
+  let printed = Export.to_string v in
+  check_str "separators, integers, %.6f and escapes"
+    {|{"i": 1500, "f": 0.629000, "s": "q\"\n", "l": [true, null]}|} printed;
+  Alcotest.(check bool) "round-trips" true (parse_ok printed = v);
+  (* the old printer wrote every float as %.6f: an integer-valued
+     float printed either way is the same value to diff *)
+  Alcotest.(check (list string))
+    "1500.000000 equals 1500" []
+    (Export.diff (parse_ok {|{"rate": 1500.000000}|}) (parse_ok {|{"rate": 1500}|}))
+
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
@@ -290,6 +335,8 @@ let () =
           Alcotest.test_case "stage classification" `Quick
             test_stage_classification;
           Alcotest.test_case "json parser" `Quick test_json_parser;
+          Alcotest.test_case "json printer" `Quick test_json_printer;
+          Alcotest.test_case "json diff paths" `Quick test_json_diff_paths;
           Alcotest.test_case "chrome validation rejects" `Quick
             test_validate_chrome_rejects;
         ] );
