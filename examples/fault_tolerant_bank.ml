@@ -68,7 +68,8 @@ let () =
       in
       (match outcome.Pet.Runner.value with
       | Some (Value.Int v) ->
-          Printf.printf "interest posted: new balance %d (expected 10500)\n" v
+          Printf.printf "interest posted: new balance %d (expected 10500)\n" v;
+          assert (v = 10_500)
       | Some _ | None -> failwith "PET computation failed");
       Printf.printf
         "winner: PET #%d | completed: %d | killed: %d | replicas updated: %d/3 | quorum: %b\n"

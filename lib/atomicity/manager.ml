@@ -32,14 +32,6 @@ type state = {
 type t = {
   om : Clouds.Object_manager.t;
   cl : Cl.t;
-  parallel_commit : bool;
-      (* fan 2PC prepare/commit/abort RPCs out to all participants
-         concurrently; serial mode survives for A/B experiments *)
-  batch_io : bool;
-      (* carry a Local commit's dirty pages as one Put_batch per home
-         server instead of a Put_page per page; serial mode survives
-         for A/B experiments.  Global commits are unaffected: their
-         writes must ride the Prepare (one per home) for atomicity *)
   txns : (int * int, state) Hashtbl.t;
   outcomes : (int * int, bool) Hashtbl.t;  (* true = committed *)
   by_pid : (int, state) Hashtbl.t;
@@ -101,13 +93,12 @@ let dsm_rpc node ~dst body =
    phase costs one round trip (or one timeout) regardless of how many
    data servers the transaction spans.  Results come back in input
    order, so vote counting and error handling stay deterministic. *)
-let participant_rpcs t node msgs =
+let participant_rpcs node msgs =
   (* fan-out workers run under fresh pids: re-bind the caller's span
      so their RPCs stay in the transaction's trace *)
   let parent = Obs.Tracer.current () in
   let send (dst, body) = Obs.Tracer.under parent (fun () -> dsm_rpc node ~dst body) in
-  if t.parallel_commit then Sim.Fanout.map msgs ~label:"2pc-rpc" ~f:send
-  else List.map send msgs
+  Sim.Fanout.map msgs ~label:"2pc-rpc" ~f:send
 
 (* --- rollback ------------------------------------------------------ *)
 
@@ -139,7 +130,7 @@ let send_abort_everywhere t st =
   in
   List.iter
     (fun r -> match r with Ok _ | Error Ratp.Endpoint.Timeout -> ())
-    (participant_rpcs t origin
+    (participant_rpcs origin
        (List.map (fun home -> (home, P.Abort { txn = st.txn })) homes))
 
 let rollback t st =
@@ -358,7 +349,7 @@ let commit t st =
   | Global ->
       let all_yes =
         Obs.Tracer.with_span "2pc.prepare" (fun () ->
-            participant_rpcs t st.coord
+            participant_rpcs st.coord
               (List.map
                  (fun (home, writes) ->
                    (home, P.Prepare { txn = st.txn; writes }))
@@ -387,7 +378,7 @@ let commit t st =
       Obs.Tracer.with_span "2pc.commit" (fun () ->
           List.iter
             (fun r -> match r with Ok _ | Error Ratp.Endpoint.Timeout -> ())
-            (participant_rpcs t st.coord
+            (participant_rpcs st.coord
                (List.map
                   (fun home -> (home, P.Commit { txn = st.txn }))
                   involved)));
@@ -398,16 +389,7 @@ let commit t st =
       Sim.Stats.incr t.commit_count
   | Local ->
       let msgs =
-        if t.batch_io then
-          List.map (fun (home, writes) -> (home, P.Put_batch writes)) grouped
-        else
-          List.concat_map
-            (fun (home, writes) ->
-              List.map
-                (fun (seg, page, data) ->
-                  (home, P.Put_page { seg; page; data }))
-                writes)
-            grouped
+        List.map (fun (home, writes) -> (home, P.Put_batch writes)) grouped
       in
       Obs.Tracer.with_span "lcp.commit" (fun () ->
           List.iter
@@ -417,7 +399,7 @@ let commit t st =
               | Ok _ | Error Ratp.Endpoint.Timeout ->
                   st.status <- Rolling_back;
                   raise Txn_abort_signal)
-            (participant_rpcs t st.coord msgs));
+            (participant_rpcs st.coord msgs));
       mark_all_clean frames;
       List.iter
         (fun node ->
@@ -523,15 +505,12 @@ let wrapper t label (ctx : Clouds.Ctx.t) body =
 
 (* --- installation --------------------------------------------------- *)
 
-let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3)
-    ?(parallel_commit = true) ?(batch_io = true) () =
+let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
   let cl = Clouds.Object_manager.cluster om in
   let t =
     {
       om;
       cl;
-      parallel_commit;
-      batch_io;
       txns = Hashtbl.create 32;
       outcomes = Hashtbl.create 64;
       by_pid = Hashtbl.create 32;

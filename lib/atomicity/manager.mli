@@ -34,22 +34,17 @@ val install :
   Clouds.Object_manager.t ->
   ?deadlock_timeout:Sim.Time.span ->
   ?max_retries:int ->
-  ?parallel_commit:bool ->
-  ?batch_io:bool ->
   unit ->
   t
 (** Hook the cluster.  [deadlock_timeout] (default 5 s simulated)
     bounds lock waits before an abort; [max_retries] (default 3)
     bounds automatic re-execution of an aborted entry body.
-    [parallel_commit] (default [true]) issues each two-phase-commit
-    phase — prepare, commit, abort, and local-consistency batch
-    pushes — to all participant data servers concurrently, so a phase
-    costs one round trip regardless of transaction span; [false]
-    keeps one blocking RPC per participant, for A/B experiments.
-    [batch_io] (default [true]) carries a Local commit's dirty pages
-    as one [Put_batch] per home server; [false] sends a [Put_page]
-    per page.  Global commits always ride their one-per-home
-    [Prepare] regardless — splitting them would break atomicity. *)
+    Each two-phase-commit phase — prepare, commit, abort, and
+    local-consistency batch pushes — goes to all participant data
+    servers concurrently, so a phase costs one round trip regardless
+    of transaction span.  A Local commit carries its dirty pages as
+    one [Put_batch] per home server; a Global commit's pages ride its
+    one-per-home [Prepare]. *)
 
 val object_manager : t -> Clouds.Object_manager.t
 (** The object manager this instance hooks. *)

@@ -136,8 +136,7 @@ let volatile_partition =
   }
 
 let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
-    ?batch_io ?prefetch_window ?(replication = 1) ?group_commit_window
-    ?wal_max_batch ?checkpoint_every
+    ?(replication = 1) ?group_commit_window ?checkpoint_every
     ?(default_consistency = Ra.Partition.One_copy) ~compute ~data ~workstations
     () =
   if compute < 1 || data < 1 then
@@ -163,8 +162,7 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
   let servers =
     Array.map
       (fun n ->
-        Dsm.Dsm_server.create n ?group_commit_window ?wal_max_batch
-          ?checkpoint_every ())
+        Dsm.Dsm_server.create n ?group_commit_window ?checkpoint_every ())
       data_nodes
   in
   let compute_nodes =
@@ -175,8 +173,7 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
   let clients =
     Array.map
       (fun n ->
-        Dsm.Dsm_client.create n ~locate ~consistency ?batch_io
-          ?prefetch_window ())
+        Dsm.Dsm_client.create n ~locate ~consistency ())
       compute_nodes
   in
   let wk =

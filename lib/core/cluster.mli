@@ -74,11 +74,8 @@ val create :
   ?params:Ra.Params.t ->
   ?ratp_config:Ratp.Endpoint.config ->
   ?ether_config:Net.Ethernet.config ->
-  ?batch_io:bool ->
-  ?prefetch_window:int ->
   ?replication:int ->
   ?group_commit_window:Sim.Time.span ->
-  ?wal_max_batch:int ->
   ?checkpoint_every:Sim.Time.span ->
   ?default_consistency:Ra.Partition.consistency ->
   compute:int ->
@@ -87,10 +84,8 @@ val create :
   unit ->
   t
 (** Build and boot a cluster.  Requires at least one compute and one
-    data server.  [batch_io] and [prefetch_window] are forwarded to
-    every {!Dsm.Dsm_client.create} (batched segment flush; fault-ahead
-    window); [group_commit_window], [wal_max_batch] and
-    [checkpoint_every] to every {!Dsm.Dsm_server.create} (batched WAL
+    data server.  [group_commit_window] and [checkpoint_every] are
+    forwarded to every {!Dsm.Dsm_server.create} (batched WAL
     flushes, pipelined commits and fuzzy checkpoints — default off,
     keeping the historical force-per-record commit path).
     [replication] (default 1) is the target

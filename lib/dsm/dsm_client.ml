@@ -15,7 +15,6 @@ type t = {
   locate : Ra.Sysname.t -> Net.Address.t;
   mutable mode_of : Ra.Sysname.t -> Ra.Partition.consistency;
   local_store : Store.Segment_store.t option;
-  batch_io : bool;
   prefetch_window : int;
   loc_cache : Net.Address.t Ra.Sysname.Table.t;
   streams : stream Ra.Sysname.Table.t;
@@ -301,14 +300,13 @@ let partition t =
   }
 
 let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
-    ?local_store ?(batch_io = true) ?(prefetch_window = 0) () =
+    ?local_store ?(prefetch_window = 0) () =
   let t =
     {
       node;
       locate;
       mode_of = consistency;
       local_store;
-      batch_io;
       prefetch_window;
       loc_cache = Ra.Sysname.Table.create 32;
       streams = Ra.Sysname.Table.create 32;
@@ -464,37 +462,31 @@ let flush_merges t seg op dirty =
       forget_location t seg;
       raise (Unavailable seg)
 
-(* Writeback of a segment's dirty pages: one Put_batch carrying all
-   of them (RaTP fragments it on the wire) instead of one Put_page
-   round trip per page.  [~batch_io:false] keeps the historical
-   serial loop for A/B comparison ({!Experiments.Page_batching}).
-   Relaxed-consistency segments always flush as one RPC: diffs for
-   release mode, merge deltas for commutative. *)
+(* Writeback of a segment's dirty pages.  A segment stored on this
+   node goes straight into the local store; a remote one goes home in
+   one RPC (RaTP fragments it on the wire): a Put_batch of page images
+   for one-copy segments, diffs for release mode, merge deltas for
+   commutative. *)
 let flush_segment t seg =
   let mmu = t.node.Ra.Node.mmu in
+  let mark_clean dirty =
+    List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty
+  in
   match Ra.Mmu.dirty_pages mmu seg with
   | [] -> ()
-  | dirty
-    when t.mode_of seg = Ra.Partition.Release && not (is_local t seg) ->
-      flush_release t seg dirty
-  | dirty
-    when (match t.mode_of seg with
-         | Ra.Partition.Commutative _ -> true
-         | _ -> false)
-         && not (is_local t seg) -> (
-      match t.mode_of seg with
-      | Ra.Partition.Commutative op -> flush_merges t seg op dirty
-      | _ -> assert false)
-  | dirty when t.batch_io && not (is_local t seg) ->
-      remote_write_batch t ~seg
-        (List.map (fun (page, data) -> (seg, page, data)) dirty);
-      List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty
-  | dirty ->
-      List.iter
-        (fun (page, data) ->
-          (partition t).Ra.Partition.writeback ~seg ~page data;
-          Ra.Mmu.mark_clean mmu seg page)
-        dirty
+  | dirty -> (
+      match (t.local_store, t.mode_of seg) with
+      | Some store, _ when is_local t seg ->
+          List.iter
+            (fun (page, data) -> Store.Segment_store.write_page store seg page data)
+            dirty;
+          mark_clean dirty
+      | _, Ra.Partition.Release -> flush_release t seg dirty
+      | _, Ra.Partition.Commutative op -> flush_merges t seg op dirty
+      | _, Ra.Partition.One_copy ->
+          remote_write_batch t ~seg
+            (List.map (fun (page, data) -> (seg, page, data)) dirty);
+          mark_clean dirty)
 
 (* Dropping a segment's frames also drops our copyset registrations
    at the home; telling it (one RPC, errors swallowed — this is pure

@@ -7,9 +7,9 @@
     node the illusion that every object logically resides locally —
     the paper's distributed shared memory.
 
-    The fast path adds three mechanisms (DESIGN.md §11), each gated
-    for A/B comparison: batched writeback of dirty pages, adaptive
-    fault-ahead prefetch, and a location cache that memoises
+    The fast path adds three mechanisms (DESIGN.md §11): batched
+    writeback of dirty pages, adaptive fault-ahead prefetch (gated,
+    off by default), and a location cache that memoises
     segment-to-home resolution. *)
 
 exception Unavailable of Ra.Sysname.t
@@ -23,7 +23,6 @@ val create :
   locate:(Ra.Sysname.t -> Net.Address.t) ->
   ?consistency:(Ra.Sysname.t -> Ra.Partition.consistency) ->
   ?local_store:Store.Segment_store.t ->
-  ?batch_io:bool ->
   ?prefetch_window:int ->
   unit ->
   t
@@ -32,10 +31,6 @@ val create :
     itself a data server, [local_store] serves its own segments
     without network traffic (a machine with a disk is both a compute
     and data server).
-
-    [batch_io] (default [true]) makes {!flush_segment} send one
-    [Put_batch] with every dirty page instead of a [Put_page] round
-    trip per page; [false] keeps the serial loop for A/B experiments.
 
     [prefetch_window] (default [0], off) caps the fault-ahead window:
     read faults ask the server to ship up to that many adjacent
@@ -64,8 +59,8 @@ val node : t -> Ra.Node.t
 val flush_segment : t -> Ra.Sysname.t -> unit
 (** Write every dirty resident page of the segment back to its data
     server and mark the frames clean (used by s-threads that want
-    their updates stored, and by examples).  One batched RPC per
-    segment when [batch_io] is set. *)
+    their updates stored, and by examples).  One RPC per segment:
+    a [Put_batch] of every dirty page for [One_copy] segments. *)
 
 val drop_segment : t -> Ra.Sysname.t -> unit
 (** Locally invalidate all frames of a segment without writing them

@@ -22,10 +22,6 @@ type prep_entry = {
 
 type t = {
   node : Ra.Node.t;
-  parallel_coherence : bool;
-      (* fan coherence RPCs out concurrently (one round trip per
-         write fault) instead of one blocking RPC per copyset member;
-         the serial mode survives for A/B experiments *)
   store : Store.Segment_store.t;
   disk : Store.Disk.t;
   wal : Store.Wal.t;
@@ -147,9 +143,7 @@ let mirror_writes t writes =
           (* fan-out workers run under fresh pids: re-bind the span *)
           let parent = Obs.Tracer.current () in
           let send dst = Obs.Tracer.under parent (fun () -> send dst) in
-          if t.parallel_coherence then
-            ignore (Sim.Fanout.map targets ~label:"dsm-mirror" ~f:send)
-          else List.iter send targets)
+          ignore (Sim.Fanout.map targets ~label:"dsm-mirror" ~f:send))
     end
   end
 
@@ -218,9 +212,7 @@ let invalidate_copies t key ~except =
             (* fan-out workers run under fresh pids: re-bind the span *)
             let parent = Obs.Tracer.current () in
             let invalidate p = Obs.Tracer.under parent (fun () -> invalidate p) in
-            if t.parallel_coherence then
-              Sim.Fanout.map targets ~label:"dsm-inval" ~f:invalidate
-            else List.map invalidate targets)
+            Sim.Fanout.map targets ~label:"dsm-inval" ~f:invalidate)
   in
   List.iter
     (fun (peer, reply) ->
@@ -297,9 +289,7 @@ let release_flush t writes ~except =
     Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.release_flush" (fun () ->
         let parent = Obs.Tracer.current () in
         let send x = Obs.Tracer.under parent (fun () -> send x) in
-        if t.parallel_coherence then
-          ignore (Sim.Fanout.map targets ~label:"dsm-release" ~f:send)
-        else List.iter send targets)
+        ignore (Sim.Fanout.map targets ~label:"dsm-release" ~f:send))
   end
 
 let warm_segment t seg =
@@ -798,21 +788,19 @@ let handle t ~src body =
   | _ -> P.Page_error
 
 let create node ?disk_config ?(presume_abort_after = Sim.Time.sec 60)
-    ?(parallel_coherence = true) ?group_commit_window ?(wal_max_batch = 64)
-    ?checkpoint_every () =
+    ?group_commit_window ?checkpoint_every () =
   let disk =
     Store.Disk.create ?config:disk_config
       (Printf.sprintf "disk-%d" node.Ra.Node.id)
   in
   let group_commit =
     Option.map
-      (fun window -> { Store.Wal.window; max_batch = wal_max_batch })
+      (fun window -> { Store.Wal.window; max_batch = 64 })
       group_commit_window
   in
   let t =
     {
       node;
-      parallel_coherence;
       store =
         Store.Segment_store.create (Printf.sprintf "store-%d" node.Ra.Node.id);
       disk;

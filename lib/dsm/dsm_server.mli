@@ -16,9 +16,7 @@ val create :
   Ra.Node.t ->
   ?disk_config:Store.Disk.config ->
   ?presume_abort_after:Sim.Time.span ->
-  ?parallel_coherence:bool ->
   ?group_commit_window:Sim.Time.span ->
-  ?wal_max_batch:int ->
   ?checkpoint_every:Sim.Time.span ->
   unit ->
   t
@@ -26,18 +24,15 @@ val create :
     {!Store.Segment_store} and {!Store.Wal} survives crashes;
     ownership, locks and prepared-transaction tables are volatile.
 
-    [parallel_coherence] (default [true]) issues the write-fault
-    invalidations — owner recall plus every copyset member — as one
-    concurrent fan-out, so a write fault costs one round trip
-    regardless of copyset size; [false] keeps the historical one
-    blocking RPC per member, for A/B latency experiments
-    ({!Experiments.Write_fault_fanout}).  Both modes leave identical
-    owner/copyset state and identical counters.
+    Write-fault invalidations — owner recall plus every copyset
+    member — go out as one concurrent fan-out, so a write fault costs
+    one round trip regardless of copyset size
+    ({!Experiments.Write_fault_fanout}).
 
     [group_commit_window] turns on the WAL's group-commit daemon:
     prepare votes and commit acks ride batched log flushes (at most
-    [window] of added latency, or sooner once [wal_max_batch] records
-    are buffered), the commit path pipelines — locks release at
+    [window] of added latency, or sooner once 64 records are
+    buffered), the commit path pipelines — locks release at
     commit-record-in-buffer, the ack waits for the flush — and
     prepares capture before-images so recovery can undo a
     crash-window apply.  Left unset (the default), every WAL record

@@ -4,8 +4,8 @@
    Scans read a 16-page segment page by page — sequentially or in a
    fixed pseudo-random order — under different prefetch windows and
    count the fetch RPCs that actually cross the wire.  Flushes dirty
-   a growing number of pages and compare the serial per-page
-   writeback against the single Put_batch.
+   a growing number of pages and time the single Put_batch that
+   writes them back.
 
    The cluster here runs a faster interconnect than the calibrated
    1988-vintage default (100 Mbit/s, light per-frame host costs):
@@ -24,9 +24,7 @@ type scan_point = {
 
 type flush_point = {
   pages : int;
-  serial_ms : float;
   batched_ms : float;
-  serial_rpcs : int;
   batched_rpcs : int;
 }
 
@@ -59,13 +57,13 @@ type setup = {
 
 (* One data server holding a [seg_pages]-page segment with known
    contents, one compute server mapping it. *)
-let setup ~batch_io ~prefetch_window =
+let setup ~prefetch_window =
   let ether = Net.Ethernet.create (Sim.engine ()) ~config:ether_config () in
   let nd = Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data () in
   let server = Dsm.Dsm_server.create nd () in
   let nc = Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute () in
   let client =
-    Dsm.Dsm_client.create nc ~locate:(fun _ -> 1) ~batch_io ~prefetch_window ()
+    Dsm.Dsm_client.create nc ~locate:(fun _ -> 1) ~prefetch_window ()
   in
   let seg = Ra.Sysname.fresh nd.Ra.Node.names in
   let store = Dsm.Dsm_server.store server in
@@ -81,7 +79,7 @@ let setup ~batch_io ~prefetch_window =
 
 let measure_scan ~window ~sequential =
   Sim.exec (fun () ->
-      let s = setup ~batch_io:true ~prefetch_window:window in
+      let s = setup ~prefetch_window:window in
       let order =
         if sequential then List.init seg_pages Fun.id else shuffled
       in
@@ -108,9 +106,9 @@ let measure_scan ~window ~sequential =
         scan_ms = Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0);
       })
 
-let measure_flush ~pages ~batched =
+let flush_point pages =
   Sim.exec (fun () ->
-      let s = setup ~batch_io:batched ~prefetch_window:0 in
+      let s = setup ~prefetch_window:0 in
       for p = 0 to pages - 1 do
         Ra.Mmu.write s.mmu s.vs ~addr:(p * Ra.Page.size)
           (Bytes.make 64 'w')
@@ -118,13 +116,11 @@ let measure_flush ~pages ~batched =
       let rpcs0 = Dsm.Dsm_client.put_rpcs s.client in
       let t0 = Sim.now () in
       Dsm.Dsm_client.flush_segment s.client s.seg;
-      let ms = Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0) in
-      (ms, Dsm.Dsm_client.put_rpcs s.client - rpcs0))
-
-let flush_point pages =
-  let serial_ms, serial_rpcs = measure_flush ~pages ~batched:false in
-  let batched_ms, batched_rpcs = measure_flush ~pages ~batched:true in
-  { pages; serial_ms; batched_ms; serial_rpcs; batched_rpcs }
+      {
+        pages;
+        batched_ms = Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0);
+        batched_rpcs = Dsm.Dsm_client.put_rpcs s.client - rpcs0;
+      })
 
 let run ?(windows = [ 0; 2; 8 ]) ?(flush_sizes = [ 1; 4; 16 ]) () =
   let scans =
@@ -160,12 +156,8 @@ let report r =
         {
           Report.label = Printf.sprintf "flush %d dirty pages" p.pages;
           paper = "-";
-          measured =
-            Printf.sprintf "%s serial / %s batched" (Report.ms p.serial_ms)
-              (Report.ms p.batched_ms);
-          note =
-            Printf.sprintf "%d vs %d RPCs, %.1fx" p.serial_rpcs p.batched_rpcs
-              (if p.batched_ms > 0.0 then p.serial_ms /. p.batched_ms else 0.0);
+          measured = Report.ms p.batched_ms;
+          note = Printf.sprintf "%d RPCs" p.batched_rpcs;
         })
       r.flushes
   in
@@ -189,9 +181,7 @@ let to_json (r : result) =
   let flush f =
     Obj
       [
-        ("pages", int f.pages); ("serial_ms", Num f.serial_ms);
-        ("batched_ms", Num f.batched_ms);
-        ("serial_rpcs", int f.serial_rpcs);
+        ("pages", int f.pages); ("batched_ms", Num f.batched_ms);
         ("batched_rpcs", int f.batched_rpcs);
       ]
   in

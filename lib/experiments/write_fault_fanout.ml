@@ -1,7 +1,6 @@
 type point = {
   copyset : int;
   suspects : int;
-  serial_ms : float;
   parallel_ms : float;
 }
 
@@ -43,15 +42,13 @@ let measure_rtt () =
    page 0, then a separate writer node whose write fault forces the
    server to invalidate every copy.  Returns the writer's fault
    latency in simulated milliseconds. *)
-let measure_write_fault ~parallel ~copyset ~suspects =
+let measure_write_fault ~copyset ~suspects =
   Sim.exec (fun () ->
       let ether = Net.Ethernet.create (Sim.engine ()) () in
       let nd =
         Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config ()
       in
-      let server =
-        Dsm.Dsm_server.create nd ~parallel_coherence:parallel ()
-      in
+      let server = Dsm.Dsm_server.create nd () in
       let locate _ = 1 in
       let make_client id =
         let n = Ra.Node.create ether ~id ~kind:Ra.Node.Compute ~ratp_config () in
@@ -93,16 +90,11 @@ let measure_write_fault ~parallel ~copyset ~suspects =
       Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0))
 
 let point ~copyset ~suspects =
-  {
-    copyset;
-    suspects;
-    serial_ms = measure_write_fault ~parallel:false ~copyset ~suspects;
-    parallel_ms = measure_write_fault ~parallel:true ~copyset ~suspects;
-  }
+  { copyset; suspects; parallel_ms = measure_write_fault ~copyset ~suspects }
 
 let run ?(sizes = [ 1; 4; 8; 16 ]) () =
   let rtt_ms = measure_rtt () in
-  let baseline_ms = measure_write_fault ~parallel:true ~copyset:0 ~suspects:0 in
+  let baseline_ms = measure_write_fault ~copyset:0 ~suspects:0 in
   let healthy = List.map (fun k -> point ~copyset:k ~suspects:0) sizes in
   let suspected =
     List.map (fun k -> point ~copyset:k ~suspects:(min 2 k)) sizes
@@ -120,17 +112,12 @@ let report r =
                  Printf.sprintf " (%d crashed)" p.suspects
                else "");
           paper = "-";
-          measured =
-            Printf.sprintf "%s serial / %s parallel" (Report.ms p.serial_ms)
-              (Report.ms p.parallel_ms);
-          note =
-            Printf.sprintf "%s, %.1fx" tag
-              (if p.parallel_ms > 0.0 then p.serial_ms /. p.parallel_ms
-               else 0.0);
+          measured = Report.ms p.parallel_ms;
+          note = tag;
         })
       points
   in
-  Report.table ~title:"Write-fault fan-out: serial vs concurrent invalidation"
+  Report.table ~title:"Write-fault fan-out: concurrent invalidation"
     ({
        Report.label = "null RaTP round trip";
        paper = "4.8 ms";
@@ -141,7 +128,7 @@ let report r =
           Report.label = "write fault, empty copyset";
           paper = "-";
           measured = Report.ms r.baseline_ms;
-          note = "no invalidations; both modes identical";
+          note = "no invalidations";
         }
      :: (rows_of "healthy" r.healthy @ rows_of "suspects" r.suspected))
 
@@ -152,7 +139,7 @@ let to_json (r : result) =
     Obj
       [
         ("copyset", int p.copyset); ("suspects", int p.suspects);
-        ("serial_ms", Num p.serial_ms); ("parallel_ms", Num p.parallel_ms);
+        ("parallel_ms", Num p.parallel_ms);
       ]
   in
   Obj

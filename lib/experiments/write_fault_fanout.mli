@@ -1,24 +1,19 @@
-(** Write-fault latency vs copyset size, serial vs concurrent fan-out.
+(** Write-fault latency vs copyset size under concurrent fan-out.
 
     The coherence cost the paper's DSM pays on a write fault is one
-    invalidation round trip per read copy.  The historical server
-    issued those RPCs one blocking call at a time, so an [n]-reader
-    copyset cost ~[n] round trips — and a crashed (suspected) reader
-    cost a full RaTP give-up timeout {e per suspect}.  With the
-    concurrent fan-out ({!Dsm.Dsm_server.create}'s
-    [parallel_coherence]) the whole copyset costs one round trip and
-    any number of suspects cost one timeout window.
+    invalidation per read copy.  The data server issues them as one
+    concurrent fan-out, so the whole copyset costs one round trip and
+    any number of crashed (suspected) readers cost one RaTP timeout
+    window, not one per suspect.
 
-    This experiment measures both modes on the same simulated cluster
-    shape: one data server, [k] reader clients that fault the page in,
-    and a separate writer whose write fault triggers the invalidation
-    burst.  The suspect variant crashes two of the readers first
-    (without telling the server). *)
+    The simulated cluster has one data server, [k] reader clients that
+    fault the page in, and a separate writer whose write fault
+    triggers the invalidation burst.  The suspect variant crashes two
+    of the readers first (without telling the server). *)
 
 type point = {
   copyset : int;  (** readers holding the page when the write faults *)
   suspects : int;  (** of which this many are crashed and will time out *)
-  serial_ms : float;  (** write-fault latency, one blocking RPC per copy *)
   parallel_ms : float;  (** write-fault latency, concurrent fan-out *)
 }
 
@@ -30,7 +25,7 @@ type result = {
 }
 
 val run : ?sizes:int list -> unit -> result
-(** Run every (size, health, mode) combination in its own
+(** Run every (size, health) combination in its own
     deterministic simulation.  [sizes] defaults to [[1; 4; 8; 16]]. *)
 
 val report : result -> string

@@ -1,27 +1,23 @@
 type config = {
-  frag_payload : int;
   retry_initial : Sim.Time.span;
-  retry_backoff : float;
   max_attempts : int;
   server_cache_ttl : Sim.Time.span;
-  proc_cost : Sim.Time.span;
   selective_retransmit : bool;
-  rto_min : Sim.Time.span;
-  rto_max : Sim.Time.span;
 }
 
 let default_config =
   {
-    frag_payload = 1400;
     retry_initial = Sim.Time.ms 50;
-    retry_backoff = 2.0;
     max_attempts = 8;
     server_cache_ttl = Sim.Time.sec 5;
-    proc_cost = Sim.Time.us 590;
     selective_retransmit = true;
-    rto_min = Sim.Time.ms 2;
-    rto_max = Sim.Time.sec 4;
   }
+
+let frag_payload = 1400 (* max message bytes per fragment *)
+let retry_backoff = 2.0 (* timer multiplier per silent retry *)
+let proc_cost = Sim.Time.us 590
+let rto_min = Sim.Time.ms 2
+let rto_max = Sim.Time.sec 4
 
 type error = Timeout
 
@@ -130,7 +126,7 @@ let note_rtt t ~dst span =
         st
   in
   let rto = int_of_float (st.srtt +. (4.0 *. st.rttvar)) in
-  st.rto <- max t.cfg.rto_min (min t.cfg.rto_max rto);
+  st.rto <- max rto_min (min rto_max rto);
   Sim.Stats.kset t.rto_by dst (st.rto / 1_000)
 
 (* A destination with no sample yet gets [retry_initial]. *)
@@ -139,14 +135,13 @@ let rto_for t dst =
   | Some st -> st.rto
   | None -> t.cfg.retry_initial
 
-let backoff cfg interval =
-  int_of_float (float_of_int interval *. cfg.retry_backoff)
+let backoff interval = int_of_float (float_of_int interval *. retry_backoff)
 
 (* The give-up budget: the silence the classic fixed ladder allowed,
    [max_attempts] waits from [retry_initial], truncated as it was. *)
 let give_up_budget cfg =
   let rec sum k interval =
-    if k = 0 then 0 else interval + sum (k - 1) (backoff cfg interval)
+    if k = 0 then 0 else interval + sum (k - 1) (backoff interval)
   in
   sum cfg.max_attempts cfg.retry_initial
 
@@ -155,9 +150,7 @@ let give_up_budget cfg =
    sender driver, wire and receiver driver for one full fragment. *)
 let stall_after t =
   let e = Net.Ethernet.config t.ether in
-  let bytes =
-    t.cfg.frag_payload + Packet.header_bytes + Net.Frame.header_bytes
-  in
+  let bytes = frag_payload + Packet.header_bytes + Net.Frame.header_bytes in
   4
   * max (Net.Ethernet.wire_time e bytes)
       ((e.cost_per_byte_ns * bytes)
@@ -201,10 +194,8 @@ let peer_stats t =
    (the reply is in).  [~resent] counts payload in [retrans_bytes]. *)
 let send_frag_list ?until ?(resent = false) t ~dst ~service ~tid ~kind
     ~total_size body frags =
-  let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload total_size in
-  let frag_size i =
-    Packet.frag_bytes ~frag_payload:t.cfg.frag_payload ~total_size i
-  in
+  let n = Packet.nfrags_of ~frag_payload total_size in
+  let frag_size i = Packet.frag_bytes ~frag_payload ~total_size i in
   let frame_for i =
     let pkt =
       { Packet.tid; service; kind; frag = i; nfrags = n; total_size; body }
@@ -246,7 +237,7 @@ let send_frag_list ?until ?(resent = false) t ~dst ~service ~tid ~kind
            (fun () -> burst (fun () -> false)))
 
 let send_fragments ?until ?resent t ~dst ~service ~tid ~kind ~total_size body =
-  let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload total_size in
+  let n = Packet.nfrags_of ~frag_payload total_size in
   send_frag_list ?until ?resent t ~dst ~service ~tid ~kind ~total_size body
     (List.init n Fun.id)
 
@@ -307,11 +298,11 @@ let run_handler t ~(src : Net.Address.t) ~tid ~service body =
                 join the client's trace *)
              Obs.Tracer.accept ~origin:tid.Packet.origin ~seq:tid.Packet.seq
                (fun () ->
-                 Sim.sleep t.cfg.proc_cost;
+                 Sim.sleep proc_cost;
                  let reply, reply_size = handler ~src body in
                  Tid_table.replace t.servers tid (Done { reply; reply_size });
                  schedule_cache_expiry t tid;
-                 Sim.sleep t.cfg.proc_cost;
+                 Sim.sleep proc_cost;
                  send_fragments t ~dst:src ~service ~tid ~kind:Packet.Reply
                    ~total_size:reply_size reply)))
 
@@ -363,8 +354,8 @@ let handle_request t ~src (pkt : Packet.t) =
 (* The fragments of a [total_size] message that a peer's bitmap says
    it lacks; a bitmap of the wrong size (or none) means the peer holds
    no state, so all of them. *)
-let missing_frags t ~total_size body =
-  let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload total_size in
+let missing_frags ~total_size body =
+  let n = Packet.nfrags_of ~frag_payload total_size in
   match body with
   | Packet.Bitmap got when Array.length got = n ->
       List.filter (fun i -> not got.(i)) (List.init n Fun.id)
@@ -381,7 +372,7 @@ let missing_frags t ~total_size body =
 let handle_probe t ~src (pkt : Packet.t) =
   match Tid_table.find_opt t.servers pkt.tid with
   | Some (Done { reply; reply_size }) ->
-      let missing = missing_frags t ~total_size:reply_size pkt.body in
+      let missing = missing_frags ~total_size:reply_size pkt.body in
       if missing <> [] then begin
         Sim.Stats.kincr t.retrans_by src;
         send_frag_list ~resent:true t ~dst:src ~service:pkt.service
@@ -428,7 +419,7 @@ let handle_nack t (pkt : Packet.t) =
   | None -> ()
   | Some pc ->
       pc.heard <- true;
-      let missing = missing_frags t ~total_size:pc.req_size pkt.body in
+      let missing = missing_frags ~total_size:pc.req_size pkt.body in
       if missing <> [] then
         send_frag_list ~resent:true t ~dst:pc.dst ~service:pc.service
           ~tid:pkt.tid ~kind:Packet.Request ~total_size:pc.req_size
@@ -507,7 +498,7 @@ let restart t =
       (fun () -> rx_loop t)
 
 let call t ~dst ~service ~size body =
-  Sim.sleep t.cfg.proc_cost;
+  Sim.sleep proc_cost;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let tid = { Packet.origin = t.address; seq } in
@@ -527,7 +518,7 @@ let call t ~dst ~service ~size body =
     }
   in
   Tid_table.replace t.clients tid pc;
-  let req_nfrags = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload size in
+  let req_nfrags = Packet.nfrags_of ~frag_payload size in
   (* The span covers the whole blocking exchange (send, retries,
      reply); [offer] lets the server's handler process parent its
      spans under this call via the transaction id — a side-channel
@@ -590,7 +581,7 @@ let call t ~dst ~service ~size body =
                clock) proves the reply answers the original request *)
             if sends = 0 || pc.quiet_since > t_start then
               note_rtt t ~dst (Sim.Time.diff (Sim.now ()) t_start);
-            Sim.sleep t.cfg.proc_cost;
+            Sim.sleep proc_cost;
             send_ack t ~dst ~tid ~service;
             Sim.Stats.incr t.completed;
             Ok reply
@@ -610,7 +601,7 @@ let call t ~dst ~service ~size body =
                 pc.reply_missing > 0
                 && Sim.Time.diff (Sim.now ()) pc.reply_last < stall
               then await ~sends interval stall
-              else retransmit ~sends:(sends + 1) (backoff t.cfg interval)
+              else retransmit ~sends:(sends + 1) (backoff interval)
       in
       send_fragments ~until:replied t ~dst ~service ~tid ~kind:Packet.Request
         ~total_size:size body;

@@ -21,29 +21,28 @@
     handler never blocks reception. *)
 
 type config = {
-  frag_payload : int;  (** max message bytes per fragment *)
   retry_initial : Sim.Time.span;  (** RTO before the first RTT sample *)
-  retry_backoff : float;  (** timer multiplier per silent retry *)
   max_attempts : int;
       (** sizes the give-up budget: a call gives up after the silence
-          of [max_attempts] backed-off waits from [retry_initial] *)
+          of [max_attempts] doubling waits from [retry_initial] *)
   server_cache_ttl : Sim.Time.span;  (** reply retention for dedup *)
-  proc_cost : Sim.Time.span;
-      (** protocol processing charged per transaction step (request
-          issue, request dispatch, reply issue, reply consumption) *)
   selective_retransmit : bool;
       (** on timeout, probe for the peer's received-fragment bitmap
           and resend only what is missing (default on; loss-free
           packet streams are identical to the full-burst path) *)
-  rto_min : Sim.Time.span;  (** learned RTO clamp, lower bound *)
-  rto_max : Sim.Time.span;  (** learned RTO clamp, upper bound *)
 }
 
 val default_config : config
-(** Calibrated so that a null transaction costs about twice the raw
-    72-byte Ethernet round trip, matching the paper's 4.8 ms vs
-    2.4 ms.  [selective_retransmit] on; 50 ms initial RTO doubling over
-    8 waits (a 12.75 s give-up budget); RTO clamped to [2 ms, 4 s]. *)
+(** [selective_retransmit] on; 50 ms initial RTO doubling over 8
+    waits (a 12.75 s give-up budget).  Fixed for every endpoint: 1400
+    message bytes per fragment, and a learned RTO clamped to
+    [2 ms, 4 s]. *)
+
+val proc_cost : Sim.Time.span
+(** Protocol processing charged per transaction step (request issue,
+    request dispatch, reply issue, reply consumption).  Calibrated so
+    that a null transaction costs about twice the raw 72-byte Ethernet
+    round trip, matching the paper's 4.8 ms vs 2.4 ms. *)
 
 type error = Timeout
 (** The transaction's give-up budget of silence ran out. *)

@@ -26,8 +26,7 @@ type cluster = {
   c2 : Dsm.Dsm_client.t;
 }
 
-let with_cluster ?(presume_abort_after = Time.sec 60) ?batch_io
-    ?prefetch_window f =
+let with_cluster ?(presume_abort_after = Time.sec 60) ?prefetch_window f =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
       let ether = Net.Ethernet.create eng () in
@@ -39,11 +38,11 @@ let with_cluster ?(presume_abort_after = Time.sec 60) ?batch_io
       let n1 =
         Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute ~ratp_config:fast_ratp ()
       in
-      let c1 = Dsm.Dsm_client.create n1 ~locate ?batch_io ?prefetch_window () in
+      let c1 = Dsm.Dsm_client.create n1 ~locate ?prefetch_window () in
       let n2 =
         Ra.Node.create ether ~id:3 ~kind:Ra.Node.Compute ~ratp_config:fast_ratp ()
       in
-      let c2 = Dsm.Dsm_client.create n2 ~locate ?batch_io ?prefetch_window () in
+      let c2 = Dsm.Dsm_client.create n2 ~locate ?prefetch_window () in
       f { eng; ether; nd; server; n1; c1; n2; c2 })
 
 let new_seg cl ~pages =
@@ -286,38 +285,26 @@ let test_write_fault_invalidates_prefetched_copy () =
         (read cl.n1 vs ~addr:Ra.Page.size ~len:9))
 
 let test_batched_flush () =
-  let store_bytes batched =
-    with_cluster ~batch_io:batched (fun cl ->
-        let pages = 3 in
-        let seg = new_seg cl ~pages in
-        let vs = vspace_for seg ~pages in
-        for p = 0 to pages - 1 do
-          write cl.n1 vs
-            ~addr:(p * Ra.Page.size)
-            (Printf.sprintf "page-%d" p)
-        done;
-        let rpcs0 = Dsm.Dsm_client.put_rpcs cl.c1 in
-        Dsm.Dsm_client.flush_segment cl.c1 seg;
-        check_int
-          (if batched then "one batched RPC" else "one RPC per page")
-          (if batched then 1 else pages)
-          (Dsm.Dsm_client.put_rpcs cl.c1 - rpcs0);
-        check_bool "frames clean" true
-          (Ra.Mmu.dirty_pages cl.n1.Ra.Node.mmu seg = []);
-        List.init pages (fun p ->
-            match
-              Store.Segment_store.read_page
-                (Dsm.Dsm_server.store cl.server)
-                seg p
-            with
-            | Ra.Partition.Data d -> Bytes.to_string (Bytes.sub d 0 6)
-            | Ra.Partition.Zeroed -> "ZEROED"))
-  in
-  let serial = store_bytes false and batched = store_bytes true in
-  Alcotest.(check (list string))
-    "serial and batched flush store the same bytes" serial batched;
-  Alcotest.(check (list string))
-    "flushed contents" [ "page-0"; "page-1"; "page-2" ] batched
+  with_cluster (fun cl ->
+      let pages = 3 in
+      let seg = new_seg cl ~pages in
+      let vs = vspace_for seg ~pages in
+      for p = 0 to pages - 1 do
+        write cl.n1 vs ~addr:(p * Ra.Page.size) (Printf.sprintf "page-%d" p)
+      done;
+      let rpcs0 = Dsm.Dsm_client.put_rpcs cl.c1 in
+      Dsm.Dsm_client.flush_segment cl.c1 seg;
+      check_int "one batched RPC" 1 (Dsm.Dsm_client.put_rpcs cl.c1 - rpcs0);
+      check_bool "frames clean" true
+        (Ra.Mmu.dirty_pages cl.n1.Ra.Node.mmu seg = []);
+      Alcotest.(check (list string))
+        "flushed contents" [ "page-0"; "page-1"; "page-2" ]
+        (List.init pages (fun p ->
+             match
+               Store.Segment_store.read_page (Dsm.Dsm_server.store cl.server) seg p
+             with
+             | Ra.Partition.Data d -> Bytes.to_string (Bytes.sub d 0 6)
+             | Ra.Partition.Zeroed -> "ZEROED")))
 
 (* Pin the wire-size model for every batch-carrying message: 24-byte
    per-entry headers, 48/64-byte envelopes. *)
@@ -649,15 +636,15 @@ type fanout_obs = {
    separate writer faults it for write; optionally the first reader
    reads again afterwards (recall/downgrade path).  [drop] installs
    uniform frame loss for the duration of the write fault. *)
-let fanout_scenario ?(seed = 42) ?(drop = 0.0) ?(reread = false) ~parallel
-    ~readers:k () =
+let fanout_scenario ?(seed = 42) ?(drop = 0.0) ?(reread = false) ~readers:k ()
+    =
   Sim.exec ~seed (fun () ->
       let eng = Sim.engine () in
       let ether = Net.Ethernet.create eng () in
       (* default RaTP config: under loss the retransmission budget,
          not the test, is what makes invalidations reliable *)
       let nd = Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data () in
-      let server = Dsm.Dsm_server.create nd ~parallel_coherence:parallel () in
+      let server = Dsm.Dsm_server.create nd () in
       let locate _ = 1 in
       let mk id =
         let n = Ra.Node.create ether ~id ~kind:Ra.Node.Compute () in
@@ -697,30 +684,27 @@ let fanout_scenario ?(seed = 42) ?(drop = 0.0) ?(reread = false) ~parallel
         fo_end_ms = Sim.Time.to_ms_f (Sim.now ());
       })
 
-let test_fanout_serial_parallel_equivalent () =
+(* The Li–Hudak end state after a write fault over four readers: the
+   writer (node 9) owns the page and every reader was invalidated.  A
+   re-read by reader 10 then recalls the write copy, leaving the
+   writer and that reader as the copyset. *)
+let test_fanout_write_fault_end_state () =
   List.iter
-    (fun reread ->
-      let s = fanout_scenario ~parallel:false ~readers:4 ~reread () in
-      let p = fanout_scenario ~parallel:true ~readers:4 ~reread () in
-      check_bool "same owner" true (s.fo_owner = p.fo_owner);
-      Alcotest.(check (list int)) "same copyset" s.fo_copyset p.fo_copyset;
-      check_int "same invalidations" s.fo_invals p.fo_invals;
-      check_int "same downgrades" s.fo_downs p.fo_downs;
-      check_int "no stale reader either way" 0 (s.fo_stale + p.fo_stale);
-      check_bool "parallel is no slower" true (p.fo_end_ms <= s.fo_end_ms))
-    [ false; true ];
-  (* and the expected absolute state after the plain write *)
-  let p = fanout_scenario ~parallel:true ~readers:4 () in
-  check_bool "writer owns" true (p.fo_owner = Some 9);
-  Alcotest.(check (list int)) "copyset cleared" [] p.fo_copyset;
-  check_int "one invalidation per reader" 4 p.fo_invals
+    (fun (reread, owner, copyset, downs) ->
+      let r = fanout_scenario ~readers:4 ~reread () in
+      check_bool "owner" true (r.fo_owner = owner);
+      Alcotest.(check (list int)) "copyset" copyset r.fo_copyset;
+      check_int "one invalidation per reader" 4 r.fo_invals;
+      check_int "downgrades" downs r.fo_downs;
+      check_int "no stale reader" 0 r.fo_stale)
+    [ (false, Some 9, [], 0); (true, None, [ 9; 10 ], 1) ]
 
 let test_fanout_same_seed_deterministic () =
   (* identical seeds must replay the identical simulation, including
      the loss schedule and every retransmission, even with the
      concurrent fan-out in play *)
-  let a = fanout_scenario ~seed:7 ~drop:0.25 ~parallel:true ~readers:3 () in
-  let b = fanout_scenario ~seed:7 ~drop:0.25 ~parallel:true ~readers:3 () in
+  let a = fanout_scenario ~seed:7 ~drop:0.25 ~readers:3 () in
+  let b = fanout_scenario ~seed:7 ~drop:0.25 ~readers:3 () in
   check_bool "same owner" true (a.fo_owner = b.fo_owner);
   Alcotest.(check (list int)) "same copyset" a.fo_copyset b.fo_copyset;
   check_int "same invalidations" a.fo_invals b.fo_invals;
@@ -732,8 +716,7 @@ let test_fanout_invalidation_survives_loss () =
      must still deliver every invalidation before the write is
      granted — no reader may keep a stale frame *)
   let r =
-    fanout_scenario ~seed:11 ~drop:0.25 ~parallel:true ~readers:4 ~reread:true
-      ()
+    fanout_scenario ~seed:11 ~drop:0.25 ~readers:4 ~reread:true ()
   in
   check_int "no stale reader survives the write" 0 r.fo_stale;
   check_int "every reader was invalidated" 4 r.fo_invals;
@@ -1202,8 +1185,8 @@ let () =
         ] );
       ( "fanout",
         [
-          Alcotest.test_case "serial/parallel equivalent" `Quick
-            test_fanout_serial_parallel_equivalent;
+          Alcotest.test_case "write-fault end state" `Quick
+            test_fanout_write_fault_end_state;
           Alcotest.test_case "same seed deterministic" `Quick
             test_fanout_same_seed_deterministic;
           Alcotest.test_case "invalidation survives loss" `Quick

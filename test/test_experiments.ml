@@ -104,22 +104,28 @@ let test_f3_shape () =
   | _ -> Alcotest.fail "expected two points"
 
 let test_fanout_latency () =
-  let r = Experiments.Write_fault_fanout.run ~sizes:[ 8 ] () in
+  let r = Experiments.Write_fault_fanout.run ~sizes:[ 1; 4; 8 ] () in
   let open Experiments.Write_fault_fanout in
-  match (r.healthy, r.suspected) with
-  | [ h ], [ s ] ->
+  match (List.rev r.healthy, r.suspected) with
+  | h8 :: _, (s1 :: _ as suspected) ->
       check_bool
-        (Printf.sprintf "parallel overhead %.2f <= 2 rtt (%.2f)"
-           (h.parallel_ms -. r.baseline_ms)
+        (Printf.sprintf "copyset 8 overhead %.2f <= 2 rtt (%.2f)"
+           (h8.parallel_ms -. r.baseline_ms)
            (2.0 *. r.rtt_ms))
         true
-        (h.parallel_ms -. r.baseline_ms <= 2.0 *. r.rtt_ms);
-      check_bool "serial pays ~ one rtt per copy" true
-        (h.serial_ms -. r.baseline_ms >= 6.0 *. r.rtt_ms);
-      check_bool "two suspects cost two timeouts serially, one in parallel"
-        true
-        (s.serial_ms >= 1.8 *. s.parallel_ms)
-  | _ -> Alcotest.fail "expected exactly one point per variant"
+        (h8.parallel_ms -. r.baseline_ms <= 2.0 *. r.rtt_ms);
+      (* crashed readers time out together: any number of suspects
+         costs the one timeout window a single suspect does *)
+      List.iter
+        (fun s ->
+          check_bool
+            (Printf.sprintf "copyset %d, %d crashed: %.3f ms within 1%% of %.3f"
+               s.copyset s.suspects s.parallel_ms s1.parallel_ms)
+            true
+            (Float.abs (s.parallel_ms -. s1.parallel_ms)
+            <= 0.01 *. s1.parallel_ms))
+        suspected
+  | _ -> Alcotest.fail "expected points for every size"
 
 let test_fanout_deterministic () =
   (* the whole experiment is a fixed-seed simulation: byte-identical
@@ -130,7 +136,7 @@ let test_fanout_deterministic () =
 
 let test_batching_acceptance () =
   let r =
-    Experiments.Page_batching.run ~windows:[ 0; 8 ] ~flush_sizes:[ 16 ] ()
+    Experiments.Page_batching.run ~windows:[ 0; 8 ] ~flush_sizes:[ 1; 16 ] ()
   in
   let open Experiments.Page_batching in
   let seq w =
@@ -150,15 +156,15 @@ let test_batching_acceptance () =
   let rnd8 = List.find (fun p -> p.window = 8 && not p.sequential) r.scans in
   check_bool "random scan wastes few prefetches" true (rnd8.prefetched <= 2);
   match r.flushes with
-  | [ f ] ->
-      check_bool "one rpc per dirty page serially" true (f.serial_rpcs = 16);
-      check_bool "one rpc for the whole batch" true (f.batched_rpcs = 1);
+  | [ f1; f16 ] ->
+      check_bool "one rpc for the whole batch" true (f16.batched_rpcs = 1);
+      (* a per-page loop would cost ~16x the one-page flush *)
       check_bool
-        (Printf.sprintf "batched %.2f <= serial %.2f / 3" f.batched_ms
-           f.serial_ms)
+        (Printf.sprintf "16 pages %.2f <= 5 x 1 page %.2f" f16.batched_ms
+           f1.batched_ms)
         true
-        (f.batched_ms *. 3.0 <= f.serial_ms)
-  | _ -> Alcotest.fail "expected one flush point"
+        (f16.batched_ms <= 5.0 *. f1.batched_ms)
+  | _ -> Alcotest.fail "expected two flush points"
 
 let test_batching_deterministic () =
   let a = Experiments.Page_batching.run ~windows:[ 0; 2 ] ~flush_sizes:[ 4 ] () in

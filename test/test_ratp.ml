@@ -704,7 +704,7 @@ let test_give_up_budget_is_time () =
   (* the silence clock starts at the first send, after the request's
      protocol processing *)
   check_int "timeout exactly 140 ms after the first send"
-    (Endpoint.default_config.proc_cost + Time.ms 140)
+    (Endpoint.proc_cost + Time.ms 140)
     waited
 
 (* ------------------------------------------------------------------ *)
