@@ -47,11 +47,6 @@ type t = {
 
 let cluster t = t.cl
 
-let dsm_rpc node ~dst body =
-  let size = Dsm.Protocol.request_bytes body in
-  Ratp.Endpoint.call node.Ra.Node.endpoint ~dst ~service:Dsm.Protocol.service
-    ~size body
-
 (* ------------------------------------------------------------------ *)
 (* Activation *)
 
@@ -62,7 +57,7 @@ let usable_server t addr =
 
 let fetch_descriptor t node obj =
   let ask home =
-    match dsm_rpc node ~dst:home (Dsm.Protocol.Get_descriptor obj) with
+    match Dsm.Protocol.call node ~dst:home (Dsm.Protocol.Get_descriptor obj) with
     | Ok (Dsm.Protocol.Descriptor d) -> d
     | Ok _ | Error Ratp.Endpoint.Timeout -> None
   in
@@ -413,7 +408,7 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin ?consistency ~class_name
     List.iter
       (fun dst ->
         match
-          dsm_rpc node ~dst
+          Dsm.Protocol.call node ~dst
             (Dsm.Protocol.Create_segment
                { seg; size = pages * Ra.Page.size; mode })
         with
@@ -453,7 +448,8 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin ?consistency ~class_name
   List.iter
     (fun dst ->
       match
-        dsm_rpc node ~dst (Dsm.Protocol.Register_object { obj; descriptor })
+        Dsm.Protocol.call node ~dst
+          (Dsm.Protocol.Register_object { obj; descriptor })
       with
       | Ok Dsm.Protocol.Registered -> ()
       | Ok _ | Error Ratp.Endpoint.Timeout ->
@@ -504,7 +500,7 @@ let delete_object t ?on obj =
         List.iter
           (fun dst ->
             match
-              dsm_rpc node ~dst
+              Dsm.Protocol.call node ~dst
                 (Dsm.Protocol.Delete_segment e.Store.Directory.seg)
             with
             | Ok _ | Error Ratp.Endpoint.Timeout -> ())
@@ -514,7 +510,7 @@ let delete_object t ?on obj =
     desc.Store.Directory.entries;
   List.iter
     (fun dst ->
-      match dsm_rpc node ~dst (Dsm.Protocol.Unregister_object obj) with
+      match Dsm.Protocol.call node ~dst (Dsm.Protocol.Unregister_object obj) with
       | Ok _ | Error Ratp.Endpoint.Timeout -> ())
     targets;
   Ra.Sysname.Table.remove t.cl.Cluster.obj_home obj;

@@ -2,27 +2,12 @@ module P = Protocol
 
 exception Unavailable of Ra.Sysname.t
 
-(* Per-segment fault-ahead state: [next_expected] is the page a
-   sequential scan would fault next (last faulted page + 1 + extras
-   shipped with it); [win] is the current window, doubled on every
-   fault that lands on [next_expected] and reset to zero on a random
-   jump, so sparse workloads stop paying for speculation after one
-   wasted reply. *)
-type stream = { mutable next_expected : int; mutable win : int }
-
 type t = {
   node : Ra.Node.t;
   locate : Ra.Sysname.t -> Net.Address.t;
-  mutable mode_of : Ra.Sysname.t -> Ra.Partition.consistency;
+  mode_of : Ra.Sysname.t -> Ra.Partition.consistency;
   local_store : Store.Segment_store.t option;
-  prefetch_window : int;
   loc_cache : Net.Address.t Ra.Sysname.Table.t;
-  streams : stream Ra.Sysname.Table.t;
-  mutable inval_epoch : int;
-  page_epochs : (Ra.Sysname.t * int, int) Hashtbl.t;
-      (* epoch of the last invalidation seen per page: a prefetched
-         extra is dropped instead of installed when its page was
-         invalidated while the carrying reply was in flight *)
   stale_dirty : (Ra.Sysname.t * int, unit) Hashtbl.t;
       (* release-mode pages we kept through an Inval_batch because
          they held unflushed local writes; their unmodified bytes are
@@ -47,12 +32,6 @@ type t = {
 }
 
 let node t = t.node
-
-let set_consistency t f =
-  t.mode_of <- f;
-  Ra.Mmu.set_consistency t.node.Ra.Node.mmu f
-
-let consistency_of t seg = t.mode_of seg
 
 (* Location cache: segment-to-home bindings are stable between
    failures, so steady-state faults skip name resolution.  Entries
@@ -117,84 +96,28 @@ let apply_view t (v : Membership.Monitor.view) =
       doomed
   end
 
-let stream_for t seg =
-  match Ra.Sysname.Table.find_opt t.streams seg with
-  | Some s -> s
-  | None ->
-      let s = { next_expected = -1; win = 0 } in
-      Ra.Sysname.Table.replace t.streams seg s;
-      s
-
-let call t ~dst body =
-  Ratp.Endpoint.call t.node.Ra.Node.endpoint ~dst ~service:P.service
-    ~size:(P.request_bytes body) body
-
 (* Send Release_copies for [pages], none of which this client holds a
-   copy of any more, and gate later faults on the same pages until the
-   home has processed it (see [releasing]).  [wait] keeps the caller
-   blocked until the release lands; [false] runs it in a spawned
-   fiber, off the fault's critical path. *)
-let send_release t ~home ~wait pages =
-  if pages <> [] then begin
-    Sim.Stats.incr t.releases;
-    let iv = Sim.Ivar.create () in
-    List.iter (fun k -> Hashtbl.replace t.releasing k iv) pages;
-    let send () =
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter
-            (fun k ->
-              match Hashtbl.find_opt t.releasing k with
-              | Some iv' when iv' == iv -> Hashtbl.remove t.releasing k
-              | Some _ | None -> ())
-            pages;
-          Sim.Ivar.fill iv ())
-        (fun () ->
-          (* pure bookkeeping: a timed-out release leaves a phantom
-             registration behind, which only costs the next write
-             fault one redundant Invalidate *)
-          try ignore (call t ~dst:home (P.Release_copies pages))
-          with _ -> ())
-    in
-    if wait then send ()
-    else ignore (Ra.Node.spawn t.node "dsm-release-copies" (fun () -> send ()))
-  end
-
-(* Install the speculative read copies that rode a demand reply.  A
-   page whose invalidation epoch advanced past [epoch0] (snapshotted
-   before the request went out) was written while the reply was in
-   flight: its image is stale and is dropped — and needs no release,
-   because the invalidation that outran it already deregistered us at
-   the home.  Of the MMU's declines, only the frame-budget one leaves
-   no copy on this node; a decline because the page is resident (or a
-   demand fault on it is in flight) keeps a live copy whose copyset
-   entry at the home is the same single registration the extra made —
-   releasing it would let the next writer skip this client and leave
-   it serving stale data forever.  So exactly the no-copy declines go
-   out in one Release_copies RPC, keeping the membership exact. *)
-let install_extras t ~home ~seg ~epoch0 extras =
-  let mmu = t.node.Ra.Node.mmu in
-  let no_copy =
-    List.filter_map
-      (fun (p, data) ->
-        let stale =
-          match Hashtbl.find_opt t.page_epochs (seg, p) with
-          | Some e -> e > epoch0
-          | None -> false
-        in
-        if stale then None
-        else if Hashtbl.mem t.releasing (seg, p) then
-          (* an older release for this page is still in flight and
-             could undo an install when it lands, so decline and fold
-             the reply's fresh registration into a new release *)
-          Some (seg, p)
-        else
-          match Ra.Mmu.install_read mmu seg p data with
-          | Ra.Mmu.Installed | Ra.Mmu.Retained -> None
-          | Ra.Mmu.No_copy -> Some (seg, p))
-      extras
-  in
-  send_release t ~home ~wait:false no_copy
+   copy of any more, and gate faults on the same pages from other
+   processes until the home has processed it (see [releasing]). *)
+let send_release t ~home pages =
+  Sim.Stats.incr t.releases;
+  let iv = Sim.Ivar.create () in
+  List.iter (fun k -> Hashtbl.replace t.releasing k iv) pages;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun k ->
+          match Hashtbl.find_opt t.releasing k with
+          | Some iv' when iv' == iv -> Hashtbl.remove t.releasing k
+          | Some _ | None -> ())
+        pages;
+      Sim.Ivar.fill iv ())
+    (fun () ->
+      (* pure bookkeeping: a timed-out release leaves a phantom
+         registration behind, which only costs the next write fault
+         one redundant Invalidate *)
+      try ignore (P.call t.node ~dst:home (P.Release_copies pages))
+      with _ -> ())
 
 let remote_fetch t ~seg ~page ~mode =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.fetch" @@ fun () ->
@@ -219,44 +142,9 @@ let remote_fetch t ~seg ~page ~mode =
     | Ra.Partition.Write, Ra.Partition.Commutative _ -> Ra.Partition.Read
     | m, _ -> m
   in
-  let use_stream = t.prefetch_window > 0 && mode = Ra.Partition.Read in
-  let window =
-    if not use_stream then 0
-    else begin
-      let s = stream_for t seg in
-      if page = s.next_expected then
-        s.win <- min t.prefetch_window (max 1 (2 * s.win))
-      else if s.next_expected < 0 then s.win <- 1
-      else s.win <- 0;
-      s.win
-    end
-  in
-  let epoch0 = t.inval_epoch in
-  let body = P.Get_page { seg; page; mode; window } in
-  match call t ~dst:home body with
-  | Ok (P.Got_page data) ->
-      if use_stream then (stream_for t seg).next_expected <- page + 1;
-      data
-  | Ok (P.Got_pages { main; extras }) ->
-      install_extras t ~home ~seg ~epoch0 extras;
-      if use_stream then
-        (stream_for t seg).next_expected <- page + 1 + List.length extras;
-      main
+  match P.call t.node ~dst:home (P.Get_page { seg; page; mode }) with
+  | Ok (P.Got_page data) -> data
   | Ok P.Page_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
-
-let remote_writeback t ~seg ~page data =
- Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.put" @@ fun () ->
-  let home = locate_cached t seg in
-  Sim.Stats.incr t.puts;
-  match call t ~dst:home (P.Put_page { seg; page; data }) with
-  | Ok P.Batch_ok -> ()
-  | Ok P.Segment_error ->
       forget_location t seg;
       raise (Ra.Partition.No_segment seg)
   | Ok _ -> raise (Unavailable seg)
@@ -268,8 +156,11 @@ let remote_write_batch t ~seg writes =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.put" @@ fun () ->
   let home = locate_cached t seg in
   Sim.Stats.incr t.puts;
-  match call t ~dst:home (P.Put_batch writes) with
+  match P.call t.node ~dst:home (P.Put_batch writes) with
   | Ok P.Batch_ok -> ()
+  | Ok P.Segment_error ->
+      forget_location t seg;
+      raise (Ra.Partition.No_segment seg)
   | Ok _ -> raise (Unavailable seg)
   | Error Ratp.Endpoint.Timeout ->
       forget_location t seg;
@@ -296,22 +187,18 @@ let partition t =
         match t.local_store with
         | Some store when is_local t seg ->
             Store.Segment_store.write_page store seg page data
-        | Some _ | None -> remote_writeback t ~seg ~page data);
+        | Some _ | None -> remote_write_batch t ~seg [ (seg, page, data) ]);
   }
 
 let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
-    ?local_store ?(prefetch_window = 0) () =
+    ?local_store () =
   let t =
     {
       node;
       locate;
       mode_of = consistency;
       local_store;
-      prefetch_window;
       loc_cache = Ra.Sysname.Table.create 32;
-      streams = Ra.Sysname.Table.create 32;
-      inval_epoch = 0;
-      page_epochs = Hashtbl.create 64;
       stale_dirty = Hashtbl.create 16;
       releasing = Hashtbl.create 8;
       fetches = Sim.Stats.counter "dsmc.fetches";
@@ -333,8 +220,6 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
         match body with
         | P.Invalidate { seg; page } ->
             Sim.Stats.incr t.invals;
-            t.inval_epoch <- t.inval_epoch + 1;
-            Hashtbl.replace t.page_epochs (seg, page) t.inval_epoch;
             P.Invalidated { dirty = Ra.Mmu.invalidate node.Ra.Node.mmu seg page }
         | P.Downgrade { seg; page } ->
             Sim.Stats.incr t.downs;
@@ -348,8 +233,6 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
             List.iter
               (fun (seg, page) ->
                 Sim.Stats.incr t.invals;
-                t.inval_epoch <- t.inval_epoch + 1;
-                Hashtbl.replace t.page_epochs (seg, page) t.inval_epoch;
                 if Ra.Mmu.is_dirty node.Ra.Node.mmu seg page then
                   Hashtbl.replace t.stale_dirty (seg, page) ()
                 else ignore (Ra.Mmu.invalidate node.Ra.Node.mmu seg page))
@@ -397,7 +280,7 @@ let flush_release t seg dirty =
         | None -> (seg, page, [ (0, data) ]))
       dirty
   in
-  match call t ~dst:home (P.Put_diffs entries) with
+  match P.call t.node ~dst:home (P.Put_diffs entries) with
   | Ok P.Batch_ok ->
       List.iter
         (fun (page, _) ->
@@ -449,7 +332,7 @@ let flush_merges t seg op dirty =
           Ra.Partition.merge_delta op ~base ~current:data ))
       dirty
   in
-  match call t ~dst:home (P.Merge_delta deltas) with
+  match P.call t.node ~dst:home (P.Merge_delta deltas) with
   | Ok (P.Merged images) ->
       List.iter
         (fun (s, page, img) -> Ra.Mmu.merge_refresh mmu s page img)
@@ -500,7 +383,7 @@ let drop_segment t seg =
   Ra.Mmu.drop_segment mmu seg;
   if pages <> [] && not (is_local t seg) then
     try
-      send_release t ~home:(locate_cached t seg) ~wait:true
+      send_release t ~home:(locate_cached t seg)
         (List.map (fun p -> (seg, p)) pages)
     with _ -> ()
 

@@ -7,9 +7,9 @@
     node the illusion that every object logically resides locally —
     the paper's distributed shared memory.
 
-    The fast path adds three mechanisms (DESIGN.md §11): batched
-    writeback of dirty pages, adaptive fault-ahead prefetch (gated,
-    off by default), and a location cache that memoises
+    A fault is plain Li–Hudak demand paging: one [Get_page], one page
+    back.  The fast path adds two mechanisms (DESIGN.md §11): batched
+    writeback of dirty pages and a location cache that memoises
     segment-to-home resolution. *)
 
 exception Unavailable of Ra.Sysname.t
@@ -23,7 +23,6 @@ val create :
   locate:(Ra.Sysname.t -> Net.Address.t) ->
   ?consistency:(Ra.Sysname.t -> Ra.Partition.consistency) ->
   ?local_store:Store.Segment_store.t ->
-  ?prefetch_window:int ->
   unit ->
   t
 (** Install the DSM client on a node and point the node's MMU at it.
@@ -32,25 +31,12 @@ val create :
     without network traffic (a machine with a disk is both a compute
     and data server).
 
-    [prefetch_window] (default [0], off) caps the fault-ahead window:
-    read faults ask the server to ship up to that many adjacent
-    resident pages in the same reply, installed locally as clean read
-    copies.  The window adapts per segment — it doubles while faults
-    land sequentially and resets on a random jump.  Off by default
-    because prefetch changes fault counts and timings, which the
-    calibrated experiments pin down.
-
     [consistency] maps a segment to its coherence mode (default: all
     [One_copy]); it is also installed as the MMU's consistency
     resolver so relaxed-mode frames keep twins.  Write faults on
     [Commutative] segments go out as reads (the home never arbitrates
     them), and {!flush_segment} ships diffs or merge deltas instead
     of page images for relaxed modes. *)
-
-val set_consistency : t -> (Ra.Sysname.t -> Ra.Partition.consistency) -> unit
-(** Replace the consistency resolver (also re-points the MMU's). *)
-
-val consistency_of : t -> Ra.Sysname.t -> Ra.Partition.consistency
 
 val partition : t -> Ra.Partition.t
 
@@ -60,7 +46,9 @@ val flush_segment : t -> Ra.Sysname.t -> unit
 (** Write every dirty resident page of the segment back to its data
     server and mark the frames clean (used by s-threads that want
     their updates stored, and by examples).  One RPC per segment:
-    a [Put_batch] of every dirty page for [One_copy] segments. *)
+    a [Put_batch] of every dirty page for [One_copy] segments.  A
+    segment the home no longer stores raises
+    {!Ra.Partition.No_segment} and leaves the frames dirty. *)
 
 val drop_segment : t -> Ra.Sysname.t -> unit
 (** Locally invalidate all frames of a segment without writing them
@@ -85,10 +73,11 @@ val apply_view : t -> Membership.Monitor.view -> unit
     instead of waiting out the RaTP retry ladder. *)
 
 val remote_fetches : t -> int
-(** Fetch RPCs issued (prefetch hits avoid these entirely). *)
+(** [Get_page] RPCs issued: one per remote fault. *)
 
 val put_rpcs : t -> int
-(** Writeback RPCs issued ([Put_page] and [Put_batch] both count 1). *)
+(** Writeback RPCs issued: one [Put_batch] (or [Put_diffs]) per
+    segment flush or evicted dirty frame. *)
 
 val invalidations_received : t -> int
 val downgrades_received : t -> int
@@ -106,12 +95,9 @@ val merge_flushes : t -> int
 (** [Merge_delta] RPCs sent for commutative segments. *)
 
 val copy_releases : t -> int
-(** [Release_copies] RPCs sent to keep copysets exact: only for
-    copies this node truly no longer holds (budget-rejected prefetch
-    installs, segment drops) — never for a decline that keeps a live
-    copy resident.  Faults on a page with a release in flight wait
-    for it to land, so a release can never erase a newer
-    registration. *)
+(** [Release_copies] RPCs sent by {!drop_segment} to keep copysets
+    exact.  Faults on a page with a release in flight wait for it to
+    land, so a release can never erase a newer registration. *)
 
 val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["dsmc/"] paths, for a per-node

@@ -89,7 +89,7 @@ val consistency_of : t -> Ra.Sysname.t -> Ra.Partition.consistency
 
 val set_mirrors : t -> (Ra.Sysname.t -> Net.Address.t list) -> unit
 (** Wire the backup map for replicated segments: committed writes
-    ([Put_page]/[Put_batch]/[Overwrite]/2PC commit application) are
+    (writebacks, merges, [Overwrite], 2PC commit application) are
     forwarded as [Mirror_writes] to each listed backup.  The cluster
     arranges that only a segment's current primary has backups listed,
     and backups apply without re-forwarding, so forwarding cannot
@@ -102,11 +102,6 @@ val copyset_of : t -> Ra.Sysname.t -> int -> Net.Address.t list
 (** Nodes holding read copies (tests); sorted. *)
 
 val pages_served : t -> int
-
-val pages_prefetched : t -> int
-(** Adjacent pages shipped speculatively alongside demand fetches
-    (fault-ahead).  Each one was registered in its page's copyset
-    before the carrying reply left, so invalidation reaches it. *)
 
 val invalidations_sent : t -> int
 val downgrades_sent : t -> int

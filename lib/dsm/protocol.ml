@@ -5,19 +5,9 @@ type lock_kind = R | W
 type write_set = (Ra.Sysname.t * int * bytes) list
 
 type Ratp.Packet.body +=
-  | Get_page of {
-      seg : Ra.Sysname.t;
-      page : int;
-      mode : Ra.Partition.mode;
-      window : int;
-    }
+  | Get_page of { seg : Ra.Sysname.t; page : int; mode : Ra.Partition.mode }
   | Got_page of Ra.Partition.fetch_data
-  | Got_pages of {
-      main : Ra.Partition.fetch_data;
-      extras : (int * bytes) list;
-    }
   | Page_error
-  | Put_page of { seg : Ra.Sysname.t; page : int; data : bytes }
   | Put_batch of write_set
   | Overwrite of write_set
   | Batch_ok
@@ -94,9 +84,8 @@ type Ratp.Packet.body +=
           refreshes its copy (anti-entropy rides the flush reply). *)
   | Release_copies of (Ra.Sysname.t * int) list
       (** A client dropped these page copies without being told to
-          (rejected prefetch install, stale extra, segment drop);
-          the home deletes it from the copysets so the next write
-          fault doesn't send it a redundant Invalidate. *)
+          (segment drop); the home deletes it from the copysets so the
+          next write fault doesn't send it a redundant Invalidate. *)
 
 let service = 10
 let client_service = 11
@@ -104,23 +93,16 @@ let client_service = 11
 let write_set_bytes ws =
   List.fold_left (fun acc (_, _, data) -> acc + 24 + Bytes.length data) 0 ws
 
-(* Prefetched extras ride in the same reply as the faulted page: each
-   entry carries a page number plus payload, charged like a write-set
-   entry (24-byte header per page). *)
-let extras_bytes extras =
-  List.fold_left (fun acc (_, data) -> acc + 24 + Bytes.length data) 0 extras
+(* Bulk replica reads carry a page number plus payload per entry,
+   charged like a write-set entry (24-byte header per page). *)
+let pages_bytes pages =
+  List.fold_left (fun acc (_, data) -> acc + 24 + Bytes.length data) 0 pages
 
 let request_bytes = function
   | Get_page _ -> 48
   | Got_page (Ra.Partition.Data b) -> 48 + Bytes.length b
   | Got_page Ra.Partition.Zeroed -> 48
-  | Got_pages { main; extras } ->
-      let main_bytes =
-        match main with Ra.Partition.Data b -> Bytes.length b | Zeroed -> 0
-      in
-      48 + main_bytes + extras_bytes extras
   | Page_error -> 32
-  | Put_page { data; _ } -> 48 + Bytes.length data
   | Put_batch ws | Overwrite ws -> 48 + write_set_bytes ws
   | Batch_ok -> 32
   | Invalidate _ | Downgrade _ -> 48
@@ -144,7 +126,7 @@ let request_bytes = function
   | List_objects -> 32
   | Objects names -> 32 + (24 * List.length names)
   | Read_pages _ -> 48
-  | Pages { pages; _ } -> 48 + extras_bytes pages
+  | Pages { pages; _ } -> 48 + pages_bytes pages
   | Mirror_writes ws -> 48 + write_set_bytes ws
   | Backfill ws -> 48 + write_set_bytes ws
   | Inval_batch pages | Release_copies pages -> 32 + (24 * List.length pages)
@@ -161,6 +143,14 @@ let request_bytes = function
         48 ds
   | Merged ws -> 48 + write_set_bytes ws
   | _ -> 64
+
+let call node ~dst body =
+  Ratp.Endpoint.call node.Ra.Node.endpoint ~dst ~service
+    ~size:(request_bytes body) body
+
+let call_client node ~dst body =
+  Ratp.Endpoint.call node.Ra.Node.endpoint ~dst ~service:client_service
+    ~size:(request_bytes body) body
 
 let txn_compare a b =
   match Int.compare a.tnode b.tnode with

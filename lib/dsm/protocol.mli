@@ -15,25 +15,14 @@ type write_set = (Ra.Sysname.t * int * bytes) list
 (** (segment, page index, page image) triples. *)
 
 type Ratp.Packet.body +=
-  | Get_page of {
-      seg : Ra.Sysname.t;
-      page : int;
-      mode : Ra.Partition.mode;
-      window : int;
-          (** fault-ahead hint: ship up to [window] adjacent resident
-              pages in the reply (0 disables prefetch) *)
-    }
+  | Get_page of { seg : Ra.Sysname.t; page : int; mode : Ra.Partition.mode }
+      (** demand fault: exactly one page comes back *)
   | Got_page of Ra.Partition.fetch_data
-  | Got_pages of {
-      main : Ra.Partition.fetch_data;
-      extras : (int * bytes) list;
-          (** prefetched (page, image) pairs following the faulted
-              page; the server has already registered the requester in
-              each page's copyset *)
-    }
   | Page_error
-  | Put_page of { seg : Ra.Sysname.t; page : int; data : bytes }
   | Put_batch of write_set
+      (** one-copy writeback (a flush or an evicted dirty frame); a
+          missing segment rejects the whole batch with
+          [Segment_error] before any page is applied *)
   | Overwrite of write_set
       (** server-side overwrite with invalidation of every cached
           copy (replica propagation) *)
@@ -98,8 +87,8 @@ type Ratp.Packet.body +=
       (** post-merge home images returned to the flushing replica *)
   | Release_copies of (Ra.Sysname.t * int) list
       (** exact copyset maintenance: the client dropped these page
-          copies on its own (budget-rejected prefetch install, segment
-          drop), so the home deletes it from the copysets *)
+          copies on its own (segment drop), so the home deletes it
+          from the copysets *)
 
 val service : int
 (** RaTP service id of DSM servers. *)
@@ -110,6 +99,22 @@ val client_service : int
 
 val request_bytes : Ratp.Packet.body -> int
 (** Wire size of a message body. *)
+
+val call :
+  Ra.Node.t ->
+  dst:Net.Address.t ->
+  Ratp.Packet.body ->
+  (Ratp.Packet.body, Ratp.Endpoint.error) result
+(** One RPC from [node] to the DSM server service at [dst], the body
+    sized by {!request_bytes}. *)
+
+val call_client :
+  Ra.Node.t ->
+  dst:Net.Address.t ->
+  Ratp.Packet.body ->
+  (Ratp.Packet.body, Ratp.Endpoint.error) result
+(** Like {!call}, to the DSM client service (server-initiated
+    invalidation and downgrade). *)
 
 val txn_compare : txn_id -> txn_id -> int
 val pp_txn : Format.formatter -> txn_id -> unit

@@ -81,10 +81,7 @@ let all =
     entry "batching" ~aliases:[ "pb" ] ~key:"page_batching" (fun ~quick ->
         Page_batching.(
           tabled report to_json
-            (run
-               ~windows:(if quick then [ 0; 8 ] else [ 0; 2; 8 ])
-               ~flush_sizes:(if quick then [ 1; 16 ] else [ 1; 4; 16 ])
-               ())));
+            (run ~flush_sizes:(if quick then [ 1; 16 ] else [ 1; 4; 16 ]) ())));
     entry "transport" ~aliases:[ "tr" ] ~key:"transport" (fun ~quick ->
         Transport.(
           tabled report to_json

@@ -61,32 +61,24 @@ let measure_write_fault ~copyset ~suspects =
       Store.Segment_store.create_segment
         (Dsm.Dsm_server.store server)
         seg ~size:Ra.Page.size;
-      let rpc (n : Ra.Node.t) body =
+      let fault mode n =
         match
-          Ratp.Endpoint.call n.Ra.Node.endpoint ~dst:1
-            ~service:Dsm.Protocol.service
-            ~size:(Dsm.Protocol.request_bytes body)
-            body
+          Dsm.Protocol.call n ~dst:1
+            (Dsm.Protocol.Get_page { seg; page = 0; mode })
         with
         | Ok (Dsm.Protocol.Got_page _) -> ()
         | Ok _ | Error Ratp.Endpoint.Timeout -> failwith "page fault failed"
       in
-      List.iter
-        (fun n ->
-          rpc n
-            (Dsm.Protocol.Get_page { seg; page = 0; mode = Ra.Partition.Read; window = 0 }))
-        readers;
+      List.iter (fault Ra.Partition.Read) readers;
       (* the writer reads the page too, so every variant — including
          the empty-copyset baseline — measures a warm write fault; the
          server never invalidates the faulting node itself *)
-      rpc writer
-        (Dsm.Protocol.Get_page { seg; page = 0; mode = Ra.Partition.Read; window = 0 });
+      fault Ra.Partition.Read writer;
       (* crash the first [suspects] readers; the server still lists
          them in the copyset and will have to time out on each *)
       List.iteri (fun i n -> if i < suspects then Ra.Node.crash n) readers;
       let t0 = Sim.now () in
-      rpc writer
-        (Dsm.Protocol.Get_page { seg; page = 0; mode = Ra.Partition.Write; window = 0 });
+      fault Ra.Partition.Write writer;
       Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0))
 
 let point ~copyset ~suspects =

@@ -9,7 +9,6 @@
 type metric =
   | Counter of Sim.Stats.counter
   | Keyed of Sim.Stats.keyed
-  | Series of Sim.Stats.series
   | Hist of Sim.Stats.hist
 
 type t = { label : string; tbl : (string, metric) Hashtbl.t }
@@ -38,7 +37,7 @@ let totals regs =
           | Counter c -> bump path (Sim.Stats.value c)
           | Keyed k ->
               List.iter (fun (_, v) -> bump path v) (Sim.Stats.kitems k)
-          | Series _ | Hist _ -> ())
+          | Hist _ -> ())
         (items r))
     regs;
   Hashtbl.fold (fun path v l -> (path, v) :: l) acc []
@@ -60,9 +59,6 @@ let metric_json m =
   | Keyed k ->
       Export.Obj
         (List.map (fun (key, v) -> (string_of_int key, Export.int v)) (Sim.Stats.kitems k))
-  | Series s ->
-      dist ~n:(Sim.Stats.n s) ~mean:(Sim.Stats.mean s) ~p:(Sim.Stats.percentile s)
-        ~max:(Sim.Stats.max_v s)
   | Hist h ->
       dist ~n:(Sim.Stats.hist_n h) ~mean:(Sim.Stats.hist_mean h)
         ~p:(Sim.Stats.hist_percentile h) ~max:(Sim.Stats.hist_max h)

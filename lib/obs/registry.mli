@@ -1,7 +1,7 @@
 (** Per-node metrics registry.
 
-    Unifies the [Sim.Stats] counters, keyed families, series and
-    histograms scattered across components into one named tree: each
+    Unifies the [Sim.Stats] counters, keyed families and histograms
+    scattered across components into one named tree: each
     component exposes its live handles as [(path, metric)] pairs, a
     registry per node collects them, and a snapshot renders the
     whole forest as deterministic JSON (sorted keys, fixed float
@@ -12,7 +12,6 @@
 type metric =
   | Counter of Sim.Stats.counter
   | Keyed of Sim.Stats.keyed
-  | Series of Sim.Stats.series
   | Hist of Sim.Stats.hist
 
 type t
@@ -37,5 +36,5 @@ val totals : t list -> (string * int) list
 val snapshot_json : t list -> string
 (** JSON array with one [{"node": label, "metrics": {path: value,
     ...}}] object per registry, in list order, paths sorted; counters
-    render as integers, keyed families as objects, series/histograms
-    as summary objects. *)
+    render as integers, keyed families as objects, histograms as
+    summary objects. *)

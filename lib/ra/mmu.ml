@@ -19,13 +19,6 @@ type frame = {
          stamp only while the twin it diffed against is unchanged. *)
 }
 
-type install =
-  | Installed
-  | Retained
-      (* declined, but this node holds a registered copy (resident) or
-         a demand fault in flight will register one *)
-  | No_copy  (* declined with nothing kept: frame budget *)
-
 type t = {
   params : Params.t;
   cpu : Cpu.t;
@@ -42,7 +35,6 @@ type t = {
   mutable zero_fills : int;
   mutable upgrades : int;
   mutable evictions : int;
-  mutable prefetches : int;
 }
 
 let create ?(max_frames = max_int) ~params ~cpu () =
@@ -63,7 +55,6 @@ let create ?(max_frames = max_int) ~params ~cpu () =
     zero_fills = 0;
     upgrades = 0;
     evictions = 0;
-    prefetches = 0;
   }
 
 let set_resolver t resolver = t.resolver <- resolver
@@ -282,44 +273,6 @@ let downgrade t seg page =
       f.dirty <- false;
       if dirty then Some (Page.copy f.data) else None
 
-(* Install a speculative read copy shipped alongside a demand fetch.
-   Speculation must never displace demand-loaded frames or race a
-   fault already in flight, so the install is declined when the page
-   is resident, being fetched, poisoned by a concurrent invalidation,
-   or the node is at its frame budget.  The result says what the
-   decline left behind: [Retained] when this node still holds (or the
-   in-flight fault will install and register) a copy, [No_copy] when
-   nothing was kept — the caller releases its copyset registration
-   only in the latter case.  No CPU is charged: the copy rode an
-   existing reply. *)
-let install_read t seg page data =
-  let key = (seg, page) in
-  if
-    Hashtbl.mem t.frames key
-    || Hashtbl.mem t.inflight key
-    || Hashtbl.mem t.poisoned key
-  then Retained
-  else if Hashtbl.length t.frames >= t.max_frames then No_copy
-  else begin
-    let page_data = Page.zero () in
-    Bytes.blit data 0 page_data 0 (min (Bytes.length data) Page.size);
-    let frame =
-      {
-        mode = Partition.Read;
-        data = page_data;
-        dirty = false;
-        last_used = 0;
-        base = None;
-        base_stamp = 0;
-      }
-    in
-    snapshot_base t seg frame;
-    touch_frame t frame;
-    Hashtbl.replace t.frames key frame;
-    t.prefetches <- t.prefetches + 1;
-    Installed
-  end
-
 let mark_clean t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
   | Some f -> f.dirty <- false
@@ -380,5 +333,4 @@ let faults t = t.faults
 let zero_fills t = t.zero_fills
 let upgrades t = t.upgrades
 let evictions t = t.evictions
-let prefetches t = t.prefetches
 let resident_frames t = Hashtbl.length t.frames

@@ -64,26 +64,6 @@ val invalidate : t -> Sysname.t -> int -> bytes option
 val downgrade : t -> Sysname.t -> int -> bytes option
 (** Demote a write frame to read mode, returning the data if dirty. *)
 
-type install =
-  | Installed  (** the image is now a clean resident read copy *)
-  | Retained
-      (** declined, but this node keeps a live claim on the page: it
-          is already resident, or a demand fault in flight will
-          install (and register) a copy when it completes.  The
-          copyset registration at the server is still needed. *)
-  | No_copy
-      (** declined with nothing kept (frame budget): the caller
-          should release its copyset registration for the page. *)
-
-val install_read : t -> Sysname.t -> int -> bytes -> install
-(** Install a prefetched page image as a clean read copy without
-    charging fault costs.  Declines ([Retained]) if the page is
-    already resident or a fault on it is in flight, and ([No_copy])
-    at the frame budget — speculation never evicts demand-loaded
-    frames.  The caller must already hold a copyset registration for
-    the page at its server, and should keep it exactly when the
-    result is not [No_copy]. *)
-
 val mark_clean : t -> Sysname.t -> int -> unit
 (** Clear the dirty bit after a successful writeback/commit. *)
 
@@ -125,9 +105,6 @@ val upgrades : t -> int
 
 val evictions : t -> int
 (** Frames evicted to make room (see [max_frames]). *)
-
-val prefetches : t -> int
-(** Read copies installed via {!install_read}. *)
 
 val resident_frames : t -> int
 (** Frames currently held. *)

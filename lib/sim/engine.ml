@@ -23,8 +23,7 @@ type event = {
    call through a comparator closure, and the hot operations return
    events directly (guarded by [is_empty]) rather than allocating an
    option per peek/pop.  Vacated slots are overwritten with a shared
-   dummy so popped event closures stay collectable (the concern the
-   generic [Heap] solves with an [Obj.t] backing array). *)
+   dummy so popped event closures stay collectable. *)
 module Evq = struct
   let dummy = { time = min_int; order = 0; live = false; thunk = ignore }
 

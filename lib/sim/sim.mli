@@ -8,14 +8,12 @@
     {!Engine.run}. *)
 
 module Time = Time
-module Heap = Heap
 module Rng = Rng
 module Engine = Engine
 module Ivar = Ivar
 module Mailbox = Mailbox
 module Semaphore = Semaphore
 module Mutex = Mutex
-module Condition = Condition
 module Rwlock = Rwlock
 module Stats = Stats
 module Fanout = Fanout

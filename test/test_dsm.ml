@@ -26,7 +26,7 @@ type cluster = {
   c2 : Dsm.Dsm_client.t;
 }
 
-let with_cluster ?(presume_abort_after = Time.sec 60) ?prefetch_window f =
+let with_cluster ?(presume_abort_after = Time.sec 60) f =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
       let ether = Net.Ethernet.create eng () in
@@ -38,11 +38,11 @@ let with_cluster ?(presume_abort_after = Time.sec 60) ?prefetch_window f =
       let n1 =
         Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute ~ratp_config:fast_ratp ()
       in
-      let c1 = Dsm.Dsm_client.create n1 ~locate ?prefetch_window () in
+      let c1 = Dsm.Dsm_client.create n1 ~locate () in
       let n2 =
         Ra.Node.create ether ~id:3 ~kind:Ra.Node.Compute ~ratp_config:fast_ratp ()
       in
-      let c2 = Dsm.Dsm_client.create n2 ~locate ?prefetch_window () in
+      let c2 = Dsm.Dsm_client.create n2 ~locate () in
       f { eng; ether; nd; server; n1; c1; n2; c2 })
 
 let new_seg cl ~pages =
@@ -205,84 +205,7 @@ let prop_one_copy_semantics =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Fast path: fault-ahead prefetch, batched flush, byte accounting *)
-
-let fill_pages cl seg ~pages =
-  for p = 0 to pages - 1 do
-    Store.Segment_store.write_page
-      (Dsm.Dsm_server.store cl.server)
-      seg p
-      (Bytes.make Ra.Page.size (Char.chr (97 + p)))
-  done
-
-let test_prefetch_sequential_scan () =
-  with_cluster ~prefetch_window:8 (fun cl ->
-      let pages = 8 in
-      let seg = new_seg cl ~pages in
-      fill_pages cl seg ~pages;
-      let vs = vspace_for seg ~pages in
-      for p = 0 to pages - 1 do
-        Alcotest.(check string)
-          (Printf.sprintf "page %d contents" p)
-          (String.make 4 (Char.chr (97 + p)))
-          (read cl.n1 vs ~addr:(p * Ra.Page.size) ~len:4)
-      done;
-      (* the doubling window turns 8 demand faults into 3 RPCs:
-         page 0 ships [1], page 2 ships [3;4], page 5 ships [6;7] *)
-      check_int "three fetch RPCs" 3 (Dsm.Dsm_client.remote_fetches cl.c1);
-      check_int "five pages prefetched" 5
-        (Dsm.Dsm_server.pages_prefetched cl.server);
-      check_int "five prefetch installs" 5
-        (Ra.Mmu.prefetches cl.n1.Ra.Node.mmu);
-      (* every shipped page is registered in its copyset *)
-      for p = 0 to pages - 1 do
-        check_bool
-          (Printf.sprintf "page %d copyset has c1" p)
-          true
-          (List.mem 2 (Dsm.Dsm_server.copyset_of cl.server seg p))
-      done;
-      (* the location cache resolved the home once *)
-      check_int "one location miss" 1 (Dsm.Dsm_client.location_misses cl.c1);
-      check_int "rest were hits" 2 (Dsm.Dsm_client.location_hits cl.c1))
-
-let test_prefetch_random_scan_stops_speculating () =
-  with_cluster ~prefetch_window:8 (fun cl ->
-      let pages = 8 in
-      let seg = new_seg cl ~pages in
-      fill_pages cl seg ~pages;
-      let vs = vspace_for seg ~pages in
-      List.iter
-        (fun p -> ignore (read cl.n1 vs ~addr:(p * Ra.Page.size) ~len:1))
-        [ 6; 1; 4; 0; 3 ];
-      (* only the first fault speculates (window 1); the jumps reset
-         the window, so no further pages ship *)
-      check_int "one speculative page" 1
-        (Dsm.Dsm_server.pages_prefetched cl.server))
-
-(* The acceptance test for copyset registration: a page that reached
-   a node ONLY as a prefetched extra must still be invalidated by
-   another node's write fault. *)
-let test_write_fault_invalidates_prefetched_copy () =
-  with_cluster ~prefetch_window:8 (fun cl ->
-      let pages = 4 in
-      let seg = new_seg cl ~pages in
-      fill_pages cl seg ~pages;
-      let vs = vspace_for seg ~pages in
-      (* c1 demand-reads page 0; page 1 arrives only via prefetch *)
-      ignore (read cl.n1 vs ~addr:0 ~len:1);
-      check_int "single fetch RPC" 1 (Dsm.Dsm_client.remote_fetches cl.c1);
-      check_bool "page 1 resident via prefetch" true
-        (Ra.Mmu.resident cl.n1.Ra.Node.mmu seg 1 = Some Ra.Partition.Read);
-      (* c2 write-faults page 1: c1's speculative copy must die *)
-      write cl.n2 vs ~addr:Ra.Page.size "overwrite";
-      check_bool "prefetched copy invalidated" true
-        (Ra.Mmu.resident cl.n1.Ra.Node.mmu seg 1 = None);
-      check_bool "c1 saw the invalidation" true
-        (Dsm.Dsm_client.invalidations_received cl.c1 >= 1);
-      (* and c1 rereads the fresh bytes, not the stale image *)
-      Alcotest.(check string)
-        "c1 rereads coherently" "overwrite"
-        (read cl.n1 vs ~addr:Ra.Page.size ~len:9))
+(* Fast path: batched flush, byte accounting *)
 
 let test_batched_flush () =
   with_cluster (fun cl ->
@@ -295,6 +218,10 @@ let test_batched_flush () =
       let rpcs0 = Dsm.Dsm_client.put_rpcs cl.c1 in
       Dsm.Dsm_client.flush_segment cl.c1 seg;
       check_int "one batched RPC" 1 (Dsm.Dsm_client.put_rpcs cl.c1 - rpcs0);
+      (* the location cache resolved the home once, for the first
+         write fault *)
+      check_int "one location miss" 1 (Dsm.Dsm_client.location_misses cl.c1);
+      check_int "rest were hits" pages (Dsm.Dsm_client.location_hits cl.c1);
       check_bool "frames clean" true
         (Ra.Mmu.dirty_pages cl.n1.Ra.Node.mmu seg = []);
       Alcotest.(check (list string))
@@ -318,24 +245,12 @@ let test_request_bytes_accounting () =
   check_int "Overwrite" (48 + ws_bytes) (P.request_bytes (P.Overwrite ws));
   check_int "Prepare" (64 + ws_bytes)
     (P.request_bytes (P.Prepare { txn = { P.tnode = 1; tseq = 1 }; writes = ws }));
-  check_int "Got_pages"
-    (48 + 8192 + (24 + 8192) + (24 + 8192))
-    (P.request_bytes
-       (P.Got_pages
-          {
-            main = Ra.Partition.Data (Bytes.create 8192);
-            extras = [ (1, Bytes.create 8192); (2, Bytes.create 8192) ];
-          }));
-  check_int "Got_pages zero main" (48 + 24 + 10)
-    (P.request_bytes
-       (P.Got_pages
-          { main = Ra.Partition.Zeroed; extras = [ (1, Bytes.create 10) ] }));
   (* sysname lists charge the same 24-byte entries as descriptors *)
   check_int "Objects" (32 + (24 * 3))
     (P.request_bytes (P.Objects [ seg; seg; seg ]));
   check_int "Get_page carries no payload" 48
     (P.request_bytes
-       (P.Get_page { seg; page = 0; mode = Ra.Partition.Read; window = 8 }))
+       (P.Get_page { seg; page = 0; mode = Ra.Partition.Read }))
 
 let test_flush_and_drop () =
   with_cluster (fun cl ->
@@ -370,6 +285,38 @@ let test_missing_segment_error () =
       in
       check_bool "missing segment raises" true raised)
 
+(* A writeback to a segment its home no longer stores must fail: a
+   Batch_ok would let the client mark the frame clean and the write
+   would vanish without a trace. *)
+let test_flush_deleted_segment_keeps_dirty () =
+  with_cluster (fun cl ->
+      let seg = new_seg cl ~pages:1 in
+      let vs = vspace_for seg ~pages:1 in
+      write cl.n1 vs ~addr:0 "orphan";
+      (match P.call cl.n2 ~dst:1 (P.Delete_segment seg) with
+      | Ok P.Segment_ok -> ()
+      | Ok _ | Error _ -> Alcotest.fail "delete failed");
+      let raised =
+        try
+          Dsm.Dsm_client.flush_segment cl.c1 seg;
+          false
+        with Ra.Partition.No_segment s -> Ra.Sysname.equal s seg
+      in
+      check_bool "flush raises No_segment" true raised;
+      check_bool "frame still dirty" true
+        (Ra.Mmu.is_dirty cl.n1.Ra.Node.mmu seg 0);
+      (* the whole batch is rejected before any page is applied *)
+      let live = new_seg cl ~pages:1 in
+      let data = Bytes.make Ra.Page.size 'x' in
+      (match
+         P.call cl.n2 ~dst:1 (P.Put_batch [ (live, 0, data); (seg, 0, data) ])
+       with
+      | Ok P.Segment_error -> ()
+      | Ok _ | Error _ -> Alcotest.fail "mixed batch not rejected");
+      check_bool "live page untouched" true
+        (Store.Segment_store.read_page (Dsm.Dsm_server.store cl.server) live 0
+        = Ra.Partition.Zeroed))
+
 let test_segment_rpc_lifecycle () =
   with_cluster (fun cl ->
       let seg = Ra.Sysname.fresh cl.n1.Ra.Node.names in
@@ -377,25 +324,15 @@ let test_segment_rpc_lifecycle () =
         P.Create_segment
           { seg; size = Ra.Page.size; mode = Ra.Partition.One_copy }
       in
-      (match
-         Ratp.Endpoint.call cl.n1.Ra.Node.endpoint ~dst:1 ~service:P.service
-           ~size:(P.request_bytes create) create
-       with
+      (match P.call cl.n1 ~dst:1 create with
       | Ok P.Segment_ok -> ()
       | Ok _ | Error _ -> Alcotest.fail "create failed");
-      (match
-         Ratp.Endpoint.call cl.n1.Ra.Node.endpoint ~dst:1 ~service:P.service
-           ~size:(P.request_bytes create) create
-       with
+      (match P.call cl.n1 ~dst:1 create with
       | Ok P.Segment_error -> ()
       | Ok _ | Error _ -> Alcotest.fail "duplicate create not rejected");
       let vs = vspace_for seg ~pages:1 in
       write cl.n1 vs ~addr:0 "x";
-      let del = P.Delete_segment seg in
-      (match
-         Ratp.Endpoint.call cl.n1.Ra.Node.endpoint ~dst:1 ~service:P.service
-           ~size:(P.request_bytes del) del
-       with
+      (match P.call cl.n1 ~dst:1 (P.Delete_segment seg) with
       | Ok P.Segment_ok -> ()
       | Ok _ | Error _ -> Alcotest.fail "delete failed"))
 
@@ -502,9 +439,7 @@ let test_locks_cancellation () =
 (* ------------------------------------------------------------------ *)
 (* Lock service over RaTP + 2PC *)
 
-let rpc cl node body =
-  Ratp.Endpoint.call node.Ra.Node.endpoint ~dst:cl.nd.Ra.Node.id
-    ~service:P.service ~size:(P.request_bytes body) body
+let rpc cl node body = P.call node ~dst:cl.nd.Ra.Node.id body
 
 let test_lock_service_and_abort_release () =
   with_cluster (fun cl ->
@@ -949,151 +884,6 @@ let test_drop_segment_releases_copyset () =
       check_int "no redundant invalidation" 0
         (Dsm.Dsm_server.invalidations_sent cl.server))
 
-let test_declined_prefetch_releases_copyset () =
-  (* a frame-budget-limited client declines prefetched extras; the
-     server must not keep it registered for pages it never installed *)
-  Sim.exec (fun () ->
-      let eng = Sim.engine () in
-      let ether = Net.Ethernet.create eng () in
-      let nd =
-        Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
-      in
-      let server = Dsm.Dsm_server.create nd () in
-      let locate _ = 1 in
-      let n1 =
-        Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute
-          ~ratp_config:fast_ratp ~max_frames:2 ()
-      in
-      let c1 =
-        Dsm.Dsm_client.create n1 ~locate ~prefetch_window:8 ()
-      in
-      let n2 =
-        Ra.Node.create ether ~id:3 ~kind:Ra.Node.Compute
-          ~ratp_config:fast_ratp ()
-      in
-      ignore (Dsm.Dsm_client.create n2 ~locate ());
-      let pages = 6 in
-      let seg = Ra.Sysname.fresh nd.Ra.Node.names in
-      Store.Segment_store.create_segment
-        (Dsm.Dsm_server.store server)
-        seg
-        ~size:(pages * Ra.Page.size);
-      for p = 0 to pages - 1 do
-        Store.Segment_store.write_page
-          (Dsm.Dsm_server.store server)
-          seg p
-          (Bytes.make Ra.Page.size (Char.chr (97 + p)))
-      done;
-      let vs = vspace_for seg ~pages in
-      (* sequential scan: the adaptive window ships extras, but the
-         2-frame budget forces declines.  Track which pages the MMU
-         ever actually held (extras install before the fault
-         returns). *)
-      let ever_held = Array.make pages false in
-      let snapshot () =
-        for p = 0 to pages - 1 do
-          if Ra.Mmu.resident n1.Ra.Node.mmu seg p <> None then
-            ever_held.(p) <- true
-        done
-      in
-      for p = 0 to pages - 1 do
-        ignore (read n1 vs ~addr:(p * Ra.Page.size) ~len:1);
-        snapshot ()
-      done;
-      (* let the fire-and-forget Release_copies land *)
-      Sim.sleep (Time.ms 100);
-      check_bool "some installs were declined" true
-        (Dsm.Dsm_client.copy_releases c1 > 0);
-      for p = 0 to pages - 1 do
-        let registered = List.mem 2 (Dsm.Dsm_server.copyset_of server seg p) in
-        (* a copy the MMU holds must be registered (no lost
-           invalidations)... *)
-        if Ra.Mmu.resident n1.Ra.Node.mmu seg p <> None then
-          check_bool (Printf.sprintf "page %d held => registered" p) true
-            registered;
-        (* ...and a declined extra must NOT be: only pages the client
-           actually installed at some point may appear (the satellite
-           regression — before Release_copies, declines left phantom
-           registrations) *)
-        if registered then
-          check_bool
-            (Printf.sprintf "page %d registered => once held" p)
-            true ever_held.(p)
-      done;
-      (* the writer's sweep pays one invalidation per registered copy
-         — phantom registrations would inflate this fan-out *)
-      let registered =
-        List.length
-          (List.filter
-             (fun p -> List.mem 2 (Dsm.Dsm_server.copyset_of server seg p))
-             (List.init pages Fun.id))
-      in
-      let invals0 = Dsm.Dsm_server.invalidations_sent server in
-      for p = 0 to pages - 1 do
-        let b = Bytes.make 1 'z' in
-        Ra.Mmu.write n2.Ra.Node.mmu vs ~addr:(p * Ra.Page.size) b
-      done;
-      check_int "fan-out matches registered copies" registered
-        (Dsm.Dsm_server.invalidations_sent server - invals0))
-
-let test_resident_extra_decline_keeps_registration () =
-  (* streaming prefetch re-ships a page the client already holds (a
-     scan that jumps back re-enters a stretch it has resident).  The
-     declined install keeps a live copy whose copyset entry at the
-     home is the same single registration the extra made — it must
-     NOT be released, or the next writer's invalidation skips this
-     client and it serves stale data forever *)
-  Sim.exec (fun () ->
-      let eng = Sim.engine () in
-      let ether = Net.Ethernet.create eng () in
-      let nd =
-        Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
-      in
-      let server = Dsm.Dsm_server.create nd () in
-      let locate _ = 1 in
-      let n2 =
-        Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute
-          ~ratp_config:fast_ratp ()
-      in
-      let c2 = Dsm.Dsm_client.create n2 ~locate ~prefetch_window:8 () in
-      let n3 =
-        Ra.Node.create ether ~id:3 ~kind:Ra.Node.Compute
-          ~ratp_config:fast_ratp ()
-      in
-      ignore (Dsm.Dsm_client.create n3 ~locate ());
-      let pages = 4 in
-      let seg = Ra.Sysname.fresh nd.Ra.Node.names in
-      Store.Segment_store.create_segment
-        (Dsm.Dsm_server.store server)
-        seg
-        ~size:(pages * Ra.Page.size);
-      for p = 0 to pages - 1 do
-        Store.Segment_store.write_page
-          (Dsm.Dsm_server.store server)
-          seg p
-          (Bytes.make Ra.Page.size (Char.chr (97 + p)))
-      done;
-      let vs = vspace_for seg ~pages in
-      (* page 2 becomes resident by demand fetch... *)
-      ignore (read n2 vs ~addr:(2 * Ra.Page.size) ~len:1);
-      (* ...then a sequential run from page 0 re-ships it as an extra,
-         whose install declines because the page is already resident *)
-      ignore (read n2 vs ~addr:0 ~len:1);
-      ignore (read n2 vs ~addr:Ra.Page.size ~len:1);
-      check_bool "page 2 resident" true
-        (Ra.Mmu.resident n2.Ra.Node.mmu seg 2 <> None);
-      (* give any (buggy) fire-and-forget release time to land *)
-      Sim.sleep (Time.ms 100);
-      check_int "no release for a retained copy" 0
-        (Dsm.Dsm_client.copy_releases c2);
-      check_bool "still registered" true
-        (List.mem 2 (Dsm.Dsm_server.copyset_of server seg 2));
-      (* so the writer's invalidation reaches the retained copy *)
-      write n3 vs ~addr:(2 * Ra.Page.size) "Z";
-      Alcotest.(check string)
-        "reader sees the write, not the stale frame" "Z"
-        (read n2 vs ~addr:(2 * Ra.Page.size) ~len:1))
-
 let test_merge_delta_resend_applies_once () =
   (* a Merge_delta re-sent after a client-visible timeout is a FRESH
      call, so the transport's exactly-once cache cannot dedup it; the
@@ -1123,10 +913,7 @@ let test_merge_delta_resend_applies_once () =
         | Ra.Partition.Data b -> Int64.to_int (Bytes.get_int64_le b 0)
         | Ra.Partition.Zeroed -> 0
       in
-      let send body =
-        Ratp.Endpoint.call n2.Ra.Node.endpoint ~dst:1 ~service:P.service
-          ~size:(P.request_bytes body) body
-      in
+      let send body = P.call n2 ~dst:1 body in
       let delta v =
         let b = Bytes.make Ra.Page.size '\000' in
         Bytes.set_int64_le b 0 (Int64.of_int v);
@@ -1167,16 +954,12 @@ let () =
           Alcotest.test_case "flush and drop" `Quick test_flush_and_drop;
           Alcotest.test_case "missing segment" `Quick
             test_missing_segment_error;
+          Alcotest.test_case "flush to deleted segment keeps frame dirty"
+            `Quick test_flush_deleted_segment_keeps_dirty;
           Alcotest.test_case "segment rpc lifecycle" `Quick
             test_segment_rpc_lifecycle;
           Alcotest.test_case "owner crash falls back to store" `Quick
             test_owner_crash_recovers_stored_state;
-          Alcotest.test_case "prefetch sequential scan" `Quick
-            test_prefetch_sequential_scan;
-          Alcotest.test_case "prefetch stops on random access" `Quick
-            test_prefetch_random_scan_stops_speculating;
-          Alcotest.test_case "write fault invalidates prefetched copy" `Quick
-            test_write_fault_invalidates_prefetched_copy;
           Alcotest.test_case "batched flush" `Quick test_batched_flush;
           Alcotest.test_case "request byte accounting" `Quick
             test_request_bytes_accounting;
@@ -1212,10 +995,6 @@ let () =
         [
           Alcotest.test_case "drop segment releases copyset" `Quick
             test_drop_segment_releases_copyset;
-          Alcotest.test_case "declined prefetch releases copyset" `Quick
-            test_declined_prefetch_releases_copyset;
-          Alcotest.test_case "resident extra keeps registration" `Quick
-            test_resident_extra_decline_keeps_registration;
         ] );
       ( "locks",
         [

@@ -423,33 +423,6 @@ let test_mmu_eviction_mixed_clean_dirty () =
         "roundtrip after eviction" "dirty-0"
         (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:7)))
 
-let test_mmu_install_read () =
-  with_small_mmu ~max_frames:2 (fun mmu vs seg _pages fetches ->
-      let img = Bytes.make Page.size 'p' in
-      check_bool "installs into a free frame" true
-        (Mmu.install_read mmu seg 0 img = Mmu.Installed);
-      check_bool "resident read-mode" true
-        (Mmu.resident mmu seg 0 = Some Partition.Read);
-      check_int "one prefetch" 1 (Mmu.prefetches mmu);
-      (* a resident page declines as Retained: the copy (and its
-         copyset registration) stays live *)
-      check_bool "no second install on a resident page" true
-        (Mmu.install_read mmu seg 0 img = Mmu.Retained);
-      (* the installed copy serves reads without any fetch *)
-      Alcotest.(check string)
-        "contents visible" "pppp"
-        (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:4));
-      check_int "no fetch issued" 0 !fetches;
-      check_bool "clean, not dirty" true (Mmu.dirty_pages mmu seg = []);
-      (* at the frame budget, speculation must not evict *)
-      ignore (Mmu.read mmu vs ~addr:Page.size ~len:1);
-      check_int "budget full" 2 (Mmu.resident_frames mmu);
-      (* the budget decline keeps nothing, so the caller must release
-         its registration *)
-      check_bool "install refused at budget" true
-        (Mmu.install_read mmu seg 2 img = Mmu.No_copy);
-      check_int "nothing evicted for speculation" 0 (Mmu.evictions mmu))
-
 (* ------------------------------------------------------------------ *)
 (* Node and isiba *)
 
@@ -540,8 +513,6 @@ let () =
             test_mmu_eviction_writes_back_dirty;
           Alcotest.test_case "eviction mixed clean/dirty" `Quick
             test_mmu_eviction_mixed_clean_dirty;
-          Alcotest.test_case "install_read prefetch copies" `Quick
-            test_mmu_install_read;
         ] );
       ( "node",
         [

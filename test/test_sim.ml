@@ -19,84 +19,84 @@ let test_time_units () =
   check_int "diff" 15 (Time.diff 25 10)
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
+(* Heap: the engine's event queue, driven through [Engine.at] (push)
+   and [Engine.step] (pop).  Events fire in (time, scheduling order). *)
+
+(* Schedule [at] on a fresh-engine clock; the event records [id]. *)
+let push eng fired at id = Engine.at eng at (fun () -> fired := id :: !fired)
 
 let test_heap_basic () =
-  let h = Heap.create ~cmp:Int.compare in
-  check_bool "empty" true (Heap.is_empty h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  check_int "length" 3 (Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop2" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "pop3" (Some 5) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
+  let eng = Engine.create () in
+  let fired = ref [] in
+  check_int "empty" 0 (Engine.pending eng);
+  List.iter (fun ms -> push eng fired (Time.ms ms) ms) [ 5; 1; 3 ];
+  check_int "length" 3 (Engine.pending eng);
+  let pop () = if Engine.step eng then Some (List.hd !fired) else None in
+  Alcotest.(check (option int)) "pop1" (Some 1) (pop ());
+  check_int "clock at the popped event" (Time.ms 1) (Engine.now eng);
+  Alcotest.(check (option int)) "pop2" (Some 3) (pop ());
+  Alcotest.(check (option int)) "pop3" (Some 5) (pop ());
+  Alcotest.(check (option int)) "pop empty" None (pop ())
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
+    QCheck.(list small_nat)
     (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
+      let eng = Engine.create () in
+      let fired = ref [] in
+      List.iteri (fun i x -> push eng fired x (x, i)) xs;
+      Engine.run eng;
+      (* ties keep scheduling order: a stable sort on time alone *)
+      List.rev !fired
+      = List.stable_sort
+          (fun (a, _) (b, _) -> Int.compare a b)
+          (List.mapi (fun i x -> (x, i)) xs))
 
 let prop_heap_interleaved =
   QCheck.Test.make ~name:"heap correct under interleaved push/pop" ~count:200
-    QCheck.(list (option int))
+    QCheck.(list (option small_nat))
     (fun ops ->
-      let h = Heap.create ~cmp:Int.compare in
-      let model = ref [] in
+      let eng = Engine.create () in
+      let fired = ref [] in
+      (* the model: pending (time, id) pairs, sorted; ids grow with
+         scheduling order, so they break time ties the same way *)
+      let model = ref [] and next = ref 0 in
       List.for_all
         (fun op ->
           match op with
           | Some x ->
-              Heap.push h x;
-              model := List.sort Int.compare (x :: !model);
+              incr next;
+              let at = Time.add (Engine.now eng) x in
+              push eng fired at !next;
+              model := List.merge compare !model [ (at, !next) ];
               true
           | None -> (
-              match (Heap.pop h, !model) with
-              | None, [] -> true
-              | Some x, m :: rest ->
+              match !model with
+              | [] -> not (Engine.step eng)
+              | (_, id) :: rest ->
                   model := rest;
-                  x = m
-              | None, _ :: _ | Some _, [] -> false))
+                  Engine.step eng && List.hd !fired = id))
         ops)
 
-(* Popped elements must become unreachable: the event queue holds
-   closures, and a pop that leaves a stale reference in the backing
-   array pins every captured value until the slot happens to be
-   overwritten.  Weak pointers observe collection directly. *)
-(* The pops live in [@inline never] helpers so the popped element is
-   not kept reachable by a stack slot of the test function itself
-   when the Gc runs. *)
-let[@inline never] heap_pop_expecting h want =
-  match Heap.pop h with
-  | Some (k, _) when k = want -> ()
-  | Some (k, _) -> Alcotest.failf "popped %d, want %d" k want
-  | None -> Alcotest.fail "empty heap"
-
-let[@inline never] heap_drain h =
-  while not (Heap.is_empty h) do
-    ignore (Heap.pop h)
-  done
-
-let[@inline never] heap_fill h weak n tag =
+(* Popped events must become unreachable: the queue holds closures,
+   and a pop that leaves a stale reference in the backing array pins
+   every captured value until the slot happens to be overwritten.
+   Weak pointers observe collection directly. *)
+(* The scheduling lives in an [@inline never] helper so no captured
+   value is kept reachable by a stack slot of the test function
+   itself when the Gc runs. *)
+let[@inline never] heap_fill eng weak n =
   for k = 0 to n - 1 do
-    let elt = (k, Bytes.make 64 tag) in
+    let elt = Bytes.make 64 'x' in
     Weak.set weak k (Some elt);
-    Heap.push h elt
+    Engine.at eng (Time.ms k) (fun () -> ignore (Sys.opaque_identity elt))
   done
 
 let test_heap_pop_releases () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
+  let eng = Engine.create () in
   let n = 8 in
   let weak = Weak.create n in
-  heap_fill h weak n 'x';
+  heap_fill eng weak n;
   let alive () =
     let count = ref 0 in
     for k = 0 to n - 1 do
@@ -104,19 +104,15 @@ let test_heap_pop_releases () =
     done;
     !count
   in
-  (* pop the minimum: it must be collectable while the rest live *)
-  heap_pop_expecting h 0;
+  (* pop the minimum: its closure must be collectable while the rest
+     live *)
+  check_bool "stepped" true (Engine.step eng);
   Gc.full_major ();
-  check_int "only the popped element was collected" (n - 1) (alive ());
-  (* drain: every element must be collectable once the heap is empty *)
-  heap_drain h;
+  check_int "only the popped event was collected" (n - 1) (alive ());
+  (* drain: every closure must be collectable once the queue is empty *)
+  Engine.run eng;
   Gc.full_major ();
-  check_int "all collected after drain" 0 (alive ());
-  (* same through clear *)
-  heap_fill h weak n 'y';
-  Heap.clear h;
-  Gc.full_major ();
-  check_int "all collected after clear" 0 (alive ())
+  check_int "all collected after drain" 0 (alive ())
 
 (* ------------------------------------------------------------------ *)
 (* Engine basics *)
@@ -524,7 +520,7 @@ let test_mailbox_receivers_fifo () =
     order
 
 (* ------------------------------------------------------------------ *)
-(* Semaphore / Mutex / Condition *)
+(* Semaphore / Mutex *)
 
 let test_semaphore_counts () =
   Sim.exec (fun () ->
@@ -580,53 +576,6 @@ let test_mutex_exception_releases () =
       (try Mutex.with_lock m (fun () -> failwith "boom")
        with Failure _ -> ());
       check_bool "released after exception" false (Mutex.locked m))
-
-let test_condition_signal () =
-  let v =
-    Sim.exec (fun () ->
-        let m = Mutex.create () in
-        let c = Condition.create () in
-        let ready = ref false in
-        let _ =
-          Sim.spawn "signaler" (fun () ->
-              Sim.sleep (Time.ms 2);
-              Mutex.with_lock m (fun () ->
-                  ready := true;
-                  Condition.signal c))
-        in
-        Mutex.lock m;
-        while not !ready do
-          Condition.wait c m
-        done;
-        Mutex.unlock m;
-        Sim.now ())
-  in
-  check_int "woken by signal" (Time.ms 2) v
-
-let test_condition_broadcast () =
-  let n =
-    Sim.exec (fun () ->
-        let m = Mutex.create () in
-        let c = Condition.create () in
-        let woken = ref 0 in
-        let done_ = Semaphore.create 0 in
-        for _ = 1 to 3 do
-          ignore
-            (Sim.spawn "waiter" (fun () ->
-                 Mutex.lock m;
-                 Condition.wait c m;
-                 incr woken;
-                 Mutex.unlock m;
-                 Semaphore.release done_))
-        done;
-        Sim.sleep (Time.ms 1);
-        Mutex.with_lock m (fun () -> Condition.broadcast c);
-        for _ = 1 to 3 do
-          Semaphore.acquire done_
-        done;
-        !woken)
-  in
-  check_int "all woken" 3 n
 
 (* ------------------------------------------------------------------ *)
 (* Rwlock *)
@@ -1012,11 +961,6 @@ let () =
             test_mutex_mutual_exclusion;
           Alcotest.test_case "exception releases" `Quick
             test_mutex_exception_releases;
-        ] );
-      ( "condition",
-        [
-          Alcotest.test_case "signal" `Quick test_condition_signal;
-          Alcotest.test_case "broadcast" `Quick test_condition_broadcast;
         ] );
       ( "rwlock",
         [
