@@ -1,4 +1,5 @@
 module Cl = Clouds.Cluster
+module Om = Clouds.Object_manager
 module V = Clouds.Value
 module Mem = Clouds.Memory
 
@@ -66,22 +67,17 @@ let office_cls =
     ]
 
 let register om =
-  let cl = Clouds.Object_manager.cluster om in
+  let cl = Om.cluster om in
   if Cl.find_class cl "bank-account" = None then
     Cl.register_class cl account_cls;
   if Cl.find_class cl "bank-office" = None then Cl.register_class cl office_cls
 
 let open_account om ?home ~balance () =
   register om;
-  Clouds.Object_manager.create_object om ?home ~class_name:"bank-account"
+  Om.create_object om ?home ~class_name:"bank-account"
     (V.Int balance)
 
-let invoke0 om obj entry arg =
-  let cl = Clouds.Object_manager.cluster om in
-  Clouds.Object_manager.invoke om ~node:(Cl.pick_compute cl) ~thread_id:0
-    ~origin:None ~txn:None ~obj ~entry arg
-
-let balance om acct = V.to_int (invoke0 om acct "balance" V.Unit)
+let balance om acct = V.to_int (Om.call om acct "balance" V.Unit)
 
 let deposit om ~mode acct amount =
   let entry =
@@ -90,15 +86,15 @@ let deposit om ~mode acct amount =
     | Clouds.Obj_class.Lcp -> "deposit_lcp"
     | Clouds.Obj_class.S -> "deposit_s"
   in
-  V.to_int (invoke0 om acct entry (V.Int amount))
+  V.to_int (Om.call om acct entry (V.Int amount))
 
 let create_office om =
   register om;
-  Clouds.Object_manager.create_object om ~class_name:"bank-office" V.Unit
+  Om.create_object om ~class_name:"bank-office" V.Unit
 
 let transfer om ~office ~from_acct ~to_acct amount =
   match
-    invoke0 om office "transfer"
+    Om.call om office "transfer"
       (V.List [ V.of_sysname from_acct; V.of_sysname to_acct; V.Int amount ])
   with
   | V.Unit -> ()

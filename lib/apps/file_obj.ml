@@ -1,4 +1,5 @@
 module Cl = Clouds.Cluster
+module Om = Clouds.Object_manager
 module V = Clouds.Value
 module Mem = Clouds.Memory
 
@@ -53,7 +54,7 @@ let entries capacity =
 let class_name_for capacity = Printf.sprintf "file-%d" capacity
 
 let register om ~capacity =
-  let cl = Clouds.Object_manager.cluster om in
+  let cl = Om.cluster om in
   let name = class_name_for capacity in
   if Cl.find_class cl name = None then
     Cl.register_class cl
@@ -64,20 +65,15 @@ let register om ~capacity =
 
 let create om ~capacity =
   let name = register om ~capacity in
-  Clouds.Object_manager.create_object om ~class_name:name V.Unit
+  Om.create_object om ~class_name:name V.Unit
 
-let invoke0 om obj entry arg =
-  let cl = Clouds.Object_manager.cluster om in
-  Clouds.Object_manager.invoke om ~node:(Cl.pick_compute cl) ~thread_id:0
-    ~origin:None ~txn:None ~obj ~entry arg
-
-let size om obj = V.to_int (invoke0 om obj "size" V.Unit)
+let size om obj = V.to_int (Om.call om obj "size" V.Unit)
 
 let read om obj ~off ~len =
-  V.to_string (invoke0 om obj "read" (V.Pair (V.Int off, V.Int len)))
+  V.to_string (Om.call om obj "read" (V.Pair (V.Int off, V.Int len)))
 
 let write om obj ~off data =
-  ignore (invoke0 om obj "write" (V.Pair (V.Int off, V.Str data)))
+  ignore (Om.call om obj "write" (V.Pair (V.Int off, V.Str data)))
 
-let append om obj data = ignore (invoke0 om obj "append" (V.Str data))
-let truncate om obj n = ignore (invoke0 om obj "truncate" (V.Int n))
+let append om obj data = ignore (Om.call om obj "append" (V.Str data))
+let truncate om obj n = ignore (Om.call om obj "truncate" (V.Int n))

@@ -1,4 +1,5 @@
 module Cl = Clouds.Cluster
+module Om = Clouds.Object_manager
 module V = Clouds.Value
 module Mem = Clouds.Memory
 module Ph = Clouds.Pheap
@@ -99,34 +100,29 @@ let cls =
     ]
 
 let register om =
-  let cl = Clouds.Object_manager.cluster om in
+  let cl = Om.cluster om in
   if Cl.find_class cl "kvstore" = None then Cl.register_class cl cls
 
 let create om =
   register om;
-  Clouds.Object_manager.create_object om ~class_name:"kvstore" V.Unit
-
-let invoke0 om obj entry arg =
-  let cl = Clouds.Object_manager.cluster om in
-  Clouds.Object_manager.invoke om ~node:(Cl.pick_compute cl) ~thread_id:0
-    ~origin:None ~txn:None ~obj ~entry arg
+  Om.create_object om ~class_name:"kvstore" V.Unit
 
 let put om obj key value =
-  ignore (invoke0 om obj "put" (V.Pair (V.Str key, value)))
+  ignore (Om.call om obj "put" (V.Pair (V.Str key, value)))
 
 let put_durable om obj key value =
-  ignore (invoke0 om obj "put_durable" (V.Pair (V.Str key, value)))
+  ignore (Om.call om obj "put_durable" (V.Pair (V.Str key, value)))
 
 let get om obj key =
-  match invoke0 om obj "get" (V.Str key) with
+  match Om.call om obj "get" (V.Str key) with
   | V.Pair (V.Bool true, v) -> Some v
   | V.Pair (V.Bool false, _) -> None
   | _ -> failwith "Kv_store.get: bad reply"
 
-let delete om obj key = V.to_bool (invoke0 om obj "delete" (V.Str key))
-let count om obj = V.to_int (invoke0 om obj "count" V.Unit)
+let delete om obj key = V.to_bool (Om.call om obj "delete" (V.Str key))
+let count om obj = V.to_int (Om.call om obj "count" V.Unit)
 
 let keys om obj =
-  match invoke0 om obj "keys" V.Unit with
+  match Om.call om obj "keys" V.Unit with
   | V.List l -> List.map V.to_string l
   | _ -> failwith "Kv_store.keys: bad reply"

@@ -1,4 +1,5 @@
 module Cl = Clouds.Cluster
+module Om = Clouds.Object_manager
 module V = Clouds.Value
 module Mem = Clouds.Memory
 
@@ -365,24 +366,19 @@ let cls =
     ]
 
 let register om =
-  let cl = Clouds.Object_manager.cluster om in
+  let cl = Om.cluster om in
   if Cl.find_class cl "lisp-env" = None then Cl.register_class cl cls
 
 let create om =
   register om;
-  Clouds.Object_manager.create_object om ~class_name:"lisp-env" V.Unit
+  Om.create_object om ~class_name:"lisp-env" V.Unit
 
-let invoke0 om obj entry arg =
-  let cl = Clouds.Object_manager.cluster om in
-  Clouds.Object_manager.invoke om ~node:(Cl.pick_compute cl) ~thread_id:0
-    ~origin:None ~txn:None ~obj ~entry arg
-
-let eval om obj src = V.to_string (invoke0 om obj "eval" (V.Str src))
+let eval om obj src = V.to_string (Om.call om obj "eval" (V.Str src))
 
 let eval_durable om obj src =
-  V.to_string (invoke0 om obj "eval_durable" (V.Str src))
+  V.to_string (Om.call om obj "eval_durable" (V.Str src))
 
 let bindings om obj =
-  match invoke0 om obj "bindings" V.Unit with
+  match Om.call om obj "bindings" V.Unit with
   | V.List l -> List.map V.to_string l
   | _ -> failwith "Lisp_env.bindings: bad reply"

@@ -1,4 +1,5 @@
 module Cl = Clouds.Cluster
+module Om = Clouds.Object_manager
 module V = Clouds.Value
 module Mem = Clouds.Memory
 
@@ -76,7 +77,7 @@ let cls ~interval ~threshold =
     ]
 
 let register om ?(interval = Sim.Time.ms 50) ?(threshold = 90) () =
-  let cl = Clouds.Object_manager.cluster om in
+  let cl = Om.cluster om in
   if Cl.find_class cl "sensor" = None then
     Cl.register_class cl (cls ~interval ~threshold)
 
@@ -87,22 +88,17 @@ let create om ?alarm () =
     | Some a -> V.Str (Ra.Sysname.to_string a)
     | None -> V.Str ""
   in
-  Clouds.Object_manager.create_object om ~class_name:"sensor" arg
-
-let invoke0 om obj entry arg =
-  let cl = Clouds.Object_manager.cluster om in
-  Clouds.Object_manager.invoke om ~node:(Cl.pick_compute cl) ~thread_id:0
-    ~origin:None ~txn:None ~obj ~entry arg
+  Om.create_object om ~class_name:"sensor" arg
 
 let latest om obj =
-  match invoke0 om obj "latest" V.Unit with
+  match Om.call om obj "latest" V.Unit with
   | V.Int v -> Some v
   | V.Unit -> None
   | _ -> failwith "Sensor.latest: bad reply"
 
-let sample_count om obj = V.to_int (invoke0 om obj "sample_count" V.Unit)
+let sample_count om obj = V.to_int (Om.call om obj "sample_count" V.Unit)
 
 let history om obj ~n =
-  match invoke0 om obj "history" (V.Int n) with
+  match Om.call om obj "history" (V.Int n) with
   | V.List l -> List.map V.to_int l
   | _ -> failwith "Sensor.history: bad reply"

@@ -1,4 +1,5 @@
 module Cl = Clouds.Cluster
+module Om = Clouds.Object_manager
 module V = Clouds.Value
 module Mem = Clouds.Memory
 
@@ -126,7 +127,7 @@ let entries =
 let class_name_for capacity = Printf.sprintf "sorter-%d" capacity
 
 let register om ~capacity =
-  let cl = Clouds.Object_manager.cluster om in
+  let cl = Om.cluster om in
   let name = class_name_for capacity in
   if Cl.find_class cl name = None then begin
     let data_pages = Ra.Page.count_for (header + (8 * capacity)) in
@@ -137,20 +138,15 @@ let register om ~capacity =
 
 let create om ?consistency ~capacity () =
   let name = register om ~capacity in
-  Clouds.Object_manager.create_object om ?consistency ~class_name:name V.Unit
-
-let invoke0 om obj entry arg =
-  let cl = Clouds.Object_manager.cluster om in
-  Clouds.Object_manager.invoke om ~node:(Cl.pick_compute cl) ~thread_id:0
-    ~origin:None ~txn:None ~obj ~entry arg
+  Om.create_object om ?consistency ~class_name:name V.Unit
 
 let fill om ~obj ~n ~seed =
-  match invoke0 om obj "fill" (V.Pair (V.Int n, V.Int seed)) with
+  match Om.call om obj "fill" (V.Pair (V.Int n, V.Int seed)) with
   | V.Unit -> ()
   | _ -> failwith "Sorter.fill"
 
-let checksum om ~obj = V.to_int (invoke0 om obj "checksum" V.Unit)
-let is_sorted om ~obj = V.to_bool (invoke0 om obj "is_sorted" V.Unit)
+let checksum om ~obj = V.to_int (Om.call om obj "checksum" V.Unit)
+let is_sorted om ~obj = V.to_bool (Om.call om obj "is_sorted" V.Unit)
 
 type run = {
   workers : int;
@@ -178,10 +174,10 @@ let chunks n workers =
 
 let distributed_sort om ~obj ~workers =
   if workers < 1 then invalid_arg "distributed_sort: workers must be positive";
-  let cl = Clouds.Object_manager.cluster om in
+  let cl = Om.cluster om in
   let ncompute = Array.length cl.Cl.compute_nodes in
   let node_for i = cl.Cl.compute_nodes.(i mod ncompute).Ra.Node.id in
-  let n = V.to_int (invoke0 om obj "length" V.Unit) in
+  let n = V.to_int (Om.call om obj "length" V.Unit) in
   let served0 = pages_served cl in
   let t0 = Sim.now () in
   (* phase 1: parallel range sorts, one thread per worker *)

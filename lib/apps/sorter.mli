@@ -47,6 +47,3 @@ val distributed_sort :
 (** Sort with [workers] threads spread round robin over the compute
     servers, then merge pairwise (merge rounds also run as threads).
     Call from a process. *)
-
-val compare_cost_ns : int
-(** CPU cost charged per element comparison (calibration constant). *)

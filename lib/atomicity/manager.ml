@@ -48,7 +48,6 @@ type t = {
 }
 
 let object_manager t = t.om
-let active_txns t = Hashtbl.length t.txns
 let commits t = Sim.Stats.value t.commit_count
 let aborts t = Sim.Stats.value t.abort_count
 let retries t = Sim.Stats.value t.retry_count

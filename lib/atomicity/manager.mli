@@ -55,7 +55,6 @@ val abort_thread : t -> thread_id:int -> unit
     when a thread is killed externally (e.g. PET losers, crashed
     nodes). *)
 
-val active_txns : t -> int
 val commits : t -> int
 val aborts : t -> int
 val retries : t -> int

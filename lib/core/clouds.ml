@@ -30,12 +30,10 @@ type system = {
 }
 
 let boot eng ?params ?ratp_config ?ether_config ?replication
-    ?group_commit_window ?checkpoint_every ?default_consistency
-    ~compute ~data ~workstations () =
+    ?group_commit_window ?checkpoint_every ~compute ~data ~workstations () =
   let cluster =
     Cluster.create eng ?params ?ratp_config ?ether_config ?replication
-      ?group_commit_window ?checkpoint_every ?default_consistency ~compute
-      ~data ~workstations ()
+      ?group_commit_window ?checkpoint_every ~compute ~data ~workstations ()
   in
   let om = Object_manager.create cluster in
   { cluster; om }

@@ -14,7 +14,6 @@ type t = {
   seg_replicas : Net.Address.t list Ra.Sysname.Table.t;
   seg_modes : Ra.Partition.consistency Ra.Sysname.Table.t;
       (* per-segment consistency mode; absent = One_copy *)
-  default_consistency : Ra.Partition.consistency;
   obj_home : Net.Address.t Ra.Sysname.Table.t;
   volatile : (int, unit Ra.Sysname.Table.t) Hashtbl.t;
   mutable scheduler : [ `Round_robin | `Least_loaded ];
@@ -136,9 +135,8 @@ let volatile_partition =
   }
 
 let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
-    ?(replication = 1) ?group_commit_window ?checkpoint_every
-    ?(default_consistency = Ra.Partition.One_copy) ~compute ~data ~workstations
-    () =
+    ?(replication = 1) ?group_commit_window ?checkpoint_every ~compute ~data
+    ~workstations () =
   if compute < 1 || data < 1 then
     invalid_arg "Cluster.create: need at least one compute and one data server";
   if replication < 1 then invalid_arg "Cluster.create: replication < 1";
@@ -202,7 +200,6 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
       seg_home = Ra.Sysname.Table.create 64;
       seg_replicas = Ra.Sysname.Table.create 64;
       seg_modes = Ra.Sysname.Table.create 16;
-      default_consistency;
       obj_home = Ra.Sysname.Table.create 64;
       volatile = Hashtbl.create 16;
       scheduler = `Round_robin;
@@ -450,7 +447,7 @@ let remap_ring t (v : Membership.Monitor.view) =
   | [] -> () (* no usable data server: keep the old ring *)
   | members when members <> Ring.members t.ring ->
       let before = t.ring in
-      let after = Ring.make ~vnodes:(Ring.vnodes before) members in
+      let after = Ring.make members in
       t.ring <- after;
       t.prev_ring <- Some before;
       Array.iter

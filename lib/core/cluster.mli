@@ -31,9 +31,6 @@ type t = {
           no entry live only at their [seg_home] *)
   seg_modes : Ra.Partition.consistency Ra.Sysname.Table.t;
       (** per-segment consistency mode; absent = [One_copy] *)
-  default_consistency : Ra.Partition.consistency;
-      (** mode given to object segments created without an explicit
-          [?consistency] *)
   obj_home : Net.Address.t Ra.Sysname.Table.t;
   volatile : (int, unit Ra.Sysname.Table.t) Hashtbl.t;
   mutable scheduler : [ `Round_robin | `Least_loaded ];
@@ -77,7 +74,6 @@ val create :
   ?replication:int ->
   ?group_commit_window:Sim.Time.span ->
   ?checkpoint_every:Sim.Time.span ->
-  ?default_consistency:Ra.Partition.consistency ->
   compute:int ->
   data:int ->
   workstations:int ->
@@ -91,10 +87,7 @@ val create :
     [replication] (default 1) is the target
     number of data servers holding each segment: primaries forward
     committed writes to the backups, and the replicator re-creates
-    lost copies when membership condemns a server.
-    [default_consistency] (default [One_copy]) is the mode new object
-    segments get when {!Object_manager.create_object} is not given an
-    explicit one. *)
+    lost copies when membership condemns a server. *)
 
 val consistency_of : t -> Ra.Sysname.t -> Ra.Partition.consistency
 (** A segment's consistency mode ([One_copy] when never set); every

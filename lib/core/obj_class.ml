@@ -40,8 +40,3 @@ let entry ?(label = S) e_name fn = { e_name; label; fn }
 
 let find_entry t name =
   List.find_opt (fun e -> String.equal e.e_name name) t.entries
-
-let pp_consistency fmt = function
-  | S -> Format.pp_print_string fmt "S"
-  | Lcp -> Format.pp_print_string fmt "LCP"
-  | Gcp -> Format.pp_print_string fmt "GCP"

@@ -51,5 +51,3 @@ val entry : ?label:consistency -> string -> (Ctx.t -> Value.t -> Value.t) -> ent
 (** An entry point; the default label is [S]. *)
 
 val find_entry : t -> string -> entry option
-
-val pp_consistency : Format.formatter -> consistency -> unit

@@ -311,6 +311,10 @@ and invoke t ~node ~thread_id ~origin ~txn ~obj ~entry arg =
   Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_return;
   result
 
+let call t obj entry arg =
+  invoke t ~node:(Cluster.pick_compute t.cl) ~thread_id:0 ~origin:None
+    ~txn:None ~obj ~entry arg
+
 (* Same-node fast lane: dispatching an invocation to the node we are
    already on skips RaTP entirely — no serialization, fragmentation,
    transport processing, or wire time; only the local invocation cost
@@ -374,8 +378,8 @@ let create cl =
 (* ------------------------------------------------------------------ *)
 (* Creation and deletion *)
 
-let create_object t ?home ?on ?(thread_id = 0) ?origin ?consistency ~class_name
-    arg =
+let create_object t ?home ?on ?(thread_id = 0) ?origin
+    ?(consistency = Ra.Partition.One_copy) ~class_name arg =
   let node = match on with Some n -> n | None -> Cluster.pick_compute t.cl in
   let cls =
     match Cluster.find_class t.cl class_name with
@@ -397,11 +401,6 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin ?consistency ~class_name
   let targets = Cluster.replica_targets t.cl ~primary:home in
   let data_seg = Ra.Sysname.fresh node.Ra.Node.names in
   let heap_seg = Ra.Sysname.fresh node.Ra.Node.names in
-  let mode =
-    match consistency with
-    | Some m -> m
-    | None -> t.cl.Cluster.default_consistency
-  in
   (* each segment is created on the primary and every backup; the
      primary forwards committed writes from then on *)
   let mk seg pages =
@@ -410,14 +409,14 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin ?consistency ~class_name
         match
           Dsm.Protocol.call node ~dst
             (Dsm.Protocol.Create_segment
-               { seg; size = pages * Ra.Page.size; mode })
+               { seg; size = pages * Ra.Page.size; mode = consistency })
         with
         | Ok Dsm.Protocol.Segment_ok -> ()
         | Ok _ | Error Ratp.Endpoint.Timeout ->
             failwith "create_object: segment creation failed")
       targets;
     Cluster.set_replicas t.cl seg targets;
-    Cluster.set_consistency t.cl seg mode
+    Cluster.set_consistency t.cl seg consistency
   in
   mk data_seg cls.Obj_class.data_pages;
   mk heap_seg cls.Obj_class.heap_pages;

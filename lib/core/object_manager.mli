@@ -34,9 +34,9 @@ val create_object :
     descriptor, and run the constructor (if any) on [on] (default:
     scheduler's choice).  Returns the new object's sysname.
 
-    [consistency] (default {!Cluster.t.default_consistency}) is the
-    coherence mode of the instance's data and heap segments; the
-    shared code segment always stays [One_copy]. *)
+    [consistency] (default [One_copy]) is the coherence mode of the
+    instance's data and heap segments; the shared code segment always
+    stays [One_copy]. *)
 
 val delete_object : t -> ?on:Ra.Node.t -> Ra.Sysname.t -> unit
 (** Remove the object: delete its segments, unregister it, and drop
@@ -56,6 +56,11 @@ val invoke :
 (** Execute an entry point on [node] (the object is demand-paged
     there).  Raises {!No_object}, {!No_entry}, or whatever the entry
     body raises. *)
+
+val call : t -> Ra.Sysname.t -> string -> Value.t -> Value.t
+(** [call t obj entry arg] is a top-level {!invoke}: thread 0, no
+    origin, no transaction, on the compute server the scheduler
+    picks. *)
 
 val invoke_remote :
   t ->

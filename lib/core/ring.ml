@@ -7,7 +7,6 @@
    in favour of explicit mixers. *)
 
 type t = {
-  vnodes : int;
   members : Net.Address.t array; (* sorted, distinct *)
   points : int array; (* sorted ring positions, one per vnode *)
   owners : Net.Address.t array; (* owners.(i) owns arc ending at points.(i) *)
@@ -39,7 +38,10 @@ let key_of_sysname (s : Ra.Sysname.t) =
 
 let point_of ~addr ~vnode = mix ((addr lsl 20) lxor (vnode * 0x9E3779B1))
 
-let make ?(vnodes = 64) members =
+(* virtual nodes per member: enough to smooth the arc distribution *)
+let vnodes = 64
+
+let make members =
   let members =
     List.sort_uniq Int.compare members |> Array.of_list
   in
@@ -56,15 +58,9 @@ let make ?(vnodes = 64) members =
     members;
   (* ties on point broken by address so the layout is total order *)
   Array.sort compare entries;
-  {
-    vnodes;
-    members;
-    points = Array.map fst entries;
-    owners = Array.map snd entries;
-  }
+  { members; points = Array.map fst entries; owners = Array.map snd entries }
 
 let members t = Array.to_list t.members
-let vnodes t = t.vnodes
 
 (* first ring position >= key, wrapping past the top back to slot 0 *)
 let slot_of t key =

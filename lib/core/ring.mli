@@ -7,14 +7,13 @@
 
 type t
 
-(** [make ?vnodes members] builds a ring over the given addresses
-    (deduplicated, order-insensitive).  [vnodes] virtual nodes per
-    member (default 64) smooth the arc distribution.
+(** [make members] builds a ring over the given addresses
+    (deduplicated, order-insensitive), with 64 virtual nodes per
+    member to smooth the arc distribution.
     @raise Invalid_argument if [members] is empty. *)
-val make : ?vnodes:int -> Net.Address.t list -> t
+val make : Net.Address.t list -> t
 
 val members : t -> Net.Address.t list
-val vnodes : t -> int
 
 (** Hashes, exposed so callers (and tests) can agree on key
     derivation. *)

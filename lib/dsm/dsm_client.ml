@@ -6,18 +6,11 @@ type t = {
   node : Ra.Node.t;
   locate : Ra.Sysname.t -> Net.Address.t;
   mode_of : Ra.Sysname.t -> Ra.Partition.consistency;
-  local_store : Store.Segment_store.t option;
   loc_cache : Net.Address.t Ra.Sysname.Table.t;
   stale_dirty : (Ra.Sysname.t * int, unit) Hashtbl.t;
       (* release-mode pages we kept through an Inval_batch because
          they held unflushed local writes; their unmodified bytes are
          stale, so our own flush drops the frame instead of rebasing *)
-  releasing : (Ra.Sysname.t * int, unit Sim.Ivar.t) Hashtbl.t;
-      (* pages with a Release_copies RPC in flight: a fault on one of
-         them waits for the release to land first, because the home
-         keeps ONE registration per client — a release arriving after
-         a re-fault re-registered would deregister the new live copy
-         and it would miss every later invalidation *)
   fetches : Sim.Stats.counter;
   puts : Sim.Stats.counter;
   invals : Sim.Stats.counter;
@@ -26,9 +19,6 @@ type t = {
   loc_misses : Sim.Stats.counter;
   loc_evictions : Sim.Stats.counter;
   merge_rpcs : Sim.Stats.counter;
-  releases : Sim.Stats.counter;
-      (* Release_copies RPCs: copies this client dropped on its own
-         and told the home to forget, keeping copysets exact *)
 }
 
 let node t = t.node
@@ -96,42 +86,8 @@ let apply_view t (v : Membership.Monitor.view) =
       doomed
   end
 
-(* Send Release_copies for [pages], none of which this client holds a
-   copy of any more, and gate faults on the same pages from other
-   processes until the home has processed it (see [releasing]). *)
-let send_release t ~home pages =
-  Sim.Stats.incr t.releases;
-  let iv = Sim.Ivar.create () in
-  List.iter (fun k -> Hashtbl.replace t.releasing k iv) pages;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun k ->
-          match Hashtbl.find_opt t.releasing k with
-          | Some iv' when iv' == iv -> Hashtbl.remove t.releasing k
-          | Some _ | None -> ())
-        pages;
-      Sim.Ivar.fill iv ())
-    (fun () ->
-      (* pure bookkeeping: a timed-out release leaves a phantom
-         registration behind, which only costs the next write fault
-         one redundant Invalidate *)
-      try ignore (P.call t.node ~dst:home (P.Release_copies pages))
-      with _ -> ())
-
 let remote_fetch t ~seg ~page ~mode =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.fetch" @@ fun () ->
-  (* a Release_copies covering this page may still be in flight; let
-     it land before this fetch re-registers us, or it would wipe the
-     new registration when it arrives *)
-  let rec drain () =
-    match Hashtbl.find_opt t.releasing (seg, page) with
-    | Some iv ->
-        Sim.Ivar.read iv;
-        drain ()
-    | None -> ()
-  in
-  drain ();
   let home = locate_cached t seg in
   Sim.Stats.incr t.fetches;
   let mode =
@@ -166,41 +122,22 @@ let remote_write_batch t ~seg writes =
       forget_location t seg;
       raise (Unavailable seg)
 
-let is_local t seg =
-  match t.local_store with
-  | Some store ->
-      Net.Address.equal (locate_cached t seg) t.node.Ra.Node.id
-      && Store.Segment_store.exists store seg
-  | None -> false
-
 let partition t =
   {
     Ra.Partition.name = Printf.sprintf "dsm-client-%d" t.node.Ra.Node.id;
-    fetch =
-      (fun ~seg ~page ~mode ->
-        match t.local_store with
-        | Some store when is_local t seg ->
-            Store.Segment_store.read_page store seg page
-        | Some _ | None -> remote_fetch t ~seg ~page ~mode);
+    fetch = remote_fetch t;
     writeback =
-      (fun ~seg ~page data ->
-        match t.local_store with
-        | Some store when is_local t seg ->
-            Store.Segment_store.write_page store seg page data
-        | Some _ | None -> remote_write_batch t ~seg [ (seg, page, data) ]);
+      (fun ~seg ~page data -> remote_write_batch t ~seg [ (seg, page, data) ]);
   }
 
-let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
-    ?local_store () =
+let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy) () =
   let t =
     {
       node;
       locate;
       mode_of = consistency;
-      local_store;
       loc_cache = Ra.Sysname.Table.create 32;
       stale_dirty = Hashtbl.create 16;
-      releasing = Hashtbl.create 8;
       fetches = Sim.Stats.counter "dsmc.fetches";
       puts = Sim.Stats.counter "dsmc.puts";
       invals = Sim.Stats.counter "dsmc.invals";
@@ -209,7 +146,6 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
       loc_misses = Sim.Stats.counter "dsmc.loc_misses";
       loc_evictions = Sim.Stats.counter "dsmc.loc_evictions";
       merge_rpcs = Sim.Stats.counter "dsmc.merge_rpcs";
-      releases = Sim.Stats.counter "dsmc.copy_releases";
     }
   in
   Ra.Mmu.set_resolver node.Ra.Node.mmu (fun _seg -> partition t);
@@ -345,47 +281,21 @@ let flush_merges t seg op dirty =
       forget_location t seg;
       raise (Unavailable seg)
 
-(* Writeback of a segment's dirty pages.  A segment stored on this
-   node goes straight into the local store; a remote one goes home in
-   one RPC (RaTP fragments it on the wire): a Put_batch of page images
-   for one-copy segments, diffs for release mode, merge deltas for
-   commutative. *)
+(* Writeback of a segment's dirty pages, home in one RPC (RaTP
+   fragments it on the wire): a Put_batch of page images for one-copy
+   segments, diffs for release mode, merge deltas for commutative. *)
 let flush_segment t seg =
   let mmu = t.node.Ra.Node.mmu in
-  let mark_clean dirty =
-    List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty
-  in
   match Ra.Mmu.dirty_pages mmu seg with
   | [] -> ()
   | dirty -> (
-      match (t.local_store, t.mode_of seg) with
-      | Some store, _ when is_local t seg ->
-          List.iter
-            (fun (page, data) -> Store.Segment_store.write_page store seg page data)
-            dirty;
-          mark_clean dirty
-      | _, Ra.Partition.Release -> flush_release t seg dirty
-      | _, Ra.Partition.Commutative op -> flush_merges t seg op dirty
-      | _, Ra.Partition.One_copy ->
+      match t.mode_of seg with
+      | Ra.Partition.Release -> flush_release t seg dirty
+      | Ra.Partition.Commutative op -> flush_merges t seg op dirty
+      | Ra.Partition.One_copy ->
           remote_write_batch t ~seg
             (List.map (fun (page, data) -> (seg, page, data)) dirty);
-          mark_clean dirty)
-
-(* Dropping a segment's frames also drops our copyset registrations
-   at the home; telling it (one RPC, errors swallowed — this is pure
-   bookkeeping) keeps the copysets exact so no later write fault pays
-   a redundant Invalidate for copies we no longer hold.  The release
-   completes before this returns, so a refetch cannot race it. *)
-let drop_segment t seg =
-  let mmu = t.node.Ra.Node.mmu in
-  let pages = Ra.Mmu.segment_pages mmu seg in
-  List.iter (fun p -> Hashtbl.remove t.stale_dirty (seg, p)) pages;
-  Ra.Mmu.drop_segment mmu seg;
-  if pages <> [] && not (is_local t seg) then
-    try
-      send_release t ~home:(locate_cached t seg)
-        (List.map (fun p -> (seg, p)) pages)
-    with _ -> ()
+          List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty)
 
 let remote_fetches t = Sim.Stats.value t.fetches
 let put_rpcs t = Sim.Stats.value t.puts
@@ -395,7 +305,6 @@ let location_hits t = Sim.Stats.value t.loc_hits
 let location_misses t = Sim.Stats.value t.loc_misses
 let location_evictions t = Sim.Stats.value t.loc_evictions
 let merge_flushes t = Sim.Stats.value t.merge_rpcs
-let copy_releases t = Sim.Stats.value t.releases
 
 let metrics t =
   [
@@ -407,5 +316,4 @@ let metrics t =
     ("dsmc/loc_misses", Obs.Registry.Counter t.loc_misses);
     ("dsmc/loc_evictions", Obs.Registry.Counter t.loc_evictions);
     ("dsm/mode/merge_rpcs", Obs.Registry.Counter t.merge_rpcs);
-    ("dsm/mode/copy_releases", Obs.Registry.Counter t.releases);
   ]

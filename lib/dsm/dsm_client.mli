@@ -10,7 +10,13 @@
     A fault is plain Li–Hudak demand paging: one [Get_page], one page
     back.  The fast path adds two mechanisms (DESIGN.md §11): batched
     writeback of dirty pages and a location cache that memoises
-    segment-to-home resolution. *)
+    segment-to-home resolution.
+
+    Copies dropped locally (transaction abort, object deletion: see
+    {!Ra.Mmu.drop_segment}) are not reported to the home, so a
+    copyset may name a client that no longer holds the page.  The
+    next write fault then sends it one redundant [Invalidate], which
+    it answers clean. *)
 
 exception Unavailable of Ra.Sysname.t
 (** The segment's data server did not answer (crashed or
@@ -22,14 +28,12 @@ val create :
   Ra.Node.t ->
   locate:(Ra.Sysname.t -> Net.Address.t) ->
   ?consistency:(Ra.Sysname.t -> Ra.Partition.consistency) ->
-  ?local_store:Store.Segment_store.t ->
   unit ->
   t
 (** Install the DSM client on a node and point the node's MMU at it.
-    [locate] maps a segment to its data server.  When the node is
-    itself a data server, [local_store] serves its own segments
-    without network traffic (a machine with a disk is both a compute
-    and data server).
+    [locate] maps a segment to its data server; every fault and
+    writeback goes there over the network, because compute and data
+    servers are disjoint machines.
 
     [consistency] maps a segment to its coherence mode (default: all
     [One_copy]); it is also installed as the MMU's consistency
@@ -49,12 +53,6 @@ val flush_segment : t -> Ra.Sysname.t -> unit
     a [Put_batch] of every dirty page for [One_copy] segments.  A
     segment the home no longer stores raises
     {!Ra.Partition.No_segment} and leaves the frames dirty. *)
-
-val drop_segment : t -> Ra.Sysname.t -> unit
-(** Locally invalidate all frames of a segment without writing them
-    back (transaction abort), and release the matching copyset
-    registrations at the home so no later write fault invalidates
-    copies that are already gone. *)
 
 val reset_location_cache : t -> unit
 (** Drop every cached segment-to-home binding (placement may change
@@ -93,11 +91,6 @@ val location_evictions : t -> int
 
 val merge_flushes : t -> int
 (** [Merge_delta] RPCs sent for commutative segments. *)
-
-val copy_releases : t -> int
-(** [Release_copies] RPCs sent by {!drop_segment} to keep copysets
-    exact.  Faults on a page with a release in flight wait for it to
-    land, so a release can never erase a newer registration. *)
 
 val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["dsmc/"] paths, for a per-node

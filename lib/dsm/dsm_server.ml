@@ -491,7 +491,6 @@ let op_label = function
   | P.Get_page _ -> "serve.get"
   | P.Put_batch _ | P.Put_diffs _ -> "serve.put"
   | P.Merge_delta _ -> "serve.merge"
-  | P.Release_copies _ -> "serve.release"
   | P.Overwrite _ | P.Mirror_writes _ | P.Backfill _ -> "serve.mirror"
   | P.Read_pages _ -> "serve.read"
   | P.Create_segment _ | P.Delete_segment _ -> "serve.seg"
@@ -605,24 +604,6 @@ let handle t ~src body =
         mirror_writes t merged;
         P.Merged merged
       end
-  | P.Release_copies pages ->
-      (* exact copyset maintenance: the client dropped these copies
-         on its own, so forget it — the next write fault then skips
-         the redundant Invalidate *)
-      List.iter
-        (fun (seg, page) ->
-          match Hashtbl.find_opt t.owners (seg, page) with
-          | None -> ()
-          | Some st ->
-              st.copyset <-
-                List.filter
-                  (fun c -> not (Net.Address.equal c src))
-                  st.copyset;
-              (match st.owner with
-              | Some w when Net.Address.equal w src -> st.owner <- None
-              | Some _ | None -> ()))
-        pages;
-      P.Batch_ok
   | P.Overwrite writes ->
       (* replica propagation: force these page images in, dropping
          every cached copy so no node can serve stale data *)
@@ -718,12 +699,9 @@ let handle t ~src body =
   | P.List_objects -> P.Objects (Store.Directory.objects t.directory)
   | _ -> P.Page_error
 
-let create node ?disk_config ?(presume_abort_after = Sim.Time.sec 60)
-    ?group_commit_window ?checkpoint_every () =
-  let disk =
-    Store.Disk.create ?config:disk_config
-      (Printf.sprintf "disk-%d" node.Ra.Node.id)
-  in
+let create node ?(presume_abort_after = Sim.Time.sec 60) ?group_commit_window
+    ?checkpoint_every () =
+  let disk = Store.Disk.create (Printf.sprintf "disk-%d" node.Ra.Node.id) in
   let group_commit =
     Option.map
       (fun window -> { Store.Wal.window; max_batch = 64 })

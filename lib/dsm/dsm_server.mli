@@ -14,7 +14,6 @@ type t
 
 val create :
   Ra.Node.t ->
-  ?disk_config:Store.Disk.config ->
   ?presume_abort_after:Sim.Time.span ->
   ?group_commit_window:Sim.Time.span ->
   ?checkpoint_every:Sim.Time.span ->

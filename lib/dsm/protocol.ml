@@ -82,10 +82,6 @@ type Ratp.Packet.body +=
   | Merged of write_set
       (** Post-merge home images, returned so the flushing replica
           refreshes its copy (anti-entropy rides the flush reply). *)
-  | Release_copies of (Ra.Sysname.t * int) list
-      (** A client dropped these page copies without being told to
-          (segment drop); the home deletes it from the copysets so the
-          next write fault doesn't send it a redundant Invalidate. *)
 
 let service = 10
 let client_service = 11
@@ -129,7 +125,7 @@ let request_bytes = function
   | Pages { pages; _ } -> 48 + pages_bytes pages
   | Mirror_writes ws -> 48 + write_set_bytes ws
   | Backfill ws -> 48 + write_set_bytes ws
-  | Inval_batch pages | Release_copies pages -> 32 + (24 * List.length pages)
+  | Inval_batch pages -> 32 + (24 * List.length pages)
   | Put_diffs entries ->
       List.fold_left
         (fun acc (_, _, spans) ->

@@ -85,10 +85,6 @@ type Ratp.Packet.body +=
           deltas are never applied twice *)
   | Merged of write_set
       (** post-merge home images returned to the flushing replica *)
-  | Release_copies of (Ra.Sysname.t * int) list
-      (** exact copyset maintenance: the client dropped these page
-          copies on its own (segment drop), so the home deletes it
-          from the copysets *)
 
 val service : int
 (** RaTP service id of DSM servers. *)

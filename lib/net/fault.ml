@@ -77,8 +77,6 @@ let set_link_both t a b p =
   set_link t a b p;
   set_link t b a p
 
-let clear_link t a b = Hashtbl.remove t.links (a, b)
-
 let set_drop_probability t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Fault.set_drop_probability";
   t.default_profile <- { t.default_profile with drop = p }
@@ -124,10 +122,8 @@ let burst_state t key =
       r
 
 (* The delays (in extra time past normal arrival) of every copy of
-   the frame to deliver; [] means the frame is lost.  [frame] is
-   [None] when called through the legacy {!deliverable} probe, which
-   bypasses the payload filter. *)
-let decide t ~src ~dst frame =
+   the frame to deliver; [] means the frame is lost. *)
+let plan t ~src ~dst frame =
   let key = (src, dst) in
   let drop () =
     t.dropped <- t.dropped + 1;
@@ -136,9 +132,7 @@ let decide t ~src ~dst frame =
   if Hashtbl.mem t.cuts key then drop ()
   else
     let filtered =
-      match (t.filter, frame) with
-      | Some f, Some frame -> not (f ~src ~dst frame)
-      | _ -> false
+      match t.filter with Some f -> not (f ~src ~dst frame) | None -> false
     in
     if filtered then drop ()
     else
@@ -171,9 +165,6 @@ let decide t ~src ~dst frame =
         end
         else [ extra ]
       end
-
-let plan t ~src ~dst frame = decide t ~src ~dst (Some frame)
-let deliverable t ~src ~dst = decide t ~src ~dst None <> []
 
 let drops t = t.dropped
 let duplicates t = t.duplicated

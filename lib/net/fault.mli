@@ -45,9 +45,6 @@ val set_link : t -> Address.t -> Address.t -> profile -> unit
 
 val set_link_both : t -> Address.t -> Address.t -> profile -> unit
 
-val clear_link : t -> Address.t -> Address.t -> unit
-(** Remove a per-link override (back to the default profile). *)
-
 val set_drop_probability : t -> float -> unit
 (** Uniform loss probability applied to every frame: shorthand for
     updating the default profile's [drop]. *)
@@ -90,10 +87,6 @@ val plan : t -> src:Address.t -> dst:Address.t -> Frame.t -> Sim.Time.span list
 (** Decide the fate of one frame for one destination: the extra
     delivery delay of each surviving copy ([[0]] for a normal
     delivery, [[]] for a loss, two elements for a duplication). *)
-
-val deliverable : t -> src:Address.t -> dst:Address.t -> bool
-(** Legacy probe: would a frame on this link survive right now?
-    Draws randomness like {!plan} but ignores the payload filter. *)
 
 val drops : t -> int
 (** Total frames dropped so far (cuts, filter, loss, bursts). *)

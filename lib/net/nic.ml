@@ -25,4 +25,3 @@ let recv t =
 
 let try_recv t = Sim.Mailbox.try_recv t.rx
 let set_attached t v = t.attached <- v
-let attached t = t.attached

@@ -32,4 +32,3 @@ val try_recv : t -> Frame.t option
 (** Dequeue without suspending and without charging cost (tests). *)
 
 val set_attached : t -> bool -> unit
-val attached : t -> bool

@@ -13,8 +13,6 @@ val stage_of : string -> stage
     and commit-protocol spans are commit; the rest (request/invoke
     envelopes, compute) are other. *)
 
-val stage_label : stage -> string
-
 type stages = {
   mutable transport_ms : float;
   mutable fault_ms : float;

@@ -1,14 +1,16 @@
 type t = {
   lock : Sim.Mutex.t;
   cs_cost : Sim.Time.span;
-  quantum : Sim.Time.span;
   mutable last : int option;
   mutable switches : int;
   mutable busy : Sim.Time.span;
   mutable active : int;
 }
 
-let create ?context_switch ?(quantum = Sim.Time.ms 10) () =
+(* the preemption slice *)
+let quantum = Sim.Time.ms 10
+
+let create ?context_switch () =
   let cs_cost =
     match context_switch with
     | Some c -> c
@@ -17,7 +19,6 @@ let create ?context_switch ?(quantum = Sim.Time.ms 10) () =
   {
     lock = Sim.Mutex.create ~label:"cpu" ();
     cs_cost;
-    quantum;
     last = None;
     switches = 0;
     busy = 0;
@@ -29,7 +30,7 @@ let create ?context_switch ?(quantum = Sim.Time.ms 10) () =
    context-switch cost is charged only when occupancy actually passes
    to a different entity. *)
 let rec consume_slices t ~key span =
-  let this_slice = min span t.quantum in
+  let this_slice = min span quantum in
   Sim.Mutex.with_lock t.lock (fun () ->
       let switching = match t.last with Some k -> k <> key | None -> true in
       if switching then begin

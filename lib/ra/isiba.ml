@@ -7,8 +7,3 @@ let spawn node ?(stack = Kernel) name f =
   { pid; stack; node }
 
 let compute node span = Cpu.consume node.Node.cpu ~key:(Sim.self ()) span
-
-let pp_stack fmt = function
-  | Kernel -> Format.pp_print_string fmt "kernel"
-  | User -> Format.pp_print_string fmt "user"
-  | Interrupt -> Format.pp_print_string fmt "interrupt"

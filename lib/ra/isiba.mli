@@ -22,5 +22,3 @@ val spawn : Node.t -> ?stack:stack -> string -> (unit -> unit) -> t
 val compute : Node.t -> Sim.Time.span -> unit
 (** Charge CPU work for the calling process on the node's
     processor. *)
-
-val pp_stack : Format.formatter -> stack -> unit

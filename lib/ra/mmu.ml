@@ -32,7 +32,6 @@ type t = {
   mutable hook : (Sysname.t -> int -> Partition.mode -> unit) option;
   mutable twin_clock : int;  (* allocator for [base_stamp] *)
   mutable faults : int;
-  mutable zero_fills : int;
   mutable upgrades : int;
   mutable evictions : int;
 }
@@ -52,7 +51,6 @@ let create ?(max_frames = max_int) ~params ~cpu () =
     hook = None;
     twin_clock = 0;
     faults = 0;
-    zero_fills = 0;
     upgrades = 0;
     evictions = 0;
   }
@@ -145,7 +143,6 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
               let frame =
                 match fetched with
                 | Partition.Zeroed ->
-                    t.zero_fills <- t.zero_fills + 1;
                     Cpu.consume t.cpu ~key:self t.params.Params.fault_zero_fill;
                     {
                       mode = need;
@@ -309,12 +306,6 @@ let rebase t seg page =
   | None -> ()
   | Some f -> snapshot_base t seg f
 
-let segment_pages t seg =
-  Hashtbl.fold
-    (fun (s, page) _ acc -> if Sysname.equal s seg then page :: acc else acc)
-    t.frames []
-  |> List.sort Int.compare
-
 let drop_segment t seg =
   let keys =
     Hashtbl.fold
@@ -330,7 +321,6 @@ let clear t =
   Hashtbl.reset t.poisoned
 
 let faults t = t.faults
-let zero_fills t = t.zero_fills
 let upgrades t = t.upgrades
 let evictions t = t.evictions
 let resident_frames t = Hashtbl.length t.frames

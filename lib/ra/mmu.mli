@@ -90,9 +90,6 @@ val rebase : t -> Sysname.t -> int -> unit
 (** Re-snapshot a resident frame's twin from its current contents
     (after a flush pushed those contents home). *)
 
-val segment_pages : t -> Sysname.t -> int list
-(** Resident page indices of a segment, sorted. *)
-
 val drop_segment : t -> Sysname.t -> unit
 (** Invalidate every frame of a segment (abort path / deletion). *)
 
@@ -100,7 +97,6 @@ val clear : t -> unit
 (** Drop all frames (machine crash: volatile contents are lost). *)
 
 val faults : t -> int
-val zero_fills : t -> int
 val upgrades : t -> int
 
 val evictions : t -> int

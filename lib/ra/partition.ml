@@ -10,22 +10,9 @@ type t = {
   writeback : seg:Sysname.t -> page:int -> bytes -> unit;
 }
 
-let pp_mode fmt = function
-  | Read -> Format.pp_print_string fmt "read"
-  | Write -> Format.pp_print_string fmt "write"
-
 type merge = Add | Max
 
 type consistency = One_copy | Release | Commutative of merge
-
-let pp_merge fmt = function
-  | Add -> Format.pp_print_string fmt "add"
-  | Max -> Format.pp_print_string fmt "max"
-
-let pp_consistency fmt = function
-  | One_copy -> Format.pp_print_string fmt "one-copy"
-  | Release -> Format.pp_print_string fmt "release"
-  | Commutative m -> Format.fprintf fmt "commutative(%a)" pp_merge m
 
 (* Merge-operator contract: pages are arrays of 64-bit little-endian
    words.  A replica's delta against its base image is combined into

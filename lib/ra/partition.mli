@@ -26,8 +26,6 @@ type t = {
       (** Push a dirty page back to stable storage. *)
 }
 
-val pp_mode : Format.formatter -> mode -> unit
-
 (** {1 Consistency modes}
 
     Per-segment coherence policy, threaded from segment creation down
@@ -43,9 +41,6 @@ val pp_mode : Format.formatter -> mode -> unit
 type merge = Add | Max
 
 type consistency = One_copy | Release | Commutative of merge
-
-val pp_merge : Format.formatter -> merge -> unit
-val pp_consistency : Format.formatter -> consistency -> unit
 
 val merge_delta : merge -> base:bytes -> current:bytes -> bytes
 (** [merge_delta op ~base ~current] encodes a replica's local writes

@@ -42,8 +42,6 @@ let translate t addr =
   in
   find t.maps
 
-let mappings t = t.maps
-
 let segments t =
   List.fold_left
     (fun acc m -> if List.exists (Sysname.equal m.seg) acc then acc else m.seg :: acc)

@@ -34,8 +34,5 @@ val translate : t -> int -> (mapping * int) option
     the corresponding byte offset within the segment, or [None] for a
     hole. *)
 
-val mappings : t -> mapping list
-(** Current mappings, sorted by base address. *)
-
 val segments : t -> Sysname.t list
 (** Distinct segments mapped, in first-mapped order. *)

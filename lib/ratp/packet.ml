@@ -32,6 +32,3 @@ let frag_bytes ~frag_payload ~total_size i =
   if i < 0 || i >= n then invalid_arg "Packet.frag_bytes";
   if i < n - 1 then frag_payload
   else max 0 (total_size - (frag_payload * (n - 1)))
-
-let pp_tid fmt { origin; seq } =
-  Format.fprintf fmt "%a#%d" Net.Address.pp origin seq

@@ -68,5 +68,3 @@ val nfrags_of : frag_payload:int -> int -> int
 val bitmap_bytes : int -> int
 (** Wire size of an [n]-fragment bitmap: one bit per fragment,
     rounded up to whole bytes. *)
-
-val pp_tid : Format.formatter -> tid -> unit

@@ -25,4 +25,3 @@ let read t =
           | Empty waiters -> t.state <- Empty (wake :: waiters))
 
 let peek t = match t.state with Full v -> Some v | Empty _ -> None
-let is_full t = match t.state with Full _ -> true | Empty _ -> false

@@ -20,5 +20,3 @@ val read : 'a t -> 'a
 
 val peek : 'a t -> 'a option
 (** [peek t] is the value if available, without suspending. *)
-
-val is_full : 'a t -> bool

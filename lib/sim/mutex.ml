@@ -7,13 +7,6 @@ let lock t =
   if not t.held then t.held <- true
   else Engine.Process.suspend t.label (fun wake -> Queue.add wake t.waiters)
 
-let try_lock t =
-  if t.held then false
-  else begin
-    t.held <- true;
-    true
-  end
-
 let rec unlock t =
   if not t.held then invalid_arg "Mutex.unlock: not locked";
   match Queue.take_opt t.waiters with

@@ -7,8 +7,6 @@ val create : ?label:string -> unit -> t
 val lock : t -> unit
 (** Acquire, suspending while held.  FIFO handoff. *)
 
-val try_lock : t -> bool
-
 val unlock : t -> unit
 (** Release; raises [Invalid_argument] if not locked. *)
 

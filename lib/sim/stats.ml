@@ -81,7 +81,6 @@ let counter c_name = { c_name; v = 0 }
 let incr c = c.v <- c.v + 1
 let incr_by c k = c.v <- c.v + k
 let value c = c.v
-let counter_name c = c.c_name
 
 (* Counters keyed by a small integer key — in practice a peer address,
    so a transport can attribute retransmissions or timeouts to the
@@ -106,7 +105,6 @@ let kitems k =
   Hashtbl.fold (fun key v acc -> (key, v) :: acc) k.tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let keyed_name k = k.k_name
 
 (* ------------------------------------------------------------------ *)
 (* Streaming histogram: HDR-style logarithmic buckets.
@@ -205,11 +203,3 @@ let hist_percentile h p =
     else !ans
   end
 
-let hist_name h = h.h_name
-
-let hist_items h =
-  let acc = ref [] in
-  for i = h_buckets - 1 downto 0 do
-    if h.buckets.(i) > 0 then acc := (h_value i, h.buckets.(i)) :: !acc
-  done;
-  !acc

@@ -43,7 +43,6 @@ val counter : string -> counter
 val incr : counter -> unit
 val incr_by : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 type keyed
 (** A family of counters keyed by a small integer key — typically a
@@ -55,7 +54,6 @@ val keyed : string -> keyed
 (** A fresh, empty keyed counter family with a display name. *)
 
 val kincr : keyed -> int -> unit
-val kadd : keyed -> int -> int -> unit
 val kset : keyed -> int -> int -> unit
 (** [kset k key v] overwrites the value for [key] (used for gauges
     such as a current timeout estimate, rather than event counts). *)
@@ -65,8 +63,6 @@ val kvalue : keyed -> int -> int
 
 val kitems : keyed -> (int * int) list
 (** All (key, value) pairs, sorted by key (deterministic). *)
-
-val keyed_name : keyed -> string
 
 type hist
 (** A streaming histogram: HDR-style logarithmic buckets over
@@ -103,9 +99,3 @@ val hist_percentile : hist -> float -> float
     of the bucket holding the rank-[p] sample (same rank convention
     as {!percentile}), clamped into [[min, max]]; ≤1% relative error
     vs the exact series.  0.0 on an empty histogram. *)
-
-val hist_name : hist -> string
-
-val hist_items : hist -> (float * int) list
-(** Non-empty buckets as (representative value, count) pairs in
-    increasing value order — the export-friendly view. *)

@@ -15,9 +15,6 @@ type span = int
 val zero : t
 (** The simulation epoch. *)
 
-val ns : int -> span
-(** [ns n] is a span of [n] nanoseconds. *)
-
 val us : int -> span
 (** [us n] is a span of [n] microseconds. *)
 

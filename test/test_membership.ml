@@ -276,7 +276,7 @@ let test_failover_evicts_stale_locations () =
       check_bool "dead node's locations evicted eagerly" true
         (Dsm.Dsm_client.location_evictions client > ev0);
       check_int "segment failed over to the backup" 2 (Cl.locate_segment cl seg);
-      Dsm.Dsm_client.drop_segment client seg;
+      Ra.Mmu.drop_segment node.Ra.Node.mmu seg;
       let t0 = Sim.now () in
       Alcotest.(check string) "backup serves the committed data" "live"
         (Bytes.to_string (Ra.Mmu.read node.Ra.Node.mmu vs ~addr:0 ~len:4));
