@@ -182,57 +182,50 @@ let jittered_timeout t =
   let u = Sim.Rng.float (Sim.Engine.rng t.cl.Cl.eng) 1.0 in
   t.deadlock_timeout + int_of_float (float_of_int t.deadlock_timeout *. u)
 
+(* Deadlock watchdog: if the lock call it guards has not returned by
+   the deadline, abort the transaction server-side so the blocked
+   request resolves.  The caller cancels it as soon as the call
+   returns, whatever the outcome. *)
+let arm_watchdog t st =
+  let eng = t.cl.Cl.eng in
+  Sim.Engine.timer eng
+    (Sim.Time.add (Sim.Engine.now eng) (jittered_timeout t))
+    (fun () ->
+      if st.status = Active then begin
+        st.status <- Rolling_back;
+        spawn_rollback t st
+      end)
+
 let acquire_global t st node seg kind =
   let home = Cl.locate_segment t.cl seg in
   if not (List.mem home st.lock_servers) then
     st.lock_servers <- home :: st.lock_servers;
   Sim.Stats.incr t.lock_rpc_count;
-  (* deadlock watchdog: if the lock is not granted in time, abort the
-     transaction server-side so the blocked request resolves *)
-  let acquired = ref false in
-  let eng = t.cl.Cl.eng in
-  Sim.Engine.at eng
-    (Sim.Time.add (Sim.Engine.now eng) (jittered_timeout t))
-    (fun () ->
-      if (not !acquired) && st.status = Active then begin
-        st.status <- Rolling_back;
-        spawn_rollback t st
-      end);
-  match
+  let watchdog = arm_watchdog t st in
+  let reply =
     Obs.Tracer.with_span "txn.lock" (fun () ->
         P.call node ~dst:home (P.Lock_segment { seg; kind; txn = st.txn }))
-  with
+  in
+  Sim.Engine.cancel t.cl.Cl.eng watchdog;
+  match reply with
   | Ok P.Lock_granted ->
-      acquired := true;
       if st.status <> Active then raise Txn_abort_signal;
       note_lock st seg kind
-  | Ok P.Lock_cancelled ->
-      acquired := true;
-      raise Txn_abort_signal
+  | Ok P.Lock_cancelled -> raise Txn_abort_signal
   | Ok _ | Error Ratp.Endpoint.Timeout ->
-      acquired := true;
       st.status <- (if st.status = Active then Rolling_back else st.status);
       raise Txn_abort_signal
 
 let acquire_local t st node seg kind =
   let tbl = local_table t node.Ra.Node.id in
-  let acquired = ref false in
-  let eng = t.cl.Cl.eng in
-  Sim.Engine.at eng
-    (Sim.Time.add (Sim.Engine.now eng) (jittered_timeout t))
-    (fun () ->
-      if (not !acquired) && st.status = Active then begin
-        st.status <- Rolling_back;
-        spawn_rollback t st
-      end);
-  match Dsm.Lock_table.acquire tbl seg st.txn kind with
+  let watchdog = arm_watchdog t st in
+  let outcome = Dsm.Lock_table.acquire tbl seg st.txn kind in
+  Sim.Engine.cancel t.cl.Cl.eng watchdog;
+  match outcome with
   | `Granted ->
-      acquired := true;
       if st.status <> Active then raise Txn_abort_signal;
       note_lock st seg kind
-  | `Cancelled ->
-      acquired := true;
-      raise Txn_abort_signal
+  | `Cancelled -> raise Txn_abort_signal
 
 let ensure_lock t st node seg kind =
   let needed =

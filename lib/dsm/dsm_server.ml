@@ -13,11 +13,13 @@ module Txn_table = Hashtbl.Make (struct
 end)
 
 (* What a participant remembers about a prepared transaction: the
-   page images to apply at commit, and (under group commit) the
-   before-images recovery needs to undo a crash-window apply. *)
+   page images to apply at commit, (under group commit) the
+   before-images recovery needs to undo a crash-window apply, and the
+   presumed-abort timer that a Commit or Abort makes moot. *)
 type prep_entry = {
   writes : P.write_set;
   undo : (Ra.Sysname.t * int * bytes option) list;
+  abort_timer : Sim.Engine.timer;
 }
 
 type t = {
@@ -416,29 +418,37 @@ let handle_prepare t txn writes =
        other concurrently-preparing transaction *)
     Store.Wal.append t.wal
       (Store.Wal.Prepared { txn = (txn.P.tnode, txn.P.tseq); writes; undo });
-    Txn_table.replace t.prepared txn { writes; undo };
     (* presumed abort: if the coordinator dies before deciding, the
        participant self-aborts after a timeout *)
     let eng = t.node.Ra.Node.eng in
-    Sim.Engine.at eng
-      (Sim.Time.add (Sim.Engine.now eng) t.presume_abort_after)
-      (fun () ->
-        if Txn_table.mem t.prepared txn then
-          ignore
-            (Ra.Node.spawn t.node "presumed-abort" (fun () ->
-                 if Txn_table.mem t.prepared txn then begin
-                   Store.Wal.append t.wal
-                     (Store.Wal.Aborted (txn.P.tnode, txn.P.tseq));
-                   Txn_table.remove t.prepared txn;
-                   Sim.Stats.incr t.abort_count;
-                   release_txn_everywhere t txn
-                 end)));
+    let abort_timer =
+      Sim.Engine.timer eng
+        (Sim.Time.add (Sim.Engine.now eng) t.presume_abort_after)
+        (fun () ->
+          if Txn_table.mem t.prepared txn then
+            ignore
+              (Ra.Node.spawn t.node "presumed-abort" (fun () ->
+                   if Txn_table.mem t.prepared txn then begin
+                     Store.Wal.append t.wal
+                       (Store.Wal.Aborted (txn.P.tnode, txn.P.tseq));
+                     Txn_table.remove t.prepared txn;
+                     Sim.Stats.incr t.abort_count;
+                     release_txn_everywhere t txn
+                   end)))
+    in
+    Txn_table.replace t.prepared txn { writes; undo; abort_timer };
     P.Vote true
   end
 
+(* The coordinator's decision arrived: the entry goes, and with it the
+   presumed-abort timer, which would only have found it gone. *)
+let settle t txn e =
+  Sim.Engine.cancel t.node.Ra.Node.eng e.abort_timer;
+  Txn_table.remove t.prepared txn
+
 let handle_commit t ~src txn =
   match Txn_table.find_opt t.prepared txn with
-  | Some { writes; _ } when Store.Wal.group_commit t.wal ->
+  | Some ({ writes; _ } as e) when Store.Wal.group_commit t.wal ->
       (* pipelined commit: the record goes into the log buffer, the
          pages are applied (tagged with the commit LSN) and the locks
          released — all in one scheduling quantum, so no request can
@@ -450,7 +460,7 @@ let handle_commit t ~src txn =
           (Store.Wal.Committed (txn.P.tnode, txn.P.tseq))
       in
       apply_writes t ~lsn writes;
-      Txn_table.remove t.prepared txn;
+      settle t txn e;
       Sim.Stats.incr t.commit_count;
       release_txn_everywhere t txn;
       (* the deferred-invalidation burst waits for durability: it
@@ -462,12 +472,12 @@ let handle_commit t ~src txn =
       release_flush t writes ~except:src;
       mirror_writes t writes;
       P.Txn_done
-  | Some { writes; _ } ->
+  | Some ({ writes; _ } as e) ->
       Store.Wal.append t.wal (Store.Wal.Committed (txn.P.tnode, txn.P.tseq));
       apply_writes t writes;
       release_flush t writes ~except:src;
       mirror_writes t writes;
-      Txn_table.remove t.prepared txn;
+      settle t txn e;
       Sim.Stats.incr t.commit_count;
       release_txn_everywhere t txn;
       P.Txn_done
@@ -477,9 +487,9 @@ let handle_commit t ~src txn =
 
 let handle_abort t txn =
   (match Txn_table.find_opt t.prepared txn with
-  | Some _ ->
+  | Some e ->
       Store.Wal.append t.wal (Store.Wal.Aborted (txn.P.tnode, txn.P.tseq));
-      Txn_table.remove t.prepared txn;
+      settle t txn e;
       Sim.Stats.incr t.abort_count
   | None -> ());
   release_txn_everywhere t txn;
@@ -795,7 +805,30 @@ let recover t =
       let tnode, tseq = p.Store.Wal.txn in
       let writes = p.Store.Wal.writes in
       let txn = { P.tnode; tseq } in
-      Txn_table.replace t.prepared txn { writes; undo = p.Store.Wal.undo };
+      let eng = t.node.Ra.Node.eng in
+      let abort_timer =
+        Sim.Engine.timer eng
+          (Sim.Time.add (Sim.Engine.now eng) t.presume_abort_after)
+          (fun () ->
+            if Txn_table.mem t.prepared txn then begin
+              match t.oracle (tnode, tseq) with
+              | `Committed ->
+                  let lsn =
+                    Store.Wal.enqueue t.wal (Store.Wal.Committed (tnode, tseq))
+                  in
+                  apply_writes t ~lsn writes;
+                  Txn_table.remove t.prepared txn;
+                  release_txn_everywhere t txn
+              | `Aborted | `Unknown ->
+                  Store.Wal.append_nowait t.wal
+                    (Store.Wal.Aborted (tnode, tseq));
+                  Txn_table.remove t.prepared txn;
+                  release_txn_everywhere t txn
+              | `Pending -> ()
+            end)
+      in
+      Txn_table.replace t.prepared txn
+        { writes; undo = p.Store.Wal.undo; abort_timer };
       (* recovery locking: the in-doubt transaction's write locks
          must be held again, or later transactions would read
          state its pending commit will overwrite *)
@@ -806,27 +839,7 @@ let recover t =
           | `Cancelled -> ())
         (List.sort_uniq
            (fun (a, _, _) (b, _, _) -> Ra.Sysname.compare a b)
-           writes);
-      let eng = t.node.Ra.Node.eng in
-      Sim.Engine.at eng
-        (Sim.Time.add (Sim.Engine.now eng) t.presume_abort_after)
-        (fun () ->
-          if Txn_table.mem t.prepared txn then begin
-            match t.oracle (tnode, tseq) with
-            | `Committed ->
-                let lsn =
-                  Store.Wal.enqueue t.wal (Store.Wal.Committed (tnode, tseq))
-                in
-                apply_writes t ~lsn writes;
-                Txn_table.remove t.prepared txn;
-                release_txn_everywhere t txn
-            | `Aborted | `Unknown ->
-                Store.Wal.append_nowait t.wal
-                  (Store.Wal.Aborted (tnode, tseq));
-                Txn_table.remove t.prepared txn;
-                release_txn_everywhere t txn
-            | `Pending -> ()
-          end))
+           writes))
     in_doubt
 
 let owner_of t seg page =

@@ -47,9 +47,15 @@ type server_state =
       mutable touched : Sim.Time.t;
           (* last fragment or probe seen; an abandoned partial burst
              is reaped [server_cache_ttl] after it goes quiet *)
+      mutable reaper : Sim.Engine.timer;
+          (* cancelled when the last fragment arrives *)
     }
   | In_progress
-  | Done of { reply : Packet.body; reply_size : int }
+  | Done of {
+      reply : Packet.body;
+      reply_size : int;
+      expiry : Sim.Engine.timer;  (* cancelled by the client's Ack *)
+    }
 
 (* Per-destination round-trip estimator (Jacobson/Karels): every
    call's retry timer, surfaced as the per-peer [ratp.rto_us] gauge. *)
@@ -258,7 +264,7 @@ let send_control ?until t ~dst ~tid ~service ~kind bits =
 
 let schedule_cache_expiry t tid =
   let eng = Net.Ethernet.engine t.ether in
-  Sim.Engine.at eng
+  Sim.Engine.timer eng
     (Sim.Time.add (Sim.Engine.now eng) t.cfg.server_cache_ttl)
     (fun () ->
       match Tid_table.find_opt t.servers tid with
@@ -272,7 +278,7 @@ let schedule_cache_expiry t tid =
    backoff intervals) survives. *)
 let rec schedule_accumulation_expiry t tid =
   let eng = Net.Ethernet.engine t.ether in
-  Sim.Engine.at eng
+  Sim.Engine.timer eng
     (Sim.Time.add (Sim.Engine.now eng) t.cfg.server_cache_ttl)
     (fun () ->
       match Tid_table.find_opt t.servers tid with
@@ -280,7 +286,7 @@ let rec schedule_accumulation_expiry t tid =
           let idle = Sim.Time.diff (Sim.Engine.now eng) acc.touched in
           if Sim.Time.compare idle t.cfg.server_cache_ttl >= 0 then
             Tid_table.remove t.servers tid
-          else schedule_accumulation_expiry t tid
+          else acc.reaper <- schedule_accumulation_expiry t tid
       | Some (In_progress | Done _) | None -> ())
 
 let run_handler t ~(src : Net.Address.t) ~tid ~service body =
@@ -300,15 +306,16 @@ let run_handler t ~(src : Net.Address.t) ~tid ~service body =
                (fun () ->
                  Sim.sleep proc_cost;
                  let reply, reply_size = handler ~src body in
-                 Tid_table.replace t.servers tid (Done { reply; reply_size });
-                 schedule_cache_expiry t tid;
+                 let expiry = schedule_cache_expiry t tid in
+                 Tid_table.replace t.servers tid
+                   (Done { reply; reply_size; expiry });
                  Sim.sleep proc_cost;
                  send_fragments t ~dst:src ~service ~tid ~kind:Packet.Reply
                    ~total_size:reply_size reply)))
 
 let handle_request t ~src (pkt : Packet.t) =
   match Tid_table.find_opt t.servers pkt.tid with
-  | Some (Done { reply; reply_size }) ->
+  | Some (Done { reply; reply_size; _ }) ->
       (* duplicate request: retransmit the cached reply once per
          request burst (triggered by fragment 0) *)
       if pkt.frag = 0 then begin
@@ -329,6 +336,7 @@ let handle_request t ~src (pkt : Packet.t) =
         acc.got.(pkt.frag) <- true;
         acc.missing <- acc.missing - 1;
         if acc.missing = 0 then begin
+          Sim.Engine.cancel (Net.Ethernet.engine t.ether) acc.reaper;
           Tid_table.replace t.servers pkt.tid In_progress;
           run_handler t ~src ~tid:pkt.tid ~service:pkt.service pkt.body
         end
@@ -341,14 +349,15 @@ let handle_request t ~src (pkt : Packet.t) =
       else begin
         let got = Array.make pkt.nfrags false in
         got.(pkt.frag) <- true;
+        let reaper = schedule_accumulation_expiry t pkt.tid in
         Tid_table.replace t.servers pkt.tid
           (Accumulating
              {
                got;
                missing = pkt.nfrags - 1;
                touched = Sim.Engine.now (Net.Ethernet.engine t.ether);
-             });
-        schedule_accumulation_expiry t pkt.tid
+               reaper;
+             })
       end
 
 (* The fragments of a [total_size] message that a peer's bitmap says
@@ -371,7 +380,7 @@ let missing_frags ~total_size body =
      empty bitmap, which the client reads as "resend everything". *)
 let handle_probe t ~src (pkt : Packet.t) =
   match Tid_table.find_opt t.servers pkt.tid with
-  | Some (Done { reply; reply_size }) ->
+  | Some (Done { reply; reply_size; _ }) ->
       let missing = missing_frags ~total_size:reply_size pkt.body in
       if missing <> [] then begin
         Sim.Stats.kincr t.retrans_by src;
@@ -429,7 +438,12 @@ let handle_packet t ~src (pkt : Packet.t) =
   match pkt.kind with
   | Packet.Request -> handle_request t ~src pkt
   | Packet.Reply -> handle_reply t pkt
-  | Packet.Ack -> Tid_table.remove t.servers pkt.tid
+  | Packet.Ack ->
+      (match Tid_table.find_opt t.servers pkt.tid with
+      | Some (Done { expiry; _ }) ->
+          Sim.Engine.cancel (Net.Ethernet.engine t.ether) expiry
+      | Some (Accumulating _ | In_progress) | None -> ());
+      Tid_table.remove t.servers pkt.tid
   | Packet.Probe -> handle_probe t ~src pkt
   | Packet.Nack -> handle_nack t pkt
   | Packet.Busy -> (

@@ -14,18 +14,22 @@ type proc = {
 type event = {
   time : Time.t;
   order : int;
-  mutable live : bool;
+  mutable pos : int;  (* heap slot, or -1 once fired or cancelled *)
   thunk : unit -> unit;
 }
 
-(* The event queue is a binary heap specialized to events: the
-   (time, order) comparison is two inline int compares instead of a
-   call through a comparator closure, and the hot operations return
+type timer = event
+
+(* The event queue is an indexed binary heap specialized to events:
+   the (time, order) comparison is two inline int compares instead of
+   a call through a comparator closure, the hot operations return
    events directly (guarded by [is_empty]) rather than allocating an
-   option per peek/pop.  Vacated slots are overwritten with a shared
-   dummy so popped event closures stay collectable. *)
+   option per peek/pop, and every move records the event's slot in
+   [pos] so [remove_at] can take out any event, not just the minimum.
+   Vacated slots are overwritten with a shared dummy so removed event
+   closures stay collectable. *)
 module Evq = struct
-  let dummy = { time = min_int; order = 0; live = false; thunk = ignore }
+  let dummy = { time = min_int; order = 0; pos = -1; thunk = ignore }
 
   type t = { mutable arr : event array; mutable n : int }
 
@@ -36,6 +40,44 @@ module Evq = struct
   let[@inline] before a b =
     a.time < b.time || (a.time = b.time && a.order < b.order)
 
+  let[@inline] place arr i ev =
+    arr.(i) <- ev;
+    ev.pos <- i
+
+  (* Sift [ev] into the hole at [i]: parents that [ev] beats move
+     down, children that beat [ev] move up. *)
+  let sift_up arr i ev =
+    let i = ref i in
+    let sifting = ref true in
+    while !sifting && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      let p = arr.(parent) in
+      if before ev p then begin
+        place arr !i p;
+        i := parent
+      end
+      else sifting := false
+    done;
+    place arr !i ev
+
+  let sift_down arr n i ev =
+    let i = ref i in
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && before arr.(l + 1) arr.(l) then l + 1 else l in
+        let child = arr.(c) in
+        if before child ev then begin
+          place arr !i child;
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    place arr !i ev
+
   let push q ev =
     let cap = Array.length q.arr in
     if q.n >= cap then begin
@@ -43,51 +85,29 @@ module Evq = struct
       Array.blit q.arr 0 arr 0 q.n;
       q.arr <- arr
     end;
-    let arr = q.arr in
-    let i = ref q.n in
-    q.n <- q.n + 1;
-    arr.(!i) <- ev;
-    let sifting = ref true in
-    while !sifting && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if before arr.(!i) arr.(parent) then begin
-        let tmp = arr.(!i) in
-        arr.(!i) <- arr.(parent);
-        arr.(parent) <- tmp;
-        i := parent
-      end
-      else sifting := false
-    done
+    let i = q.n in
+    q.n <- i + 1;
+    sift_up q.arr i ev
 
   (* Precondition for [min_elt] and [pop]: not empty. *)
   let min_elt q = q.arr.(0)
 
-  let pop q =
+  (* Take out the event at slot [i]: the last event fills the hole
+     and sifts whichever way restores the heap order. *)
+  let remove_at q i =
     let arr = q.arr in
-    let root = arr.(0) in
-    q.n <- q.n - 1;
-    let n = q.n in
-    if n > 0 then begin
-      arr.(0) <- arr.(n);
-      arr.(n) <- dummy;
-      let i = ref 0 in
-      let sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < n && before arr.(l) arr.(!s) then s := l;
-        if r < n && before arr.(r) arr.(!s) then s := r;
-        if !s <> !i then begin
-          let tmp = arr.(!i) in
-          arr.(!i) <- arr.(!s);
-          arr.(!s) <- tmp;
-          i := !s
-        end
-        else sifting := false
-      done
-    end
-    else arr.(0) <- dummy;
-    root
+    let ev = arr.(i) in
+    let n = q.n - 1 in
+    q.n <- n;
+    let last = arr.(n) in
+    arr.(n) <- dummy;
+    if i < n then
+      if i > 0 && before last arr.((i - 1) / 2) then sift_up arr i last
+      else sift_down arr n i last;
+    ev.pos <- -1;
+    ev
+
+  let pop q = remove_at q 0
 end
 
 type t = {
@@ -123,25 +143,16 @@ let now t = t.clock
 let rng t = t.root_rng
 let pending t = Evq.length t.events
 
-(* Cancelled events stay in the heap but are skipped without
-   advancing the clock, so a killed sleeper does not drag the
-   simulation clock to its original wake-up time. *)
-let schedule_cancellable t time thunk =
+let timer t time thunk =
   t.seq <- t.seq + 1;
   let time = if time < t.clock then t.clock else time in
-  let ev = { time; order = t.seq; live = true; thunk } in
+  let ev = { time; order = t.seq; pos = -1; thunk } in
   Evq.push t.events ev;
   ev
 
-let schedule_at t time thunk = ignore (schedule_cancellable t time thunk)
-let schedule t thunk = schedule_at t t.clock thunk
-let at = schedule_at
-
-let rec drop_dead t =
-  if (not (Evq.is_empty t.events)) && not (Evq.min_elt t.events).live then begin
-    ignore (Evq.pop t.events);
-    drop_dead t
-  end
+let cancel t ev = if ev.pos >= 0 then ignore (Evq.remove_at t.events ev.pos)
+let at t time thunk = ignore (timer t time thunk)
+let schedule t thunk = at t t.clock thunk
 
 let finish t proc =
   Hashtbl.remove t.procs proc.pid;
@@ -178,32 +189,21 @@ let rec run_proc : t -> proc -> (unit -> unit) -> unit =
                  (fun (k : (a, _) continuation) ->
                    if not proc.alive then discontinue k Killed
                    else begin
-                     let state = ref `Waiting in
-                     let timer = ref None in
+                     let wakeup =
+                       timer t (Time.add t.clock span) (fun () ->
+                           proc.cancel <- None;
+                           t.cur <- Some proc;
+                           continue k ();
+                           t.cur <- None)
+                     in
                      proc.cancel <-
                        Some
                          (fun () ->
-                           if !state = `Waiting then begin
-                             state := `Cancelled;
-                             (match !timer with
-                             | Some ev -> ev.live <- false
-                             | None -> ());
-                             schedule t (fun () ->
-                                 t.cur <- Some proc;
-                                 discontinue k Killed;
-                                 t.cur <- None)
-                           end);
-                     timer :=
-                       Some
-                         (schedule_cancellable t (Time.add t.clock span)
-                            (fun () ->
-                              if !state = `Waiting then begin
-                                state := `Fired;
-                                proc.cancel <- None;
-                                t.cur <- Some proc;
-                                continue k ();
-                                t.cur <- None
-                              end))
+                           cancel t wakeup;
+                           schedule t (fun () ->
+                               t.cur <- Some proc;
+                               discontinue k Killed;
+                               t.cur <- None))
                    end)
            | E_suspend (_label, register) ->
                Some
@@ -296,7 +296,6 @@ let procs t =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let step t =
-  drop_dead t;
   if Evq.is_empty t.events then false
   else begin
     let ev = Evq.pop t.events in
@@ -315,8 +314,7 @@ let run ?until t =
     if Evq.is_empty t.events then running := false
     else begin
       let ev = Evq.min_elt t.events in
-      if not ev.live then ignore (Evq.pop t.events)
-      else if ev.time > limit then begin
+      if ev.time > limit then begin
         t.clock <- limit;
         running := false
       end

@@ -34,11 +34,26 @@ val spawn : t -> ?group:int -> string -> (unit -> unit) -> pid
 (** [spawn t name f] schedules process [f] to start at the current
     instant.  [name] appears in error reports. *)
 
+type timer
+(** A scheduled thunk that can still be cancelled. *)
+
+val timer : t -> Time.t -> (unit -> unit) -> timer
+(** [timer t time thunk] schedules [thunk] to run in engine context at
+    [time] (or now, if [time] is in the past) and returns a handle for
+    {!cancel}.  The thunk must not use the process operations of
+    {!Process}; it may wake suspended processes (fill ivars, send to
+    mailboxes, ...).  Events at the same instant run in scheduling
+    order. *)
+
+val cancel : t -> timer -> unit
+(** [cancel t timer] removes a pending timer from the queue in
+    O(log n): it never runs, it no longer counts in {!pending}, and
+    its closure is released at once rather than at its deadline.  A
+    no-op once the timer has fired or been cancelled. *)
+
 val at : t -> Time.t -> (unit -> unit) -> unit
-(** [at t time thunk] runs [thunk] in engine context at [time] (or
-    now, if [time] is in the past).  The thunk must not use the
-    process operations of {!Process}; it may wake suspended processes
-    (fill ivars, send to mailboxes, ...). *)
+(** [at t time thunk] is [ignore (timer t time thunk)]: a timer that
+    is never cancelled. *)
 
 val kill : t -> pid -> unit
 (** Terminate a process.  If it is suspended it receives {!Killed}
@@ -72,7 +87,9 @@ val step : t -> bool
     empty. *)
 
 val pending : t -> int
-(** Number of queued events (for tests). *)
+(** Number of events waiting in the queue: cancelled timers and fired
+    events are not counted.  Tests use it to check that no watchdog
+    outlives its purpose. *)
 
 (** Direct-style operations available inside a process.  Calling them
     outside a process raises [Effect.Unhandled]. *)

@@ -63,28 +63,27 @@ let recv_timeout t span =
   | None ->
       let eng = Engine.Process.engine () in
       let deadline = Time.add (Engine.now eng) span in
+      (* A delivered value cancels the deadline; a fired deadline
+         marks the waiter dead, so no value is offered to it after. *)
       Engine.Process.suspend t.label (fun wake ->
-          let state = ref `Waiting in
+          let deadline_timer = ref None in
           let w =
             {
               dead = false;
               wake =
                 (fun v ->
-                  if !state = `Waiting && wake (Some v) then begin
-                    state := `Got;
-                    true
-                  end
-                  else false);
+                  let woke = wake (Some v) in
+                  if woke then Option.iter (Engine.cancel eng) !deadline_timer;
+                  woke);
             }
           in
           Queue.add w t.waiters;
-          Engine.at eng deadline (fun () ->
-              if !state = `Waiting then begin
-                state := `Timeout;
-                w.dead <- true;
-                note_dead t;
-                ignore (wake None)
-              end))
+          deadline_timer :=
+            Some
+              (Engine.timer eng deadline (fun () ->
+                   w.dead <- true;
+                   note_dead t;
+                   ignore (wake None))))
 
 let try_recv t = Queue.take_opt t.values
 let length t = Queue.length t.values

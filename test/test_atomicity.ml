@@ -140,6 +140,20 @@ let test_gcp_commit_is_durable () =
       check_int "stored" 100 (stored_balance env acct);
       check_int "one commit" 1 (Atomicity.Manager.commits env.mgr))
 
+(* The deadlock watchdog and the participants' presumed-abort timers
+   only matter while the transaction is undecided: once it commits
+   they must leave the event queue, not sit in it for up to a minute.
+   The RaTP reply caches of the commit's calls are acked too, so a
+   quiet cluster has nothing left to do. *)
+let test_commit_leaves_no_watchdog () =
+  with_env ~deadlock_timeout:(Time.sec 30) (fun env ->
+      let acct = Object_manager.create_object env.sys.om ~class_name:"account" Value.Unit in
+      ignore (direct env acct "deposit" (Value.Int 100));
+      check_int "one commit" 1 (Atomicity.Manager.commits env.mgr);
+      Sim.sleep (Time.sec 1);
+      check_int "nothing pending after the commit" 0
+        (Engine.pending (Sim.engine ())))
+
 let test_s_thread_update_is_volatile () =
   with_env (fun env ->
       let acct = Object_manager.create_object env.sys.om ~class_name:"account" Value.Unit in
@@ -491,6 +505,8 @@ let () =
             test_s_thread_update_is_volatile;
           Alcotest.test_case "gcp survives compute crash" `Quick
             test_gcp_survives_compute_crash;
+          Alcotest.test_case "commit leaves no watchdog pending" `Quick
+            test_commit_leaves_no_watchdog;
           Alcotest.test_case "wal records commits" `Quick
             test_wal_records_commits;
         ] );

@@ -708,6 +708,53 @@ let test_give_up_budget_is_time () =
     waited
 
 (* ------------------------------------------------------------------ *)
+(* Reply cache *)
+
+(* Server-side watchdogs must go when their transaction does.  The
+   reply cache keeps each reply for duplicate suppression until the
+   client's Ack; a cache expiry left in the event queue after the Ack
+   would hold the clock hostage for [server_cache_ttl] and, at load,
+   fill the queue with one dead timer per call. *)
+let test_ack_cancels_cache_expiry () =
+  let eng = Engine.create () in
+  let pending =
+    Sim.exec_on eng (fun () ->
+        let ether = Net.Ethernet.create eng () in
+        let a = Endpoint.create ether ~addr:1 () in
+        let b = Endpoint.create ether ~addr:2 () in
+        serve_echo b;
+        (match Endpoint.call a ~dst:2 ~service:echo_service ~size:5 (Echo "hi") with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "timeout");
+        Sim.sleep (Time.ms 50);
+        Engine.pending eng)
+  in
+  check_int "nothing pending once the call is acked" 0 pending;
+  let final_ms = Time.to_ms_f (Engine.now eng) in
+  check_bool
+    (Printf.sprintf "clock %.1fms stops near the Ack, not the 5s ttl" final_ms)
+    true
+    (final_ms > 50.0 && final_ms < 60.0)
+
+(* A host-independent gate on the event queue: back-to-back acked
+   calls must not leave one pending timer per call behind. *)
+let test_pending_bounded_under_calls () =
+  let high =
+    with_pair (fun _ether a b ->
+        serve_echo b;
+        let eng = Sim.engine () in
+        let high = ref 0 in
+        for _ = 1 to 1_000 do
+          (match Endpoint.call a ~dst:2 ~service:echo_service ~size:5 (Echo "x") with
+          | Ok _ -> ()
+          | Error _ -> Alcotest.fail "timeout");
+          high := max !high (Engine.pending eng)
+        done;
+        !high)
+  in
+  check_bool (Printf.sprintf "pending high-water %d <= 8" high) true (high <= 8)
+
+(* ------------------------------------------------------------------ *)
 (* Comparators: the paper's 8K transfer comparison *)
 
 let measure f =
@@ -817,6 +864,13 @@ let () =
             test_timer_starts_after_burst;
           Alcotest.test_case "give-up budget is time" `Quick
             test_give_up_budget_is_time;
+        ] );
+      ( "reply-cache",
+        [
+          Alcotest.test_case "ack cancels the cache expiry" `Quick
+            test_ack_cancels_cache_expiry;
+          Alcotest.test_case "pending bounded under 1000 calls" `Quick
+            test_pending_bounded_under_calls;
         ] );
       ( "comparators",
         [

@@ -19,11 +19,15 @@ let test_time_units () =
   check_int "diff" 15 (Time.diff 25 10)
 
 (* ------------------------------------------------------------------ *)
-(* Heap: the engine's event queue, driven through [Engine.at] (push)
-   and [Engine.step] (pop).  Events fire in (time, scheduling order). *)
+(* Heap: the engine's event queue, driven through [Engine.timer]
+   (push), [Engine.step] (pop) and [Engine.cancel] (remove).  Events
+   fire in (time, scheduling order). *)
 
 (* Schedule [at] on a fresh-engine clock; the event records [id]. *)
-let push eng fired at id = Engine.at eng at (fun () -> fired := id :: !fired)
+let push_timer eng fired at id =
+  Engine.timer eng at (fun () -> fired := id :: !fired)
+
+let push eng fired at id = ignore (push_timer eng fired at id)
 
 let test_heap_basic () =
   let eng = Engine.create () in
@@ -52,31 +56,55 @@ let prop_heap_sorted =
           (fun (a, _) (b, _) -> Int.compare a b)
           (List.mapi (fun i x -> (x, i)) xs))
 
+(* Ops: [(0, x)] pushes an event [x] after now, [(1, _)] pops, and
+   [(2, k)] cancels the [k]-th pending event (mod the pending count).
+   Pushes outweigh pops and cancels 6:1:1, so the heap grows deep and
+   cancels land mid-heap, where the filler may have to sift up. *)
+let heap_op =
+  QCheck.make
+    ~print:QCheck.Print.(pair int int)
+    QCheck.Gen.(
+      pair (frequency [ (6, return 0); (1, return 1); (1, return 2) ]) small_nat)
+
 let prop_heap_interleaved =
   QCheck.Test.make ~name:"heap correct under interleaved push/pop" ~count:200
-    QCheck.(list (option small_nat))
+    (QCheck.list heap_op)
     (fun ops ->
       let eng = Engine.create () in
       let fired = ref [] in
-      (* the model: pending (time, id) pairs, sorted; ids grow with
-         scheduling order, so they break time ties the same way *)
+      (* the model: pending (time, id, timer) triples, sorted; ids grow
+         with scheduling order, so they break time ties the same way *)
       let model = ref [] and next = ref 0 in
       List.for_all
-        (fun op ->
-          match op with
-          | Some x ->
+        (fun (op, x) ->
+          match (op, !model) with
+          | 0, _ ->
               incr next;
               let at = Time.add (Engine.now eng) x in
-              push eng fired at !next;
-              model := List.merge compare !model [ (at, !next) ];
+              let tm = push_timer eng fired at !next in
+              model :=
+                List.merge
+                  (fun (a, i, _) (b, j, _) -> compare (a, i) (b, j))
+                  !model [ (at, !next, tm) ];
               true
-          | None -> (
-              match !model with
-              | [] -> not (Engine.step eng)
-              | (_, id) :: rest ->
-                  model := rest;
-                  Engine.step eng && List.hd !fired = id))
-        ops)
+          | 1, [] -> not (Engine.step eng)
+          | 1, (_, id, _) :: rest ->
+              model := rest;
+              Engine.step eng && List.hd !fired = id
+          | _, [] -> true
+          | _, pending ->
+              let k = x mod List.length pending in
+              let _, _, tm = List.nth pending k in
+              Engine.cancel eng tm;
+              model := List.filteri (fun i _ -> i <> k) pending;
+              Engine.pending eng = List.length !model)
+        ops
+      (* whatever is left drains in model order *)
+      && begin
+           fired := [];
+           Engine.run eng;
+           List.rev !fired = List.map (fun (_, id, _) -> id) !model
+         end)
 
 (* Popped events must become unreachable: the queue holds closures,
    and a pop that leaves a stale reference in the backing array pins
@@ -92,10 +120,15 @@ let[@inline never] heap_fill eng weak n =
     Engine.at eng (Time.ms k) (fun () -> ignore (Sys.opaque_identity elt))
   done
 
+let[@inline never] heap_timer eng weak k =
+  let elt = Bytes.make 64 'x' in
+  Weak.set weak k (Some elt);
+  Engine.timer eng (Time.sec 60) (fun () -> ignore (Sys.opaque_identity elt))
+
 let test_heap_pop_releases () =
   let eng = Engine.create () in
   let n = 8 in
-  let weak = Weak.create n in
+  let weak = Weak.create (n + 1) in
   heap_fill eng weak n;
   let alive () =
     let count = ref 0 in
@@ -109,10 +142,58 @@ let test_heap_pop_releases () =
   check_bool "stepped" true (Engine.step eng);
   Gc.full_major ();
   check_int "only the popped event was collected" (n - 1) (alive ());
+  (* cancel: the timer leaves the heap at once, so its closure is
+     collectable long before its deadline *)
+  Engine.cancel eng (heap_timer eng weak n);
+  Gc.full_major ();
+  check_bool "cancelled closure collected" false (Weak.check weak n);
+  check_int "the others still held" (n - 1) (alive ());
+  check_int "cancelled timer not pending" (n - 1) (Engine.pending eng);
   (* drain: every closure must be collectable once the queue is empty *)
   Engine.run eng;
   Gc.full_major ();
-  check_int "all collected after drain" 0 (alive ())
+  check_int "all collected after drain" 0 (alive ());
+  check_int "clock never visited the cancelled deadline" (Time.ms (n - 1))
+    (Engine.now eng)
+
+(* Every time below is larger than its parent's in push order, so
+   the heap array is the push order: a left subtree under 10 and a
+   right one under 1.  Cancelling 11 moves the last element, 7, into
+   a slot under 10, so removal has to sift the filler up, not only
+   down, or 10 pops before 7. *)
+let test_cancel_sifts_up () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let timers =
+    List.map
+      (fun ms -> (ms, push_timer eng fired (Time.ms ms) ms))
+      [ 0; 10; 1; 11; 12; 2; 3; 13; 14; 15; 16; 4; 5; 6; 7 ]
+  in
+  Engine.cancel eng (List.assoc 11 timers);
+  Engine.run eng;
+  Alcotest.(check (list int))
+    "sorted without 11"
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 10; 12; 13; 14; 15; 16 ]
+    (List.rev !fired)
+
+let test_cancel_idempotent () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let a = push_timer eng fired (Time.ms 1) 1 in
+  let b = push_timer eng fired (Time.ms 2) 2 in
+  let c = push_timer eng fired (Time.ms 3) 3 in
+  check_bool "stepped" true (Engine.step eng);
+  (* [a] already fired: cancelling it must not disturb the heap *)
+  Engine.cancel eng a;
+  check_int "fired timer cancel is a no-op" 2 (Engine.pending eng);
+  Engine.cancel eng b;
+  Engine.cancel eng b;
+  check_int "second cancel is a no-op" 1 (Engine.pending eng);
+  Engine.run eng;
+  Alcotest.(check (list int)) "only a and c fired" [ 1; 3 ] (List.rev !fired);
+  Engine.cancel eng c;
+  check_int "empty" 0 (Engine.pending eng);
+  check_int "clock at c" (Time.ms 3) (Engine.now eng)
 
 (* ------------------------------------------------------------------ *)
 (* Engine basics *)
@@ -440,17 +521,23 @@ let test_mailbox_timeout_expires () =
   check_int "waited exactly timeout" (Time.ms 5) (snd r)
 
 let test_mailbox_timeout_delivers () =
-  let r =
-    Sim.exec (fun () ->
+  let eng = Engine.create () in
+  let r, pending =
+    Sim.exec_on eng (fun () ->
         let mb = Mailbox.create "mb" in
         let _ =
           Sim.spawn "sender" (fun () ->
               Sim.sleep (Time.ms 2);
               Mailbox.send mb 1)
         in
-        Mailbox.recv_timeout mb (Time.ms 5))
+        let r = Mailbox.recv_timeout mb (Time.ms 5) in
+        (r, Engine.pending eng))
   in
-  Alcotest.(check (option int)) "delivered" (Some 1) r
+  Alcotest.(check (option int)) "delivered" (Some 1) r;
+  (* the delivery makes the deadline moot: it leaves the queue
+     instead of waiting out its span *)
+  check_int "no deadline left pending" 0 pending;
+  check_int "clock stops at the delivery" (Time.ms 2) (Engine.now eng)
 
 let test_mailbox_value_not_lost_on_timeout () =
   (* If the receiver times out, a later send must stay in the queue. *)
@@ -894,6 +981,10 @@ let () =
           Alcotest.test_case "basic order" `Quick test_heap_basic;
           Alcotest.test_case "pop releases references" `Quick
             test_heap_pop_releases;
+          Alcotest.test_case "cancel sifts the filler up" `Quick
+            test_cancel_sifts_up;
+          Alcotest.test_case "cancel after fire or twice" `Quick
+            test_cancel_idempotent;
         ] );
       qsuite "heap-props" [ prop_heap_sorted; prop_heap_interleaved ];
       ( "engine",
