@@ -12,7 +12,6 @@ type scope = Global | Local
 type status = Active | Rolling_back | Finished
 
 type state = {
-  token : int * int;
   txn : P.txn_id;
   scope : scope;
   thread_id : int;
@@ -32,8 +31,8 @@ type state = {
 type t = {
   om : Clouds.Object_manager.t;
   cl : Cl.t;
-  txns : (int * int, state) Hashtbl.t;
-  outcomes : (int * int, bool) Hashtbl.t;  (* true = committed *)
+  txns : (P.txn_id, state) Hashtbl.t;
+  outcomes : (P.txn_id, bool) Hashtbl.t;  (* true = committed *)
   by_pid : (int, state) Hashtbl.t;
   local_locks : (int, Dsm.Lock_table.t) Hashtbl.t;
   deadlock_timeout : Sim.Time.span;
@@ -52,7 +51,6 @@ let commits t = Sim.Stats.value t.commit_count
 let aborts t = Sim.Stats.value t.abort_count
 let retries t = Sim.Stats.value t.retry_count
 let lock_rpcs t = Sim.Stats.value t.lock_rpc_count
-let commit_hist t = t.commit_hist
 
 let metrics t =
   [
@@ -89,11 +87,8 @@ let is_code t seg =
    data servers the transaction spans.  Results come back in input
    order, so vote counting and error handling stay deterministic. *)
 let participant_rpcs node msgs =
-  (* fan-out workers run under fresh pids: re-bind the caller's span
-     so their RPCs stay in the transaction's trace *)
-  let parent = Obs.Tracer.current () in
-  let send (dst, body) = Obs.Tracer.under parent (fun () -> P.call node ~dst body) in
-  Sim.Fanout.map msgs ~label:"2pc-rpc" ~f:send
+  Obs.Tracer.fanout ~label:"2pc-rpc" msgs ~f:(fun (dst, body) ->
+      P.call node ~dst body)
 
 (* --- rollback ------------------------------------------------------ *)
 
@@ -132,7 +127,7 @@ let rollback t st =
   if not st.rolled then begin
     st.rolled <- true;
     st.status <- Rolling_back;
-    if st.scope = Global then Hashtbl.replace t.outcomes st.token false;
+    if st.scope = Global then Hashtbl.replace t.outcomes st.txn false;
     (* undo: drop the dirty frames; the stores still hold the
        pre-transaction images *)
     List.iter
@@ -353,7 +348,7 @@ let commit t st =
       end;
       (* the commit point: participants that crash from here on learn
          the outcome from the coordinator at recovery *)
-      Hashtbl.replace t.outcomes st.token true;
+      Hashtbl.replace t.outcomes st.txn true;
       (* clean our frames NOW, while the locks are still held at the
          servers: once a Commit message releases a lock, a successor
          transaction may re-dirty these frames, and a later blanket
@@ -417,11 +412,10 @@ let with_pid t st f =
 
 let run_txn t scope (ctx : Clouds.Ctx.t) body =
   let rec attempt n =
-    let token = Cl.fresh_txn t.cl ctx.Clouds.Ctx.node in
+    let txn = Cl.fresh_txn t.cl ctx.Clouds.Ctx.node in
     let st =
       {
-        token;
-        txn = { P.tnode = fst token; tseq = snd token };
+        txn;
         scope;
         thread_id = ctx.Clouds.Ctx.thread_id;
         coord = ctx.Clouds.Ctx.node;
@@ -434,11 +428,11 @@ let run_txn t scope (ctx : Clouds.Ctx.t) body =
         rolled = false;
       }
     in
-    Hashtbl.replace t.txns token st;
-    ctx.Clouds.Ctx.txn <- Some token;
+    Hashtbl.replace t.txns txn st;
+    ctx.Clouds.Ctx.txn <- Some txn;
     let cleanup () =
       ctx.Clouds.Ctx.txn <- None;
-      Hashtbl.remove t.txns token
+      Hashtbl.remove t.txns txn
     in
     let retry_or_fail () =
       if n < t.max_retries then begin
@@ -481,8 +475,8 @@ let join_txn t st (ctx : Clouds.Ctx.t) body =
 
 let wrapper t label (ctx : Clouds.Ctx.t) body =
   match ctx.Clouds.Ctx.txn with
-  | Some token -> (
-      match Hashtbl.find_opt t.txns token with
+  | Some txn -> (
+      match Hashtbl.find_opt t.txns txn with
       | Some st -> join_txn t st ctx body
       | None -> body ())
   | None -> (
@@ -524,22 +518,23 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
      is up (its volatile outcome table), else presumed abort *)
   Array.iter
     (fun server ->
-      Dsm.Dsm_server.set_outcome_oracle server (fun token ->
+      Dsm.Dsm_server.set_outcome_oracle server (fun txn ->
           let coordinator_alive =
-            match Cl.node_by_id cl (fst token) with
+            match Cl.node_by_id cl (fst txn) with
             | Some n -> n.Ra.Node.alive
             | None -> false
           in
           if not coordinator_alive then `Unknown
           else
-            match Hashtbl.find_opt t.outcomes token with
+            match Hashtbl.find_opt t.outcomes txn with
             | Some true -> `Committed
             | Some false -> `Aborted
             | None ->
                 (* alive coordinator, no decision yet: if the
                    transaction is still running, the participant must
-                   hold on; a token we never saw is presumed abort *)
-                if Hashtbl.mem t.txns token then `Pending else `Unknown))
+                   hold on; a transaction we never saw is presumed
+                   abort *)
+                if Hashtbl.mem t.txns txn then `Pending else `Unknown))
     cl.Cl.servers;
   cl.Cl.entry_wrapper <- (fun label ctx body -> wrapper t label ctx body);
   t
@@ -555,7 +550,7 @@ let abort_thread t ~thread_id =
   List.iter
     (fun st ->
       rollback t st;
-      Hashtbl.remove t.txns st.token;
+      Hashtbl.remove t.txns st.txn;
       let pids =
         Hashtbl.fold
           (fun pid s acc -> if s == st then pid :: acc else acc)

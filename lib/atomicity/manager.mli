@@ -62,12 +62,10 @@ val retries : t -> int
 val lock_rpcs : t -> int
 (** Lock requests sent to data servers (global transactions). *)
 
-val commit_hist : t -> Sim.Stats.hist
-(** Commit-phase latency (ms) of successful transactions, measured
-    from the start of [commit] (prepare fan-out) to the client ack —
-    under group commit the ack rides a batched log flush, so this is
-    where the pipeline's latency/throughput trade shows up. *)
-
 val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["atomicity/"] paths, for an
-    {!Obs.Registry}. *)
+    {!Obs.Registry}.  ["atomicity/commit_ms"] is the commit-phase
+    latency (ms) of successful transactions, measured from the start
+    of [commit] (prepare fan-out) to the client ack — under group
+    commit the ack rides a batched log flush, so this is where the
+    pipeline's latency/throughput trade shows up. *)

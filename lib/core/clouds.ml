@@ -29,10 +29,10 @@ type system = {
   om : Object_manager.t;
 }
 
-let boot eng ?params ?ratp_config ?ether_config ?replication
+let boot eng ?ratp_config ?ether_config ?replication
     ?group_commit_window ?checkpoint_every ~compute ~data ~workstations () =
   let cluster =
-    Cluster.create eng ?params ?ratp_config ?ether_config ?replication
+    Cluster.create eng ?ratp_config ?ether_config ?replication
       ?group_commit_window ?checkpoint_every ~compute ~data ~workstations ()
   in
   let om = Object_manager.create cluster in

@@ -1,7 +1,6 @@
 type t = {
   eng : Sim.Engine.t;
   ether : Net.Ethernet.t;
-  params : Ra.Params.t;
   replication : int;
   compute_nodes : Ra.Node.t array;
   clients : Dsm.Dsm_client.t array;
@@ -18,7 +17,6 @@ type t = {
   volatile : (int, unit Ra.Sysname.Table.t) Hashtbl.t;
   mutable scheduler : [ `Round_robin | `Least_loaded ];
   mutable rr_compute : int;
-  mutable rr_data : int;
   mutable next_thread : int;
   mutable next_txn : int;
   mutable entry_wrapper :
@@ -134,7 +132,7 @@ let volatile_partition =
     writeback = (fun ~seg:_ ~page:_ _ -> ());
   }
 
-let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
+let create eng ?ratp_config ?ether_config
     ?(replication = 1) ?group_commit_window ?checkpoint_every ~compute ~data
     ~workstations () =
   if compute < 1 || data < 1 then
@@ -154,8 +152,7 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
   in
   let data_nodes =
     Array.init data (fun i ->
-        Ra.Node.create ether ~id:(i + 1) ~kind:Ra.Node.Data ~params
-          ?ratp_config ())
+        Ra.Node.create ether ~id:(i + 1) ~kind:Ra.Node.Data ?ratp_config ())
   in
   let servers =
     Array.map
@@ -165,7 +162,7 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
   in
   let compute_nodes =
     Array.init compute (fun i ->
-        Ra.Node.create ether ~id:(data + i + 1) ~kind:Ra.Node.Compute ~params
+        Ra.Node.create ether ~id:(data + i + 1) ~kind:Ra.Node.Compute
           ?ratp_config ())
   in
   let clients =
@@ -178,7 +175,7 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
     Array.init workstations (fun i ->
         let node =
           Ra.Node.create ether ~id:(data + compute + i + 1)
-            ~kind:Ra.Node.Workstation ~params ?ratp_config ()
+            ~kind:Ra.Node.Workstation ?ratp_config ()
         in
         let term = Terminal.create ~wid:node.Ra.Node.id in
         User_io.install node term;
@@ -188,7 +185,6 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
     {
       eng;
       ether;
-      params;
       replication;
       compute_nodes;
       clients;
@@ -204,7 +200,6 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
       volatile = Hashtbl.create 16;
       scheduler = `Round_robin;
       rr_compute = 0;
-      rr_data = 0;
       next_thread = 1;
       next_txn = 1;
       entry_wrapper = (fun _label _ctx body -> body ());
@@ -278,27 +273,13 @@ let pick_compute t =
   | `Round_robin -> pick_round_robin t
   | `Least_loaded -> pick_least_loaded t
 
-let pick_data t =
-  let n = Array.length t.data_nodes in
-  let rec pick tries =
-    if tries >= n then invalid_arg "Cluster.pick_data: no live data server"
-    else begin
-      let node = t.data_nodes.(t.rr_data mod n) in
-      t.rr_data <- t.rr_data + 1;
-      if node.Ra.Node.alive && membership_usable t node.Ra.Node.id then
-        node.Ra.Node.id
-      else pick (tries + 1)
-    end
-  in
-  pick 0
-
 (* Ring placement: the owner of the key's arc, skipping to the next
-   distinct member along the ring while the candidate is down.  Falls
-   back to round robin only if every ring member is unusable (the
-   cluster is effectively dead anyway). *)
+   distinct member along the ring while the candidate is down.  The
+   ring holds every data server the membership view has not condemned
+   ([remap_ring]), so when no member is usable none is. *)
 let place_data t key =
   let rec first = function
-    | [] -> pick_data t
+    | [] -> invalid_arg "Cluster.place_data: no live data server"
     | addr :: rest ->
         let node =
           Array.to_list t.data_nodes
@@ -362,16 +343,6 @@ let server_at t addr =
     if i >= Array.length t.data_nodes then None
     else if t.data_nodes.(i).Ra.Node.id = addr then Some t.servers.(i)
     else find (i + 1)
-  in
-  find 0
-
-let terminal_of t id =
-  let rec find i =
-    if i >= Array.length t.workstations then None
-    else begin
-      let node, term = t.workstations.(i) in
-      if node.Ra.Node.id = id then Some term else find (i + 1)
-    end
   in
   find 0
 

@@ -13,7 +13,6 @@
 type t = {
   eng : Sim.Engine.t;
   ether : Net.Ethernet.t;
-  params : Ra.Params.t;
   replication : int;
       (** target copies per segment (1 = the historical single-home
           configuration; no mirror traffic at all) *)
@@ -38,7 +37,6 @@ type t = {
           may depend on scheduling policies and the load at each
           compute server") *)
   mutable rr_compute : int;
-  mutable rr_data : int;
   mutable next_thread : int;
   mutable next_txn : int;
   mutable entry_wrapper :
@@ -68,7 +66,6 @@ type t = {
 
 val create :
   Sim.Engine.t ->
-  ?params:Ra.Params.t ->
   ?ratp_config:Ratp.Endpoint.config ->
   ?ether_config:Net.Ethernet.config ->
   ?replication:int ->
@@ -104,16 +101,10 @@ val pick_compute : t -> Ra.Node.t
     least-loaded live compute server (CPU queue length, ties to the
     lowest address). *)
 
-val pick_data : t -> Net.Address.t
-(** Round robin over live data servers (legacy placement; ring
-    placement below is what object creation uses). *)
-
-val place_data : t -> int -> Net.Address.t
-(** Ring placement for a hashed key: the owner of the key's arc, or
-    the next usable member along the ring when the owner is down. *)
-
 val place_object : t -> Ra.Sysname.t -> Net.Address.t
-(** [place_data] on the object's sysname hash. *)
+(** Ring placement on the object's sysname hash: the owner of the
+    hash's arc, or the next usable member along the ring when the
+    owner is down. *)
 
 val name_shard : t -> string -> Net.Address.t
 (** The data-server shard owning a name binding: the ring owner of
@@ -139,8 +130,6 @@ val client_of : t -> int -> Dsm.Dsm_client.t option
 (** The DSM client of a compute node. *)
 
 val server_at : t -> Net.Address.t -> Dsm.Dsm_server.t option
-
-val terminal_of : t -> int -> Terminal.t option
 
 val register_class : t -> Obj_class.t -> unit
 (** "Compile and load" a class: record it in the system-wide registry

@@ -55,12 +55,6 @@ let set_int t ?(region = Data) off v =
   Bytes.set_int64_le b 0 (Int64.of_int v);
   write t ~region off b
 
-let get_byte t ?(region = Data) off =
-  Char.code (Bytes.get (read t ~region off ~len:1) 0)
-
-let set_byte t ?(region = Data) off v =
-  write t ~region off (Bytes.make 1 (Char.chr (v land 0xff)))
-
 let get_string t ?(region = Data) off =
   let len = Int32.to_int (Bytes.get_int32_le (read t ~region off ~len:4) 0) in
   if len < 0 then invalid_arg "Memory.get_string: corrupt length";

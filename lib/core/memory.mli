@@ -39,9 +39,6 @@ val get_int : t -> ?region:region -> int -> int
 
 val set_int : t -> ?region:region -> int -> int -> unit
 
-val get_byte : t -> ?region:region -> int -> int
-val set_byte : t -> ?region:region -> int -> int -> unit
-
 val get_string : t -> ?region:region -> int -> string
 (** Length-prefixed (4-byte) string at byte offset. *)
 

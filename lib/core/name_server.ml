@@ -29,7 +29,7 @@ let get_sys ctx node =
     (node + 8 + Memory.string_footprint name)
 
 let charge ctx =
-  ctx.Ctx.compute ctx.Ctx.node.Ra.Node.params.Ra.Params.name_lookup
+  ctx.Ctx.compute Ra.Params.name_lookup
 
 (* volatile directory, one per shard object.  It models the shard's
    in-core hash table: shared by every compute node because DSM keeps

@@ -148,7 +148,7 @@ let rec activate t node obj =
       (* building the object space costs kernel work, and the first
          dispatch pulls in the code segment plus the heads of the
          persistent data (entry vector and object header) *)
-      Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.activation_setup;
+      Ra.Isiba.compute node Ra.Params.activation_setup;
       for page = 0 to cls.Obj_class.code_pages - 1 do
         ignore
           (Ra.Mmu.read node.Ra.Node.mmu vs
@@ -171,16 +171,21 @@ let per_thread_table t thread_id obj =
       Hashtbl.replace t.per_thread key tbl;
       tbl
 
+(* Only real threads keep a visit log: the pseudo-threads 0 ([call]
+   and other callers outside any thread) and -1 (daemons) never reach
+   [end_thread], so their logs would grow forever. *)
 let record_visit t thread_id obj =
-  let log =
-    match Hashtbl.find_opt t.visits thread_id with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.visits thread_id l;
-        l
-  in
-  log := obj :: !log
+  if thread_id > 0 then begin
+    let log =
+      match Hashtbl.find_opt t.visits thread_id with
+      | Some l -> l
+      | None ->
+          let l = ref [] in
+          Hashtbl.replace t.visits thread_id l;
+          l
+    in
+    log := obj :: !log
+  end
 
 (* Touch the code pages the dispatch path executes: the entry
    trampoline on page 0 and the entry's own page.  Cold objects fault
@@ -286,7 +291,7 @@ and invoke t ~node ~thread_id ~origin ~txn ~obj ~entry arg =
   start_daemons t node a obj;
   Sim.Stats.incr t.invoke_count;
   record_visit t thread_id obj;
-  Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_setup;
+  Ra.Isiba.compute node Ra.Params.invoke_setup;
   touch_code node a entry;
   let ctx = make_ctx t node a ~obj ~thread_id ~origin ~txn in
   let result =
@@ -308,7 +313,7 @@ and invoke t ~node ~thread_id ~origin ~txn ~obj ~entry arg =
                  Dsm.Dsm_client.flush_segment client seg
              | Ra.Partition.One_copy -> ())
            [ a.data_seg; a.heap_seg ]);
-  Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_return;
+  Ra.Isiba.compute node Ra.Params.invoke_return;
   result
 
 let call t obj entry arg =
@@ -468,11 +473,11 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin
       ignore entry_name;
       let a = activate t node obj in
       start_daemons t node a obj;
-      Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_setup;
+      Ra.Isiba.compute node Ra.Params.invoke_setup;
       touch_code node a "constructor";
       let ctx = make_ctx t node a ~obj ~thread_id ~origin ~txn:None in
       ignore (wrapped.Obj_class.fn ctx arg);
-      Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_return);
+      Ra.Isiba.compute node Ra.Params.invoke_return);
   obj
 
 let delete_object t ?on obj =

@@ -85,7 +85,8 @@ val invoke_remote :
 
 val visited : t -> int -> Ra.Sysname.t list
 (** Objects a thread has entered, most recent first (thread-manager
-    bookkeeping). *)
+    bookkeeping).  Always [[]] for the pseudo-threads 0 and -1, which
+    never end. *)
 
 val end_thread : t -> int -> unit
 (** Release per-thread state (per-thread object memory, visit log). *)

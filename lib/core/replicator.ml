@@ -12,7 +12,6 @@ type t = {
   mutable active : int;  (* heal passes in flight *)
   mutable last_heal_at : Sim.Time.t option;
   copied : Sim.Stats.counter;
-  heals : Sim.Stats.counter;
 }
 
 let healthy_data t =
@@ -131,7 +130,6 @@ let copy_directory t ~src ~dst =
    chosen by address after the primary (wrapping), so a reheal trace
    is a pure function of the seed. *)
 let heal_pass t =
-  let copied_any = ref false in
   let dir_pairs = ref [] in
   let segs =
     Ra.Sysname.Table.fold
@@ -178,21 +176,17 @@ let heal_pass t =
                   (fun dst -> copy_segment t ~seg ~src:primary ~dst)
                   targets
               in
-              if added <> [] then begin
-                (* [copy_segment] already enlisted each target in the
-                   replica list (before its backfill, so mirrored
-                   writes covered the copy window) *)
-                copied_any := true;
-                List.iter
-                  (fun dst -> dir_pairs := (primary, dst) :: !dir_pairs)
-                  added
-              end
+              (* [copy_segment] already enlisted each target in the
+                 replica list (before its backfill, so mirrored writes
+                 covered the copy window) *)
+              List.iter
+                (fun dst -> dir_pairs := (primary, dst) :: !dir_pairs)
+                added
             end
       end)
     segs;
   List.sort_uniq compare (List.rev !dir_pairs)
-  |> List.iter (fun (src, dst) -> copy_directory t ~src ~dst);
-  if !copied_any then Sim.Stats.incr t.heals
+  |> List.iter (fun (src, dst) -> copy_directory t ~src ~dst)
 
 (* Is any tracked segment still short of copies?  (Lost segments are
    excluded: nothing can be copied until their last home rejoins.) *)
@@ -319,7 +313,6 @@ let install cl mon =
       active = 0;
       last_heal_at = None;
       copied = Sim.Stats.counter "repl.pages_copied";
-      heals = Sim.Stats.counter "repl.reheals";
     }
   in
   M.subscribe mon (fun v -> on_view t v);
@@ -333,5 +326,4 @@ let rec quiesce t =
 
 let last_heal t = t.last_heal_at
 let pages_copied t = Sim.Stats.value t.copied
-let reheals t = Sim.Stats.value t.heals
 let lost_segments t = Ra.Sysname.Table.length t.lost

@@ -32,9 +32,6 @@ val last_heal : t -> Sim.Time.t option
 val pages_copied : t -> int
 (** Pages shipped by heal passes over the replicator's lifetime. *)
 
-val reheals : t -> int
-(** Heal passes that copied at least one segment. *)
-
 val lost_segments : t -> int
 (** Segments that currently have no live replica (their last copy
     died and has not rejoined). *)

@@ -78,7 +78,6 @@ let slot_of t key =
 
 let owner t key = t.owners.(slot_of t key)
 let owner_of_string t s = owner t (key_of_string s)
-let owner_of_sysname t s = owner t (key_of_sysname s)
 
 (* distinct owners in arc order starting at the key's slot: the
    preference list used when the primary owner is unusable *)

@@ -26,7 +26,6 @@ val key_of_sysname : Ra.Sysname.t -> int
 val owner : t -> int -> Net.Address.t
 
 val owner_of_string : t -> string -> Net.Address.t
-val owner_of_sysname : t -> Ra.Sysname.t -> Net.Address.t
 
 (** Distinct members in arc order starting at [key]'s slot — the
     preference list to walk when the primary owner is down. *)

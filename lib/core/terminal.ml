@@ -1,18 +1,11 @@
-type t = {
-  wid : int;
-  mutable rev_output : string list;
-  input : string Queue.t;
-  mutable echo : bool;
-}
+type t = { wid : int; mutable rev_output : string list; mutable echo : bool }
 
-let create ~wid = { wid; rev_output = []; input = Queue.create (); echo = false }
+let create ~wid = { wid; rev_output = []; echo = false }
 
 let print t line =
   t.rev_output <- line :: t.rev_output;
   if t.echo then print_endline line
 
 let output t = List.rev t.rev_output
-let feed t line = Queue.add line t.input
-let read_line t = Queue.take_opt t.input
 let set_echo t v = t.echo <- v
 let wid t = t.wid

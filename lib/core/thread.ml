@@ -42,7 +42,7 @@ let start om ?origin ?on ~obj ~entry arg =
     (Ra.Node.spawn node
        (Printf.sprintf "thread-%d" tid)
        (fun () ->
-         Ra.Isiba.compute node cl.Cluster.params.Ra.Params.thread_create;
+         Ra.Isiba.compute node Ra.Params.thread_create;
          let outcome =
            match
              Object_manager.invoke om ~node ~thread_id:tid ~origin ~txn:None

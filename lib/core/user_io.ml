@@ -1,10 +1,6 @@
 let service = 20
 
-type Ratp.Packet.body +=
-  | Io_print of string
-  | Io_read
-  | Io_line of string option
-  | Io_ok
+type Ratp.Packet.body += Io_print of string | Io_ok
 
 let install node terminal =
   Ratp.Endpoint.serve node.Ra.Node.endpoint ~service (fun ~src:_ body ->
@@ -12,12 +8,6 @@ let install node terminal =
       | Io_print line ->
           Terminal.print terminal line;
           (Io_ok, 16)
-      | Io_read ->
-          let line = Terminal.read_line terminal in
-          let size =
-            match line with Some s -> 24 + String.length s | None -> 24
-          in
-          (Io_line line, size)
       | _ -> (Io_ok, 16))
 
 let remote_print node ~workstation line =
@@ -27,11 +17,3 @@ let remote_print node ~workstation line =
       (Io_print line)
   with
   | Ok _ | Error Ratp.Endpoint.Timeout -> ()
-
-let remote_read_line node ~workstation =
-  match
-    Ratp.Endpoint.call node.Ra.Node.endpoint ~dst:workstation ~service ~size:16
-      Io_read
-  with
-  | Ok (Io_line l) -> l
-  | Ok _ | Error Ratp.Endpoint.Timeout -> None

@@ -1,8 +1,8 @@
 (** The user I/O manager.
 
-    Threads read and write ASCII to the controlling terminal
-    regardless of where they execute: output is routed over RaTP to
-    the originating workstation's terminal server. *)
+    Threads write ASCII to the controlling terminal regardless of
+    where they execute: output is routed over RaTP to the originating
+    workstation's terminal server. *)
 
 val service : int
 (** RaTP service id served by every workstation. *)
@@ -14,7 +14,3 @@ val remote_print : Ra.Node.t -> workstation:Net.Address.t -> string -> unit
 (** Send one output line from the node currently running the thread
     to its controlling workstation.  Unreachable workstations drop
     output silently (the user is gone). *)
-
-val remote_read_line :
-  Ra.Node.t -> workstation:Net.Address.t -> string option
-(** Fetch a line of typed input, if any. *)

@@ -39,7 +39,6 @@ let locate_cached t seg =
       home
 
 let forget_location t seg = Ra.Sysname.Table.remove t.loc_cache seg
-let reset_location_cache t = Ra.Sysname.Table.reset t.loc_cache
 
 (* Selective eviction for placement-ring remaps: only the bindings the
    predicate condemns (the moved arc) are dropped; everything else
@@ -297,10 +296,8 @@ let flush_segment t seg =
             (List.map (fun (page, data) -> (seg, page, data)) dirty);
           List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty)
 
-let remote_fetches t = Sim.Stats.value t.fetches
 let put_rpcs t = Sim.Stats.value t.puts
 let invalidations_received t = Sim.Stats.value t.invals
-let downgrades_received t = Sim.Stats.value t.downs
 let location_hits t = Sim.Stats.value t.loc_hits
 let location_misses t = Sim.Stats.value t.loc_misses
 let location_evictions t = Sim.Stats.value t.loc_evictions

@@ -54,11 +54,6 @@ val flush_segment : t -> Ra.Sysname.t -> unit
     segment the home no longer stores raises
     {!Ra.Partition.No_segment} and leaves the frames dirty. *)
 
-val reset_location_cache : t -> unit
-(** Drop every cached segment-to-home binding (placement may change
-    across restarts).  Individual entries are already dropped
-    whenever their home stops answering. *)
-
 val evict_where : t -> (Ra.Sysname.t -> Net.Address.t -> bool) -> int
 (** Drop exactly the cached locations the predicate condemns (segment,
     cached home) and return how many were evicted — used on a
@@ -70,15 +65,11 @@ val apply_view : t -> Membership.Monitor.view -> unit
     [Dead], so the next fault re-resolves against a surviving replica
     instead of waiting out the RaTP retry ladder. *)
 
-val remote_fetches : t -> int
-(** [Get_page] RPCs issued: one per remote fault. *)
-
 val put_rpcs : t -> int
 (** Writeback RPCs issued: one [Put_batch] (or [Put_diffs]) per
     segment flush or evicted dirty frame. *)
 
 val invalidations_received : t -> int
-val downgrades_received : t -> int
 
 val location_hits : t -> int
 (** Faults whose home resolution was served from the location cache. *)

@@ -1,16 +1,12 @@
 module P = Protocol
 
+(* Per page: who holds it, and the mutex that serializes the page's
+   coherence actions. *)
 type owner_state = {
+  mutex : Sim.Mutex.t;
   mutable owner : Net.Address.t option;
   mutable copyset : Net.Address.t list;
 }
-
-module Txn_table = Hashtbl.Make (struct
-  type t = P.txn_id
-
-  let equal a b = P.txn_compare a b = 0
-  let hash (t : t) = Hashtbl.hash (t.P.tnode, t.P.tseq)
-end)
 
 (* What a participant remembers about a prepared transaction: the
    page images to apply at commit, (under group commit) the
@@ -29,7 +25,6 @@ type t = {
   wal : Store.Wal.t;
   directory : Store.Directory.t;
   mutable locks : Lock_table.t;
-  page_mutexes : (Ra.Sysname.t * int, Sim.Mutex.t) Hashtbl.t;
   owners : (Ra.Sysname.t * int, owner_state) Hashtbl.t;
   suspects : (Net.Address.t, unit) Hashtbl.t;
       (* nodes whose recalls timed out, or that the membership view
@@ -51,14 +46,14 @@ type t = {
          its stamp, and only the difference against the recorded
          delta is applied — the transport's exactly-once cache only
          dedups retransmits of the same call, not a fresh call *)
-  prepared : prep_entry Txn_table.t;
+  prepared : (P.txn_id, prep_entry) Hashtbl.t;
   presume_abort_after : Sim.Time.span;
   checkpoint_every : Sim.Time.span option;
   mutable cp_armed : bool;
       (* checkpoints are activity-driven: the first prepare after a
          quiet period arms a one-shot timer, so an idle server leaves
          no perpetual event chain behind *)
-  mutable oracle : (int * int) -> [ `Committed | `Aborted | `Pending | `Unknown ];
+  mutable oracle : P.txn_id -> [ `Committed | `Aborted | `Pending | `Unknown ];
   served : Sim.Stats.counter;
   invals : Sim.Stats.counter;
   downs : Sim.Stats.counter;
@@ -80,14 +75,6 @@ let directory t = t.directory
 let wal t = t.wal
 let locks t = t.locks
 
-let page_mutex t key =
-  match Hashtbl.find_opt t.page_mutexes key with
-  | Some m -> m
-  | None ->
-      let m = Sim.Mutex.create ~label:"dsm-page" () in
-      Hashtbl.replace t.page_mutexes key m;
-      m
-
 let consistency_of t seg =
   match Ra.Sysname.Table.find_opt t.modes seg with
   | Some m -> m
@@ -99,7 +86,13 @@ let owner_state t key =
   match Hashtbl.find_opt t.owners key with
   | Some s -> s
   | None ->
-      let s = { owner = None; copyset = [] } in
+      let s =
+        {
+          mutex = Sim.Mutex.create ~label:"dsm-page" ();
+          owner = None;
+          copyset = [];
+        }
+      in
       Hashtbl.replace t.owners key s;
       s
 
@@ -133,10 +126,7 @@ let mirror_writes t writes =
         ignore (P.call t.node ~dst (P.Mirror_writes ws))
       in
       Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.mirror" (fun () ->
-          (* fan-out workers run under fresh pids: re-bind the span *)
-          let parent = Obs.Tracer.current () in
-          let send dst = Obs.Tracer.under parent (fun () -> send dst) in
-          ignore (Sim.Fanout.map targets ~label:"dsm-mirror" ~f:send))
+          ignore (Obs.Tracer.fanout ~label:"dsm-mirror" targets ~f:send))
     end
   end
 
@@ -204,10 +194,7 @@ let invalidate_copies t key ~except =
     | [] -> []
     | _ ->
         Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.inval" (fun () ->
-            (* fan-out workers run under fresh pids: re-bind the span *)
-            let parent = Obs.Tracer.current () in
-            let invalidate p = Obs.Tracer.under parent (fun () -> invalidate p) in
-            Sim.Fanout.map targets ~label:"dsm-inval" ~f:invalidate)
+            Obs.Tracer.fanout ~label:"dsm-inval" targets ~f:invalidate)
   in
   List.iter
     (fun (peer, reply) ->
@@ -282,9 +269,7 @@ let release_flush t writes ~except =
       | Error Ratp.Endpoint.Timeout -> Hashtbl.replace t.suspects peer ()
     in
     Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.release_flush" (fun () ->
-        let parent = Obs.Tracer.current () in
-        let send x = Obs.Tracer.under parent (fun () -> send x) in
-        ignore (Sim.Fanout.map targets ~label:"dsm-release" ~f:send))
+        ignore (Obs.Tracer.fanout ~label:"dsm-release" targets ~f:send))
   end
 
 let warm_segment t seg =
@@ -297,11 +282,11 @@ let warm_segment t seg =
 
 let handle_get t ~src seg page mode =
   let key = (seg, page) in
-  Sim.Mutex.with_lock (page_mutex t key) (fun () ->
+  let st = owner_state t key in
+  Sim.Mutex.with_lock st.mutex (fun () ->
       if not (Store.Segment_store.exists t.store seg) then P.Page_error
       else begin
         warm_segment t seg;
-        let st = owner_state t key in
         (match mode with
         | Ra.Partition.Read ->
             (match st.owner with
@@ -337,8 +322,6 @@ let handle_get t ~src seg page mode =
         P.Got_page (Store.Segment_store.read_page t.store seg page)
       end)
 
-let release_txn_everywhere t txn = Lock_table.release_txn t.locks txn
-
 (* Whether every item names a segment this server stores.  Batches
    that fail it are refused whole, before anything is applied:
    skipping just the orphaned entries would let the client mark those
@@ -372,13 +355,9 @@ let maybe_arm_checkpoint t =
               ignore
                 (Ra.Node.spawn t.node "wal-checkpoint" (fun () ->
                      let active =
-                       Txn_table.fold
+                       Hashtbl.fold
                          (fun txn e acc ->
-                           {
-                             Store.Wal.txn = (txn.P.tnode, txn.P.tseq);
-                             writes = e.writes;
-                             undo = e.undo;
-                           }
+                           { Store.Wal.txn; writes = e.writes; undo = e.undo }
                            :: acc)
                          t.prepared []
                        |> List.sort (fun a b ->
@@ -386,6 +365,22 @@ let maybe_arm_checkpoint t =
                      in
                      ignore (Store.Wal.checkpoint t.wal ~active))))
       end
+
+(* A decision arrived (or the presumed-abort timer fired): the entry
+   goes, and with it the timer, which would only have found it gone. *)
+let settle t txn e =
+  Sim.Engine.cancel t.node.Ra.Node.eng e.abort_timer;
+  Hashtbl.remove t.prepared txn
+
+let handle_abort t txn =
+  (match Hashtbl.find_opt t.prepared txn with
+  | Some e ->
+      Store.Wal.append t.wal (Store.Wal.Aborted txn);
+      settle t txn e;
+      Sim.Stats.incr t.abort_count
+  | None -> ());
+  Lock_table.release_txn t.locks txn;
+  P.Txn_done
 
 let handle_prepare t txn writes =
   if not (stores_all t (fun (seg, _, _) -> seg) writes) then P.Vote false
@@ -416,8 +411,7 @@ let handle_prepare t txn writes =
     (* the vote leaves only after the prepare record is durable —
        under group commit it rides the next group flush with every
        other concurrently-preparing transaction *)
-    Store.Wal.append t.wal
-      (Store.Wal.Prepared { txn = (txn.P.tnode, txn.P.tseq); writes; undo });
+    Store.Wal.append t.wal (Store.Wal.Prepared { txn; writes; undo });
     (* presumed abort: if the coordinator dies before deciding, the
        participant self-aborts after a timeout *)
     let eng = t.node.Ra.Node.eng in
@@ -425,29 +419,18 @@ let handle_prepare t txn writes =
       Sim.Engine.timer eng
         (Sim.Time.add (Sim.Engine.now eng) t.presume_abort_after)
         (fun () ->
-          if Txn_table.mem t.prepared txn then
+          if Hashtbl.mem t.prepared txn then
             ignore
               (Ra.Node.spawn t.node "presumed-abort" (fun () ->
-                   if Txn_table.mem t.prepared txn then begin
-                     Store.Wal.append t.wal
-                       (Store.Wal.Aborted (txn.P.tnode, txn.P.tseq));
-                     Txn_table.remove t.prepared txn;
-                     Sim.Stats.incr t.abort_count;
-                     release_txn_everywhere t txn
-                   end)))
+                   if Hashtbl.mem t.prepared txn then
+                     ignore (handle_abort t txn))))
     in
-    Txn_table.replace t.prepared txn { writes; undo; abort_timer };
+    Hashtbl.replace t.prepared txn { writes; undo; abort_timer };
     P.Vote true
   end
 
-(* The coordinator's decision arrived: the entry goes, and with it the
-   presumed-abort timer, which would only have found it gone. *)
-let settle t txn e =
-  Sim.Engine.cancel t.node.Ra.Node.eng e.abort_timer;
-  Txn_table.remove t.prepared txn
-
 let handle_commit t ~src txn =
-  match Txn_table.find_opt t.prepared txn with
+  match Hashtbl.find_opt t.prepared txn with
   | Some ({ writes; _ } as e) when Store.Wal.group_commit t.wal ->
       (* pipelined commit: the record goes into the log buffer, the
          pages are applied (tagged with the commit LSN) and the locks
@@ -455,14 +438,11 @@ let handle_commit t ~src txn =
          observe released locks with unapplied pages — and the reply,
          which is the coordinator's ack, leaves only once the group
          flush has made the record durable *)
-      let lsn =
-        Store.Wal.enqueue t.wal
-          (Store.Wal.Committed (txn.P.tnode, txn.P.tseq))
-      in
+      let lsn = Store.Wal.enqueue t.wal (Store.Wal.Committed txn) in
       apply_writes t ~lsn writes;
       settle t txn e;
       Sim.Stats.incr t.commit_count;
-      release_txn_everywhere t txn;
+      Lock_table.release_txn t.locks txn;
       (* the deferred-invalidation burst waits for durability: it
          makes remote nodes refetch these pages, and a crash before
          the group flush would un-commit writes they had already
@@ -473,27 +453,17 @@ let handle_commit t ~src txn =
       mirror_writes t writes;
       P.Txn_done
   | Some ({ writes; _ } as e) ->
-      Store.Wal.append t.wal (Store.Wal.Committed (txn.P.tnode, txn.P.tseq));
+      Store.Wal.append t.wal (Store.Wal.Committed txn);
       apply_writes t writes;
       release_flush t writes ~except:src;
       mirror_writes t writes;
       settle t txn e;
       Sim.Stats.incr t.commit_count;
-      release_txn_everywhere t txn;
+      Lock_table.release_txn t.locks txn;
       P.Txn_done
   | None ->
-      release_txn_everywhere t txn;
+      Lock_table.release_txn t.locks txn;
       P.Txn_done
-
-let handle_abort t txn =
-  (match Txn_table.find_opt t.prepared txn with
-  | Some e ->
-      Store.Wal.append t.wal (Store.Wal.Aborted (txn.P.tnode, txn.P.tseq));
-      settle t txn e;
-      Sim.Stats.incr t.abort_count
-  | None -> ());
-  release_txn_everywhere t txn;
-  P.Txn_done
 
 (* Span names for served operations — static strings, so labelling a
    traced request allocates nothing. *)
@@ -620,9 +590,7 @@ let handle t ~src body =
       List.iter
         (fun (seg, page, data) ->
           if Store.Segment_store.exists t.store seg then
-            Sim.Mutex.with_lock
-              (page_mutex t (seg, page))
-              (fun () ->
+            Sim.Mutex.with_lock (owner_state t (seg, page)).mutex (fun () ->
                 invalidate_copies t (seg, page) ~except:(-1);
                 Store.Segment_store.write_page t.store seg page data))
         writes;
@@ -729,14 +697,13 @@ let create node ?(presume_abort_after = Sim.Time.sec 60) ?group_commit_window
           disk;
       directory = Store.Directory.create ();
       locks = Lock_table.create ();
-      page_mutexes = Hashtbl.create 64;
       owners = Hashtbl.create 64;
       suspects = Hashtbl.create 8;
       mirrors = (fun _ -> []);
       modes = Ra.Sysname.Table.create 16;
       warmed = Ra.Sysname.Table.create 64;
       merge_applied = Hashtbl.create 16;
-      prepared = Txn_table.create 8;
+      prepared = Hashtbl.create 8;
       presume_abort_after;
       checkpoint_every;
       cp_armed = false;
@@ -786,8 +753,7 @@ let suspected t =
 let recover t =
   Hashtbl.reset t.owners;
   Hashtbl.reset t.suspects;
-  Hashtbl.reset t.page_mutexes;
-  Txn_table.reset t.prepared;
+  Hashtbl.reset t.prepared;
   t.locks <- Lock_table.create ();
   let applied = ref [] in
   let decide txn =
@@ -802,32 +768,28 @@ let recover t =
      re-resolves them if the decision never arrives *)
   List.iter
     (fun (p : Store.Wal.prep) ->
-      let tnode, tseq = p.Store.Wal.txn in
+      let txn = p.Store.Wal.txn in
       let writes = p.Store.Wal.writes in
-      let txn = { P.tnode; tseq } in
       let eng = t.node.Ra.Node.eng in
       let abort_timer =
         Sim.Engine.timer eng
           (Sim.Time.add (Sim.Engine.now eng) t.presume_abort_after)
           (fun () ->
-            if Txn_table.mem t.prepared txn then begin
-              match t.oracle (tnode, tseq) with
+            if Hashtbl.mem t.prepared txn then begin
+              match t.oracle txn with
               | `Committed ->
-                  let lsn =
-                    Store.Wal.enqueue t.wal (Store.Wal.Committed (tnode, tseq))
-                  in
+                  let lsn = Store.Wal.enqueue t.wal (Store.Wal.Committed txn) in
                   apply_writes t ~lsn writes;
-                  Txn_table.remove t.prepared txn;
-                  release_txn_everywhere t txn
+                  Hashtbl.remove t.prepared txn;
+                  Lock_table.release_txn t.locks txn
               | `Aborted | `Unknown ->
-                  Store.Wal.append_nowait t.wal
-                    (Store.Wal.Aborted (tnode, tseq));
-                  Txn_table.remove t.prepared txn;
-                  release_txn_everywhere t txn
+                  Store.Wal.append_nowait t.wal (Store.Wal.Aborted txn);
+                  Hashtbl.remove t.prepared txn;
+                  Lock_table.release_txn t.locks txn
               | `Pending -> ()
             end)
       in
-      Txn_table.replace t.prepared txn
+      Hashtbl.replace t.prepared txn
         { writes; undo = p.Store.Wal.undo; abort_timer };
       (* recovery locking: the in-doubt transaction's write locks
          must be held again, or later transactions would read
@@ -857,7 +819,6 @@ let invalidations_sent t = Sim.Stats.value t.invals
 let downgrades_sent t = Sim.Stats.value t.downs
 let commits t = Sim.Stats.value t.commit_count
 let aborts t = Sim.Stats.value t.abort_count
-let mirrored_writes t = Sim.Stats.value t.mirrored
 let deferred_invals t = Sim.Stats.value t.deferred
 let release_flush_bursts t = Sim.Stats.value t.flush_bursts
 let merges_applied t = Sim.Stats.value t.merges

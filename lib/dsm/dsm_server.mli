@@ -50,7 +50,9 @@ val wal : t -> Store.Wal.t
 val locks : t -> Lock_table.t
 
 val set_outcome_oracle :
-  t -> ((int * int) -> [ `Committed | `Aborted | `Pending | `Unknown ]) -> unit
+  t ->
+  (Protocol.txn_id -> [ `Committed | `Aborted | `Pending | `Unknown ]) ->
+  unit
 (** How a recovering participant learns the fate of a transaction it
     prepared but never saw decided: ask the coordinator (the
     atomicity manager installs this).  [`Pending] — the coordinator
@@ -106,9 +108,6 @@ val invalidations_sent : t -> int
 val downgrades_sent : t -> int
 val commits : t -> int
 val aborts : t -> int
-
-val mirrored_writes : t -> int
-(** Page images forwarded to backups over this server's lifetime. *)
 
 val deferred_invals : t -> int
 (** Per-copy invalidations skipped by relaxed-mode write faults. *)

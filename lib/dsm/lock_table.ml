@@ -23,7 +23,9 @@ let entry_of t seg =
       Ra.Sysname.Table.replace t.entries seg e;
       e
 
-let txn_eq a b = Protocol.txn_compare a b = 0
+let txn_eq ((n, s) : Protocol.txn_id) ((n', s') : Protocol.txn_id) =
+  Int.equal n n' && Int.equal s s'
+
 let is_reader e txn = List.exists (txn_eq txn) e.readers
 let active_queue e = List.filter (fun w -> w.w_active) e.queue
 

@@ -1,4 +1,4 @@
-type txn_id = { tnode : int; tseq : int }
+type txn_id = int * int
 
 type lock_kind = R | W
 
@@ -147,14 +147,3 @@ let call node ~dst body =
 let call_client node ~dst body =
   Ratp.Endpoint.call node.Ra.Node.endpoint ~dst ~service:client_service
     ~size:(request_bytes body) body
-
-let txn_compare a b =
-  match Int.compare a.tnode b.tnode with
-  | 0 -> Int.compare a.tseq b.tseq
-  | c -> c
-
-let pp_txn fmt t = Format.fprintf fmt "txn-%d.%d" t.tnode t.tseq
-
-let pp_lock_kind fmt = function
-  | R -> Format.pp_print_string fmt "R"
-  | W -> Format.pp_print_string fmt "W"

@@ -5,9 +5,9 @@
     these RaTP message bodies.  Sizes model an 8K page plus headers
     where page data is carried. *)
 
+type txn_id = int * int
 (** Transactions are named by their coordinating node and a per-node
     sequence number. *)
-type txn_id = { tnode : int; tseq : int }
 
 type lock_kind = R | W
 
@@ -111,7 +111,3 @@ val call_client :
   (Ratp.Packet.body, Ratp.Endpoint.error) result
 (** Like {!call}, to the DSM client service (server-initiated
     invalidation and downgrade). *)
-
-val txn_compare : txn_id -> txn_id -> int
-val pp_txn : Format.formatter -> txn_id -> unit
-val pp_lock_kind : Format.formatter -> lock_kind -> unit

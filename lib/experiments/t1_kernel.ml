@@ -22,9 +22,8 @@ let measure_context_switch ~samples =
 
 let measure_faults ~samples =
   Sim.exec (fun () ->
-      let params = Ra.Params.default in
       let cpu = Ra.Cpu.create () in
-      let mmu = Ra.Mmu.create ~params ~cpu () in
+      let mmu = Ra.Mmu.create ~cpu () in
       let store = Store.Segment_store.create "local" in
       Ra.Mmu.set_resolver mmu (fun _ -> Store.Segment_store.local_partition store);
       let gen = Ra.Sysname.make_gen ~node:0 in

@@ -60,13 +60,8 @@ val cut : t -> Address.t -> Address.t -> unit
 (** Drop all frames from the first address to the second (one
     direction). *)
 
-val cut_both : t -> Address.t -> Address.t -> unit
-(** Cut both directions. *)
-
 val heal : t -> Address.t -> Address.t -> unit
 (** Undo {!cut} for that direction. *)
-
-val heal_both : t -> Address.t -> Address.t -> unit
 
 val partition_for : t -> Address.t -> Address.t -> Sim.Time.span -> unit
 (** [partition_for t a b span] cuts both directions now and heals

@@ -127,6 +127,10 @@ let under ctx f =
           | None -> Hashtbl.remove tr.current pid)
   | _ -> f ()
 
+let fanout ~label xs ~f =
+  let parent = current () in
+  Sim.Fanout.map xs ~label ~f:(fun x -> under parent (fun () -> f x))
+
 let offer ~origin ~seq =
   match !active with
   | None -> ()

@@ -59,6 +59,11 @@ val under : ctx -> (unit -> 'a) -> 'a
     spans [f] opens become its children.  No-op context when tracing
     is off. *)
 
+val fanout : label:string -> 'a list -> f:('a -> 'b) -> 'b list
+(** {!Sim.Fanout.map} with every worker re-bound to the caller's span
+    (fan-out workers run under fresh pids), so the spans they open
+    stay in the caller's trace. *)
+
 val offer : origin:int -> seq:int -> unit
 (** Publish the caller's context under an RPC transaction id, before
     the request is sent. *)

@@ -10,15 +10,10 @@ type t = {
 (* the preemption slice *)
 let quantum = Sim.Time.ms 10
 
-let create ?context_switch () =
-  let cs_cost =
-    match context_switch with
-    | Some c -> c
-    | None -> Params.default.Params.context_switch
-  in
+let create ?(context_switch = Params.context_switch) () =
   {
     lock = Sim.Mutex.create ~label:"cpu" ();
-    cs_cost;
+    cs_cost = context_switch;
     last = None;
     switches = 0;
     busy = 0;

@@ -11,7 +11,7 @@
 type t
 
 val create : ?context_switch:Sim.Time.span -> unit -> t
-(** [context_switch] defaults to {!Params.default}'s value. *)
+(** [context_switch] defaults to {!Params.context_switch}. *)
 
 val consume : t -> key:int -> Sim.Time.span -> unit
 (** [consume t ~key span] runs [span] of work on behalf of the

@@ -20,7 +20,6 @@ type frame = {
 }
 
 type t = {
-  params : Params.t;
   cpu : Cpu.t;
   max_frames : int;
   mutable access_clock : int;
@@ -36,10 +35,9 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(max_frames = max_int) ~params ~cpu () =
+let create ?(max_frames = max_int) ~cpu () =
   if max_frames < 1 then invalid_arg "Mmu.create: max_frames must be positive";
   {
-    params;
     cpu;
     max_frames;
     access_clock = 0;
@@ -135,7 +133,7 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
               Sim.Ivar.fill iv ())
             (fun () ->
               let self = Sim.self () in
-              Cpu.consume t.cpu ~key:self t.params.Params.fault_trap;
+              Cpu.consume t.cpu ~key:self Params.fault_trap;
               t.faults <- t.faults + 1;
               if existing <> None then t.upgrades <- t.upgrades + 1;
               let partition = t.resolver seg in
@@ -143,7 +141,7 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
               let frame =
                 match fetched with
                 | Partition.Zeroed ->
-                    Cpu.consume t.cpu ~key:self t.params.Params.fault_zero_fill;
+                    Cpu.consume t.cpu ~key:self Params.fault_zero_fill;
                     {
                       mode = need;
                       data = Page.zero ();
@@ -153,7 +151,7 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
                       base_stamp = 0;
                     }
                 | Partition.Data b ->
-                    Cpu.consume t.cpu ~key:self t.params.Params.fault_copy;
+                    Cpu.consume t.cpu ~key:self Params.fault_copy;
                     let data = Page.zero () in
                     Bytes.blit b 0 data 0 (min (Bytes.length b) Page.size);
                     {
@@ -193,7 +191,6 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
    ~n] to each piece. *)
 let access t vs ~addr ~len ~need f =
   if len < 0 then invalid_arg "Mmu: negative length";
-  let self = Sim.self () in
   let pos = ref 0 in
   while !pos < len do
     let va = addr + !pos in
@@ -212,8 +209,6 @@ let access t vs ~addr ~len ~need f =
         | Some hook -> hook m.Virtual_space.seg page need
         | None -> ());
         let frame = ensure_resident t m.Virtual_space.seg page need in
-        if t.params.Params.mem_access_byte_ns > 0 then
-          Cpu.consume t.cpu ~key:self (t.params.Params.mem_access_byte_ns * n);
         f frame ~page_off ~buf_off:!pos ~n;
         pos := !pos + n
   done
@@ -235,11 +230,6 @@ let write t vs ~addr src =
 let resident t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
   | Some f -> Some f.mode
-  | None -> None
-
-let page_data t seg page =
-  match Hashtbl.find_opt t.frames (seg, page) with
-  | Some f -> Some (Page.copy f.data)
   | None -> None
 
 let dirty_pages t seg =

@@ -19,7 +19,7 @@ exception Segv of int
 exception Write_protect of int
 (** Write through a read-only mapping. *)
 
-val create : ?max_frames:int -> params:Params.t -> cpu:Cpu.t -> unit -> t
+val create : ?max_frames:int -> cpu:Cpu.t -> unit -> t
 (** The partition resolver must be set before the first fault.
     [max_frames] bounds physical memory: when the node holds that
     many page frames, faulting another page evicts the least recently
@@ -50,9 +50,6 @@ val write : t -> Virtual_space.t -> addr:int -> bytes -> unit
 
 val resident : t -> Sysname.t -> int -> Partition.mode option
 (** Residency and mode of a page frame on this node. *)
-
-val page_data : t -> Sysname.t -> int -> bytes option
-(** Copy of the resident frame's contents (tests, commit processing). *)
 
 val dirty_pages : t -> Sysname.t -> (int * bytes) list
 (** Dirty resident pages of a segment, sorted by page index. *)

@@ -5,7 +5,6 @@ type t = {
   kind : kind;
   eng : Sim.Engine.t;
   ether : Net.Ethernet.t;
-  params : Params.t;
   cpu : Cpu.t;
   mmu : Mmu.t;
   endpoint : Ratp.Endpoint.t;
@@ -14,11 +13,10 @@ type t = {
   mutable sched_load : int;
 }
 
-let create ether ~id ~kind ?(params = Params.default) ?ratp_config ?max_frames
-    () =
+let create ether ~id ~kind ?ratp_config ?max_frames () =
   let eng = Net.Ethernet.engine ether in
-  let cpu = Cpu.create ~context_switch:params.Params.context_switch () in
-  let mmu = Mmu.create ?max_frames ~params ~cpu () in
+  let cpu = Cpu.create () in
+  let mmu = Mmu.create ?max_frames ~cpu () in
   let endpoint =
     Ratp.Endpoint.create ether ~addr:id ~group:id ?config:ratp_config ()
   in
@@ -27,7 +25,6 @@ let create ether ~id ~kind ?(params = Params.default) ?ratp_config ?max_frames
     kind;
     eng;
     ether;
-    params;
     cpu;
     mmu;
     endpoint;

@@ -15,7 +15,6 @@ type t = {
   kind : kind;
   eng : Sim.Engine.t;
   ether : Net.Ethernet.t;
-  params : Params.t;
   cpu : Cpu.t;
   mmu : Mmu.t;
   endpoint : Ratp.Endpoint.t;
@@ -30,7 +29,6 @@ val create :
   Net.Ethernet.t ->
   id:int ->
   kind:kind ->
-  ?params:Params.t ->
   ?ratp_config:Ratp.Endpoint.config ->
   ?max_frames:int ->
   unit ->

@@ -416,6 +416,20 @@ let test_thread_run_and_join () =
       check_bool "visited recorded" true
         (List.exists (Ra.Sysname.equal rect) (Thread.visited sys.om t2)))
 
+(* Thread 0 ([Object_manager.call]) never ends, so it must not keep a
+   visit log: one entry per call would grow without bound. *)
+let test_pseudo_thread_no_visit_log () =
+  with_system (fun sys ->
+      Cluster.register_class sys.cluster rectangle;
+      let rect =
+        Object_manager.create_object sys.om ~class_name:"rectangle" Value.Unit
+      in
+      for _ = 1 to 100 do
+        ignore (Object_manager.call sys.om rect "area" Value.Unit)
+      done;
+      check_int "thread 0 visit log" 0
+        (List.length (Object_manager.visited sys.om 0)))
+
 let test_thread_failure_surfaces () =
   with_system (fun sys ->
       let bomb =
@@ -646,6 +660,8 @@ let () =
       ( "threads",
         [
           Alcotest.test_case "run and join" `Quick test_thread_run_and_join;
+          Alcotest.test_case "pseudo-thread keeps no visit log" `Quick
+            test_pseudo_thread_no_visit_log;
           Alcotest.test_case "failure surfaces" `Quick
             test_thread_failure_surfaces;
           Alcotest.test_case "kill" `Quick test_thread_kill;

@@ -244,7 +244,7 @@ let test_request_bytes_accounting () =
   check_int "Put_batch" (48 + ws_bytes) (P.request_bytes (P.Put_batch ws));
   check_int "Overwrite" (48 + ws_bytes) (P.request_bytes (P.Overwrite ws));
   check_int "Prepare" (64 + ws_bytes)
-    (P.request_bytes (P.Prepare { txn = { P.tnode = 1; tseq = 1 }; writes = ws }));
+    (P.request_bytes (P.Prepare { txn = (1, 1); writes = ws }));
   (* sysname lists charge the same 24-byte entries as descriptors *)
   check_int "Objects" (32 + (24 * 3))
     (P.request_bytes (P.Objects [ seg; seg; seg ]));
@@ -353,7 +353,7 @@ let test_owner_crash_recovers_stored_state () =
 (* ------------------------------------------------------------------ *)
 (* Lock table (direct) *)
 
-let txn n = { P.tnode = n; tseq = 0 }
+let txn n = (n, 0)
 
 let test_locks_shared_and_exclusive () =
   Sim.exec (fun () ->
@@ -444,7 +444,7 @@ let rpc cl node body = P.call node ~dst:cl.nd.Ra.Node.id body
 let test_lock_service_and_abort_release () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
-      let t1 = { P.tnode = 2; tseq = 1 } and t2 = { P.tnode = 3; tseq = 1 } in
+      let t1 = (2, 1) and t2 = (3, 1) in
       (match rpc cl cl.n1 (P.Lock_segment { seg; kind = P.W; txn = t1 }) with
       | Ok P.Lock_granted -> ()
       | Ok _ | Error _ -> Alcotest.fail "t1 lock failed");
@@ -466,7 +466,7 @@ let test_lock_service_and_abort_release () =
 let test_two_phase_commit_applies () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
-      let t1 = { P.tnode = 2; tseq = 7 } in
+      let t1 = (2, 7) in
       let page = Bytes.make Ra.Page.size 'c' in
       (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, page) ] }) with
       | Ok (P.Vote true) -> ()
@@ -489,7 +489,7 @@ let test_two_phase_commit_applies () =
 let test_two_phase_abort_discards () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
-      let t1 = { P.tnode = 2; tseq = 8 } in
+      let t1 = (2, 8) in
       let page = Bytes.make Ra.Page.size 'x' in
       (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, page) ] }) with
       | Ok (P.Vote true) -> ()
@@ -505,7 +505,7 @@ let test_two_phase_abort_discards () =
 let test_prepare_unknown_segment_votes_no () =
   with_cluster (fun cl ->
       let bogus = Ra.Sysname.fresh cl.n1.Ra.Node.names in
-      let t1 = { P.tnode = 2; tseq = 9 } in
+      let t1 = (2, 9) in
       match
         rpc cl cl.n1
           (P.Prepare { txn = t1; writes = [ (bogus, 0, Bytes.create 8) ] })
@@ -516,7 +516,7 @@ let test_prepare_unknown_segment_votes_no () =
 let test_presumed_abort_times_out () =
   with_cluster ~presume_abort_after:(Time.sec 2) (fun cl ->
       let seg = new_seg cl ~pages:1 in
-      let t1 = { P.tnode = 2; tseq = 10 } in
+      let t1 = (2, 10) in
       (match rpc cl cl.n1 (P.Lock_segment { seg; kind = P.W; txn = t1 }) with
       | Ok P.Lock_granted -> ()
       | Ok _ | Error _ -> Alcotest.fail "lock failed");
@@ -531,7 +531,7 @@ let test_presumed_abort_times_out () =
       (match Store.Segment_store.read_page (Dsm.Dsm_server.store cl.server) seg 0 with
       | Ra.Partition.Zeroed -> ()
       | Ra.Partition.Data _ -> Alcotest.fail "leaked");
-      let t2 = { P.tnode = 3; tseq = 1 } in
+      let t2 = (3, 1) in
       match rpc cl cl.n2 (P.Lock_segment { seg; kind = P.W; txn = t2 }) with
       | Ok P.Lock_granted -> ()
       | Ok _ | Error _ -> Alcotest.fail "lock not released by presumed abort")

@@ -55,6 +55,32 @@ let test_span_survives_exception () =
   let after = Tracer.get tr 2 in
   check_int "binding restored, new root" (-1) after.Tracer.parent
 
+let test_fanout_parents_workers () =
+  (* fan-out workers run under fresh pids: the spans they open must
+     still hang under the caller's span *)
+  let tr = Tracer.create () in
+  Tracer.install tr;
+  let results =
+    Fun.protect ~finally:Tracer.uninstall (fun () ->
+        Sim.exec (fun () ->
+            Tracer.with_span "caller" (fun () ->
+                Tracer.fanout ~label:"w" [ 2; 1 ] ~f:(fun ms ->
+                    Tracer.with_span "worker" (fun () ->
+                        Sim.sleep (Sim.Time.ms ms);
+                        ms * 10)))))
+  in
+  Alcotest.(check (list int)) "results in input order" [ 20; 10 ] results;
+  check_int "three spans" 3 (Tracer.span_count tr);
+  let caller = Tracer.get tr 0 in
+  check_str "caller first" "caller" caller.Tracer.name;
+  List.iter
+    (fun id ->
+      let w = Tracer.get tr id in
+      check_str "worker span" "worker" w.Tracer.name;
+      check_int "parent is the caller" caller.Tracer.id w.Tracer.parent;
+      check_int "caller's trace" caller.Tracer.trace w.Tracer.trace)
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Stage classification and export validation *)
 
@@ -326,6 +352,8 @@ let () =
             test_disabled_tracing_is_a_noop;
           Alcotest.test_case "exception safety" `Quick
             test_span_survives_exception;
+          Alcotest.test_case "fan-out workers parent under the caller"
+            `Quick test_fanout_parents_workers;
         ] );
       ( "export",
         [

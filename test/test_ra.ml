@@ -197,9 +197,8 @@ let fake_partition () =
 
 let with_mmu f =
   Sim.exec (fun () ->
-      let params = Params.default in
-      let cpu = Cpu.create ~context_switch:params.Params.context_switch () in
-      let mmu = Mmu.create ~params ~cpu () in
+      let cpu = Cpu.create () in
+      let mmu = Mmu.create ~cpu () in
       let partition, pages, fetches = fake_partition () in
       Mmu.set_resolver mmu (fun _ -> partition);
       let vs = Virtual_space.create () in
@@ -336,9 +335,8 @@ let test_mmu_clear_drops_everything () =
 
 let with_small_mmu ~max_frames f =
   Sim.exec (fun () ->
-      let params = Params.default in
-      let cpu = Cpu.create ~context_switch:params.Params.context_switch () in
-      let mmu = Mmu.create ~max_frames ~params ~cpu () in
+      let cpu = Cpu.create () in
+      let mmu = Mmu.create ~max_frames ~cpu () in
       let partition, pages, fetches = fake_partition () in
       Mmu.set_resolver mmu (fun _ -> partition);
       let vs = Virtual_space.create () in
