@@ -507,9 +507,11 @@ let handle t ~src body =
         let images =
           List.map
             (fun (seg, page, spans) ->
+              (* the stored image is shared (with readers' frames and
+                 messages in flight): apply the spans to a copy *)
               let cur =
                 match Store.Segment_store.read_page t.store seg page with
-                | Ra.Partition.Data b -> b
+                | Ra.Partition.Data b -> Bytes.copy b
                 | Ra.Partition.Zeroed -> Bytes.make Ra.Page.size '\000'
               in
               List.iter
@@ -567,9 +569,10 @@ let handle t ~src body =
                       Some delta
                 end
               in
+              (* merged into a copy: the stored image is shared *)
               let into =
                 match Store.Segment_store.read_page t.store seg page with
-                | Ra.Partition.Data b -> b
+                | Ra.Partition.Data b -> Bytes.copy b
                 | Ra.Partition.Zeroed -> Bytes.make Ra.Page.size '\000'
               in
               (match effective with

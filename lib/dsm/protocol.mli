@@ -12,7 +12,9 @@ type txn_id = int * int
 type lock_kind = R | W
 
 type write_set = (Ra.Sysname.t * int * bytes) list
-(** (segment, page index, page image) triples. *)
+(** (segment, page index, page image) triples.  Images in a message
+    body are shared by reference with the sender and the receiver's
+    store, so nobody writes to them once sent. *)
 
 type Ratp.Packet.body +=
   | Get_page of { seg : Ra.Sysname.t; page : int; mode : Ra.Partition.mode }

@@ -49,6 +49,9 @@ type point = {
   throughput : float;  (** completions per simulated second *)
   sim_ms : float;  (** simulated makespan of the measured window *)
   wall_s : float;  (** real seconds for the whole cell, engine metric *)
+  top_heap_mb : float;
+      (** the process's peak OCaml heap so far, host metric like
+          [wall_s] *)
 }
 
 let cell ~label ~data ~compute ~clients ~rate ~invocations ~write_pct ~nkeys
@@ -204,6 +207,10 @@ let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
   in
   let sim_ms, misses, retries, lat = result in
   let wall_s = Unix.gettimeofday () -. wall0 in
+  let top_heap_mb =
+    float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+    /. 1048576.0
+  in
   {
     cell = c;
     completed = Sim.Stats.hist_n lat;
@@ -217,6 +224,7 @@ let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
     throughput = float_of_int (Sim.Stats.hist_n lat) /. (sim_ms /. 1000.0);
     sim_ms;
     wall_s;
+    top_heap_mb;
   }
 
 let run ?(seed = 42) ?(cells = smoke_cells) () =
@@ -226,13 +234,13 @@ let summary p =
   Printf.sprintf
     "%s nodes=%d clients=%d rate=%.0f/s inv=%d wr=%d%% %s: p50=%.1fms \
      p95=%.1fms p99=%.1fms mean=%.1fms tput=%.0f/s sim=%.0fms wall=%.2fs \
-     miss=%d retry=%d"
+     top_heap=%.0fMB miss=%d retry=%d"
     p.cell.label
     (p.cell.data + p.cell.compute)
     p.cell.clients p.cell.rate p.cell.invocations p.cell.write_pct
     (if p.cell.sharded then "sharded" else "central")
     p.p50_ms p.p95_ms p.p99_ms p.mean_ms p.throughput p.sim_ms p.wall_s
-    p.misses p.retries
+    p.top_heap_mb p.misses p.retries
 
 let report points =
   Report.table
@@ -259,7 +267,8 @@ let report points =
        points)
 
 
-(* Simulated metrics only: [wall_s] is host time and stays out. *)
+(* Simulated metrics only: [wall_s] and [top_heap_mb] are host
+   metrics and stay out. *)
 let to_json points =
   let open Obs.Export in
   let point (p : point) =

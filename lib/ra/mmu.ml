@@ -3,7 +3,10 @@ exception Write_protect of int
 
 type frame = {
   mutable mode : Partition.mode;
-  data : bytes;  (* always Page.size long *)
+  mutable data : bytes;
+      (* always Page.size long.  A Read frame may share its image with
+         the store, the wire and other nodes' frames, so it is never
+         written; only a Write frame owns a private copy. *)
   mutable dirty : bool;
   mutable last_used : int;  (* logical access clock, for LRU *)
   mutable base : bytes option;
@@ -152,8 +155,15 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
                     }
                 | Partition.Data b ->
                     Cpu.consume t.cpu ~key:self Params.fault_copy;
-                    let data = Page.zero () in
-                    Bytes.blit b 0 data 0 (min (Bytes.length b) Page.size);
+                    let data =
+                      match need with
+                      | Partition.Read when Bytes.length b = Page.size -> b
+                      | Partition.Read | Partition.Write ->
+                          let data = Page.zero () in
+                          Bytes.blit b 0 data 0
+                            (min (Bytes.length b) Page.size);
+                          data
+                    in
                     {
                       mode = need;
                       data;
@@ -247,7 +257,7 @@ let invalidate t seg page =
   | None -> None
   | Some f ->
       Hashtbl.remove t.frames (seg, page);
-      if f.dirty then Some (Page.copy f.data) else None
+      if f.dirty then Some f.data else None
 
 let downgrade t seg page =
   if Hashtbl.mem t.inflight (seg, page) then
@@ -256,9 +266,11 @@ let downgrade t seg page =
   | None -> None
   | Some f ->
       let dirty = f.dirty in
+      (* Read mode from here on: the frame never writes [data] again,
+         so the caller may keep it *)
       f.mode <- Partition.Read;
       f.dirty <- false;
-      if dirty then Some (Page.copy f.data) else None
+      if dirty then Some f.data else None
 
 let mark_clean t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
@@ -272,7 +284,7 @@ let is_dirty t seg page =
 
 let page_base t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
-  | Some { base = Some b; _ } -> Some (Page.copy b)
+  | Some { base = Some b; _ } -> Some b
   | _ -> None
 
 let twin_stamp t seg page =
@@ -282,12 +294,15 @@ let twin_stamp t seg page =
 
 (* After a relaxed-mode flush: the home now holds this image, so it
    becomes the frame's new twin (and, for commutative refresh, its
-   contents). *)
+   contents).  The frame gets a fresh copy: its old data may be a
+   shared Read image, and [data] is a message body. *)
 let merge_refresh t seg page data =
   match Hashtbl.find_opt t.frames (seg, page) with
   | None -> ()
   | Some f ->
-      Bytes.blit data 0 f.data 0 (min (Bytes.length data) Page.size);
+      let fresh = Page.copy f.data in
+      Bytes.blit data 0 fresh 0 (min (Bytes.length data) Page.size);
+      f.data <- fresh;
       f.dirty <- false;
       snapshot_base t seg f
 

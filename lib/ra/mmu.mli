@@ -9,7 +9,12 @@
     All data access by simulated programs goes through {!read} and
     {!write}, which walk the virtual space, fault pages in as needed
     and move real bytes, so coherence bugs surface as wrong data in
-    tests. *)
+    tests.
+
+    Page images follow one ownership rule (DESIGN.md, "Page-image
+    ownership"): a read fault on a full page keeps the fetched image
+    as the frame's data and never writes to it; a write fault, or a
+    short image, copies it once into a private frame. *)
 
 type t
 
@@ -52,14 +57,19 @@ val resident : t -> Sysname.t -> int -> Partition.mode option
 (** Residency and mode of a page frame on this node. *)
 
 val dirty_pages : t -> Sysname.t -> (int * bytes) list
-(** Dirty resident pages of a segment, sorted by page index. *)
+(** Dirty resident pages of a segment, sorted by page index.  Each
+    image is a copy: the frames stay writable. *)
 
 val invalidate : t -> Sysname.t -> int -> bytes option
 (** Drop the frame, returning its data if it was dirty (the caller
-    forwards it to the requesting node or discards it to abort). *)
+    forwards it to the requesting node or discards it to abort).  The
+    data is the dropped frame's own image, not a copy; nothing writes
+    to it again. *)
 
 val downgrade : t -> Sysname.t -> int -> bytes option
-(** Demote a write frame to read mode, returning the data if dirty. *)
+(** Demote a write frame to read mode, returning the data if dirty.
+    The data is the frame's own image, not a copy: a read-mode frame
+    never writes to it again, so frame and caller share it. *)
 
 val mark_clean : t -> Sysname.t -> int -> unit
 (** Clear the dirty bit after a successful writeback/commit. *)
@@ -68,8 +78,9 @@ val is_dirty : t -> Sysname.t -> int -> bool
 (** Whether the page is resident with unwritten-back writes. *)
 
 val page_base : t -> Sysname.t -> int -> bytes option
-(** Copy of the frame's twin (the page as fetched), if the segment's
-    consistency mode keeps one. *)
+(** The frame's twin (the page as fetched), if the segment's
+    consistency mode keeps one.  Not a copy: twins are replaced,
+    never written, so the caller must not write to it either. *)
 
 val twin_stamp : t -> Sysname.t -> int -> int
 (** Node-unique id of the frame's current twin snapshot (0 when the

@@ -10,7 +10,9 @@ type mode = Read | Write
 
 type fetch_data =
   | Zeroed  (** the page has never been written; zero-fill a frame *)
-  | Data of bytes  (** page contents *)
+  | Data of bytes
+      (** page contents; possibly shared with the store or the wire,
+          so read-only to the receiver *)
 
 exception No_segment of Sysname.t
 (** Raised by partition operations when the segment does not exist
@@ -21,9 +23,13 @@ type t = {
   fetch : seg:Sysname.t -> page:int -> mode:mode -> fetch_data;
       (** Obtain a page in the given mode; blocks (disk or network).
           Fetching in [Write] mode acquires ownership under the
-          coherence protocol. *)
+          coherence protocol.  The returned image may be shared (a
+          stored image, a message body): the MMU may keep it as a
+          read-mode frame's data but never writes to it. *)
   writeback : seg:Sysname.t -> page:int -> bytes -> unit;
-      (** Push a dirty page back to stable storage. *)
+      (** Push a dirty page back to stable storage.  The partition
+          may keep the image without copying; the MMU passes one it
+          no longer writes to. *)
 }
 
 (** {1 Consistency modes}

@@ -47,12 +47,12 @@ let size t seg =
 let read_page t seg page =
   if not (exists t seg) then raise (Ra.Partition.No_segment seg);
   match Hashtbl.find_opt t.pages (seg, page) with
-  | Some data -> Ra.Partition.Data (Ra.Page.copy data)
+  | Some data -> Ra.Partition.Data data
   | None -> Ra.Partition.Zeroed
 
 let write_page ?lsn t seg page data =
   if not (exists t seg) then raise (Ra.Partition.No_segment seg);
-  Hashtbl.replace t.pages (seg, page) (Ra.Page.copy data);
+  Hashtbl.replace t.pages (seg, page) data;
   match lsn with
   | Some l -> Hashtbl.replace t.lsns (seg, page) l
   | None -> ()

@@ -21,10 +21,14 @@ val size : t -> Ra.Sysname.t -> int
 (** Raises {!Ra.Partition.No_segment} if absent. *)
 
 val read_page : t -> Ra.Sysname.t -> int -> Ra.Partition.fetch_data
-(** Raises {!Ra.Partition.No_segment} if the segment is absent. *)
+(** The stored image itself, not a copy: stored images are immutable
+    and shared, so the caller must not write to it (copy first).
+    Raises {!Ra.Partition.No_segment} if the segment is absent. *)
 
 val write_page : ?lsn:int -> t -> Ra.Sysname.t -> int -> bytes -> unit
-(** [write_page ?lsn t seg page data] installs a page image.  [lsn]
+(** [write_page ?lsn t seg page data] installs a page image.  The
+    store keeps [data] itself, not a copy, so the caller hands it
+    over and must not write to it afterwards.  [lsn]
     tags the page with the commit record that produced it (the
     page-LSN recovery redo is guarded by); omitted, the existing tag
     is left in place — an unlogged write over a committed page must

@@ -939,6 +939,140 @@ let test_merge_delta_resend_applies_once () =
       | Ok P.Segment_error -> ()
       | _ -> Alcotest.fail "Put_diffs to a missing segment must error")
 
+(* ------------------------------------------------------------------ *)
+(* Page-image ownership: stored images, message bodies and Read frames
+   share one immutable image; only Write frames and twins are copies. *)
+
+let stored_image server seg page =
+  let store = Dsm.Dsm_server.store server in
+  match Store.Segment_store.read_page store seg page with
+  | Ra.Partition.Data b -> b
+  | Ra.Partition.Zeroed -> Alcotest.fail "page should be stored"
+
+(* A reader's frame shares the home's stored image; a writer's frame is
+   its own copy, so the writer's stores reach neither the home nor the
+   reader before its writeback.  Release mode keeps the reader's copy
+   through the writer's fault (the invalidation waits for the flush). *)
+let test_read_shares_write_isolates () =
+  with_mode_cluster ~ratp_config:fast_ratp ~mode:Ra.Partition.Release ~pages:1
+    ~clients:2 (fun ~ether:_ ~server ~seg ~cs ->
+      let (an, _), (bn, bc) =
+        match cs with [ a; b ] -> (a, b) | _ -> assert false
+      in
+      let store = Dsm.Dsm_server.store server in
+      let image = Bytes.make Ra.Page.size 'o' in
+      Store.Segment_store.write_page store seg 0 image;
+      let vs = vspace_for seg ~pages:1 in
+      Alcotest.(check string) "A reads" "oooo" (read an vs ~addr:0 ~len:4);
+      (* probe the sharing: a byte poked into the stored image shows
+         through A's frame without another fault *)
+      let faults = Ra.Mmu.faults an.Ra.Node.mmu in
+      Bytes.set image 0 'p';
+      Alcotest.(check string) "A's frame is the stored image" "pooo"
+        (read an vs ~addr:0 ~len:4);
+      Bytes.set image 0 'o';
+      check_int "no refault" faults (Ra.Mmu.faults an.Ra.Node.mmu);
+      write bn vs ~addr:0 "WW";
+      Alcotest.(check string) "B sees its write" "WWoo"
+        (read bn vs ~addr:0 ~len:4);
+      check_bool "home image untouched" true
+        (Bytes.equal (stored_image server seg 0) (Bytes.make Ra.Page.size 'o'));
+      Alcotest.(check string) "A keeps the old bytes" "oooo"
+        (read an vs ~addr:0 ~len:4);
+      Dsm.Dsm_client.flush_segment bc seg;
+      Alcotest.(check string) "home has B's write after writeback" "WWoo"
+        (Bytes.sub_string (stored_image server seg 0) 0 4);
+      Alcotest.(check string) "A refetches B's write" "WWoo"
+        (read an vs ~addr:0 ~len:4))
+
+(* The two server paths that change a stored page in place (release
+   diffs, commutative merges) must copy first: a page already handed
+   out by Get_page keeps its bytes. *)
+let test_server_copies_before_write () =
+  Sim.exec (fun () ->
+      let eng = Sim.engine () in
+      let ether = Net.Ethernet.create eng () in
+      let nd =
+        Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
+      in
+      let server = Dsm.Dsm_server.create nd () in
+      let n2 =
+        Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute
+          ~ratp_config:fast_ratp ()
+      in
+      let store = Dsm.Dsm_server.store server in
+      let seg_with mode =
+        let seg = Ra.Sysname.fresh nd.Ra.Node.names in
+        Store.Segment_store.create_segment store seg ~size:Ra.Page.size;
+        Dsm.Dsm_server.set_consistency server seg mode;
+        Store.Segment_store.write_page store seg 0
+          (Bytes.make Ra.Page.size '\001');
+        seg
+      in
+      let fetched seg =
+        match
+          P.call n2 ~dst:1
+            (P.Get_page { seg; page = 0; mode = Ra.Partition.Read })
+        with
+        | Ok (P.Got_page (Ra.Partition.Data b)) -> b
+        | _ -> Alcotest.fail "Get_page should return the stored page"
+      in
+      let unchanged = Bytes.make Ra.Page.size '\001' in
+      let rel = seg_with Ra.Partition.Release in
+      let kept = fetched rel in
+      let diffs = [ (rel, 0, [ (0, Bytes.of_string "xy") ]) ] in
+      (match P.call n2 ~dst:1 (P.Put_diffs diffs) with
+      | Ok P.Batch_ok -> ()
+      | _ -> Alcotest.fail "Put_diffs should apply");
+      Alcotest.(check string) "diffs applied" "xy"
+        (Bytes.sub_string (stored_image server rel 0) 0 2);
+      check_bool "fetched page unchanged by Put_diffs" true
+        (Bytes.equal kept unchanged);
+      let com = seg_with (Ra.Partition.Commutative Ra.Partition.Add) in
+      let kept = fetched com in
+      let delta = Bytes.make Ra.Page.size '\000' in
+      Bytes.set_int64_le delta 0 5L;
+      (match P.call n2 ~dst:1 (P.Merge_delta [ (com, 0, 1, delta) ]) with
+      | Ok (P.Merged _) -> ()
+      | _ -> Alcotest.fail "Merge_delta should apply");
+      check_bool "delta merged" true
+        (Bytes.get_int64_le (stored_image server com 0) 0
+        = Int64.add (Bytes.get_int64_le unchanged 0) 5L);
+      check_bool "fetched page unchanged by Merge_delta" true
+        (Bytes.equal kept unchanged))
+
+(* Allocation gate for the read-fault path: words allocated directly
+   in the major heap (where every 8 KB image goes) per Read fault of a
+   stored page.  Sharing the stored image costs no page: 0 such words
+   per fault, against 2052 when the store copied on read and the MMU
+   copied again into a fresh frame (two 1025-word pages).  The bound
+   is 512, half a page.  A word count, so it does not depend on the
+   host. *)
+let test_read_fault_allocates_no_page () =
+  let pages = 200 in
+  with_cluster (fun cl ->
+      let seg = new_seg cl ~pages in
+      let store = Dsm.Dsm_server.store cl.server in
+      for p = 0 to pages - 1 do
+        Store.Segment_store.write_page store seg p
+          (Bytes.make Ra.Page.size (Char.chr (p land 0xff)))
+      done;
+      let vs = vspace_for seg ~pages in
+      let direct_major () =
+        let _minor, promoted, major = Gc.counters () in
+        major -. promoted
+      in
+      let before = direct_major () in
+      for p = 0 to pages - 1 do
+        ignore
+          (Ra.Mmu.read cl.n1.Ra.Node.mmu vs ~addr:(p * Ra.Page.size) ~len:1)
+      done;
+      let per_fault = (direct_major () -. before) /. float_of_int pages in
+      check_int "one fault per page" pages (Ra.Mmu.faults cl.n1.Ra.Node.mmu);
+      if per_fault >= 512.0 then
+        Alcotest.failf "%.0f major-heap words per read fault (bound 512)"
+          per_fault)
+
 let () =
   Alcotest.run "dsm"
     [
@@ -995,6 +1129,15 @@ let () =
         [
           Alcotest.test_case "dropped copy costs one redundant invalidation"
             `Quick test_dropped_copy_redundant_invalidation;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "read shares, write isolates" `Quick
+            test_read_shares_write_isolates;
+          Alcotest.test_case "server copies before write" `Quick
+            test_server_copies_before_write;
+          Alcotest.test_case "read fault allocates no page" `Quick
+            test_read_fault_allocates_no_page;
         ] );
       ( "locks",
         [
