@@ -1,4 +1,4 @@
-.PHONY: all build test check faults experiments smoke bench-diff bench-baseline clean
+.PHONY: all build test check faults experiments smoke determinism bench-diff bench-baseline clean
 
 all: build
 
@@ -24,6 +24,20 @@ experiments:
 smoke:
 	dune exec bin/experiments_main.exe -- --quick
 	dune exec bin/experiments_main.exe -- trace
+
+# Two seeded --quick runs must print the same report once the host
+# figures (wall time, peak heap) are masked: any other difference is
+# nondeterminism in the simulator.
+HOST_FIGURES = s/wall=[0-9.]+s/wall=_/g; s/[0-9.]+ s wall/_ s wall/g; s/top_heap=[0-9]+MB/top_heap=_/g
+
+determinism:
+	dune build bin/experiments_main.exe
+	mkdir -p _build/determinism
+	for i in 1 2; do \
+	  ./_build/default/bin/experiments_main.exe --quick > _build/determinism/raw$$i.txt || exit 1; \
+	  sed -E '$(HOST_FIGURES)' _build/determinism/raw$$i.txt > _build/determinism/run$$i.txt; \
+	done
+	diff _build/determinism/run1.txt _build/determinism/run2.txt
 
 # Write BENCH_core.json and list every path that drifted from the
 # committed baseline; refresh an intentional change with bench-baseline.

@@ -25,7 +25,7 @@ type t = {
   mutable prev_ring : Ring.t option;
   mutable name_sharding : bool;
   name_shards : (Net.Address.t, Ra.Sysname.t) Hashtbl.t;
-  ns_locks : (Net.Address.t, Sim.Rwlock.t) Hashtbl.t;
+  ns_locks : (Net.Address.t, Sim.Mutex.t) Hashtbl.t;
   mutable membership : Membership.Monitor.t option;
 }
 
@@ -33,7 +33,7 @@ let ns_lock t shard =
   match Hashtbl.find_opt t.ns_locks shard with
   | Some m -> m
   | None ->
-      let m = Sim.Rwlock.create ~label:"ns-shard" () in
+      let m = Sim.Mutex.create ~label:"ns-shard" () in
       Hashtbl.replace t.ns_locks shard m;
       m
 
@@ -87,6 +87,16 @@ let membership_usable t addr =
   | Some m -> Membership.Monitor.usable m addr
   | None -> true
 
+let usable t n = n.Ra.Node.alive && membership_usable t n.Ra.Node.id
+
+let next_after ~primary n addrs =
+  let above, below = List.partition (fun a -> a > primary) addrs in
+  let rec take n = function
+    | x :: tl when n > 0 -> x :: take (n - 1) tl
+    | _ -> []
+  in
+  take n (above @ below)
+
 (* Placement of a fresh replicated segment: the primary plus the next
    [replication - 1] healthy data servers by address, wrapping — a
    deterministic copyset that spreads load without a placement
@@ -96,17 +106,10 @@ let replica_targets t ~primary =
     Array.to_list t.data_nodes
     |> List.filter_map (fun n ->
            let id = n.Ra.Node.id in
-           if id = primary then None
-           else if n.Ra.Node.alive && membership_usable t id then Some id
-           else None)
+           if id <> primary && usable t n then Some id else None)
     |> List.sort Net.Address.compare
   in
-  let above, below = List.partition (fun a -> a > primary) others in
-  let rec take n = function
-    | x :: tl when n > 0 -> x :: take (n - 1) tl
-    | _ -> []
-  in
-  primary :: take (t.replication - 1) (above @ below)
+  primary :: next_after ~primary (t.replication - 1) others
 
 let volatile_table t node_id =
   match Hashtbl.find_opt t.volatile node_id with
@@ -242,8 +245,7 @@ let pick_round_robin t =
     else begin
       let node = t.compute_nodes.(t.rr_compute mod n) in
       t.rr_compute <- t.rr_compute + 1;
-      if node.Ra.Node.alive && membership_usable t node.Ra.Node.id then node
-      else pick (tries + 1)
+      if usable t node then node else pick (tries + 1)
     end
   in
   pick 0
@@ -252,10 +254,7 @@ let pick_least_loaded t =
   let best =
     Array.fold_left
       (fun acc node ->
-        if
-          (not node.Ra.Node.alive)
-          || not (membership_usable t node.Ra.Node.id)
-        then acc
+        if not (usable t node) then acc
         else begin
           let load = Ra.Cpu.load node.Ra.Node.cpu + node.Ra.Node.sched_load in
           match acc with
@@ -281,14 +280,10 @@ let place_data t key =
   let rec first = function
     | [] -> invalid_arg "Cluster.place_data: no live data server"
     | addr :: rest ->
-        let node =
-          Array.to_list t.data_nodes
-          |> List.find_opt (fun n -> n.Ra.Node.id = addr)
-        in
         let ok =
-          match node with
-          | Some n -> n.Ra.Node.alive && membership_usable t addr
-          | None -> false
+          Array.exists
+            (fun n -> n.Ra.Node.id = addr && usable t n)
+            t.data_nodes
         in
         if ok then addr else first rest
   in
@@ -316,8 +311,7 @@ let bind_leader t shard =
     if tries >= n then pick_compute t
     else begin
       let node = t.compute_nodes.(i mod n) in
-      if node.Ra.Node.alive && membership_usable t node.Ra.Node.id then node
-      else pick (i + 1) (tries + 1)
+      if usable t node then node else pick (i + 1) (tries + 1)
     end
   in
   pick (shard mod n) 0

@@ -55,10 +55,10 @@ type t = {
           historical centralized server kept as the A/B baseline *)
   name_shards : (Net.Address.t, Ra.Sysname.t) Hashtbl.t;
       (** lazily created name-server object per data-server shard *)
-  ns_locks : (Net.Address.t, Sim.Rwlock.t) Hashtbl.t;
-      (** per-shard reader–writer lock: lookups share it, binds hold
-          it exclusively, so readers never observe a half-rebound
-          name *)
+  ns_locks : (Net.Address.t, Sim.Mutex.t) Hashtbl.t;
+      (** per-shard write lock: binds and unbinds to a shard hold it,
+          so two writers never interleave list surgery on its heap.
+          Lookups take no lock (DESIGN.md §14) *)
   mutable membership : Membership.Monitor.t option;
       (** set by {!start_membership}; [None] keeps all failure
           handling purely timeout-driven as before *)
@@ -120,8 +120,9 @@ val bind_leader : t -> Net.Address.t -> Ra.Node.t
 (** The deterministic compute node that serializes writes to the
     given shard. *)
 
-val ns_lock : t -> Net.Address.t -> Sim.Rwlock.t
-(** The shard's reader–writer lock (created on first use). *)
+val ns_lock : t -> Net.Address.t -> Sim.Mutex.t
+(** The shard's write lock (created on first use).  Only mutations
+    take it; lookups are lock-free. *)
 
 val node_by_id : t -> int -> Ra.Node.t option
 (** Any node (data, compute or workstation) by address. *)
@@ -156,9 +157,23 @@ val set_replicas : t -> Ra.Sysname.t -> Net.Address.t list -> unit
 val remove_segment : t -> Ra.Sysname.t -> unit
 (** Drop a segment from the placement tables (object deletion). *)
 
+val membership_usable : t -> Net.Address.t -> bool
+(** The membership view has not condemned the address (always true
+    while no view runs). *)
+
+val usable : t -> Ra.Node.t -> bool
+(** The node is up and {!membership_usable}: the test every placement
+    and scheduling decision applies. *)
+
 val replica_targets : t -> primary:Net.Address.t -> Net.Address.t list
 (** Placement for a fresh segment: [primary] plus the next
-    [replication - 1] healthy data servers by address, wrapping. *)
+    [replication - 1] usable data servers by address, wrapping. *)
+
+val next_after :
+  primary:Net.Address.t -> int -> Net.Address.t list -> Net.Address.t list
+(** [next_after ~primary n addrs] is the first [n] of the sorted
+    [addrs] in address order starting just above [primary] and
+    wrapping: the walk {!replica_targets} places backups with. *)
 
 val start_membership :
   t -> ?config:Membership.Monitor.config -> unit -> Membership.Monitor.t

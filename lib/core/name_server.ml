@@ -194,10 +194,7 @@ let invoke_shard om ~node ~shard entry arg =
    one, never a gap, so readers pay no synchronization at all.  Only
    mutations serialize, exclusively per shard, so two clients can
    never interleave list surgery on the same persistent heap. *)
-let with_write cl shard f =
-  let l = Cluster.ns_lock cl shard in
-  Sim.Rwlock.lock_write l;
-  Fun.protect ~finally:(fun () -> Sim.Rwlock.unlock_write l) f
+let with_write cl shard f = Sim.Mutex.with_lock (Cluster.ns_lock cl shard) f
 
 (* reads run wherever the caller sits (or a scheduled compute node) *)
 let read_invoke ?on om ~name entry arg =
@@ -206,7 +203,7 @@ let read_invoke ?on om ~name entry arg =
   invoke_shard om ~node ~shard:(shard_of om name) entry arg
 
 (* writes are serialized per shard: routed to the shard's bind leader
-   and run under the exclusive side of the shard lock *)
+   and run under the shard write lock *)
 let write_invoke om ~name entry arg =
   let cl = Object_manager.cluster om in
   let shard = shard_of om name in

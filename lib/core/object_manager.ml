@@ -50,11 +50,6 @@ let cluster t = t.cl
 (* ------------------------------------------------------------------ *)
 (* Activation *)
 
-let usable_server t addr =
-  match t.cl.Cluster.membership with
-  | Some m -> Membership.Monitor.usable m addr
-  | None -> true
-
 let fetch_descriptor t node obj =
   let ask home =
     match Dsm.Protocol.call node ~dst:home (Dsm.Protocol.Get_descriptor obj) with
@@ -70,13 +65,11 @@ let fetch_descriptor t node obj =
         match acc with
         | Some _ -> acc
         | None ->
-            if dn.Ra.Node.alive && usable_server t dn.Ra.Node.id then
-              ask dn.Ra.Node.id
-            else None)
+            if Cluster.usable t.cl dn then ask dn.Ra.Node.id else None)
       None t.cl.Cluster.data_nodes
   in
   match Ra.Sysname.Table.find_opt t.cl.Cluster.obj_home obj with
-  | Some home when usable_server t home -> (
+  | Some home when Cluster.membership_usable t.cl home -> (
       match ask home with Some d -> Some d | None -> scan ())
   | Some _ | None -> scan ()
 
@@ -337,7 +330,7 @@ let invoke_remote t ~from ~target ~thread_id ~origin ~txn ~obj ~entry arg =
   else begin
     (* fast failover: a target the membership view already condemned
        fails immediately instead of burning the RaTP retry ladder *)
-    if not (usable_server t target) then
+    if not (Cluster.membership_usable t.cl target) then
       raise (Ctx.Invoke_error "compute server unreachable");
     let body = Invoke { obj; entry; arg; thread_id; origin; txn } in
     let size = 64 + String.length entry + Value.size arg in
@@ -463,20 +456,12 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin
   (match cls.Obj_class.constructor with
   | None -> ()
   | Some ctor ->
-      (* run the constructor as a pseudo-entry *)
-      let entry_name = "__constructor__" in
-      let wrapped =
-        Obj_class.entry entry_name (fun ctx v ->
-            ctor ctx v;
-            Value.Unit)
-      in
-      ignore entry_name;
       let a = activate t node obj in
       start_daemons t node a obj;
       Ra.Isiba.compute node Ra.Params.invoke_setup;
       touch_code node a "constructor";
       let ctx = make_ctx t node a ~obj ~thread_id ~origin ~txn:None in
-      ignore (wrapped.Obj_class.fn ctx arg);
+      ctor ctx arg;
       Ra.Isiba.compute node Ra.Params.invoke_return);
   obj
 

@@ -17,14 +17,7 @@ type t = {
 let healthy_data t =
   Array.to_list t.cl.Cluster.data_nodes
   |> List.filter_map (fun n ->
-         let id = n.Ra.Node.id in
-         if
-           n.Ra.Node.alive
-           && (match t.cl.Cluster.membership with
-              | Some m -> M.usable m id
-              | None -> true)
-         then Some id
-         else None)
+         if Cluster.usable t.cl n then Some n.Ra.Node.id else None)
   |> List.sort Net.Address.compare
 
 (* The segment's size as the source currently stores it (an empty
@@ -163,14 +156,7 @@ let heal_pass t =
                   (fun a -> not (List.exists (Net.Address.equal a) reps))
                   healthy
               in
-              let above, below =
-                List.partition (fun a -> a > primary) cands
-              in
-              let rec take n = function
-                | x :: tl when n > 0 -> x :: take (n - 1) tl
-                | _ -> []
-              in
-              let targets = take missing (above @ below) in
+              let targets = Cluster.next_after ~primary missing cands in
               let added =
                 List.filter
                   (fun dst -> copy_segment t ~seg ~src:primary ~dst)

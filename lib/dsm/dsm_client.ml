@@ -70,20 +70,10 @@ let apply_view t (v : Membership.Monitor.view) =
         | Membership.Monitor.Alive | Membership.Monitor.Suspect -> None)
       v.Membership.Monitor.members
   in
-  if dead <> [] then begin
-    let doomed =
-      Ra.Sysname.Table.fold
-        (fun seg home acc ->
-          if List.exists (Net.Address.equal home) dead then seg :: acc
-          else acc)
-        t.loc_cache []
-    in
-    List.iter
-      (fun seg ->
-        Sim.Stats.incr t.loc_evictions;
-        Ra.Sysname.Table.remove t.loc_cache seg)
-      doomed
-  end
+  if dead <> [] then
+    ignore
+      (evict_where t (fun _seg home ->
+           List.exists (Net.Address.equal home) dead))
 
 let remote_fetch t ~seg ~page ~mode =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.fetch" @@ fun () ->

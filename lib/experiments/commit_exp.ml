@@ -131,26 +131,14 @@ let batcher_cls =
           V.Unit);
     ]
 
-(* Same convention as the load and page-batching experiments: a
-   modern fabric instead of the paper's 10 Mbit/s bus, so the shared
-   medium does not drown the per-disk commit pipeline under test
-   (every prepare ships its page images over the wire). *)
-let ether_config =
-  {
-    Net.Ethernet.default_config with
-    bandwidth_bps = 1_000_000_000;
-    send_cost_per_frame = Sim.Time.us 20;
-    recv_cost_per_frame = Sim.Time.us 20;
-    cost_per_byte_ns = 1;
-  }
-
 let run_cell ?(seed = 42) (c : cell) =
   let wall0 = Unix.gettimeofday () in
   let lat, retries, sim_ms, wal_records, wal_flushes, mean_batch =
     Sim.exec ~seed (fun () ->
         let eng = Sim.engine () in
         let sys =
-          Clouds.boot eng ~ether_config ?group_commit_window:c.window
+          Clouds.boot eng ~ether_config:Fixtures.ether_1g
+            ?group_commit_window:c.window
             ?checkpoint_every:c.checkpoint_every ~compute:c.compute
             ~data:c.data ~workstations:0 ()
         in
@@ -297,19 +285,12 @@ let crash_summary o =
     (String.concat "," o.violations)
     o.trace
 
-let fast_ratp =
-  {
-    Ratp.Endpoint.default_config with
-    retry_initial = Sim.Time.ms 20;
-    max_attempts = 4;
-  }
-
 let run_crash ?(seed = 42) () =
   let sessions = 4 and deposits = 40 in
   Sim.exec ~seed (fun () ->
       let eng = Sim.engine () in
       let sys =
-        Clouds.boot eng ~ratp_config:fast_ratp
+        Clouds.boot eng ~ratp_config:Fixtures.fast_ratp
           ~group_commit_window:(Sim.Time.ms 2)
           ~checkpoint_every:(Sim.Time.ms 25) ~compute:3 ~data:2 ~workstations:0
           ()

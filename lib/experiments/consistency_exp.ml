@@ -55,13 +55,6 @@ type result = {
   sort : sort_point list;
 }
 
-let fast_ratp =
-  {
-    Ratp.Endpoint.default_config with
-    retry_initial = Sim.Time.ms 20;
-    max_attempts = 3;
-  }
-
 let mode_name = function
   | Ra.Partition.One_copy -> "one-copy"
   | Ra.Partition.Release -> "release"
@@ -75,7 +68,8 @@ let with_micro ~mode ~clients f =
   Sim.exec (fun () ->
       let ether = Net.Ethernet.create (Sim.engine ()) () in
       let nd =
-        Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
+        Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data
+          ~ratp_config:Fixtures.fast_ratp_3 ()
       in
       let server = Dsm.Dsm_server.create nd () in
       let locate _ = 1 in
@@ -84,7 +78,7 @@ let with_micro ~mode ~clients f =
         List.init clients (fun i ->
             let n =
               Ra.Node.create ether ~id:(2 + i) ~kind:Ra.Node.Compute
-                ~ratp_config:fast_ratp ()
+                ~ratp_config:Fixtures.fast_ratp_3 ()
             in
             (n, Dsm.Dsm_client.create n ~locate ~consistency ()))
       in

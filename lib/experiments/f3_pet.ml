@@ -25,13 +25,6 @@ let ledger_cls =
           V.Int (v + V.to_int arg));
     ]
 
-let fast_ratp =
-  {
-    Ratp.Endpoint.default_config with
-    retry_initial = Sim.Time.ms 20;
-    max_attempts = 3;
-  }
-
 let replicas = 3
 let quorum = 2
 
@@ -41,7 +34,7 @@ let trial ~seed ~parallel =
   Sim.exec ~seed (fun () ->
       let eng = Sim.engine () in
       let sys =
-        Clouds.boot eng ~ratp_config:fast_ratp ~compute:3 ~data:3
+        Clouds.boot eng ~ratp_config:Fixtures.fast_ratp_3 ~compute:3 ~data:3
           ~workstations:0 ()
       in
       let mgr =

@@ -282,14 +282,11 @@ let server_crash_restart =
    the compute servers partitioned from one data server mid-run.
    Two-phase commit with presumed abort must keep money conserved. *)
 
-let fast_ratp =
-  { E.default_config with retry_initial = Sim.Time.ms 20; max_attempts = 4 }
-
 let run_bank_partition name ~seed =
   Sim.exec ~seed (fun () ->
       let eng = Sim.engine () in
       let sys =
-        Clouds.boot eng ~ratp_config:fast_ratp ~compute:2 ~data:2
+        Clouds.boot eng ~ratp_config:Fixtures.fast_ratp ~compute:2 ~data:2
           ~workstations:0 ()
       in
       (* installing the manager hooks the cluster's entry wrapper, so
@@ -382,7 +379,7 @@ let run_pet_crash name ~seed =
   Sim.exec ~seed (fun () ->
       let eng = Sim.engine () in
       let sys =
-        Clouds.boot eng ~ratp_config:fast_ratp ~compute:3 ~data:3
+        Clouds.boot eng ~ratp_config:Fixtures.fast_ratp ~compute:3 ~data:3
           ~workstations:0 ()
       in
       let mgr =

@@ -95,20 +95,6 @@ let xl_cell =
 
 let full_cells = smoke_cells @ ab_cells @ [ big_cell ]
 
-(* A modern fabric rather than the paper's 10 Mbit/s bus: the
-   simulated network is still a single shared medium, and at 50+
-   nodes the coherence refetch traffic behind each bind would
-   saturate a slow bus and drown the effect under test (same
-   convention as the page-batching experiment, one notch faster). *)
-let ether_config =
-  {
-    Net.Ethernet.default_config with
-    bandwidth_bps = 1_000_000_000;
-    send_cost_per_frame = Sim.Time.us 20;
-    recv_cost_per_frame = Sim.Time.us 20;
-    cost_per_byte_ns = 1;
-  }
-
 let key_name k = Printf.sprintf "obj-%04d" k
 
 let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
@@ -117,8 +103,8 @@ let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
     Sim.exec ~seed (fun () ->
         let eng = Sim.engine () in
         let sys =
-          Clouds.boot eng ~ether_config ~compute:c.compute ~data:c.data
-            ~workstations:0 ()
+          Clouds.boot eng ~ether_config:Fixtures.ether_1g ~compute:c.compute
+            ~data:c.data ~workstations:0 ()
         in
         let cl = sys.Clouds.cluster in
         Cl.set_name_sharding cl c.sharded;

@@ -87,13 +87,6 @@ let summary o =
     (String.concat "," o.violations)
     o.trace
 
-let fast_ratp =
-  {
-    Ratp.Endpoint.default_config with
-    retry_initial = Sim.Time.ms 20;
-    max_attempts = 4;
-  }
-
 (* Tight detection bounds keep a whole arm under a simulated second:
    beats every 10 ms, suspicion after 30 ms of silence, condemnation
    after 80 ms. *)
@@ -133,8 +126,9 @@ let run_arm ~seed ~ops (a : arm) =
   Sim.exec ~seed (fun () ->
       let eng = Sim.engine () in
       let sys =
-        Clouds.boot eng ~ratp_config:fast_ratp ~replication:a.replication
-          ~compute:2 ~data:n_data ~workstations:0 ()
+        Clouds.boot eng ~ratp_config:Fixtures.fast_ratp
+          ~replication:a.replication ~compute:2 ~data:n_data ~workstations:0
+          ()
       in
       let cl = sys.Clouds.cluster in
       let mon = Cl.start_membership cl ~config:mon_config () in

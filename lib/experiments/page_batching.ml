@@ -19,15 +19,6 @@ type result = flush_point list
 
 let seg_pages = 16
 
-let ether_config =
-  {
-    Net.Ethernet.default_config with
-    bandwidth_bps = 100_000_000;
-    send_cost_per_frame = Sim.Time.us 80;
-    recv_cost_per_frame = Sim.Time.us 80;
-    cost_per_byte_ns = 5;
-  }
-
 let page_image p = Bytes.make Ra.Page.size (Char.chr (97 + (p mod 26)))
 
 type setup = {
@@ -40,7 +31,9 @@ type setup = {
 (* One data server holding a [seg_pages]-page segment with known
    contents, one compute server mapping it. *)
 let setup () =
-  let ether = Net.Ethernet.create (Sim.engine ()) ~config:ether_config () in
+  let ether =
+    Net.Ethernet.create (Sim.engine ()) ~config:Fixtures.ether_100m ()
+  in
   let nd = Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data () in
   let server = Dsm.Dsm_server.create nd () in
   let nc = Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute () in

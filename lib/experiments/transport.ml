@@ -52,15 +52,6 @@ type result = { points : point list; bypass : bypass }
 
 let transfer_service = 31
 
-let ether_config =
-  {
-    Net.Ethernet.default_config with
-    bandwidth_bps = 100_000_000;
-    send_cost_per_frame = Sim.Time.us 80;
-    recv_cost_per_frame = Sim.Time.us 80;
-    cost_per_byte_ns = 5;
-  }
-
 (* Generous attempt budget: at 10 % loss the point of the experiment
    is how much each policy spends to finish, not whether it gives up. *)
 let ratp_config ~selective =
@@ -69,7 +60,7 @@ let ratp_config ~selective =
 let measure_point ~loss_pct ~size ~selective ~calls =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
-      let ether = Net.Ethernet.create eng ~config:ether_config () in
+      let ether = Net.Ethernet.create eng ~config:Fixtures.ether_100m () in
       let cfg = ratp_config ~selective in
       let server =
         Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:cfg ()

@@ -11,22 +11,16 @@ type result = {
   suspected : point list;
 }
 
-(* Short retransmission budget so the suspect variants give up after
-   20 + 40 + 80 = 140 ms instead of RaTP's default 12.75 s.  The same
-   config is used everywhere (including the RTT probe) so all the
+(* Every endpoint, the RTT probe's included, runs
+   [Fixtures.fast_ratp_3]: the suspect variants give up after
+   20 + 40 + 80 = 140 ms instead of RaTP's default 12.75 s, and all the
    numbers in one report share a scale. *)
-let ratp_config =
-  {
-    Ratp.Endpoint.default_config with
-    retry_initial = Sim.Time.ms 20;
-    max_attempts = 3;
-  }
-
 let measure_rtt () =
   Sim.exec (fun () ->
       let ether = Net.Ethernet.create (Sim.engine ()) () in
-      let a = Ratp.Endpoint.create ether ~addr:1 ~config:ratp_config () in
-      let b = Ratp.Endpoint.create ether ~addr:2 ~config:ratp_config () in
+      let config = Fixtures.fast_ratp_3 in
+      let a = Ratp.Endpoint.create ether ~addr:1 ~config () in
+      let b = Ratp.Endpoint.create ether ~addr:2 ~config () in
       Ratp.Endpoint.serve b ~service:1 (fun ~src:_ _ ->
           (Ratp.Packet.Ping "ok", 32));
       let t0 = Sim.now () in
@@ -45,9 +39,8 @@ let measure_rtt () =
 let measure_write_fault ~copyset ~suspects =
   Sim.exec (fun () ->
       let ether = Net.Ethernet.create (Sim.engine ()) () in
-      let nd =
-        Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config ()
-      in
+      let ratp_config = Fixtures.fast_ratp_3 in
+      let nd = Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config () in
       let server = Dsm.Dsm_server.create nd () in
       let locate _ = 1 in
       let make_client id =

@@ -26,14 +26,7 @@ let compute_for cl i =
   (* a membership view, when one is running, vetoes nodes already
      condemned — no pet is scheduled onto a corpse that merely has
      not been garbage-collected from [alive] yet *)
-  let usable n =
-    n.Ra.Node.alive
-    &&
-    match cl.Cl.membership with
-    | Some m -> Membership.Monitor.usable m n.Ra.Node.id
-    | None -> true
-  in
-  let nodes = Array.to_list cl.Cl.compute_nodes |> List.filter usable in
+  let nodes = Array.to_list cl.Cl.compute_nodes |> List.filter (Cl.usable cl) in
   match nodes with
   | [] -> None
   | _ :: _ -> Some (List.nth nodes (i mod List.length nodes)).Ra.Node.id

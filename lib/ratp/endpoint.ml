@@ -24,7 +24,7 @@ type error = Timeout
 type handler = src:Net.Address.t -> Packet.body -> Packet.body * int
 
 type client_pending = {
-  complete : Packet.body Sim.Mailbox.t;
+  complete : Packet.body Sim.Ivar.t;  (* filled once, by [handle_reply] *)
   mutable reply_got : bool array;  (* sized on first reply fragment *)
   mutable reply_missing : int;  (* -1 until sized *)
   mutable reply_last : Sim.Time.t;  (* arrival of the latest new fragment *)
@@ -417,7 +417,7 @@ let handle_reply t (pkt : Packet.t) =
         pc.reply_got.(pkt.frag) <- true;
         pc.reply_missing <- pc.reply_missing - 1;
         pc.reply_last <- Sim.now ();
-        if pc.reply_missing = 0 then Sim.Mailbox.send pc.complete pkt.body
+        if pc.reply_missing = 0 then Sim.Ivar.fill pc.complete pkt.body
       end
 
 (* The server told us which request fragments it is missing; resend
@@ -518,7 +518,7 @@ let call t ~dst ~service ~size body =
   let tid = { Packet.origin = t.address; seq } in
   let pc =
     {
-      complete = Sim.Mailbox.create "ratp-reply";
+      complete = Sim.Ivar.create ~label:"ratp-reply" ();
       reply_got = [||];
       reply_missing = -1;
       reply_last = Sim.Time.zero;
@@ -589,7 +589,7 @@ let call t ~dst ~service ~size body =
       and await ~sends interval wait =
         let deadline = Sim.Time.add pc.quiet_since budget in
         let left = Sim.Time.diff deadline (Sim.now ()) in
-        match Sim.Mailbox.recv_timeout pc.complete (max 0 (min wait left)) with
+        match Sim.Ivar.read_timeout pc.complete (max 0 (min wait left)) with
         | Some reply ->
             (* Karn's rule, except that a Busy (which moved the silence
                clock) proves the reply answers the original request *)

@@ -5,7 +5,6 @@ module Ivar = Ivar
 module Mailbox = Mailbox
 module Semaphore = Semaphore
 module Mutex = Mutex
-module Rwlock = Rwlock
 module Stats = Stats
 module Fanout = Fanout
 

@@ -2,10 +2,12 @@
 
     This is the root module of the [sim] library; it re-exports the
     submodules and the direct-style process operations.  A typical
-    client creates an {!Engine.t}, spawns processes that communicate
-    through {!Mailbox}/{!Ivar} and synchronize with
-    {!Semaphore}/{!Mutex}/{!Rwlock}, and drives everything with
-    {!Engine.run}. *)
+    client creates an {!Engine.t}, spawns processes, and drives
+    everything with {!Engine.run}.  The blocking primitives are the
+    ones the system uses: {!Ivar} (a one-shot result, optionally read
+    with a deadline, as RaTP awaits a reply), {!Mailbox} (the NIC
+    receive queue), {!Semaphore} and {!Mutex}.  Each hands a wakeup
+    past a process that died while waiting. *)
 
 module Time = Time
 module Rng = Rng
@@ -14,7 +16,6 @@ module Ivar = Ivar
 module Mailbox = Mailbox
 module Semaphore = Semaphore
 module Mutex = Mutex
-module Rwlock = Rwlock
 module Stats = Stats
 module Fanout = Fanout
 

@@ -608,6 +608,32 @@ let test_name_server () =
       Name_server.unbind sys.om "Rect01";
       check_bool "unbound" true (Name_server.lookup sys.om "Rect01" = None))
 
+let test_concurrent_binds_one_shard () =
+  (* Every bind into a shard splices the shard's persistent list under
+     the shard write lock.  With one shard, k concurrent binds of
+     distinct names must all survive: an unserialized splice loses
+     one writer's node. *)
+  let k = 8 in
+  with_system (fun sys ->
+      Cluster.set_name_sharding sys.cluster false;
+      Cluster.register_class sys.cluster rectangle;
+      ignore (Name_server.boot sys.om);
+      let objs =
+        List.init k (fun i ->
+            ( Printf.sprintf "obj-%d" i,
+              Object_manager.create_object sys.om ~class_name:"rectangle"
+                Value.Unit ))
+      in
+      Sim.Fanout.iter objs ~f:(fun (name, obj) ->
+          Name_server.bind sys.om ~name obj);
+      let bound =
+        List.sort compare (List.map fst (Name_server.bindings sys.om))
+      in
+      Alcotest.(check (list string))
+        "all k bindings listed"
+        (List.sort compare (List.map fst objs))
+        bound)
+
 let test_bind_then_invoke_like_the_paper () =
   (* rect.bind("Rect01"); rect.size(5,10); print rect.area() = 50 *)
   with_system (fun sys ->
@@ -679,6 +705,8 @@ let () =
       ( "names",
         [
           Alcotest.test_case "bind/lookup/unbind" `Quick test_name_server;
+          Alcotest.test_case "concurrent binds into one shard" `Quick
+            test_concurrent_binds_one_shard;
           Alcotest.test_case "paper workflow" `Quick
             test_bind_then_invoke_like_the_paper;
         ] );

@@ -298,6 +298,45 @@ let test_kill_sleeping () =
   check_int "killed promptly, clock did not run to 10s" (Time.ms 1)
     (Engine.now eng)
 
+let prop_sleepers_under_kills =
+  (* Each planned process sleeps [d] us; a marked one (with [d > 0])
+     is killed 1 us before its deadline.  Survivors wake exactly at
+     their deadlines, in (deadline, spawn) order; a killed sleeper
+     never wakes, and its cancelled wakeup does not carry the clock
+     past the last live event. *)
+  QCheck.Test.make ~name:"sleepers wake on time amid kills" ~count:200
+    QCheck.(small_list (pair small_nat bool))
+    (fun plan ->
+      let plan = List.map (fun (d, k) -> (d, k && d > 0)) plan in
+      let eng = Engine.create () in
+      let woke = ref [] in
+      List.iteri
+        (fun i (d, killed) ->
+          let pid =
+            Engine.spawn eng "sleeper" (fun () ->
+                Sim.sleep (Time.us d);
+                woke := (i, Engine.now eng) :: !woke)
+          in
+          if killed then
+            Engine.at eng (Time.us (d - 1)) (fun () -> Engine.kill eng pid))
+        plan;
+      Engine.run eng;
+      let expected =
+        List.mapi (fun i (d, killed) -> (i, Time.us d, killed)) plan
+        |> List.filter_map (fun (i, at, killed) ->
+               if killed then None else Some (i, at))
+        |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
+      in
+      let last_event =
+        List.fold_left
+          (fun acc (d, killed) ->
+            max acc (if killed then Time.us (d - 1) else Time.us d))
+          Time.zero plan
+      in
+      List.rev !woke = expected
+      && Engine.now eng = last_event
+      && Engine.procs eng = [])
+
 let test_kill_group () =
   let eng = Engine.create () in
   let survivors = ref [] in
@@ -381,23 +420,28 @@ let test_semaphore_release_skips_dead_waiter () =
       (* the dead waiter must not swallow the count *)
       check_int "count restored" 1 (Semaphore.count s))
 
-let test_rwlock_grant_skips_dead_waiter () =
+let test_mailbox_send_skips_dead_receiver () =
+  (* B waits on the mailbox and dies (a killed rx loop): a send must
+     not vanish into it but reach C, then the queue. *)
   Sim.exec (fun () ->
       let eng = Sim.engine () in
-      let l = Rwlock.create () in
-      Rwlock.lock_write l;
-      let b = Engine.spawn eng "b" (fun () -> Rwlock.lock_write l) in
-      let c_got = ref false in
+      let mb = Mailbox.create "mb" in
+      let b =
+        Engine.spawn eng "b" (fun () ->
+            ignore (Mailbox.recv mb : int);
+            Alcotest.fail "dead receiver must not get the value")
+      in
+      let c_got = ref None in
       let _c =
-        Engine.spawn eng "c" (fun () ->
-            Rwlock.lock_read l;
-            c_got := true)
+        Engine.spawn eng "c" (fun () -> c_got := Some (Mailbox.recv mb))
       in
       Sim.sleep (Time.ms 1);
       Engine.kill eng b;
-      Rwlock.unlock_write l;
+      Mailbox.send mb 1;
+      Mailbox.send mb 2;
       Sim.sleep (Time.ms 1);
-      check_bool "reader granted past dead writer" true !c_got)
+      Alcotest.(check (option int)) "next receiver served" (Some 1) !c_got;
+      check_int "rest queued" 1 (Mailbox.length mb))
 
 let test_on_terminate () =
   Sim.exec (fun () ->
@@ -480,6 +524,75 @@ let test_ivar_double_fill () =
   in
   check_bool "double fill raises" true raised
 
+let test_ivar_timeout_expires () =
+  let r =
+    Sim.exec (fun () ->
+        let iv : int Ivar.t = Ivar.create () in
+        let v = Ivar.read_timeout iv (Time.ms 5) in
+        (v, Sim.now ()))
+  in
+  Alcotest.(check (option int)) "timed out" None (fst r);
+  check_int "waited exactly timeout" (Time.ms 5) (snd r)
+
+let test_ivar_timeout_delivers () =
+  let eng = Engine.create () in
+  let r, pending =
+    Sim.exec_on eng (fun () ->
+        let iv = Ivar.create () in
+        let _ =
+          Sim.spawn "filler" (fun () ->
+              Sim.sleep (Time.ms 2);
+              Ivar.fill iv 1)
+        in
+        let r = Ivar.read_timeout iv (Time.ms 5) in
+        (r, Engine.pending eng))
+  in
+  Alcotest.(check (option int)) "delivered" (Some 1) r;
+  (* the fill makes the deadline moot: it leaves the queue instead of
+     waiting out its span *)
+  check_int "no deadline left pending" 0 pending;
+  check_int "clock stops at the fill" (Time.ms 2) (Engine.now eng)
+
+let test_ivar_value_kept_after_timeout () =
+  (* A fill after the reader timed out must stay in the ivar. *)
+  let r =
+    Sim.exec (fun () ->
+        let iv = Ivar.create () in
+        let first = Ivar.read_timeout iv (Time.ms 1) in
+        Ivar.fill iv 8;
+        let second = Ivar.read_timeout iv (Time.ms 1) in
+        (first, second, Sim.now ()))
+  in
+  let first, second, now = r in
+  Alcotest.(check (option int)) "timed out first" None first;
+  Alcotest.(check (option int)) "value kept" (Some 8) second;
+  check_int "full ivar answers at once" (Time.ms 1) now
+
+let test_ivar_poll_loop_leaves_nothing () =
+  (* A timed-out reader must unregister itself, or a poll loop grows
+     the waiter list without bound. *)
+  let max_seen, after, late =
+    Sim.exec (fun () ->
+        let iv = Ivar.create () in
+        let max_seen = ref 0 in
+        for _ = 1 to 50 do
+          assert (Ivar.read_timeout iv (Time.us 100) = None);
+          max_seen := max !max_seen (Ivar.waiters iv)
+        done;
+        let after = (Ivar.waiters iv, Engine.pending (Sim.engine ())) in
+        (* a fresh reader must still be woken: the timeouts drop only
+           their own waiters *)
+        let got = ref None in
+        ignore (Sim.spawn "late" (fun () -> got := Some (Ivar.read iv)));
+        Sim.yield ();
+        Ivar.fill iv 99;
+        Sim.sleep (Time.us 1);
+        (!max_seen, after, !got))
+  in
+  check_int "nothing registered between polls" 0 max_seen;
+  Alcotest.(check (pair int int)) "no waiter or deadline left" (0, 0) after;
+  Alcotest.(check (option int)) "live reader still served" (Some 99) late
+
 (* ------------------------------------------------------------------ *)
 (* Mailbox *)
 
@@ -509,74 +622,6 @@ let test_mailbox_blocking_recv () =
         Mailbox.recv mb)
   in
   check_int "received" 99 v
-
-let test_mailbox_timeout_expires () =
-  let r =
-    Sim.exec (fun () ->
-        let mb : int Mailbox.t = Mailbox.create "mb" in
-        let v = Mailbox.recv_timeout mb (Time.ms 5) in
-        (v, Sim.now ()))
-  in
-  Alcotest.(check (option int)) "timed out" None (fst r);
-  check_int "waited exactly timeout" (Time.ms 5) (snd r)
-
-let test_mailbox_timeout_delivers () =
-  let eng = Engine.create () in
-  let r, pending =
-    Sim.exec_on eng (fun () ->
-        let mb = Mailbox.create "mb" in
-        let _ =
-          Sim.spawn "sender" (fun () ->
-              Sim.sleep (Time.ms 2);
-              Mailbox.send mb 1)
-        in
-        let r = Mailbox.recv_timeout mb (Time.ms 5) in
-        (r, Engine.pending eng))
-  in
-  Alcotest.(check (option int)) "delivered" (Some 1) r;
-  (* the delivery makes the deadline moot: it leaves the queue
-     instead of waiting out its span *)
-  check_int "no deadline left pending" 0 pending;
-  check_int "clock stops at the delivery" (Time.ms 2) (Engine.now eng)
-
-let test_mailbox_value_not_lost_on_timeout () =
-  (* If the receiver times out, a later send must stay in the queue. *)
-  let r =
-    Sim.exec (fun () ->
-        let mb = Mailbox.create "mb" in
-        let first = Mailbox.recv_timeout mb (Time.ms 1) in
-        Mailbox.send mb 8;
-        let second = Mailbox.try_recv mb in
-        (first, second))
-  in
-  Alcotest.(check (option int)) "timed out first" None (fst r);
-  Alcotest.(check (option int)) "value kept" (Some 8) (snd r)
-
-let test_mailbox_waiters_bounded () =
-  (* Regression: a timed-out receiver used to leave its waiter queued
-     forever, so a poll loop grew the queue without bound. *)
-  let max_seen, after, late =
-    Sim.exec (fun () ->
-        let mb = Mailbox.create "mb" in
-        let max_seen = ref 0 in
-        for _ = 1 to 50 do
-          assert (Mailbox.recv_timeout mb (Time.us 100) = None);
-          max_seen := max !max_seen (Mailbox.waiters mb)
-        done;
-        let after = Mailbox.waiters mb in
-        (* A fresh receiver must still get woken by a send: the purge
-           must only discard dead waiters, never live ones. *)
-        let got = ref None in
-        ignore
-          (Sim.spawn "late" (fun () -> got := Some (Mailbox.recv mb)));
-        Sim.yield ();
-        Mailbox.send mb 99;
-        Sim.sleep (Time.us 1);
-        (!max_seen, after, !got))
-  in
-  Alcotest.(check bool) "queue stays bounded" true (max_seen <= 1);
-  check_int "no waiters after timeouts" 0 after;
-  Alcotest.(check (option int)) "live receiver still served" (Some 99) late
 
 let test_mailbox_receivers_fifo () =
   let order =
@@ -663,108 +708,6 @@ let test_mutex_exception_releases () =
       (try Mutex.with_lock m (fun () -> failwith "boom")
        with Failure _ -> ());
       check_bool "released after exception" false (Mutex.locked m))
-
-(* ------------------------------------------------------------------ *)
-(* Rwlock *)
-
-let test_rwlock_shared_readers () =
-  Sim.exec (fun () ->
-      let l = Rwlock.create () in
-      Rwlock.lock_read l;
-      Rwlock.lock_read l;
-      (match Rwlock.holders l with
-      | `Readers 2 -> ()
-      | _ -> Alcotest.fail "expected two readers");
-      check_bool "writer blocked" false (Rwlock.try_lock_write l);
-      Rwlock.unlock_read l;
-      Rwlock.unlock_read l;
-      check_bool "writer acquires when free" true (Rwlock.try_lock_write l))
-
-let test_rwlock_writer_excludes () =
-  Sim.exec (fun () ->
-      let l = Rwlock.create () in
-      Rwlock.lock_write l;
-      check_bool "no second writer" false (Rwlock.try_lock_write l);
-      check_bool "no reader under writer" false (Rwlock.try_lock_read l);
-      Rwlock.unlock_write l)
-
-let test_rwlock_fifo_no_starvation () =
-  (* reader holds; writer queues; a later reader must wait behind the
-     writer (FIFO), so the writer is not starved. *)
-  let order =
-    Sim.exec (fun () ->
-        let l = Rwlock.create () in
-        let log = ref [] in
-        let done_ = Semaphore.create 0 in
-        Rwlock.lock_read l;
-        ignore
-          (Sim.spawn "writer" (fun () ->
-               Rwlock.lock_write l;
-               log := "w" :: !log;
-               Rwlock.unlock_write l;
-               Semaphore.release done_));
-        Sim.yield ();
-        ignore
-          (Sim.spawn "late-reader" (fun () ->
-               Rwlock.lock_read l;
-               log := "r" :: !log;
-               Rwlock.unlock_read l;
-               Semaphore.release done_));
-        Sim.sleep (Time.ms 1);
-        Rwlock.unlock_read l;
-        Semaphore.acquire done_;
-        Semaphore.acquire done_;
-        List.rev !log)
-  in
-  Alcotest.(check (list string)) "writer before late reader" [ "w"; "r" ] order
-
-let prop_rwlock_invariant =
-  (* Under random operations, never a writer with readers or two
-     writers. *)
-  QCheck.Test.make ~name:"rwlock safety under random schedules" ~count:60
-    QCheck.(pair small_nat (small_list (pair bool small_nat)))
-    (fun (seed, plan) ->
-      let violation = ref false in
-      let ignore_pid (_ : Engine.pid) = () in
-      (try
-         Sim.exec ~seed (fun () ->
-             let l = Rwlock.create () in
-             let readers = ref 0 in
-             let writers = ref 0 in
-             let live = ref (List.length plan) in
-             let done_ = Semaphore.create 0 in
-             let check () =
-               if !writers > 1 || (!writers = 1 && !readers > 0) then
-                 violation := true
-             in
-             List.iter
-               (fun (is_writer, delay) ->
-                 ignore_pid
-                   (Sim.spawn "op" (fun () ->
-                        Sim.sleep (Time.us delay);
-                        if is_writer then begin
-                          Rwlock.lock_write l;
-                          incr writers;
-                          check ();
-                          Sim.sleep (Time.us 10);
-                          decr writers;
-                          Rwlock.unlock_write l
-                        end
-                        else begin
-                          Rwlock.lock_read l;
-                          incr readers;
-                          check ();
-                          Sim.sleep (Time.us 10);
-                          decr readers;
-                          Rwlock.unlock_read l
-                        end;
-                        Semaphore.release done_)))
-               plan;
-             for _ = 1 to !live do
-               Semaphore.acquire done_
-             done)
-       with Failure _ -> ());
-      not !violation)
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -1000,6 +943,7 @@ let () =
           Alcotest.test_case "deadlock detection" `Quick
             test_exec_deadlock_detected;
         ] );
+      qsuite "engine-props" [ prop_sleepers_under_kills ];
       ( "kill",
         [
           Alcotest.test_case "kill sleeping process" `Quick test_kill_sleeping;
@@ -1012,8 +956,8 @@ let () =
             test_mutex_handoff_skips_dead_waiter;
           Alcotest.test_case "semaphore skips dead waiter" `Quick
             test_semaphore_release_skips_dead_waiter;
-          Alcotest.test_case "rwlock skips dead waiter" `Quick
-            test_rwlock_grant_skips_dead_waiter;
+          Alcotest.test_case "mailbox send skips dead receiver" `Quick
+            test_mailbox_send_skips_dead_receiver;
           Alcotest.test_case "on_terminate" `Quick test_on_terminate;
         ] );
       ( "ivar",
@@ -1024,21 +968,20 @@ let () =
           Alcotest.test_case "multiple readers" `Quick
             test_ivar_multiple_readers;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
+          Alcotest.test_case "timeout expires" `Quick test_ivar_timeout_expires;
+          Alcotest.test_case "timeout delivers" `Quick
+            test_ivar_timeout_delivers;
+          Alcotest.test_case "value kept after timeout" `Quick
+            test_ivar_value_kept_after_timeout;
+          Alcotest.test_case "poll loop leaves nothing registered" `Quick
+            test_ivar_poll_loop_leaves_nothing;
         ] );
       ( "mailbox",
         [
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "blocking recv" `Quick test_mailbox_blocking_recv;
-          Alcotest.test_case "timeout expires" `Quick
-            test_mailbox_timeout_expires;
-          Alcotest.test_case "timeout delivers" `Quick
-            test_mailbox_timeout_delivers;
-          Alcotest.test_case "value kept after timeout" `Quick
-            test_mailbox_value_not_lost_on_timeout;
           Alcotest.test_case "receivers fifo" `Quick
             test_mailbox_receivers_fifo;
-          Alcotest.test_case "waiter queue bounded" `Quick
-            test_mailbox_waiters_bounded;
         ] );
       ( "semaphore",
         [
@@ -1053,15 +996,6 @@ let () =
           Alcotest.test_case "exception releases" `Quick
             test_mutex_exception_releases;
         ] );
-      ( "rwlock",
-        [
-          Alcotest.test_case "shared readers" `Quick test_rwlock_shared_readers;
-          Alcotest.test_case "writer excludes" `Quick
-            test_rwlock_writer_excludes;
-          Alcotest.test_case "fifo prevents writer starvation" `Quick
-            test_rwlock_fifo_no_starvation;
-        ] );
-      qsuite "rwlock-props" [ prop_rwlock_invariant ];
       ( "fanout",
         [
           Alcotest.test_case "order and concurrency" `Quick
