@@ -43,8 +43,9 @@ val install :
     local-consistency batch pushes — goes to all participant data
     servers concurrently, so a phase costs one round trip regardless
     of transaction span.  A Local commit carries its dirty pages as
-    one [Put_batch] per home server; a Global commit's pages ride its
-    one-per-home [Prepare]. *)
+    one [Put_batch] per home server; a Global commit's one-per-home
+    [Prepare] carries only the byte spans it wrote
+    ({!Ra.Mmu.dirty_spans}). *)
 
 val object_manager : t -> Clouds.Object_manager.t
 (** The object manager this instance hooks. *)

@@ -277,17 +277,12 @@ let pick_compute t =
    ring holds every data server the membership view has not condemned
    ([remap_ring]), so when no member is usable none is. *)
 let place_data t key =
-  let rec first = function
-    | [] -> invalid_arg "Cluster.place_data: no live data server"
-    | addr :: rest ->
-        let ok =
-          Array.exists
-            (fun n -> n.Ra.Node.id = addr && usable t n)
-            t.data_nodes
-        in
-        if ok then addr else first rest
+  let ok addr =
+    Array.exists (fun n -> n.Ra.Node.id = addr && usable t n) t.data_nodes
   in
-  first (Ring.successors t.ring key)
+  match Ring.find_owner t.ring key ok with
+  | Some addr -> addr
+  | None -> invalid_arg "Cluster.place_data: no live data server"
 
 let place_object t obj = place_data t (Ring.key_of_sysname obj)
 

@@ -79,22 +79,22 @@ let slot_of t key =
 let owner t key = t.owners.(slot_of t key)
 let owner_of_string t s = owner t (key_of_string s)
 
-(* distinct owners in arc order starting at the key's slot: the
-   preference list used when the primary owner is unusable *)
-let successors t key =
+(* Walk the arcs from the key's slot and return the first owner that
+   passes [ok], testing each owner at most once in a row.  [ok] must
+   be pure: an owner met again after another one is tested again, and
+   gives the same answer, so the result is the first distinct passing
+   owner in arc order.  No table and no list: this runs on every name
+   lookup. *)
+let find_owner t key ok =
   let n = Array.length t.points in
   let start = slot_of t key in
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let i = ref 0 in
-  while !i < n && Hashtbl.length seen < Array.length t.members do
-    let a = t.owners.((start + !i) mod n) in
-    if not (Hashtbl.mem seen a) then begin
-      Hashtbl.add seen a ();
-      acc := a :: !acc
-    end;
+  let hit = ref (-1) and i = ref 0 in
+  while !hit < 0 && !i < n do
+    let slot = (start + !i) mod n in
+    let a = t.owners.(slot) in
+    if (!i = 0 || a <> t.owners.((slot + n - 1) mod n)) && ok a then hit := slot;
     incr i
   done;
-  List.rev !acc
+  if !hit < 0 then None else Some t.owners.(!hit)
 
 let moved ~before ~after key = owner before key <> owner after key

@@ -27,9 +27,12 @@ val owner : t -> int -> Net.Address.t
 
 val owner_of_string : t -> string -> Net.Address.t
 
-(** Distinct members in arc order starting at [key]'s slot — the
-    preference list to walk when the primary owner is down. *)
-val successors : t -> int -> Net.Address.t list
+(** [find_owner t key ok] is the first distinct member, in arc order
+    starting at [key]'s slot, for which [ok] holds — the owner to use
+    when the primary is down — or [None] if no member passes.  [ok]
+    must be pure; it may be called more than once per member.
+    Allocates nothing beyond the result. *)
+val find_owner : t -> int -> (Net.Address.t -> bool) -> Net.Address.t option
 
 (** Did [key]'s owner change between two rings? *)
 val moved : before:t -> after:t -> int -> bool

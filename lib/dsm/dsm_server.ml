@@ -9,11 +9,11 @@ type owner_state = {
 }
 
 (* What a participant remembers about a prepared transaction: the
-   page images to apply at commit, (under group commit) the
+   byte spans to apply at commit, (under group commit) the
    before-images recovery needs to undo a crash-window apply, and the
    presumed-abort timer that a Commit or Abort makes moot. *)
 type prep_entry = {
-  writes : P.write_set;
+  writes : P.span_set;
   undo : (Ra.Sysname.t * int * bytes option) list;
   abort_timer : Sim.Engine.timer;
 }
@@ -329,11 +329,26 @@ let handle_get t ~src seg page mode =
 let stores_all t seg_of items =
   List.for_all (fun x -> Store.Segment_store.exists t.store (seg_of x)) items
 
-let apply_writes ?lsn t writes =
+let apply_writes t writes =
   List.iter
     (fun (seg, page, data) ->
       if Store.Segment_store.exists t.store seg then
-        Store.Segment_store.write_page ?lsn t.store seg page data)
+        Store.Segment_store.write_page t.store seg page data)
+    writes
+
+(* Lay each page's spans over a copy of its stored image (the stored
+   image is shared with readers' frames and messages in flight) and
+   return the full images that result, for the copyset flush and the
+   backups: a backup that missed an earlier fire-and-forget mirror
+   must not lay spans over a stale base.  Commit, in-doubt resolution
+   and release-mode writeback all apply through here. *)
+let apply_spans ?lsn t writes =
+  List.filter_map
+    (fun (seg, page, spans) ->
+      if Store.Segment_store.exists t.store seg then
+        Some
+          (seg, page, Store.Segment_store.apply_spans ?lsn t.store seg page spans)
+      else None)
     writes
 
 (* Cut a fuzzy checkpoint [checkpoint_every] after the first prepare
@@ -439,7 +454,7 @@ let handle_commit t ~src txn =
          which is the coordinator's ack, leaves only once the group
          flush has made the record durable *)
       let lsn = Store.Wal.enqueue t.wal (Store.Wal.Committed txn) in
-      apply_writes t ~lsn writes;
+      let images = apply_spans t ~lsn writes in
       settle t txn e;
       Sim.Stats.incr t.commit_count;
       Lock_table.release_txn t.locks txn;
@@ -449,14 +464,14 @@ let handle_commit t ~src txn =
          observed (the non-group path orders the same way — its
          synchronous append precedes the burst) *)
       Store.Wal.wait_durable t.wal lsn;
-      release_flush t writes ~except:src;
-      mirror_writes t writes;
+      release_flush t images ~except:src;
+      mirror_writes t images;
       P.Txn_done
   | Some ({ writes; _ } as e) ->
       Store.Wal.append t.wal (Store.Wal.Committed txn);
-      apply_writes t writes;
-      release_flush t writes ~except:src;
-      mirror_writes t writes;
+      let images = apply_spans t writes in
+      release_flush t images ~except:src;
+      mirror_writes t images;
       settle t txn e;
       Sim.Stats.incr t.commit_count;
       Lock_table.release_txn t.locks txn;
@@ -504,27 +519,7 @@ let handle t ~src body =
       if not (stores_all t (fun (seg, _, _) -> seg) entries) then
         P.Segment_error
       else begin
-        let images =
-          List.map
-            (fun (seg, page, spans) ->
-              (* the stored image is shared (with readers' frames and
-                 messages in flight): apply the spans to a copy *)
-              let cur =
-                match Store.Segment_store.read_page t.store seg page with
-                | Ra.Partition.Data b -> Bytes.copy b
-                | Ra.Partition.Zeroed -> Bytes.make Ra.Page.size '\000'
-              in
-              List.iter
-                (fun (off, b) ->
-                  let len =
-                    min (Bytes.length b) (max 0 (Bytes.length cur - off))
-                  in
-                  if off >= 0 && len > 0 then Bytes.blit b 0 cur off len)
-                spans;
-              Store.Segment_store.write_page t.store seg page cur;
-              (seg, page, cur))
-            entries
-        in
+        let images = apply_spans t entries in
         release_flush t images ~except:src;
         mirror_writes t images;
         P.Batch_ok
@@ -782,7 +777,7 @@ let recover t =
               match t.oracle txn with
               | `Committed ->
                   let lsn = Store.Wal.enqueue t.wal (Store.Wal.Committed txn) in
-                  apply_writes t ~lsn writes;
+                  ignore (apply_spans t ~lsn writes);
                   Hashtbl.remove t.prepared txn;
                   Lock_table.release_txn t.locks txn
               | `Aborted | `Unknown ->

@@ -3,6 +3,7 @@ type txn_id = int * int
 type lock_kind = R | W
 
 type write_set = (Ra.Sysname.t * int * bytes) list
+type span_set = Store.Wal.write list
 
 type Ratp.Packet.body +=
   | Get_page of { seg : Ra.Sysname.t; page : int; mode : Ra.Partition.mode }
@@ -34,7 +35,7 @@ type Ratp.Packet.body +=
     }
   | Unregister_object of Ra.Sysname.t
   | Registered
-  | Prepare of { txn : txn_id; writes : write_set }
+  | Prepare of { txn : txn_id; writes : span_set }
   | Vote of bool
   | Commit of { txn : txn_id }
   | Abort of { txn : txn_id }
@@ -62,7 +63,7 @@ type Ratp.Packet.body +=
           when the scope's dirty pages land at the home.  The copy is
           dropped without returning dirty data (an unflushed write on
           an invalidated release page was outside lock discipline). *)
-  | Put_diffs of (Ra.Sysname.t * int * (int * bytes) list) list
+  | Put_diffs of span_set
       (** Release-mode writeback: per page, the byte spans (offset,
           bytes) that changed against the twin.  Sub-page application
           keeps concurrent writers to disjoint bytes of one page from
@@ -115,7 +116,7 @@ let request_bytes = function
       48 + Store.Directory.descriptor_bytes descriptor
   | Unregister_object _ -> 48
   | Registered -> 32
-  | Prepare { writes; _ } -> 64 + write_set_bytes writes
+  | Prepare { writes; _ } -> 64 + Store.Wal.writes_bytes writes
   | Vote _ -> 32
   | Commit _ | Abort _ -> 48
   | Txn_done -> 32
@@ -126,13 +127,7 @@ let request_bytes = function
   | Mirror_writes ws -> 48 + write_set_bytes ws
   | Backfill ws -> 48 + write_set_bytes ws
   | Inval_batch pages -> 32 + (24 * List.length pages)
-  | Put_diffs entries ->
-      List.fold_left
-        (fun acc (_, _, spans) ->
-          List.fold_left
-            (fun acc (_, data) -> acc + 8 + Bytes.length data)
-            (acc + 24) spans)
-        48 entries
+  | Put_diffs entries -> 48 + Store.Wal.writes_bytes entries
   | Merge_delta ds ->
       List.fold_left
         (fun acc (_, _, _, delta) -> acc + 32 + Bytes.length delta)

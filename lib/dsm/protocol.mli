@@ -16,6 +16,12 @@ type write_set = (Ra.Sysname.t * int * bytes) list
     body are shared by reference with the sender and the receiver's
     store, so nobody writes to them once sent. *)
 
+type span_set = Store.Wal.write list
+(** (segment, page, spans) triples: per page, the [(offset, bytes)]
+    runs a writer changed, laid over the receiver's stored image
+    ({!Store.Segment_store.apply_spans}).  Charged 24 bytes per page
+    plus 8 per span, plus the span bytes. *)
+
 type Ratp.Packet.body +=
   | Get_page of { seg : Ra.Sysname.t; page : int; mode : Ra.Partition.mode }
       (** demand fault: exactly one page comes back *)
@@ -52,7 +58,10 @@ type Ratp.Packet.body +=
     }
   | Unregister_object of Ra.Sysname.t
   | Registered
-  | Prepare of { txn : txn_id; writes : write_set }
+  | Prepare of { txn : txn_id; writes : span_set }
+      (** phase one of two-phase commit: the byte spans the
+          transaction wrote, which the participant logs before it
+          votes and lays over its stored images at commit *)
   | Vote of bool
   | Commit of { txn : txn_id }
   | Abort of { txn : txn_id }
@@ -74,7 +83,7 @@ type Ratp.Packet.body +=
       (** release-mode flush: one batched invalidation RPC per copyset
           member, sent when a lock scope's dirty pages land at the
           home; the copy is dropped without returning dirty data *)
-  | Put_diffs of (Ra.Sysname.t * int * (int * bytes) list) list
+  | Put_diffs of span_set
       (** release-mode writeback: per page, the (offset, bytes) spans
           changed against the twin, applied sub-page at the home *)
   | Merge_delta of (Ra.Sysname.t * int * int * bytes) list

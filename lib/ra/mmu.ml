@@ -7,7 +7,11 @@ type frame = {
       (* always Page.size long.  A Read frame may share its image with
          the store, the wire and other nodes' frames, so it is never
          written; only a Write frame owns a private copy. *)
-  mutable dirty : bool;
+  mutable spans : (int * int) list;
+      (* the (offset, length) byte ranges written since the frame was
+         last clean: sorted, disjoint and never adjacent ([] = clean).
+         Once they would cost a page to ship they collapse into one
+         whole-page range, which bounds the list. *)
   mutable last_used : int;  (* logical access clock, for LRU *)
   mutable base : bytes option;
       (* twin: snapshot of [data] as fetched, kept only for segments
@@ -92,7 +96,7 @@ let evict_one t =
   | Some ((seg, page), frame) ->
       Hashtbl.remove t.frames (seg, page);
       t.evictions <- t.evictions + 1;
-      if frame.dirty then begin
+      if frame.spans <> [] then begin
         let partition = t.resolver seg in
         partition.Partition.writeback ~seg ~page frame.data
       end
@@ -148,7 +152,7 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
                     {
                       mode = need;
                       data = Page.zero ();
-                      dirty = false;
+                      spans = [];
                       last_used = 0;
                       base = None;
                       base_stamp = 0;
@@ -167,7 +171,7 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
                     {
                       mode = need;
                       data;
-                      dirty = false;
+                      spans = [];
                       last_used = 0;
                       base = None;
                       base_stamp = 0;
@@ -230,25 +234,55 @@ let read t vs ~addr ~len =
       Bytes.blit frame.data page_off out buf_off n);
   out
 
+let whole_page = [ (0, Page.size) ]
+
+(* Shipping a span costs its bytes plus an 8-byte (offset, length)
+   header, the same charge the wire and the log make. *)
+let spans_cost spans = List.fold_left (fun acc (_, l) -> acc + 8 + l) 0 spans
+
+(* Merge [lo, hi) into a sorted list of disjoint, non-adjacent
+   ranges, absorbing every range it overlaps or touches. *)
+let rec insert_range lo hi = function
+  | [] -> [ (lo, hi - lo) ]
+  | ((o, l) as r) :: rest ->
+      if o + l < lo then r :: insert_range lo hi rest
+      else if hi < o then (lo, hi - lo) :: r :: rest
+      else insert_range (min lo o) (max hi (o + l)) rest
+
+let note_write frame ~off ~n =
+  match frame.spans with
+  | [ (0, l) ] when l = Page.size -> ()
+  | spans ->
+      let spans = insert_range off (off + n) spans in
+      frame.spans <-
+        (if spans_cost spans >= Page.size then whole_page else spans)
+
 let write t vs ~addr src =
   let len = Bytes.length src in
   access t vs ~addr ~len ~need:Partition.Write
     (fun frame ~page_off ~buf_off ~n ->
       Bytes.blit src buf_off frame.data page_off n;
-      frame.dirty <- true)
+      note_write frame ~off:page_off ~n)
 
 let resident t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
   | Some f -> Some f.mode
   | None -> None
 
-let dirty_pages t seg =
+(* Each dirty frame of [seg], as [image f] of it, sorted by page. *)
+let dirty_by_page t seg image =
   Hashtbl.fold
     (fun (s, page) f acc ->
-      if Sysname.equal s seg && f.dirty then (page, Page.copy f.data) :: acc
+      if Sysname.equal s seg && f.spans <> [] then (page, image f) :: acc
       else acc)
     t.frames []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let dirty_pages t seg = dirty_by_page t seg (fun f -> Page.copy f.data)
+
+let dirty_spans t seg =
+  dirty_by_page t seg (fun f ->
+      List.map (fun (off, n) -> (off, Bytes.sub f.data off n)) f.spans)
 
 let invalidate t seg page =
   if Hashtbl.mem t.inflight (seg, page) then
@@ -257,7 +291,7 @@ let invalidate t seg page =
   | None -> None
   | Some f ->
       Hashtbl.remove t.frames (seg, page);
-      if f.dirty then Some f.data else None
+      if f.spans <> [] then Some f.data else None
 
 let downgrade t seg page =
   if Hashtbl.mem t.inflight (seg, page) then
@@ -265,21 +299,21 @@ let downgrade t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
   | None -> None
   | Some f ->
-      let dirty = f.dirty in
+      let dirty = f.spans <> [] in
       (* Read mode from here on: the frame never writes [data] again,
          so the caller may keep it *)
       f.mode <- Partition.Read;
-      f.dirty <- false;
+      f.spans <- [];
       if dirty then Some f.data else None
 
 let mark_clean t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
-  | Some f -> f.dirty <- false
+  | Some f -> f.spans <- []
   | None -> ()
 
 let is_dirty t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
-  | Some f -> f.dirty
+  | Some f -> f.spans <> []
   | None -> false
 
 let page_base t seg page =
@@ -303,7 +337,7 @@ let merge_refresh t seg page data =
       let fresh = Page.copy f.data in
       Bytes.blit data 0 fresh 0 (min (Bytes.length data) Page.size);
       f.data <- fresh;
-      f.dirty <- false;
+      f.spans <- [];
       snapshot_base t seg f
 
 let rebase t seg page =

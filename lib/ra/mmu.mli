@@ -60,6 +60,16 @@ val dirty_pages : t -> Sysname.t -> (int * bytes) list
 (** Dirty resident pages of a segment, sorted by page index.  Each
     image is a copy: the frames stay writable. *)
 
+val dirty_spans : t -> Sysname.t -> (int * (int * bytes) list) list
+(** What {!dirty_pages} would return, as the bytes written since each
+    frame was last clean: per page, sorted by page index, its
+    [(offset, bytes)] spans, sorted by offset, disjoint and never
+    adjacent (overlapping and touching writes coalesce).  Laying the
+    spans over the image the frame was fetched as reproduces the
+    frame.  When the spans would cost at least a page to ship (8
+    bytes of header per span plus its bytes), the page comes back as
+    one whole-page span.  The bytes are copies. *)
+
 val invalidate : t -> Sysname.t -> int -> bytes option
 (** Drop the frame, returning its data if it was dirty (the caller
     forwards it to the requesting node or discards it to abort).  The
@@ -72,7 +82,8 @@ val downgrade : t -> Sysname.t -> int -> bytes option
     never writes to it again, so frame and caller share it. *)
 
 val mark_clean : t -> Sysname.t -> int -> unit
-(** Clear the dirty bit after a successful writeback/commit. *)
+(** Make the frame clean, forgetting its spans, after a successful
+    writeback/commit. *)
 
 val is_dirty : t -> Sysname.t -> int -> bool
 (** Whether the page is resident with unwritten-back writes. *)

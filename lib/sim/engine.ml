@@ -124,7 +124,6 @@ type t = {
 }
 
 type _ Effect.t +=
-  | E_engine : t Effect.t
   | E_sleep : Time.span -> unit Effect.t
   | E_suspend : string * (('a -> bool) -> unit) -> 'a Effect.t
 
@@ -183,7 +182,6 @@ let rec run_proc : t -> proc -> (unit -> unit) -> unit =
        effc =
          (fun (type a) (eff : a Effect.t) ->
            match eff with
-           | E_engine -> Some (fun (k : (a, _) continuation) -> continue k t)
            | E_sleep span ->
                Some
                  (fun (k : (a, _) continuation) ->
@@ -295,45 +293,71 @@ let procs t =
     t.procs []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+(* The engine whose [run] or [step] is executing.  Only one process
+   executes at a time, so this plus [t.cur] names the running process
+   without an effect round-trip.  Each entry saves and restores it, so
+   an engine driven from inside another engine's process is current
+   only while it runs. *)
+let running : t option ref = ref None
+
+let with_running t f =
+  let saved = !running in
+  running := Some t;
+  match f t with
+  | v ->
+      running := saved;
+      v
+  | exception e ->
+      running := saved;
+      raise e
+
 let step t =
-  if Evq.is_empty t.events then false
-  else begin
-    let ev = Evq.pop t.events in
-    if ev.time > t.clock then t.clock <- ev.time;
-    ev.thunk ();
-    true
-  end
+  with_running t (fun t ->
+      if Evq.is_empty t.events then false
+      else begin
+        let ev = Evq.pop t.events in
+        if ev.time > t.clock then t.clock <- ev.time;
+        ev.thunk ();
+        true
+      end)
 
 (* The drain loop pops at most once per iteration and never allocates
    (no options, no double peek): at a million-event load run this loop
    and the Evq sifts are the whole simulator. *)
 let run ?until t =
   let limit = match until with Some u -> u | None -> max_int in
-  let running = ref true in
-  while !running do
-    if Evq.is_empty t.events then running := false
-    else begin
-      let ev = Evq.min_elt t.events in
-      if ev.time > limit then begin
-        t.clock <- limit;
-        running := false
-      end
-      else begin
-        ignore (Evq.pop t.events);
-        if ev.time > t.clock then t.clock <- ev.time;
-        ev.thunk ()
-      end
-    end
-  done
+  with_running t (fun t ->
+      let running = ref true in
+      while !running do
+        if Evq.is_empty t.events then running := false
+        else begin
+          let ev = Evq.min_elt t.events in
+          if ev.time > limit then begin
+            t.clock <- limit;
+            running := false
+          end
+          else begin
+            ignore (Evq.pop t.events);
+            if ev.time > t.clock then t.clock <- ev.time;
+            ev.thunk ()
+          end
+        end
+      done)
 
 module Process = struct
-  let engine () = Effect.perform E_engine
-  let now () = now (engine ())
+  let outside () = invalid_arg "Sim: process operation outside a process"
+
+  let engine () =
+    match !running with
+    | Some ({ cur = Some _; _ } as t) -> t
+    | Some _ | None -> outside ()
+
+  let now () = (engine ()).clock
 
   let self () =
-    match (engine ()).cur with
-    | Some p -> p.pid
-    | None -> invalid_arg "Engine.Process.self: no current process"
+    match !running with
+    | Some { cur = Some p; _ } -> p.pid
+    | Some _ | None -> outside ()
 
   let sleep span = Effect.perform (E_sleep span)
   let yield () = sleep 0

@@ -91,8 +91,13 @@ val pending : t -> int
     events are not counted.  Tests use it to check that no watchdog
     outlives its purpose. *)
 
-(** Direct-style operations available inside a process.  Calling them
-    outside a process raises [Effect.Unhandled]. *)
+(** Direct-style operations available inside a process.  The engine
+    that {!run} or {!step} is driving is held in a module-level value
+    (saved and restored around each call, so nested engines work), so
+    {!engine}, {!now}, {!self} and {!spawn} are plain loads.  Outside a
+    process — at top level, or in a timer thunk — they raise
+    [Invalid_argument]; {!sleep}, {!yield} and {!suspend} raise
+    [Effect.Unhandled]. *)
 module Process : sig
   val engine : unit -> t
   (** The engine running the current process. *)

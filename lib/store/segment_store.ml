@@ -57,6 +57,22 @@ let write_page ?lsn t seg page data =
   | Some l -> Hashtbl.replace t.lsns (seg, page) l
   | None -> ()
 
+type spans = (int * bytes) list
+
+let apply_spans ?lsn t seg page spans =
+  let img = Ra.Page.zero () in
+  (match read_page t seg page with
+  | Ra.Partition.Data b ->
+      Bytes.blit b 0 img 0 (min (Bytes.length b) Ra.Page.size)
+  | Ra.Partition.Zeroed -> ());
+  List.iter
+    (fun (off, b) ->
+      let len = min (Bytes.length b) (Ra.Page.size - off) in
+      if off >= 0 && len > 0 then Bytes.blit b 0 img off len)
+    spans;
+  write_page ?lsn t seg page img;
+  img
+
 let clear_page t seg page =
   Hashtbl.remove t.pages (seg, page);
   Hashtbl.remove t.lsns (seg, page)

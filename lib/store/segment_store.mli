@@ -35,6 +35,19 @@ val write_page : ?lsn:int -> t -> Ra.Sysname.t -> int -> bytes -> unit
     not look older than the commit it replaced, or recovery redo
     would clobber it. *)
 
+type spans = (int * bytes) list
+(** Byte runs [(offset in page, bytes)]: the redo format of a
+    two-phase commit and the diff format of a release-mode
+    writeback. *)
+
+val apply_spans : ?lsn:int -> t -> Ra.Sysname.t -> int -> spans -> bytes
+(** [apply_spans ?lsn t seg page spans] lays [spans] over a
+    full-page copy of the stored image (zeros where it was never
+    written), installs the result with {!write_page} and returns it.
+    The stored image itself is shared and is never written.  Bytes of
+    a span that fall outside the page are dropped.  Laying the same
+    spans twice gives the same page, so redo may repeat it. *)
+
 val clear_page : t -> Ra.Sysname.t -> int -> unit
 (** Forget a page: it reads back as {!Ra.Partition.Zeroed} again.
     Recovery undo uses it when a crash-window write landed on a page

@@ -1,4 +1,4 @@
-type write = Ra.Sysname.t * int * bytes
+type write = Ra.Sysname.t * int * Segment_store.spans
 type undo = Ra.Sysname.t * int * bytes option
 type prep = { txn : int * int; writes : write list; undo : undo list }
 
@@ -96,9 +96,15 @@ let pad_image b =
     full
   end
 
+let writes_bytes ws =
+  List.fold_left
+    (fun acc (_, _, spans) ->
+      List.fold_left (fun acc (_, b) -> acc + 8 + Bytes.length b) (acc + 24) spans)
+    0 ws
+
 let prep_bytes p =
   64
-  + List.fold_left (fun acc (_, _, b) -> acc + Bytes.length b) 0 p.writes
+  + writes_bytes p.writes
   + List.fold_left
       (fun acc (_, _, b) ->
         acc + match b with Some b -> Bytes.length b | None -> 0)
@@ -341,27 +347,31 @@ let recover t store ~decide ~applied =
               p.undo
         | None -> ())
     order;
-  (* redo committed prepares in log order, page-LSN guarded: a page
-     already carrying the commit's tag (or a later one) is skipped,
-     so replaying the log twice applies each write once *)
-  List.iter
+  (* redo committed prepares in commit-record order, page-LSN
+     guarded: a page already carrying the commit's tag (or a later
+     one) is skipped, so replaying the log twice applies each write
+     once.  Spans overwrite only part of a page, so two commits to one
+     page must land in the order they were applied *)
+  List.filter_map
     (fun txn ->
       match (Hashtbl.find_opt committed txn, Hashtbl.find_opt preps txn) with
-      | Some clsn, Some (_, p) ->
-          let did = ref false in
-          List.iter
-            (fun (seg, page, data) ->
-              if
-                Segment_store.exists store seg
-                && Segment_store.page_lsn store seg page < clsn
-              then begin
-                Segment_store.write_page store seg page data ~lsn:clsn;
-                did := true
-              end)
-            p.writes;
-          if !did then applied := txn :: !applied
-      | _ -> ())
-    order;
+      | Some clsn, Some (_, p) -> Some (clsn, txn, p)
+      | _ -> None)
+    order
+  |> List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  |> List.iter (fun (clsn, txn, p) ->
+         let did = ref false in
+         List.iter
+           (fun (seg, page, spans) ->
+             if
+               Segment_store.exists store seg
+               && Segment_store.page_lsn store seg page < clsn
+             then begin
+               ignore (Segment_store.apply_spans store seg page spans ~lsn:clsn);
+               did := true
+             end)
+           p.writes;
+         if !did then applied := txn :: !applied);
   (* survivors the caller must re-install as in-doubt *)
   List.filter_map
     (fun txn ->

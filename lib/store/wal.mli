@@ -1,8 +1,8 @@
 (** Write-ahead log for two-phase commit on data servers.
 
-    Participants log [Prepared] with the transaction's page images
-    (and, under group commit, the before-images needed to undo a
-    crash-window apply) before voting yes; [Committed]/[Aborted] seal
+    Participants log [Prepared] with the byte spans the transaction
+    wrote (and, under group commit, the before-images needed to undo
+    a crash-window apply) before voting yes; [Committed]/[Aborted] seal
     the outcome; [Checkpoint] records carry the in-doubt transaction
     table so the log before them can be truncated.
 
@@ -26,8 +26,14 @@
     own synchronous {!Disk.write}, the historical cost model, and
     every record is durable the moment it is logged. *)
 
-type write = Ra.Sysname.t * int * bytes
-(** (segment, page, data) *)
+type write = Ra.Sysname.t * int * Segment_store.spans
+(** (segment, page, spans): the bytes a transaction wrote to the
+    page, laid over the stored image at commit and at redo
+    ({!Segment_store.apply_spans}). *)
+
+val writes_bytes : write list -> int
+(** Log and wire size of a span list: 24 bytes per page plus 8 per
+    span, plus the span bytes. *)
 
 type undo = Ra.Sysname.t * int * bytes option
 (** (segment, page, before-image); [None] = the page had never been
@@ -115,7 +121,8 @@ val recover :
     and acted on; [`Keep] leaves the transaction in doubt.  Losers'
     crash-window page images (tagged past the durable horizon) are
     restored from their before-images.  Committed prepares are then
-    redone in log order under the page-LSN guard, so recovering twice
+    redone in commit-record order under the page-LSN guard, each
+    laying its spans over the stored image, so recovering twice
     applies each write once.  [applied] reports every txn that had at
     least one write replayed; the return value is the in-doubt
     transactions the caller must re-install. *)

@@ -272,6 +272,79 @@ let test_read_only_gcp_releases_locks () =
       check_int "write after read-only txn" 5
         (Value.to_int (direct env acct "deposit" (Value.Int 5))))
 
+(* A transaction's dirty frame is recalled mid-transaction (an
+   s-thread on another machine reads the page, so the home downgrades
+   the writer and stores its bytes) and then refetched by the next
+   write.  The recall made the frame clean, so the prepare carries
+   only the bytes written after it, and the commit lays them over the
+   stored image that already holds the earlier ones. *)
+let test_recalled_frame_commits_final_bytes () =
+  with_env (fun env ->
+      let scribe =
+        Obj_class.define ~name:"scribe"
+          [
+            Obj_class.entry ~label:Obj_class.Gcp "scribble" (fun ctx _ ->
+                Memory.write ctx.Ctx.mem 100 (Bytes.of_string "first");
+                Sim.sleep (Time.ms 300);
+                Memory.write ctx.Ctx.mem 300 (Bytes.of_string "second");
+                Value.Unit);
+            Obj_class.entry ~label:Obj_class.S "peek" (fun ctx _ ->
+                Value.Str (Bytes.to_string (Memory.read ctx.Ctx.mem 100 ~len:5)));
+          ]
+      in
+      Cluster.register_class env.sys.cluster scribe;
+      let obj =
+        Object_manager.create_object env.sys.om ~home:1 ~class_name:"scribe"
+          Value.Unit
+      in
+      let server = Option.get (Cluster.server_at env.sys.cluster 1) in
+      let th = Thread.start env.sys.om ~obj ~entry:"scribble" Value.Unit in
+      Sim.sleep (Time.ms 100);
+      let other =
+        if Thread.node th = env.sys.cluster.Cluster.compute_nodes.(0).Ra.Node.id
+        then env.sys.cluster.Cluster.compute_nodes.(1)
+        else env.sys.cluster.Cluster.compute_nodes.(0)
+      in
+      let downs = Dsm.Dsm_server.downgrades_sent server in
+      ignore (direct env ~node:other obj "peek" Value.Unit);
+      check_bool "the read recalled the writer's frame" true
+        (Dsm.Dsm_server.downgrades_sent server > downs);
+      (match Thread.try_join th with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "scribble failed: %s" (Printexc.to_string e));
+      let shipped =
+        List.concat_map
+          (function
+            | Store.Wal.Prepared p ->
+                List.concat_map
+                  (fun (_, _, spans) ->
+                    List.map (fun (off, b) -> (off, Bytes.to_string b)) spans)
+                  p.Store.Wal.writes
+            | _ -> [])
+          (Store.Wal.records (Dsm.Dsm_server.wal server))
+      in
+      Alcotest.(check (list (pair int string)))
+        "the prepare carries only the bytes after the recall"
+        [ (300, "second") ] shipped;
+      let data_seg =
+        let desc =
+          Option.get
+            (Store.Directory.lookup (Dsm.Dsm_server.directory server) obj)
+        in
+        (List.find
+           (fun e -> String.equal e.Store.Directory.role "data")
+           desc.Store.Directory.entries)
+          .Store.Directory.seg
+      in
+      match
+        Store.Segment_store.read_page (Dsm.Dsm_server.store server) data_seg 0
+      with
+      | Ra.Partition.Zeroed -> Alcotest.fail "nothing committed"
+      | Ra.Partition.Data b ->
+          Alcotest.(check (pair string string))
+            "both writes committed" ("first", "second")
+            (Bytes.sub_string b 100 5, Bytes.sub_string b 300 6))
+
 let test_deadlock_broken_and_retried () =
   with_env (fun env ->
       let a = Object_manager.create_object env.sys.om ~class_name:"account" Value.Unit in
@@ -525,6 +598,8 @@ let () =
             test_gcp_isolation_no_lost_updates;
           Alcotest.test_case "lcp local consistency" `Quick
             test_lcp_local_consistency;
+          Alcotest.test_case "recalled frame commits final bytes" `Quick
+            test_recalled_frame_commits_final_bytes;
           Alcotest.test_case "read-only gcp releases locks" `Quick
             test_read_only_gcp_releases_locks;
         ] );

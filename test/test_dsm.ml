@@ -243,8 +243,18 @@ let test_request_bytes_accounting () =
   let ws_bytes = 24 + 8192 + (24 + 100) in
   check_int "Put_batch" (48 + ws_bytes) (P.request_bytes (P.Put_batch ws));
   check_int "Overwrite" (48 + ws_bytes) (P.request_bytes (P.Overwrite ws));
-  check_int "Prepare" (64 + ws_bytes)
-    (P.request_bytes (P.Prepare { txn = (1, 1); writes = ws }));
+  (* span sets: 24 bytes per page plus 8 per span, plus the bytes *)
+  let spans =
+    [
+      (seg, 0, [ (0, Bytes.create 16); (100, Bytes.create 4) ]);
+      (seg, 1, [ (0, Bytes.create 8192) ]);
+    ]
+  in
+  let spans_bytes = 24 + (8 + 16) + (8 + 4) + (24 + 8 + 8192) in
+  check_int "Prepare" (64 + spans_bytes)
+    (P.request_bytes (P.Prepare { txn = (1, 1); writes = spans }));
+  check_int "Put_diffs" (48 + spans_bytes)
+    (P.request_bytes (P.Put_diffs spans));
   (* sysname lists charge the same 24-byte entries as descriptors *)
   check_int "Objects" (32 + (24 * 3))
     (P.request_bytes (P.Objects [ seg; seg; seg ]));
@@ -468,7 +478,7 @@ let test_two_phase_commit_applies () =
       let seg = new_seg cl ~pages:1 in
       let t1 = (2, 7) in
       let page = Bytes.make Ra.Page.size 'c' in
-      (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, page) ] }) with
+      (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, [ (0, page) ]) ] }) with
       | Ok (P.Vote true) -> ()
       | Ok _ | Error _ -> Alcotest.fail "prepare failed");
       (* not yet applied *)
@@ -491,7 +501,7 @@ let test_two_phase_abort_discards () =
       let seg = new_seg cl ~pages:1 in
       let t1 = (2, 8) in
       let page = Bytes.make Ra.Page.size 'x' in
-      (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, page) ] }) with
+      (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, [ (0, page) ]) ] }) with
       | Ok (P.Vote true) -> ()
       | Ok _ | Error _ -> Alcotest.fail "prepare failed");
       (match rpc cl cl.n1 (P.Abort { txn = t1 }) with
@@ -508,7 +518,7 @@ let test_prepare_unknown_segment_votes_no () =
       let t1 = (2, 9) in
       match
         rpc cl cl.n1
-          (P.Prepare { txn = t1; writes = [ (bogus, 0, Bytes.create 8) ] })
+          (P.Prepare { txn = t1; writes = [ (bogus, 0, [ (0, Bytes.create 8) ]) ] })
       with
       | Ok (P.Vote false) -> ()
       | Ok _ | Error _ -> Alcotest.fail "expected no vote")
@@ -521,7 +531,7 @@ let test_presumed_abort_times_out () =
       | Ok P.Lock_granted -> ()
       | Ok _ | Error _ -> Alcotest.fail "lock failed");
       let page = Bytes.make Ra.Page.size 'p' in
-      (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, page) ] }) with
+      (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, [ (0, page) ]) ] }) with
       | Ok (P.Vote true) -> ()
       | Ok _ | Error _ -> Alcotest.fail "prepare failed");
       (* coordinator goes silent; participant must self-abort and

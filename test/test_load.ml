@@ -66,6 +66,27 @@ let test_ring_bounded_movement () =
     true
     (List.length moved_l <= bound)
 
+(* [find_owner] walks the arcs from a key and takes the first distinct
+   member that is not down.  Its reference is the ring over the
+   members that are up: dropping a member removes exactly its virtual
+   nodes, so that ring's owner of the key is the first up member in
+   the full ring's arc order — what the first usable entry of the
+   full preference list was. *)
+let prop_find_owner_first_usable =
+  QCheck.Test.make ~name:"find_owner is the first usable member" ~count:300
+    QCheck.(
+      triple (int_range 1 12) (list_of_size (Gen.int_range 0 12) (int_range 1 12)) int)
+    (fun (n, down, key) ->
+      let members = List.init n (fun i -> 10 * (i + 1)) in
+      let down = List.map (fun i -> 10 * i) down in
+      let ring = Ring.make members in
+      let key = Ring.key_of_int key in
+      let up = List.filter (fun m -> not (List.mem m down)) members in
+      let got = Ring.find_owner ring key (fun a -> not (List.mem a down)) in
+      match up with
+      | [] -> got = None
+      | _ -> got = Some (Ring.owner (Ring.make up) key))
+
 (* ------------------------------------------------------------------ *)
 (* Shard routing *)
 
@@ -242,6 +263,7 @@ let () =
             test_ring_deterministic;
           Alcotest.test_case "bounded key movement" `Quick
             test_ring_bounded_movement;
+          QCheck_alcotest.to_alcotest prop_find_owner_first_usable;
         ] );
       ( "sharding",
         [

@@ -422,6 +422,142 @@ let test_mmu_eviction_mixed_clean_dirty () =
         (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:7)))
 
 (* ------------------------------------------------------------------ *)
+(* Dirty spans: the bytes a 2PC prepare ships *)
+
+let spans_of mmu seg =
+  List.map
+    (fun (page, spans) ->
+      (page, List.map (fun (off, b) -> (off, Bytes.to_string b)) spans))
+    (Mmu.dirty_spans mmu seg)
+
+let check_spans = Alcotest.(check (list (pair int (list (pair int string)))))
+
+let test_spans_coalesce () =
+  with_mmu (fun mmu vs seg _pages _fetches ->
+      let w addr s = Mmu.write mmu vs ~addr (Bytes.of_string s) in
+      w 10 "abc";
+      w 13 "de" (* touches [10,13): joins it *);
+      w 100 "x";
+      w 12 "ZZZZ" (* overlaps [10,15) and extends it *);
+      w 50 "q";
+      check_spans "sorted, merged on touch and overlap"
+        [ (0, [ (10, "abZZZZ"); (50, "q"); (100, "x") ]) ]
+        (spans_of mmu seg);
+      (* one write bridging two ranges absorbs both *)
+      w 49 (String.make 53 'y');
+      check_spans "bridge absorbs [50] and [100]"
+        [ (0, [ (10, "abZZZZ"); (49, String.make 53 'y') ]) ]
+        (spans_of mmu seg);
+      (* a write across a page boundary leaves a span on each page *)
+      w (Page.size - 2) "1234";
+      check_spans "split at the page boundary"
+        [
+          (0, [ (10, "abZZZZ"); (49, String.make 53 'y'); (Page.size - 2, "12") ]);
+          (1, [ (0, "34") ]);
+        ]
+        (spans_of mmu seg))
+
+(* Every path that makes a frame clean forgets its spans: the next
+   write on the same page ships only itself. *)
+let test_spans_cleared_when_clean () =
+  with_mmu (fun mmu vs seg _pages _fetches ->
+      let w addr s = Mmu.write mmu vs ~addr (Bytes.of_string s) in
+      let only_second what =
+        w 300 "second";
+        check_spans what [ (0, [ (300, "second") ]) ] (spans_of mmu seg)
+      in
+      w 0 "first";
+      Mmu.mark_clean mmu seg 0;
+      check_spans "mark_clean" [] (spans_of mmu seg);
+      only_second "after mark_clean";
+      ignore (Mmu.downgrade mmu seg 0);
+      check_spans "downgrade" [] (spans_of mmu seg);
+      only_second "after downgrade";
+      Mmu.merge_refresh mmu seg 0 (Mmu.read mmu vs ~addr:0 ~len:Page.size);
+      check_spans "merge_refresh" [] (spans_of mmu seg);
+      only_second "after merge_refresh";
+      ignore (Mmu.invalidate mmu seg 0);
+      check_spans "invalidate" [] (spans_of mmu seg);
+      only_second "after invalidate";
+      Mmu.drop_segment mmu seg;
+      check_spans "drop_segment" [] (spans_of mmu seg);
+      only_second "after drop_segment")
+
+let test_spans_evicted_frame_forgotten () =
+  with_small_mmu ~max_frames:1 (fun mmu vs seg _pages _fetches ->
+      Mmu.write mmu vs ~addr:0 (Bytes.of_string "first");
+      ignore (Mmu.read mmu vs ~addr:Page.size ~len:1);
+      check_bool "page 0 evicted" true (Mmu.resident mmu seg 0 = None);
+      Mmu.write mmu vs ~addr:300 (Bytes.of_string "second");
+      check_spans "only the write after the eviction"
+        [ (0, [ (300, "second") ]) ]
+        (spans_of mmu seg))
+
+(* Spans cost 8 bytes each plus their bytes; once that reaches a page
+   the page ships whole. *)
+let test_spans_whole_page_fallback () =
+  with_mmu (fun mmu vs seg _pages _fetches ->
+      (* one span of size - 9 bytes costs size - 1: still a span *)
+      Mmu.write mmu vs ~addr:0 (Bytes.make (Page.size - 9) 'a');
+      check_spans "just under a page stays a span"
+        [ (0, [ (0, String.make (Page.size - 9) 'a') ]) ]
+        (spans_of mmu seg);
+      (* one more byte, 8 bytes apart: two spans now cost size + 8 *)
+      Mmu.write mmu vs ~addr:(Page.size - 1) (Bytes.of_string "b");
+      let whole = Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:Page.size) in
+      check_spans "at a page it ships whole" [ (0, [ (0, whole) ]) ]
+        (spans_of mmu seg);
+      (* scattered single bytes reach the same cost by count *)
+      for i = 0 to 1023 do
+        Mmu.write mmu vs ~addr:(Page.size + (4 * i)) (Bytes.of_string "c")
+      done;
+      let whole = Bytes.to_string (Mmu.read mmu vs ~addr:Page.size ~len:Page.size) in
+      match spans_of mmu seg with
+      | [ _; (1, spans) ] -> check_spans "many small spans" [ (1, [ (0, whole) ]) ] [ (1, spans) ]
+      | _ -> Alcotest.fail "expected two dirty pages")
+
+(* For any write sequence, laying [dirty_spans] over the image the
+   pages were fetched as reproduces the frames byte for byte, and the
+   spans are sorted, disjoint and never adjacent. *)
+let prop_spans_reproduce_frame =
+  let write_gen =
+    QCheck.Gen.(
+      triple (int_range 0 ((2 * Page.size) - 1)) (int_range 1 300) printable)
+  in
+  QCheck.Test.make ~name:"spans rebuild the frame" ~count:200
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            list (fun (a, n, c) -> Printf.sprintf "%d+%d %C" a n c))
+        Gen.(list_size (int_range 1 40) write_gen))
+    (fun writes ->
+      with_mmu (fun mmu vs seg pages _fetches ->
+          (* a non-zero base on page 0, a zero-fill page 1 *)
+          let base0 = Bytes.init Page.size (fun i -> Char.chr (i mod 251)) in
+          Hashtbl.replace pages (seg, 0) base0;
+          List.iter
+            (fun (addr, n, c) ->
+              let n = min n ((2 * Page.size) - addr) in
+              Mmu.write mmu vs ~addr (Bytes.make n c))
+            writes;
+          List.for_all
+            (fun (page, spans) ->
+              let img =
+                if page = 0 then Bytes.copy base0 else Bytes.make Page.size '\000'
+              in
+              List.iter (fun (off, b) -> Bytes.blit b 0 img off (Bytes.length b)) spans;
+              let rec well_formed = function
+                | (o1, b1) :: ((o2, _) :: _ as rest) ->
+                    o1 + Bytes.length b1 < o2 && well_formed rest
+                | [ _ ] | [] -> true
+              in
+              well_formed spans
+              && Bytes.equal img
+                   (Mmu.read mmu vs ~addr:(page * Page.size) ~len:Page.size))
+            (Mmu.dirty_spans mmu seg)))
+
+(* ------------------------------------------------------------------ *)
 (* Node and isiba *)
 
 let test_node_crash_kills_processes () =
@@ -512,6 +648,17 @@ let () =
           Alcotest.test_case "eviction mixed clean/dirty" `Quick
             test_mmu_eviction_mixed_clean_dirty;
         ] );
+      ( "spans",
+        [
+          Alcotest.test_case "coalesce on insert" `Quick test_spans_coalesce;
+          Alcotest.test_case "cleared when clean" `Quick
+            test_spans_cleared_when_clean;
+          Alcotest.test_case "cleared by eviction" `Quick
+            test_spans_evicted_frame_forgotten;
+          Alcotest.test_case "whole-page fallback" `Quick
+            test_spans_whole_page_fallback;
+        ] );
+      qsuite "spans-props" [ prop_spans_reproduce_frame ];
       ( "node",
         [
           Alcotest.test_case "crash kills processes" `Quick

@@ -134,12 +134,12 @@ let test_wal_recover_committed () =
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       Store.Wal.append wal
         (Store.Wal.Prepared
-           { txn = (1, 1); writes = [ (seg, 0, page_of_char 'a') ]; undo = [] });
+           { txn = (1, 1); writes = [ (seg, 0, [ (0, page_of_char 'a') ]) ]; undo = [] });
       Store.Wal.append wal (Store.Wal.Committed (1, 1));
       (* an undecided transaction, must be presumed aborted *)
       Store.Wal.append wal
         (Store.Wal.Prepared
-           { txn = (1, 2); writes = [ (seg, 0, page_of_char 'b') ]; undo = [] });
+           { txn = (1, 2); writes = [ (seg, 0, [ (0, page_of_char 'b') ]) ]; undo = [] });
       let applied = ref [] in
       let (_ : Store.Wal.prep list) =
         Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied
@@ -185,7 +185,7 @@ let test_wal_recover_twice_applies_once () =
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       Store.Wal.append wal
         (Store.Wal.Prepared
-           { txn = (1, 1); writes = [ (seg, 0, page_of_char 'a') ]; undo = [] });
+           { txn = (1, 1); writes = [ (seg, 0, [ (0, page_of_char 'a') ]) ]; undo = [] });
       Store.Wal.append wal (Store.Wal.Committed (1, 1));
       let applied = ref [] in
       let (_ : Store.Wal.prep list) =
@@ -200,6 +200,65 @@ let test_wal_recover_twice_applies_once () =
       in
       Alcotest.(check (list (pair int int))) "second replay idle" [] !applied)
 
+let stored_page s seg =
+  match Store.Segment_store.read_page s seg 0 with
+  | Ra.Partition.Data d -> Bytes.to_string d
+  | Ra.Partition.Zeroed -> ""
+
+(* Span records over a non-zero base: a second recovery leaves every
+   page exactly as the first left it. *)
+let test_wal_span_redo_twice () =
+  Sim.exec (fun () ->
+      let disk = Store.Disk.create "d" in
+      let wal = Store.Wal.create disk in
+      let s = Store.Segment_store.create "s" in
+      let seg = Ra.Sysname.fresh seg_gen in
+      Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
+      Store.Segment_store.write_page s seg 0 (page_of_char '.');
+      let span off str = (off, Bytes.of_string str) in
+      Store.Wal.append wal
+        (Store.Wal.Prepared
+           { txn = (1, 1); writes = [ (seg, 0, [ span 0 "abcd"; span 100 "xy" ]) ]; undo = [] });
+      Store.Wal.append wal (Store.Wal.Committed (1, 1));
+      Store.Wal.append wal
+        (Store.Wal.Prepared
+           { txn = (1, 2); writes = [ (seg, 0, [ span 2 "ZZ" ]) ]; undo = [] });
+      Store.Wal.append wal (Store.Wal.Committed (1, 2));
+      let recover () =
+        let applied = ref [] in
+        ignore (Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied);
+        stored_page s seg
+      in
+      let first = recover () in
+      check_bool "spans laid over the base" true
+        (String.sub first 0 6 = "abZZ.." && String.sub first 100 3 = "xy."
+        && String.length first = Ra.Page.size);
+      Alcotest.(check string) "second recovery, same page" first (recover ()))
+
+(* Spans overwrite part of a page, so redo order matters: two
+   committed records on one page land in commit-record order, even
+   when their prepares were logged the other way round. *)
+let test_wal_span_redo_order () =
+  Sim.exec (fun () ->
+      let disk = Store.Disk.create "d" in
+      let wal = Store.Wal.create disk in
+      let s = Store.Segment_store.create "s" in
+      let seg = Ra.Sysname.fresh seg_gen in
+      Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
+      let prep txn off str =
+        Store.Wal.append wal
+          (Store.Wal.Prepared
+             { txn; writes = [ (seg, 0, [ (off, Bytes.of_string str) ]) ]; undo = [] })
+      in
+      prep (1, 2) 2 "BBBB";
+      prep (1, 1) 0 "AAAA";
+      Store.Wal.append wal (Store.Wal.Committed (1, 1));
+      Store.Wal.append wal (Store.Wal.Committed (1, 2));
+      let applied = ref [] in
+      ignore (Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied);
+      Alcotest.(check string) "later commit wins the overlap" "AABBBB"
+        (String.sub (stored_page s seg) 0 6))
+
 let test_wal_keep_in_doubt () =
   Sim.exec (fun () ->
       let disk = Store.Disk.create "d" in
@@ -209,7 +268,7 @@ let test_wal_keep_in_doubt () =
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       Store.Wal.append wal
         (Store.Wal.Prepared
-           { txn = (2, 7); writes = [ (seg, 0, page_of_char 'k') ]; undo = [] });
+           { txn = (2, 7); writes = [ (seg, 0, [ (0, page_of_char 'k') ]) ]; undo = [] });
       let applied = ref [] in
       let in_doubt =
         Store.Wal.recover wal s ~decide:(fun _ -> `Keep) ~applied
@@ -281,7 +340,7 @@ let test_wal_undo_crash_window () =
         (Store.Wal.Prepared
            {
              txn = (1, 1);
-             writes = [ (seg, 0, page_of_char 'n') ];
+             writes = [ (seg, 0, [ (0, page_of_char 'n') ]) ];
              undo = [ (seg, 0, Some (Store.Wal.trim_image before)) ];
            });
       (* pipelined commit: record in the buffer, page applied, locks
@@ -367,6 +426,10 @@ let () =
           Alcotest.test_case "truncate" `Quick test_wal_truncate;
           Alcotest.test_case "replay is idempotent" `Quick
             test_wal_recover_twice_applies_once;
+          Alcotest.test_case "span redo twice, same pages" `Quick
+            test_wal_span_redo_twice;
+          Alcotest.test_case "span redo in commit order" `Quick
+            test_wal_span_redo_order;
           Alcotest.test_case "keep leaves in doubt" `Quick
             test_wal_keep_in_doubt;
           Alcotest.test_case "group commit batches" `Quick
