@@ -1,4 +1,4 @@
-.PHONY: all build test check faults experiments smoke determinism bench-diff bench-baseline clean
+.PHONY: all build test check size faults experiments smoke determinism bench-diff bench-baseline clean
 
 all: build
 
@@ -12,6 +12,12 @@ test:
 check:
 	dune build
 	dune runtest
+
+# The two figures a simplicity change reports: library lines
+# (.ml + .mli) and top-level vals exported from the .mli files.
+size:
+	@printf 'lib lines (.ml + .mli): %s\n' "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@printf 'lib exported vals:      %s\n' "$$(cat lib/*/*.mli | grep -c '^val ')"
 
 faults:
 	dune exec bin/experiments_main.exe -- faults

@@ -274,18 +274,16 @@ let hook t node seg _page mode =
 
 (* --- commit -------------------------------------------------------- *)
 
-(* Collect this transaction's dirty pages as [dirty mmu seg] reports
-   them (byte spans for 2PC, whole images for a local commit), grouped
-   by home data server, remembering where each frame lives for
-   mark_clean. *)
-let collect_writes t st dirty_of =
+(* Collect the byte spans this transaction wrote, grouped by home
+   data server, remembering where each frame lives for mark_clean. *)
+let collect_writes t st =
   let by_home = Hashtbl.create 4 in
   let frames = ref [] in
   List.iter
     (fun node ->
       List.iter
         (fun seg ->
-          let dirty = dirty_of node.Ra.Node.mmu seg in
+          let dirty = Ra.Mmu.dirty_spans node.Ra.Node.mmu seg in
           if dirty <> [] then begin
             let home = Cl.locate_segment t.cl seg in
             let cell =
@@ -331,7 +329,7 @@ let commit t st =
   let commit_start = Sim.now () in
   match st.scope with
   | Global ->
-      let grouped, frames = collect_writes t st Ra.Mmu.dirty_spans in
+      let grouped, frames = collect_writes t st in
       let all_yes =
         Obs.Tracer.with_span "2pc.prepare" (fun () ->
             participant_rpcs st.coord
@@ -373,9 +371,9 @@ let commit t st =
         (Sim.Time.diff (Sim.now ()) commit_start);
       Sim.Stats.incr t.commit_count
   | Local ->
-      let grouped, frames = collect_writes t st Ra.Mmu.dirty_pages in
+      let grouped, frames = collect_writes t st in
       let msgs =
-        List.map (fun (home, writes) -> (home, P.Put_batch writes)) grouped
+        List.map (fun (home, writes) -> (home, P.Put_spans writes)) grouped
       in
       Obs.Tracer.with_span "lcp.commit" (fun () ->
           List.iter

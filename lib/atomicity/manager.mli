@@ -42,10 +42,10 @@ val install :
     Each two-phase-commit phase — prepare, commit, abort, and
     local-consistency batch pushes — goes to all participant data
     servers concurrently, so a phase costs one round trip regardless
-    of transaction span.  A Local commit carries its dirty pages as
-    one [Put_batch] per home server; a Global commit's one-per-home
-    [Prepare] carries only the byte spans it wrote
-    ({!Ra.Mmu.dirty_spans}). *)
+    of transaction span.  Both carry only the byte spans the
+    transaction wrote ({!Ra.Mmu.dirty_spans}): a Local commit as one
+    [Put_spans] per home server, a Global commit as one [Prepare] per
+    home. *)
 
 val object_manager : t -> Clouds.Object_manager.t
 (** The object manager this instance hooks. *)

@@ -5,12 +5,12 @@
     tables — every segment whose primary died is repointed at its
     first surviving backup, and segments with no surviving copy are
     recorded as lost — then runs a background heal pass that copies
-    each under-replicated segment ([Read_pages] batches applied
-    through the existing [Put_batch] path) onto healthy data servers
-    until the cluster's replication factor is restored, and mirrors
-    the object directory entries alongside.  When a dead server's
-    heartbeats resume (its stable store survived the crash), its lost
-    segments are re-adopted and topped back up.
+    each under-replicated segment ([Read_pages] batches from a
+    surviving replica, landed as zero-guarded [Backfill]s) onto
+    healthy data servers until the cluster's replication factor is
+    restored, and mirrors the object directory entries alongside.
+    When a dead server's heartbeats resume (its stable store survived
+    the crash), its lost segments are re-adopted and topped back up.
 
     Invariant: a write acknowledged to a client before the crash is
     on every current replica once {!quiesce} returns — the primary

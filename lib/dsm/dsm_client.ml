@@ -75,6 +75,18 @@ let apply_view t (v : Membership.Monitor.view) =
       (evict_where t (fun _seg home ->
            List.exists (Net.Address.equal home) dead))
 
+(* A home reply other than success: the home no longer stores the
+   segment, or it did not answer.  Either way the cached location may
+   be stale. *)
+let home_failed t seg = function
+  | Ok (P.Page_error | P.Segment_error) ->
+      forget_location t seg;
+      raise (Ra.Partition.No_segment seg)
+  | Error Ratp.Endpoint.Timeout ->
+      forget_location t seg;
+      raise (Unavailable seg)
+  | Ok _ -> raise (Unavailable seg)
+
 let remote_fetch t ~seg ~page ~mode =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.fetch" @@ fun () ->
   let home = locate_cached t seg in
@@ -89,34 +101,24 @@ let remote_fetch t ~seg ~page ~mode =
   in
   match P.call t.node ~dst:home (P.Get_page { seg; page; mode }) with
   | Ok (P.Got_page data) -> data
-  | Ok P.Page_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
+  | reply -> home_failed t seg reply
 
-let remote_write_batch t ~seg writes =
+(* A one-copy or release flush and an evicted frame each go home as
+   one Put_spans RPC: per page, the spans to lay over the home's
+   stored image. *)
+let put_spans t seg entries =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.put" @@ fun () ->
   let home = locate_cached t seg in
   Sim.Stats.incr t.puts;
-  match P.call t.node ~dst:home (P.Put_batch writes) with
+  match P.call t.node ~dst:home (P.Put_spans entries) with
   | Ok P.Batch_ok -> ()
-  | Ok P.Segment_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
+  | reply -> home_failed t seg reply
 
 let partition t =
   {
     Ra.Partition.name = Printf.sprintf "dsm-client-%d" t.node.Ra.Node.id;
     fetch = remote_fetch t;
-    writeback =
-      (fun ~seg ~page data -> remote_write_batch t ~seg [ (seg, page, data) ]);
+    writeback = (fun ~seg ~page spans -> put_spans t seg [ (seg, page, spans) ]);
   }
 
 let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy) () =
@@ -188,46 +190,33 @@ let diff_spans ~base ~current =
   List.rev !spans
 
 (* Release-mode writeback: ship only the byte spans changed against
-   each page's twin, in one Put_diffs RPC.  Sub-page application at
-   the home means two lock scopes writing disjoint bytes of the same
-   page cannot clobber each other, and the home's apply triggers the
+   each page's twin.  Not the frame's written spans: once those cost a
+   page they collapse to the whole page, which would clobber another
+   lock scope's disjoint bytes.  The home's apply triggers the
    deferred invalidation burst that ends this scope. *)
 let flush_release t seg dirty =
- Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.put" @@ fun () ->
   let mmu = t.node.Ra.Node.mmu in
-  let home = locate_cached t seg in
-  Sim.Stats.incr t.puts;
-  let entries =
-    List.map
-      (fun (page, data) ->
-        match Ra.Mmu.page_base mmu seg page with
-        | Some base -> (seg, page, diff_spans ~base ~current:data)
-        | None -> (seg, page, [ (0, data) ]))
-      dirty
-  in
-  match P.call t.node ~dst:home (P.Put_diffs entries) with
-  | Ok P.Batch_ok ->
-      List.iter
-        (fun (page, _) ->
-          if Hashtbl.mem t.stale_dirty (seg, page) then begin
-            (* another scope flushed under us: our diff is home, but
-               the frame's unmodified bytes are stale — refetch on
-               next touch *)
-            Hashtbl.remove t.stale_dirty (seg, page);
-            ignore (Ra.Mmu.invalidate mmu seg page)
-          end
-          else begin
-            Ra.Mmu.mark_clean mmu seg page;
-            Ra.Mmu.rebase mmu seg page
-          end)
-        dirty
-  | Ok P.Segment_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
+  put_spans t seg
+    (List.map
+       (fun (page, data) ->
+         match Ra.Mmu.page_base mmu seg page with
+         | Some base -> (seg, page, diff_spans ~base ~current:data)
+         | None -> (seg, page, [ (0, data) ]))
+       dirty);
+  List.iter
+    (fun (page, _) ->
+      if Hashtbl.mem t.stale_dirty (seg, page) then begin
+        (* another scope flushed under us: our diff is home, but the
+           frame's unmodified bytes are stale — refetch on next
+           touch *)
+        Hashtbl.remove t.stale_dirty (seg, page);
+        ignore (Ra.Mmu.invalidate mmu seg page)
+      end
+      else begin
+        Ra.Mmu.mark_clean mmu seg page;
+        Ra.Mmu.rebase mmu seg page
+      end)
+    dirty
 
 (* Commutative flush: encode the local writes as merge deltas against
    each page's twin and let the home combine them; the reply carries
@@ -262,28 +251,24 @@ let flush_merges t seg op dirty =
       List.iter
         (fun (s, page, img) -> Ra.Mmu.merge_refresh mmu s page img)
         images
-  | Ok P.Segment_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
+  | reply -> home_failed t seg reply
 
 (* Writeback of a segment's dirty pages, home in one RPC (RaTP
-   fragments it on the wire): a Put_batch of page images for one-copy
-   segments, diffs for release mode, merge deltas for commutative. *)
+   fragments it on the wire): the written spans for one-copy segments,
+   twin diffs for release mode, merge deltas for commutative. *)
 let flush_segment t seg =
   let mmu = t.node.Ra.Node.mmu in
-  match Ra.Mmu.dirty_pages mmu seg with
-  | [] -> ()
-  | dirty -> (
-      match t.mode_of seg with
-      | Ra.Partition.Release -> flush_release t seg dirty
-      | Ra.Partition.Commutative op -> flush_merges t seg op dirty
-      | Ra.Partition.One_copy ->
-          remote_write_batch t ~seg
-            (List.map (fun (page, data) -> (seg, page, data)) dirty);
+  let flush dirty_of send =
+    match dirty_of mmu seg with [] -> () | dirty -> send dirty
+  in
+  match t.mode_of seg with
+  | Ra.Partition.Release -> flush Ra.Mmu.dirty_pages (flush_release t seg)
+  | Ra.Partition.Commutative op ->
+      flush Ra.Mmu.dirty_pages (flush_merges t seg op)
+  | Ra.Partition.One_copy ->
+      flush Ra.Mmu.dirty_spans (fun dirty ->
+          put_spans t seg
+            (List.map (fun (page, spans) -> (seg, page, spans)) dirty);
           List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty)
 
 let put_rpcs t = Sim.Stats.value t.puts

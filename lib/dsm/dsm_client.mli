@@ -8,8 +8,10 @@
     the paper's distributed shared memory.
 
     A fault is plain Li–Hudak demand paging: one [Get_page], one page
-    back.  The fast path adds two mechanisms (DESIGN.md §11): batched
-    writeback of dirty pages and a location cache that memoises
+    back.  Dirty bytes go home in one format, [Put_spans]: per page,
+    the byte spans written, laid over the home's stored image.  A
+    flush sends one for the whole segment and an evicted frame one of
+    its own (DESIGN.md §11).  A location cache memoises
     segment-to-home resolution.
 
     Copies dropped locally (transaction abort, object deletion: see
@@ -39,8 +41,8 @@ val create :
     [One_copy]); it is also installed as the MMU's consistency
     resolver so relaxed-mode frames keep twins.  Write faults on
     [Commutative] segments go out as reads (the home never arbitrates
-    them), and {!flush_segment} ships diffs or merge deltas instead
-    of page images for relaxed modes. *)
+    them), and {!flush_segment} ships twin diffs or merge deltas
+    instead of the written spans for relaxed modes. *)
 
 val partition : t -> Ra.Partition.t
 
@@ -49,10 +51,12 @@ val node : t -> Ra.Node.t
 val flush_segment : t -> Ra.Sysname.t -> unit
 (** Write every dirty resident page of the segment back to its data
     server and mark the frames clean (used by s-threads that want
-    their updates stored, and by examples).  One RPC per segment:
-    a [Put_batch] of every dirty page for [One_copy] segments.  A
-    segment the home no longer stores raises
-    {!Ra.Partition.No_segment} and leaves the frames dirty. *)
+    their updates stored, and by examples).  One RPC per segment: a
+    [Put_spans] of the bytes each dirty page wrote
+    ({!Ra.Mmu.dirty_spans}) for [One_copy] segments, of each page's
+    diff against its twin for [Release].  A segment the home no
+    longer stores raises {!Ra.Partition.No_segment} and leaves the
+    frames dirty. *)
 
 val evict_where : t -> (Ra.Sysname.t -> Net.Address.t -> bool) -> int
 (** Drop exactly the cached locations the predicate condemns (segment,
@@ -66,7 +70,7 @@ val apply_view : t -> Membership.Monitor.view -> unit
     instead of waiting out the RaTP retry ladder. *)
 
 val put_rpcs : t -> int
-(** Writeback RPCs issued: one [Put_batch] (or [Put_diffs]) per
+(** Writeback RPCs issued: one [Put_spans] per one-copy or release
     segment flush or evicted dirty frame. *)
 
 val invalidations_received : t -> int

@@ -341,7 +341,7 @@ let apply_writes t writes =
    return the full images that result, for the copyset flush and the
    backups: a backup that missed an earlier fire-and-forget mirror
    must not lay spans over a stale base.  Commit, in-doubt resolution
-   and release-mode writeback all apply through here. *)
+   and every [Put_spans] writeback apply through here. *)
 let apply_spans ?lsn t writes =
   List.filter_map
     (fun (seg, page, spans) ->
@@ -484,7 +484,7 @@ let handle_commit t ~src txn =
    traced request allocates nothing. *)
 let op_label = function
   | P.Get_page _ -> "serve.get"
-  | P.Put_batch _ | P.Put_diffs _ -> "serve.put"
+  | P.Put_spans _ -> "serve.put"
   | P.Merge_delta _ -> "serve.merge"
   | P.Overwrite _ | P.Mirror_writes _ | P.Backfill _ -> "serve.mirror"
   | P.Read_pages _ -> "serve.read"
@@ -503,19 +503,11 @@ let handle t ~src body =
   Hashtbl.remove t.suspects src;
   match body with
   | P.Get_page { seg; page; mode } -> handle_get t ~src seg page mode
-  | P.Put_batch writes ->
-      if not (stores_all t (fun (seg, _, _) -> seg) writes) then
-        P.Segment_error
-      else begin
-        apply_writes t writes;
-        release_flush t writes ~except:src;
-        mirror_writes t writes;
-        P.Batch_ok
-      end
-  | P.Put_diffs entries ->
-      (* release-mode writeback: apply each page's changed byte spans
-         over the current store image, so concurrent lock scopes
-         writing disjoint bytes of one page never clobber each other *)
+  | P.Put_spans entries ->
+      (* every writeback (flush, lcp commit, eviction) lays each
+         page's written spans over the current store image, so
+         concurrent release-mode lock scopes writing disjoint bytes of
+         one page never clobber each other *)
       if not (stores_all t (fun (seg, _, _) -> seg) entries) then
         P.Segment_error
       else begin

@@ -9,7 +9,6 @@ type Ratp.Packet.body +=
   | Get_page of { seg : Ra.Sysname.t; page : int; mode : Ra.Partition.mode }
   | Got_page of Ra.Partition.fetch_data
   | Page_error
-  | Put_batch of write_set
   | Overwrite of write_set
   | Batch_ok
   | Invalidate of { seg : Ra.Sysname.t; page : int }
@@ -63,11 +62,12 @@ type Ratp.Packet.body +=
           when the scope's dirty pages land at the home.  The copy is
           dropped without returning dirty data (an unflushed write on
           an invalidated release page was outside lock discipline). *)
-  | Put_diffs of span_set
-      (** Release-mode writeback: per page, the byte spans (offset,
-          bytes) that changed against the twin.  Sub-page application
-          keeps concurrent writers to disjoint bytes of one page from
-          clobbering each other (the classic twin/diff trick). *)
+  | Put_spans of span_set
+      (** Writeback of a compute node's dirty bytes: per page, the
+          (offset, bytes) spans it wrote, laid over the home's stored
+          image.  Sub-page application keeps concurrent release-mode
+          writers to disjoint bytes of one page from clobbering each
+          other. *)
   | Merge_delta of (Ra.Sysname.t * int * int * bytes) list
       (** Commutative flush: per page, (segment, page, twin-stamp,
           delta) where the delta is the word-wise difference of the
@@ -100,7 +100,7 @@ let request_bytes = function
   | Got_page (Ra.Partition.Data b) -> 48 + Bytes.length b
   | Got_page Ra.Partition.Zeroed -> 48
   | Page_error -> 32
-  | Put_batch ws | Overwrite ws -> 48 + write_set_bytes ws
+  | Overwrite ws -> 48 + write_set_bytes ws
   | Batch_ok -> 32
   | Invalidate _ | Downgrade _ -> 48
   | Invalidated { dirty } | Downgraded { dirty } -> (
@@ -127,7 +127,7 @@ let request_bytes = function
   | Mirror_writes ws -> 48 + write_set_bytes ws
   | Backfill ws -> 48 + write_set_bytes ws
   | Inval_batch pages -> 32 + (24 * List.length pages)
-  | Put_diffs entries -> 48 + Store.Wal.writes_bytes entries
+  | Put_spans entries -> 48 + Store.Wal.writes_bytes entries
   | Merge_delta ds ->
       List.fold_left
         (fun acc (_, _, _, delta) -> acc + 32 + Bytes.length delta)

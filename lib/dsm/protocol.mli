@@ -27,10 +27,6 @@ type Ratp.Packet.body +=
       (** demand fault: exactly one page comes back *)
   | Got_page of Ra.Partition.fetch_data
   | Page_error
-  | Put_batch of write_set
-      (** one-copy writeback (a flush or an evicted dirty frame); a
-          missing segment rejects the whole batch with
-          [Segment_error] before any page is applied *)
   | Overwrite of write_set
       (** server-side overwrite with invalidation of every cached
           copy (replica propagation) *)
@@ -83,9 +79,12 @@ type Ratp.Packet.body +=
       (** release-mode flush: one batched invalidation RPC per copyset
           member, sent when a lock scope's dirty pages land at the
           home; the copy is dropped without returning dirty data *)
-  | Put_diffs of span_set
-      (** release-mode writeback: per page, the (offset, bytes) spans
-          changed against the twin, applied sub-page at the home *)
+  | Put_spans of span_set
+      (** writeback of a compute node's dirty bytes (a flush, an lcp
+          commit or an evicted frame): per page, the (offset, bytes)
+          spans written, laid over the home's stored image.  A missing
+          segment rejects the whole set with [Segment_error] before
+          any page is applied *)
   | Merge_delta of (Ra.Sysname.t * int * int * bytes) list
       (** commutative flush: per page (segment, page, twin-stamp,
           delta) — word-wise deltas against the twin, combined at the

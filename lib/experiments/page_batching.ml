@@ -1,6 +1,6 @@
-(* DSM fast path: batched writeback (DESIGN.md §11).  Flushes dirty
-   a growing number of pages of a 16-page segment and time the single
-   Put_batch that writes them back.
+(* DSM fast path: batched writeback (DESIGN.md §11).  Dirty a growing
+   number of pages of a 16-page segment, 64 bytes each, and time the
+   single Put_spans that writes those bytes back.
 
    The cluster here runs a faster interconnect than the calibrated
    1988-vintage default (100 Mbit/s, light per-frame host costs):

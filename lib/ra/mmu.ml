@@ -79,9 +79,18 @@ let touch_frame t frame =
   t.access_clock <- t.access_clock + 1;
   frame.last_used <- t.access_clock
 
-(* Evict the least recently used frame to make room, writing it back
-   through its partition if dirty (the data server keeps the bytes;
-   the next touch refetches). *)
+(* The bytes a frame's spans cover, copied out of its data. *)
+let written_spans f =
+  List.map (fun (off, n) -> (off, Bytes.sub f.data off n)) f.spans
+
+(* Evict the least recently used frame to make room, writing its
+   spans back through its partition if dirty (the data server keeps
+   the bytes; the next touch refetches).  The frame stays resident
+   until the writeback returns, so one that raises leaves it dirty,
+   and it leaves only if nothing touched it meanwhile: a write to a
+   whole-page span list leaves the list as it was, so the access
+   clock is the test.  Two evictions of one victim send the same
+   spans twice, which is harmless. *)
 let evict_one t =
   let victim =
     Hashtbl.fold
@@ -93,13 +102,15 @@ let evict_one t =
   in
   match victim with
   | None -> ()
-  | Some ((seg, page), frame) ->
-      Hashtbl.remove t.frames (seg, page);
-      t.evictions <- t.evictions + 1;
-      if frame.spans <> [] then begin
-        let partition = t.resolver seg in
-        partition.Partition.writeback ~seg ~page frame.data
-      end
+  | Some (((seg, page) as key), frame) ->
+      let used = frame.last_used in
+      if frame.spans <> [] then
+        (t.resolver seg).Partition.writeback ~seg ~page (written_spans frame);
+      (match Hashtbl.find_opt t.frames key with
+      | Some f when f == frame && f.last_used = used ->
+          Hashtbl.remove t.frames key;
+          t.evictions <- t.evictions + 1
+      | Some _ | None -> ())
 
 let make_room t =
   while Hashtbl.length t.frames >= t.max_frames do
@@ -280,9 +291,7 @@ let dirty_by_page t seg image =
 
 let dirty_pages t seg = dirty_by_page t seg (fun f -> Page.copy f.data)
 
-let dirty_spans t seg =
-  dirty_by_page t seg (fun f ->
-      List.map (fun (off, n) -> (off, Bytes.sub f.data off n)) f.spans)
+let dirty_spans t seg = dirty_by_page t seg written_spans
 
 let invalidate t seg page =
   if Hashtbl.mem t.inflight (seg, page) then

@@ -28,7 +28,10 @@ val create : ?max_frames:int -> cpu:Cpu.t -> unit -> t
 (** The partition resolver must be set before the first fault.
     [max_frames] bounds physical memory: when the node holds that
     many page frames, faulting another page evicts the least recently
-    used frame (writing it back through its partition if dirty).  The
+    used frame, writing its {!dirty_spans} back through its partition
+    if dirty.  A dirty frame leaves only once that writeback returns
+    and if nothing touched it meanwhile; if the writeback raises, the
+    fault re-raises and the frame stays resident and dirty.  The
     default is effectively unbounded. *)
 
 val set_resolver : t -> (Sysname.t -> Partition.t) -> unit

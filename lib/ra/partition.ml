@@ -7,7 +7,7 @@ exception No_segment of Sysname.t
 type t = {
   name : string;
   fetch : seg:Sysname.t -> page:int -> mode:mode -> fetch_data;
-  writeback : seg:Sysname.t -> page:int -> bytes -> unit;
+  writeback : seg:Sysname.t -> page:int -> (int * bytes) list -> unit;
 }
 
 type merge = Add | Max

@@ -26,10 +26,12 @@ type t = {
           coherence protocol.  The returned image may be shared (a
           stored image, a message body): the MMU may keep it as a
           read-mode frame's data but never writes to it. *)
-  writeback : seg:Sysname.t -> page:int -> bytes -> unit;
-      (** Push a dirty page back to stable storage.  The partition
-          may keep the image without copying; the MMU passes one it
-          no longer writes to. *)
+  writeback : seg:Sysname.t -> page:int -> (int * bytes) list -> unit;
+      (** Push a dirty page back to stable storage as the
+          [(offset, bytes)] spans written since it was last clean
+          ({!Mmu.dirty_spans}), laid over the stored image.  The
+          span bytes are the caller's copies.  On an exception the
+          page is not stored and the caller keeps it dirty. *)
 }
 
 (** {1 Consistency modes}

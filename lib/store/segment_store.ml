@@ -88,5 +88,5 @@ let local_partition t =
   {
     Ra.Partition.name = t.label ^ "-local";
     fetch = (fun ~seg ~page ~mode:_ -> read_page t seg page);
-    writeback = (fun ~seg ~page data -> write_page t seg page data);
+    writeback = (fun ~seg ~page spans -> ignore (apply_spans t seg page spans));
   }

@@ -263,6 +263,28 @@ let test_lcp_local_consistency () =
       check_int "no lock rpcs" rpcs_before (Atomicity.Manager.lock_rpcs env.mgr);
       check_int "stored" 5 (stored_balance env acct))
 
+(* A local commit ships the bytes it wrote, not the page: on a warm
+   page the second deposit's commit carries one 8-byte span. *)
+let test_lcp_commit_ships_spans () =
+  with_env (fun env ->
+      let acct = Object_manager.create_object env.sys.om ~class_name:"account" Value.Unit in
+      let n0 = env.sys.cluster.Cluster.compute_nodes.(0) in
+      let deposit () =
+        ignore
+          (Thread.join
+             (Thread.start env.sys.om ~on:n0.Ra.Node.id ~obj:acct
+                ~entry:"deposit_lcp" (Value.Int 1)))
+      in
+      deposit ();
+      let ether = env.sys.cluster.Cluster.ether in
+      let before = Net.Ethernet.bytes_sent ether in
+      deposit ();
+      let sent = Net.Ethernet.bytes_sent ether - before in
+      check_bool
+        (Printf.sprintf "warm lcp deposit sent %d B, under 1 KB" sent)
+        true (sent < 1024);
+      check_int "stored" 2 (stored_balance env acct))
+
 let test_read_only_gcp_releases_locks () =
   with_env (fun env ->
       let acct = Object_manager.create_object env.sys.om ~class_name:"account" Value.Unit in
@@ -596,6 +618,8 @@ let () =
             test_multi_object_transfer_atomic;
           Alcotest.test_case "gcp isolation" `Quick
             test_gcp_isolation_no_lost_updates;
+          Alcotest.test_case "lcp commit ships spans" `Quick
+            test_lcp_commit_ships_spans;
           Alcotest.test_case "lcp local consistency" `Quick
             test_lcp_local_consistency;
           Alcotest.test_case "recalled frame commits final bytes" `Quick

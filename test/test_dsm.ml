@@ -241,7 +241,6 @@ let test_request_bytes_accounting () =
     [ (seg, 0, Bytes.create 8192); (seg, 1, Bytes.create 100) ]
   in
   let ws_bytes = 24 + 8192 + (24 + 100) in
-  check_int "Put_batch" (48 + ws_bytes) (P.request_bytes (P.Put_batch ws));
   check_int "Overwrite" (48 + ws_bytes) (P.request_bytes (P.Overwrite ws));
   (* span sets: 24 bytes per page plus 8 per span, plus the bytes *)
   let spans =
@@ -253,8 +252,8 @@ let test_request_bytes_accounting () =
   let spans_bytes = 24 + (8 + 16) + (8 + 4) + (24 + 8 + 8192) in
   check_int "Prepare" (64 + spans_bytes)
     (P.request_bytes (P.Prepare { txn = (1, 1); writes = spans }));
-  check_int "Put_diffs" (48 + spans_bytes)
-    (P.request_bytes (P.Put_diffs spans));
+  check_int "Put_spans" (48 + spans_bytes)
+    (P.request_bytes (P.Put_spans spans));
   (* sysname lists charge the same 24-byte entries as descriptors *)
   check_int "Objects" (32 + (24 * 3))
     (P.request_bytes (P.Objects [ seg; seg; seg ]));
@@ -317,9 +316,9 @@ let test_flush_deleted_segment_keeps_dirty () =
         (Ra.Mmu.is_dirty cl.n1.Ra.Node.mmu seg 0);
       (* the whole batch is rejected before any page is applied *)
       let live = new_seg cl ~pages:1 in
-      let data = Bytes.make Ra.Page.size 'x' in
+      let spans = [ (0, Bytes.of_string "x") ] in
       (match
-         P.call cl.n2 ~dst:1 (P.Put_batch [ (live, 0, data); (seg, 0, data) ])
+         P.call cl.n2 ~dst:1 (P.Put_spans [ (live, 0, spans); (seg, 0, spans) ])
        with
       | Ok P.Segment_error -> ()
       | Ok _ | Error _ -> Alcotest.fail "mixed batch not rejected");
@@ -945,9 +944,9 @@ let test_merge_delta_resend_applies_once () =
       (match send (P.Merge_delta [ (ghost, 0, 9, delta 1) ]) with
       | Ok P.Segment_error -> ()
       | _ -> Alcotest.fail "Merge_delta to a missing segment must error");
-      match send (P.Put_diffs [ (ghost, 0, [ (0, Bytes.make 8 'x') ]) ]) with
+      match send (P.Put_spans [ (ghost, 0, [ (0, Bytes.make 8 'x') ]) ]) with
       | Ok P.Segment_error -> ()
-      | _ -> Alcotest.fail "Put_diffs to a missing segment must error")
+      | _ -> Alcotest.fail "Put_spans to a missing segment must error")
 
 (* ------------------------------------------------------------------ *)
 (* Page-image ownership: stored images, message bodies and Read frames
@@ -1031,12 +1030,12 @@ let test_server_copies_before_write () =
       let rel = seg_with Ra.Partition.Release in
       let kept = fetched rel in
       let diffs = [ (rel, 0, [ (0, Bytes.of_string "xy") ]) ] in
-      (match P.call n2 ~dst:1 (P.Put_diffs diffs) with
+      (match P.call n2 ~dst:1 (P.Put_spans diffs) with
       | Ok P.Batch_ok -> ()
-      | _ -> Alcotest.fail "Put_diffs should apply");
+      | _ -> Alcotest.fail "Put_spans should apply");
       Alcotest.(check string) "diffs applied" "xy"
         (Bytes.sub_string (stored_image server rel 0) 0 2);
-      check_bool "fetched page unchanged by Put_diffs" true
+      check_bool "fetched page unchanged by Put_spans" true
         (Bytes.equal kept unchanged);
       let com = seg_with (Ra.Partition.Commutative Ra.Partition.Add) in
       let kept = fetched com in

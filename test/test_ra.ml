@@ -190,7 +190,15 @@ let fake_partition () =
           match Hashtbl.find_opt pages (seg, page) with
           | Some b -> Partition.Data (Bytes.copy b)
           | None -> Partition.Zeroed);
-      writeback = (fun ~seg ~page data -> Hashtbl.replace pages (seg, page) data);
+      writeback =
+        (fun ~seg ~page spans ->
+          let img =
+            match Hashtbl.find_opt pages (seg, page) with
+            | Some b -> Bytes.copy b
+            | None -> Page.zero ()
+          in
+          List.iter (fun (off, b) -> Bytes.blit b 0 img off (Bytes.length b)) spans;
+          Hashtbl.replace pages (seg, page) img);
     }
   in
   (partition, pages, fetches)
@@ -333,11 +341,12 @@ let test_mmu_clear_drops_everything () =
       check_int "dirty lost (crash semantics)" 0
         (List.length (Mmu.dirty_pages mmu seg)))
 
-let with_small_mmu ~max_frames f =
+let with_small_mmu ?(wrap = Fun.id) ~max_frames f =
   Sim.exec (fun () ->
       let cpu = Cpu.create () in
       let mmu = Mmu.create ~max_frames ~cpu () in
       let partition, pages, fetches = fake_partition () in
+      let partition = wrap partition in
       Mmu.set_resolver mmu (fun _ -> partition);
       let vs = Virtual_space.create () in
       let seg = Sysname.fresh seg_gen in
@@ -420,6 +429,90 @@ let test_mmu_eviction_mixed_clean_dirty () =
       Alcotest.(check string)
         "roundtrip after eviction" "dirty-0"
         (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:7)))
+
+(* A dirty victim ships only the bytes written to it, laid over the
+   page its partition already holds. *)
+let test_mmu_eviction_ships_spans () =
+  let shipped = ref [] in
+  let wrap p =
+    {
+      p with
+      Partition.writeback =
+        (fun ~seg ~page spans ->
+          shipped := List.map (fun (o, b) -> (o, Bytes.to_string b)) spans;
+          p.Partition.writeback ~seg ~page spans);
+    }
+  in
+  with_small_mmu ~wrap ~max_frames:1 (fun mmu vs seg pages _fetches ->
+      Hashtbl.replace pages (seg, 0) (Bytes.make Page.size 'p');
+      Mmu.write mmu vs ~addr:100 (Bytes.of_string "abc");
+      let frame = Mmu.read mmu vs ~addr:0 ~len:Page.size in
+      ignore (Mmu.read mmu vs ~addr:Page.size ~len:1);
+      check_bool "page 0 evicted" true (Mmu.resident mmu seg 0 = None);
+      Alcotest.(check (list (pair int string)))
+        "only the written span" [ (100, "abc") ] !shipped;
+      check_bool "stored page equals the frame" true
+        (Hashtbl.find_opt pages (seg, 0) = Some frame))
+
+(* A writeback that raises leaves the victim resident and dirty: the
+   written bytes are still there to send again. *)
+let test_mmu_eviction_failed_writeback_keeps_frame () =
+  let wrap p =
+    {
+      p with
+      Partition.writeback =
+        (fun ~seg ~page:_ _ -> raise (Partition.No_segment seg));
+    }
+  in
+  with_small_mmu ~wrap ~max_frames:1 (fun mmu vs seg _pages _fetches ->
+      Mmu.write mmu vs ~addr:0 (Bytes.of_string "keep-me");
+      (match Mmu.read mmu vs ~addr:Page.size ~len:1 with
+      | _ -> Alcotest.fail "the failed writeback must raise"
+      | exception Partition.No_segment _ -> ());
+      check_bool "page 0 still resident" true
+        (Mmu.resident mmu seg 0 = Some Partition.Write);
+      check_bool "page 0 still dirty" true (Mmu.is_dirty mmu seg 0);
+      check_int "nothing evicted" 0 (Mmu.evictions mmu);
+      Alcotest.(check string)
+        "bytes intact" "keep-me"
+        (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:7)))
+
+(* A write that lands while the victim's writeback is in flight keeps
+   the frame resident and dirty, even on a whole-page span list that
+   the write leaves as it was. *)
+let test_mmu_eviction_write_during_writeback () =
+  let started = Sim.Ivar.create () and written = Sim.Ivar.create () in
+  let wrap p =
+    {
+      p with
+      Partition.writeback =
+        (fun ~seg ~page spans ->
+          Sim.Ivar.fill started ();
+          Sim.Ivar.read written;
+          p.Partition.writeback ~seg ~page spans);
+    }
+  in
+  with_small_mmu ~wrap ~max_frames:2 (fun mmu vs seg pages _fetches ->
+      Mmu.write mmu vs ~addr:0 (Bytes.make Page.size 'a');
+      ignore (Mmu.read mmu vs ~addr:Page.size ~len:1);
+      ignore
+        (Sim.spawn "late-writer" (fun () ->
+             Sim.Ivar.read started;
+             Mmu.write mmu vs ~addr:0 (Bytes.of_string "late");
+             Sim.Ivar.fill written ()));
+      (* page 0 is the LRU victim; the late write makes page 1 the
+         next one *)
+      ignore (Mmu.read mmu vs ~addr:(2 * Page.size) ~len:1);
+      check_bool "page 1 evicted instead" true (Mmu.resident mmu seg 1 = None);
+      check_bool "page 0 still resident" true (Mmu.resident mmu seg 0 <> None);
+      check_bool "page 0 still dirty" true (Mmu.is_dirty mmu seg 0);
+      check_bool "the earlier bytes reached the partition" true
+        (match Hashtbl.find_opt pages (seg, 0) with
+        | Some b -> Bytes.get b 0 = 'a'
+        | None -> false);
+      Alcotest.(check string)
+        "the late write survives" "late"
+        (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:4)))
 
 (* ------------------------------------------------------------------ *)
 (* Dirty spans: the bytes a 2PC prepare ships *)
@@ -647,6 +740,12 @@ let () =
             test_mmu_eviction_writes_back_dirty;
           Alcotest.test_case "eviction mixed clean/dirty" `Quick
             test_mmu_eviction_mixed_clean_dirty;
+          Alcotest.test_case "eviction ships spans" `Quick
+            test_mmu_eviction_ships_spans;
+          Alcotest.test_case "failed writeback keeps frame" `Quick
+            test_mmu_eviction_failed_writeback_keeps_frame;
+          Alcotest.test_case "write during writeback keeps frame" `Quick
+            test_mmu_eviction_write_during_writeback;
         ] );
       ( "spans",
         [

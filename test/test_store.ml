@@ -115,9 +115,12 @@ let test_local_partition () =
       (match p.Ra.Partition.fetch ~seg ~page:0 ~mode:Ra.Partition.Read with
       | Ra.Partition.Zeroed -> ()
       | Ra.Partition.Data _ -> Alcotest.fail "expected zeroed");
-      p.Ra.Partition.writeback ~seg ~page:0 (Bytes.make Ra.Page.size 'w');
+      p.Ra.Partition.writeback ~seg ~page:0 [ (10, Bytes.of_string "w") ];
       match p.Ra.Partition.fetch ~seg ~page:0 ~mode:Ra.Partition.Read with
-      | Ra.Partition.Data d -> check_bool "written" true (Bytes.get d 0 = 'w')
+      | Ra.Partition.Data d ->
+          check_bool "span laid over zeros" true
+            (Bytes.get d 10 = 'w' && Bytes.get d 0 = '\000'
+            && Bytes.length d = Ra.Page.size)
       | Ra.Partition.Zeroed -> Alcotest.fail "expected data")
 
 (* ------------------------------------------------------------------ *)
