@@ -13,11 +13,13 @@ check:
 	dune build
 	dune runtest
 
-# The two figures a simplicity change reports: library lines
-# (.ml + .mli) and top-level vals exported from the .mli files.
+# The three figures a simplicity change reports: library lines
+# (.ml + .mli), top-level vals exported from the .mli files, and the
+# optional arguments those files declare.
 size:
 	@printf 'lib lines (.ml + .mli): %s\n' "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 	@printf 'lib exported vals:      %s\n' "$$(cat lib/*/*.mli | grep -c '^val ')"
+	@printf 'lib optional args:      %s\n' "$$(cat lib/*/*.mli | grep -o '?[a-z_]*:' | wc -l)"
 
 faults:
 	dune exec bin/experiments_main.exe -- faults

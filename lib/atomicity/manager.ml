@@ -514,9 +514,12 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
       Ra.Mmu.set_access_hook node.Ra.Node.mmu
         (Some (fun seg page mode -> hook t node seg page mode)))
     cl.Cl.compute_nodes;
-  (* recovering data servers resolve in-doubt transactions by asking
-     the coordinator: answerable only while the coordinating machine
-     is up (its volatile outcome table), else presumed abort *)
+  (* the outcome oracle: a prepared data server asks it from one
+     place, its resolver, when the presumed-abort timer fires or
+     recovery finds the transaction in doubt.  Answerable only while
+     the coordinating machine is up (its volatile outcome table);
+     a dead coordinator yields [`Unknown], and the participant
+     aborts *)
   Array.iter
     (fun server ->
       Dsm.Dsm_server.set_outcome_oracle server (fun txn ->

@@ -11,12 +11,16 @@ type owner_state = {
 (* What a participant remembers about a prepared transaction: the
    byte spans to apply at commit, (under group commit) the
    before-images recovery needs to undo a crash-window apply, and the
-   presumed-abort timer that a Commit or Abort makes moot. *)
+   presumed-abort timer that a decision makes moot. *)
 type prep_entry = {
   writes : P.span_set;
   undo : (Ra.Sysname.t * int * bytes option) list;
-  abort_timer : Sim.Engine.timer;
+  mutable timer : Sim.Engine.timer;
 }
+
+(* How long a prepared participant waits for a decision before it
+   asks the outcome oracle. *)
+let presume_abort_after = Sim.Time.sec 60
 
 type t = {
   node : Ra.Node.t;
@@ -47,7 +51,6 @@ type t = {
          delta is applied — the transport's exactly-once cache only
          dedups retransmits of the same call, not a fresh call *)
   prepared : (P.txn_id, prep_entry) Hashtbl.t;
-  presume_abort_after : Sim.Time.span;
   checkpoint_every : Sim.Time.span option;
   mutable cp_armed : bool;
       (* checkpoints are activity-driven: the first prepare after a
@@ -340,8 +343,8 @@ let apply_writes t writes =
    image is shared with readers' frames and messages in flight) and
    return the full images that result, for the copyset flush and the
    backups: a backup that missed an earlier fire-and-forget mirror
-   must not lay spans over a stale base.  Commit, in-doubt resolution
-   and every [Put_spans] writeback apply through here. *)
+   must not lay spans over a stale base.  [commit_prepared] and every
+   [Put_spans] writeback apply through here. *)
 let apply_spans ?lsn t writes =
   List.filter_map
     (fun (seg, page, spans) ->
@@ -381,21 +384,69 @@ let maybe_arm_checkpoint t =
                      ignore (Store.Wal.checkpoint t.wal ~active))))
       end
 
-(* A decision arrived (or the presumed-abort timer fired): the entry
-   goes, and with it the timer, which would only have found it gone. *)
-let settle t txn e =
-  Sim.Engine.cancel t.node.Ra.Node.eng e.abort_timer;
-  Hashtbl.remove t.prepared txn
+(* The entry goes, and with it the timer; the outcome is counted and
+   the transaction's locks released. *)
+let settle t txn e outcome =
+  Sim.Engine.cancel t.node.Ra.Node.eng e.timer;
+  Hashtbl.remove t.prepared txn;
+  Sim.Stats.incr outcome;
+  Lock_table.release_txn t.locks txn
 
-let handle_abort t txn =
-  (match Hashtbl.find_opt t.prepared txn with
-  | Some e ->
-      Store.Wal.append t.wal (Store.Wal.Aborted txn);
-      settle t txn e;
-      Sim.Stats.incr t.abort_count
-  | None -> ());
-  Lock_table.release_txn t.locks txn;
-  P.Txn_done
+(* The two ends of a prepared entry.  A Commit or Abort message, the
+   presumed-abort timer and recovery all settle through these, so
+   every outcome is logged, applied, counted and announced the same
+   way.  [fst txn] is the coordinator's node, the writer whose frames
+   stay valid. *)
+let commit_prepared t txn e =
+  (* the record is logged (forced first without a group-commit
+     daemon), the pages are applied tagged with its LSN and the locks
+     released, all in one scheduling quantum after the log call, so no
+     request can observe released locks with unapplied pages *)
+  let lsn =
+    if Store.Wal.group_commit t.wal then
+      Store.Wal.enqueue t.wal (Store.Wal.Committed txn)
+    else begin
+      Store.Wal.append t.wal (Store.Wal.Committed txn);
+      Store.Wal.flushed_lsn t.wal
+    end
+  in
+  let images = apply_spans t ~lsn e.writes in
+  settle t txn e t.commit_count;
+  (* the deferred-invalidation burst and the mirrors wait for
+     durability: they make remote nodes see these pages, and a crash
+     before the group flush would un-commit writes they had already
+     observed.  The reply, which is the coordinator's ack, waits too *)
+  Store.Wal.wait_durable t.wal lsn;
+  release_flush t images ~except:(fst txn);
+  mirror_writes t images
+
+let abort_prepared t txn e =
+  Store.Wal.append t.wal (Store.Wal.Aborted txn);
+  settle t txn e t.abort_count
+
+(* Presumed abort: a prepared participant that hears no decision for
+   [presume_abort_after] asks the oracle.  [resolve] is the only code
+   that decides between the two ends; [arm] the only code that builds
+   the timer. *)
+let rec arm t txn =
+  let eng = t.node.Ra.Node.eng in
+  Sim.Engine.timer eng
+    (Sim.Time.add (Sim.Engine.now eng) presume_abort_after)
+    (fun () ->
+      (* a crashed server settles nothing; [recover] re-arms *)
+      if t.node.Ra.Node.alive then
+        ignore (Ra.Node.spawn t.node "resolve" (fun () -> resolve t txn)))
+
+and resolve t txn =
+  match Hashtbl.find_opt t.prepared txn with
+  | None -> ()
+  | Some e -> (
+      match t.oracle txn with
+      | `Committed -> commit_prepared t txn e
+      | `Aborted | `Unknown -> abort_prepared t txn e
+      | `Pending ->
+          Sim.Engine.cancel t.node.Ra.Node.eng e.timer;
+          e.timer <- arm t txn)
 
 let handle_prepare t txn writes =
   if not (stores_all t (fun (seg, _, _) -> seg) writes) then P.Vote false
@@ -427,58 +478,17 @@ let handle_prepare t txn writes =
        under group commit it rides the next group flush with every
        other concurrently-preparing transaction *)
     Store.Wal.append t.wal (Store.Wal.Prepared { txn; writes; undo });
-    (* presumed abort: if the coordinator dies before deciding, the
-       participant self-aborts after a timeout *)
-    let eng = t.node.Ra.Node.eng in
-    let abort_timer =
-      Sim.Engine.timer eng
-        (Sim.Time.add (Sim.Engine.now eng) t.presume_abort_after)
-        (fun () ->
-          if Hashtbl.mem t.prepared txn then
-            ignore
-              (Ra.Node.spawn t.node "presumed-abort" (fun () ->
-                   if Hashtbl.mem t.prepared txn then
-                     ignore (handle_abort t txn))))
-    in
-    Hashtbl.replace t.prepared txn { writes; undo; abort_timer };
+    Hashtbl.replace t.prepared txn { writes; undo; timer = arm t txn };
     P.Vote true
   end
 
-let handle_commit t ~src txn =
-  match Hashtbl.find_opt t.prepared txn with
-  | Some ({ writes; _ } as e) when Store.Wal.group_commit t.wal ->
-      (* pipelined commit: the record goes into the log buffer, the
-         pages are applied (tagged with the commit LSN) and the locks
-         released — all in one scheduling quantum, so no request can
-         observe released locks with unapplied pages — and the reply,
-         which is the coordinator's ack, leaves only once the group
-         flush has made the record durable *)
-      let lsn = Store.Wal.enqueue t.wal (Store.Wal.Committed txn) in
-      let images = apply_spans t ~lsn writes in
-      settle t txn e;
-      Sim.Stats.incr t.commit_count;
-      Lock_table.release_txn t.locks txn;
-      (* the deferred-invalidation burst waits for durability: it
-         makes remote nodes refetch these pages, and a crash before
-         the group flush would un-commit writes they had already
-         observed (the non-group path orders the same way — its
-         synchronous append precedes the burst) *)
-      Store.Wal.wait_durable t.wal lsn;
-      release_flush t images ~except:src;
-      mirror_writes t images;
-      P.Txn_done
-  | Some ({ writes; _ } as e) ->
-      Store.Wal.append t.wal (Store.Wal.Committed txn);
-      let images = apply_spans t writes in
-      release_flush t images ~except:src;
-      mirror_writes t images;
-      settle t txn e;
-      Sim.Stats.incr t.commit_count;
-      Lock_table.release_txn t.locks txn;
-      P.Txn_done
-  | None ->
-      Lock_table.release_txn t.locks txn;
-      P.Txn_done
+(* A Commit or Abort message.  A participant that holds only locks
+   for [txn] has no entry: the decision just releases them. *)
+let handle_decision t txn settle_prepared =
+  (match Hashtbl.find_opt t.prepared txn with
+  | Some e -> settle_prepared t txn e
+  | None -> Lock_table.release_txn t.locks txn);
+  P.Txn_done
 
 (* Span names for served operations — static strings, so labelling a
    traced request allocates nothing. *)
@@ -662,13 +672,12 @@ let handle t ~src body =
       Store.Directory.remove t.directory obj;
       P.Registered
   | P.Prepare { txn; writes } -> handle_prepare t txn writes
-  | P.Commit { txn } -> handle_commit t ~src txn
-  | P.Abort { txn } -> handle_abort t txn
+  | P.Commit { txn } -> handle_decision t txn commit_prepared
+  | P.Abort { txn } -> handle_decision t txn abort_prepared
   | P.List_objects -> P.Objects (Store.Directory.objects t.directory)
   | _ -> P.Page_error
 
-let create node ?(presume_abort_after = Sim.Time.sec 60) ?group_commit_window
-    ?checkpoint_every () =
+let create node ?group_commit_window ?checkpoint_every () =
   let disk = Store.Disk.create (Printf.sprintf "disk-%d" node.Ra.Node.id) in
   let group_commit =
     Option.map
@@ -694,7 +703,6 @@ let create node ?(presume_abort_after = Sim.Time.sec 60) ?group_commit_window
       warmed = Ra.Sysname.Table.create 64;
       merge_applied = Hashtbl.create 16;
       prepared = Hashtbl.create 8;
-      presume_abort_after;
       checkpoint_every;
       cp_armed = false;
       oracle = (fun _ -> `Unknown);
@@ -740,47 +748,24 @@ let suspected t =
   Hashtbl.fold (fun a () acc -> a :: acc) t.suspects []
   |> List.sort Net.Address.compare
 
+(* Runs inline, so it is safe from engine context: nothing here
+   blocks, and each in-doubt entry is settled by a spawned [resolve]. *)
 let recover t =
+  let eng = t.node.Ra.Node.eng in
+  (* a pre-crash timer would settle the re-installed entry behind the
+     resolver's back *)
+  Hashtbl.iter (fun _ e -> Sim.Engine.cancel eng e.timer) t.prepared;
+  Hashtbl.reset t.prepared;
   Hashtbl.reset t.owners;
   Hashtbl.reset t.suspects;
-  Hashtbl.reset t.prepared;
   t.locks <- Lock_table.create ();
-  let applied = ref [] in
-  let decide txn =
-    match t.oracle txn with
-    | `Committed -> `Commit
-    | `Aborted | `Unknown -> `Abort
-    | `Pending -> `Keep
-  in
-  let in_doubt = Store.Wal.recover t.wal t.store ~decide ~applied in
-  (* transactions kept in doubt go back into the prepared table so a
-     late Commit/Abort from the coordinator still applies; a timer
-     re-resolves them if the decision never arrives *)
+  let in_doubt = Store.Wal.recover t.wal t.store ~applied:(ref []) in
   List.iter
     (fun (p : Store.Wal.prep) ->
       let txn = p.Store.Wal.txn in
       let writes = p.Store.Wal.writes in
-      let eng = t.node.Ra.Node.eng in
-      let abort_timer =
-        Sim.Engine.timer eng
-          (Sim.Time.add (Sim.Engine.now eng) t.presume_abort_after)
-          (fun () ->
-            if Hashtbl.mem t.prepared txn then begin
-              match t.oracle txn with
-              | `Committed ->
-                  let lsn = Store.Wal.enqueue t.wal (Store.Wal.Committed txn) in
-                  ignore (apply_spans t ~lsn writes);
-                  Hashtbl.remove t.prepared txn;
-                  Lock_table.release_txn t.locks txn
-              | `Aborted | `Unknown ->
-                  Store.Wal.append_nowait t.wal (Store.Wal.Aborted txn);
-                  Hashtbl.remove t.prepared txn;
-                  Lock_table.release_txn t.locks txn
-              | `Pending -> ()
-            end)
-      in
       Hashtbl.replace t.prepared txn
-        { writes; undo = p.Store.Wal.undo; abort_timer };
+        { writes; undo = p.Store.Wal.undo; timer = arm t txn };
       (* recovery locking: the in-doubt transaction's write locks
          must be held again, or later transactions would read
          state its pending commit will overwrite *)
@@ -791,7 +776,8 @@ let recover t =
           | `Cancelled -> ())
         (List.sort_uniq
            (fun (a, _, _) (b, _, _) -> Ra.Sysname.compare a b)
-           writes))
+           writes);
+      ignore (Ra.Node.spawn t.node "resolve" (fun () -> resolve t txn)))
     in_doubt
 
 let owner_of t seg page =

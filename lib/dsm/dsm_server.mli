@@ -14,7 +14,6 @@ type t
 
 val create :
   Ra.Node.t ->
-  ?presume_abort_after:Sim.Time.span ->
   ?group_commit_window:Sim.Time.span ->
   ?checkpoint_every:Sim.Time.span ->
   unit ->
@@ -41,7 +40,11 @@ val create :
     [checkpoint_every] arms a fuzzy checkpoint that interval after
     the first prepare of a busy period: the in-doubt transaction
     table is logged without quiescing and the WAL is truncated up to
-    the checkpoint once it is durable. *)
+    the checkpoint once it is durable.
+
+    A prepared participant that hears no decision for 60 s asks the
+    outcome oracle ({!set_outcome_oracle}): commit, abort, or wait
+    another 60 s if the transaction is still pending. *)
 
 val node : t -> Ra.Node.t
 val store : t -> Store.Segment_store.t
@@ -53,18 +56,24 @@ val set_outcome_oracle :
   t ->
   (Protocol.txn_id -> [ `Committed | `Aborted | `Pending | `Unknown ]) ->
   unit
-(** How a recovering participant learns the fate of a transaction it
-    prepared but never saw decided: ask the coordinator (the
-    atomicity manager installs this).  [`Pending] — the coordinator
-    is alive but has not decided — keeps the participant's promise to
-    commit (the transaction stays prepared); [`Unknown] — coordinator
-    crashed or forgot — means presumed abort. *)
+(** How a prepared participant learns the fate of a transaction whose
+    decision never arrived: ask the coordinator (the atomicity manager
+    installs this).  It is consulted in one place, when the
+    presumed-abort timer fires or recovery finds the transaction in
+    doubt.  [`Committed] commits; [`Aborted] and [`Unknown]
+    (coordinator crashed or forgot) abort; [`Pending] (the coordinator
+    is alive but has not decided) keeps the promise to commit and asks
+    again after another timeout.  Without an oracle every such
+    transaction is presumed aborted. *)
 
 val recover : t -> unit
-(** Run after {!Ra.Node.restart}: clear volatile coherence and lock
-    state and replay the write-ahead log into the segment store,
-    resolving in-doubt transactions through the outcome oracle
-    (presumed abort without one). *)
+(** Run after {!Ra.Node.restart}: cancel the pre-crash timers, clear
+    volatile coherence and lock state, and replay the write-ahead log
+    into the segment store.  Each transaction left in doubt is
+    re-installed as prepared, with its write locks held again and its
+    presumed-abort timer armed, and a process is spawned that settles
+    it through the outcome oracle at once.  Nothing here blocks, so
+    it may be called from an engine callback. *)
 
 val apply_view : t -> Membership.Monitor.view -> unit
 (** Fold a membership view into the suspect table: [Dead] members are

@@ -1,7 +1,6 @@
 type config = {
   retry_initial : Sim.Time.span;
   max_attempts : int;
-  server_cache_ttl : Sim.Time.span;
   selective_retransmit : bool;
 }
 
@@ -9,11 +8,11 @@ let default_config =
   {
     retry_initial = Sim.Time.ms 50;
     max_attempts = 8;
-    server_cache_ttl = Sim.Time.sec 5;
     selective_retransmit = true;
   }
 
 let frag_payload = 1400 (* max message bytes per fragment *)
+let server_cache_ttl = Sim.Time.sec 5 (* reply retention for dedup *)
 let retry_backoff = 2.0 (* timer multiplier per silent retry *)
 let proc_cost = Sim.Time.us 590
 let rto_min = Sim.Time.ms 2
@@ -265,7 +264,7 @@ let send_control ?until t ~dst ~tid ~service ~kind bits =
 let schedule_cache_expiry t tid =
   let eng = Net.Ethernet.engine t.ether in
   Sim.Engine.timer eng
-    (Sim.Time.add (Sim.Engine.now eng) t.cfg.server_cache_ttl)
+    (Sim.Time.add (Sim.Engine.now eng) server_cache_ttl)
     (fun () ->
       match Tid_table.find_opt t.servers tid with
       | Some (Done _) -> Tid_table.remove t.servers tid
@@ -279,12 +278,12 @@ let schedule_cache_expiry t tid =
 let rec schedule_accumulation_expiry t tid =
   let eng = Net.Ethernet.engine t.ether in
   Sim.Engine.timer eng
-    (Sim.Time.add (Sim.Engine.now eng) t.cfg.server_cache_ttl)
+    (Sim.Time.add (Sim.Engine.now eng) server_cache_ttl)
     (fun () ->
       match Tid_table.find_opt t.servers tid with
       | Some (Accumulating acc) ->
           let idle = Sim.Time.diff (Sim.Engine.now eng) acc.touched in
-          if Sim.Time.compare idle t.cfg.server_cache_ttl >= 0 then
+          if Sim.Time.compare idle server_cache_ttl >= 0 then
             Tid_table.remove t.servers tid
           else acc.reaper <- schedule_accumulation_expiry t tid
       | Some (In_progress | Done _) | None -> ())

@@ -25,7 +25,6 @@ type config = {
   max_attempts : int;
       (** sizes the give-up budget: a call gives up after the silence
           of [max_attempts] doubling waits from [retry_initial] *)
-  server_cache_ttl : Sim.Time.span;  (** reply retention for dedup *)
   selective_retransmit : bool;
       (** on timeout, probe for the peer's received-fragment bitmap
           and resend only what is missing (default on; loss-free
@@ -35,8 +34,9 @@ type config = {
 val default_config : config
 (** [selective_retransmit] on; 50 ms initial RTO doubling over 8
     waits (a 12.75 s give-up budget).  Fixed for every endpoint: 1400
-    message bytes per fragment, and a learned RTO clamped to
-    [2 ms, 4 s]. *)
+    message bytes per fragment, a learned RTO clamped to [2 ms, 4 s],
+    and server-side transaction state (cached replies, partial request
+    bursts) kept 5 s after it goes quiet. *)
 
 val proc_cost : Sim.Time.span
 (** Protocol processing charged per transaction step (request issue,
@@ -112,7 +112,7 @@ val server_cache_size : t -> int
 (** Entries in the server-side transaction table (accumulating
     bursts, running handlers, cached replies).  Introspection for
     tests: abandoned bursts and acknowledged replies must not pin
-    entries past [server_cache_ttl]. *)
+    entries past the 5 s retention. *)
 
 type peer_stats = {
   peer : Net.Address.t;

@@ -206,8 +206,7 @@ let enqueue t r =
   (match t.gc with
   | None ->
       (* no daemon: records are durable the instant they are logged
-         (the caller pays the disk charge, or is an engine-context
-         path that historically skipped it) *)
+         ([append] pays the disk charge first) *)
       t.durable <- lsn
   | Some g ->
       t.pend_bytes <- t.pend_bytes + record_bytes r;
@@ -229,8 +228,6 @@ let append t r =
   | Some _ ->
       let lsn = enqueue t r in
       wait_durable t lsn
-
-let append_nowait t r = ignore (enqueue t r)
 
 (* --- checkpoints and truncation -------------------------------------- *)
 
@@ -280,11 +277,9 @@ let crash_reset t =
       t.flushing <- false;
       t.waiters <- []
 
-let recover t store ~decide ~applied =
+let recover t store ~applied =
   crash_reset t;
   let horizon = t.durable in
-  (* stable snapshot: the settle pass below appends to the live log *)
-  let entries = Array.sub t.entries t.start t.len in
   (* analysis: outcomes, plus the freshest prepare image per txn —
      seeded from checkpoint records for transactions whose original
      Prepared record was truncated away *)
@@ -296,41 +291,30 @@ let recover t store ~decide ~applied =
     if not (Hashtbl.mem preps p.txn) then order := p.txn :: !order;
     Hashtbl.replace preps p.txn (lsn, p)
   in
-  Array.iter
-    (fun e ->
-      match e.rec_ with
-      | Committed txn ->
-          if not (Hashtbl.mem committed txn) then
-            Hashtbl.replace committed txn e.lsn
-      | Aborted txn -> Hashtbl.replace aborted txn ()
-      | Prepared p -> note_prep e.lsn p
-      | Checkpoint active -> List.iter (note_prep e.lsn) active)
-    entries;
+  for i = t.start to t.start + t.len - 1 do
+    let e = t.entries.(i) in
+    match e.rec_ with
+    | Committed txn ->
+        if not (Hashtbl.mem committed txn) then
+          Hashtbl.replace committed txn e.lsn
+    | Aborted txn -> Hashtbl.replace aborted txn ()
+    | Prepared p -> note_prep e.lsn p
+    | Checkpoint active -> List.iter (note_prep e.lsn) active
+  done;
   let order = List.rev !order in
-  (* settle undecided prepares: ask the coordinator (decide);
-     unreachable coordinators mean presumed abort *)
+  let undecided txn =
+    (not (Hashtbl.mem committed txn)) && not (Hashtbl.mem aborted txn)
+  in
+  (* undo: a page tagged past the durable horizon got its image from
+     a commit record that never reached the disk, so the page's
+     writer is undecided again.  The in-order flush makes that writer
+     the only transaction that can be in this state (any later
+     writer's prepare could not have become durable either, so it
+     never voted, never applied), so restoring its before-image is
+     exact. *)
   List.iter
     (fun txn ->
-      if (not (Hashtbl.mem committed txn)) && not (Hashtbl.mem aborted txn)
-      then
-        match decide txn with
-        | `Commit ->
-            let lsn = enqueue t (Committed txn) in
-            Hashtbl.replace committed txn lsn
-        | `Abort ->
-            ignore (enqueue t (Aborted txn));
-            Hashtbl.replace aborted txn ()
-        | `Keep -> ())
-    order;
-  (* undo of losers: a page tagged past the durable horizon got its
-     image from a commit record that never reached the disk.  The
-     in-order flush makes that page's writer the only transaction
-     that can be in this state (any later writer's prepare could not
-     have become durable either, so it never voted, never applied),
-     so restoring the loser's before-image is exact. *)
-  List.iter
-    (fun txn ->
-      if Hashtbl.mem aborted txn then
+      if undecided txn then
         match Hashtbl.find_opt preps txn with
         | Some (_, p) ->
             List.iter
@@ -372,11 +356,10 @@ let recover t store ~decide ~applied =
              end)
            p.writes;
          if !did then applied := txn :: !applied);
-  (* survivors the caller must re-install as in-doubt *)
+  (* the undecided prepares, for the caller to re-install and settle *)
   List.filter_map
     (fun txn ->
-      if (not (Hashtbl.mem committed txn)) && not (Hashtbl.mem aborted txn)
-      then Option.map snd (Hashtbl.find_opt preps txn)
+      if undecided txn then Option.map snd (Hashtbl.find_opt preps txn)
       else None)
     order
 

@@ -94,10 +94,6 @@ val wait_durable : t -> int -> unit
 val flushed_lsn : t -> int
 (** Highest LSN the disk has seen (0 initially). *)
 
-val append_nowait : t -> record -> unit
-(** [enqueue] with the LSN ignored — for engine-context callers
-    (timer-driven resolution) that cannot block. *)
-
 val records : t -> record list
 (** Non-truncated log contents in append order (tests, recovery). *)
 
@@ -107,25 +103,21 @@ val checkpoint : t -> active:prep list -> int
     checkpoint's LSN is the new low-water mark).  Returns that LSN. *)
 
 val recover :
-  t ->
-  Segment_store.t ->
-  decide:((int * int) -> [ `Commit | `Abort | `Keep ]) ->
-  applied:(int * int) list ref ->
-  prep list
-(** ARIES-style replay into the store.  First the volatile suffix
-    (records past the last flush) is discarded.  Analysis collects
-    outcomes and the freshest prepare per transaction, seeding from
-    [Checkpoint] records when the original [Prepared] was truncated.
-    Undecided transactions are settled by [decide] — the recovering
-    participant asks the coordinator: [`Commit]/[`Abort] are logged
-    and acted on; [`Keep] leaves the transaction in doubt.  Losers'
-    crash-window page images (tagged past the durable horizon) are
-    restored from their before-images.  Committed prepares are then
-    redone in commit-record order under the page-LSN guard, each
-    laying its spans over the stored image, so recovering twice
-    applies each write once.  [applied] reports every txn that had at
-    least one write replayed; the return value is the in-doubt
-    transactions the caller must re-install. *)
+  t -> Segment_store.t -> applied:(int * int) list ref -> prep list
+(** ARIES-style replay into the store; it logs nothing and decides
+    nothing.  First the volatile suffix (records past the last flush)
+    is discarded.  Analysis collects outcomes and the freshest prepare
+    per transaction, seeding from [Checkpoint] records when the
+    original [Prepared] was truncated.  A prepare with neither a
+    [Committed] nor an [Aborted] record is undecided.  Undo restores
+    every page tagged past the durable horizon from its writer's
+    before-image: the writer lost its commit record in the crash, so
+    it is undecided again.  Committed prepares are then redone in
+    commit-record order under the page-LSN guard, each laying its
+    spans over the stored image, so recovering twice applies each
+    write once.  [applied] reports every txn that had at least one
+    write replayed; the return value is every undecided prepare, in
+    log order, for the caller to re-install and settle. *)
 
 val truncate : t -> unit
 (** Discard the whole log unconditionally (tests). *)

@@ -505,9 +505,10 @@ let test_indoubt_participant_learns_commit () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "transfer failed: %s" (Printexc.to_string e));
       check_int "A committed the debit" 70 (stored_balance env a);
-      (* B recovers and resolves the in-doubt transaction *)
+      (* B recovers; its resolver settles the in-doubt transaction *)
       Ra.Node.restart (Dsm.Dsm_server.node server2);
       Dsm.Dsm_server.recover server2;
+      Sim.sleep (Time.ms 200);
       check_int "B applied the in-doubt credit at recovery" 30
         (stored_balance env b))
 

@@ -26,14 +26,14 @@ type cluster = {
   c2 : Dsm.Dsm_client.t;
 }
 
-let with_cluster ?(presume_abort_after = Time.sec 60) f =
+let with_cluster ?group_commit_window f =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
       let ether = Net.Ethernet.create eng () in
       let nd =
         Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
       in
-      let server = Dsm.Dsm_server.create nd ~presume_abort_after () in
+      let server = Dsm.Dsm_server.create nd ?group_commit_window () in
       let locate _ = 1 in
       let n1 =
         Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute ~ratp_config:fast_ratp ()
@@ -523,7 +523,7 @@ let test_prepare_unknown_segment_votes_no () =
       | Ok _ | Error _ -> Alcotest.fail "expected no vote")
 
 let test_presumed_abort_times_out () =
-  with_cluster ~presume_abort_after:(Time.sec 2) (fun cl ->
+  with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
       let t1 = (2, 10) in
       (match rpc cl cl.n1 (P.Lock_segment { seg; kind = P.W; txn = t1 }) with
@@ -533,9 +533,10 @@ let test_presumed_abort_times_out () =
       (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, [ (0, page) ]) ] }) with
       | Ok (P.Vote true) -> ()
       | Ok _ | Error _ -> Alcotest.fail "prepare failed");
-      (* coordinator goes silent; participant must self-abort and
+      (* coordinator goes silent and no oracle knows the outcome:
+         past the 60 s deadline the participant must self-abort and
          release the lock *)
-      Sim.sleep (Time.sec 3);
+      Sim.sleep (Time.sec 61);
       check_int "aborted" 1 (Dsm.Dsm_server.aborts cl.server);
       (match Store.Segment_store.read_page (Dsm.Dsm_server.store cl.server) seg 0 with
       | Ra.Partition.Zeroed -> ()
@@ -560,6 +561,124 @@ let test_server_crash_recovery () =
       Alcotest.(check string)
         "store contents survive crash" "persisted"
         (read cl.n2 vs ~addr:0 ~len:9))
+
+(* ------------------------------------------------------------------ *)
+(* The resolver: the presumed-abort timer and recovery settle an
+   in-doubt entry through the outcome oracle *)
+
+type verdict = [ `Committed | `Aborted | `Pending | `Unknown ]
+
+(* Lock page 0 of [seg] for [txn] and prepare a write of [c] over it. *)
+let prepare_page cl txn seg c =
+  (match rpc cl cl.n1 (P.Lock_segment { seg; kind = P.W; txn }) with
+  | Ok P.Lock_granted -> ()
+  | Ok _ | Error _ -> Alcotest.fail "lock failed");
+  let page = Bytes.make Ra.Page.size c in
+  match rpc cl cl.n1 (P.Prepare { txn; writes = [ (seg, 0, [ (0, page) ]) ] }) with
+  | Ok (P.Vote true) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "prepare failed"
+
+let first_byte server seg =
+  match Store.Segment_store.read_page (Dsm.Dsm_server.store server) seg 0 with
+  | Ra.Partition.Data d -> Some (Bytes.get d 0)
+  | Ra.Partition.Zeroed -> None
+
+let check_byte = Alcotest.(check (option char))
+
+let restart_and_recover cl =
+  Ra.Node.crash cl.nd;
+  Ra.Node.restart cl.nd;
+  Dsm.Dsm_server.recover cl.server
+
+(* The oracle says Pending at recovery and at the first deadline,
+   then Committed: the entry stays prepared (no pre-crash timer may
+   abort it) and commits at the next deadline, counted like any
+   commit. *)
+let test_recovery_waits_out_pending () =
+  with_cluster (fun cl ->
+      let seg = new_seg cl ~pages:1 in
+      let verdict : verdict ref = ref `Pending in
+      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> !verdict);
+      prepare_page cl (2, 20) seg 'a';
+      Sim.sleep (Time.ms 100);
+      restart_and_recover cl;
+      Sim.sleep (Time.sec 90);
+      check_byte "still in doubt" None (first_byte cl.server seg);
+      check_int "nothing aborted" 0 (Dsm.Dsm_server.aborts cl.server);
+      verdict := `Committed;
+      Sim.sleep (Time.sec 40);
+      check_byte "committed at the next deadline" (Some 'a')
+        (first_byte cl.server seg);
+      check_int "commit counted" 1 (Dsm.Dsm_server.commits cl.server);
+      check_int "still nothing aborted" 0 (Dsm.Dsm_server.aborts cl.server))
+
+(* The coordinator decided commit but its Commit never arrived: the
+   presumed-abort timer asks before it aborts. *)
+let test_timer_asks_oracle () =
+  with_cluster (fun cl ->
+      let seg = new_seg cl ~pages:1 in
+      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> `Committed);
+      prepare_page cl (2, 21) seg 'b';
+      Sim.sleep (Time.sec 61);
+      check_byte "write applied" (Some 'b') (first_byte cl.server seg);
+      check_int "one commit" 1 (Dsm.Dsm_server.commits cl.server);
+      check_int "nothing aborted" 0 (Dsm.Dsm_server.aborts cl.server))
+
+(* A commit the resolver decides, by timer or at recovery, reaches the
+   segment's backup like a commit by message. *)
+let test_resolved_commit_mirrored () =
+  with_cluster (fun cl ->
+      let nb =
+        Ra.Node.create cl.ether ~id:4 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
+      in
+      let backup = Dsm.Dsm_server.create nb () in
+      let seg = new_seg cl ~pages:1 and seg2 = new_seg cl ~pages:1 in
+      List.iter
+        (fun s ->
+          Store.Segment_store.create_segment (Dsm.Dsm_server.store backup) s
+            ~size:Ra.Page.size)
+        [ seg; seg2 ];
+      Dsm.Dsm_server.set_mirrors cl.server (fun _ -> [ nb.Ra.Node.id ]);
+      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> `Committed);
+      prepare_page cl (2, 22) seg 'c';
+      Sim.sleep (Time.sec 61);
+      check_byte "timer commit mirrored" (Some 'c') (first_byte backup seg);
+      prepare_page cl (2, 23) seg2 'd';
+      restart_and_recover cl;
+      Sim.sleep (Time.sec 1);
+      check_byte "recovery commit mirrored" (Some 'd') (first_byte backup seg2);
+      check_int "both counted" 2 (Dsm.Dsm_server.commits cl.server))
+
+(* Under group commit the Commit applies its page before its record is
+   durable; a crash in that window leaves the transaction undecided.
+   Recovery undoes the page, and an Unknown verdict makes the
+   recovering server log the abort and release the lock. *)
+let test_unknown_at_recovery_logs_abort () =
+  with_cluster ~group_commit_window:(Time.ms 5) (fun cl ->
+      let seg = new_seg cl ~pages:1 in
+      Store.Segment_store.write_page (Dsm.Dsm_server.store cl.server) seg 0
+        (Bytes.make Ra.Page.size 'o');
+      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> `Unknown);
+      let t1 = (2, 24) in
+      prepare_page cl t1 seg 'n';
+      ignore
+        (Sim.spawn "committer" (fun () ->
+             ignore (rpc cl cl.n1 (P.Commit { txn = t1 }))));
+      while first_byte cl.server seg <> Some 'n' do
+        Sim.sleep (Time.us 100)
+      done;
+      restart_and_recover cl;
+      check_byte "crash-window apply undone" (Some 'o') (first_byte cl.server seg);
+      Sim.sleep (Time.ms 200);
+      check_bool "abort logged" true
+        (List.exists
+           (function Store.Wal.Aborted t -> t = t1 | _ -> false)
+           (Store.Wal.records (Dsm.Dsm_server.wal cl.server)));
+      check_int "one abort" 1 (Dsm.Dsm_server.aborts cl.server);
+      check_byte "before-image stands" (Some 'o') (first_byte cl.server seg);
+      match rpc cl cl.n2 (P.Lock_segment { seg; kind = P.W; txn = (3, 1) }) with
+      | Ok P.Lock_granted -> ()
+      | Ok _ | Error _ -> Alcotest.fail "abort did not release the lock")
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -1171,5 +1290,16 @@ let () =
             test_presumed_abort_times_out;
           Alcotest.test_case "server crash recovery" `Quick
             test_server_crash_recovery;
+        ] );
+      ( "resolver",
+        [
+          Alcotest.test_case "recovery waits out pending" `Quick
+            test_recovery_waits_out_pending;
+          Alcotest.test_case "timer asks the oracle" `Quick
+            test_timer_asks_oracle;
+          Alcotest.test_case "resolved commit is mirrored" `Quick
+            test_resolved_commit_mirrored;
+          Alcotest.test_case "unknown at recovery logs abort" `Quick
+            test_unknown_at_recovery_logs_abort;
         ] );
     ]

@@ -659,8 +659,8 @@ let test_node_crash_kills_processes () =
       let ether = Net.Ethernet.create eng () in
       let node = Node.create ether ~id:5 ~kind:Node.Compute () in
       let ran = ref false in
-      let _isiba =
-        Isiba.spawn node ~stack:Isiba.User "worker" (fun () ->
+      let _pid =
+        Node.spawn node "worker" (fun () ->
             Sim.sleep (Time.ms 100);
             ran := true)
       in

@@ -443,15 +443,9 @@ let test_busy_carries_no_payload () =
 let test_abandoned_burst_reaped () =
   (* An Accumulating entry for a burst the client stopped retrying
      must not pin the server table forever: it is reaped once it has
-     been idle for server_cache_ttl. *)
+     been idle for the 5 s reply-retention time. *)
   let during, after =
-    let config =
-      {
-        Endpoint.default_config with
-        max_attempts = 1;
-        server_cache_ttl = Time.ms 200;
-      }
-    in
+    let config = { Endpoint.default_config with max_attempts = 1 } in
     with_fast_pair ~config (fun ether a b ->
         serve_echo b;
         (* the last request fragment never arrives, so the server
@@ -466,7 +460,10 @@ let test_abandoned_burst_reaped () =
         | Error Endpoint.Timeout -> ()
         | Ok _ -> Alcotest.fail "truncated burst must time out");
         let during = Endpoint.server_cache_size b in
-        Sim.sleep (Time.ms 700);
+        (* a reaper that finds the entry touched since it was armed
+           re-arms for a full 5 s, so reaping can take up to twice
+           that *)
+        Sim.sleep (Time.sec 11);
         (during, Endpoint.server_cache_size b))
   in
   check_int "partial burst held while fresh" 1 during;
@@ -713,7 +710,7 @@ let test_give_up_budget_is_time () =
 (* Server-side watchdogs must go when their transaction does.  The
    reply cache keeps each reply for duplicate suppression until the
    client's Ack; a cache expiry left in the event queue after the Ack
-   would hold the clock hostage for [server_cache_ttl] and, at load,
+   would hold the clock hostage for the 5 s retention and, at load,
    fill the queue with one dead timer per call. *)
 let test_ack_cancels_cache_expiry () =
   let eng = Engine.create () in

@@ -139,25 +139,20 @@ let test_wal_recover_committed () =
         (Store.Wal.Prepared
            { txn = (1, 1); writes = [ (seg, 0, [ (0, page_of_char 'a') ]) ]; undo = [] });
       Store.Wal.append wal (Store.Wal.Committed (1, 1));
-      (* an undecided transaction, must be presumed aborted *)
+      (* an undecided transaction: not applied, handed back to the
+         caller (the data server's resolver settles it) *)
       Store.Wal.append wal
         (Store.Wal.Prepared
            { txn = (1, 2); writes = [ (seg, 0, [ (0, page_of_char 'b') ]) ]; undo = [] });
       let applied = ref [] in
-      let (_ : Store.Wal.prep list) =
-        Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied
-      in
+      let in_doubt = Store.Wal.recover wal s ~applied in
       Alcotest.(check (list (pair int int))) "applied" [ (1, 1) ] !applied;
       (match Store.Segment_store.read_page s seg 0 with
       | Ra.Partition.Data d -> check_bool "committed applied" true (Bytes.get d 0 = 'a')
       | Ra.Partition.Zeroed -> Alcotest.fail "not applied");
-      (* the undecided txn now has an abort marker *)
-      let aborted =
-        List.exists
-          (function Store.Wal.Aborted (1, 2) -> true | _ -> false)
-          (Store.Wal.records wal)
-      in
-      check_bool "presumed abort logged" true aborted)
+      Alcotest.(check (list (pair int int)))
+        "undecided returned" [ (1, 2) ]
+        (List.map (fun p -> p.Store.Wal.txn) in_doubt))
 
 let test_wal_costs_disk_time () =
   let elapsed =
@@ -192,14 +187,14 @@ let test_wal_recover_twice_applies_once () =
       Store.Wal.append wal (Store.Wal.Committed (1, 1));
       let applied = ref [] in
       let (_ : Store.Wal.prep list) =
-        Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied
+        Store.Wal.recover wal s ~applied
       in
       Alcotest.(check (list (pair int int))) "first replay" [ (1, 1) ] !applied;
       (* the page now carries the commit's LSN, so a second replay of
          the same log must not apply (or count) anything *)
       let applied = ref [] in
       let (_ : Store.Wal.prep list) =
-        Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied
+        Store.Wal.recover wal s ~applied
       in
       Alcotest.(check (list (pair int int))) "second replay idle" [] !applied)
 
@@ -229,7 +224,7 @@ let test_wal_span_redo_twice () =
       Store.Wal.append wal (Store.Wal.Committed (1, 2));
       let recover () =
         let applied = ref [] in
-        ignore (Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied);
+        ignore (Store.Wal.recover wal s ~applied);
         stored_page s seg
       in
       let first = recover () in
@@ -258,7 +253,7 @@ let test_wal_span_redo_order () =
       Store.Wal.append wal (Store.Wal.Committed (1, 1));
       Store.Wal.append wal (Store.Wal.Committed (1, 2));
       let applied = ref [] in
-      ignore (Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied);
+      ignore (Store.Wal.recover wal s ~applied);
       Alcotest.(check string) "later commit wins the overlap" "AABBBB"
         (String.sub (stored_page s seg) 0 6))
 
@@ -273,12 +268,10 @@ let test_wal_keep_in_doubt () =
         (Store.Wal.Prepared
            { txn = (2, 7); writes = [ (seg, 0, [ (0, page_of_char 'k') ]) ]; undo = [] });
       let applied = ref [] in
-      let in_doubt =
-        Store.Wal.recover wal s ~decide:(fun _ -> `Keep) ~applied
-      in
-      (* [`Keep]: the coordinator is alive but undecided, so the
-         participant keeps its promise — nothing applied, nothing
-         aborted, and the prepare comes back for re-installation *)
+      let in_doubt = Store.Wal.recover wal s ~applied in
+      (* undecided: the participant keeps its promise — nothing
+         applied, nothing aborted, and the prepare comes back for
+         re-installation *)
       Alcotest.(check (list (pair int int))) "nothing applied" [] !applied;
       (match in_doubt with
       | [ p ] ->
@@ -351,11 +344,10 @@ let test_wal_undo_crash_window () =
       let lsn = Store.Wal.enqueue wal (Store.Wal.Committed (1, 1)) in
       Store.Segment_store.write_page s seg 0 (page_of_char 'n') ~lsn;
       let applied = ref [] in
-      let (_ : Store.Wal.prep list) =
-        Store.Wal.recover wal s ~decide:(fun _ -> `Abort) ~applied
-      in
-      (* the commit record was volatile, the coordinator says abort:
-         the crash-window apply must be undone from the before-image *)
+      let in_doubt = Store.Wal.recover wal s ~applied in
+      (* the commit record was volatile, so the transaction is
+         undecided again: the crash-window apply must be undone from
+         the before-image, and the prepare handed back to be settled *)
       Alcotest.(check (list (pair int int))) "nothing redone" [] !applied;
       (match Store.Segment_store.read_page s seg 0 with
       | Ra.Partition.Data d ->
@@ -363,10 +355,9 @@ let test_wal_undo_crash_window () =
           check_bool "before-image back" true
             (Bytes.sub_string d 0 3 = "old" && Bytes.get d 3 = '\000')
       | Ra.Partition.Zeroed -> Alcotest.fail "page lost");
-      check_bool "abort logged" true
-        (List.exists
-           (function Store.Wal.Aborted (1, 1) -> true | _ -> false)
-           (Store.Wal.records wal)))
+      Alcotest.(check (list (pair int int)))
+        "undecided returned" [ (1, 1) ]
+        (List.map (fun p -> p.Store.Wal.txn) in_doubt))
 
 let test_wal_trim_image () =
   let sparse = Bytes.make Ra.Page.size '\000' in
