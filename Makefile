@@ -1,4 +1,4 @@
-.PHONY: all build test check size faults experiments smoke determinism bench-diff bench-baseline clean
+.PHONY: all build test check size unused faults experiments smoke determinism bench-diff bench-baseline clean
 
 all: build
 
@@ -20,6 +20,20 @@ size:
 	@printf 'lib lines (.ml + .mli): %s\n' "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 	@printf 'lib exported vals:      %s\n' "$$(cat lib/*/*.mli | grep -c '^val ')"
 	@printf 'lib optional args:      %s\n' "$$(cat lib/*/*.mli | grep -o '?[a-z_]*:' | wc -l)"
+
+# Every `val` in lib/*/*.mli whose name no .ml under lib, bench,
+# bin, test or examples mentions outside the module's own .ml: an
+# export nobody else uses.  A whole-word name search, so a dead val
+# whose name another module happens to use goes unlisted.  Print-only.
+unused:
+	@for mli in lib/*/*.mli; do \
+	  ml=$${mli%i}; \
+	  others=$$(find lib bench bin test examples -name '*.ml' ! -path $$ml); \
+	  for v in $$(sed -n 's/^val \([a-z_][A-Za-z0-9_]*\).*/\1/p' $$mli); do \
+	    grep -qw -- "$$v" $$others || \
+	      echo "$$(basename $$ml .ml | sed 's/^./\U&/').$$v"; \
+	  done; \
+	done
 
 faults:
 	dune exec bin/experiments_main.exe -- faults

@@ -382,13 +382,9 @@ let fresh_txn t node =
   t.next_txn <- seq + 1;
   (node.Ra.Node.id, seq)
 
-(* Membership is opt-in: without it the cluster behaves exactly as
-   before (no heartbeat traffic, suspicion driven by RaTP timeouts
-   alone), which keeps the calibrated experiments untouched. *)
 (* Rebuild the placement ring over the data servers the view still
-   admits.  When the member set actually changed, evict exactly the
-   cached locations whose owner moved between the two rings — the
-   affected arc — and keep every other binding warm. *)
+   admits, keeping the previous ring for lookups of names placed
+   before the change. *)
 let remap_ring t (v : Membership.Monitor.view) =
   let usable_data =
     Array.to_list t.data_nodes
@@ -406,18 +402,13 @@ let remap_ring t (v : Membership.Monitor.view) =
   match usable_data with
   | [] -> () (* no usable data server: keep the old ring *)
   | members when members <> Ring.members t.ring ->
-      let before = t.ring in
-      let after = Ring.make members in
-      t.ring <- after;
-      t.prev_ring <- Some before;
-      Array.iter
-        (fun c ->
-          ignore
-            (Dsm.Dsm_client.evict_where c (fun seg _home ->
-                 Ring.moved ~before ~after (Ring.key_of_sysname seg))))
-        t.clients
+      t.prev_ring <- Some t.ring;
+      t.ring <- Ring.make members
   | _ -> ()
 
+(* Membership is opt-in: without it the cluster behaves exactly as
+   before (no heartbeat traffic, suspicion driven by RaTP timeouts
+   alone), which keeps the calibrated experiments untouched. *)
 let start_membership t ?config () =
   match t.membership with
   | Some m -> m
@@ -429,11 +420,10 @@ let start_membership t ?config () =
         (fun n ->
           if n.Ra.Node.id <> host.Ra.Node.id then Membership.Monitor.watch m n)
         (all_nodes t);
-      (* every DSM server and client folds each new view in: Dead
-         peers leave coherence fan-outs and location caches at once *)
+      (* every DSM server folds each new view in: Dead peers leave
+         coherence fan-outs at once *)
       Membership.Monitor.subscribe m (fun v ->
           Array.iter (fun s -> Dsm.Dsm_server.apply_view s v) t.servers;
-          Array.iter (fun c -> Dsm.Dsm_client.apply_view c v) t.clients;
           remap_ring t v);
       m
 

@@ -44,8 +44,8 @@ type t = {
       (** installed by the atomicity layer; default runs the body *)
   mutable ring : Ring.t;
       (** consistent-hash placement ring over the usable data servers;
-          rebuilt (and the moved arc evicted from location caches) on
-          every membership view change *)
+          rebuilt on every membership view that changes the member
+          set *)
   mutable prev_ring : Ring.t option;
       (** the ring one view-change ago — the fallback generation a
           lookup consults for bindings made before a remap *)
@@ -179,7 +179,7 @@ val start_membership :
   t -> ?config:Membership.Monitor.config -> unit -> Membership.Monitor.t
 (** Host a heartbeat monitor on the first compute server, watching
     every other node, and push each new view into all DSM servers
-    (suspect lifetime) and clients (location-cache eviction).
+    (suspect lifetime) and the placement ring ({!remap_ring}).
     Idempotent.  The caller must {!stop_membership} before the end of
     the simulation or the periodic processes keep the engine alive
     forever. *)
@@ -191,8 +191,7 @@ val membership_view : t -> Membership.Monitor.view option
 val remap_ring : t -> Membership.Monitor.view -> unit
 (** Fold a membership view into the placement ring: rebuild it over
     the data servers the view does not condemn and, if the member set
-    changed, evict exactly the moved arc from every client's location
-    cache.  Called automatically by the {!start_membership}
+    changed, keep the old ring as [prev_ring].  Called automatically by the {!start_membership}
     subscriber; exposed for tests and for externally-fed views. *)
 
 val register_volatile : t -> Ra.Node.t -> Ra.Sysname.t -> unit

@@ -17,17 +17,17 @@ type t = {
   daemons : (string * (Ctx.t -> unit)) list;
 }
 
-let define ?(code_pages = 3) ?(data_pages = 1) ?(heap_pages = 2)
-    ?(vheap_pages = 2) ?constructor ?(daemons = []) ~name entries =
-  if code_pages <= 0 || data_pages <= 0 || heap_pages <= 0 || vheap_pages <= 0
-  then invalid_arg "Obj_class.define: page counts must be positive";
+let define ?(data_pages = 1) ?(heap_pages = 2) ?(vheap_pages = 2) ?constructor
+    ?(daemons = []) ~name entries =
+  if data_pages <= 0 || heap_pages <= 0 || vheap_pages <= 0 then
+    invalid_arg "Obj_class.define: page counts must be positive";
   let names = List.map (fun e -> e.e_name) entries in
   let distinct = List.sort_uniq String.compare names in
   if List.length distinct <> List.length names then
     invalid_arg "Obj_class.define: duplicate entry names";
   {
     c_name = name;
-    code_pages;
+    code_pages = 3;
     data_pages;
     heap_pages;
     vheap_pages;

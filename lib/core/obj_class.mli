@@ -35,7 +35,6 @@ type t = {
 }
 
 val define :
-  ?code_pages:int ->
   ?data_pages:int ->
   ?heap_pages:int ->
   ?vheap_pages:int ->
@@ -44,8 +43,9 @@ val define :
   name:string ->
   entry list ->
   t
-(** Defaults: 3 code pages, 1 data page, 2 heap pages, 2 volatile
-    pages — a small object in the spirit of the paper's examples. *)
+(** Every class has 3 code pages.  Defaults: 1 data page, 2 heap
+    pages, 2 volatile pages — a small object in the spirit of the
+    paper's examples. *)
 
 val entry : ?label:consistency -> string -> (Ctx.t -> Value.t -> Value.t) -> entry
 (** An entry point; the default label is [S]. *)

@@ -96,5 +96,3 @@ let find_owner t key ok =
     incr i
   done;
   if !hit < 0 then None else Some t.owners.(!hit)
-
-let moved ~before ~after key = owner before key <> owner after key

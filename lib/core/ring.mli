@@ -33,6 +33,3 @@ val owner_of_string : t -> string -> Net.Address.t
     must be pure; it may be called more than once per member.
     Allocates nothing beyond the result. *)
 val find_owner : t -> int -> (Net.Address.t -> bool) -> Net.Address.t option
-
-(** Did [key]'s owner change between two rings? *)
-val moved : before:t -> after:t -> int -> bool

@@ -120,7 +120,6 @@ let rec pp fmt = function
 let to_int = function Int n -> n | _ -> invalid_arg "Value.to_int"
 let to_string = function Str s -> s | _ -> invalid_arg "Value.to_string"
 let to_bool = function Bool b -> b | _ -> invalid_arg "Value.to_bool"
-let to_float = function Float f -> f | _ -> invalid_arg "Value.to_float"
 let to_pair = function Pair (a, b) -> (a, b) | _ -> invalid_arg "Value.to_pair"
 let to_list = function List l -> l | _ -> invalid_arg "Value.to_list"
 

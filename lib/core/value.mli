@@ -33,7 +33,6 @@ val pp : Format.formatter -> t -> unit
 val to_int : t -> int
 val to_string : t -> string
 val to_bool : t -> bool
-val to_float : t -> float
 val to_pair : t -> t * t
 val to_list : t -> t list
 

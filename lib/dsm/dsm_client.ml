@@ -6,7 +6,6 @@ type t = {
   node : Ra.Node.t;
   locate : Ra.Sysname.t -> Net.Address.t;
   mode_of : Ra.Sysname.t -> Ra.Partition.consistency;
-  loc_cache : Net.Address.t Ra.Sysname.Table.t;
   stale_dirty : (Ra.Sysname.t * int, unit) Hashtbl.t;
       (* release-mode pages we kept through an Inval_batch because
          they held unflushed local writes; their unmodified bytes are
@@ -15,81 +14,20 @@ type t = {
   puts : Sim.Stats.counter;
   invals : Sim.Stats.counter;
   downs : Sim.Stats.counter;
-  loc_hits : Sim.Stats.counter;
-  loc_misses : Sim.Stats.counter;
-  loc_evictions : Sim.Stats.counter;
   merge_rpcs : Sim.Stats.counter;
 }
 
 let node t = t.node
 
-(* Location cache: segment-to-home bindings are stable between
-   failures, so steady-state faults skip name resolution.  Entries
-   are dropped when the home stops answering (it may have moved on
-   restart) and never cached on failure. *)
-let locate_cached t seg =
-  match Ra.Sysname.Table.find_opt t.loc_cache seg with
-  | Some home ->
-      Sim.Stats.incr t.loc_hits;
-      home
-  | None ->
-      let home = t.locate seg in
-      Sim.Stats.incr t.loc_misses;
-      Ra.Sysname.Table.replace t.loc_cache seg home;
-      home
-
-let forget_location t seg = Ra.Sysname.Table.remove t.loc_cache seg
-
-(* Selective eviction for placement-ring remaps: only the bindings the
-   predicate condemns (the moved arc) are dropped; everything else
-   keeps its warm location. *)
-let evict_where t pred =
-  let doomed =
-    Ra.Sysname.Table.fold
-      (fun seg home acc -> if pred seg home then seg :: acc else acc)
-      t.loc_cache []
-  in
-  List.iter
-    (fun seg ->
-      Sim.Stats.incr t.loc_evictions;
-      Ra.Sysname.Table.remove t.loc_cache seg)
-    doomed;
-  List.length doomed
-
-(* The stale-location fix: when the membership view condemns a node,
-   drop every cached binding pointing at it immediately, so the next
-   fault re-resolves through the locate path (which the cluster has
-   already repointed at a surviving replica) instead of burning a full
-   RaTP retry ladder against the corpse. *)
-let apply_view t (v : Membership.Monitor.view) =
-  let dead =
-    List.filter_map
-      (fun (m : Membership.Monitor.member) ->
-        match m.status with
-        | Membership.Monitor.Dead -> Some m.addr
-        | Membership.Monitor.Alive | Membership.Monitor.Suspect -> None)
-      v.Membership.Monitor.members
-  in
-  if dead <> [] then
-    ignore
-      (evict_where t (fun _seg home ->
-           List.exists (Net.Address.equal home) dead))
-
 (* A home reply other than success: the home no longer stores the
-   segment, or it did not answer.  Either way the cached location may
-   be stale. *)
-let home_failed t seg = function
-  | Ok (P.Page_error | P.Segment_error) ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
-  | Ok _ -> raise (Unavailable seg)
+   segment, or it did not answer. *)
+let home_failed seg = function
+  | Ok (P.Page_error | P.Segment_error) -> raise (Ra.Partition.No_segment seg)
+  | Error Ratp.Endpoint.Timeout | Ok _ -> raise (Unavailable seg)
 
 let remote_fetch t ~seg ~page ~mode =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.fetch" @@ fun () ->
-  let home = locate_cached t seg in
+  let home = t.locate seg in
   Sim.Stats.incr t.fetches;
   let mode =
     (* commutative pages are never owned: a local write upgrade
@@ -101,18 +39,18 @@ let remote_fetch t ~seg ~page ~mode =
   in
   match P.call t.node ~dst:home (P.Get_page { seg; page; mode }) with
   | Ok (P.Got_page data) -> data
-  | reply -> home_failed t seg reply
+  | reply -> home_failed seg reply
 
 (* A one-copy or release flush and an evicted frame each go home as
    one Put_spans RPC: per page, the spans to lay over the home's
    stored image. *)
 let put_spans t seg entries =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.put" @@ fun () ->
-  let home = locate_cached t seg in
+  let home = t.locate seg in
   Sim.Stats.incr t.puts;
   match P.call t.node ~dst:home (P.Put_spans entries) with
   | Ok P.Batch_ok -> ()
-  | reply -> home_failed t seg reply
+  | reply -> home_failed seg reply
 
 let partition t =
   {
@@ -127,15 +65,11 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy) () =
       node;
       locate;
       mode_of = consistency;
-      loc_cache = Ra.Sysname.Table.create 32;
       stale_dirty = Hashtbl.create 16;
       fetches = Sim.Stats.counter "dsmc.fetches";
       puts = Sim.Stats.counter "dsmc.puts";
       invals = Sim.Stats.counter "dsmc.invals";
       downs = Sim.Stats.counter "dsmc.downs";
-      loc_hits = Sim.Stats.counter "dsmc.loc_hits";
-      loc_misses = Sim.Stats.counter "dsmc.loc_misses";
-      loc_evictions = Sim.Stats.counter "dsmc.loc_evictions";
       merge_rpcs = Sim.Stats.counter "dsmc.merge_rpcs";
     }
   in
@@ -230,7 +164,7 @@ let flush_release t seg dirty =
 let flush_merges t seg op dirty =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.merge" @@ fun () ->
   let mmu = t.node.Ra.Node.mmu in
-  let home = locate_cached t seg in
+  let home = t.locate seg in
   Sim.Stats.incr t.merge_rpcs;
   let deltas =
     List.map
@@ -251,7 +185,7 @@ let flush_merges t seg op dirty =
       List.iter
         (fun (s, page, img) -> Ra.Mmu.merge_refresh mmu s page img)
         images
-  | reply -> home_failed t seg reply
+  | reply -> home_failed seg reply
 
 (* Writeback of a segment's dirty pages, home in one RPC (RaTP
    fragments it on the wire): the written spans for one-copy segments,
@@ -273,9 +207,6 @@ let flush_segment t seg =
 
 let put_rpcs t = Sim.Stats.value t.puts
 let invalidations_received t = Sim.Stats.value t.invals
-let location_hits t = Sim.Stats.value t.loc_hits
-let location_misses t = Sim.Stats.value t.loc_misses
-let location_evictions t = Sim.Stats.value t.loc_evictions
 let merge_flushes t = Sim.Stats.value t.merge_rpcs
 
 let metrics t =
@@ -284,8 +215,5 @@ let metrics t =
     ("dsmc/puts", Obs.Registry.Counter t.puts);
     ("dsmc/invals", Obs.Registry.Counter t.invals);
     ("dsmc/downs", Obs.Registry.Counter t.downs);
-    ("dsmc/loc_hits", Obs.Registry.Counter t.loc_hits);
-    ("dsmc/loc_misses", Obs.Registry.Counter t.loc_misses);
-    ("dsmc/loc_evictions", Obs.Registry.Counter t.loc_evictions);
     ("dsm/mode/merge_rpcs", Obs.Registry.Counter t.merge_rpcs);
   ]

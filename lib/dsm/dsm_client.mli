@@ -11,8 +11,9 @@
     back.  Dirty bytes go home in one format, [Put_spans]: per page,
     the byte spans written, laid over the home's stored image.  A
     flush sends one for the whole segment and an evicted frame one of
-    its own (DESIGN.md §11).  A location cache memoises
-    segment-to-home resolution.
+    its own (DESIGN.md §11).  Each fault and writeback asks [locate]
+    for the segment's home, so a segment the cluster repoints is
+    found at its new home on the next fault.
 
     Copies dropped locally (transaction abort, object deletion: see
     {!Ra.Mmu.drop_segment}) are not reported to the home, so a
@@ -58,31 +59,11 @@ val flush_segment : t -> Ra.Sysname.t -> unit
     longer stores raises {!Ra.Partition.No_segment} and leaves the
     frames dirty. *)
 
-val evict_where : t -> (Ra.Sysname.t -> Net.Address.t -> bool) -> int
-(** Drop exactly the cached locations the predicate condemns (segment,
-    cached home) and return how many were evicted — used on a
-    placement-ring remap to invalidate the moved arc and nothing
-    else. *)
-
-val apply_view : t -> Membership.Monitor.view -> unit
-(** Evict cached locations that point at members the view declares
-    [Dead], so the next fault re-resolves against a surviving replica
-    instead of waiting out the RaTP retry ladder. *)
-
 val put_rpcs : t -> int
 (** Writeback RPCs issued: one [Put_spans] per one-copy or release
     segment flush or evicted dirty frame. *)
 
 val invalidations_received : t -> int
-
-val location_hits : t -> int
-(** Faults whose home resolution was served from the location cache. *)
-
-val location_misses : t -> int
-
-val location_evictions : t -> int
-(** Cached bindings dropped because the membership view condemned
-    their home. *)
 
 val merge_flushes : t -> int
 (** [Merge_delta] RPCs sent for commutative segments. *)

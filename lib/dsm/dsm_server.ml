@@ -10,12 +10,14 @@ type owner_state = {
 
 (* What a participant remembers about a prepared transaction: the
    byte spans to apply at commit, (under group commit) the
-   before-images recovery needs to undo a crash-window apply, and the
-   presumed-abort timer that a decision makes moot. *)
+   before-images recovery needs to undo a crash-window apply, the
+   presumed-abort timer that a decision makes moot, and whether a
+   settler has already claimed it. *)
 type prep_entry = {
   writes : P.span_set;
   undo : (Ra.Sysname.t * int * bytes option) list;
   mutable timer : Sim.Engine.timer;
+  mutable claimed : bool;
 }
 
 (* How long a prepared participant waits for a decision before it
@@ -396,33 +398,49 @@ let settle t txn e outcome =
    presumed-abort timer and recovery all settle through these, so
    every outcome is logged, applied, counted and announced the same
    way.  [fst txn] is the coordinator's node, the writer whose frames
-   stay valid. *)
+   stay valid.
+
+   The log call can block, and a resolver and a decision message may
+   both reach the entry in that window: the first claims it before
+   blocking, and a later one logs, applies, counts and releases
+   nothing. *)
+let claim e =
+  let first = not e.claimed in
+  e.claimed <- true;
+  first
+
 let commit_prepared t txn e =
-  (* the record is logged (forced first without a group-commit
-     daemon), the pages are applied tagged with its LSN and the locks
-     released, all in one scheduling quantum after the log call, so no
-     request can observe released locks with unapplied pages *)
-  let lsn =
-    if Store.Wal.group_commit t.wal then
-      Store.Wal.enqueue t.wal (Store.Wal.Committed txn)
-    else begin
-      Store.Wal.append t.wal (Store.Wal.Committed txn);
-      Store.Wal.flushed_lsn t.wal
-    end
-  in
-  let images = apply_spans t ~lsn e.writes in
-  settle t txn e t.commit_count;
-  (* the deferred-invalidation burst and the mirrors wait for
-     durability: they make remote nodes see these pages, and a crash
-     before the group flush would un-commit writes they had already
-     observed.  The reply, which is the coordinator's ack, waits too *)
-  Store.Wal.wait_durable t.wal lsn;
-  release_flush t images ~except:(fst txn);
-  mirror_writes t images
+  if claim e then begin
+    (* the record is logged (forced first without a group-commit
+       daemon), the pages are applied tagged with its LSN and the
+       locks released, all in one scheduling quantum after the log
+       call, so no request can observe released locks with unapplied
+       pages *)
+    let lsn =
+      if Store.Wal.group_commit t.wal then
+        Store.Wal.enqueue t.wal (Store.Wal.Committed txn)
+      else begin
+        Store.Wal.append t.wal (Store.Wal.Committed txn);
+        Store.Wal.flushed_lsn t.wal
+      end
+    in
+    let images = apply_spans t ~lsn e.writes in
+    settle t txn e t.commit_count;
+    (* the deferred-invalidation burst and the mirrors wait for
+       durability: they make remote nodes see these pages, and a crash
+       before the group flush would un-commit writes they had already
+       observed.  The reply, which is the coordinator's ack, waits
+       too *)
+    Store.Wal.wait_durable t.wal lsn;
+    release_flush t images ~except:(fst txn);
+    mirror_writes t images
+  end
 
 let abort_prepared t txn e =
-  Store.Wal.append t.wal (Store.Wal.Aborted txn);
-  settle t txn e t.abort_count
+  if claim e then begin
+    Store.Wal.append t.wal (Store.Wal.Aborted txn);
+    settle t txn e t.abort_count
+  end
 
 (* Presumed abort: a prepared participant that hears no decision for
    [presume_abort_after] asks the oracle.  [resolve] is the only code
@@ -439,7 +457,7 @@ let rec arm t txn =
 
 and resolve t txn =
   match Hashtbl.find_opt t.prepared txn with
-  | None -> ()
+  | None | Some { claimed = true; _ } -> ()
   | Some e -> (
       match t.oracle txn with
       | `Committed -> commit_prepared t txn e
@@ -478,7 +496,8 @@ let handle_prepare t txn writes =
        under group commit it rides the next group flush with every
        other concurrently-preparing transaction *)
     Store.Wal.append t.wal (Store.Wal.Prepared { txn; writes; undo });
-    Hashtbl.replace t.prepared txn { writes; undo; timer = arm t txn };
+    Hashtbl.replace t.prepared txn
+      { writes; undo; timer = arm t txn; claimed = false };
     P.Vote true
   end
 
@@ -692,7 +711,10 @@ let create node ?group_commit_window ?checkpoint_every () =
       disk;
       wal =
         Store.Wal.create ?group_commit
-          ~spawn:(fun name f -> ignore (Ra.Node.spawn node name f))
+          ~spawn:(fun name f ->
+            (* a crashed server flushes nothing: a window timer armed
+               before the crash must not make its buffer durable *)
+            if node.Ra.Node.alive then ignore (Ra.Node.spawn node name f))
           disk;
       directory = Store.Directory.create ();
       locks = Lock_table.create ();
@@ -765,7 +787,12 @@ let recover t =
       let txn = p.Store.Wal.txn in
       let writes = p.Store.Wal.writes in
       Hashtbl.replace t.prepared txn
-        { writes; undo = p.Store.Wal.undo; timer = arm t txn };
+        {
+          writes;
+          undo = p.Store.Wal.undo;
+          timer = arm t txn;
+          claimed = false;
+        };
       (* recovery locking: the in-doubt transaction's write locks
          must be held again, or later transactions would read
          state its pending commit will overwrite *)

@@ -3,21 +3,19 @@
     Not paper tables — these vary what the paper held fixed, to show
     which costs come from where:
 
-    - {!bandwidth}: the 10 Mbit Ethernet vs a 100 Mbit one — how much
+    - bandwidth: the 10 Mbit Ethernet vs a 100 Mbit one — how much
       of a page transfer and of a cold invocation is wire time vs
       host/protocol time;
     - {!scheduler}: round-robin vs least-loaded thread placement
       under a skewed background load;
-    - {!frame_cache}: bounded compute-server memory — demand paging
+    - frame cache: bounded compute-server memory — demand paging
       with eviction (thrashing) vs unbounded frames;
     - {!loss}: RaTP under frame loss — latency and retransmissions
       versus drop probability. *)
 
 type row = { setting : string; value : string; detail : string }
 
-val bandwidth : unit -> row list
 val scheduler : unit -> row list
-val frame_cache : unit -> row list
 val loss : unit -> row list
 
 val report : unit -> string

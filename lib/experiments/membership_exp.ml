@@ -64,7 +64,6 @@ type outcome = {
           op cost in arms where nothing failed *)
   reheal_ms : float;  (** crash to end of the last heal pass *)
   pages_copied : int;
-  loc_evictions : int;  (** location-cache entries evicted by views *)
   lost_segments : int;
   lost_writes : int;  (** acked writes missing from a replica *)
   final_epoch : int;
@@ -79,10 +78,10 @@ let arm_label (a : arm) =
 let summary o =
   Printf.sprintf
     "%s seed=%d ops=%d ok=%d retried=%d(+%d) fail=%d detect=%.1fms \
-     unavail=%.1fms reheal=%.1fms copied=%d evict=%d lost_seg=%d lost_w=%d \
+     unavail=%.1fms reheal=%.1fms copied=%d lost_seg=%d lost_w=%d \
      epoch=%d viol=[%s] trace=%s"
     o.arm o.seed o.ops o.oks o.retried o.retries o.failed o.detect_ms
-    o.unavail_ms o.reheal_ms o.pages_copied o.loc_evictions o.lost_segments
+    o.unavail_ms o.reheal_ms o.pages_copied o.lost_segments
     o.lost_writes o.final_epoch
     (String.concat "," o.violations)
     o.trace
@@ -306,7 +305,6 @@ let run_arm ~seed ~ops (a : arm) =
         unavail_ms;
         reheal_ms;
         pages_copied = Clouds.Replicator.pages_copied repl;
-        loc_evictions = Dsm.Dsm_client.location_evictions client;
         lost_segments;
         lost_writes = !lost_writes;
         final_epoch = M.epoch mon;

@@ -1,6 +1,5 @@
 type t = {
   lock : Sim.Mutex.t;
-  cs_cost : Sim.Time.span;
   mutable last : int option;
   mutable switches : int;
   mutable busy : Sim.Time.span;
@@ -10,10 +9,9 @@ type t = {
 (* the preemption slice *)
 let quantum = Sim.Time.ms 10
 
-let create ?(context_switch = Params.context_switch) () =
+let create () =
   {
     lock = Sim.Mutex.create ~label:"cpu" ();
-    cs_cost = context_switch;
     last = None;
     switches = 0;
     busy = 0;
@@ -30,8 +28,8 @@ let rec consume_slices t ~key span =
       let switching = match t.last with Some k -> k <> key | None -> true in
       if switching then begin
         t.switches <- t.switches + 1;
-        t.busy <- t.busy + t.cs_cost;
-        Sim.sleep t.cs_cost
+        t.busy <- t.busy + Params.context_switch;
+        Sim.sleep Params.context_switch
       end;
       t.last <- Some key;
       t.busy <- t.busy + this_slice;

@@ -3,15 +3,14 @@
     At most one schedulable entity computes at a time; work is
     expressed as [consume] calls that occupy the CPU for a simulated
     duration.  Arbitration is FIFO.  When occupancy passes from one
-    entity to another the configured context-switch cost is charged,
-    which is exactly the quantity the paper reports as 0.14 ms.
+    entity to another {!Params.context_switch} is charged, which is
+    exactly the quantity the paper reports as 0.14 ms.
     Work longer than the 10 ms preemption slice is interleaved with
     other entities' requests. *)
 
 type t
 
-val create : ?context_switch:Sim.Time.span -> unit -> t
-(** [context_switch] defaults to {!Params.context_switch}. *)
+val create : unit -> t
 
 val consume : t -> key:int -> Sim.Time.span -> unit
 (** [consume t ~key span] runs [span] of work on behalf of the

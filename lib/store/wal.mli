@@ -70,7 +70,8 @@ val create :
   Disk.t ->
   t
 (** [spawn] is how the log daemon's flusher processes are started; a
-    data server passes [Ra.Node.spawn] so they die with the machine.
+    data server passes [Ra.Node.spawn] so they die with the machine,
+    and starts none while it is down.
     With [~group_commit] the WAL must be created in simulation
     context (it captures the engine for window timers). *)
 

@@ -145,7 +145,7 @@ let prop_vspace_translate_consistent =
 let test_cpu_context_switch_accounting () =
   let switches, elapsed =
     Sim.exec (fun () ->
-        let cpu = Cpu.create ~context_switch:(Time.us 140) () in
+        let cpu = Cpu.create () in
         (* entity 1 runs twice in a row: one switch total (cold start);
            then entity 2: second switch *)
         Cpu.consume cpu ~key:1 (Time.us 100);
@@ -159,7 +159,7 @@ let test_cpu_context_switch_accounting () =
 let test_cpu_serializes () =
   let elapsed =
     Sim.exec (fun () ->
-        let cpu = Cpu.create ~context_switch:0 () in
+        let cpu = Cpu.create () in
         let done_ = Semaphore.create 0 in
         for i = 1 to 3 do
           ignore
@@ -172,7 +172,10 @@ let test_cpu_serializes () =
         done;
         Sim.now ())
   in
-  check_int "three 1ms jobs serialize" (Time.ms 3) elapsed
+  (* each job is a new entity: three switches *)
+  check_int "three 1ms jobs serialize"
+    (Time.ms 3 + (3 * Params.context_switch))
+    elapsed
 
 (* ------------------------------------------------------------------ *)
 (* MMU *)
