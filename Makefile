@@ -21,19 +21,75 @@ size:
 	@printf 'lib exported vals:      %s\n' "$$(cat lib/*/*.mli | grep -c '^val ')"
 	@printf 'lib optional args:      %s\n' "$$(cat lib/*/*.mli | grep -o '?[a-z_]*:' | wc -l)"
 
-# Every `val` in lib/*/*.mli whose name no .ml under lib, bench,
-# bin, test or examples mentions outside the module's own .ml: an
-# export nobody else uses.  A whole-word name search, so a dead val
-# whose name another module happens to use goes unlisted.  Print-only.
+# Every `val` in lib/*/*.mli that no .ml under lib, bench, bin, test
+# or examples other than the module's own uses: an export nobody else
+# names.  A use is a qualified `Mod.v` (any prefix, e.g. `Dsm.Mod.v`),
+# `A.v` in a file that binds `module A = ...Mod`, or a bare `v` in a
+# file that opens `Mod` (`open`, `let open`, `Mod.(...)`).  Unseen:
+# uses through `include`, functors or a chain of aliases, and a
+# `module A =` split over two lines.  A mention in a comment or string,
+# or a record field written `Mod.v`, counts as a use, so such a dead
+# val goes unlisted.  One awk pass over every file.  Print-only.
+define UNUSED_AWK
+# .mli files first: every "val v" of module M, in file order.
+FNR == 1 {
+  m = FILENAME; sub(/.*\//, "", m); sub(/\.mli?$$/, "", m)
+  m = toupper(substr(m, 1, 1)) substr(m, 2)
+}
+FILENAME ~ /\.mli$$/ {
+  if (match($$0, /^val [a-z_][A-Za-z0-9_']*/)) {
+    v = substr($$0, 5, RLENGTH - 4); n++; mod[n] = m; val[n] = v
+    own[n] = FILENAME; sub(/i$$/, "", own[n])
+  }
+  next
+}
+# Then each .ml file: what it aliases, opens, qualifies and names.
+FNR == 1 { files[++nf] = FILENAME }
+{
+  f = FILENAME; s = $$0
+  # module A = X.Mod  =>  alias[f, Mod] holds A
+  if (match(s, /module +[A-Z][A-Za-z0-9_']* *= *[A-Z][A-Za-z0-9_'.]*/)) {
+    a = substr(s, RSTART, RLENGTH); sub(/^module +/, "", a)
+    t = a; sub(/ *=.*/, "", a); sub(/.*[=.] */, "", t)
+    alias[f, t] = alias[f, t] " " a
+  }
+  # open X.Mod, let open Mod in, Mod.( ... )
+  t = s
+  while (match(t, /open!? +[A-Z][A-Za-z0-9_'.]*|[A-Z][A-Za-z0-9_']*\.\(/)) {
+    o = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
+    sub(/\.\($$/, "", o); sub(/.*[ .]/, "", o); opened[f, o] = 1
+  }
+  # X.Mod.v  =>  used[f, Mod, v]
+  t = s
+  while (match(t, /([A-Z][A-Za-z0-9_']*\.)+[a-z_][A-Za-z0-9_']*/)) {
+    q = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
+    v = q; sub(/.*\./, "", v); sub(/\.[^.]*$$/, "", q); sub(/.*\./, "", q)
+    used[f, q, v] = 1
+  }
+  # every lowercase word, for the files that open Mod
+  t = s
+  while (match(t, /[a-z_][A-Za-z0-9_']*/)) {
+    word[f, substr(t, RSTART, RLENGTH)] = 1; t = substr(t, RSTART + RLENGTH)
+  }
+}
+END {
+  for (i = 1; i <= n; i++) {
+    m = mod[i]; v = val[i]; hit = 0
+    for (j = 1; j <= nf && !hit; j++) {
+      f = files[j]
+      if (f == own[i]) continue
+      if (used[f, m, v] || (opened[f, m] && word[f, v])) hit = 1
+      k = split(alias[f, m], as, " ")
+      for (l = 1; l <= k && !hit; l++) if (used[f, as[l], v]) hit = 1
+    }
+    if (!hit) print m "." v
+  }
+}
+endef
+export UNUSED_AWK
+
 unused:
-	@for mli in lib/*/*.mli; do \
-	  ml=$${mli%i}; \
-	  others=$$(find lib bench bin test examples -name '*.ml' ! -path $$ml); \
-	  for v in $$(sed -n 's/^val \([a-z_][A-Za-z0-9_]*\).*/\1/p' $$mli); do \
-	    grep -qw -- "$$v" $$others || \
-	      echo "$$(basename $$ml .ml | sed 's/^./\U&/').$$v"; \
-	  done; \
-	done
+	@awk "$$UNUSED_AWK" lib/*/*.mli $$(find lib bench bin test examples -name '*.ml')
 
 faults:
 	dune exec bin/experiments_main.exe -- faults

@@ -5,10 +5,6 @@
     lengths are plain values; the bytes live in the object's
     persistent data segment. *)
 
-val register : Clouds.Object_manager.t -> capacity:int -> string
-(** Register a file class with room for [capacity] bytes; returns the
-    class name. *)
-
 val create : Clouds.Object_manager.t -> capacity:int -> Ra.Sysname.t
 
 val size : Clouds.Object_manager.t -> Ra.Sysname.t -> int

@@ -24,6 +24,3 @@ val get :
 val delete : Clouds.Object_manager.t -> Ra.Sysname.t -> string -> bool
 val count : Clouds.Object_manager.t -> Ra.Sysname.t -> int
 val keys : Clouds.Object_manager.t -> Ra.Sysname.t -> string list
-
-val buckets : int
-(** Fixed bucket count of the hash directory. *)

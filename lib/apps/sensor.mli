@@ -26,6 +26,3 @@ val create :
 val latest : Clouds.Object_manager.t -> Ra.Sysname.t -> int option
 val sample_count : Clouds.Object_manager.t -> Ra.Sysname.t -> int
 val history : Clouds.Object_manager.t -> Ra.Sysname.t -> n:int -> int list
-
-val capacity : int
-(** Ring-buffer capacity. *)

@@ -157,8 +157,10 @@ type run = {
 }
 
 let pages_served cl =
-  Array.fold_left (fun acc s -> acc + Dsm.Dsm_server.pages_served s) 0
-    cl.Cl.servers
+  Array.fold_left
+    (fun acc s ->
+      acc + Obs.Registry.count (Dsm.Dsm_server.metrics s) "dsm/pages_served")
+    0 cl.Cl.servers
 
 (* Split [0, n) into [workers] contiguous chunks. *)
 let chunks n workers =

@@ -9,10 +9,6 @@
     Element [i] is an 8-byte integer at byte offset [64 + 8*i] of the
     object's persistent data segment. *)
 
-val register : Clouds.Object_manager.t -> capacity:int -> string
-(** Register (once) a sorter class sized for [capacity] elements and
-    return its class name. *)
-
 val create :
   Clouds.Object_manager.t ->
   ?consistency:Ra.Partition.consistency ->

@@ -47,10 +47,6 @@ type t = {
 }
 
 let object_manager t = t.om
-let commits t = Sim.Stats.value t.commit_count
-let aborts t = Sim.Stats.value t.abort_count
-let retries t = Sim.Stats.value t.retry_count
-let lock_rpcs t = Sim.Stats.value t.lock_rpc_count
 
 let metrics t =
   [

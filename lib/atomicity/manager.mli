@@ -56,16 +56,12 @@ val abort_thread : t -> thread_id:int -> unit
     when a thread is killed externally (e.g. PET losers, crashed
     nodes). *)
 
-val commits : t -> int
-val aborts : t -> int
-val retries : t -> int
-
-val lock_rpcs : t -> int
-(** Lock requests sent to data servers (global transactions). *)
-
 val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["atomicity/"] paths, for an
-    {!Obs.Registry}.  ["atomicity/commit_ms"] is the commit-phase
+    {!Obs.Registry}: ["atomicity/commits"], ["atomicity/aborts"],
+    ["atomicity/retries"], ["atomicity/lock_rpcs"] (lock requests sent
+    to data servers by global transactions) and
+    ["atomicity/commit_ms"].  ["atomicity/commit_ms"] is the commit-phase
     latency (ms) of successful transactions, measured from the start
     of [commit] (prepare fan-out) to the client ack — under group
     commit the ack rides a batched log flush, so this is where the

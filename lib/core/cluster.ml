@@ -180,7 +180,7 @@ let create eng ?ratp_config ?ether_config
           Ra.Node.create ether ~id:(data + compute + i + 1)
             ~kind:Ra.Node.Workstation ?ratp_config ()
         in
-        let term = Terminal.create ~wid:node.Ra.Node.id in
+        let term = Terminal.create () in
         User_io.install node term;
         (node, term))
   in

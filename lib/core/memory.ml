@@ -24,8 +24,6 @@ let make ~mmu ~vs ~data_base ~data_len ~heap_base ~heap_len ~vheap_base
     vheap_len;
   }
 
-let vs t = t.vspace
-
 let region_bounds t = function
   | Data -> (t.data_base, t.data_len)
   | Heap -> (t.heap_base, t.heap_len)

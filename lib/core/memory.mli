@@ -53,6 +53,3 @@ val get_value : t -> ?region:region -> int -> Value.t
 
 val set_value : t -> ?region:region -> int -> Value.t -> unit
 val value_footprint : Value.t -> int
-
-val vs : t -> Ra.Virtual_space.t
-(** The underlying virtual space (for the object manager). *)

@@ -220,34 +220,10 @@ let bind om ~name sys =
 
 let lookup_at ?on om ~name = read_invoke ?on om ~name "lookup" (Value.Str name)
 
-let lookup ?on om name =
-  match lookup_at ?on om ~name with
-  | Value.Str s -> Ra.Sysname.of_string s
-  | Value.Unit -> (
-      (* remap fallback: a binding made before the last ring change
-         may still live in the shard the previous ring assigned it *)
-      let cl = Object_manager.cluster om in
-      match cl.Cluster.prev_ring with
-      | Some prev when cl.Cluster.name_sharding ->
-          let old_shard = Ring.owner_of_string prev name in
-          if
-            old_shard <> shard_of om name
-            && Hashtbl.mem cl.Cluster.name_shards old_shard
-          then begin
-            let node = Cluster.pick_compute cl in
-            match
-              invoke_shard om ~node ~shard:old_shard "lookup" (Value.Str name)
-            with
-            | Value.Str s -> Ra.Sysname.of_string s
-            | _ -> None
-          end
-          else None
-      | _ -> None)
-  | _ -> failwith "name server: bad lookup reply"
-
-let unbind om name =
-  ignore (write_invoke om ~name "unbind" (Value.Str name));
-  (* after a remap the binding may (also) live in the previous owner *)
+(* The shard the previous ring assigned [name], when a remap moved it
+   and that shard is still booted: a binding made before the last ring
+   change may (also) live there. *)
+let prev_shard om name =
   let cl = Object_manager.cluster om in
   match cl.Cluster.prev_ring with
   | Some prev when cl.Cluster.name_sharding ->
@@ -255,13 +231,33 @@ let unbind om name =
       if
         old_shard <> shard_of om name
         && Hashtbl.mem cl.Cluster.name_shards old_shard
-      then begin
-        let node = Cluster.bind_leader cl old_shard in
-        ignore
-          (with_write cl old_shard (fun () ->
-               invoke_shard om ~node ~shard:old_shard "unbind" (Value.Str name)))
-      end
-  | _ -> ()
+      then Some old_shard
+      else None
+  | _ -> None
+
+let lookup ?on om name =
+  match lookup_at ?on om ~name with
+  | Value.Str s -> Ra.Sysname.of_string s
+  | Value.Unit -> (
+      match prev_shard om name with
+      | Some shard -> (
+          let node = Cluster.pick_compute (Object_manager.cluster om) in
+          match invoke_shard om ~node ~shard "lookup" (Value.Str name) with
+          | Value.Str s -> Ra.Sysname.of_string s
+          | _ -> None)
+      | None -> None)
+  | _ -> failwith "name server: bad lookup reply"
+
+let unbind om name =
+  ignore (write_invoke om ~name "unbind" (Value.Str name));
+  match prev_shard om name with
+  | Some shard ->
+      let cl = Object_manager.cluster om in
+      let node = Cluster.bind_leader cl shard in
+      ignore
+        (with_write cl shard (fun () ->
+             invoke_shard om ~node ~shard "unbind" (Value.Str name)))
+  | None -> ()
 
 let bindings om =
   let cl = Object_manager.cluster om in

@@ -13,9 +13,6 @@
     through a single shard — the original centralized configuration,
     kept for A/B comparison. *)
 
-val cls : Obj_class.t
-(** The "nameserver" class (entries: bind, lookup, unbind, list). *)
-
 val boot : Object_manager.t -> Ra.Sysname.t
 (** Load the class (if needed) and create the default shard's object
     (lowest-addressed data server).  Idempotent.  Other shards boot

@@ -531,9 +531,6 @@ let end_thread t thread_id =
   in
   List.iter (Hashtbl.remove t.per_thread) stale
 
-let invocations t = Sim.Stats.value t.invoke_count
-let local_invocations t = Sim.Stats.value t.local_invokes
-
 let metrics t =
   [
     ("om/invocations", Obs.Registry.Counter t.invoke_count);

@@ -79,8 +79,8 @@ val invoke_remote :
 
     When [target] is [from]'s own address the transport is bypassed
     entirely — no serialization, fragmentation, or wire traffic; the
-    invocation runs as a direct {!invoke} (counted by
-    {!local_invocations}) and failures still surface as
+    invocation runs as a direct {!invoke} (counted under
+    ["om/local_invokes"] in {!metrics}) and failures still surface as
     {!Ctx.Invoke_error} so the caller sees identical semantics. *)
 
 val visited : t -> int -> Ra.Sysname.t list
@@ -91,12 +91,9 @@ val visited : t -> int -> Ra.Sysname.t list
 val end_thread : t -> int -> unit
 (** Release per-thread state (per-thread object memory, visit log). *)
 
-val invocations : t -> int
-(** Total entry-point executions performed through this manager. *)
-
-val local_invocations : t -> int
-(** Invocations dispatched through {!invoke_remote} that took the
-    same-node bypass instead of a RaTP transaction. *)
-
 val metrics : t -> (string * Obs.Registry.metric) list
-(** Live metric handles under ["om/"] paths, for an {!Obs.Registry}. *)
+(** Live metric handles under ["om/"] paths, for an {!Obs.Registry}:
+    ["om/invocations"] (entry-point executions performed through this
+    manager) and ["om/local_invokes"] (invocations dispatched through
+    {!invoke_remote} that took the same-node bypass instead of a RaTP
+    transaction). *)

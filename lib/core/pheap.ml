@@ -30,9 +30,6 @@ let attach memory reg =
   end;
   t
 
-let mem t = t.memory
-let region t = t.reg
-
 let get t off = Memory.get_int t.memory ~region:t.reg off
 let set t off v = Memory.set_int t.memory ~region:t.reg off v
 

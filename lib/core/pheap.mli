@@ -29,6 +29,3 @@ val free : t -> int -> unit
 
 val allocated_bytes : t -> int
 (** Payload bytes currently allocated (excludes headers). *)
-
-val mem : t -> Memory.t
-val region : t -> Memory.region

@@ -37,6 +37,3 @@ let registries ?om ?(extra = []) (cl : Cluster.t) =
   | None -> ());
   Obs.Registry.register_all cluster extra;
   (cluster :: data) @ compute
-
-let snapshot_json ?om ?extra cl =
-  Obs.Registry.snapshot_json (registries ?om ?extra cl)

@@ -15,10 +15,3 @@ val registries :
 (** The cluster registry first, then data nodes, then compute nodes
     (address order).  Registries hold live handles: build once,
     snapshot at any point. *)
-
-val snapshot_json :
-  ?om:Object_manager.t ->
-  ?extra:(string * Obs.Registry.metric) list ->
-  Cluster.t ->
-  string
-(** {!Obs.Registry.snapshot_json} over {!registries}. *)

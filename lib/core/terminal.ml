@@ -1,6 +1,6 @@
-type t = { wid : int; mutable rev_output : string list; mutable echo : bool }
+type t = { mutable rev_output : string list; mutable echo : bool }
 
-let create ~wid = { wid; rev_output = []; echo = false }
+let create () = { rev_output = []; echo = false }
 
 let print t line =
   t.rev_output <- line :: t.rev_output;
@@ -8,4 +8,3 @@ let print t line =
 
 let output t = List.rev t.rev_output
 let set_echo t v = t.echo <- v
-let wid t = t.wid

@@ -3,7 +3,6 @@ exception Cancelled
 
 type t = {
   id : int;
-  origin : int option;
   node_id : int;
   eng : Sim.Engine.t;
   mutable pid : Sim.Engine.pid;
@@ -12,7 +11,6 @@ type t = {
 }
 
 let id t = t.id
-let origin t = t.origin
 let node t = t.node_id
 
 let start om ?origin ?on ~obj ~entry arg =
@@ -30,7 +28,6 @@ let start om ?origin ?on ~obj ~entry arg =
   let t =
     {
       id = tid;
-      origin;
       node_id = node.Ra.Node.id;
       eng = cl.Cluster.eng;
       pid = 0;
@@ -71,8 +68,6 @@ let try_join t = Sim.Ivar.read t.result
 
 let join t =
   match try_join t with Ok v -> v | Error e -> raise (Failed e)
-
-let peek t = Sim.Ivar.peek t.result
 
 let visited om t =
   match Object_manager.visited om t.id with

@@ -25,7 +25,6 @@ val start :
     there); [on] pins the compute server by address. *)
 
 val id : t -> int
-val origin : t -> int option
 val node : t -> int
 (** Address of the compute server the thread was scheduled on. *)
 
@@ -34,9 +33,6 @@ val join : t -> Value.t
 
 val try_join : t -> (Value.t, exn) result
 (** Like {!join} without raising. *)
-
-val peek : t -> (Value.t, exn) result option
-(** Completion state without blocking. *)
 
 exception Cancelled
 (** Result of a thread terminated by {!kill}. *)

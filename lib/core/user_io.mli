@@ -4,9 +4,6 @@
     where they execute: output is routed over RaTP to the originating
     workstation's terminal server. *)
 
-val service : int
-(** RaTP service id served by every workstation. *)
-
 val install : Ra.Node.t -> Terminal.t -> unit
 (** Serve this workstation's terminal. *)
 

@@ -17,8 +17,6 @@ type t = {
   merge_rpcs : Sim.Stats.counter;
 }
 
-let node t = t.node
-
 (* A home reply other than success: the home no longer stores the
    segment, or it did not answer. *)
 let home_failed seg = function
@@ -204,10 +202,6 @@ let flush_segment t seg =
           put_spans t seg
             (List.map (fun (page, spans) -> (seg, page, spans)) dirty);
           List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty)
-
-let put_rpcs t = Sim.Stats.value t.puts
-let invalidations_received t = Sim.Stats.value t.invals
-let merge_flushes t = Sim.Stats.value t.merge_rpcs
 
 let metrics t =
   [

@@ -47,8 +47,6 @@ val create :
 
 val partition : t -> Ra.Partition.t
 
-val node : t -> Ra.Node.t
-
 val flush_segment : t -> Ra.Sysname.t -> unit
 (** Write every dirty resident page of the segment back to its data
     server and mark the frames clean (used by s-threads that want
@@ -59,15 +57,10 @@ val flush_segment : t -> Ra.Sysname.t -> unit
     longer stores raises {!Ra.Partition.No_segment} and leaves the
     frames dirty. *)
 
-val put_rpcs : t -> int
-(** Writeback RPCs issued: one [Put_spans] per one-copy or release
-    segment flush or evicted dirty frame. *)
-
-val invalidations_received : t -> int
-
-val merge_flushes : t -> int
-(** [Merge_delta] RPCs sent for commutative segments. *)
-
 val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["dsmc/"] paths, for a per-node
-    {!Obs.Registry}. *)
+    {!Obs.Registry}: among them ["dsmc/puts"] (writeback RPCs issued:
+    one [Put_spans] per one-copy or release segment flush or evicted
+    dirty frame), ["dsmc/invals"] (invalidations received) and
+    ["dsm/mode/merge_rpcs"] ([Merge_delta] RPCs sent for commutative
+    segments). *)

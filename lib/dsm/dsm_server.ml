@@ -78,7 +78,6 @@ let node t = t.node
 let store t = t.store
 let directory t = t.directory
 let wal t = t.wal
-let locks t = t.locks
 
 let consistency_of t seg =
   match Ra.Sysname.Table.find_opt t.modes seg with
@@ -817,15 +816,6 @@ let copyset_of t seg page =
   | Some st -> List.sort Net.Address.compare st.copyset
   | None -> []
 
-let pages_served t = Sim.Stats.value t.served
-let invalidations_sent t = Sim.Stats.value t.invals
-let downgrades_sent t = Sim.Stats.value t.downs
-let commits t = Sim.Stats.value t.commit_count
-let aborts t = Sim.Stats.value t.abort_count
-let deferred_invals t = Sim.Stats.value t.deferred
-let release_flush_bursts t = Sim.Stats.value t.flush_bursts
-let merges_applied t = Sim.Stats.value t.merges
-
 let metrics t =
   [
     ("dsm/pages_served", Obs.Registry.Counter t.served);
@@ -838,14 +828,6 @@ let metrics t =
     ("dsm/mode/release_flush_bursts", Obs.Registry.Counter t.flush_bursts);
     ("dsm/mode/release_flush_batch", Obs.Registry.Hist t.flush_batch);
     ("dsm/mode/merges_applied", Obs.Registry.Counter t.merges);
-    ("disk/ops", Obs.Registry.Counter (Store.Disk.ops_counter t.disk));
-    ("disk/bytes", Obs.Registry.Counter (Store.Disk.bytes_counter t.disk));
-    ("disk/busy_us", Obs.Registry.Counter (Store.Disk.busy_counter t.disk));
-    ("disk/queue_depth", Obs.Registry.Hist (Store.Disk.queue_hist t.disk));
-    ("wal/records", Obs.Registry.Counter (Store.Wal.records_counter t.wal));
-    ("wal/flushes", Obs.Registry.Counter (Store.Wal.flushes_counter t.wal));
-    ("wal/flush_batch", Obs.Registry.Hist (Store.Wal.batch_hist t.wal));
-    ( "wal/checkpoints",
-      Obs.Registry.Counter (Store.Wal.checkpoints_counter t.wal) );
-    ("wal/truncated", Obs.Registry.Counter (Store.Wal.truncated_counter t.wal));
   ]
+  @ Store.Disk.metrics t.disk
+  @ Store.Wal.metrics t.wal

@@ -50,7 +50,6 @@ val node : t -> Ra.Node.t
 val store : t -> Store.Segment_store.t
 val directory : t -> Store.Directory.t
 val wal : t -> Store.Wal.t
-val locks : t -> Lock_table.t
 
 val set_outcome_oracle :
   t ->
@@ -94,9 +93,6 @@ val set_consistency : t -> Ra.Sysname.t -> Ra.Partition.consistency -> unit
     [Commutative] segments never invalidate and combine flushed
     deltas under their merge operator. *)
 
-val consistency_of : t -> Ra.Sysname.t -> Ra.Partition.consistency
-(** A segment's consistency mode ([One_copy] when never set). *)
-
 val set_mirrors : t -> (Ra.Sysname.t -> Net.Address.t list) -> unit
 (** Wire the backup map for replicated segments: committed writes
     (writebacks, merges, [Overwrite], 2PC commit application) are
@@ -111,22 +107,12 @@ val owner_of : t -> Ra.Sysname.t -> int -> Net.Address.t option
 val copyset_of : t -> Ra.Sysname.t -> int -> Net.Address.t list
 (** Nodes holding read copies (tests); sorted. *)
 
-val pages_served : t -> int
-
-val invalidations_sent : t -> int
-val downgrades_sent : t -> int
-val commits : t -> int
-val aborts : t -> int
-
-val deferred_invals : t -> int
-(** Per-copy invalidations skipped by relaxed-mode write faults. *)
-
-val release_flush_bursts : t -> int
-(** Release flushes that sent at least one [Inval_batch] fan-out. *)
-
-val merges_applied : t -> int
-(** Commutative page merges combined into the store. *)
-
 val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["dsm/"] paths, for a per-node
-    {!Obs.Registry}. *)
+    {!Obs.Registry}: among them ["dsm/invalidations"],
+    ["dsm/mode/deferred_invals"] (per-copy invalidations skipped by
+    relaxed-mode write faults), ["dsm/mode/release_flush_bursts"]
+    (release flushes that sent at least one [Inval_batch] fan-out)
+    and ["dsm/mode/merges_applied"] (commutative page merges combined
+    into the store); then the disk's and the log's
+    ({!Store.Disk.metrics}, {!Store.Wal.metrics}). *)

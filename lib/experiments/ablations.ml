@@ -187,7 +187,8 @@ let rtt_under_loss ~drop =
         | Error _ -> ());
         Sim.Stats.add_span stats (Sim.Time.diff (Sim.now ()) t0)
       done;
-      (Sim.Stats.mean stats, Ratp.Endpoint.retransmissions a))
+      ( Sim.Stats.mean stats,
+        Obs.Registry.count (Ratp.Endpoint.metrics a) "ratp/retrans" ))
 
 let loss () =
   List.map

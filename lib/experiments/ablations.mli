@@ -6,17 +6,14 @@
     - bandwidth: the 10 Mbit Ethernet vs a 100 Mbit one — how much
       of a page transfer and of a cold invocation is wire time vs
       host/protocol time;
-    - {!scheduler}: round-robin vs least-loaded thread placement
+    - scheduler: round-robin vs least-loaded thread placement
       under a skewed background load;
     - frame cache: bounded compute-server memory — demand paging
       with eviction (thrashing) vs unbounded frames;
-    - {!loss}: RaTP under frame loss — latency and retransmissions
+    - loss: RaTP under frame loss — latency and retransmissions
       versus drop probability. *)
 
 type row = { setting : string; value : string; detail : string }
-
-val scheduler : unit -> row list
-val loss : unit -> row list
 
 val report : unit -> string
 (** Run all four sweeps and render them. *)

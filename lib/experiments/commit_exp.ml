@@ -169,18 +169,6 @@ let run_cell ?(seed = 42) (c : cell) =
         let finished = ref 0 in
         let go_ivar = Sim.Ivar.create () in
         let done_ivar = Sim.Ivar.create () in
-        let rec with_retry tries f =
-          match f () with
-          | v -> v
-          | exception Dsm.Dsm_client.Unavailable _ when tries < 400 ->
-              incr retries;
-              Sim.sleep (Sim.Time.ms 5);
-              with_retry (tries + 1) f
-          | exception Atomicity.Manager.Aborted _ when tries < 400 ->
-              incr retries;
-              Sim.sleep (Sim.Time.ms 5);
-              with_retry (tries + 1) f
-        in
         Array.iteri
           (fun i (node, batcher, arg) ->
             ignore
@@ -188,7 +176,7 @@ let run_cell ?(seed = 42) (c : cell) =
                  (Printf.sprintf "commit-client-%d" i)
                  (fun () ->
                    let txn () =
-                     with_retry 0 (fun () ->
+                     Fixtures.with_retry ~retries (fun () ->
                          ignore
                            (Clouds.Object_manager.invoke om ~node ~thread_id:0
                               ~origin:None ~txn:None ~obj:batcher
@@ -217,20 +205,20 @@ let run_cell ?(seed = 42) (c : cell) =
                           (Sim.Time.diff (Sim.now ()) t_start)))))
           sessions;
         let sim_ms = Sim.Ivar.read done_ivar in
-        let sum f =
-          Array.fold_left (fun acc s -> acc + f (Dsm.Dsm_server.wal s)) 0
-            cl.Cl.servers
+        let wal s = Store.Wal.metrics (Dsm.Dsm_server.wal s) in
+        let sum path =
+          Array.fold_left
+            (fun acc s -> acc + Obs.Registry.count (wal s) path)
+            0 cl.Cl.servers
         in
-        let records =
-          sum (fun w -> Sim.Stats.value (Store.Wal.records_counter w))
-        in
-        let flushes = sum Store.Wal.flushes in
+        let records = sum "wal/records" in
+        let flushes = sum "wal/flushes" in
         let batched =
           Array.fold_left
             (fun acc s ->
               acc
               +. Sim.Stats.hist_total
-                   (Store.Wal.batch_hist (Dsm.Dsm_server.wal s)))
+                   (Obs.Registry.hist (wal s) "wal/flush_batch"))
             0.0 cl.Cl.servers
         in
         let mean_batch =
@@ -326,18 +314,6 @@ let run_crash ?(seed = 42) () =
       let retries = ref 0 in
       let finished = ref 0 in
       let done_ivar = Sim.Ivar.create () in
-      let rec with_retry tries f =
-        match f () with
-        | v -> v
-        | exception Dsm.Dsm_client.Unavailable _ when tries < 400 ->
-            incr retries;
-            Sim.sleep (Sim.Time.ms 5);
-            with_retry (tries + 1) f
-        | exception Atomicity.Manager.Aborted _ when tries < 400 ->
-            incr retries;
-            Sim.sleep (Sim.Time.ms 5);
-            with_retry (tries + 1) f
-      in
       Array.iteri
         (fun i (node, batcher, arg, _, _) ->
           ignore
@@ -345,7 +321,7 @@ let run_crash ?(seed = 42) () =
                (Printf.sprintf "crash-client-%d" i)
                (fun () ->
                  for _ = 1 to deposits do
-                   with_retry 0 (fun () ->
+                   Fixtures.with_retry ~retries (fun () ->
                        ignore
                          (Clouds.Object_manager.invoke om ~node ~thread_id:0
                             ~origin:None ~txn:None ~obj:batcher
@@ -364,8 +340,9 @@ let run_crash ?(seed = 42) () =
       (* drain any commit still riding the last group flush *)
       Sim.sleep (Sim.Time.ms 50);
       let victim_wal = Dsm.Dsm_server.wal cl.Cl.servers.(0) in
-      let checkpoints = Store.Wal.checkpoints victim_wal in
-      let log_truncated = Store.Wal.truncated victim_wal in
+      let wal_metrics = Store.Wal.metrics victim_wal in
+      let checkpoints = Obs.Registry.count wal_metrics "wal/checkpoints" in
+      let log_truncated = Obs.Registry.count wal_metrics "wal/truncated" in
       let recovered_records = List.length (Store.Wal.records victim_wal) in
       let lost = ref 0 and ghosts = ref 0 in
       let buf = Buffer.create 64 in

@@ -85,6 +85,14 @@ let with_micro ~mode ~clients f =
       let seg = Ra.Sysname.fresh nd.Ra.Node.names in
       f ~server ~seg ~cs)
 
+let dsm server path = Obs.Registry.count (Dsm.Dsm_server.metrics server) path
+
+let merge_rpcs cs =
+  List.fold_left
+    (fun acc (_, c) ->
+      acc + Obs.Registry.count (Dsm.Dsm_client.metrics c) "dsm/mode/merge_rpcs")
+    0 cs
+
 let vspace_for seg ~pages =
   let vs = Ra.Virtual_space.create () in
   Ra.Virtual_space.map vs ~base:0 ~len:(pages * Ra.Page.size)
@@ -111,9 +119,9 @@ let scoped_point ~mode ~pages ~readers =
               (Ra.Mmu.read n.Ra.Node.mmu vs ~addr:(p * Ra.Page.size) ~len:1)
           done)
         rs;
-      let invals0 = Dsm.Dsm_server.invalidations_sent server in
-      let served0 = Dsm.Dsm_server.pages_served server in
-      let deferred0 = Dsm.Dsm_server.deferred_invals server in
+      let invals0 = dsm server "dsm/invalidations" in
+      let served0 = dsm server "dsm/pages_served" in
+      let deferred0 = dsm server "dsm/mode/deferred_invals" in
       let t0 = Sim.now () in
       (* the scope: write one word in each page, then release *)
       for p = 0 to pages - 1 do
@@ -138,9 +146,9 @@ let scoped_point ~mode ~pages ~readers =
         mode = mode_name mode;
         copyset = readers;
         writes = pages;
-        inval_rpcs = Dsm.Dsm_server.invalidations_sent server - invals0;
-        deferred = Dsm.Dsm_server.deferred_invals server - deferred0;
-        page_moves = Dsm.Dsm_server.pages_served server - served0;
+        inval_rpcs = dsm server "dsm/invalidations" - invals0;
+        deferred = dsm server "dsm/mode/deferred_invals" - deferred0;
+        page_moves = dsm server "dsm/pages_served" - served0;
         elapsed_ms;
       })
 
@@ -153,14 +161,10 @@ let counter_point ~mode ~clients ~increments =
         seg ~size:Ra.Page.size;
       Dsm.Dsm_server.set_consistency server seg mode;
       let vs = vspace_for seg ~pages:1 in
-      let invals0 = Dsm.Dsm_server.invalidations_sent server in
-      let downs0 = Dsm.Dsm_server.downgrades_sent server in
-      let served0 = Dsm.Dsm_server.pages_served server in
-      let merges0 =
-        List.fold_left
-          (fun acc (_, c) -> acc + Dsm.Dsm_client.merge_flushes c)
-          0 cs
-      in
+      let invals0 = dsm server "dsm/invalidations" in
+      let downs0 = dsm server "dsm/downgrades" in
+      let served0 = dsm server "dsm/pages_served" in
+      let merges0 = merge_rpcs cs in
       let t0 = Sim.now () in
       (* round robin: client [i] bumps slot [i] of the shared page *)
       for _round = 1 to increments do
@@ -197,16 +201,12 @@ let counter_point ~mode ~clients ~increments =
         clients;
         increments;
         stalls =
-          Dsm.Dsm_server.invalidations_sent server
+          dsm server "dsm/invalidations"
           - invals0
-          + Dsm.Dsm_server.downgrades_sent server
+          + dsm server "dsm/downgrades"
           - downs0;
-        page_moves = Dsm.Dsm_server.pages_served server - served0;
-        merge_rpcs =
-          List.fold_left
-            (fun acc (_, c) -> acc + Dsm.Dsm_client.merge_flushes c)
-            0 cs
-          - merges0;
+        page_moves = dsm server "dsm/pages_served" - served0;
+        merge_rpcs = merge_rpcs cs - merges0;
         converged = !converged;
         elapsed_ms;
       })
@@ -226,7 +226,7 @@ let sort_point ~mode ~elements ~workers =
       let sum = Apps.Sorter.checksum sys.Clouds.om ~obj in
       let invals0 =
         Array.fold_left
-          (fun acc s -> acc + Dsm.Dsm_server.invalidations_sent s)
+          (fun acc s -> acc + dsm s "dsm/invalidations")
           0 cl.Clouds.Cluster.servers
       in
       let r = Apps.Sorter.distributed_sort sys.Clouds.om ~obj ~workers in
@@ -239,7 +239,7 @@ let sort_point ~mode ~elements ~workers =
         page_moves = r.Apps.Sorter.remote_page_moves;
         inval_rpcs =
           Array.fold_left
-            (fun acc s -> acc + Dsm.Dsm_server.invalidations_sent s)
+            (fun acc s -> acc + dsm s "dsm/invalidations")
             0 cl.Clouds.Cluster.servers
           - invals0;
       })

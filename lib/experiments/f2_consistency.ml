@@ -34,6 +34,9 @@ let batcher_cls =
           V.Unit);
     ]
 
+let lock_rpcs mgr =
+  Obs.Registry.count (Atomicity.Manager.metrics mgr) "atomicity/lock_rpcs"
+
 let run ?(samples = 30) () =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
@@ -67,7 +70,7 @@ let run ?(samples = 30) () =
             ignore
               (Clouds.Object_manager.invoke sys.Clouds.om ~node ~thread_id:0
                  ~origin:None ~txn:None ~obj:acct ~entry:"balance" V.Unit);
-            let rpcs0 = Atomicity.Manager.lock_rpcs mgr in
+            let rpcs0 = lock_rpcs mgr in
             let stats = Sim.Stats.series mode in
             for _ = 1 to samples do
               Sim.Stats.add stats (time deposit)
@@ -77,7 +80,7 @@ let run ?(samples = 30) () =
               mode;
               mean_ms;
               throughput_per_s = 1000.0 /. mean_ms;
-              lock_rpcs = Atomicity.Manager.lock_rpcs mgr - rpcs0;
+              lock_rpcs = lock_rpcs mgr - rpcs0;
             })
           [
             ("s-thread", Clouds.Obj_class.S);

@@ -121,7 +121,9 @@ let run_ratp name ~seed spec =
             Buffer.add_string buf "t"
       done;
       let fault = Net.Ethernet.fault ether in
-      let retrans = E.retransmissions client.Ra.Node.endpoint in
+      let retrans =
+        Obs.Registry.count (E.metrics client.Ra.Node.endpoint) "ratp/retrans"
+      in
       let lost = ref 0 and dup = ref 0 and commits = ref 0 in
       for call = 0 to spec.n_calls - 1 do
         if commit_count.(call) > 0 then incr commits;

@@ -35,3 +35,18 @@ let ether_1g =
     recv_cost_per_frame = Sim.Time.us 20;
     cost_per_byte_ns = 1;
   }
+
+(* Run [f], backing off 5 ms and retrying, at most 400 times, while a
+   data server is unavailable or the transaction aborts; each retry
+   bumps [retries].  The last failure propagates. *)
+let with_retry ~retries f =
+  let rec go tries =
+    match f () with
+    | v -> v
+    | exception (Dsm.Dsm_client.Unavailable _ | Atomicity.Manager.Aborted _)
+      when tries < 400 ->
+        incr retries;
+        Sim.sleep (Sim.Time.ms 5);
+        go (tries + 1)
+  in
+  go 0

@@ -124,26 +124,14 @@ let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
            cell carries the same footprint as the smoke cells *)
         let lat = Sim.Stats.hist "load.latency_ms" in
         let misses = ref 0 in
-        let retries = ref 0 in
-        let completed = ref 0 in
         (* a saturated stage (the centralized arm on purpose) can push
            a data server past the RaTP retry ladder; the open-loop
            client just backs off and retries, and the stall lands in
            the latency sample like any other queueing delay.  Under
            [atomicity], deadlock-watchdog aborts surface the same
            way. *)
-        let rec with_retry tries f =
-          match f () with
-          | v -> v
-          | exception Dsm.Dsm_client.Unavailable _ when tries < 400 ->
-              incr retries;
-              Sim.sleep (Sim.Time.ms 5);
-              with_retry (tries + 1) f
-          | exception Atomicity.Manager.Aborted _ when tries < 400 ->
-              incr retries;
-              Sim.sleep (Sim.Time.ms 5);
-              with_retry (tries + 1) f
-        in
+        let retries = ref 0 in
+        let completed = ref 0 in
         let done_ivar = Sim.Ivar.create () in
         let t_start = Sim.now () in
         let rng = Sim.Rng.create ~seed:(seed lxor 0x10ad) in
@@ -154,12 +142,12 @@ let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
           let node = cl.Cl.compute_nodes.((i mod c.clients) mod ncomp) in
           let k = Sim.Rng.int rng c.nkeys in
           (if Sim.Rng.int rng 100 < c.write_pct then
-             with_retry 0 (fun () ->
+             Fixtures.with_retry ~retries (fun () ->
                  Clouds.Name_server.bind om ~name:(key_name k)
                    (Ra.Sysname.well_known (k + 1)))
            else
              match
-               with_retry 0 (fun () ->
+               Fixtures.with_retry ~retries (fun () ->
                    Clouds.Name_server.lookup ~on:node om (key_name k))
              with
              | Some _ -> ()

@@ -57,13 +57,16 @@ let flush_point pages =
         Ra.Mmu.write s.mmu s.vs ~addr:(p * Ra.Page.size)
           (Bytes.make 64 'w')
       done;
-      let rpcs0 = Dsm.Dsm_client.put_rpcs s.client in
+      let puts () =
+        Obs.Registry.count (Dsm.Dsm_client.metrics s.client) "dsmc/puts"
+      in
+      let rpcs0 = puts () in
       let t0 = Sim.now () in
       Dsm.Dsm_client.flush_segment s.client s.seg;
       {
         pages;
         batched_ms = Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0);
-        batched_rpcs = Dsm.Dsm_client.put_rpcs s.client - rpcs0;
+        batched_rpcs = puts () - rpcs0;
       })
 
 let run ?(flush_sizes = [ 1; 4; 16 ]) () = List.map flush_point flush_sizes

@@ -25,6 +25,9 @@
 
 module E = Ratp.Endpoint
 
+let ratp (node : Ra.Node.t) path =
+  Obs.Registry.count (E.metrics node.endpoint) path
+
 type Ratp.Packet.body += Blob of int
 
 type point = {
@@ -102,11 +105,10 @@ let measure_point ~loss_pct ~size ~selective ~calls =
         oks = !oks;
         timeouts = !timeouts;
         elapsed_ms;
-        retrans = E.retransmissions client.Ra.Node.endpoint;
+        retrans = ratp client "ratp/retrans";
         retrans_bytes =
-          E.retransmitted_bytes client.Ra.Node.endpoint
-          + E.retransmitted_bytes server.Ra.Node.endpoint;
-        nacks = E.nacks_sent server.Ra.Node.endpoint;
+          ratp client "ratp/retrans_bytes" + ratp server "ratp/retrans_bytes";
+        nacks = ratp server "ratp/nacks";
         rto_ms;
       })
 
@@ -142,11 +144,14 @@ let measure_bypass ~invocations =
         Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0)
         /. float_of_int invocations
       in
-      let before = Clouds.Object_manager.local_invocations sys.Clouds.om in
-      let local_ms = time_loop ~target:n0.Ra.Node.id in
-      let local_invokes =
-        Clouds.Object_manager.local_invocations sys.Clouds.om - before
+      let local_invokes () =
+        Obs.Registry.count
+          (Clouds.Object_manager.metrics sys.Clouds.om)
+          "om/local_invokes"
       in
+      let before = local_invokes () in
+      let local_ms = time_loop ~target:n0.Ra.Node.id in
+      let local_invokes = local_invokes () - before in
       let remote_ms = time_loop ~target:n1.Ra.Node.id in
       { invocations; local_ms; remote_ms; local_invokes })
 

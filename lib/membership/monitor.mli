@@ -36,9 +36,6 @@ type config = {
   dead_after : Sim.Time.span;  (** silence before [Dead] *)
 }
 
-val default_config : config
-(** 25 ms period, 75 ms suspect, 200 ms dead. *)
-
 type t
 
 val create : ?config:config -> Ra.Node.t -> t

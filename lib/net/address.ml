@@ -2,6 +2,3 @@ type t = int
 
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
-let pp fmt t = Format.fprintf fmt "node-%d" t
-let to_string t = Printf.sprintf "node-%d" t

@@ -48,7 +48,6 @@ type t = {
   mutable filter : filter option;
   mutable dropped : int;
   mutable duplicated : int;
-  mutable reordered : int;
 }
 
 let create eng rng =
@@ -62,7 +61,6 @@ let create eng rng =
     filter = None;
     dropped = 0;
     duplicated = 0;
-    reordered = 0;
   }
 
 let set_default t p =
@@ -153,10 +151,8 @@ let plan t ~src ~dst frame =
         in
         let extra =
           let base = jitter () in
-          if p.reorder > 0.0 && Sim.Rng.chance t.rng p.reorder then begin
-            t.reordered <- t.reordered + 1;
+          if p.reorder > 0.0 && Sim.Rng.chance t.rng p.reorder then
             base + p.reorder_by
-          end
           else base
         in
         if p.dup > 0.0 && Sim.Rng.chance t.rng p.dup then begin
@@ -168,4 +164,3 @@ let plan t ~src ~dst frame =
 
 let drops t = t.dropped
 let duplicates t = t.duplicated
-let reorders t = t.reordered

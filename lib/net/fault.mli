@@ -88,6 +88,3 @@ val drops : t -> int
 
 val duplicates : t -> int
 (** Total frames duplicated so far. *)
-
-val reorders : t -> int
-(** Total frames held back for reordering so far. *)

@@ -11,11 +11,3 @@ let min_frame = 64
 let make ~src ~dst ~payload_bytes payload =
   if payload_bytes < 0 then invalid_arg "Frame.make: negative payload";
   { src; dst; bytes = max min_frame (payload_bytes + header_bytes); payload }
-
-let pp_dst fmt = function
-  | Unicast a -> Address.pp fmt a
-  | Broadcast -> Format.pp_print_string fmt "broadcast"
-
-let pp fmt t =
-  Format.fprintf fmt "frame[%a -> %a, %db]" Address.pp t.src pp_dst t.dst
-    t.bytes

@@ -27,5 +27,3 @@ val header_bytes : int
 val make : src:Address.t -> dst:dst -> payload_bytes:int -> payload -> t
 (** Build a frame; [bytes] is [payload_bytes + header_bytes], clamped
     below by the 64-byte Ethernet minimum. *)
-
-val pp : Format.formatter -> t -> unit

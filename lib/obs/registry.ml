@@ -1,8 +1,9 @@
 (* A named tree of live metric handles.
 
-   Components keep updating their own [Sim.Stats] counters exactly as
-   before; a registry just holds (path -> handle) so one snapshot can
-   walk everything a node exposes.  Snapshots render to JSON with
+   Components keep updating their own [Sim.Stats] counters and publish
+   them as (path, handle) lists; a registry holds one node's lists so
+   one snapshot can walk everything it exposes, and [count]/[hist] read
+   a single path out of a list.  Snapshots render to JSON with
    sorted keys and fixed float formatting, so fixed-seed runs are
    byte-identical. *)
 
@@ -14,8 +15,30 @@ type metric =
 type t = { label : string; tbl : (string, metric) Hashtbl.t }
 
 let create label = { label; tbl = Hashtbl.create 32 }
-let register t path m = Hashtbl.replace t.tbl path m
+let register t path m =
+  if Hashtbl.mem t.tbl path then
+    invalid_arg
+      (Printf.sprintf "Registry.register: %s is already registered" path);
+  Hashtbl.replace t.tbl path m
+
 let register_all t ms = List.iter (fun (path, m) -> register t path m) ms
+
+let find metrics path =
+  match List.assoc_opt path metrics with
+  | Some m -> m
+  | None -> invalid_arg (Printf.sprintf "Registry: no metric at %s" path)
+
+let count metrics path =
+  match find metrics path with
+  | Counter c -> Sim.Stats.value c
+  | Keyed _ | Hist _ ->
+      invalid_arg (Printf.sprintf "Registry.count: %s is not a counter" path)
+
+let hist metrics path =
+  match find metrics path with
+  | Hist h -> h
+  | Counter _ | Keyed _ ->
+      invalid_arg (Printf.sprintf "Registry.hist: %s is not a histogram" path)
 
 let items t =
   Hashtbl.fold (fun path m acc -> (path, m) :: acc) t.tbl []

@@ -7,7 +7,10 @@
     whole forest as deterministic JSON (sorted keys, fixed float
     format).  Registration is cheap and snapshot-time only reads —
     the hot paths keep bumping the same [Sim.Stats] values they
-    always did. *)
+    always did.
+
+    A component's [metrics] list is the only way to read its
+    counters: {!count} and {!hist} look one path up in it. *)
 
 type metric =
   | Counter of Sim.Stats.counter
@@ -20,13 +23,20 @@ val create : string -> t
 (** A registry labelled with its owner, e.g. ["data-3"]. *)
 
 val register : t -> string -> metric -> unit
-(** [register t path m] adds (or replaces) the metric at a
-    slash-separated path, e.g. ["ratp/retrans"]. *)
+(** [register t path m] adds the metric at a slash-separated path,
+    e.g. ["ratp/retrans"].  Raises [Invalid_argument] naming the path
+    if [t] already holds it, so two components that publish the same
+    path cannot silently drop one from every export. *)
 
 val register_all : t -> (string * metric) list -> unit
 
-val items : t -> (string * metric) list
-(** All (path, metric) pairs sorted by path. *)
+val count : (string * metric) list -> string -> int
+(** [count metrics path] is the value of the counter at [path] in a
+    component's [metrics] list.  Raises [Invalid_argument] naming
+    [path] if the list has no such path or it is not a counter. *)
+
+val hist : (string * metric) list -> string -> Sim.Stats.hist
+(** As {!count}, for the histogram at [path]. *)
 
 val totals : t list -> (string * int) list
 (** Integer metrics (counters; keyed families summed over keys)

@@ -108,8 +108,6 @@ let with_span ?node name f =
       let h = start ?node name in
       Fun.protect ~finally:(fun () -> finish h) f
 
-type ctx = span option
-
 let current () =
   match !active with
   | None -> None
@@ -157,13 +155,4 @@ let iter t f =
     f t.spans.(i)
   done
 
-let spans t = List.init t.count (fun i -> t.spans.(i))
-
 let duration_ms sp = Sim.Time.(to_ms_f (diff sp.stop sp.start))
-
-let reset t =
-  t.spans <- [||];
-  t.count <- 0;
-  t.next_trace <- 0;
-  Hashtbl.reset t.current;
-  Hashtbl.reset t.cross

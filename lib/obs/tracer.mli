@@ -3,8 +3,8 @@
     A span names one stage of one invocation (an RPC, a DSM fault, a
     2PC round).  Context is ambient per sim process; [offer]/[accept]
     bridge it across RPC boundaries (keyed by the RaTP transaction
-    id, nothing added to the wire) and [current]/[under] across
-    fan-out workers.  With no tracer installed every hook costs one
+    id, nothing added to the wire) and {!fanout} across fan-out
+    workers.  With no tracer installed every hook costs one
     branch; an installed tracer only reads the sim clock, so it
     cannot change simulated results. *)
 
@@ -48,17 +48,6 @@ val with_span : ?node:int -> string -> (unit -> 'a) -> 'a
 (** [start]/[finish] around [f], exception-safe — use wherever the
     body can raise ([Unavailable], abort signals). *)
 
-type ctx
-
-val current : unit -> ctx
-(** The calling process's innermost open span, to re-bind in workers
-    running under other pids. *)
-
-val under : ctx -> (unit -> 'a) -> 'a
-(** Run [f] with the given span as the calling process's context:
-    spans [f] opens become its children.  No-op context when tracing
-    is off. *)
-
 val fanout : label:string -> 'a list -> f:('a -> 'b) -> 'b list
 (** {!Sim.Fanout.map} with every worker re-bound to the caller's span
     (fan-out workers run under fresh pids), so the spans they open
@@ -78,8 +67,5 @@ val accept : origin:int -> seq:int -> (unit -> 'a) -> 'a
 val span_count : t -> int
 val get : t -> int -> span
 val iter : t -> (span -> unit) -> unit
-val spans : t -> span list
 
 val duration_ms : span -> float
-
-val reset : t -> unit

@@ -26,8 +26,3 @@ let restart_at cl addr span =
           | Some server -> Dsm.Dsm_server.recover server
           | None -> ())
       | None -> invalid_arg "Failure.restart_at: unknown node")
-
-let alive cl addr =
-  match Cl.node_by_id cl addr with
-  | Some node -> node.Ra.Node.alive
-  | None -> false

@@ -17,5 +17,3 @@ val restart_at : Clouds.Cluster.t -> Net.Address.t -> Sim.Time.span -> unit
     when the node is one).  Like {!crash_at}, the address is resolved
     at fire time and an unknown node raises [Invalid_argument] —
     matching [crash_now] instead of silently doing nothing. *)
-
-val alive : Clouds.Cluster.t -> Net.Address.t -> bool

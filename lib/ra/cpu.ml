@@ -2,7 +2,6 @@ type t = {
   lock : Sim.Mutex.t;
   mutable last : int option;
   mutable switches : int;
-  mutable busy : Sim.Time.span;
   mutable active : int;
 }
 
@@ -14,7 +13,6 @@ let create () =
     lock = Sim.Mutex.create ~label:"cpu" ();
     last = None;
     switches = 0;
-    busy = 0;
     active = 0;
   }
 
@@ -28,11 +26,9 @@ let rec consume_slices t ~key span =
       let switching = match t.last with Some k -> k <> key | None -> true in
       if switching then begin
         t.switches <- t.switches + 1;
-        t.busy <- t.busy + Params.context_switch;
         Sim.sleep Params.context_switch
       end;
       t.last <- Some key;
-      t.busy <- t.busy + this_slice;
       if this_slice > 0 then Sim.sleep this_slice);
   let rest = span - this_slice in
   if rest > 0 then begin
@@ -47,5 +43,4 @@ let consume t ~key span =
     (fun () -> consume_slices t ~key span)
 
 let switches t = t.switches
-let busy t = t.busy
 let load t = t.active

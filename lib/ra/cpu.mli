@@ -21,9 +21,6 @@ val consume : t -> key:int -> Sim.Time.span -> unit
 val switches : t -> int
 (** Context switches charged so far. *)
 
-val busy : t -> Sim.Time.span
-(** Total occupied time, including switch costs. *)
-
 val load : t -> int
 (** Schedulable entities currently running on or waiting for this
     processor — the quantity a load-based scheduling policy compares

@@ -20,7 +20,6 @@ let fresh g =
 
 let well_known k = { node = -1; local = k }
 
-let pp fmt t = Format.fprintf fmt "SYS-%d.%d" t.node t.local
 let to_string t = Printf.sprintf "SYS-%d.%d" t.node t.local
 
 let of_string s =

@@ -10,7 +10,6 @@ type t = private { node : int; local : int }
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 type gen
 (** A per-node sysname generator. *)
@@ -25,7 +24,6 @@ val well_known : int -> t
 (** [well_known k] is a reserved name (node = -1) agreed on by every
     node at configuration time, e.g. the name server's own sysname. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> t option

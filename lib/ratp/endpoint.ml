@@ -92,12 +92,6 @@ type t = {
   mutable rx_pid : Sim.Engine.pid;
 }
 
-let addr t = t.address
-let config t = t.cfg
-let retransmissions t = Sim.Stats.value t.retrans
-let retransmitted_bytes t = Sim.Stats.value t.retrans_bytes
-let nacks_sent t = Sim.Stats.value t.nacks
-let transactions t = Sim.Stats.value t.completed
 let server_cache_size t = Tid_table.length t.servers
 
 let metrics t =

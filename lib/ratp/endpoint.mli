@@ -64,9 +64,6 @@ val create :
     [group] tags the endpoint's processes for {!Sim.Engine.kill_group}
     (machine crash). *)
 
-val addr : t -> Net.Address.t
-val config : t -> config
-
 val serve : t -> service:int -> handler -> unit
 (** Register the handler for a service id.  Replaces any previous
     handler for that id. *)
@@ -91,23 +88,6 @@ val restart : t -> unit
     defeat peers' duplicate suppression.  The NIC must be reattached
     by the caller. *)
 
-val retransmissions : t -> int
-(** Request retransmissions performed by this endpoint (all
-    transactions; probes included). *)
-
-val retransmitted_bytes : t -> int
-(** Message payload bytes this endpoint has put on the wire more than
-    once — request fragments resent by the client side plus reply
-    fragments resent by the server side.  The headline metric of the
-    selective-retransmission A/B ({!Experiments.Transport}). *)
-
-val nacks_sent : t -> int
-(** Selective-retransmission bitmaps ({!Packet.Nack}) sent by the
-    server side of this endpoint. *)
-
-val transactions : t -> int
-(** Completed client transactions. *)
-
 val server_cache_size : t -> int
 (** Entries in the server-side transaction table (accumulating
     bursts, running handlers, cached replies).  Introspection for
@@ -129,4 +109,12 @@ val peer_stats : t -> peer_stats list
 
 val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["ratp/"] paths, for a per-node
-    {!Obs.Registry}. *)
+    {!Obs.Registry}: ["ratp/retrans"] (request retransmissions, all
+    transactions, probes included), ["ratp/retrans_bytes"] (payload
+    bytes put on the wire more than once, request fragments resent by
+    the client side plus reply fragments resent by the server side:
+    the headline metric of the selective-retransmission A/B),
+    ["ratp/nacks"] (selective-retransmission bitmaps, {!Packet.Nack},
+    sent by the server side), ["ratp/transactions"] (completed client
+    transactions) and the per-destination families
+    ["ratp/retrans_by"], ["ratp/nacks_by"] and ["ratp/rto_ms_by"]. *)

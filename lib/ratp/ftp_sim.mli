@@ -15,8 +15,6 @@ type config = {
   per_block_server_cost : Sim.Time.span;
 }
 
-val default_config : config
-
 val start_server :
   Net.Ethernet.t -> addr:Net.Address.t -> ?group:int -> ?config:config -> unit -> unit
 (** Attach a NIC at [addr] and serve fetches forever. *)

@@ -12,8 +12,6 @@ type config = {
   per_rpc_server_cost : Sim.Time.span;
 }
 
-val default_config : config
-
 val start_server :
   Net.Ethernet.t -> addr:Net.Address.t -> ?group:int -> ?config:config -> unit -> unit
 

@@ -8,7 +8,6 @@ let split t =
 
 let int t bound = Random.State.int t bound
 let float t bound = Random.State.float t bound
-let bool t = Random.State.bool t
 let chance t p = Random.State.float t 1.0 < p
 
 let shuffle t arr =

@@ -19,8 +19,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound)]. *)
 
-val bool : t -> bool
-
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
 

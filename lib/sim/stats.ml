@@ -73,8 +73,6 @@ let stddev s =
     sqrt (sq /. float_of_int (s.count - 1))
   end
 
-let name s = s.s_name
-
 type counter = { c_name : string; mutable v : int }
 
 let counter c_name = { c_name; v = 0 }

@@ -27,15 +27,11 @@ val min_v : series -> float
 val max_v : series -> float
 (** Largest sample; 0.0 on an empty series (never [neg_infinity]). *)
 
-val total : series -> float
-
 val percentile : series -> float -> float
 (** [percentile s p] with [p] in [0,100]; linear interpolation on the
     sorted samples.  0.0 on an empty series, like [mean]. *)
 
 val stddev : series -> float
-
-val name : series -> string
 
 type counter
 

@@ -12,4 +12,3 @@ let diff a b = a - b
 let to_ms_f t = float_of_int t /. 1e6
 let to_us_f t = float_of_int t /. 1e3
 let compare = Int.compare
-let pp fmt t = Format.fprintf fmt "%.3fms" (to_ms_f t)

@@ -46,6 +46,3 @@ val to_us_f : t -> float
 
 val compare : t -> t -> int
 (** Total order on instants. *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-print an instant as milliseconds with three decimals. *)

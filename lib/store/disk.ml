@@ -76,8 +76,10 @@ let append t ~bytes =
       t.at_tail <- true;
       pos)
 
-let ops t = Sim.Stats.value t.ops_c
-let ops_counter t = t.ops_c
-let bytes_counter t = t.bytes_c
-let busy_counter t = t.busy_us
-let queue_hist t = t.qdepth
+let metrics t =
+  [
+    ("disk/ops", Obs.Registry.Counter t.ops_c);
+    ("disk/bytes", Obs.Registry.Counter t.bytes_c);
+    ("disk/busy_us", Obs.Registry.Counter t.busy_us);
+    ("disk/queue_depth", Obs.Registry.Hist t.qdepth);
+  ]

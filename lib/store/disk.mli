@@ -22,8 +22,6 @@ type config = {
           is already parked at the log tail (no arm movement) *)
 }
 
-val default_config : config
-
 type t
 
 val create : ?config:config -> string -> t
@@ -42,21 +40,8 @@ val append : t -> bytes:int -> unit
     when the previous operation was also an append, plus the same
     size-proportional transfer as {!write}. *)
 
-val ops : t -> int
-(** Total operations performed. *)
-
-(** {1 Device metrics}
-
-    Live [Sim.Stats] handles for registry wiring (the store library
-    cannot depend on the observability layer; the data server wraps
-    these into its own registry entries). *)
-
-val ops_counter : t -> Sim.Stats.counter
-val bytes_counter : t -> Sim.Stats.counter
-
-val busy_counter : t -> Sim.Stats.counter
-(** Accumulated device busy time, in microseconds. *)
-
-val queue_hist : t -> Sim.Stats.hist
-(** Queue depth sampled at each request arrival (including the
-    arriving request and any in service). *)
+val metrics : t -> (string * Obs.Registry.metric) list
+(** [disk/ops] (operations performed), [disk/bytes], [disk/busy_us]
+    (accumulated device busy time, in microseconds) and
+    [disk/queue_depth] (queue depth sampled at each request arrival,
+    including the arriving request and any in service). *)

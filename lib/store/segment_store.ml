@@ -80,10 +80,6 @@ let clear_page t seg page =
 let page_lsn t seg page =
   match Hashtbl.find_opt t.lsns (seg, page) with Some l -> l | None -> 0
 
-let segments t =
-  Ra.Sysname.Table.fold (fun seg _ acc -> seg :: acc) t.sizes []
-  |> List.sort Ra.Sysname.compare
-
 let local_partition t =
   {
     Ra.Partition.name = t.label ^ "-local";

@@ -56,8 +56,6 @@ val clear_page : t -> Ra.Sysname.t -> int -> unit
 val page_lsn : t -> Ra.Sysname.t -> int -> int
 (** The page's tag; 0 for pages never written by the commit path. *)
 
-val segments : t -> Ra.Sysname.t list
-
 val local_partition : t -> Ra.Partition.t
 (** A partition serving this store directly (same-machine access on a
     data server): no network, no disk — the calibrated fault costs in

@@ -365,11 +365,11 @@ let recover t store ~applied =
 
 (* --- metrics --------------------------------------------------------- *)
 
-let flushes t = Sim.Stats.value t.flushes_c
-let checkpoints t = Sim.Stats.value t.checkpoints_c
-let truncated t = Sim.Stats.value t.truncated_c
-let records_counter t = t.appended_c
-let flushes_counter t = t.flushes_c
-let batch_hist t = t.batch_h
-let checkpoints_counter t = t.checkpoints_c
-let truncated_counter t = t.truncated_c
+let metrics t =
+  [
+    ("wal/records", Obs.Registry.Counter t.appended_c);
+    ("wal/flushes", Obs.Registry.Counter t.flushes_c);
+    ("wal/flush_batch", Obs.Registry.Hist t.batch_h);
+    ("wal/checkpoints", Obs.Registry.Counter t.checkpoints_c);
+    ("wal/truncated", Obs.Registry.Counter t.truncated_c);
+  ]

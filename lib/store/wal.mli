@@ -123,17 +123,6 @@ val recover :
 val truncate : t -> unit
 (** Discard the whole log unconditionally (tests). *)
 
-(** {1 Metrics} *)
-
-val flushes : t -> int
-val checkpoints : t -> int
-val truncated : t -> int
-
-val records_counter : t -> Sim.Stats.counter
-val flushes_counter : t -> Sim.Stats.counter
-
-val batch_hist : t -> Sim.Stats.hist
-(** Records per group flush. *)
-
-val checkpoints_counter : t -> Sim.Stats.counter
-val truncated_counter : t -> Sim.Stats.counter
+val metrics : t -> (string * Obs.Registry.metric) list
+(** [wal/records], [wal/flushes], [wal/flush_batch] (records per
+    group flush), [wal/checkpoints] and [wal/truncated]. *)

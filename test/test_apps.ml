@@ -7,6 +7,9 @@ open Clouds
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let atomicity mgr path =
+  Obs.Registry.count (Atomicity.Manager.metrics mgr) path
+
 type env = { sys : Clouds.system; mgr : Atomicity.Manager.t }
 
 let with_env ?(compute = 4) ?(data = 2) f =
@@ -165,7 +168,7 @@ let test_kv_durable_put () =
       Apps.Kv_store.put_durable env.sys.om kv "critical" (Value.Int 99);
       check_bool "readable" true
         (Apps.Kv_store.get env.sys.om kv "critical" = Some (Value.Int 99));
-      check_bool "committed" true (Atomicity.Manager.commits env.mgr >= 1))
+      check_bool "committed" true (atomicity env.mgr "atomicity/commits" >= 1))
 
 let test_kv_visible_across_nodes () =
   with_env (fun env ->
@@ -350,9 +353,10 @@ let test_lisp_errors () =
 let test_lisp_durable_eval () =
   with_env (fun env ->
       let l = Apps.Lisp_env.create env.sys.om in
-      let commits0 = Atomicity.Manager.commits env.mgr in
+      let commits0 = atomicity env.mgr "atomicity/commits" in
       ignore (Apps.Lisp_env.eval_durable env.sys.om l "(define vital 7)");
-      check_bool "committed" true (Atomicity.Manager.commits env.mgr > commits0);
+      check_bool "committed" true
+        (atomicity env.mgr "atomicity/commits" > commits0);
       Alcotest.(check string) "readable" "7"
         (Apps.Lisp_env.eval env.sys.om l "vital"))
 

@@ -8,6 +8,9 @@ open Clouds
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let atomicity mgr path =
+  Obs.Registry.count (Atomicity.Manager.metrics mgr) path
+
 (* A bank account: balance in the first persistent data word. *)
 let account =
   let get ctx = Memory.get_int ctx.Ctx.mem 0 in
@@ -138,7 +141,7 @@ let test_gcp_commit_is_durable () =
       check_int "reply" 100 (Value.to_int (direct env acct "deposit" (Value.Int 100)));
       (* committed state reached stable storage *)
       check_int "stored" 100 (stored_balance env acct);
-      check_int "one commit" 1 (Atomicity.Manager.commits env.mgr))
+      check_int "one commit" 1 (atomicity env.mgr "atomicity/commits"))
 
 (* The deadlock watchdog and the participants' presumed-abort timers
    only matter while the transaction is undecided: once it commits
@@ -149,7 +152,7 @@ let test_commit_leaves_no_watchdog () =
   with_env ~deadlock_timeout:(Time.sec 30) (fun env ->
       let acct = Object_manager.create_object env.sys.om ~class_name:"account" Value.Unit in
       ignore (direct env acct "deposit" (Value.Int 100));
-      check_int "one commit" 1 (Atomicity.Manager.commits env.mgr);
+      check_int "one commit" 1 (atomicity env.mgr "atomicity/commits");
       Sim.sleep (Time.sec 1);
       check_int "nothing pending after the commit" 0
         (Engine.pending (Sim.engine ())))
@@ -187,7 +190,8 @@ let test_user_exception_rolls_back () =
       check_int "rolled back" 10
         (Value.to_int (direct env acct "balance" Value.Unit));
       check_int "stored rolled back" 10 (stored_balance env acct);
-      check_bool "an abort happened" true (Atomicity.Manager.aborts env.mgr >= 1))
+      check_bool "an abort happened" true
+        (atomicity env.mgr "atomicity/aborts" >= 1))
 
 let test_multi_object_transfer_atomic () =
   with_env (fun env ->
@@ -248,7 +252,7 @@ let test_gcp_isolation_no_lost_updates () =
 let test_lcp_local_consistency () =
   with_env (fun env ->
       let acct = Object_manager.create_object env.sys.om ~class_name:"account" Value.Unit in
-      let rpcs_before = Atomicity.Manager.lock_rpcs env.mgr in
+      let rpcs_before = atomicity env.mgr "atomicity/lock_rpcs" in
       let n0 = env.sys.cluster.Cluster.compute_nodes.(0) in
       let node_addr = n0.Ra.Node.id in
       let threads =
@@ -260,7 +264,8 @@ let test_lcp_local_consistency () =
       check_int "serialized on the node" 5
         (Value.to_int (direct env ~node:n0 acct "balance" Value.Unit));
       (* lcp commits reached the store without any global lock rpcs *)
-      check_int "no lock rpcs" rpcs_before (Atomicity.Manager.lock_rpcs env.mgr);
+      check_int "no lock rpcs" rpcs_before
+        (atomicity env.mgr "atomicity/lock_rpcs");
       check_int "stored" 5 (stored_balance env acct))
 
 (* A local commit ships the bytes it wrote, not the page: on a warm
@@ -327,10 +332,13 @@ let test_recalled_frame_commits_final_bytes () =
         then env.sys.cluster.Cluster.compute_nodes.(1)
         else env.sys.cluster.Cluster.compute_nodes.(0)
       in
-      let downs = Dsm.Dsm_server.downgrades_sent server in
+      let downgrades () =
+        Obs.Registry.count (Dsm.Dsm_server.metrics server) "dsm/downgrades"
+      in
+      let downs = downgrades () in
       ignore (direct env ~node:other obj "peek" Value.Unit);
       check_bool "the read recalled the writer's frame" true
-        (Dsm.Dsm_server.downgrades_sent server > downs);
+        (downgrades () > downs);
       (match Thread.try_join th with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "scribble failed: %s" (Printexc.to_string e));
@@ -388,7 +396,7 @@ let test_deadlock_broken_and_retried () =
       check_int "b touched twice" 2
         (Value.to_int (direct env b "balance" Value.Unit));
       check_bool "the deadlock caused an abort+retry" true
-        (Atomicity.Manager.retries env.mgr >= 1))
+        (atomicity env.mgr "atomicity/retries" >= 1))
 
 let test_abort_thread_releases_locks () =
   with_env (fun env ->

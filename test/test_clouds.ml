@@ -320,15 +320,17 @@ let test_same_node_bypass () =
       let before_frames =
         Net.Ethernet.frames_sent sys.cluster.Cluster.ether
       in
-      let before_local = Object_manager.local_invocations sys.om in
+      let local_invokes () =
+        Obs.Registry.count (Object_manager.metrics sys.om) "om/local_invokes"
+      in
+      let before_local = local_invokes () in
       let v =
         Object_manager.invoke_remote sys.om ~from:n0 ~target:n0.Ra.Node.id
           ~thread_id:1 ~origin:None ~txn:None ~obj:rect ~entry:"area"
           Value.Unit
       in
       check_int "bypass result" 30 (Value.to_int v);
-      check_int "one bypass counted" (before_local + 1)
-        (Object_manager.local_invocations sys.om);
+      check_int "one bypass counted" (before_local + 1) (local_invokes ());
       check_int "no frames on the wire" before_frames
         (Net.Ethernet.frames_sent sys.cluster.Cluster.ether);
       (* failures keep remote semantics: Invoke_error, not raw raise *)

@@ -7,6 +7,8 @@ module P = Dsm.Protocol
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let dsm server path = Obs.Registry.count (Dsm.Dsm_server.metrics server) path
+
 (* Fast RaTP config so crash-timeout tests finish quickly. *)
 let fast_ratp =
   {
@@ -93,7 +95,7 @@ let test_write_then_remote_read () =
         (read cl.n2 vs ~addr:0 ~len:5);
       check_bool "ownership returned" true
         (Dsm.Dsm_server.owner_of cl.server seg 0 = None);
-      check_int "one downgrade" 1 (Dsm.Dsm_server.downgrades_sent cl.server))
+      check_int "one downgrade" 1 (dsm cl.server "dsm/downgrades"))
 
 let test_write_write_invalidation () =
   with_cluster (fun cl ->
@@ -106,7 +108,7 @@ let test_write_write_invalidation () =
       check_bool "c1 frame invalidated" true
         (Ra.Mmu.resident cl.n1.Ra.Node.mmu seg 0 = None);
       check_bool "c1 received invalidation" true
-        (Dsm.Dsm_client.invalidations_received cl.c1 >= 1);
+        (Obs.Registry.count (Dsm.Dsm_client.metrics cl.c1) "dsmc/invals" >= 1);
       (* c2's write copy carried c1's bytes: both writes visible *)
       Alcotest.(check string)
         "merged contents" "firstsecond"
@@ -215,9 +217,12 @@ let test_batched_flush () =
       for p = 0 to pages - 1 do
         write cl.n1 vs ~addr:(p * Ra.Page.size) (Printf.sprintf "page-%d" p)
       done;
-      let rpcs0 = Dsm.Dsm_client.put_rpcs cl.c1 in
+      let puts () =
+        Obs.Registry.count (Dsm.Dsm_client.metrics cl.c1) "dsmc/puts"
+      in
+      let rpcs0 = puts () in
       Dsm.Dsm_client.flush_segment cl.c1 seg;
-      check_int "one batched RPC" 1 (Dsm.Dsm_client.put_rpcs cl.c1 - rpcs0);
+      check_int "one batched RPC" 1 (puts () - rpcs0);
       check_bool "frames clean" true
         (Ra.Mmu.dirty_pages cl.n1.Ra.Node.mmu seg = []);
       Alcotest.(check (list string))
@@ -486,7 +491,7 @@ let test_two_phase_commit_applies () =
       (match Store.Segment_store.read_page (Dsm.Dsm_server.store cl.server) seg 0 with
       | Ra.Partition.Data d -> check_bool "applied" true (Bytes.get d 0 = 'c')
       | Ra.Partition.Zeroed -> Alcotest.fail "commit did not apply");
-      check_int "one commit" 1 (Dsm.Dsm_server.commits cl.server);
+      check_int "one commit" 1 (dsm cl.server "dsm/commits");
       (* WAL has prepare + commit *)
       check_bool "wal recorded" true
         (List.length (Store.Wal.records (Dsm.Dsm_server.wal cl.server)) >= 2))
@@ -505,7 +510,7 @@ let test_two_phase_abort_discards () =
       (match Store.Segment_store.read_page (Dsm.Dsm_server.store cl.server) seg 0 with
       | Ra.Partition.Zeroed -> ()
       | Ra.Partition.Data _ -> Alcotest.fail "abort leaked writes");
-      check_int "one abort" 1 (Dsm.Dsm_server.aborts cl.server))
+      check_int "one abort" 1 (dsm cl.server "dsm/aborts"))
 
 let test_prepare_unknown_segment_votes_no () =
   with_cluster (fun cl ->
@@ -533,7 +538,7 @@ let test_presumed_abort_times_out () =
          past the 60 s deadline the participant must self-abort and
          release the lock *)
       Sim.sleep (Time.sec 61);
-      check_int "aborted" 1 (Dsm.Dsm_server.aborts cl.server);
+      check_int "aborted" 1 (dsm cl.server "dsm/aborts");
       (match Store.Segment_store.read_page (Dsm.Dsm_server.store cl.server) seg 0 with
       | Ra.Partition.Zeroed -> ()
       | Ra.Partition.Data _ -> Alcotest.fail "leaked");
@@ -600,13 +605,13 @@ let test_recovery_waits_out_pending () =
       restart_and_recover cl;
       Sim.sleep (Time.sec 90);
       check_byte "still in doubt" None (first_byte cl.server seg);
-      check_int "nothing aborted" 0 (Dsm.Dsm_server.aborts cl.server);
+      check_int "nothing aborted" 0 (dsm cl.server "dsm/aborts");
       verdict := `Committed;
       Sim.sleep (Time.sec 40);
       check_byte "committed at the next deadline" (Some 'a')
         (first_byte cl.server seg);
-      check_int "commit counted" 1 (Dsm.Dsm_server.commits cl.server);
-      check_int "still nothing aborted" 0 (Dsm.Dsm_server.aborts cl.server))
+      check_int "commit counted" 1 (dsm cl.server "dsm/commits");
+      check_int "still nothing aborted" 0 (dsm cl.server "dsm/aborts"))
 
 (* The coordinator decided commit but its Commit never arrived: the
    presumed-abort timer asks before it aborts. *)
@@ -617,8 +622,8 @@ let test_timer_asks_oracle () =
       prepare_page cl (2, 21) seg 'b';
       Sim.sleep (Time.sec 61);
       check_byte "write applied" (Some 'b') (first_byte cl.server seg);
-      check_int "one commit" 1 (Dsm.Dsm_server.commits cl.server);
-      check_int "nothing aborted" 0 (Dsm.Dsm_server.aborts cl.server))
+      check_int "one commit" 1 (dsm cl.server "dsm/commits");
+      check_int "nothing aborted" 0 (dsm cl.server "dsm/aborts"))
 
 (* A commit the resolver decides, by timer or at recovery, reaches the
    segment's backup like a commit by message. *)
@@ -643,7 +648,7 @@ let test_resolved_commit_mirrored () =
       restart_and_recover cl;
       Sim.sleep (Time.sec 1);
       check_byte "recovery commit mirrored" (Some 'd') (first_byte backup seg2);
-      check_int "both counted" 2 (Dsm.Dsm_server.commits cl.server))
+      check_int "both counted" 2 (dsm cl.server "dsm/commits"))
 
 (* Under group commit the Commit applies its page before its record is
    durable; a crash in that window leaves the transaction undecided.
@@ -670,7 +675,7 @@ let test_unknown_at_recovery_logs_abort () =
         (List.exists
            (function Store.Wal.Aborted t -> t = t1 | _ -> false)
            (Store.Wal.records (Dsm.Dsm_server.wal cl.server)));
-      check_int "one abort" 1 (Dsm.Dsm_server.aborts cl.server);
+      check_int "one abort" 1 (dsm cl.server "dsm/aborts");
       check_byte "before-image stands" (Some 'o') (first_byte cl.server seg);
       match rpc cl cl.n2 (P.Lock_segment { seg; kind = P.W; txn = (3, 1) }) with
       | Ok P.Lock_granted -> ()
@@ -695,7 +700,7 @@ let test_prepared_settles_once () =
            (List.filter
               (function Store.Wal.Committed t -> t = t1 | _ -> false)
               (Store.Wal.records (Dsm.Dsm_server.wal cl.server))));
-      check_int "one commit" 1 (Dsm.Dsm_server.commits cl.server);
+      check_int "one commit" 1 (dsm cl.server "dsm/commits");
       check_byte "write applied" (Some 'e') (first_byte cl.server seg))
 
 (* A group-commit window armed before a crash fires on a dead server:
@@ -769,10 +774,12 @@ let fanout_scenario ?(seed = 42) ?(drop = 0.0) ?(reread = false) ~readers:k ()
       {
         fo_owner = Dsm.Dsm_server.owner_of server seg 0;
         fo_copyset = Dsm.Dsm_server.copyset_of server seg 0;
-        fo_invals = Dsm.Dsm_server.invalidations_sent server;
-        fo_downs = Dsm.Dsm_server.downgrades_sent server;
+        fo_invals = dsm server "dsm/invalidations";
+        fo_downs = dsm server "dsm/downgrades";
         fo_stale;
-        fo_retrans = Ratp.Endpoint.retransmissions nd.Ra.Node.endpoint;
+        fo_retrans =
+          Obs.Registry.count (Ratp.Endpoint.metrics nd.Ra.Node.endpoint)
+            "ratp/retrans";
         fo_end_ms = Sim.Time.to_ms_f (Sim.now ());
       })
 
@@ -869,17 +876,17 @@ let test_release_defers_and_batches () =
         put_word wn vs ~addr:(p * Ra.Page.size) (p + 1)
       done;
       check_int "no invalidations at fault time" 0
-        (Dsm.Dsm_server.invalidations_sent server);
+        (dsm server "dsm/invalidations");
       check_int "per-copy invalidations deferred" pages
-        (Dsm.Dsm_server.deferred_invals server);
+        (dsm server "dsm/mode/deferred_invals");
       check_int "no flush burst yet" 0
-        (Dsm.Dsm_server.release_flush_bursts server);
+        (dsm server "dsm/mode/release_flush_bursts");
       (* the scope ends: ONE batched invalidation RPC to the reader *)
       Dsm.Dsm_client.flush_segment wc seg;
       check_int "one flush burst" 1
-        (Dsm.Dsm_server.release_flush_bursts server);
+        (dsm server "dsm/mode/release_flush_bursts");
       check_int "one invalidation RPC for the whole scope" 1
-        (Dsm.Dsm_server.invalidations_sent server);
+        (dsm server "dsm/invalidations");
       (* release semantics: after the release, the reader sees every
          write of the scope *)
       for p = 0 to pages - 1 do
@@ -914,7 +921,7 @@ let test_release_cuts_invalidation_rpcs () =
           put_word wn vs ~addr:(p * Ra.Page.size) (p + 1)
         done;
         Dsm.Dsm_client.flush_segment wc seg;
-        Dsm.Dsm_server.invalidations_sent server)
+        dsm server "dsm/invalidations")
   in
   let one_copy = measure Ra.Partition.One_copy in
   let release = measure Ra.Partition.Release in
@@ -973,9 +980,9 @@ let test_commutative_converges_under_loss () =
       check_bool "loss actually happened" true (Net.Fault.drops fault > 0);
       (* no coherence traffic at all: the home never arbitrated *)
       check_int "no invalidations" 0
-        (Dsm.Dsm_server.invalidations_sent server);
-      check_int "no downgrades" 0 (Dsm.Dsm_server.downgrades_sent server);
-      check_int "two merges applied" 2 (Dsm.Dsm_server.merges_applied server);
+        (dsm server "dsm/invalidations");
+      check_int "no downgrades" 0 (dsm server "dsm/downgrades");
+      check_int "two merges applied" 2 (dsm server "dsm/mode/merges_applied");
       (* convergence: every replica reads the sum of both increment
          streams *)
       Ra.Mmu.drop_segment n1.Ra.Node.mmu seg;
@@ -1007,9 +1014,9 @@ let test_one_copy_same_seed_identical () =
           | Ra.Partition.Zeroed -> ""
         in
         ( image,
-          Dsm.Dsm_server.invalidations_sent server,
-          Dsm.Dsm_server.downgrades_sent server,
-          Dsm.Dsm_server.pages_served server,
+          dsm server "dsm/invalidations",
+          dsm server "dsm/downgrades",
+          dsm server "dsm/pages_served",
           Sim.Time.to_ms_f (Sim.now ()) ))
   in
   let i1, inv1, down1, served1, t1 = run () in
@@ -1036,7 +1043,7 @@ let test_dropped_copy_redundant_invalidation () =
          clean by c2 *)
       write cl.n1 vs ~addr:0 "x";
       check_int "one redundant invalidation" 1
-        (Dsm.Dsm_server.invalidations_sent cl.server);
+        (dsm cl.server "dsm/invalidations");
       Alcotest.(check string)
         "c2 re-read sees c1's bytes" "x"
         (read cl.n2 vs ~addr:0 ~len:1))

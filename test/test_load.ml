@@ -1,7 +1,7 @@
 (* Tests for the sharded name/placement service and the open-loop
    load harness: ring determinism and bounded key movement, shard
    routing equivalence with the centralized server, the ring rebuild
-   on a membership remap, hash-index rebind
+   on a membership remap, unbind across a remap, hash-index rebind
    semantics, load-harness determinism, the sharded-vs-central A/B,
    and the wall-clock budget the flattened engine is pinned to. *)
 
@@ -191,6 +191,49 @@ let test_remap_rebuilds_ring () =
             (Ns.lookup om name = Some (Ra.Sysname.well_known (i + 1))))
         nm)
 
+(* After a remap moves a name's owner, unbind also clears the shard
+   the previous ring assigned it: otherwise the lookup fallback would
+   still find the binding there. *)
+let test_unbind_after_remap () =
+  Sim.exec ~seed:23 (fun () ->
+      let eng = Sim.engine () in
+      let sys = Clouds.boot eng ~compute:2 ~data:4 ~workstations:0 () in
+      let cl = sys.Clouds.cluster in
+      let om = sys.Clouds.om in
+      let nm = names 16 in
+      List.iteri
+        (fun i name -> Ns.bind om ~name (Ra.Sysname.well_known (i + 1)))
+        nm;
+      let before = cl.Cl.ring in
+      let dead = cl.Cl.data_nodes.(3).Ra.Node.id in
+      Cl.remap_ring cl
+        { M.epoch = 1; members = [ { M.addr = dead; status = M.Dead } ] };
+      let name =
+        List.find
+          (fun n ->
+            Ring.owner_of_string before n <> Ring.owner_of_string cl.Cl.ring n)
+          nm
+      in
+      Ns.unbind om name;
+      check_bool "lookup misses" true (Ns.lookup om name = None);
+      let old_shard = Ring.owner_of_string before name in
+      let listed =
+        match
+          Clouds.Object_manager.invoke om ~node:cl.Cl.compute_nodes.(0)
+            ~thread_id:0 ~origin:None ~txn:None
+            ~obj:(Hashtbl.find cl.Cl.name_shards old_shard)
+            ~entry:"list" Clouds.Value.Unit
+        with
+        | Clouds.Value.List l -> l
+        | _ -> Alcotest.fail "list reply is not a list"
+      in
+      check_bool "old shard no longer holds it" false
+        (List.exists
+           (function
+             | Clouds.Value.Pair (Clouds.Value.Str n, _) -> n = name
+             | _ -> false)
+           listed))
+
 (* ------------------------------------------------------------------ *)
 (* Load harness *)
 
@@ -264,6 +307,8 @@ let () =
           Alcotest.test_case "rebind and unbind" `Quick test_rebind_unbind;
           Alcotest.test_case "remap rebuilds the ring" `Quick
             test_remap_rebuilds_ring;
+          Alcotest.test_case "unbind after a remap" `Quick
+            test_unbind_after_remap;
         ] );
       ( "harness",
         [

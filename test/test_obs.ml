@@ -268,6 +268,80 @@ let test_dsm_mode_metrics_exported () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "registry snapshot does not parse: %s" e
 
+(* [f ()] raises [Invalid_argument] and its message names [path]. *)
+let check_names_path what path f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception" what
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ " names " ^ path) true (contains msg path)
+
+let test_registry_lookup () =
+  let c = Sim.Stats.counter "hits" in
+  Sim.Stats.incr_by c 3;
+  let h = Sim.Stats.hist "lat" in
+  let ms =
+    [ ("cache/hits", Registry.Counter c); ("cache/lat", Registry.Hist h) ]
+  in
+  check_int "count reads the counter" 3 (Registry.count ms "cache/hits");
+  Alcotest.(check bool) "hist is the live handle" true
+    (Registry.hist ms "cache/lat" == h);
+  check_names_path "count of an absent path" "cache/misses" (fun () ->
+      Registry.count ms "cache/misses");
+  check_names_path "hist of an absent path" "cache/p99" (fun () ->
+      Registry.hist ms "cache/p99");
+  check_names_path "count of a histogram" "cache/lat" (fun () ->
+      Registry.count ms "cache/lat");
+  let r = Registry.create "node-0" in
+  Registry.register_all r ms;
+  check_names_path "a second registration" "cache/hits" (fun () ->
+      Registry.register r "cache/hits" (Registry.Counter c))
+
+(* Every registry a booted cluster exports holds each path once:
+   [register] refuses a path it already holds, so a collision between
+   two components' lists (the DSM server's own counters and its disk's
+   and log's) fails here instead of dropping a metric from every
+   export. *)
+let test_registry_paths_distinct () =
+  let json =
+    Sim.exec ~seed:3 (fun () ->
+        let eng = Sim.engine () in
+        let sys = Clouds.boot eng ~compute:2 ~data:2 ~workstations:0 () in
+        let mgr = Atomicity.Manager.install sys.Clouds.om () in
+        Registry.snapshot_json
+          (Clouds.Telemetry.registries ~om:sys.Clouds.om
+             ~extra:(Atomicity.Manager.metrics mgr)
+             sys.Clouds.cluster))
+  in
+  let regs =
+    match Export.parse json with
+    | Ok (Export.Arr regs) -> regs
+    | Ok _ -> Alcotest.fail "snapshot is not an array"
+    | Error e -> Alcotest.failf "snapshot does not parse: %s" e
+  in
+  check_int "cluster, data and compute registries" 5 (List.length regs);
+  let data_paths =
+    List.filter_map
+      (function
+        | Export.Obj fields -> (
+            match (List.assoc "node" fields, List.assoc "metrics" fields) with
+            | Export.Str node, Export.Obj ms
+              when String.starts_with ~prefix:"data-" node ->
+                Some (List.map fst ms)
+            | _ -> None)
+        | _ -> None)
+      regs
+  in
+  check_int "two data registries" 2 (List.length data_paths);
+  List.iter
+    (fun paths ->
+      List.iter
+        (fun path ->
+          Alcotest.(check bool) ("data node exports " ^ path) true
+            (List.mem path paths))
+        [ "dsm/commits"; "disk/ops"; "disk/queue_depth"; "wal/records";
+          "wal/flush_batch"; "ratp/retrans" ])
+    data_paths
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: traced load cells *)
 
@@ -370,6 +444,10 @@ let () =
           Alcotest.test_case "snapshot and totals" `Quick test_registry_snapshot;
           Alcotest.test_case "dsm mode counters exported" `Quick
             test_dsm_mode_metrics_exported;
+          Alcotest.test_case "lookup names an absent path" `Quick
+            test_registry_lookup;
+          Alcotest.test_case "paths are distinct" `Quick
+            test_registry_paths_distinct;
         ] );
       ( "end-to-end",
         [

@@ -8,6 +8,8 @@ open Ratp
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let ratp ep path = Obs.Registry.count (Endpoint.metrics ep) path
+
 let echo_service = 7
 
 type Packet.body += Echo of string | Blob of int
@@ -133,7 +135,7 @@ let test_loss_recovered () =
           | Error _ -> Alcotest.fail "gave up despite retries"
         done;
         Net.Fault.set_drop_probability (Net.Ethernet.fault ether) 0.0;
-        Endpoint.retransmissions a)
+        ratp a "ratp/retrans")
   in
   check_bool "some retransmissions happened" true (retrans > 0)
 
@@ -272,7 +274,7 @@ let test_selective_fragment_loss () =
           Endpoint.call a ~dst:2 ~service:echo_service ~size:4000 (Blob 16)
         in
         ( r,
-          Endpoint.retransmissions a,
+          ratp a "ratp/retrans",
           !count,
           Net.Fault.drops (Net.Ethernet.fault ether) ))
   in
@@ -306,7 +308,7 @@ let test_busy_does_not_burn_attempts () =
             Sim.sleep (Time.ms 200);
             (body, 8));
         let r = Endpoint.call a ~dst:2 ~service:echo_service ~size:8 (Echo "x") in
-        (r, Endpoint.retransmissions a, Endpoint.transactions a))
+        (r, ratp a "ratp/retrans", ratp a "ratp/transactions"))
   in
   (match reply with
   | Ok _ -> ()
@@ -352,7 +354,7 @@ let transfer_retrans_bytes ~selective =
       | Ok (Blob 65536) -> ()
       | Ok _ -> Alcotest.fail "corrupt echo"
       | Error _ -> Alcotest.fail "64K transfer gave up at 5% loss");
-      Endpoint.retransmitted_bytes a + Endpoint.retransmitted_bytes b)
+      ratp a "ratp/retrans_bytes" + ratp b "ratp/retrans_bytes")
 
 let test_selective_saves_bytes () =
   (* The PR's acceptance pin: at 5% loss a 64K transfer must resend
@@ -561,7 +563,7 @@ let test_selective_under_reorder_and_dup () =
           | Ok _ -> Alcotest.fail "corrupt reply under reorder+dup"
           | Error _ -> Alcotest.fail "call gave up under recoverable faults"
         done;
-        (!count, !oks, Endpoint.nacks_sent b))
+        (!count, !oks, ratp b "ratp/nacks"))
   in
   check_int "all calls completed" 10 oks;
   check_int "at-most-once held" 10 executions;
@@ -608,7 +610,7 @@ let test_learned_rto_and_karn () =
       check_bool "first transmission was dropped" true !dropped;
       Alcotest.(check (float 0.0))
         "Karn: no sample from a retransmitted transaction" settled (rto_of a);
-      check_bool "the retry was recorded" true (Endpoint.retransmissions a > 0))
+      check_bool "the retry was recorded" true (ratp a "ratp/retrans" > 0))
 
 let slow_service = 8
 
@@ -625,13 +627,13 @@ let test_busy_answer_gives_sample () =
       warm_up a ~calls:5 ~size:64;
       let fast = rto_of a in
       let slow_call () =
-        let before = Endpoint.retransmissions a in
+        let before = ratp a "ratp/retrans" in
         (match
            Endpoint.call a ~dst:2 ~service:slow_service ~size:8 (Echo "s")
          with
         | Ok _ -> ()
         | Error _ -> Alcotest.fail "slow handler should still reply");
-        Endpoint.retransmissions a - before
+        ratp a "ratp/retrans" - before
       in
       let first = slow_call () in
       check_bool "the first slow call was probed" true (first > 0);
@@ -665,7 +667,7 @@ let test_timer_starts_after_burst () =
         let reply =
           Endpoint.call a ~dst:2 ~service:sink_service ~size:65536 (Blob 65536)
         in
-        (Endpoint.nacks_sent b, Endpoint.retransmissions a, reply))
+        (ratp b "ratp/nacks", ratp a "ratp/retrans", reply))
   in
   (match reply with
   | Ok (Echo "ok") -> ()

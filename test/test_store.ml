@@ -63,7 +63,8 @@ let test_disk_append_tail () =
         (time (fun () -> Store.Disk.write d ~bytes:8192));
       check_int "append after write seeks" (Time.ms 12)
         (time (fun () -> Store.Disk.append d ~bytes:8192));
-      check_int "ops counted" 4 (Store.Disk.ops d))
+      check_int "ops counted" 4
+        (Obs.Registry.count (Store.Disk.metrics d) "disk/ops"))
 
 (* ------------------------------------------------------------------ *)
 (* Segment store *)
@@ -311,8 +312,10 @@ let test_wal_group_commit_batches () =
       done;
       (* four concurrent appends ride one group flush: a single disk
          positioning delay, all four records durable *)
-      check_int "one flush" 1 (Store.Wal.flushes wal);
-      check_int "one disk op" 1 (Store.Disk.ops disk);
+      check_int "one flush" 1
+        (Obs.Registry.count (Store.Wal.metrics wal) "wal/flushes");
+      check_int "one disk op" 1
+        (Obs.Registry.count (Store.Disk.metrics disk) "disk/ops");
       check_int "all durable" 4 (Store.Wal.flushed_lsn wal))
 
 let test_wal_undo_crash_window () =
