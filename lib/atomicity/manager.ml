@@ -35,6 +35,8 @@ type t = {
   outcomes : (P.txn_id, bool) Hashtbl.t;  (* true = committed *)
   by_pid : (int, state) Hashtbl.t;
   local_locks : (int, Dsm.Lock_table.t) Hashtbl.t;
+  write_intent : (int * Ra.Sysname.t, unit) Hashtbl.t;
+      (* (coordinating node id, seg) marks; see [ensure_lock] *)
   deadlock_timeout : Sim.Time.span;
   max_retries : int;
   code_segs : unit Ra.Sysname.Table.t;
@@ -43,6 +45,7 @@ type t = {
   abort_count : Sim.Stats.counter;
   retry_count : Sim.Stats.counter;
   lock_rpc_count : Sim.Stats.counter;
+  lock_upgrade_count : Sim.Stats.counter;
   commit_hist : Sim.Stats.hist;
 }
 
@@ -54,6 +57,7 @@ let metrics t =
     ("atomicity/aborts", Obs.Registry.Counter t.abort_count);
     ("atomicity/retries", Obs.Registry.Counter t.retry_count);
     ("atomicity/lock_rpcs", Obs.Registry.Counter t.lock_rpc_count);
+    ("atomicity/lock_upgrades", Obs.Registry.Counter t.lock_upgrade_count);
     ("atomicity/commit_ms", Obs.Registry.Hist t.commit_hist);
   ]
 
@@ -154,14 +158,9 @@ let spawn_rollback t st =
     (Sim.Engine.spawn t.cl.Cl.eng "deadlock-breaker" (fun () -> rollback t st))
 
 let held_kind st seg =
-  List.fold_left
-    (fun acc (s, k) ->
-      if Ra.Sysname.equal s seg then
-        match (acc, k) with
-        | Some P.W, _ | _, P.W -> Some P.W
-        | _, k -> Some k
-      else acc)
-    None st.locks
+  List.find_map
+    (fun (s, k) -> if Ra.Sysname.equal s seg then Some k else None)
+    st.locks
 
 let note_lock st seg kind =
   st.locks <- (seg, kind) :: List.filter (fun (s, _) -> not (Ra.Sysname.equal s seg)) st.locks
@@ -218,12 +217,31 @@ let acquire_local t st node seg kind =
       note_lock st seg kind
   | `Cancelled -> raise Txn_abort_signal
 
+(* Write intent: a global read-then-upgrade costs two serial lock
+   round trips, and two transactions that both hold R and both wait
+   for W deadlock until a watchdog fires.  So an upgrade marks the
+   segment on the coordinating node, and that node's later global
+   transactions take W on their first touch, read or write.  A
+   transaction that then commits without writing the segment clears
+   the mark; an abort leaves it.  Local locks need no mark: an lcp
+   upgrade is a node-local table call with no message. *)
+let intent_key st seg = (st.coord.Ra.Node.id, seg)
+
 let ensure_lock t st node seg kind =
   let needed =
     match (held_kind st seg, kind) with
     | Some P.W, _ -> None
     | Some P.R, P.R -> None
-    | Some P.R, P.W -> Some P.W
+    | Some P.R, P.W ->
+        if st.scope = Global then begin
+          Hashtbl.replace t.write_intent (intent_key st seg) ();
+          Sim.Stats.incr t.lock_upgrade_count
+        end;
+        Some P.W
+    | None, P.R
+      when st.scope = Global && Hashtbl.mem t.write_intent (intent_key st seg)
+      ->
+        Some P.W
     | None, k -> Some k
   in
   match needed with
@@ -362,6 +380,12 @@ let commit t st =
                   (fun home -> (home, P.Commit { txn = st.txn }))
                   involved)));
       flush_merges t st;
+      List.iter
+        (fun (seg, kind) ->
+          if
+            kind = P.W && not (List.exists (Ra.Sysname.equal seg) st.write_segs)
+          then Hashtbl.remove t.write_intent (intent_key st seg))
+        st.locks;
       st.status <- Finished;
       Sim.Stats.hadd_span t.commit_hist
         (Sim.Time.diff (Sim.now ()) commit_start);
@@ -494,6 +518,7 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
       outcomes = Hashtbl.create 64;
       by_pid = Hashtbl.create 32;
       local_locks = Hashtbl.create 8;
+      write_intent = Hashtbl.create 64;
       deadlock_timeout;
       max_retries;
       code_segs = Ra.Sysname.Table.create 16;
@@ -502,6 +527,7 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
       abort_count = Sim.Stats.counter "atomicity.aborts";
       retry_count = Sim.Stats.counter "atomicity.retries";
       lock_rpc_count = Sim.Stats.counter "atomicity.lock_rpcs";
+      lock_upgrade_count = Sim.Stats.counter "atomicity.lock_upgrades";
       commit_hist = Sim.Stats.hist "atomicity.commit_ms";
     }
   in

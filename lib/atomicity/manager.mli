@@ -10,6 +10,11 @@
       segment it {e updates} is write-locked, automatically, at
       access time — [Gcp] locks live at the data servers (visible
       cluster-wide), [Lcp] locks are per-node;
+    - once a [Gcp] transaction has upgraded a segment from read to
+      write, later [Gcp] transactions begun on the same compute server
+      write-lock it on first touch, so a read-modify-write pays one
+      lock round trip instead of two; committing without writing the
+      segment drops that intent;
     - updates stay in local page frames until commit;
     - on return, [Gcp] transactions run two-phase commit across the
       involved data servers (write-ahead logged, presumed abort)
@@ -60,8 +65,9 @@ val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["atomicity/"] paths, for an
     {!Obs.Registry}: ["atomicity/commits"], ["atomicity/aborts"],
     ["atomicity/retries"], ["atomicity/lock_rpcs"] (lock requests sent
-    to data servers by global transactions) and
-    ["atomicity/commit_ms"].  ["atomicity/commit_ms"] is the commit-phase
+    to data servers by global transactions),
+    ["atomicity/lock_upgrades"] (those of them that upgrade a held R
+    to W) and ["atomicity/commit_ms"].  ["atomicity/commit_ms"] is the commit-phase
     latency (ms) of successful transactions, measured from the start
     of [commit] (prepare fan-out) to the client ack — under group
     commit the ack rides a batched log flush, so this is where the

@@ -52,6 +52,8 @@ type point = {
   wal_records : int;  (** log records written, all servers *)
   wal_flushes : int;  (** group flushes (0 with the daemon off) *)
   mean_batch : float;  (** records per group flush *)
+  lock_rpcs_per_txn : float;  (** global lock requests per commit *)
+  lock_upgrades_per_txn : float;  (** of which R-to-W upgrades *)
   sim_ms : float;
   wall_s : float;
 }
@@ -133,7 +135,7 @@ let batcher_cls =
 
 let run_cell ?(seed = 42) (c : cell) =
   let wall0 = Unix.gettimeofday () in
-  let lat, retries, sim_ms, wal_records, wal_flushes, mean_batch =
+  let lat, retries, sim_ms, wal_records, wal_flushes, mean_batch, locks =
     Sim.exec ~seed (fun () ->
         let eng = Sim.engine () in
         let sys =
@@ -144,7 +146,11 @@ let run_cell ?(seed = 42) (c : cell) =
         in
         let cl = sys.Clouds.cluster in
         let om = sys.Clouds.om in
-        let (_ : Atomicity.Manager.t) = Atomicity.Manager.install om () in
+        let mgr = Atomicity.Manager.install om () in
+        let lock_counts () =
+          let count = Obs.Registry.count (Atomicity.Manager.metrics mgr) in
+          (count "atomicity/lock_rpcs", count "atomicity/lock_upgrades")
+        in
         Apps.Bank.register om;
         Cl.register_class cl batcher_cls;
         let ncomp = Array.length cl.Cl.compute_nodes in
@@ -168,6 +174,7 @@ let run_cell ?(seed = 42) (c : cell) =
         let warmed = ref 0 in
         let finished = ref 0 in
         let go_ivar = Sim.Ivar.create () in
+        let locks_at_go = ref (0, 0) in
         let done_ivar = Sim.Ivar.create () in
         Array.iteri
           (fun i (node, batcher, arg) ->
@@ -190,8 +197,10 @@ let run_cell ?(seed = 42) (c : cell) =
                    Sim.sleep (Sim.Time.us (i * 3100));
                    txn ();
                    incr warmed;
-                   if !warmed = c.clients then
-                     Sim.Ivar.fill go_ivar (Sim.now ());
+                   if !warmed = c.clients then begin
+                     locks_at_go := lock_counts ();
+                     Sim.Ivar.fill go_ivar (Sim.now ())
+                   end;
                    let t_start = Sim.Ivar.read go_ivar in
                    for _ = 1 to c.txns_per_client do
                      let t0 = Sim.now () in
@@ -224,9 +233,14 @@ let run_cell ?(seed = 42) (c : cell) =
         let mean_batch =
           if flushes = 0 then 0.0 else batched /. float_of_int flushes
         in
-        (lat, !retries, sim_ms, records, flushes, mean_batch))
+        let locks =
+          let rpcs, upgrades = lock_counts () in
+          (rpcs - fst !locks_at_go, upgrades - snd !locks_at_go)
+        in
+        (lat, !retries, sim_ms, records, flushes, mean_batch, locks))
   in
   let wall_s = Unix.gettimeofday () -. wall0 in
+  let per_txn n = float_of_int n /. float_of_int (Sim.Stats.hist_n lat) in
   {
     cell = c;
     committed = Sim.Stats.hist_n lat;
@@ -239,6 +253,8 @@ let run_cell ?(seed = 42) (c : cell) =
     wal_records;
     wal_flushes;
     mean_batch;
+    lock_rpcs_per_txn = per_txn (fst locks);
+    lock_upgrades_per_txn = per_txn (snd locks);
     sim_ms;
     wall_s;
   }
@@ -394,13 +410,15 @@ let run_crash ?(seed = 42) () =
 let summary p =
   Printf.sprintf
     "%s clients=%d fp=%d %s: %d commits p50=%.2fms p95=%.2fms mean=%.2fms \
-     tput=%.0f/s recs=%d flushes=%d batch=%.1f sim=%.0fms wall=%.2fs retry=%d"
+     tput=%.0f/s recs=%d flushes=%d batch=%.1f locks=%.2f/txn \
+     upgrades=%.2f/txn sim=%.0fms wall=%.2fs retry=%d"
     p.cell.label p.cell.clients p.cell.footprint
     (match p.cell.window with
     | None -> "force-each"
     | Some w -> Printf.sprintf "window=%.1fms" (Sim.Time.to_ms_f w))
     p.committed p.p50_ms p.p95_ms p.mean_ms p.throughput p.wal_records
-    p.wal_flushes p.mean_batch p.sim_ms p.wall_s p.retries
+    p.wal_flushes p.mean_batch p.lock_rpcs_per_txn p.lock_upgrades_per_txn
+    p.sim_ms p.wall_s p.retries
 
 let report points =
   Report.table
@@ -417,13 +435,15 @@ let report points =
            note =
              Printf.sprintf
                "%d clients x %d accts, %s: %d commits, %d log recs, %d \
-                flushes (%.1f recs/flush)"
+                flushes (%.1f recs/flush), %.2f lock rpcs/txn (%.2f \
+                upgrades)"
                p.cell.clients p.cell.footprint
                (match p.cell.window with
                | None -> "force each record"
                | Some w ->
                    Printf.sprintf "%.0f ms window" (Sim.Time.to_ms_f w))
-               p.committed p.wal_records p.wal_flushes p.mean_batch;
+               p.committed p.wal_records p.wal_flushes p.mean_batch
+               p.lock_rpcs_per_txn p.lock_upgrades_per_txn;
          })
        points)
 
@@ -462,7 +482,10 @@ let to_json points (o : crash_outcome) =
         ("p50_ms", Num p.p50_ms); ("p95_ms", Num p.p95_ms);
         ("mean_ms", Num p.mean_ms); ("throughput", Num p.throughput);
         ("wal_records", int p.wal_records); ("wal_flushes", int p.wal_flushes);
-        ("mean_batch", Num p.mean_batch); ("sim_ms", Num p.sim_ms);
+        ("mean_batch", Num p.mean_batch);
+        ("lock_rpcs_per_txn", Num p.lock_rpcs_per_txn);
+        ("lock_upgrades_per_txn", Num p.lock_upgrades_per_txn);
+        ("sim_ms", Num p.sim_ms);
       ]
   in
   Obj

@@ -5,6 +5,7 @@ type mode_point = {
   mean_ms : float;
   throughput_per_s : float;
   lock_rpcs : int;
+  lock_upgrades : int;
 }
 
 type span_point = {
@@ -34,8 +35,7 @@ let batcher_cls =
           V.Unit);
     ]
 
-let lock_rpcs mgr =
-  Obs.Registry.count (Atomicity.Manager.metrics mgr) "atomicity/lock_rpcs"
+let count mgr path = Obs.Registry.count (Atomicity.Manager.metrics mgr) path
 
 let run ?(samples = 30) () =
   Sim.exec (fun () ->
@@ -70,7 +70,8 @@ let run ?(samples = 30) () =
             ignore
               (Clouds.Object_manager.invoke sys.Clouds.om ~node ~thread_id:0
                  ~origin:None ~txn:None ~obj:acct ~entry:"balance" V.Unit);
-            let rpcs0 = lock_rpcs mgr in
+            let rpcs0 = count mgr "atomicity/lock_rpcs" in
+            let upgrades0 = count mgr "atomicity/lock_upgrades" in
             let stats = Sim.Stats.series mode in
             for _ = 1 to samples do
               Sim.Stats.add stats (time deposit)
@@ -80,7 +81,8 @@ let run ?(samples = 30) () =
               mode;
               mean_ms;
               throughput_per_s = 1000.0 /. mean_ms;
-              lock_rpcs = lock_rpcs mgr - rpcs0;
+              lock_rpcs = count mgr "atomicity/lock_rpcs" - rpcs0;
+              lock_upgrades = count mgr "atomicity/lock_upgrades" - upgrades0;
             })
           [
             ("s-thread", Clouds.Obj_class.S);
@@ -128,6 +130,7 @@ let run ?(samples = 30) () =
       { modes; spans; samples })
 
 let report r =
+  let per_txn n = float_of_int n /. float_of_int r.samples in
   Report.table ~title:"F2a: consistency labels on one update (section 5.2.1)"
     (List.map
        (fun m ->
@@ -136,8 +139,10 @@ let report r =
            paper = "-";
            measured = Report.ms m.mean_ms;
            note =
-             Printf.sprintf "%.0f updates/s | %d lock rpcs" m.throughput_per_s
-               m.lock_rpcs;
+             Printf.sprintf
+               "%.0f updates/s | %.1f lock rpcs/txn, %.1f upgrades/txn"
+               m.throughput_per_s (per_txn m.lock_rpcs)
+               (per_txn m.lock_upgrades);
          })
        r.modes)
   ^ "\n"
@@ -164,6 +169,7 @@ let to_json (r : result) =
         ("mode", Str m.mode); ("mean_ms", Num m.mean_ms);
         ("throughput_per_s", Num m.throughput_per_s);
         ("lock_rpcs", int m.lock_rpcs);
+        ("lock_upgrades", int m.lock_upgrades);
       ]
   in
   let span (s : span_point) =

@@ -12,6 +12,7 @@ type mode_point = {
   mean_ms : float;  (** latency of one deposit *)
   throughput_per_s : float;
   lock_rpcs : int;  (** global lock traffic caused *)
+  lock_upgrades : int;  (** of which R-to-W upgrades *)
 }
 
 type span_point = {

@@ -28,6 +28,10 @@ let account =
       Obj_class.entry ~label:Obj_class.S "deposit_s" deposit;
       Obj_class.entry ~label:Obj_class.Gcp "balance_gcp" (fun ctx _ ->
           Value.Int (get ctx));
+      Obj_class.entry ~label:Obj_class.Gcp "balance_slow" (fun ctx _ ->
+          let v = get ctx in
+          Sim.sleep (Time.ms 500);
+          Value.Int v);
       Obj_class.entry ~label:Obj_class.S "balance" (fun ctx _ ->
           Value.Int (get ctx));
       Obj_class.entry ~label:Obj_class.Gcp "deposit_then_fail" (fun ctx arg ->
@@ -83,6 +87,9 @@ type env = {
   sys : Clouds.system;
   mgr : Atomicity.Manager.t;
 }
+
+let lock_rpcs env = atomicity env.mgr "atomicity/lock_rpcs"
+let lock_upgrades env = atomicity env.mgr "atomicity/lock_upgrades"
 
 (* Fast transport so crash-related timeouts stay small. *)
 let fast_ratp =
@@ -141,7 +148,21 @@ let test_gcp_commit_is_durable () =
       check_int "reply" 100 (Value.to_int (direct env acct "deposit" (Value.Int 100)));
       (* committed state reached stable storage *)
       check_int "stored" 100 (stored_balance env acct);
-      check_int "one commit" 1 (atomicity env.mgr "atomicity/commits"))
+      check_int "one commit" 1 (atomicity env.mgr "atomicity/commits");
+      (* the deposit read, then upgraded: R and W, two lock requests *)
+      check_int "R then W" 2 (lock_rpcs env);
+      check_int "one upgrade" 1 (lock_upgrades env);
+      (* the upgrade marked the segment on node 0 only: node 1's first
+         deposit still pays R then W *)
+      let n0 = env.sys.cluster.Cluster.compute_nodes.(0) in
+      let n1 = env.sys.cluster.Cluster.compute_nodes.(1) in
+      ignore (direct env ~node:n1 acct "deposit" (Value.Int 1));
+      check_int "node 1 pays R then W" 4 (lock_rpcs env);
+      check_int "node 1 upgrades" 2 (lock_upgrades env);
+      ignore (direct env ~node:n0 acct "deposit" (Value.Int 1));
+      check_int "node 0 takes W at once" 5 (lock_rpcs env);
+      check_int "no third upgrade" 2 (lock_upgrades env);
+      check_int "stored after three" 102 (stored_balance env acct))
 
 (* The deadlock watchdog and the participants' presumed-abort timers
    only matter while the transaction is undecided: once it commits
@@ -191,7 +212,14 @@ let test_user_exception_rolls_back () =
         (Value.to_int (direct env acct "balance" Value.Unit));
       check_int "stored rolled back" 10 (stored_balance env acct);
       check_bool "an abort happened" true
-        (atomicity env.mgr "atomicity/aborts" >= 1))
+        (atomicity env.mgr "atomicity/aborts" >= 1);
+      (* the first deposit's upgrade marked the segment, so the failed
+         one took W at once; its abort left the mark, so the next
+         deposit takes W at once too *)
+      check_int "R, W, then W" 3 (lock_rpcs env);
+      ignore (direct env acct "deposit" (Value.Int 1));
+      check_int "W at once after the abort" 4 (lock_rpcs env);
+      check_int "only the first deposit upgraded" 1 (lock_upgrades env))
 
 let test_multi_object_transfer_atomic () =
   with_env (fun env ->
@@ -297,7 +325,31 @@ let test_read_only_gcp_releases_locks () =
         (Value.to_int (direct env acct "balance_gcp" Value.Unit));
       (* if the read locks leaked, this write transaction would abort *)
       check_int "write after read-only txn" 5
-        (Value.to_int (direct env acct "deposit" (Value.Int 5))))
+        (Value.to_int (direct env acct "deposit" (Value.Int 5)));
+      (* the deposit upgraded, marking the segment on node 0: the next
+         read-only transaction there takes W, and since it wrote
+         nothing its commit clears the mark *)
+      let rpcs = lock_rpcs env in
+      check_int "read under the mark" 5
+        (Value.to_int (direct env acct "balance_gcp" Value.Unit));
+      check_int "one lock request" (rpcs + 1) (lock_rpcs env);
+      check_int "no upgrade" 1 (lock_upgrades env);
+      (* so the one after asks for R again: it shares the segment with
+         a reader on node 1 instead of waiting for it *)
+      let n1 = env.sys.cluster.Cluster.compute_nodes.(1) in
+      let reader =
+        Thread.start env.sys.om ~on:n1.Ra.Node.id ~obj:acct
+          ~entry:"balance_slow" Value.Unit
+      in
+      Sim.sleep (Time.ms 100);
+      let retries = atomicity env.mgr "atomicity/retries" in
+      let t0 = Sim.now () in
+      check_int "read beside a reader" 5
+        (Value.to_int (direct env acct "balance_gcp" Value.Unit));
+      check_bool "did not wait for the other reader" true
+        (Time.diff (Sim.now ()) t0 < Time.ms 200);
+      check_int "no retry" retries (atomicity env.mgr "atomicity/retries");
+      ignore (Thread.join reader))
 
 (* A transaction's dirty frame is recalled mid-transaction (an
    s-thread on another machine reads the page, so the home downgrades
@@ -397,6 +449,39 @@ let test_deadlock_broken_and_retried () =
         (Value.to_int (direct env b "balance" Value.Unit));
       check_bool "the deadlock caused an abort+retry" true
         (atomicity env.mgr "atomicity/retries" >= 1))
+
+(* Concurrent read-modify-writes of one account from two compute
+   servers.  Taking R on the read and upgrading to W on the write, two
+   deposits can both hold R and both wait for W: a conversion deadlock
+   that only the watchdog breaks, by aborting one of them.  After one
+   committed deposit per node, each node's deposits take W on first
+   touch, so they queue at the home instead. *)
+let test_no_conversion_deadlock () =
+  with_env (fun env ->
+      let acct = Object_manager.create_object env.sys.om ~class_name:"account" Value.Unit in
+      let nodes = env.sys.cluster.Cluster.compute_nodes in
+      Array.iter
+        (fun node -> ignore (direct env ~node acct "deposit" (Value.Int 1)))
+        nodes;
+      let retries = atomicity env.mgr "atomicity/retries" in
+      let threads =
+        List.init 5 (fun i ->
+            Thread.start env.sys.om
+              ~on:nodes.(i mod Array.length nodes).Ra.Node.id
+              ~obj:acct ~entry:"deposit" (Value.Int 1))
+      in
+      List.iter
+        (fun th ->
+          match Thread.try_join th with
+          | Ok _ -> ()
+          | Error e ->
+              Alcotest.failf "deposit thread failed: %s" (Printexc.to_string e))
+        threads;
+      check_int "no deadlock retries" retries
+        (atomicity env.mgr "atomicity/retries");
+      check_int "every deposit counted" 7
+        (Value.to_int (direct env acct "balance" Value.Unit));
+      check_int "stored" 7 (stored_balance env acct))
 
 let test_abort_thread_releases_locks () =
   with_env (fun env ->
@@ -640,6 +725,8 @@ let () =
         [
           Alcotest.test_case "deadlock broken and retried" `Quick
             test_deadlock_broken_and_retried;
+          Alcotest.test_case "no conversion deadlock" `Quick
+            test_no_conversion_deadlock;
           Alcotest.test_case "abort_thread releases locks" `Quick
             test_abort_thread_releases_locks;
           Alcotest.test_case "s-threads bypass locks" `Quick
