@@ -13,13 +13,56 @@ check:
 	dune build
 	dune runtest
 
-# The three figures a simplicity change reports: library lines
-# (.ml + .mli), top-level vals exported from the .mli files, and the
-# optional arguments those files declare.
+# Collect every record field the .mli files export (inline records of
+# constructors included) into fmod/fname/fmut/fown[1..nfld]: module,
+# name, 1 if mutable, and the module's own .ml.  Comments are skipped;
+# a record body is read from its `{` to the matching `}` and split on
+# `;`, and each piece's leading `[mutable] name :` is the field.
+# Shared by `size` and `unused`.
+define FIELDS_AWK
+function scan_fields(line,   n, i, c, c2) {
+  if (FNR == 1) {
+    fm = FILENAME; sub(/.*\//, "", fm); sub(/\.mli$$/, "", fm)
+    fm = toupper(substr(fm, 1, 1)) substr(fm, 2); cdepth = 0; rdepth = 0
+  }
+  n = length(line)
+  for (i = 1; i <= n; i++) {
+    c2 = substr(line, i, 2); c = substr(line, i, 1)
+    if (c2 == "(*") { cdepth++; i++ }
+    else if (cdepth > 0 && c2 == "*)") { cdepth--; i++ }
+    else if (cdepth > 0) continue
+    else if (c == "{") { if (rdepth++ == 0) body = "" }
+    else if (c == "}") { if (--rdepth == 0) fields_of(body, fm) }
+    else if (rdepth > 0) body = body c
+  }
+  if (rdepth > 0) body = body " "
+}
+function fields_of(body, m,   k, i, parts, d, mut) {
+  k = split(body, parts, ";")
+  for (i = 1; i <= k; i++) {
+    d = parts[i]; sub(/^[ \t]+/, "", d)
+    if (match(d, /^(mutable +)?[a-z_][A-Za-z0-9_']* *:/)) {
+      d = substr(d, 1, RLENGTH); sub(/ *:$$/, "", d)
+      mut = sub(/^mutable +/, "", d)
+      nfld++; fmod[nfld] = m; fname[nfld] = d; fmut[nfld] = mut
+      fown[nfld] = FILENAME; sub(/i$$/, "", fown[nfld])
+    }
+  }
+}
+FILENAME ~ /\.mli$$/ { scan_fields($$0) }
+endef
+export FIELDS_AWK
+
+# The figures a simplicity change reports: library lines (.ml +
+# .mli), top-level vals exported from the .mli files, the optional
+# arguments those files declare, and the record fields they export
+# (the mutable ones counted again on their own).
 size:
 	@printf 'lib lines (.ml + .mli): %s\n' "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 	@printf 'lib exported vals:      %s\n' "$$(cat lib/*/*.mli | grep -c '^val ')"
 	@printf 'lib optional args:      %s\n' "$$(cat lib/*/*.mli | grep -o '?[a-z_]*:' | wc -l)"
+	@awk "$$FIELDS_AWK"' END { for (i = 1; i <= nfld; i++) m += fmut[i]; \
+	  printf "lib exported fields:    %d\nlib mutable fields:     %d\n", nfld, m }' lib/*/*.mli
 
 # Every `val` in lib/*/*.mli that no .ml under lib, bench, bin, test
 # or examples other than the module's own uses: an export nobody else
@@ -29,7 +72,11 @@ size:
 # uses through `include`, functors or a chain of aliases, and a
 # `module A =` split over two lines.  A mention in a comment or string,
 # or a record field written `Mod.v`, counts as a use, so such a dead
-# val goes unlisted.  One awk pass over every file.  Print-only.
+# val goes unlisted.  Then every exported record field (FIELDS_AWK)
+# whose name is not a word of any .ml but its module's own, printed
+# as `Mod.field (field)`: a lower bound, since a field called `seq`
+# is "named" by any file that says seq.  One awk pass over every
+# file.  Print-only.
 define UNUSED_AWK
 # .mli files first: every "val v" of module M, in file order.
 FNR == 1 {
@@ -84,12 +131,18 @@ END {
     }
     if (!hit) print m "." v
   }
+  for (i = 1; i <= nfld; i++) {
+    hit = 0
+    for (j = 1; j <= nf && !hit; j++)
+      if (files[j] != fown[i] && word[files[j], fname[i]]) hit = 1
+    if (!hit) print fmod[i] "." fname[i] " (field)"
+  }
 }
 endef
 export UNUSED_AWK
 
 unused:
-	@awk "$$UNUSED_AWK" lib/*/*.mli $$(find lib bench bin test examples -name '*.ml')
+	@awk "$$FIELDS_AWK$$UNUSED_AWK" lib/*/*.mli $$(find lib bench bin test examples -name '*.ml')
 
 faults:
 	dune exec bin/experiments_main.exe -- faults

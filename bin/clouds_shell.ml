@@ -108,12 +108,13 @@ let exec_command sh line =
           print_endline
             "commands: classes create invoke lisp lookup unbind names objects nodes time tick crash restart echo"
       | "classes", _ ->
-          Hashtbl.iter
-            (fun name (cls : Obj_class.t) ->
-              Printf.printf "  %-12s %d entries, %d data pages\n" name
+          List.iter
+            (fun (cls : Obj_class.t) ->
+              Printf.printf "  %-12s %d entries, %d data pages\n"
+                cls.Obj_class.c_name
                 (List.length cls.Obj_class.entries)
                 cls.Obj_class.data_pages)
-            sh.sys.cluster.Cluster.classes
+            (Cluster.classes sh.sys.cluster)
       | "create", cls :: name :: arg ->
           let obj =
             Object_manager.create_object sh.sys.om ~class_name:cls

@@ -39,8 +39,6 @@ type t = {
       (* (coordinating node id, seg) marks; see [ensure_lock] *)
   deadlock_timeout : Sim.Time.span;
   max_retries : int;
-  code_segs : unit Ra.Sysname.Table.t;
-  mutable code_segs_seen : int;
   commit_count : Sim.Stats.counter;
   abort_count : Sim.Stats.counter;
   retry_count : Sim.Stats.counter;
@@ -68,18 +66,6 @@ let local_table t node_id =
       let tbl = Dsm.Lock_table.create () in
       Hashtbl.replace t.local_locks node_id tbl;
       tbl
-
-(* Class code segments are read-only and shared; locking them would
-   serialize unrelated transactions for no benefit. *)
-let is_code t seg =
-  if Hashtbl.length t.cl.Cl.class_code <> t.code_segs_seen then begin
-    Ra.Sysname.Table.reset t.code_segs;
-    Hashtbl.iter
-      (fun _ s -> Ra.Sysname.Table.replace t.code_segs s ())
-      t.cl.Cl.class_code;
-    t.code_segs_seen <- Hashtbl.length t.cl.Cl.class_code
-  end;
-  Ra.Sysname.Table.mem t.code_segs seg
 
 (* One RPC per participant, all in flight at once: 2PC needs every
    participant's answer but no ordering between participants, so each
@@ -113,7 +99,7 @@ let send_abort_everywhere t st =
       (st.lock_servers
       @ List.filter_map
           (fun seg ->
-            match Cl.locate_segment t.cl seg with
+            match Clouds.Placement.locate t.cl.Cl.placement seg with
             | home -> Some home
             | exception Ra.Partition.No_segment _ -> None)
           st.write_segs)
@@ -187,7 +173,7 @@ let arm_watchdog t st =
       end)
 
 let acquire_global t st node seg kind =
-  let home = Cl.locate_segment t.cl seg in
+  let home = Clouds.Placement.locate t.cl.Cl.placement seg in
   if not (List.mem home st.lock_servers) then
     st.lock_servers <- home :: st.lock_servers;
   Sim.Stats.incr t.lock_rpc_count;
@@ -258,9 +244,11 @@ let hook t node seg _page mode =
   | None -> ()
   | Some st ->
       if st.status <> Active then raise Txn_abort_signal;
-      if Cl.is_volatile t.cl node seg || is_code t seg then ()
+      (* class code is read-only and shared: locking it would
+         serialize unrelated transactions for no benefit *)
+      if Cl.is_volatile t.cl node seg || Cl.is_code_segment t.cl seg then ()
       else begin
-        match Cl.consistency_of t.cl seg with
+        match Clouds.Placement.mode t.cl.Cl.placement seg with
         | Ra.Partition.Commutative _ ->
             (* arbitration-free: no locks, no 2PC write set; the
                deltas merge at the home when the transaction commits
@@ -299,7 +287,7 @@ let collect_writes t st =
         (fun seg ->
           let dirty = Ra.Mmu.dirty_spans node.Ra.Node.mmu seg in
           if dirty <> [] then begin
-            let home = Cl.locate_segment t.cl seg in
+            let home = Clouds.Placement.locate t.cl.Cl.placement seg in
             let cell =
               match Hashtbl.find_opt by_home home with
               | Some c -> c
@@ -521,8 +509,6 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
       write_intent = Hashtbl.create 64;
       deadlock_timeout;
       max_retries;
-      code_segs = Ra.Sysname.Table.create 16;
-      code_segs_seen = -1;
       commit_count = Sim.Stats.counter "atomicity.commits";
       abort_count = Sim.Stats.counter "atomicity.aborts";
       retry_count = Sim.Stats.counter "atomicity.retries";
@@ -562,7 +548,8 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
                    abort *)
                 if Hashtbl.mem t.txns txn then `Pending else `Unknown))
     cl.Cl.servers;
-  cl.Cl.entry_wrapper <- (fun label ctx body -> wrapper t label ctx body);
+  Clouds.Object_manager.set_entry_wrapper om (fun label ctx body ->
+      wrapper t label ctx body);
   t
 
 let abort_thread t ~thread_id =

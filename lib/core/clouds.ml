@@ -17,6 +17,7 @@ module Obj_class = Obj_class
 module Terminal = Terminal
 module User_io = User_io
 module Ring = Ring
+module Placement = Placement
 module Cluster = Cluster
 module Object_manager = Object_manager
 module Thread = Thread

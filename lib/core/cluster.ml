@@ -1,3 +1,19 @@
+type state = {
+  classes : (string, Obj_class.t * Ra.Sysname.t) Hashtbl.t;
+      (* each class with the code segment its instances share *)
+  code_segs : unit Ra.Sysname.Table.t;
+  volatile : (int * Ra.Sysname.t, unit) Hashtbl.t;  (* (node id, seg) *)
+  mutable scheduler : [ `Round_robin | `Least_loaded ];
+  mutable rr_compute : int;
+  mutable next_thread : int;
+  mutable next_txn : int;
+  mutable name_sharding : bool;
+  name_shards : (Net.Address.t, Ra.Sysname.t) Hashtbl.t;
+      (* lazily created name-server object per data-server shard *)
+  ns_locks : (Net.Address.t, Sim.Mutex.t) Hashtbl.t;
+  mutable membership : Membership.Monitor.t option;
+}
+
 type t = {
   eng : Sim.Engine.t;
   ether : Net.Ethernet.t;
@@ -7,87 +23,43 @@ type t = {
   data_nodes : Ra.Node.t array;
   servers : Dsm.Dsm_server.t array;
   workstations : (Ra.Node.t * Terminal.t) array;
-  classes : (string, Obj_class.t) Hashtbl.t;
-  class_code : (string, Ra.Sysname.t) Hashtbl.t;
-  seg_home : Net.Address.t Ra.Sysname.Table.t;
-  seg_replicas : Net.Address.t list Ra.Sysname.Table.t;
-  seg_modes : Ra.Partition.consistency Ra.Sysname.Table.t;
-      (* per-segment consistency mode; absent = One_copy *)
-  obj_home : Net.Address.t Ra.Sysname.Table.t;
-  volatile : (int, unit Ra.Sysname.Table.t) Hashtbl.t;
-  mutable scheduler : [ `Round_robin | `Least_loaded ];
-  mutable rr_compute : int;
-  mutable next_thread : int;
-  mutable next_txn : int;
-  mutable entry_wrapper :
-    Obj_class.consistency -> Ctx.t -> (unit -> Value.t) -> Value.t;
-  mutable ring : Ring.t;
-  mutable prev_ring : Ring.t option;
-  mutable name_sharding : bool;
-  name_shards : (Net.Address.t, Ra.Sysname.t) Hashtbl.t;
-  ns_locks : (Net.Address.t, Sim.Mutex.t) Hashtbl.t;
-  mutable membership : Membership.Monitor.t option;
+  placement : Placement.t;
+  state : state;
 }
 
-let ns_lock t shard =
-  match Hashtbl.find_opt t.ns_locks shard with
-  | Some m -> m
+(* The value under [key], made and added on a miss. *)
+let memo find_opt replace tbl key make =
+  match find_opt tbl key with
+  | Some v -> v
   | None ->
-      let m = Sim.Mutex.create ~label:"ns-shard" () in
-      Hashtbl.replace t.ns_locks shard m;
-      m
+      let v = make () in
+      replace tbl key v;
+      v
 
-let locate_segment t seg =
-  match Ra.Sysname.Table.find_opt t.seg_home seg with
-  | Some addr -> addr
-  | None -> raise (Ra.Partition.No_segment seg)
-
-let add_segment t seg home = Ra.Sysname.Table.replace t.seg_home seg home
-
-let replicas_of t seg =
-  match Ra.Sysname.Table.find_opt t.seg_replicas seg with
-  | Some l -> l
-  | None -> (
-      match Ra.Sysname.Table.find_opt t.seg_home seg with
-      | Some home -> [ home ]
-      | None -> [])
-
-(* Record the full replica list of a segment; the head is the primary
-   every client resolves to. *)
-let set_replicas t seg replicas =
-  match replicas with
-  | [] -> invalid_arg "Cluster.set_replicas: empty replica list"
-  | primary :: _ ->
-      Ra.Sysname.Table.replace t.seg_replicas seg replicas;
-      Ra.Sysname.Table.replace t.seg_home seg primary
-
-let remove_segment t seg =
-  Ra.Sysname.Table.remove t.seg_home seg;
-  Ra.Sysname.Table.remove t.seg_replicas seg;
-  Ra.Sysname.Table.remove t.seg_modes seg
-
-let consistency_of t seg =
-  match Ra.Sysname.Table.find_opt t.seg_modes seg with
-  | Some m -> m
-  | None -> Ra.Partition.One_copy
+let ns_lock t shard =
+  memo Hashtbl.find_opt Hashtbl.replace t.state.ns_locks shard (fun () ->
+      Sim.Mutex.create ~label:"ns-shard" ())
 
 (* Record a segment's consistency mode cluster-wide (clients resolve
-   through [consistency_of]) and mirror it onto every server that
+   through [Placement.mode]) and mirror it onto every server that
    stores a replica, so the home defers/merges accordingly. *)
 let set_consistency t seg mode =
-  (match mode with
-  | Ra.Partition.One_copy -> Ra.Sysname.Table.remove t.seg_modes seg
-  | m -> Ra.Sysname.Table.replace t.seg_modes seg m);
+  Placement.set_mode t.placement seg mode;
   Array.iter
     (fun server -> Dsm.Dsm_server.set_consistency server seg mode)
     t.servers
 
 let membership_usable t addr =
-  match t.membership with
+  match t.state.membership with
   | Some m -> Membership.Monitor.usable m addr
   | None -> true
 
 let usable t n = n.Ra.Node.alive && membership_usable t n.Ra.Node.id
+
+let data_ids t = Array.to_list (Array.map (fun n -> n.Ra.Node.id) t.data_nodes)
+
+let usable_data t =
+  List.filter (fun id -> usable t t.data_nodes.(id - 1)) (data_ids t)
 
 let next_after ~primary n addrs =
   let above, below = List.partition (fun a -> a > primary) addrs in
@@ -102,28 +74,13 @@ let next_after ~primary n addrs =
    deterministic copyset that spreads load without a placement
    service. *)
 let replica_targets t ~primary =
-  let others =
-    Array.to_list t.data_nodes
-    |> List.filter_map (fun n ->
-           let id = n.Ra.Node.id in
-           if id <> primary && usable t n then Some id else None)
-    |> List.sort Net.Address.compare
-  in
+  let others = List.filter (fun a -> a <> primary) (usable_data t) in
   primary :: next_after ~primary (t.replication - 1) others
 
-let volatile_table t node_id =
-  match Hashtbl.find_opt t.volatile node_id with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Ra.Sysname.Table.create 8 in
-      Hashtbl.replace t.volatile node_id tbl;
-      tbl
-
 let register_volatile t node seg =
-  Ra.Sysname.Table.replace (volatile_table t node.Ra.Node.id) seg ()
+  Hashtbl.replace t.state.volatile (node.Ra.Node.id, seg) ()
 
-let is_volatile t node seg =
-  Ra.Sysname.Table.mem (volatile_table t node.Ra.Node.id) seg
+let is_volatile t node seg = Hashtbl.mem t.state.volatile (node.Ra.Node.id, seg)
 
 (* Volatile segments never touch the network: they always start
    zeroed and their writeback is a no-op (they die with the
@@ -142,20 +99,13 @@ let create eng ?ratp_config ?ether_config
     invalid_arg "Cluster.create: need at least one compute and one data server";
   if replication < 1 then invalid_arg "Cluster.create: replication < 1";
   let ether = Net.Ethernet.create eng ?config:ether_config () in
-  let t_ref = ref None in
-  let locate seg =
-    match !t_ref with
-    | Some t -> locate_segment t seg
-    | None -> assert false
-  in
-  let consistency seg =
-    match !t_ref with
-    | Some t -> consistency_of t seg
-    | None -> Ra.Partition.One_copy
-  in
   let data_nodes =
     Array.init data (fun i ->
         Ra.Node.create ether ~id:(i + 1) ~kind:Ra.Node.Data ?ratp_config ())
+  in
+  let placement =
+    Placement.create
+      (Array.to_list (Array.map (fun n -> n.Ra.Node.id) data_nodes))
   in
   let servers =
     Array.map
@@ -171,7 +121,8 @@ let create eng ?ratp_config ?ether_config
   let clients =
     Array.map
       (fun n ->
-        Dsm.Dsm_client.create n ~locate ~consistency ())
+        Dsm.Dsm_client.create n ~locate:(Placement.locate placement)
+          ~consistency:(Placement.mode placement) ())
       compute_nodes
   in
   let wk =
@@ -194,38 +145,31 @@ let create eng ?ratp_config ?ether_config
       data_nodes;
       servers;
       workstations = wk;
-      classes = Hashtbl.create 16;
-      class_code = Hashtbl.create 16;
-      seg_home = Ra.Sysname.Table.create 64;
-      seg_replicas = Ra.Sysname.Table.create 64;
-      seg_modes = Ra.Sysname.Table.create 16;
-      obj_home = Ra.Sysname.Table.create 64;
-      volatile = Hashtbl.create 16;
-      scheduler = `Round_robin;
-      rr_compute = 0;
-      next_thread = 1;
-      next_txn = 1;
-      entry_wrapper = (fun _label _ctx body -> body ());
-      ring =
-        Ring.make
-          (Array.to_list (Array.map (fun n -> n.Ra.Node.id) data_nodes));
-      prev_ring = None;
-      name_sharding = true;
-      name_shards = Hashtbl.create 8;
-      ns_locks = Hashtbl.create 8;
-      membership = None;
+      placement;
+      state =
+        {
+          classes = Hashtbl.create 16;
+          code_segs = Ra.Sysname.Table.create 16;
+          volatile = Hashtbl.create 16;
+          scheduler = `Round_robin;
+          rr_compute = 0;
+          next_thread = 1;
+          next_txn = 1;
+          name_sharding = true;
+          name_shards = Hashtbl.create 8;
+          ns_locks = Hashtbl.create 8;
+          membership = None;
+        };
     }
   in
-  t_ref := Some t;
   (* a segment's current primary forwards committed writes to its
      backups; everyone else (including the backups) forwards nothing *)
   Array.iter
     (fun server ->
       let self = (Dsm.Dsm_server.node server).Ra.Node.id in
       Dsm.Dsm_server.set_mirrors server (fun seg ->
-          match Ra.Sysname.Table.find_opt t.seg_replicas seg with
-          | Some (primary :: backups) when Net.Address.equal primary self ->
-              backups
+          match Placement.replicas placement seg with
+          | primary :: backups when Net.Address.equal primary self -> backups
           | _ -> []))
     servers;
   (* compute nodes route volatile segments locally and everything
@@ -243,8 +187,8 @@ let pick_round_robin t =
   let rec pick tries =
     if tries >= n then invalid_arg "Cluster.pick_compute: no live compute server"
     else begin
-      let node = t.compute_nodes.(t.rr_compute mod n) in
-      t.rr_compute <- t.rr_compute + 1;
+      let node = t.compute_nodes.(t.state.rr_compute mod n) in
+      t.state.rr_compute <- t.state.rr_compute + 1;
       if usable t node then node else pick (tries + 1)
     end
   in
@@ -267,8 +211,10 @@ let pick_least_loaded t =
   | Some (node, _) -> node
   | None -> invalid_arg "Cluster.pick_compute: no live compute server"
 
+let set_scheduler t policy = t.state.scheduler <- policy
+
 let pick_compute t =
-  match t.scheduler with
+  match t.state.scheduler with
   | `Round_robin -> pick_round_robin t
   | `Least_loaded -> pick_least_loaded t
 
@@ -280,20 +226,38 @@ let place_data t key =
   let ok addr =
     Array.exists (fun n -> n.Ra.Node.id = addr && usable t n) t.data_nodes
   in
-  match Ring.find_owner t.ring key ok with
+  match Ring.find_owner (Placement.ring t.placement) key ok with
   | Some addr -> addr
   | None -> invalid_arg "Cluster.place_data: no live data server"
 
 let place_object t obj = place_data t (Ring.key_of_sysname obj)
 
-let set_name_sharding t flag = t.name_sharding <- flag
+let set_name_sharding t flag = t.state.name_sharding <- flag
 
 (* The shard that owns a name binding.  With sharding off, everything
    funnels through the lowest-addressed data server — the historical
    centralized name server, kept as the A/B baseline. *)
 let name_shard t name =
-  if t.name_sharding then place_data t (Ring.key_of_string name)
+  if t.state.name_sharding then place_data t (Ring.key_of_string name)
   else t.data_nodes.(0).Ra.Node.id
+
+let name_shard_object t shard ~create =
+  memo Hashtbl.find_opt Hashtbl.replace t.state.name_shards shard create
+
+let name_shards t =
+  Hashtbl.fold (fun shard obj acc -> (shard, obj) :: acc) t.state.name_shards []
+  |> List.sort (fun (a, _) (b, _) -> Net.Address.compare a b)
+
+let prev_name_shard t name =
+  match Placement.prev_ring t.placement with
+  | Some prev when t.state.name_sharding ->
+      let old_shard = Ring.owner_of_string prev name in
+      if
+        old_shard <> name_shard t name
+        && Hashtbl.mem t.state.name_shards old_shard
+      then Some old_shard
+      else None
+  | _ -> None
 
 (* Writes to a shard are serialized through one deterministic compute
    node (the shard's bind leader): concurrent binds from many clients
@@ -319,21 +283,14 @@ let all_nodes t =
 let node_by_id t id =
   List.find_opt (fun n -> n.Ra.Node.id = id) (all_nodes t)
 
+(* Data servers are addresses 1..d and compute servers d+1..d+c. *)
 let client_of t id =
-  let rec find i =
-    if i >= Array.length t.compute_nodes then None
-    else if t.compute_nodes.(i).Ra.Node.id = id then Some t.clients.(i)
-    else find (i + 1)
-  in
-  find 0
+  let i = id - Array.length t.data_nodes - 1 in
+  if i >= 0 && i < Array.length t.clients then Some t.clients.(i) else None
 
 let server_at t addr =
-  let rec find i =
-    if i >= Array.length t.data_nodes then None
-    else if t.data_nodes.(i).Ra.Node.id = addr then Some t.servers.(i)
-    else find (i + 1)
-  in
-  find 0
+  if addr >= 1 && addr <= Array.length t.servers then Some t.servers.(addr - 1)
+  else None
 
 (* Pseudo machine code: stable non-zero contents so that code-page
    fetches cost a data copy, not a zero fill. *)
@@ -346,9 +303,8 @@ let code_bytes class_name page =
   b
 
 let register_class t (cls : Obj_class.t) =
-  if Hashtbl.mem t.classes cls.Obj_class.c_name then
+  if Hashtbl.mem t.state.classes cls.Obj_class.c_name then
     invalid_arg "Cluster.register_class: already loaded";
-  Hashtbl.replace t.classes cls.Obj_class.c_name cls;
   let home = place_data t (Ring.key_of_string cls.Obj_class.c_name) in
   match server_at t home with
   | None -> assert false
@@ -372,50 +328,52 @@ let register_class t (cls : Obj_class.t) =
                   (code_bytes cls.Obj_class.c_name page)
               done)
         targets;
-      set_replicas t seg targets;
-      Hashtbl.replace t.class_code cls.Obj_class.c_name seg
+      Placement.place t.placement seg targets;
+      Hashtbl.replace t.state.classes cls.Obj_class.c_name (cls, seg);
+      Ra.Sysname.Table.replace t.state.code_segs seg ()
 
-let find_class t name = Hashtbl.find_opt t.classes name
+let find_class t name = Option.map fst (Hashtbl.find_opt t.state.classes name)
+
+let classes t =
+  Hashtbl.fold (fun _ (cls, _) acc -> cls :: acc) t.state.classes []
+  |> List.sort (fun a b -> String.compare a.Obj_class.c_name b.Obj_class.c_name)
+
+let code_segment t name = Option.map snd (Hashtbl.find_opt t.state.classes name)
+let is_code_segment t seg = Ra.Sysname.Table.mem t.state.code_segs seg
 
 let fresh_txn t node =
-  let seq = t.next_txn in
-  t.next_txn <- seq + 1;
+  let seq = t.state.next_txn in
+  t.state.next_txn <- seq + 1;
   (node.Ra.Node.id, seq)
+
+let fresh_thread t =
+  let tid = t.state.next_thread in
+  t.state.next_thread <- tid + 1;
+  tid
 
 (* Rebuild the placement ring over the data servers the view still
    admits, keeping the previous ring for lookups of names placed
    before the change. *)
 let remap_ring t (v : Membership.Monitor.view) =
-  let usable_data =
-    Array.to_list t.data_nodes
-    |> List.filter_map (fun n ->
-           let id = n.Ra.Node.id in
-           let condemned =
-             List.exists
-               (fun (m : Membership.Monitor.member) ->
-                 Net.Address.equal m.addr id
-                 && m.status = Membership.Monitor.Dead)
-               v.Membership.Monitor.members
-           in
-           if condemned then None else Some id)
+  let condemned id =
+    List.exists
+      (fun (m : Membership.Monitor.member) ->
+        Net.Address.equal m.addr id && m.status = Membership.Monitor.Dead)
+      v.Membership.Monitor.members
   in
-  match usable_data with
-  | [] -> () (* no usable data server: keep the old ring *)
-  | members when members <> Ring.members t.ring ->
-      t.prev_ring <- Some t.ring;
-      t.ring <- Ring.make members
-  | _ -> ()
+  Placement.remap t.placement
+    (List.filter (fun id -> not (condemned id)) (data_ids t))
 
 (* Membership is opt-in: without it the cluster behaves exactly as
    before (no heartbeat traffic, suspicion driven by RaTP timeouts
    alone), which keeps the calibrated experiments untouched. *)
 let start_membership t ?config () =
-  match t.membership with
+  match t.state.membership with
   | Some m -> m
   | None ->
       let host = t.compute_nodes.(0) in
       let m = Membership.Monitor.create ?config host in
-      t.membership <- Some m;
+      t.state.membership <- Some m;
       List.iter
         (fun n ->
           if n.Ra.Node.id <> host.Ra.Node.id then Membership.Monitor.watch m n)
@@ -428,8 +386,9 @@ let start_membership t ?config () =
       m
 
 let stop_membership t =
-  match t.membership with
+  match t.state.membership with
   | Some m -> Membership.Monitor.stop m
   | None -> ()
 
-let membership_view t = Option.map Membership.Monitor.view t.membership
+let membership_view t =
+  Option.map Membership.Monitor.view t.state.membership

@@ -4,13 +4,18 @@
     servers), diskless compute servers (DSM clients), and user
     workstations on one Ethernet — Figure 3 of the paper.  It also
     holds the system-wide configuration knowledge: which classes are
-    loaded, where segments and objects live, and the entry wrapper
-    the atomicity layer installs around labelled entry points.
+    loaded and where segments and objects live ({!Placement}).
 
     Addresses: data servers get 1..d, compute servers d+1..d+c,
     workstations d+c+1 onward. *)
 
-type t = {
+type state
+(** Everything the cluster learns after boot besides placement —
+    loaded classes, scheduling policy and counters, name-shard state,
+    volatile segments and the membership monitor — read and written
+    only through the functions below. *)
+
+type t = private {
   eng : Sim.Engine.t;
   ether : Net.Ethernet.t;
   replication : int;
@@ -21,47 +26,10 @@ type t = {
   data_nodes : Ra.Node.t array;
   servers : Dsm.Dsm_server.t array;  (** parallel to [data_nodes] *)
   workstations : (Ra.Node.t * Terminal.t) array;
-  classes : (string, Obj_class.t) Hashtbl.t;
-  class_code : (string, Ra.Sysname.t) Hashtbl.t;
-      (** instances of a class share one code segment *)
-  seg_home : Net.Address.t Ra.Sysname.Table.t;
-  seg_replicas : Net.Address.t list Ra.Sysname.Table.t;
-      (** full replica list per segment, primary first; segments with
-          no entry live only at their [seg_home] *)
-  seg_modes : Ra.Partition.consistency Ra.Sysname.Table.t;
-      (** per-segment consistency mode; absent = [One_copy] *)
-  obj_home : Net.Address.t Ra.Sysname.Table.t;
-  volatile : (int, unit Ra.Sysname.Table.t) Hashtbl.t;
-  mutable scheduler : [ `Round_robin | `Least_loaded ];
-      (** thread-placement policy (the paper's "scheduling decision
-          may depend on scheduling policies and the load at each
-          compute server") *)
-  mutable rr_compute : int;
-  mutable next_thread : int;
-  mutable next_txn : int;
-  mutable entry_wrapper :
-    Obj_class.consistency -> Ctx.t -> (unit -> Value.t) -> Value.t;
-      (** installed by the atomicity layer; default runs the body *)
-  mutable ring : Ring.t;
-      (** consistent-hash placement ring over the usable data servers;
-          rebuilt on every membership view that changes the member
-          set *)
-  mutable prev_ring : Ring.t option;
-      (** the ring one view-change ago — the fallback generation a
-          lookup consults for bindings made before a remap *)
-  mutable name_sharding : bool;
-      (** route name bindings to the ring owner of the name (default);
-          [false] funnels everything through one shard — the
-          historical centralized server kept as the A/B baseline *)
-  name_shards : (Net.Address.t, Ra.Sysname.t) Hashtbl.t;
-      (** lazily created name-server object per data-server shard *)
-  ns_locks : (Net.Address.t, Sim.Mutex.t) Hashtbl.t;
-      (** per-shard write lock: binds and unbinds to a shard hold it,
-          so two writers never interleave list surgery on its heap.
-          Lookups take no lock (DESIGN.md §14) *)
-  mutable membership : Membership.Monitor.t option;
-      (** set by {!start_membership}; [None] keeps all failure
-          handling purely timeout-driven as before *)
+  placement : Placement.t;
+      (** where segments and objects live, and the placement ring;
+          every DSM client resolves faults through it *)
+  state : state;
 }
 
 val create :
@@ -86,20 +54,22 @@ val create :
     committed writes to the backups, and the replicator re-creates
     lost copies when membership condemns a server. *)
 
-val consistency_of : t -> Ra.Sysname.t -> Ra.Partition.consistency
-(** A segment's consistency mode ([One_copy] when never set); every
-    DSM client resolves through this. *)
-
 val set_consistency : t -> Ra.Sysname.t -> Ra.Partition.consistency -> unit
-(** Record a segment's mode cluster-wide and mirror it onto every
-    data server.  Change modes only while the segment has no cached
-    remote copies (normally set once at creation). *)
+(** Record a segment's mode in {!Placement} (every DSM client
+    resolves through it) and mirror it onto every data server.
+    Change modes only while the segment has no cached remote copies
+    (normally set once at creation). *)
 
 val pick_compute : t -> Ra.Node.t
-(** Scheduling decision for a new thread, according to
-    [t.scheduler]: round robin over live compute servers, or the
+(** Scheduling decision for a new thread, according to the
+    {!set_scheduler} policy: round robin over live compute servers, or the
     least-loaded live compute server (CPU queue length, ties to the
     lowest address). *)
+
+val set_scheduler : t -> [ `Round_robin | `Least_loaded ] -> unit
+(** Thread-placement policy (default round robin) — the paper's
+    "scheduling decision may depend on scheduling policies and the
+    load at each compute server". *)
 
 val place_object : t -> Ra.Sysname.t -> Net.Address.t
 (** Ring placement on the object's sysname hash: the owner of the
@@ -124,6 +94,18 @@ val ns_lock : t -> Net.Address.t -> Sim.Mutex.t
 (** The shard's write lock (created on first use).  Only mutations
     take it; lookups are lock-free. *)
 
+val name_shard_object :
+  t -> Net.Address.t -> create:(unit -> Ra.Sysname.t) -> Ra.Sysname.t
+(** The shard's name-server object, made by [create] on first use. *)
+
+val name_shards : t -> (Net.Address.t * Ra.Sysname.t) list
+(** Every booted shard and its object, by address. *)
+
+val prev_name_shard : t -> string -> Net.Address.t option
+(** The booted shard the previous ring assigned [name], when a remap
+    moved the name away from it: a binding made before the last ring
+    change may (also) live there.  [None] with sharding off. *)
+
 val node_by_id : t -> int -> Ra.Node.t option
 (** Any node (data, compute or workstation) by address. *)
 
@@ -140,22 +122,14 @@ val register_class : t -> Obj_class.t -> unit
 
 val find_class : t -> string -> Obj_class.t option
 
-val locate_segment : t -> Ra.Sysname.t -> Net.Address.t
-(** Raises {!Ra.Partition.No_segment} for unknown segments. *)
+val classes : t -> Obj_class.t list
+(** Every loaded class, by name. *)
 
-val add_segment : t -> Ra.Sysname.t -> Net.Address.t -> unit
+val code_segment : t -> string -> Ra.Sysname.t option
+(** The code segment every instance of the named class shares. *)
 
-val replicas_of : t -> Ra.Sysname.t -> Net.Address.t list
-(** Full replica list of a segment, primary first; [[home]] for
-    unreplicated segments and [[]] for unknown ones. *)
-
-val set_replicas : t -> Ra.Sysname.t -> Net.Address.t list -> unit
-(** Record a segment's replica list; the head becomes the primary
-    that {!locate_segment} resolves to.  Raises [Invalid_argument] on
-    an empty list. *)
-
-val remove_segment : t -> Ra.Sysname.t -> unit
-(** Drop a segment from the placement tables (object deletion). *)
+val is_code_segment : t -> Ra.Sysname.t -> bool
+(** Some class's shared, read-only code segment. *)
 
 val membership_usable : t -> Net.Address.t -> bool
 (** The membership view has not condemned the address (always true
@@ -164,6 +138,9 @@ val membership_usable : t -> Net.Address.t -> bool
 val usable : t -> Ra.Node.t -> bool
 (** The node is up and {!membership_usable}: the test every placement
     and scheduling decision applies. *)
+
+val usable_data : t -> Net.Address.t list
+(** The {!usable} data servers, by address. *)
 
 val replica_targets : t -> primary:Net.Address.t -> Net.Address.t list
 (** Placement for a fresh segment: [primary] plus the next
@@ -191,11 +168,16 @@ val membership_view : t -> Membership.Monitor.view option
 val remap_ring : t -> Membership.Monitor.view -> unit
 (** Fold a membership view into the placement ring: rebuild it over
     the data servers the view does not condemn and, if the member set
-    changed, keep the old ring as [prev_ring].  Called automatically by the {!start_membership}
-    subscriber; exposed for tests and for externally-fed views. *)
+    changed, keep the old ring as {!Placement.prev_ring}.  Called
+    automatically by the {!start_membership} subscriber; exposed for
+    tests and for externally-fed views. *)
 
 val register_volatile : t -> Ra.Node.t -> Ra.Sysname.t -> unit
 val is_volatile : t -> Ra.Node.t -> Ra.Sysname.t -> bool
 
 val fresh_txn : t -> Ra.Node.t -> int * int
 (** A cluster-unique transaction id minted at the given node. *)
+
+val fresh_thread : t -> int
+(** A cluster-unique thread id (the first is 1). *)
+

@@ -3,11 +3,13 @@
    Node layout: [next:8][name:4+n][sysname:4+m].
 
    The list is the durable form.  Lookups go through a volatile
-   hash-indexed directory (name -> heap offset) kept per shard object:
-   a hit reads one node instead of walking the list, a miss falls back
-   to the walk (which refills the index as it goes).  Index entries
-   are verified against the heap before being trusted, so a stale
-   entry can only cost a walk, never a wrong answer.
+   hash-indexed directory (name -> heap offset) kept per shard object.
+   It models the shard's in-core hash table: shared by every compute
+   node because DSM keeps the underlying heap coherent and writes are
+   serialized by the bind leader.  A hit reads one node instead of walking the list,
+   a miss falls back to the walk (which refills the index as it goes).
+   Index entries are verified against the heap before being trusted,
+   so a stale entry can only cost a walk, never a wrong answer.
 
    The service is sharded: each data server owns one name-server
    object holding the arc of the name space the cluster's placement
@@ -31,23 +33,6 @@ let get_sys ctx node =
 let charge ctx =
   ctx.Ctx.compute Ra.Params.name_lookup
 
-(* volatile directory, one per shard object.  It models the shard's
-   in-core hash table: shared by every compute node because DSM keeps
-   the underlying heap coherent and writes are serialized by the bind
-   leader.  Dropped (fresh table) whenever the shard object is
-   created, so no state leaks between simulation runs that mint the
-   same sysnames. *)
-let indexes : (string, int) Hashtbl.t Ra.Sysname.Table.t =
-  Ra.Sysname.Table.create 8
-
-let index_of obj =
-  match Ra.Sysname.Table.find_opt indexes obj with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 64 in
-      Ra.Sysname.Table.replace indexes obj h;
-      h
-
 let fold ctx f init =
   let rec walk acc node =
     if node = 0 then acc else walk (f acc node) (get_next ctx node)
@@ -58,8 +43,7 @@ let fold ctx f init =
    the authority.  A directory hit is verified by reading the node's
    name from the heap — [Memory] accessors are bounds-checked, so a
    dangling offset raises and we just take the walk. *)
-let find ctx name =
-  let idx = index_of ctx.Ctx.self in
+let find idx ctx name =
   let verified =
     match Hashtbl.find_opt idx name with
     | None -> None
@@ -90,7 +74,7 @@ let find ctx name =
    reading recycled heap bytes.  The leaked cell is the price of
    lock-free readers; a real system reclaims it with the recoverable
    heap's commit machinery. *)
-let unlink ctx ?(keep = -1) name =
+let unlink idx ctx ?(keep = -1) name =
   let rec walk prev node =
     if node = 0 then false
     else begin
@@ -98,8 +82,8 @@ let unlink ctx ?(keep = -1) name =
       if node <> keep && String.equal (get_name ctx node) name then begin
         (if prev = 0 then Memory.set_int ctx.Ctx.mem head_off next
          else Memory.set_int ctx.Ctx.mem ~region:Memory.Heap prev next);
-        (match Hashtbl.find_opt (index_of ctx.Ctx.self) name with
-        | Some n when n = node -> Hashtbl.remove (index_of ctx.Ctx.self) name
+        (match Hashtbl.find_opt idx name with
+        | Some n when n = node -> Hashtbl.remove idx name
         | _ -> ());
         true
       end
@@ -108,7 +92,7 @@ let unlink ctx ?(keep = -1) name =
   in
   walk 0 (Memory.get_int ctx.Ctx.mem head_off)
 
-let insert ctx name sys =
+let insert idx ctx name sys =
   let size = 8 + Memory.string_footprint name + Memory.string_footprint sys in
   let node = Pheap.alloc (ctx.Ctx.pheap ()) size in
   Memory.set_int ctx.Ctx.mem ~region:Memory.Heap node
@@ -118,10 +102,22 @@ let insert ctx name sys =
     (node + 8 + Memory.string_footprint name)
     sys;
   Memory.set_int ctx.Ctx.mem head_off node;
-  Hashtbl.replace (index_of ctx.Ctx.self) name node;
+  Hashtbl.replace idx name node;
   node
 
-let cls =
+(* Built once per cluster (each cluster loads its own copy of the
+   class), so the shard directories its entries close over belong to
+   that cluster alone. *)
+let cls () =
+  let indexes = Ra.Sysname.Table.create 8 in
+  let index ctx =
+    match Ra.Sysname.Table.find_opt indexes ctx.Ctx.self with
+    | Some idx -> idx
+    | None ->
+        let idx = Hashtbl.create 64 in
+        Ra.Sysname.Table.replace indexes ctx.Ctx.self idx;
+        idx
+  in
   Obj_class.define ~name:"nameserver" ~heap_pages:64
     [
       (* binds are local consistency preserving: with the atomicity
@@ -136,18 +132,19 @@ let cls =
           (* insert first, then unlink any older binding: a reader
              racing the rebind sees the old node or the new one, never
              a window where the name is absent *)
-          let fresh = insert ctx name sys in
-          ignore (unlink ctx ~keep:fresh name);
+          let idx = index ctx in
+          let fresh = insert idx ctx name sys in
+          ignore (unlink idx ctx ~keep:fresh name);
           Value.Unit);
       Obj_class.entry "lookup" (fun ctx arg ->
           charge ctx;
           let name = Value.to_string arg in
-          match find ctx name with
+          match find (index ctx) ctx name with
           | Some node -> Value.Str (get_sys ctx node)
           | None -> Value.Unit);
       Obj_class.entry ~label:Obj_class.Lcp "unbind" (fun ctx arg ->
           charge ctx;
-          Value.Bool (unlink ctx (Value.to_string arg)));
+          Value.Bool (unlink (index ctx) ctx (Value.to_string arg)));
       Obj_class.entry "list" (fun ctx _arg ->
           charge ctx;
           Value.List
@@ -160,24 +157,17 @@ let cls =
     ]
 
 let ensure_class cl =
-  if Cluster.find_class cl "nameserver" = None then Cluster.register_class cl cls
+  if Cluster.find_class cl "nameserver" = None then
+    Cluster.register_class cl (cls ())
 
 (* One name-server object per shard, created lazily with its segments
    homed on the owning data server. *)
 let shard_object om shard =
   let cl = Object_manager.cluster om in
-  match Hashtbl.find_opt cl.Cluster.name_shards shard with
-  | Some s -> s
-  | None ->
+  Cluster.name_shard_object cl shard ~create:(fun () ->
       ensure_class cl;
-      let obj =
-        Object_manager.create_object om ~home:shard ~class_name:"nameserver"
-          Value.Unit
-      in
-      Hashtbl.replace cl.Cluster.name_shards shard obj;
-      (* fresh object: no bindings, so no directory either *)
-      Ra.Sysname.Table.remove indexes obj;
-      obj
+      Object_manager.create_object om ~home:shard ~class_name:"nameserver"
+        Value.Unit)
 
 let boot om =
   let cl = Object_manager.cluster om in
@@ -220,28 +210,14 @@ let bind om ~name sys =
 
 let lookup_at ?on om ~name = read_invoke ?on om ~name "lookup" (Value.Str name)
 
-(* The shard the previous ring assigned [name], when a remap moved it
-   and that shard is still booted: a binding made before the last ring
-   change may (also) live there. *)
-let prev_shard om name =
-  let cl = Object_manager.cluster om in
-  match cl.Cluster.prev_ring with
-  | Some prev when cl.Cluster.name_sharding ->
-      let old_shard = Ring.owner_of_string prev name in
-      if
-        old_shard <> shard_of om name
-        && Hashtbl.mem cl.Cluster.name_shards old_shard
-      then Some old_shard
-      else None
-  | _ -> None
-
 let lookup ?on om name =
   match lookup_at ?on om ~name with
   | Value.Str s -> Ra.Sysname.of_string s
   | Value.Unit -> (
-      match prev_shard om name with
+      let cl = Object_manager.cluster om in
+      match Cluster.prev_name_shard cl name with
       | Some shard -> (
-          let node = Cluster.pick_compute (Object_manager.cluster om) in
+          let node = Cluster.pick_compute cl in
           match invoke_shard om ~node ~shard "lookup" (Value.Str name) with
           | Value.Str s -> Ra.Sysname.of_string s
           | _ -> None)
@@ -250,9 +226,9 @@ let lookup ?on om name =
 
 let unbind om name =
   ignore (write_invoke om ~name "unbind" (Value.Str name));
-  match prev_shard om name with
+  let cl = Object_manager.cluster om in
+  match Cluster.prev_name_shard cl name with
   | Some shard ->
-      let cl = Object_manager.cluster om in
       let node = Cluster.bind_leader cl shard in
       ignore
         (with_write cl shard (fun () ->
@@ -261,12 +237,8 @@ let unbind om name =
 
 let bindings om =
   let cl = Object_manager.cluster om in
-  let shards =
-    Hashtbl.fold (fun shard _ acc -> shard :: acc) cl.Cluster.name_shards []
-    |> List.sort Net.Address.compare
-  in
   List.concat_map
-    (fun shard ->
+    (fun (shard, _) ->
       let node = Cluster.pick_compute cl in
       match invoke_shard om ~node ~shard "list" Value.Unit with
       | Value.List l ->
@@ -280,4 +252,4 @@ let bindings om =
               | _ -> None)
             l
       | _ -> [])
-    shards
+    (Cluster.name_shards cl)

@@ -43,9 +43,12 @@ type t = {
   visits : (int, Ra.Sysname.t list ref) Hashtbl.t;
   invoke_count : Sim.Stats.counter;
   local_invokes : Sim.Stats.counter;
+  mutable entry_wrapper :
+    Obj_class.consistency -> Ctx.t -> (unit -> Value.t) -> Value.t;
 }
 
 let cluster t = t.cl
+let set_entry_wrapper t w = t.entry_wrapper <- w
 
 (* ------------------------------------------------------------------ *)
 (* Activation *)
@@ -68,7 +71,7 @@ let fetch_descriptor t node obj =
             if Cluster.usable t.cl dn then ask dn.Ra.Node.id else None)
       None t.cl.Cluster.data_nodes
   in
-  match Ra.Sysname.Table.find_opt t.cl.Cluster.obj_home obj with
+  match Placement.home t.cl.Cluster.placement obj with
   | Some home when Cluster.membership_usable t.cl home -> (
       match ask home with Some d -> Some d | None -> scan ())
   | Some _ | None -> scan ()
@@ -288,8 +291,7 @@ and invoke t ~node ~thread_id ~origin ~txn ~obj ~entry arg =
   touch_code node a entry;
   let ctx = make_ctx t node a ~obj ~thread_id ~origin ~txn in
   let result =
-    t.cl.Cluster.entry_wrapper e.Obj_class.label ctx (fun () ->
-        e.Obj_class.fn ctx arg)
+    t.entry_wrapper e.Obj_class.label ctx (fun () -> e.Obj_class.fn ctx arg)
   in
   (* Release-consistency scope boundary for non-transactional
      entries: ship the dirty pages home so the batched invalidation
@@ -301,7 +303,7 @@ and invoke t ~node ~thread_id ~origin ~txn ~obj ~entry arg =
      | Some client ->
          List.iter
            (fun seg ->
-             match Cluster.consistency_of t.cl seg with
+             match Placement.mode t.cl.Cluster.placement seg with
              | Ra.Partition.Release | Ra.Partition.Commutative _ ->
                  Dsm.Dsm_client.flush_segment client seg
              | Ra.Partition.One_copy -> ())
@@ -356,6 +358,7 @@ let create cl =
       daemons_started = Ra.Sysname.Table.create 8;
       invoke_count = Sim.Stats.counter "om.invocations";
       local_invokes = Sim.Stats.counter "om.local_invokes";
+      entry_wrapper = (fun _label _ctx body -> body ());
     }
   in
   Array.iter
@@ -385,7 +388,7 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin
     | None -> raise (No_class class_name)
   in
   let code_seg =
-    match Hashtbl.find_opt t.cl.Cluster.class_code class_name with
+    match Cluster.code_segment t.cl class_name with
     | Some s -> s
     | None -> raise (No_class class_name)
   in
@@ -413,7 +416,7 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin
         | Ok _ | Error Ratp.Endpoint.Timeout ->
             failwith "create_object: segment creation failed")
       targets;
-    Cluster.set_replicas t.cl seg targets;
+    Placement.place t.cl.Cluster.placement seg targets;
     Cluster.set_consistency t.cl seg consistency
   in
   mk data_seg cls.Obj_class.data_pages;
@@ -452,7 +455,7 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin
       | Ok _ | Error Ratp.Endpoint.Timeout ->
           failwith "create_object: descriptor registration failed")
     targets;
-  Ra.Sysname.Table.replace t.cl.Cluster.obj_home obj home;
+  Placement.set_home t.cl.Cluster.placement obj home;
   (match cls.Obj_class.constructor with
   | None -> ()
   | Some ctor ->
@@ -480,7 +483,8 @@ let delete_object t ?on obj =
       :: List.concat_map
            (fun e ->
              if String.equal e.Store.Directory.role "code" then []
-             else Cluster.replicas_of t.cl e.Store.Directory.seg)
+             else
+               Placement.replicas t.cl.Cluster.placement e.Store.Directory.seg)
            desc.Store.Directory.entries)
   in
   List.iter
@@ -493,8 +497,8 @@ let delete_object t ?on obj =
                 (Dsm.Protocol.Delete_segment e.Store.Directory.seg)
             with
             | Ok _ | Error Ratp.Endpoint.Timeout -> ())
-          (Cluster.replicas_of t.cl e.Store.Directory.seg);
-        Cluster.remove_segment t.cl e.Store.Directory.seg
+          (Placement.replicas t.cl.Cluster.placement e.Store.Directory.seg);
+        Placement.remove t.cl.Cluster.placement e.Store.Directory.seg
       end)
     desc.Store.Directory.entries;
   List.iter
@@ -502,7 +506,7 @@ let delete_object t ?on obj =
       match Dsm.Protocol.call node ~dst (Dsm.Protocol.Unregister_object obj) with
       | Ok _ | Error Ratp.Endpoint.Timeout -> ())
     targets;
-  Ra.Sysname.Table.remove t.cl.Cluster.obj_home obj;
+  Placement.forget_home t.cl.Cluster.placement obj;
   (* drop activations everywhere *)
   Array.iter
     (fun cnode ->

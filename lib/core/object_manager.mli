@@ -19,6 +19,11 @@ val create : Cluster.t -> t
 
 val cluster : t -> Cluster.t
 
+val set_entry_wrapper :
+  t -> (Obj_class.consistency -> Ctx.t -> (unit -> Value.t) -> Value.t) -> unit
+(** Installed by the atomicity layer around every entry point; by
+    default an entry body just runs. *)
+
 val create_object :
   t ->
   ?home:Net.Address.t ->

@@ -4,21 +4,12 @@ module M = Membership.Monitor
 type t = {
   cl : Cluster.t;
   node : Ra.Node.t;  (* monitor host; heal RPCs issue from here *)
-  lost : Net.Address.t Ra.Sysname.Table.t;
-      (* segments with no live replica, keyed to their last home so a
-         rejoin can re-adopt them (the stable store survives crashes) *)
   healing : unit Ra.Sysname.Table.t;
   mutable known_dead : Net.Address.t list;
   mutable active : int;  (* heal passes in flight *)
   mutable last_heal_at : Sim.Time.t option;
   copied : Sim.Stats.counter;
 }
-
-let healthy_data t =
-  Array.to_list t.cl.Cluster.data_nodes
-  |> List.filter_map (fun n ->
-         if Cluster.usable t.cl n then Some n.Ra.Node.id else None)
-  |> List.sort Net.Address.compare
 
 (* The segment's size as the source currently stores it (an empty
    Read_pages reply carries the size and nothing else). *)
@@ -30,7 +21,7 @@ let probe_size t ~src ~seg =
 (* Give [dst] a fresh, all-zero segment of [size] bytes; a stale copy
    left over from an earlier replica stint is deleted first. *)
 let prepare_target t ~seg ~dst ~size =
-  let mode = Cluster.consistency_of t.cl seg in
+  let mode = Placement.mode t.cl.Cluster.placement seg in
   match P.call t.node ~dst (P.Create_segment { seg; size; mode }) with
   | Ok P.Segment_ok -> true
   | Ok P.Segment_error -> (
@@ -76,29 +67,16 @@ let backfill t ~seg ~src ~dst =
   with Fail -> false
 
 (* Bring one fresh copy of [seg] up on [dst]: wipe/create the target,
-   enlist it in the replica list (mirroring starts immediately), then
-   backfill the pages.  On failure the half-copied target is taken
-   back out of the replica list — a backup with holes must never be
-   promoted. *)
+   then enlist it as a filling backup around the backfill (mirroring
+   starts at once, but failover will not promote a half copy, and a
+   failed copy is taken back out of the replica list). *)
 let copy_segment t ~seg ~src ~dst =
   match probe_size t ~src ~seg with
   | None -> false
   | Some size ->
       prepare_target t ~seg ~dst ~size
-      &&
-      let current = Cluster.replicas_of t.cl seg in
-      Cluster.set_replicas t.cl seg (current @ [ dst ]);
-      backfill t ~seg ~src ~dst
-      ||
-      let rolled =
-        List.filter
-          (fun a -> not (Net.Address.equal a dst))
-          (Cluster.replicas_of t.cl seg)
-      in
-      (match rolled with
-      | [] -> ()
-      | _ :: _ -> Cluster.set_replicas t.cl seg rolled);
-      false
+      && Placement.enlist t.cl.Cluster.placement seg dst ~fill:(fun () ->
+             backfill t ~seg ~src ~dst)
 
 (* A fresh backup also needs the object directory entries whose
    segments it now mirrors; descriptors are tiny, so the whole
@@ -118,29 +96,22 @@ let copy_directory t ~src ~dst =
         (List.sort Ra.Sysname.compare objs)
   | Ok _ | Error Ratp.Endpoint.Timeout -> ()
 
+(* [seg]'s copies on the [healthy] data servers, primary first. *)
+let live_copies t healthy seg =
+  Placement.replicas t.cl.Cluster.placement seg
+  |> List.filter (fun a -> List.exists (Net.Address.equal a) healthy)
+
 (* Top up every under-replicated segment to min(factor, healthy data
    servers).  Segments are visited in sysname order and targets
    chosen by address after the primary (wrapping), so a reheal trace
    is a pure function of the seed. *)
 let heal_pass t =
   let dir_pairs = ref [] in
-  let segs =
-    Ra.Sysname.Table.fold
-      (fun seg _ acc -> seg :: acc)
-      t.cl.Cluster.seg_home []
-    |> List.sort Ra.Sysname.compare
-  in
   List.iter
     (fun seg ->
-      if
-        (not (Ra.Sysname.Table.mem t.healing seg))
-        && not (Ra.Sysname.Table.mem t.lost seg)
-      then begin
-        let healthy = healthy_data t in
-        let reps =
-          Cluster.replicas_of t.cl seg
-          |> List.filter (fun a -> List.exists (Net.Address.equal a) healthy)
-        in
+      if not (Ra.Sysname.Table.mem t.healing seg) then begin
+        let healthy = Cluster.usable_data t.cl in
+        let reps = live_copies t healthy seg in
         match reps with
         | [] -> ()
         | primary :: _ ->
@@ -170,27 +141,20 @@ let heal_pass t =
                 added
             end
       end)
-    segs;
+    (Placement.live_segments t.cl.Cluster.placement);
   List.sort_uniq compare (List.rev !dir_pairs)
   |> List.iter (fun (src, dst) -> copy_directory t ~src ~dst)
 
 (* Is any tracked segment still short of copies?  (Lost segments are
    excluded: nothing can be copied until their last home rejoins.) *)
 let under_replicated t =
-  let healthy = healthy_data t in
+  let healthy = Cluster.usable_data t.cl in
   let want_max = min t.cl.Cluster.replication (List.length healthy) in
-  Ra.Sysname.Table.fold
-    (fun seg _ acc ->
-      acc
-      ||
-      if Ra.Sysname.Table.mem t.lost seg then false
-      else
-        let live =
-          Cluster.replicas_of t.cl seg
-          |> List.filter (fun a -> List.exists (Net.Address.equal a) healthy)
-        in
-        live <> [] && List.length live < want_max)
-    t.cl.Cluster.seg_home false
+  List.exists
+    (fun seg ->
+      let live = live_copies t healthy seg in
+      live <> [] && List.length live < want_max)
+    (Placement.live_segments t.cl.Cluster.placement)
 
 (* A heal pass can fail half-way (the source of a copy can itself die,
    or a transfer can outlive the transport's patience), so one view
@@ -218,52 +182,6 @@ let spawn_heal t =
              in
              retry max_rounds)))
 
-(* Inline metadata failover, run synchronously from the view
-   transition: every client locate after this instant resolves to a
-   surviving replica.  Page copies happen in the background pass. *)
-let failover t dead_now =
-  let is_dead a = List.exists (Net.Address.equal a) dead_now in
-  let segs =
-    Ra.Sysname.Table.fold
-      (fun seg home acc -> (seg, home) :: acc)
-      t.cl.Cluster.seg_home []
-    |> List.sort (fun (a, _) (b, _) -> Ra.Sysname.compare a b)
-  in
-  List.iter
-    (fun (seg, home) ->
-      let reps = Cluster.replicas_of t.cl seg in
-      let live = List.filter (fun a -> not (is_dead a)) reps in
-      if List.length live < List.length reps then
-        match live with
-        | [] ->
-            (* no survivor: remember the last primary so its rejoin
-               re-adopts the segment *)
-            Ra.Sysname.Table.replace t.lost seg home;
-            Ra.Sysname.Table.replace t.cl.Cluster.seg_replicas seg []
-        | _ -> Cluster.set_replicas t.cl seg live)
-    segs;
-  let doomed_objs =
-    Ra.Sysname.Table.fold
-      (fun obj home acc -> if is_dead home then obj :: acc else acc)
-      t.cl.Cluster.obj_home []
-  in
-  List.iter (Ra.Sysname.Table.remove t.cl.Cluster.obj_home) doomed_objs
-
-(* A condemned server rejoined (heartbeats resumed): its stable store
-   survived, so segments that died with it come back as they were. *)
-let readopt t a =
-  let segs =
-    Ra.Sysname.Table.fold
-      (fun seg home acc -> if Net.Address.equal home a then seg :: acc else acc)
-      t.lost []
-    |> List.sort Ra.Sysname.compare
-  in
-  List.iter
-    (fun seg ->
-      Ra.Sysname.Table.remove t.lost seg;
-      Cluster.set_replicas t.cl seg [ a ])
-    segs
-
 let on_view t (v : M.view) =
   let dead_now =
     List.filter_map
@@ -284,8 +202,14 @@ let on_view t (v : M.view) =
       t.known_dead
   in
   t.known_dead <- dead_now;
-  List.iter (readopt t) newly_alive;
-  if newly_dead <> [] then failover t dead_now;
+  (* a rejoined server's stable store survived, so segments lost with
+     it come back as they were; a condemned server's segments fail
+     over inline, so every client locate after this instant resolves
+     to a surviving filled replica (page copies happen in the
+     background pass) *)
+  List.iter (Placement.readopt t.cl.Cluster.placement) newly_alive;
+  if newly_dead <> [] then
+    Placement.failover t.cl.Cluster.placement ~dead:dead_now;
   if newly_dead <> [] || newly_alive <> [] then spawn_heal t
 
 let install cl mon =
@@ -293,7 +217,6 @@ let install cl mon =
     {
       cl;
       node = M.host mon;
-      lost = Ra.Sysname.Table.create 16;
       healing = Ra.Sysname.Table.create 16;
       known_dead = [];
       active = 0;
@@ -312,4 +235,3 @@ let rec quiesce t =
 
 let last_heal t = t.last_heal_at
 let pages_copied t = Sim.Stats.value t.copied
-let lost_segments t = Ra.Sysname.Table.length t.lost

@@ -1,16 +1,18 @@
 (** Automatic re-replication of under-replicated segments.
 
     Subscribes to the membership monitor.  When a view condemns a
-    data server, the replicator immediately repairs the placement
-    tables — every segment whose primary died is repointed at its
-    first surviving backup, and segments with no surviving copy are
-    recorded as lost — then runs a background heal pass that copies
+    data server, the replicator immediately fails {!Placement} over —
+    every segment whose primary died is repointed at its first
+    surviving filled backup, and segments with no surviving filled
+    copy become lost — then runs a background heal pass that copies
     each under-replicated segment ([Read_pages] batches from a
     surviving replica, landed as zero-guarded [Backfill]s) onto
     healthy data servers until the cluster's replication factor is
-    restored, and mirrors the object directory entries alongside.
-    When a dead server's heartbeats resume (its stable store survived
-    the crash), its lost segments are re-adopted and topped back up.
+    restored, and mirrors the object directory entries alongside.  A
+    target is enlisted as a filling backup before its backfill and
+    marked filled after it.  When a dead server's heartbeats resume
+    (its stable store survived the crash), its lost segments are
+    re-adopted and topped back up.
 
     Invariant: a write acknowledged to a client before the crash is
     on every current replica once {!quiesce} returns — the primary
@@ -31,7 +33,3 @@ val last_heal : t -> Sim.Time.t option
 
 val pages_copied : t -> int
 (** Pages shipped by heal passes over the replicator's lifetime. *)
-
-val lost_segments : t -> int
-(** Segments that currently have no live replica (their last copy
-    died and has not rejoined). *)

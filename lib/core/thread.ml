@@ -23,8 +23,7 @@ let start om ?origin ?on ~obj ~entry arg =
         | Some _ | None -> invalid_arg "Thread.start: not a compute server")
     | None -> Cluster.pick_compute cl
   in
-  let tid = cl.Cluster.next_thread in
-  cl.Cluster.next_thread <- tid + 1;
+  let tid = Cluster.fresh_thread cl in
   let t =
     {
       id = tid;

@@ -67,7 +67,7 @@ let makespan_under ~policy =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
       let sys = Clouds.boot eng ~compute:4 ~data:1 ~workstations:0 () in
-      sys.Clouds.cluster.Clouds.Cluster.scheduler <- policy;
+      Clouds.Cluster.set_scheduler sys.Clouds.cluster policy;
       Clouds.Cluster.register_class sys.Clouds.cluster
         (Clouds.Obj_class.define ~name:"work"
            [

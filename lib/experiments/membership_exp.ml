@@ -118,7 +118,7 @@ let make_segment cl ~primary ~pages =
             ~size:(pages * Ra.Page.size)
       | None -> ())
     targets;
-  Cl.set_replicas cl seg targets;
+  Clouds.Placement.place cl.Cl.placement seg targets;
   seg
 
 let run_arm ~seed ~ops (a : arm) =
@@ -239,7 +239,7 @@ let run_arm ~seed ~ops (a : arm) =
       in
       Array.iteri
         (fun si seg ->
-          let reps = Cl.replicas_of cl seg in
+          let reps = Clouds.Placement.replicas cl.Cl.placement seg in
           let want = min a.replication healthy in
           if List.length reps < want then
             violate "seg %d under-replicated: %d copies, want %d" si
@@ -287,7 +287,7 @@ let run_arm ~seed ~ops (a : arm) =
         | None -> 0.0
       in
       let unavail_ms = !unavail in
-      let lost_segments = Clouds.Replicator.lost_segments repl in
+      let lost_segments = Clouds.Placement.lost_segments cl.Cl.placement in
       if lost_segments > 0 then
         violate "%d segments still have no live replica" lost_segments;
       {

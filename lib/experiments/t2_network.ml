@@ -68,9 +68,9 @@ let measure_ratp ether ~samples =
 
 let measure_comparators ether ~samples =
   Ratp.Ftp_sim.start_server ether ~addr:105 ();
-  let ftp = Ratp.Ftp_sim.client ether ~addr:106 () in
+  let ftp = Ratp.Ftp_sim.client ether ~addr:106 in
   Ratp.Nfs_sim.start_server ether ~addr:107 ();
-  let nfs = Ratp.Nfs_sim.client ether ~addr:108 () in
+  let nfs = Ratp.Nfs_sim.client ether ~addr:108 in
   let ftp_s = Sim.Stats.series "ftp" and nfs_s = Sim.Stats.series "nfs" in
   for _ = 1 to samples do
     let t0 = Sim.now () in

@@ -6,13 +6,7 @@
     processing time.  A detached NIC (crashed machine) silently drops
     deliveries. *)
 
-type t = {
-  addr : Address.t;
-  rx : Frame.t Sim.Mailbox.t;
-  recv_cost_per_frame : Sim.Time.span;
-  recv_cost_per_byte_ns : int;
-  mutable attached : bool;
-}
+type t
 
 val create :
   addr:Address.t ->

@@ -38,7 +38,7 @@ let live_node cl =
 let descriptor_of om node obj =
   let cl = Clouds.Object_manager.cluster om in
   let home =
-    match Ra.Sysname.Table.find_opt cl.Cl.obj_home obj with
+    match Clouds.Placement.home cl.Cl.placement obj with
     | Some h -> h
     | None -> raise (Clouds.Object_manager.No_object obj)
   in

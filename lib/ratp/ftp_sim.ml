@@ -1,17 +1,7 @@
-type config = {
-  block_size : int;
-  control_round_trips : int;
-  session_setup : Sim.Time.span;
-  per_block_server_cost : Sim.Time.span;
-}
-
-let default_config =
-  {
-    block_size = 512;
-    control_round_trips = 5;
-    session_setup = Sim.Time.ms 8;
-    per_block_server_cost = Sim.Time.us 200;
-  }
+let block_size = 512 (* data bytes per block (early-TCP-like) *)
+let control_round_trips = 5 (* handshake + FTP command dialogue *)
+let session_setup = Sim.Time.ms 8 (* server-side session/auth cost *)
+let per_block_server_cost = Sim.Time.us 200
 
 type Net.Frame.payload +=
   | F_ctl of int
@@ -26,18 +16,17 @@ let send ether ~src ~dst ~payload_bytes payload =
   Net.Ethernet.transmit ether
     (Net.Frame.make ~src ~dst:(Net.Frame.Unicast dst) ~payload_bytes payload)
 
-let start_server ether ~addr ?group ?(config = default_config) () =
+let start_server ether ~addr ?group () =
   let nic = Net.Ethernet.attach ether addr in
   let eng = Net.Ethernet.engine ether in
   let serve_transfer ~client bytes =
-    Sim.sleep config.session_setup;
-    let nblocks = max 1 ((bytes + config.block_size - 1) / config.block_size) in
+    Sim.sleep session_setup;
+    let nblocks = max 1 ((bytes + block_size - 1) / block_size) in
     let rec block seq =
-      Sim.sleep config.per_block_server_cost;
+      Sim.sleep per_block_server_cost;
       let last = seq = nblocks - 1 in
       let size =
-        if last then bytes - (config.block_size * (nblocks - 1))
-        else config.block_size
+        if last then bytes - (block_size * (nblocks - 1)) else block_size
       in
       send ether ~src:addr ~dst:client ~payload_bytes:(size + 40)
         (F_data { seq; last });
@@ -72,16 +61,14 @@ type client = {
   ether : Net.Ethernet.t;
   nic : Net.Nic.t;
   addr : Net.Address.t;
-  cfg : config;
 }
 
-let client ether ~addr ?(config = default_config) () =
-  { ether; nic = Net.Ethernet.attach ether addr; addr; cfg = config }
+let client ether ~addr = { ether; nic = Net.Ethernet.attach ether addr; addr }
 
 let fetch t ~server ~bytes =
   (* control dialogue: connect + USER/PASS/PORT/RETR, one round trip
      each *)
-  for i = 1 to t.cfg.control_round_trips do
+  for i = 1 to control_round_trips do
     send t.ether ~src:t.addr ~dst:server ~payload_bytes:ctl_bytes (F_ctl i);
     let rec await () =
       match (Net.Nic.recv t.nic).Net.Frame.payload with

@@ -8,20 +8,13 @@
     reproduces that structure over the same simulated Ethernet so the
     comparison measures protocol shape, not implementation tricks. *)
 
-type config = {
-  block_size : int;  (** data bytes per block (early-TCP-like) *)
-  control_round_trips : int;  (** handshake + FTP command dialogue *)
-  session_setup : Sim.Time.span;  (** server-side session/auth cost *)
-  per_block_server_cost : Sim.Time.span;
-}
-
 val start_server :
-  Net.Ethernet.t -> addr:Net.Address.t -> ?group:int -> ?config:config -> unit -> unit
+  Net.Ethernet.t -> addr:Net.Address.t -> ?group:int -> unit -> unit
 (** Attach a NIC at [addr] and serve fetches forever. *)
 
 type client
 
-val client : Net.Ethernet.t -> addr:Net.Address.t -> ?config:config -> unit -> client
+val client : Net.Ethernet.t -> addr:Net.Address.t -> client
 (** Attach a client NIC. *)
 
 val fetch : client -> server:Net.Address.t -> bytes:int -> unit

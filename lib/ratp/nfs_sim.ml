@@ -1,11 +1,6 @@
-type config = {
-  rsize : int;
-  preamble_rpcs : int;
-  per_rpc_server_cost : Sim.Time.span;
-}
-
-let default_config =
-  { rsize = 1024; preamble_rpcs = 2; per_rpc_server_cost = Sim.Time.of_ms_f 1.5 }
+let rsize = 1024 (* bytes per READ rpc *)
+let preamble_rpcs = 2 (* LOOKUP + GETATTR *)
+let per_rpc_server_cost = Sim.Time.of_ms_f 1.5
 
 type Net.Frame.payload +=
   | N_rpc of int  (* small rpc, sequence-numbered *)
@@ -19,7 +14,7 @@ let send ether ~src ~dst ~payload_bytes payload =
   Net.Ethernet.transmit ether
     (Net.Frame.make ~src ~dst:(Net.Frame.Unicast dst) ~payload_bytes payload)
 
-let start_server ether ~addr ?group ?(config = default_config) () =
+let start_server ether ~addr ?group () =
   let nic = Net.Ethernet.attach ether addr in
   let eng = Net.Ethernet.engine ether in
   ignore
@@ -31,11 +26,11 @@ let start_server ether ~addr ?group ?(config = default_config) () =
            let client = frame.Net.Frame.src in
            (match frame.Net.Frame.payload with
            | N_rpc n ->
-               Sim.sleep config.per_rpc_server_cost;
+               Sim.sleep per_rpc_server_cost;
                send ether ~src:addr ~dst:client ~payload_bytes:rpc_bytes
                  (N_rpc_ok n)
            | N_read { xid; len } ->
-               Sim.sleep config.per_rpc_server_cost;
+               Sim.sleep per_rpc_server_cost;
                send ether ~src:addr ~dst:client ~payload_bytes:(len + 112)
                  (N_read_ok { xid; len })
            | _ -> ());
@@ -47,15 +42,14 @@ type client = {
   ether : Net.Ethernet.t;
   nic : Net.Nic.t;
   addr : Net.Address.t;
-  cfg : config;
   mutable xid : int;
 }
 
-let client ether ~addr ?(config = default_config) () =
-  { ether; nic = Net.Ethernet.attach ether addr; addr; cfg = config; xid = 0 }
+let client ether ~addr =
+  { ether; nic = Net.Ethernet.attach ether addr; addr; xid = 0 }
 
 let fetch t ~server ~bytes =
-  for i = 1 to t.cfg.preamble_rpcs do
+  for i = 1 to preamble_rpcs do
     send t.ether ~src:t.addr ~dst:server ~payload_bytes:rpc_bytes (N_rpc i);
     let rec await () =
       match (Net.Nic.recv t.nic).Net.Frame.payload with
@@ -66,7 +60,7 @@ let fetch t ~server ~bytes =
   done;
   let remaining = ref bytes in
   while !remaining > 0 do
-    let len = min t.cfg.rsize !remaining in
+    let len = min rsize !remaining in
     t.xid <- t.xid + 1;
     let xid = t.xid in
     send t.ether ~src:t.addr ~dst:server ~payload_bytes:rpc_bytes

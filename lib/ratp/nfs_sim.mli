@@ -6,18 +6,12 @@
     reply round trip with per-RPC server-side overhead.  This module
     reproduces that structure over the simulated Ethernet. *)
 
-type config = {
-  rsize : int;  (** bytes per READ rpc *)
-  preamble_rpcs : int;  (** LOOKUP + GETATTR *)
-  per_rpc_server_cost : Sim.Time.span;
-}
-
 val start_server :
-  Net.Ethernet.t -> addr:Net.Address.t -> ?group:int -> ?config:config -> unit -> unit
+  Net.Ethernet.t -> addr:Net.Address.t -> ?group:int -> unit -> unit
 
 type client
 
-val client : Net.Ethernet.t -> addr:Net.Address.t -> ?config:config -> unit -> client
+val client : Net.Ethernet.t -> addr:Net.Address.t -> client
 
 val fetch : client -> server:Net.Address.t -> bytes:int -> unit
 (** Fetch [bytes] through sequential READ RPCs from the current

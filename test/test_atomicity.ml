@@ -121,7 +121,9 @@ let direct env ?(node = env.sys.cluster.Cluster.compute_nodes.(0))
 (* Read the account's balance straight from its data server's stable
    store (what survives crashes). *)
 let stored_balance env obj =
-  let home = Ra.Sysname.Table.find env.sys.cluster.Cluster.obj_home obj in
+  let home =
+    Option.get (Placement.home env.sys.cluster.Cluster.placement obj)
+  in
   match Cluster.server_at env.sys.cluster home with
   | None -> Alcotest.fail "no server"
   | Some server -> (

@@ -505,7 +505,7 @@ let test_thread_scheduling_round_robin () =
 
 let test_least_loaded_scheduling () =
   with_system ~compute:3 (fun sys ->
-      sys.cluster.Cluster.scheduler <- `Least_loaded;
+      Cluster.set_scheduler sys.cluster `Least_loaded;
       let slow =
         Obj_class.define ~name:"hog"
           [

@@ -174,14 +174,15 @@ let test_remap_rebuilds_ring () =
         (fun node ->
           List.iter (fun name -> ignore (Ns.lookup ~on:node om name)) nm)
         cl.Cl.compute_nodes;
-      let before = cl.Cl.ring in
+      let before = Clouds.Placement.ring cl.Cl.placement in
       let dead = cl.Cl.data_nodes.(3).Ra.Node.id in
       Cl.remap_ring cl
         { M.epoch = 1; members = [ { M.addr = dead; status = M.Dead } ] };
       check_bool "ring dropped the condemned member" true
-        (Cl.(cl.ring) |> Ring.members |> List.mem dead |> not);
+        (Clouds.Placement.ring cl.Cl.placement
+        |> Ring.members |> List.mem dead |> not);
       check_bool "previous ring retained for fallback" true
-        (match Cl.(cl.prev_ring) with
+        (match Clouds.Placement.prev_ring cl.Cl.placement with
         | Some p -> Ring.members p = Ring.members before
         | None -> false);
       (* the service still answers across the remap *)
@@ -204,14 +205,15 @@ let test_unbind_after_remap () =
       List.iteri
         (fun i name -> Ns.bind om ~name (Ra.Sysname.well_known (i + 1)))
         nm;
-      let before = cl.Cl.ring in
+      let before = Clouds.Placement.ring cl.Cl.placement in
       let dead = cl.Cl.data_nodes.(3).Ra.Node.id in
       Cl.remap_ring cl
         { M.epoch = 1; members = [ { M.addr = dead; status = M.Dead } ] };
       let name =
         List.find
           (fun n ->
-            Ring.owner_of_string before n <> Ring.owner_of_string cl.Cl.ring n)
+            Ring.owner_of_string before n
+            <> Ring.owner_of_string (Clouds.Placement.ring cl.Cl.placement) n)
           nm
       in
       Ns.unbind om name;
@@ -221,7 +223,7 @@ let test_unbind_after_remap () =
         match
           Clouds.Object_manager.invoke om ~node:cl.Cl.compute_nodes.(0)
             ~thread_id:0 ~origin:None ~txn:None
-            ~obj:(Hashtbl.find cl.Cl.name_shards old_shard)
+            ~obj:(List.assoc old_shard (Cl.name_shards cl))
             ~entry:"list" Clouds.Value.Unit
         with
         | Clouds.Value.List l -> l

@@ -6,6 +6,7 @@
 open Sim
 module M = Membership.Monitor
 module Cl = Clouds.Cluster
+module Pl = Clouds.Placement
 module Exp = Experiments.Membership
 
 let check_int = Alcotest.(check int)
@@ -199,7 +200,7 @@ let test_sticky_suspect_cleared_by_view () =
       Store.Segment_store.create_segment
         (Dsm.Dsm_server.store server)
         seg ~size:Ra.Page.size;
-      Cl.add_segment cl seg 1;
+      Pl.place cl.Cl.placement seg [ 1 ];
       let vs = Ra.Virtual_space.create () in
       Ra.Virtual_space.map vs ~base:0 ~len:Ra.Page.size
         ~prot:Ra.Virtual_space.Read_write seg;
@@ -250,7 +251,7 @@ let test_failover_reads_backup () =
                 seg ~size:Ra.Page.size
           | None -> ())
         targets;
-      Cl.set_replicas cl seg targets;
+      Pl.place cl.Cl.placement seg targets;
       let node = cl.Cl.compute_nodes.(1) in
       let client = cl.Cl.clients.(1) in
       let vs = Ra.Virtual_space.create () in
@@ -272,7 +273,8 @@ let test_failover_reads_backup () =
       Ra.Node.crash cl.Cl.data_nodes.(0);
       Sim.sleep (Time.ms 150);
       check_bool "primary condemned" true (M.is_dead mon 1);
-      check_int "segment failed over to the backup" 2 (Cl.locate_segment cl seg);
+      check_int "segment failed over to the backup" 2
+        (Pl.locate cl.Cl.placement seg);
       Ra.Mmu.drop_segment node.Ra.Node.mmu seg;
       let t0 = Sim.now () in
       Alcotest.(check string) "backup serves the committed data" "live"
@@ -280,6 +282,97 @@ let test_failover_reads_backup () =
       let ms = Time.to_ms_f (Time.diff (Sim.now ()) t0) in
       check_bool "failover read needs no timeout rediscovery" true (ms < 60.0);
       Clouds.Replicator.quiesce repl)
+
+(* The segment table on its own: a failed backfill drops the enlisted
+   backup, a filled survivor is promoted ahead of a filling one, and a
+   segment whose only survivor is filling is lost to its last primary
+   until that primary is re-adopted. *)
+let test_placement_table () =
+  let p = Pl.create [ 1; 2; 3 ] in
+  let seg = Ra.Sysname.well_known 1 in
+  let reps () = Pl.replicas p seg in
+  Pl.place p seg [ 1; 2 ];
+  check_bool "failed fill" false (Pl.enlist p seg 3 ~fill:(fun () -> false));
+  Alcotest.(check (list int)) "failed backfill drops the backup" [ 1; 2 ]
+    (reps ());
+  ignore
+    (Pl.enlist p seg 3 ~fill:(fun () ->
+         Pl.failover p ~dead:[ 1 ];
+         Alcotest.(check (list int)) "filled backup promoted" [ 2; 3 ]
+           (reps ());
+         Pl.failover p ~dead:[ 1; 2 ];
+         Alcotest.(check (list int)) "filling copy never promoted" []
+           (reps ());
+         check_int "lost to the last primary" 2 (Pl.locate p seg);
+         false));
+  check_int "one lost segment" 1 (Pl.lost_segments p);
+  Pl.readopt p 2;
+  Alcotest.(check (list int)) "re-adopted" [ 2 ] (reps ());
+  check_int "no lost segment" 0 (Pl.lost_segments p)
+
+(* Regression: the heal pass enlists a fresh backup before backfilling
+   it, and failover used to promote that half-copied backup when the
+   primary died mid-copy — a sole replica with 60 of 64 pages still
+   zero.  A filling backup is never promoted: with no filled survivor
+   the segment is lost to its last primary, and that primary's restart
+   re-adopts the intact copy. *)
+let test_failover_skips_filling_backup () =
+  Sim.exec ~seed:9 (fun () ->
+      let eng = Sim.engine () in
+      let sys =
+        Clouds.boot eng ~ratp_config:fast_ratp ~replication:2 ~compute:2
+          ~data:3 ~workstations:0 ()
+      in
+      let cl = sys.Clouds.cluster in
+      let mon = Cl.start_membership cl ~config:mon_config () in
+      Fun.protect ~finally:(fun () -> Cl.stop_membership cl) @@ fun () ->
+      let repl = Clouds.Replicator.install cl mon in
+      let pages = 64 in
+      let seg = Ra.Sysname.fresh cl.Cl.data_nodes.(0).Ra.Node.names in
+      List.iter
+        (fun a ->
+          match Cl.server_at cl a with
+          | Some srv ->
+              let store = Dsm.Dsm_server.store srv in
+              Store.Segment_store.create_segment store seg
+                ~size:(pages * Ra.Page.size);
+              for p = 0 to pages - 1 do
+                Store.Segment_store.write_page store seg p
+                  (Bytes.make Ra.Page.size 'x')
+              done
+          | None -> ())
+        [ 1; 2 ];
+      Pl.place cl.Cl.placement seg [ 1; 2 ];
+      Ra.Node.crash cl.Cl.data_nodes.(1);
+      Sim.sleep (Time.ms 192);
+      (* the heal pass is mid-copy onto server 3 *)
+      Alcotest.(check (list int))
+        "server 3 enlisted" [ 1; 3 ] (Pl.replicas cl.Cl.placement seg);
+      check_int "backfill under way" 4 (Clouds.Replicator.pages_copied repl);
+      Ra.Node.crash cl.Cl.data_nodes.(0);
+      Sim.sleep (Time.ms 150);
+      check_bool "primary condemned" true (M.is_dead mon 1);
+      check_int "segment lost, not promoted" 1
+        (Pl.lost_segments cl.Cl.placement);
+      check_int "locate names the last primary" 1
+        (Pl.locate cl.Cl.placement seg);
+      Alcotest.(check (list int))
+        "no replica" [] (Pl.replicas cl.Cl.placement seg);
+      Ra.Node.restart cl.Cl.data_nodes.(0);
+      Sim.sleep (Time.ms 100);
+      Clouds.Replicator.quiesce repl;
+      check_int "re-adopted" 0 (Pl.lost_segments cl.Cl.placement);
+      check_int "primary is the restarted server" 1
+        (List.hd (Pl.replicas cl.Cl.placement seg));
+      let node = cl.Cl.compute_nodes.(1) in
+      let vs = Ra.Virtual_space.create () in
+      Ra.Virtual_space.map vs ~base:0 ~len:(pages * Ra.Page.size)
+        ~prot:Ra.Virtual_space.Read_write seg;
+      Alcotest.(check string) "last page intact" "xxxx"
+        (Bytes.to_string
+           (Ra.Mmu.read node.Ra.Node.mmu vs
+              ~addr:((pages - 1) * Ra.Page.size)
+              ~len:4)))
 
 (* ------------------------------------------------------------------ *)
 (* Kill k of n: reheal invariants *)
@@ -351,6 +444,9 @@ let () =
             test_sticky_suspect_cleared_by_view;
           Alcotest.test_case "failover reads the backup at once" `Quick
             test_failover_reads_backup;
+          Alcotest.test_case "failover skips a filling backup" `Quick
+            test_failover_skips_filling_backup;
+          Alcotest.test_case "placement table" `Quick test_placement_table;
         ] );
       ( "reheal",
         [

@@ -210,7 +210,8 @@ let test_dsm_mode_metrics_exported () =
           Store.Segment_store.create_segment
             (Dsm.Dsm_server.store server)
             seg ~size:Ra.Page.size;
-          Clouds.Cluster.add_segment cl seg data_node.Ra.Node.id;
+          Clouds.Placement.place cl.Clouds.Cluster.placement seg
+            [ data_node.Ra.Node.id ];
           Clouds.Cluster.set_consistency cl seg mode;
           seg
         in

@@ -770,9 +770,9 @@ let test_transfer_comparison () =
         let b = Endpoint.create ether ~addr:2 () in
         Endpoint.serve b ~service:echo_service (fun ~src:_ _ -> (Blob 8192, 8192));
         Ftp_sim.start_server ether ~addr:3 ();
-        let ftp = Ftp_sim.client ether ~addr:4 () in
+        let ftp = Ftp_sim.client ether ~addr:4 in
         Nfs_sim.start_server ether ~addr:5 ();
-        let nfs = Nfs_sim.client ether ~addr:6 () in
+        let nfs = Nfs_sim.client ether ~addr:6 in
         let ratp_ms =
           measure (fun () ->
               match
