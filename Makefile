@@ -76,7 +76,8 @@ size:
 # whose name is not a word of any .ml but its module's own, printed
 # as `Mod.field (field)`: a lower bound, since a field called `seq`
 # is "named" by any file that says seq.  One awk pass over every
-# file.  Print-only.
+# file.  Exits non-zero whenever it prints anything, so CI fails on
+# a new unread export.
 define UNUSED_AWK
 # .mli files first: every "val v" of module M, in file order.
 FNR == 1 {
@@ -142,7 +143,8 @@ endef
 export UNUSED_AWK
 
 unused:
-	@awk "$$FIELDS_AWK$$UNUSED_AWK" lib/*/*.mli $$(find lib bench bin test examples -name '*.ml')
+	@out=$$(awk "$$FIELDS_AWK$$UNUSED_AWK" lib/*/*.mli $$(find lib bench bin test examples -name '*.ml')) || exit 1; \
+	if [ -n "$$out" ]; then printf '%s\n' "$$out"; exit 1; fi
 
 faults:
 	dune exec bin/experiments_main.exe -- faults

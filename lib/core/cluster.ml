@@ -40,15 +40,6 @@ let ns_lock t shard =
   memo Hashtbl.find_opt Hashtbl.replace t.state.ns_locks shard (fun () ->
       Sim.Mutex.create ~label:"ns-shard" ())
 
-(* Record a segment's consistency mode cluster-wide (clients resolve
-   through [Placement.mode]) and mirror it onto every server that
-   stores a replica, so the home defers/merges accordingly. *)
-let set_consistency t seg mode =
-  Placement.set_mode t.placement seg mode;
-  Array.iter
-    (fun server -> Dsm.Dsm_server.set_consistency server seg mode)
-    t.servers
-
 let membership_usable t addr =
   match t.state.membership with
   | Some m -> Membership.Monitor.usable m addr
@@ -110,7 +101,8 @@ let create eng ?ratp_config ?ether_config
   let servers =
     Array.map
       (fun n ->
-        Dsm.Dsm_server.create n ?group_commit_window ?checkpoint_every ())
+        Dsm.Dsm_server.create n ?group_commit_window ?checkpoint_every
+          ~consistency:(Placement.mode placement) ())
       data_nodes
   in
   let compute_nodes =

@@ -52,13 +52,9 @@ val create :
     [replication] (default 1) is the target
     number of data servers holding each segment: primaries forward
     committed writes to the backups, and the replicator re-creates
-    lost copies when membership condemns a server. *)
-
-val set_consistency : t -> Ra.Sysname.t -> Ra.Partition.consistency -> unit
-(** Record a segment's mode in {!Placement} (every DSM client
-    resolves through it) and mirror it onto every data server.
-    Change modes only while the segment has no cached remote copies
-    (normally set once at creation). *)
+    lost copies when membership condemns a server.  Every DSM server
+    and client resolves a segment's consistency mode through
+    {!Placement.mode}. *)
 
 val pick_compute : t -> Ra.Node.t
 (** Scheduling decision for a new thread, according to the

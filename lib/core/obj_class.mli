@@ -13,11 +13,7 @@
 
 type consistency = S | Lcp | Gcp
 
-type entry = {
-  e_name : string;
-  label : consistency;
-  fn : Ctx.t -> Value.t -> Value.t;
-}
+type entry = { label : consistency; fn : Ctx.t -> Value.t -> Value.t }
 
 type t = {
   c_name : string;
@@ -25,7 +21,7 @@ type t = {
   data_pages : int;  (** persistent data segment per instance *)
   heap_pages : int;  (** persistent heap per instance *)
   vheap_pages : int;  (** volatile heap per activation *)
-  entries : entry list;
+  entries : (string * entry) list;  (** by entry-point name *)
   constructor : (Ctx.t -> Value.t -> unit) option;
       (** runs once when an instance is created *)
   daemons : (string * (Ctx.t -> unit)) list;
@@ -41,13 +37,17 @@ val define :
   ?constructor:(Ctx.t -> Value.t -> unit) ->
   ?daemons:(string * (Ctx.t -> unit)) list ->
   name:string ->
-  entry list ->
+  (string * entry) list ->
   t
 (** Every class has 3 code pages.  Defaults: 1 data page, 2 heap
     pages, 2 volatile pages — a small object in the spirit of the
     paper's examples. *)
 
-val entry : ?label:consistency -> string -> (Ctx.t -> Value.t -> Value.t) -> entry
-(** An entry point; the default label is [S]. *)
+val entry :
+  ?label:consistency ->
+  string ->
+  (Ctx.t -> Value.t -> Value.t) ->
+  string * entry
+(** A named entry point; the default label is [S]. *)
 
 val find_entry : t -> string -> entry option

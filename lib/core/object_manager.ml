@@ -409,15 +409,14 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin
       (fun dst ->
         match
           Dsm.Protocol.call node ~dst
-            (Dsm.Protocol.Create_segment
-               { seg; size = pages * Ra.Page.size; mode = consistency })
+            (Dsm.Protocol.Create_segment { seg; size = pages * Ra.Page.size })
         with
         | Ok Dsm.Protocol.Segment_ok -> ()
         | Ok _ | Error Ratp.Endpoint.Timeout ->
             failwith "create_object: segment creation failed")
       targets;
     Placement.place t.cl.Cluster.placement seg targets;
-    Cluster.set_consistency t.cl seg consistency
+    Placement.set_mode t.cl.Cluster.placement seg consistency
   in
   mk data_seg cls.Obj_class.data_pages;
   mk heap_seg cls.Obj_class.heap_pages;

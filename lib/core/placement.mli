@@ -58,6 +58,11 @@ val mode : t -> Ra.Sysname.t -> Ra.Partition.consistency
 (** [One_copy] when never set. *)
 
 val set_mode : t -> Ra.Sysname.t -> Ra.Partition.consistency -> unit
+(** The one write of a segment's mode: every DSM client, every DSM
+    server and every MMU of the cluster reads it through {!mode}.
+    Change modes only while the segment has no cached remote copies
+    (normally set once at creation): copies fetched under the old
+    mode are not converted. *)
 
 (** {1 Objects} *)
 

@@ -21,13 +21,12 @@ let probe_size t ~src ~seg =
 (* Give [dst] a fresh, all-zero segment of [size] bytes; a stale copy
    left over from an earlier replica stint is deleted first. *)
 let prepare_target t ~seg ~dst ~size =
-  let mode = Placement.mode t.cl.Cluster.placement seg in
-  match P.call t.node ~dst (P.Create_segment { seg; size; mode }) with
+  match P.call t.node ~dst (P.Create_segment { seg; size }) with
   | Ok P.Segment_ok -> true
   | Ok P.Segment_error -> (
       match P.call t.node ~dst (P.Delete_segment seg) with
       | Ok _ -> (
-          match P.call t.node ~dst (P.Create_segment { seg; size; mode }) with
+          match P.call t.node ~dst (P.Create_segment { seg; size }) with
           | Ok P.Segment_ok -> true
           | Ok _ | Error Ratp.Endpoint.Timeout -> false)
       | Error Ratp.Endpoint.Timeout -> false)

@@ -40,9 +40,9 @@ type t = {
       (* backup data servers for a segment (replication > 1); the
          cluster wires this so only a segment's current primary
          forwards *)
-  modes : Ra.Partition.consistency Ra.Sysname.Table.t;
-      (* per-segment consistency mode (absent = One_copy); populated
-         at Create_segment and by [set_consistency] *)
+  mode_of : Ra.Sysname.t -> Ra.Partition.consistency;
+      (* the segment's coherence mode, resolved through the same
+         lookup the clients use *)
   warmed : unit Ra.Sysname.Table.t;
       (* segments whose backing file has been read at least once; the
          first touch pays a disk read (cold buffer cache) *)
@@ -78,13 +78,6 @@ let node t = t.node
 let store t = t.store
 let directory t = t.directory
 let wal t = t.wal
-
-let consistency_of t seg =
-  match Ra.Sysname.Table.find_opt t.modes seg with
-  | Some m -> m
-  | None -> Ra.Partition.One_copy
-
-let set_consistency t seg mode = Ra.Sysname.Table.replace t.modes seg mode
 
 let owner_state t key =
   match Hashtbl.find_opt t.owners key with
@@ -228,7 +221,7 @@ let release_flush t writes ~except =
     (fun (seg, page, _) ->
       if
         (not (Hashtbl.mem seen (seg, page)))
-        && consistency_of t seg = Ra.Partition.Release
+        && t.mode_of seg = Ra.Partition.Release
       then begin
         Hashtbl.add seen (seg, page) ();
         match Hashtbl.find_opt t.owners (seg, page) with
@@ -302,7 +295,7 @@ let handle_get t ~src seg page mode =
             if not (List.mem src st.copyset) then
               st.copyset <- src :: st.copyset
         | Ra.Partition.Write -> (
-            match consistency_of t seg with
+            match t.mode_of seg with
             | Ra.Partition.One_copy ->
                 invalidate_copies t key ~except:src;
                 st.owner <- Some src;
@@ -563,7 +556,7 @@ let handle t ~src body =
           List.map
             (fun (seg, page, stamp, delta) ->
               let op =
-                match consistency_of t seg with
+                match t.mode_of seg with
                 | Ra.Partition.Commutative op -> op
                 | Ra.Partition.One_copy | Ra.Partition.Release ->
                     Ra.Partition.Max
@@ -648,18 +641,14 @@ let handle t ~src body =
         in
         P.Pages { size; pages = go from [] }
       end
-  | P.Create_segment { seg; size; mode } ->
+  | P.Create_segment { seg; size } ->
       if Store.Segment_store.exists t.store seg then P.Segment_error
       else begin
         Store.Segment_store.create_segment t.store seg ~size;
-        (match mode with
-        | Ra.Partition.One_copy -> ()
-        | m -> Ra.Sysname.Table.replace t.modes seg m);
         P.Segment_ok
       end
   | P.Delete_segment seg ->
       Store.Segment_store.delete_segment t.store seg;
-      Ra.Sysname.Table.remove t.modes seg;
       let doomed =
         Hashtbl.fold
           (fun ((_, s, _) as k) _ acc ->
@@ -695,7 +684,8 @@ let handle t ~src body =
   | P.List_objects -> P.Objects (Store.Directory.objects t.directory)
   | _ -> P.Page_error
 
-let create node ?group_commit_window ?checkpoint_every () =
+let create node ?group_commit_window ?checkpoint_every
+    ?(consistency = fun _ -> Ra.Partition.One_copy) () =
   let disk = Store.Disk.create (Printf.sprintf "disk-%d" node.Ra.Node.id) in
   let group_commit =
     Option.map
@@ -720,7 +710,7 @@ let create node ?group_commit_window ?checkpoint_every () =
       owners = Hashtbl.create 64;
       suspects = Hashtbl.create 8;
       mirrors = (fun _ -> []);
-      modes = Ra.Sysname.Table.create 16;
+      mode_of = consistency;
       warmed = Ra.Sysname.Table.create 64;
       merge_applied = Hashtbl.create 16;
       prepared = Hashtbl.create 8;

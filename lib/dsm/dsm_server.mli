@@ -16,6 +16,7 @@ val create :
   Ra.Node.t ->
   ?group_commit_window:Sim.Time.span ->
   ?checkpoint_every:Sim.Time.span ->
+  ?consistency:(Ra.Sysname.t -> Ra.Partition.consistency) ->
   unit ->
   t
 (** Install the DSM service on a data-server node.  State in
@@ -41,6 +42,15 @@ val create :
     the first prepare of a busy period: the in-doubt transaction
     table is logged without quiescing and the WAL is truncated up to
     the checkpoint once it is durable.
+
+    [consistency] maps a segment to its coherence mode (default: all
+    [One_copy]), the same lookup the clients get
+    ({!Dsm_client.create}); the server keeps no copy of its own.
+    [Release] defers write-fault invalidation to the flush that lands
+    the scope's dirty pages, batching one [Inval_batch] RPC per
+    copyset member in a single fan-out; [Commutative] segments never
+    invalidate and combine flushed deltas under their merge
+    operator.
 
     A prepared participant that hears no decision for 60 s asks the
     outcome oracle ({!set_outcome_oracle}): commit, abort, or wait
@@ -84,14 +94,6 @@ val apply_view : t -> Membership.Monitor.view -> unit
 
 val suspected : t -> Net.Address.t list
 (** Peers currently skipped by coherence fan-outs; sorted (tests). *)
-
-val set_consistency : t -> Ra.Sysname.t -> Ra.Partition.consistency -> unit
-(** Override a segment's consistency mode (normally set by the
-    [Create_segment] RPC).  [Release] defers write-fault invalidation
-    to the flush that lands the scope's dirty pages, batching one
-    [Inval_batch] RPC per copyset member in a single fan-out;
-    [Commutative] segments never invalidate and combine flushed
-    deltas under their merge operator. *)
 
 val set_mirrors : t -> (Ra.Sysname.t -> Net.Address.t list) -> unit
 (** Wire the backup map for replicated segments: committed writes

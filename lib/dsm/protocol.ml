@@ -15,11 +15,7 @@ type Ratp.Packet.body +=
   | Invalidated of { dirty : bytes option }
   | Downgrade of { seg : Ra.Sysname.t; page : int }
   | Downgraded of { dirty : bytes option }
-  | Create_segment of {
-      seg : Ra.Sysname.t;
-      size : int;
-      mode : Ra.Partition.consistency;
-    }
+  | Create_segment of { seg : Ra.Sysname.t; size : int }
   | Delete_segment of Ra.Sysname.t
   | Segment_ok
   | Segment_error

@@ -35,11 +35,10 @@ type Ratp.Packet.body +=
   | Invalidated of { dirty : bytes option }
   | Downgrade of { seg : Ra.Sysname.t; page : int }
   | Downgraded of { dirty : bytes option }
-  | Create_segment of {
-      seg : Ra.Sysname.t;
-      size : int;
-      mode : Ra.Partition.consistency;
-    }
+  | Create_segment of { seg : Ra.Sysname.t; size : int }
+      (** a zeroed segment of [size] bytes; its consistency mode is
+          not sent: the server reads it through the lookup it was
+          created with ({!Dsm_server.create}) *)
   | Delete_segment of Ra.Sysname.t
   | Segment_ok
   | Segment_error

@@ -1,8 +1,10 @@
 module V = Clouds.Value
 
-type row = { setting : string; value : string; detail : string }
-
 type Ratp.Packet.body += Ask_page | A_page
+
+(* A sweep row: these are not paper figures, so the paper column is
+   "-". *)
+let row label measured note = { Report.label; paper = "-"; measured; note }
 
 (* --- wire speed ----------------------------------------------------- *)
 
@@ -31,9 +33,7 @@ let cold_invocation_at ~bandwidth_bps =
           ~ether_config:{ Net.Ethernet.default_config with bandwidth_bps }
           ~compute:2 ~data:1 ~workstations:0 ()
       in
-      Clouds.Cluster.register_class sys.Clouds.cluster
-        (Clouds.Obj_class.define ~name:"nil"
-           [ Clouds.Obj_class.entry "null" (fun _ _ -> V.Unit) ]);
+      Clouds.Cluster.register_class sys.Clouds.cluster (Fixtures.null_cls "nil");
       let obj =
         Clouds.Object_manager.create_object sys.Clouds.om ~class_name:"nil" V.Unit
       in
@@ -48,16 +48,14 @@ let bandwidth () =
   List.concat_map
     (fun (label, bps) ->
       [
-        {
-          setting = Printf.sprintf "8K page transfer @ %s" label;
-          value = Report.ms (page_transfer_at ~bandwidth_bps:bps);
-          detail = "RaTP, fragmented";
-        };
-        {
-          setting = Printf.sprintf "cold invocation @ %s" label;
-          value = Report.ms (cold_invocation_at ~bandwidth_bps:bps);
-          detail = "whole activation path";
-        };
+        row
+        (Printf.sprintf "8K page transfer @ %s" label)
+          (Report.ms (page_transfer_at ~bandwidth_bps:bps))
+          "RaTP, fragmented";
+        row
+        (Printf.sprintf "cold invocation @ %s" label)
+          (Report.ms (cold_invocation_at ~bandwidth_bps:bps))
+          "whole activation path";
       ])
     [ ("10 Mbit/s", 10_000_000); ("100 Mbit/s", 100_000_000) ]
 
@@ -114,11 +112,10 @@ let scheduler () =
   List.map
     (fun (label, policy) ->
       let mean, p95 = makespan_under ~policy in
-      {
-        setting = Printf.sprintf "tasks vs 2 busy of 4 servers, %s" label;
-        value = Report.ms mean;
-        detail = Printf.sprintf "mean task latency; p95 %s" (Report.ms p95);
-      })
+      row
+        (Printf.sprintf "tasks vs 2 busy of 4 servers, %s" label)
+        (Report.ms mean)
+        (Printf.sprintf "mean task latency; p95 %s" (Report.ms p95)))
     [ ("round robin", `Round_robin); ("least loaded", `Least_loaded) ]
 
 (* --- frame cache ------------------------------------------------------ *)
@@ -152,11 +149,10 @@ let frame_cache () =
   List.map
     (fun (label, max_frames) ->
       let elapsed, evictions = sort_with_frames ~max_frames in
-      {
-        setting = Printf.sprintf "3 passes over 10 pages, %s" label;
-        value = Report.ms elapsed;
-        detail = Printf.sprintf "%d evictions" evictions;
-      })
+      row
+        (Printf.sprintf "3 passes over 10 pages, %s" label)
+        (Report.ms elapsed)
+        (Printf.sprintf "%d evictions" evictions))
     [
       ("unbounded frames", None);
       ("12 frames", Some 12);
@@ -194,25 +190,17 @@ let loss () =
   List.map
     (fun drop ->
       let mean, retrans = rtt_under_loss ~drop in
-      {
-        setting = Printf.sprintf "RaTP null rtt @ %.0f%% frame loss" (100. *. drop);
-        value = Report.ms mean;
-        detail = Printf.sprintf "%d retransmissions / 100 calls" retrans;
-      })
+      row
+        (Printf.sprintf "RaTP null rtt @ %.0f%% frame loss" (100. *. drop))
+        (Report.ms mean)
+        (Printf.sprintf "%d retransmissions / 100 calls" retrans))
     [ 0.0; 0.05; 0.20 ]
 
 let report () =
-  let render title rows =
-    Report.table ~title
-      (List.map
-         (fun r ->
-           { Report.label = r.setting; paper = "-"; measured = r.value; note = r.detail })
-         rows)
-  in
   String.concat "\n"
     [
-      render "Ablation: wire speed (10 vs 100 Mbit)" (bandwidth ());
-      render "Ablation: thread placement policy" (scheduler ());
-      render "Ablation: compute-server frame cache" (frame_cache ());
-      render "Ablation: RaTP under frame loss" (loss ());
+      Report.table ~title:"Ablation: wire speed (10 vs 100 Mbit)" (bandwidth ());
+      Report.table ~title:"Ablation: thread placement policy" (scheduler ());
+      Report.table ~title:"Ablation: compute-server frame cache" (frame_cache ());
+      Report.table ~title:"Ablation: RaTP under frame loss" (loss ());
     ]

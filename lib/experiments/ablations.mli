@@ -13,7 +13,5 @@
     - loss: RaTP under frame loss — latency and retransmissions
       versus drop probability. *)
 
-type row = { setting : string; value : string; detail : string }
-
 val report : unit -> string
 (** Run all four sweeps and render them. *)

@@ -116,22 +116,9 @@ let grid_cells =
 
 let full_cells = grid_cells
 
-(* A gcp entry crediting every listed account in one transaction;
-   each session gets its own batcher object so sessions share nothing
+(* Each session gets its own batcher object so sessions share nothing
    but the disks. *)
-let batcher_cls =
-  Clouds.Obj_class.define ~name:"commit-batcher"
-    [
-      Clouds.Obj_class.entry ~label:Clouds.Obj_class.Gcp "update_all"
-        (fun ctx arg ->
-          List.iter
-            (fun acct ->
-              ignore
-                (ctx.Clouds.Ctx.invoke ~obj:(V.to_sysname acct)
-                   ~entry:"credit_in_txn" (V.Int 1)))
-            (V.to_list arg);
-          V.Unit);
-    ]
+let batcher_cls = Fixtures.batcher_cls "commit-batcher"
 
 let run_cell ?(seed = 42) (c : cell) =
   let wall0 = Unix.gettimeofday () in

@@ -71,9 +71,9 @@ let with_micro ~mode ~clients f =
         Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data
           ~ratp_config:Fixtures.fast_ratp_3 ()
       in
-      let server = Dsm.Dsm_server.create nd () in
       let locate _ = 1 in
       let consistency _ = mode in
+      let server = Dsm.Dsm_server.create nd ~consistency () in
       let cs =
         List.init clients (fun i ->
             let n =
@@ -106,7 +106,6 @@ let scoped_point ~mode ~pages ~readers =
       Store.Segment_store.create_segment
         (Dsm.Dsm_server.store server)
         seg ~size:(pages * Ra.Page.size);
-      Dsm.Dsm_server.set_consistency server seg mode;
       let vs = vspace_for seg ~pages in
       let (wn, wc), rs =
         match cs with [] -> assert false | w :: rs -> (w, rs)
@@ -159,7 +158,6 @@ let counter_point ~mode ~clients ~increments =
       Store.Segment_store.create_segment
         (Dsm.Dsm_server.store server)
         seg ~size:Ra.Page.size;
-      Dsm.Dsm_server.set_consistency server seg mode;
       let vs = vspace_for seg ~pages:1 in
       let invals0 = dsm server "dsm/invalidations" in
       let downs0 = dsm server "dsm/downgrades" in

@@ -10,20 +10,14 @@
 type mode_point = {
   mode : string;
   mean_ms : float;  (** latency of one deposit *)
-  throughput_per_s : float;
   lock_rpcs : int;  (** global lock traffic caused *)
   lock_upgrades : int;  (** of which R-to-W upgrades *)
 }
 
-type span_point = {
-  objects_touched : int;
-  servers_involved : int;
-  mean_ms : float;
-}
-
 type result = {
   modes : mode_point list;
-  spans : span_point list;
+  spans : (int * float) list;
+      (** (objects one transaction touches, mean latency in ms) *)
   samples : int;
 }
 

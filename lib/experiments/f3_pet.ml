@@ -11,22 +11,12 @@ type point = {
 type result = {
   replicas : int;
   quorum : int;
-  crash_profile : string;
   points : point list;
 }
 
-let ledger_cls =
-  Clouds.Obj_class.define ~name:"pet-ledger"
-    [
-      Clouds.Obj_class.entry ~label:Clouds.Obj_class.Gcp "work" (fun ctx arg ->
-          let v = Clouds.Memory.get_int ctx.Clouds.Ctx.mem 0 in
-          ctx.Clouds.Ctx.compute (Sim.Time.ms 250);
-          Clouds.Memory.set_int ctx.Clouds.Ctx.mem 0 (v + V.to_int arg);
-          V.Int (v + V.to_int arg));
-    ]
-
 let replicas = 3
 let quorum = 2
+let crash_profile = "compute crashes p=0.45, data crashes p=0.15, mid-run"
 
 (* One trial: boot a fresh cluster, schedule random crashes, run the
    resilient computation, report (completed, thread_ms). *)
@@ -41,7 +31,8 @@ let trial ~seed ~parallel =
         Atomicity.Manager.install sys.Clouds.om
           ~deadlock_timeout:(Sim.Time.ms 400) ~max_retries:4 ()
       in
-      Clouds.Cluster.register_class sys.Clouds.cluster ledger_cls;
+      Clouds.Cluster.register_class sys.Clouds.cluster
+        (Fixtures.ledger_cls "pet-ledger");
       let group =
         Pet.Replica.create sys.Clouds.om ~class_name:"pet-ledger" ~degree:replicas
           V.Unit
@@ -90,19 +81,14 @@ let run ?(trials = 25) ?(parallel_counts = [ 1; 2; 3 ]) () =
         })
       parallel_counts
   in
-  {
-    replicas;
-    quorum;
-    crash_profile = "compute crashes p=0.45, data crashes p=0.15, mid-run";
-    points;
-  }
+  { replicas; quorum; points }
 
 let report r =
   Report.table
     ~title:
       (Printf.sprintf
          "F3: PET resilience vs resources (r=%d replicas, quorum=%d; %s)"
-         r.replicas r.quorum r.crash_profile)
+         r.replicas r.quorum crash_profile)
     (List.map
        (fun p ->
          {

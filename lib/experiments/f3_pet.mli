@@ -19,7 +19,6 @@ type point = {
 type result = {
   replicas : int;
   quorum : int;
-  crash_profile : string;
   points : point list;
 }
 

@@ -35,8 +35,6 @@ type outcome = {
   timeouts : int;
   aborts : int;  (** transaction aborts surfaced to the caller *)
   commits : int;  (** handler/transaction effects committed *)
-  duplicate_commits : int;  (** calls whose effect committed twice *)
-  lost_commits : int;  (** acknowledged calls missing from the store *)
   retransmissions : int;
   drops : int;
   duplicates : int;
@@ -46,10 +44,10 @@ type outcome = {
 
 let summary o =
   Printf.sprintf
-    "%s seed=%d calls=%d ok=%d to=%d ab=%d commit=%d dup=%d lost=%d \
-     retrans=%d drops=%d dups=%d viol=[%s] trace=%s"
+    "%s seed=%d calls=%d ok=%d to=%d ab=%d commit=%d retrans=%d drops=%d \
+     dups=%d viol=[%s] trace=%s"
     o.scenario o.seed o.calls o.oks o.timeouts o.aborts o.commits
-    o.duplicate_commits o.lost_commits o.retransmissions o.drops o.duplicates
+    o.retransmissions o.drops o.duplicates
     (String.concat "," o.violations)
     o.trace
 
@@ -153,8 +151,6 @@ let run_ratp name ~seed spec =
         timeouts = !timeouts;
         aborts = 0;
         commits = !commits;
-        duplicate_commits = !dup;
-        lost_commits = !lost;
         retransmissions = retrans;
         drops = F.drops fault;
         duplicates = F.duplicates fault;
@@ -353,8 +349,6 @@ let run_bank_partition name ~seed =
         timeouts = 0;
         aborts = !aborts;
         commits = committed;
-        duplicate_commits = max 0 (committed - !oks - !aborts);
-        lost_commits = 0;
         retransmissions = 0;
         drops = F.drops fault;
         duplicates = F.duplicates fault;
@@ -367,16 +361,6 @@ let run_bank_partition name ~seed =
    preserving threads, one machine dies mid-computation, the quorum
    commit must still land on enough replicas. *)
 
-let ledger_cls =
-  Clouds.Obj_class.define ~name:"fault-ledger"
-    [
-      Clouds.Obj_class.entry ~label:Clouds.Obj_class.Gcp "work" (fun ctx arg ->
-          let v = Clouds.Memory.get_int ctx.Clouds.Ctx.mem 0 in
-          ctx.Clouds.Ctx.compute (Sim.Time.ms 250);
-          Clouds.Memory.set_int ctx.Clouds.Ctx.mem 0 (v + V.to_int arg);
-          V.Int (v + V.to_int arg));
-    ]
-
 let run_pet_crash name ~seed =
   Sim.exec ~seed (fun () ->
       let eng = Sim.engine () in
@@ -388,7 +372,8 @@ let run_pet_crash name ~seed =
         Atomicity.Manager.install sys.Clouds.om
           ~deadlock_timeout:(Sim.Time.ms 400) ~max_retries:4 ()
       in
-      Clouds.Cluster.register_class sys.Clouds.cluster ledger_cls;
+      Clouds.Cluster.register_class sys.Clouds.cluster
+        (Fixtures.ledger_cls "fault-ledger");
       let group =
         Pet.Replica.create sys.Clouds.om ~class_name:"fault-ledger" ~degree:3
           V.Unit
@@ -420,8 +405,6 @@ let run_pet_crash name ~seed =
         timeouts = 0;
         aborts = o.Pet.Runner.killed;
         commits = o.Pet.Runner.replicas_updated;
-        duplicate_commits = 0;
-        lost_commits = 0;
         retransmissions = 0;
         drops = F.drops (Net.Ethernet.fault sys.Clouds.cluster.Clouds.Cluster.ether);
         duplicates = 0;

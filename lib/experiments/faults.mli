@@ -20,8 +20,6 @@ type outcome = {
   timeouts : int;
   aborts : int;  (** transaction aborts surfaced to the caller *)
   commits : int;  (** handler/transaction effects committed *)
-  duplicate_commits : int;  (** calls whose effect committed twice *)
-  lost_commits : int;  (** acknowledged calls missing from the store *)
   retransmissions : int;
   drops : int;
   duplicates : int;

@@ -1,4 +1,5 @@
-(* Network and transport settings shared by the experiments. *)
+(* Network and transport settings and workload classes shared by the
+   experiments. *)
 
 (* RaTP with a short retransmission budget: 20 ms first retry, four
    attempts, so a call to a partitioned or crashed peer gives up after
@@ -50,3 +51,42 @@ let with_retry ~retries f =
         go (tries + 1)
   in
   go 0
+
+(* Workload classes shared by several experiments.  Each caller keeps
+   its own class name: [Cluster.register_class] places a class's code
+   segment by hashing the name, so the name decides which data server
+   holds it. *)
+
+module V = Clouds.Value
+
+(* A gcp entry crediting every listed account in one transaction. *)
+let batcher_cls name =
+  Clouds.Obj_class.define ~name
+    [
+      Clouds.Obj_class.entry ~label:Clouds.Obj_class.Gcp "update_all"
+        (fun ctx arg ->
+          List.iter
+            (fun acct ->
+              ignore
+                (ctx.Clouds.Ctx.invoke ~obj:(V.to_sysname acct)
+                   ~entry:"credit_in_txn" (V.Int 1)))
+            (V.to_list arg);
+          V.Unit);
+    ]
+
+(* A gcp entry that computes for 250 ms, then adds its argument to the
+   word at offset 0 and returns the sum. *)
+let ledger_cls name =
+  Clouds.Obj_class.define ~name
+    [
+      Clouds.Obj_class.entry ~label:Clouds.Obj_class.Gcp "work" (fun ctx arg ->
+          let v = Clouds.Memory.get_int ctx.Clouds.Ctx.mem 0 in
+          ctx.Clouds.Ctx.compute (Sim.Time.ms 250);
+          Clouds.Memory.set_int ctx.Clouds.Ctx.mem 0 (v + V.to_int arg);
+          V.Int (v + V.to_int arg));
+    ]
+
+(* One entry, "null", that does nothing: the cost of an invocation. *)
+let null_cls name =
+  Clouds.Obj_class.define ~name
+    [ Clouds.Obj_class.entry "null" (fun _ _ -> V.Unit) ]

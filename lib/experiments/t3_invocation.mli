@@ -10,7 +10,6 @@ type result = {
   cold_ms : float;  (** first activation: header + code over the net *)
   locality_avg_ms : float;
       (** average over a workload with 90% repeat invocations *)
-  locality_invocations : int;
 }
 
 val run : ?invocations:int -> unit -> result

@@ -112,15 +112,12 @@ let measure_point ~loss_pct ~size ~selective ~calls =
         rto_ms;
       })
 
-let null_class =
-  Clouds.Obj_class.define ~name:"transport-null"
-    [ Clouds.Obj_class.entry "null" (fun _ctx _ -> Clouds.Value.Unit) ]
-
 let measure_bypass ~invocations =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
       let sys = Clouds.boot eng ~compute:2 ~data:1 ~workstations:0 () in
-      Clouds.Cluster.register_class sys.Clouds.cluster null_class;
+      Clouds.Cluster.register_class sys.Clouds.cluster
+        (Fixtures.null_cls "transport-null");
       let n0 = sys.Clouds.cluster.Clouds.Cluster.compute_nodes.(0) in
       let n1 = sys.Clouds.cluster.Clouds.Cluster.compute_nodes.(1) in
       let obj =

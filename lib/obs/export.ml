@@ -184,7 +184,6 @@ let line b tag (ts : trace_sum) =
    root): "p99 invocation = X ms transport + Y ms fault + Z ms
    commit". *)
 type summary = {
-  all_traces : int;
   traces : int;
   spans : int;
   mean : trace_sum;
@@ -193,8 +192,8 @@ type summary = {
   p99 : trace_sum option;
 }
 
-let summarize ?(root = "request") (t : Tracer.t) =
-  let all = per_trace t in
+(* [all] is [per_trace t], computed once by the caller. *)
+let summary_of ~root (t : Tracer.t) all =
   let reqs =
     List.filter (fun ts -> String.equal ts.root root) all
     |> List.sort (fun a b -> Float.compare a.total_ms b.total_ms)
@@ -206,7 +205,6 @@ let summarize ?(root = "request") (t : Tracer.t) =
     else Some arr.(int_of_float (p /. 100.0 *. float_of_int (n - 1)))
   in
   {
-    all_traces = List.length all;
     traces = n;
     spans = Tracer.span_count t;
     mean =
@@ -228,13 +226,17 @@ let summarize ?(root = "request") (t : Tracer.t) =
     p99 = at 99.0;
   }
 
+let summarize ?(root = "request") (t : Tracer.t) =
+  summary_of ~root t (per_trace t)
+
 let report ?(root = "request") (t : Tracer.t) =
-  let s = summarize ~root t in
+  let all = per_trace t in
+  let s = summary_of ~root t all in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf
        "critical path: %d %s traces of %d total, %d spans recorded\n" s.traces
-       root s.all_traces s.spans);
+       root (List.length all) s.spans);
   if s.traces = 0 then Buffer.add_string b "  (no traces with that root)\n"
   else begin
     line b "mean" s.mean;

@@ -40,8 +40,7 @@ val report : ?root:string -> Tracer.t -> string
     p50/p95/p99 of total latency. *)
 
 type summary = {
-  all_traces : int;  (** traces of any root *)
-  traces : int;
+  traces : int;  (** traces with the requested root *)
   spans : int;
   mean : trace_sum;  (** per-stage means; trace id -1 *)
   p50 : trace_sum option;

@@ -331,8 +331,7 @@ let test_segment_rpc_lifecycle () =
   with_cluster (fun cl ->
       let seg = Ra.Sysname.fresh cl.n1.Ra.Node.names in
       let create =
-        P.Create_segment
-          { seg; size = Ra.Page.size; mode = Ra.Partition.One_copy }
+        P.Create_segment { seg; size = Ra.Page.size }
       in
       (match P.call cl.n1 ~dst:1 create with
       | Ok P.Segment_ok -> ()
@@ -831,9 +830,9 @@ let with_mode_cluster ?(seed = 42) ?ratp_config ~mode ~pages ~clients f =
       let eng = Sim.engine () in
       let ether = Net.Ethernet.create eng () in
       let nd = Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ?ratp_config () in
-      let server = Dsm.Dsm_server.create nd () in
       let locate _ = 1 in
       let consistency _ = mode in
+      let server = Dsm.Dsm_server.create nd ~consistency () in
       let cs =
         List.init clients (fun i ->
             let n =
@@ -847,7 +846,6 @@ let with_mode_cluster ?(seed = 42) ?ratp_config ~mode ~pages ~clients f =
         (Dsm.Dsm_server.store server)
         seg
         ~size:(pages * Ra.Page.size);
-      Dsm.Dsm_server.set_consistency server seg mode;
       f ~ether ~server ~seg ~cs)
 
 let put_word n vs ~addr v =
@@ -1048,6 +1046,53 @@ let test_dropped_copy_redundant_invalidation () =
         "c2 re-read sees c1's bytes" "x"
         (read cl.n2 vs ~addr:0 ~len:1))
 
+(* The data segment of an object created through the object manager,
+   with the server that stores it. *)
+let data_segment (cl : Clouds.Cluster.t) obj =
+  let pl = cl.Clouds.Cluster.placement in
+  let home = Option.get (Clouds.Placement.home pl obj) in
+  let server = Option.get (Clouds.Cluster.server_at cl home) in
+  match Store.Directory.lookup (Dsm.Dsm_server.directory server) obj with
+  | Some d ->
+      (List.find
+         (fun e -> String.equal e.Store.Directory.role "data")
+         d.Store.Directory.entries)
+        .Store.Directory.seg
+  | None -> Alcotest.fail "object has no descriptor"
+
+(* A mode set through [Placement.set_mode] alone reaches the home as
+   well as the clients: the data server resolves modes through the
+   same lookup, so a release write fault defers the reader's
+   invalidation instead of sending it. *)
+let test_placement_mode_reaches_home () =
+  Sim.exec (fun () ->
+      let eng = Sim.engine () in
+      let sys = Clouds.boot eng ~compute:2 ~data:1 ~workstations:0 () in
+      let cl = sys.Clouds.cluster in
+      Clouds.Cluster.register_class cl
+        (Clouds.Obj_class.define ~name:"cell"
+           [ Clouds.Obj_class.entry "noop" (fun _ _ -> Clouds.Value.Unit) ]);
+      let obj =
+        Clouds.Object_manager.create_object sys.Clouds.om ~class_name:"cell"
+          Clouds.Value.Unit
+      in
+      let seg = data_segment cl obj in
+      Clouds.Placement.set_mode cl.Clouds.Cluster.placement seg
+        Ra.Partition.Release;
+      let server = cl.Clouds.Cluster.servers.(0) in
+      let w = cl.Clouds.Cluster.compute_nodes.(0) in
+      let r = cl.Clouds.Cluster.compute_nodes.(1) in
+      let vs = vspace_for seg ~pages:1 in
+      ignore (read w vs ~addr:0 ~len:1);
+      ignore (read r vs ~addr:0 ~len:1);
+      let invals0 = dsm server "dsm/invalidations" in
+      let deferred0 = dsm server "dsm/mode/deferred_invals" in
+      write w vs ~addr:0 "x";
+      check_int "the reader's invalidation is deferred" (deferred0 + 1)
+        (dsm server "dsm/mode/deferred_invals");
+      check_int "no invalidation sent at fault time" invals0
+        (dsm server "dsm/invalidations"))
+
 let test_merge_delta_resend_applies_once () =
   (* a Merge_delta re-sent after a client-visible timeout is a FRESH
      call, so the transport's exactly-once cache cannot dedup it; the
@@ -1059,7 +1104,11 @@ let test_merge_delta_resend_applies_once () =
       let nd =
         Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
       in
-      let server = Dsm.Dsm_server.create nd () in
+      let server =
+        Dsm.Dsm_server.create nd
+          ~consistency:(fun _ -> Ra.Partition.Commutative Ra.Partition.Add)
+          ()
+      in
       let n2 =
         Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute
           ~ratp_config:fast_ratp ()
@@ -1068,8 +1117,6 @@ let test_merge_delta_resend_applies_once () =
       Store.Segment_store.create_segment
         (Dsm.Dsm_server.store server)
         seg ~size:Ra.Page.size;
-      Dsm.Dsm_server.set_consistency server seg
-        (Ra.Partition.Commutative Ra.Partition.Add);
       let word0 () =
         match
           Store.Segment_store.read_page (Dsm.Dsm_server.store server) seg 0
@@ -1159,7 +1206,12 @@ let test_server_copies_before_write () =
       let nd =
         Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
       in
-      let server = Dsm.Dsm_server.create nd () in
+      let modes = Ra.Sysname.Table.create 2 in
+      let consistency seg =
+        Option.value (Ra.Sysname.Table.find_opt modes seg)
+          ~default:Ra.Partition.One_copy
+      in
+      let server = Dsm.Dsm_server.create nd ~consistency () in
       let n2 =
         Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute
           ~ratp_config:fast_ratp ()
@@ -1168,7 +1220,7 @@ let test_server_copies_before_write () =
       let seg_with mode =
         let seg = Ra.Sysname.fresh nd.Ra.Node.names in
         Store.Segment_store.create_segment store seg ~size:Ra.Page.size;
-        Dsm.Dsm_server.set_consistency server seg mode;
+        Ra.Sysname.Table.replace modes seg mode;
         Store.Segment_store.write_page store seg 0
           (Bytes.make Ra.Page.size '\001');
         seg
@@ -1288,6 +1340,8 @@ let () =
             test_one_copy_same_seed_identical;
           Alcotest.test_case "merge delta resend applies once" `Quick
             test_merge_delta_resend_applies_once;
+          Alcotest.test_case "placement mode reaches the home" `Quick
+            test_placement_mode_reaches_home;
         ] );
       ( "copyset",
         [

@@ -83,8 +83,7 @@ let test_f2_shape () =
       check_bool "lcp locks locally only" true (lcp.lock_rpcs = 0);
       check_bool "gcp pays global locking" true (gcp.lock_rpcs > 0)
   | _ -> Alcotest.fail "expected three modes");
-  let spans = r.Experiments.F2_consistency.spans in
-  let latencies = List.map (fun s -> s.Experiments.F2_consistency.mean_ms) spans in
+  let latencies = List.map snd r.Experiments.F2_consistency.spans in
   let rec monotone = function
     | a :: b :: rest -> a < b && monotone (b :: rest)
     | _ -> true

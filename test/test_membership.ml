@@ -374,6 +374,78 @@ let test_failover_skips_filling_backup () =
               ~addr:((pages - 1) * Ra.Page.size)
               ~len:4)))
 
+(* A healed copy carries no mode of its own: the replicator's
+   [Create_segment] names only the segment and its size, and the
+   server it lands on resolves the mode through placement.  A Release
+   object at replication 2 loses its primary; the heal copies its
+   data segment onto the third server; then the promoted backup dies
+   too, and a write fault at the healed home still defers the
+   reader's invalidation. *)
+let test_healed_home_keeps_release () =
+  Sim.exec ~seed:9 (fun () ->
+      let eng = Sim.engine () in
+      let sys =
+        Clouds.boot eng ~ratp_config:fast_ratp ~replication:2 ~compute:2
+          ~data:3 ~workstations:0 ()
+      in
+      let cl = sys.Clouds.cluster in
+      let pl = cl.Cl.placement in
+      let mon = Cl.start_membership cl ~config:mon_config () in
+      Fun.protect ~finally:(fun () -> Cl.stop_membership cl) @@ fun () ->
+      let repl = Clouds.Replicator.install cl mon in
+      Cl.register_class cl
+        (Clouds.Obj_class.define ~name:"cell"
+           [ Clouds.Obj_class.entry "noop" (fun _ _ -> Clouds.Value.Unit) ]);
+      let obj =
+        Clouds.Object_manager.create_object sys.Clouds.om
+          ~consistency:Ra.Partition.Release ~class_name:"cell" Clouds.Value.Unit
+      in
+      let home = Option.get (Pl.home pl obj) in
+      let seg =
+        match
+          Store.Directory.lookup
+            (Dsm.Dsm_server.directory (Option.get (Cl.server_at cl home)))
+            obj
+        with
+        | Some d ->
+            (List.find
+               (fun e -> String.equal e.Store.Directory.role "data")
+               d.Store.Directory.entries)
+              .Store.Directory.seg
+        | None -> Alcotest.fail "object has no descriptor"
+      in
+      let first, second =
+        match Pl.replicas pl seg with
+        | [ a; b ] -> (a, b)
+        | _ -> Alcotest.fail "expected two replicas"
+      in
+      let third = List.find (fun a -> a <> first && a <> second) [ 1; 2; 3 ] in
+      let kill a =
+        Ra.Node.crash cl.Cl.data_nodes.(a - 1);
+        Sim.sleep (Time.ms 150);
+        Clouds.Replicator.quiesce repl
+      in
+      kill first;
+      Alcotest.(check (list int))
+        "healed onto the third server" [ second; third ] (Pl.replicas pl seg);
+      kill second;
+      check_int "the healed copy is the home" third (Pl.locate pl seg);
+      let server = Option.get (Cl.server_at cl third) in
+      let dsm path = Obs.Registry.count (Dsm.Dsm_server.metrics server) path in
+      let vs = Ra.Virtual_space.create () in
+      Ra.Virtual_space.map vs ~base:0 ~len:Ra.Page.size
+        ~prot:Ra.Virtual_space.Read_write seg;
+      let w = cl.Cl.compute_nodes.(0) and r = cl.Cl.compute_nodes.(1) in
+      ignore (Ra.Mmu.read w.Ra.Node.mmu vs ~addr:0 ~len:1);
+      ignore (Ra.Mmu.read r.Ra.Node.mmu vs ~addr:0 ~len:1);
+      let invals0 = dsm "dsm/invalidations" in
+      let deferred0 = dsm "dsm/mode/deferred_invals" in
+      Ra.Mmu.write w.Ra.Node.mmu vs ~addr:0 (Bytes.of_string "x");
+      check_int "the reader's invalidation is deferred" (deferred0 + 1)
+        (dsm "dsm/mode/deferred_invals");
+      check_int "no invalidation sent at fault time" invals0
+        (dsm "dsm/invalidations"))
+
 (* ------------------------------------------------------------------ *)
 (* Kill k of n: reheal invariants *)
 
@@ -447,6 +519,8 @@ let () =
           Alcotest.test_case "failover skips a filling backup" `Quick
             test_failover_skips_filling_backup;
           Alcotest.test_case "placement table" `Quick test_placement_table;
+          Alcotest.test_case "healed home keeps release" `Quick
+            test_healed_home_keeps_release;
         ] );
       ( "reheal",
         [

@@ -212,7 +212,7 @@ let test_dsm_mode_metrics_exported () =
             seg ~size:Ra.Page.size;
           Clouds.Placement.place cl.Clouds.Cluster.placement seg
             [ data_node.Ra.Node.id ];
-          Clouds.Cluster.set_consistency cl seg mode;
+          Clouds.Placement.set_mode cl.Clouds.Cluster.placement seg mode;
           seg
         in
         let vsp seg =
