@@ -24,11 +24,12 @@ let main quick ids =
   List.iter
     (fun e ->
       let o = e.run ~quick in
+      print_string o.text;
       List.iter
         (fun (path, contents) ->
-          Out_channel.with_open_text path (fun oc -> output_string oc (contents ^ "\n")))
+          Out_channel.with_open_text path (fun oc -> output_string oc (contents ^ "\n"));
+          Printf.printf "wrote %s\n" path)
         o.files;
-      print_string o.text;
       print_newline ())
     exps
 

@@ -78,8 +78,7 @@ let is_volatile t node seg = Hashtbl.mem t.state.volatile (node.Ra.Node.id, seg)
    activation). *)
 let volatile_partition =
   {
-    Ra.Partition.name = "volatile";
-    fetch = (fun ~seg:_ ~page:_ ~mode:_ -> Ra.Partition.Zeroed);
+    Ra.Partition.fetch = (fun ~seg:_ ~page:_ ~mode:_ -> Ra.Partition.Zeroed);
     writeback = (fun ~seg:_ ~page:_ _ -> ());
   }
 
@@ -382,5 +381,3 @@ let stop_membership t =
   | Some m -> Membership.Monitor.stop m
   | None -> ()
 
-let membership_view t =
-  Option.map Membership.Monitor.view t.state.membership

@@ -159,8 +159,6 @@ val start_membership :
 
 val stop_membership : t -> unit
 
-val membership_view : t -> Membership.Monitor.view option
-
 val remap_ring : t -> Membership.Monitor.view -> unit
 (** Fold a membership view into the placement ring: rebuild it over
     the data servers the view does not condemn and, if the member set

@@ -1,12 +1,9 @@
 type t = {
   self : Ra.Sysname.t;
-  class_name : string;
   node : Ra.Node.t;
   thread_id : int;
-  origin : int option;
   mem : Memory.t;
   pheap : unit -> Pheap.t;
-  vheap : unit -> Pheap.t;
   invoke : obj:Ra.Sysname.t -> entry:string -> Value.t -> Value.t;
   print : string -> unit;
   compute : Sim.Time.span -> unit;
@@ -14,7 +11,6 @@ type t = {
   obj_mutex : string -> Sim.Mutex.t;
   per_invocation : (string, Value.t) Hashtbl.t;
   per_thread : (string, Value.t) Hashtbl.t;
-  membership : unit -> Membership.Monitor.view option;
   mutable txn : (int * int) option;
 }
 

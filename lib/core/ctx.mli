@@ -10,19 +10,12 @@
 
 type t = {
   self : Ra.Sysname.t;  (** the object being executed *)
-  class_name : string;
   node : Ra.Node.t;  (** compute server running this invocation *)
   thread_id : int;
-  origin : int option;  (** workstation that started the thread *)
   mem : Memory.t;
   pheap : unit -> Pheap.t;
       (** persistent-heap allocator, attached on first use (an object
           that never allocates never touches its heap header) *)
-  vheap : unit -> Pheap.t;
-      (** volatile-heap allocator; note that attaching it writes an
-          allocator header at the start of the volatile region, so an
-          object should either use raw volatile memory or the
-          allocator, not both *)
   invoke : obj:Ra.Sysname.t -> entry:string -> Value.t -> Value.t;
       (** nested synchronous invocation; raises {!Invoke_error} *)
   print : string -> unit;
@@ -37,10 +30,6 @@ type t = {
       (** scratch living for this invocation only *)
   per_thread : (string, Value.t) Hashtbl.t;
       (** scratch shared by this thread's invocations of this object *)
-  membership : unit -> Membership.Monitor.view option;
-      (** current cluster membership view, if a heartbeat monitor is
-          running ([None] otherwise) — object code can ask who is
-          alive before fanning work out *)
   mutable txn : (int * int) option;
       (** consistency-preserving transaction token, threaded through
           nested and remote invocations by the atomicity layer *)

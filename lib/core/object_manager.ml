@@ -202,26 +202,21 @@ let touch_code node (a : activation) entry_name =
    call time so a transaction begun by the entry wrapper propagates
    inward. *)
 let rec make_ctx t node (a : activation) ~obj ~thread_id ~origin ~txn =
-  let lazy_heap region =
-    let cell = ref None in
-    fun () ->
-      match !cell with
-      | Some h -> h
-      | None ->
-          let h = Pheap.attach a.act_mem region in
-          cell := Some h;
-          h
-  in
+  let heap = ref None in
   let rec ctx =
     {
       Ctx.self = obj;
-      class_name = a.act_cls.Obj_class.c_name;
       node;
       thread_id;
-      origin;
       mem = a.act_mem;
-      pheap = lazy_heap Memory.Heap;
-      vheap = lazy_heap Memory.Volatile;
+      pheap =
+        (fun () ->
+          match !heap with
+          | Some h -> h
+          | None ->
+              let h = Pheap.attach a.act_mem Memory.Heap in
+              heap := Some h;
+              h);
       invoke =
         (fun ~obj ~entry arg ->
           invoke t ~node ~thread_id ~origin ~txn:ctx.Ctx.txn ~obj ~entry arg);
@@ -248,7 +243,6 @@ let rec make_ctx t node (a : activation) ~obj ~thread_id ~origin ~txn =
               m);
       per_invocation = Hashtbl.create 4;
       per_thread = per_thread_table t thread_id obj;
-      membership = (fun () -> Cluster.membership_view t.cl);
       txn;
     }
   in
@@ -379,8 +373,7 @@ let create cl =
 (* ------------------------------------------------------------------ *)
 (* Creation and deletion *)
 
-let create_object t ?home ?on ?(thread_id = 0) ?origin
-    ?(consistency = Ra.Partition.One_copy) ~class_name arg =
+let create_object t ?home ?on ?(consistency = Ra.Partition.One_copy) ~class_name arg =
   let node = match on with Some n -> n | None -> Cluster.pick_compute t.cl in
   let cls =
     match Cluster.find_class t.cl class_name with
@@ -462,7 +455,8 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin
       start_daemons t node a obj;
       Ra.Isiba.compute node Ra.Params.invoke_setup;
       touch_code node a "constructor";
-      let ctx = make_ctx t node a ~obj ~thread_id ~origin ~txn:None in
+      (* a constructor runs as the pseudo-thread 0, with no terminal *)
+      let ctx = make_ctx t node a ~obj ~thread_id:0 ~origin:None ~txn:None in
       ctor ctx arg;
       Ra.Isiba.compute node Ra.Params.invoke_return);
   obj

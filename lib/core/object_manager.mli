@@ -24,20 +24,27 @@ val set_entry_wrapper :
 (** Installed by the atomicity layer around every entry point; by
     default an entry body just runs. *)
 
+val fetch_descriptor :
+  t -> Ra.Node.t -> Ra.Sysname.t -> Store.Directory.descriptor option
+(** The object's descriptor, asked from [node]: from its home data
+    server, or, when the home is condemned or silent, from the first
+    usable data server that holds one (a replicated object's
+    descriptor lives on each replica).  [None] if nobody answers. *)
+
 val create_object :
   t ->
   ?home:Net.Address.t ->
   ?on:Ra.Node.t ->
-  ?thread_id:int ->
-  ?origin:int ->
   ?consistency:Ra.Partition.consistency ->
   class_name:string ->
   Value.t ->
   Ra.Sysname.t
 (** Instantiate a class: allocate and create the instance's segments
-    on a data server ([home], default round robin), register the
-    descriptor, and run the constructor (if any) on [on] (default:
-    scheduler's choice).  Returns the new object's sysname.
+    on a data server ([home], default the object's place on the
+    consistent-hash ring, {!Cluster.place_object}) and its backups,
+    register the descriptor, and run the constructor (if any) on [on]
+    (default: scheduler's choice) as thread 0 with no workstation.
+    Returns the new object's sysname.
 
     [consistency] (default [One_copy]) is the coherence mode of the
     instance's data and heap segments; the shared code segment always

@@ -32,38 +32,37 @@ let prepare_target t ~seg ~dst ~size =
       | Error Ratp.Endpoint.Timeout -> false)
   | Ok _ | Error Ratp.Endpoint.Timeout -> false
 
+(* The batch is kept small on purpose: a batch of pages rides in one
+   RaTP call, and a call that takes longer than the transport's whole
+   retry ladder to deliver is indistinguishable from a dead peer.
+   Four pages (~16 KB) stays well inside even the aggressive configs
+   the experiments use. *)
+let read_pages node ~src seg f =
+  let batch = 4 in
+  let rec go from =
+    match P.call node ~dst:src (P.Read_pages { seg; from; count = batch }) with
+    | Ok (P.Pages { size; pages }) ->
+        (pages = [] || f pages)
+        && (from + batch >= (size + Ra.Page.size - 1) / Ra.Page.size
+           || go (from + batch))
+    | Ok _ | Error Ratp.Endpoint.Timeout -> false
+  in
+  go 0
+
 (* Ship [seg]'s pages from [src] to [dst] in Read_pages/Backfill
    rounds.  The caller has already enlisted [dst] as a mirror, so
    client writes race the copy; [Backfill] lands a page only where
    the target is still zeroed, which makes the race harmless — a
-   non-zero page was filled by a fresher mirrored write.
-
-   The batch is kept small on purpose: a batch of pages rides in one
-   RaTP call, and a call that takes longer than the transport's whole
-   retry ladder to deliver is indistinguishable from a dead peer.
-   Four pages (~16 KB) stays well inside even the aggressive configs
-   the experiments use.  Returns false if either side stops
-   answering. *)
+   non-zero page was filled by a fresher mirrored write.  Returns
+   false if either side stops answering. *)
 let backfill t ~seg ~src ~dst =
-  let batch = 4 in
-  let exception Fail in
-  try
-    let rec go from =
-      match
-        P.call t.node ~dst:src (P.Read_pages { seg; from; count = batch })
-      with
-      | Ok (P.Pages { size; pages }) ->
-          (if pages <> [] then
-             let writes = List.map (fun (p, b) -> (seg, p, b)) pages in
-             match P.call t.node ~dst (P.Backfill writes) with
-             | Ok P.Batch_ok -> Sim.Stats.incr_by t.copied (List.length pages)
-             | Ok _ | Error Ratp.Endpoint.Timeout -> raise Fail);
-          let total = (size + Ra.Page.size - 1) / Ra.Page.size in
-          if from + batch >= total then true else go (from + batch)
-      | Ok _ | Error Ratp.Endpoint.Timeout -> raise Fail
-    in
-    go 0
-  with Fail -> false
+  read_pages t.node ~src seg (fun pages ->
+      let writes = List.map (fun (p, b) -> (seg, p, b)) pages in
+      match P.call t.node ~dst (P.Backfill writes) with
+      | Ok P.Batch_ok ->
+          Sim.Stats.incr_by t.copied (List.length pages);
+          true
+      | Ok _ | Error Ratp.Endpoint.Timeout -> false)
 
 (* Bring one fresh copy of [seg] up on [dst]: wipe/create the target,
    then enlist it as a filling backup around the backfill (mirroring

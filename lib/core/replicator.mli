@@ -21,6 +21,21 @@
 
 type t
 
+val read_pages :
+  Ra.Node.t ->
+  src:Net.Address.t ->
+  Ra.Sysname.t ->
+  ((int * bytes) list -> bool) ->
+  bool
+(** [read_pages node ~src seg f] reads every page of [seg] that
+    [src]'s store holds, in small [Read_pages] batches sent from
+    [node], and hands each non-empty batch of [(page, image)] pairs to
+    [f]; a page it never hands over was never written.  The read has
+    no coherence side effects: it sees committed (stored) state, adds
+    no one to a copyset and recalls no frame.  Returns false as soon
+    as [src] stops answering or [f] returns false.  The images are
+    shared with [src]'s store: read-only. *)
+
 val install : Cluster.t -> Membership.Monitor.t -> t
 (** Wire the replicator into a cluster whose monitor is running.
     Heal passes run on the monitor's host node. *)

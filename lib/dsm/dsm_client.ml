@@ -52,8 +52,7 @@ let put_spans t seg entries =
 
 let partition t =
   {
-    Ra.Partition.name = Printf.sprintf "dsm-client-%d" t.node.Ra.Node.id;
-    fetch = remote_fetch t;
+    Ra.Partition.fetch = remote_fetch t;
     writeback = (fun ~seg ~page spans -> put_spans t seg [ (seg, page, spans) ]);
   }
 

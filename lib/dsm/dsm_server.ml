@@ -695,8 +695,7 @@ let create node ?group_commit_window ?checkpoint_every
   let t =
     {
       node;
-      store =
-        Store.Segment_store.create (Printf.sprintf "store-%d" node.Ra.Node.id);
+      store = Store.Segment_store.create ();
       disk;
       wal =
         Store.Wal.create ?group_commit

@@ -1,10 +1,10 @@
 module V = Clouds.Value
+module J = Obs.Export
 
 type Ratp.Packet.body += Ask_page | A_page
 
-(* A sweep row: these are not paper figures, so the paper column is
-   "-". *)
-let row label measured note = { Report.label; paper = "-"; measured; note }
+(* One sweep point: its label, then what was measured there. *)
+let point label fields = J.Obj (("label", J.Str label) :: fields)
 
 (* --- wire speed ----------------------------------------------------- *)
 
@@ -44,19 +44,16 @@ let cold_invocation_at ~bandwidth_bps =
            ~origin:None ~txn:None ~obj ~entry:"null" V.Unit);
       Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0))
 
+(* an 8K page over RaTP, fragmented, and the whole cold activation
+   path *)
 let bandwidth () =
-  List.concat_map
+  List.map
     (fun (label, bps) ->
-      [
-        row
-        (Printf.sprintf "8K page transfer @ %s" label)
-          (Report.ms (page_transfer_at ~bandwidth_bps:bps))
-          "RaTP, fragmented";
-        row
-        (Printf.sprintf "cold invocation @ %s" label)
-          (Report.ms (cold_invocation_at ~bandwidth_bps:bps))
-          "whole activation path";
-      ])
+      point label
+        [
+          ("page_ms", J.Num (page_transfer_at ~bandwidth_bps:bps));
+          ("cold_invoke_ms", J.Num (cold_invocation_at ~bandwidth_bps:bps));
+        ])
     [ ("10 Mbit/s", 10_000_000); ("100 Mbit/s", 100_000_000) ]
 
 (* --- scheduling policy ----------------------------------------------- *)
@@ -108,14 +105,12 @@ let makespan_under ~policy =
       List.iter (fun th -> ignore (Clouds.Thread.join th)) hogs;
       (Sim.Stats.mean latencies, Sim.Stats.percentile latencies 95.0))
 
+(* task latency with 2 of 4 servers busy *)
 let scheduler () =
   List.map
     (fun (label, policy) ->
       let mean, p95 = makespan_under ~policy in
-      row
-        (Printf.sprintf "tasks vs 2 busy of 4 servers, %s" label)
-        (Report.ms mean)
-        (Printf.sprintf "mean task latency; p95 %s" (Report.ms p95)))
+      point label [ ("mean_ms", J.Num mean); ("p95_ms", J.Num p95) ])
     [ ("round robin", `Round_robin); ("least loaded", `Least_loaded) ]
 
 (* --- frame cache ------------------------------------------------------ *)
@@ -145,14 +140,12 @@ let sort_with_frames ~max_frames =
       ( Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0),
         Ra.Mmu.evictions nc.Ra.Node.mmu ))
 
+(* three passes over ten pages *)
 let frame_cache () =
   List.map
     (fun (label, max_frames) ->
       let elapsed, evictions = sort_with_frames ~max_frames in
-      row
-        (Printf.sprintf "3 passes over 10 pages, %s" label)
-        (Report.ms elapsed)
-        (Printf.sprintf "%d evictions" evictions))
+      point label [ ("elapsed_ms", J.Num elapsed); ("evictions", J.int evictions) ])
     [
       ("unbounded frames", None);
       ("12 frames", Some 12);
@@ -186,21 +179,21 @@ let rtt_under_loss ~drop =
       ( Sim.Stats.mean stats,
         Obs.Registry.count (Ratp.Endpoint.metrics a) "ratp/retrans" ))
 
+(* a null RaTP round trip, 100 calls per drop probability *)
 let loss () =
   List.map
     (fun drop ->
       let mean, retrans = rtt_under_loss ~drop in
-      row
-        (Printf.sprintf "RaTP null rtt @ %.0f%% frame loss" (100. *. drop))
-        (Report.ms mean)
-        (Printf.sprintf "%d retransmissions / 100 calls" retrans))
+      point
+        (Printf.sprintf "%.0f%% frame loss" (100. *. drop))
+        [ ("rtt_ms", J.Num mean); ("retrans", J.int retrans) ])
     [ 0.0; 0.05; 0.20 ]
 
-let report () =
-  String.concat "\n"
+let run () =
+  J.Obj
     [
-      Report.table ~title:"Ablation: wire speed (10 vs 100 Mbit)" (bandwidth ());
-      Report.table ~title:"Ablation: thread placement policy" (scheduler ());
-      Report.table ~title:"Ablation: compute-server frame cache" (frame_cache ());
-      Report.table ~title:"Ablation: RaTP under frame loss" (loss ());
+      ("wire_speed", J.Arr (bandwidth ()));
+      ("placement", J.Arr (scheduler ()));
+      ("frame_cache", J.Arr (frame_cache ()));
+      ("frame_loss", J.Arr (loss ()));
     ]

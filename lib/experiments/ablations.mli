@@ -13,5 +13,7 @@
     - loss: RaTP under frame loss — latency and retransmissions
       versus drop probability. *)
 
-val report : unit -> string
-(** Run all four sweeps and render them. *)
+val run : unit -> Obs.Export.json
+(** Run all four sweeps: one array of labelled points each, under
+    ["wire_speed"], ["placement"], ["frame_cache"] and
+    ["frame_loss"]. *)

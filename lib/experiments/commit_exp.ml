@@ -47,7 +47,6 @@ type point = {
   p50_ms : float;
   p95_ms : float;
   mean_ms : float;
-  max_ms : float;
   throughput : float;  (** commits per simulated second *)
   wal_records : int;  (** log records written, all servers *)
   wal_flushes : int;  (** group flushes (0 with the daemon off) *)
@@ -235,7 +234,6 @@ let run_cell ?(seed = 42) (c : cell) =
     p50_ms = Sim.Stats.hist_percentile lat 50.0;
     p95_ms = Sim.Stats.hist_percentile lat 95.0;
     mean_ms = Sim.Stats.hist_mean lat;
-    max_ms = Sim.Stats.hist_max lat;
     throughput = float_of_int (Sim.Stats.hist_n lat) /. (sim_ms /. 1000.0);
     wal_records;
     wal_flushes;
@@ -267,14 +265,6 @@ type crash_outcome = {
   violations : string list;
   trace : string;  (** canonical per-session trace, determinism check *)
 }
-
-let crash_summary o =
-  Printf.sprintf
-    "crash-recovery seed=%d sessions=%d acked=%d lost=%d ghost=%d ckpt=%d \
-     trunc=%d viol=[%s] trace=%s"
-    o.seed o.sessions o.acked o.lost o.ghosts o.checkpoints o.log_truncated
-    (String.concat "," o.violations)
-    o.trace
 
 let run_crash ?(seed = 42) () =
   let sessions = 4 and deposits = 40 in
@@ -391,66 +381,6 @@ let run_crash ?(seed = 42) () =
         violations = List.rev !violations;
         trace = Buffer.contents buf;
       })
-
-(* ------------------------------------------------------------------ *)
-
-let summary p =
-  Printf.sprintf
-    "%s clients=%d fp=%d %s: %d commits p50=%.2fms p95=%.2fms mean=%.2fms \
-     tput=%.0f/s recs=%d flushes=%d batch=%.1f locks=%.2f/txn \
-     upgrades=%.2f/txn sim=%.0fms wall=%.2fs retry=%d"
-    p.cell.label p.cell.clients p.cell.footprint
-    (match p.cell.window with
-    | None -> "force-each"
-    | Some w -> Printf.sprintf "window=%.1fms" (Sim.Time.to_ms_f w))
-    p.committed p.p50_ms p.p95_ms p.mean_ms p.throughput p.wal_records
-    p.wal_flushes p.mean_batch p.lock_rpcs_per_txn p.lock_upgrades_per_txn
-    p.sim_ms p.wall_s p.retries
-
-let report points =
-  Report.table
-    ~title:
-      "Commit pipeline: group-commit WAL vs force-per-record (closed loop, \
-       conflict-free gcp transactions)"
-    (List.map
-       (fun p ->
-         {
-           Report.label = p.cell.label;
-           paper = "-";
-           measured =
-             Printf.sprintf "%.0f txn/s (p50 %.2f ms)" p.throughput p.p50_ms;
-           note =
-             Printf.sprintf
-               "%d clients x %d accts, %s: %d commits, %d log recs, %d \
-                flushes (%.1f recs/flush), %.2f lock rpcs/txn (%.2f \
-                upgrades)"
-               p.cell.clients p.cell.footprint
-               (match p.cell.window with
-               | None -> "force each record"
-               | Some w ->
-                   Printf.sprintf "%.0f ms window" (Sim.Time.to_ms_f w))
-               p.committed p.wal_records p.wal_flushes p.mean_batch
-               p.lock_rpcs_per_txn p.lock_upgrades_per_txn;
-         })
-       points)
-
-let crash_report o =
-  Report.table
-    ~title:"Commit pipeline crash recovery (kill mid-commit, ARIES replay)"
-    [
-      {
-        Report.label = "kill-mid-commit";
-        paper = "-";
-        measured = (if o.violations = [] then "invariants ok" else "VIOLATED");
-        note =
-          Printf.sprintf
-            "%d acked over %d sessions: %d lost, %d ghost | %d ckpt, %d recs \
-             truncated, %d live"
-            o.acked o.sessions o.lost o.ghosts o.checkpoints o.log_truncated
-            o.recovered_records;
-      };
-    ]
-
 
 (* The A/B points plus the crash scenario; simulated metrics only. *)
 let to_json points (o : crash_outcome) =

@@ -284,56 +284,6 @@ let inval_reduction r ~copyset =
       float_of_int oc.inval_rpcs /. float_of_int rel.inval_rpcs
   | _ -> 0.0
 
-let report r =
-  let scoped_rows =
-    List.map
-      (fun (p : scoped_point) ->
-        {
-          Report.label =
-            Printf.sprintf "%d writes/scope, %d readers (%s)" p.writes
-              p.copyset p.mode;
-          paper = "-";
-          measured = Printf.sprintf "%d inval RPCs" p.inval_rpcs;
-          note =
-            Printf.sprintf "%d deferred | %d page moves | %s" p.deferred
-              p.page_moves (Report.ms p.elapsed_ms);
-        })
-      r.scoped
-  in
-  let counter_rows =
-    List.map
-      (fun (p : counter_point) ->
-        {
-          Report.label =
-            Printf.sprintf "%d clients x %d increments (%s)" p.clients
-              p.increments p.mode;
-          paper = "-";
-          measured = Printf.sprintf "%d coherence stalls" p.stalls;
-          note =
-            Printf.sprintf "%d page moves | %d merge RPCs | %s%s" p.page_moves
-              p.merge_rpcs (Report.ms p.elapsed_ms)
-              (if p.converged then "" else " | DIVERGED");
-        })
-      r.counters
-  in
-  let sort_rows =
-    List.map
-      (fun (p : sort_point) ->
-        {
-          Report.label = Printf.sprintf "F1 sort, %d workers (%s)" p.workers p.mode;
-          paper = "-";
-          measured = Report.ms p.total_ms;
-          note =
-            Printf.sprintf "%d page moves | %d inval RPCs" p.page_moves
-              p.inval_rpcs;
-        })
-      r.sort
-  in
-  Report.table
-    ~title:"Consistency modes: one-copy vs release vs commutative (DESIGN §17)"
-    (scoped_rows @ counter_rows @ sort_rows)
-
-
 let to_json r =
   let open Obs.Export in
   let int i = int i in

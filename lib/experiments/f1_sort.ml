@@ -36,26 +36,6 @@ let run ?(elements = 16_384) ?(worker_counts = [ 1; 2; 4; 8 ]) () =
       in
       { elements; points })
 
-let report r =
-  Report.table
-    ~title:
-      (Printf.sprintf
-         "F1: distributed sort of %d elements in ONE object (section 5.1)"
-         r.elements)
-    (List.map
-       (fun p ->
-         {
-           Report.label = Printf.sprintf "%d worker thread(s)" p.workers;
-           paper = "-";
-           measured =
-             Printf.sprintf "%s (%.2fx)" (Report.ms p.total_ms) p.speedup;
-           note =
-             Printf.sprintf "sort %s | merge %s | %d page moves"
-               (Report.ms p.sort_ms) (Report.ms p.merge_ms) p.page_moves;
-         })
-       r.points)
-
-
 let to_json (r : result) =
   let open Obs.Export in
   let point p =
@@ -63,6 +43,7 @@ let to_json (r : result) =
       [
         ("workers", int p.workers); ("total_ms", Num p.total_ms);
         ("speedup", Num p.speedup); ("page_moves", int p.page_moves);
+        ("sort_ms", Num p.sort_ms); ("merge_ms", Num p.merge_ms);
       ]
   in
   Obj

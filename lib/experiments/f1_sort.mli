@@ -20,6 +20,5 @@ type point = {
 type result = { elements : int; points : point list }
 
 val run : ?elements:int -> ?worker_counts:int list -> unit -> result
-val report : result -> string
 
 val to_json : result -> Obs.Export.json

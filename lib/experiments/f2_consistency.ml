@@ -7,11 +7,7 @@ type mode_point = {
   lock_upgrades : int;
 }
 
-type result = {
-  modes : mode_point list;
-  spans : (int * float) list;
-  samples : int;
-}
+type result = { modes : mode_point list; spans : (int * float) list }
 
 (* Part B spreads its accounts over this many data servers. *)
 let data_servers = 4
@@ -104,39 +100,7 @@ let run ?(samples = 30) () =
             (k, Sim.Stats.mean stats))
           [ 1; 2; 4; 8 ]
       in
-      { modes; spans; samples })
-
-let report r =
-  let per_txn n = float_of_int n /. float_of_int r.samples in
-  Report.table ~title:"F2a: consistency labels on one update (section 5.2.1)"
-    (List.map
-       (fun m ->
-         {
-           Report.label = m.mode;
-           paper = "-";
-           measured = Report.ms m.mean_ms;
-           note =
-             Printf.sprintf
-               "%.0f updates/s | %.1f lock rpcs/txn, %.1f upgrades/txn"
-               (1000.0 /. m.mean_ms) (per_txn m.lock_rpcs)
-               (per_txn m.lock_upgrades);
-         })
-       r.modes)
-  ^ "\n"
-  ^ Report.table
-      ~title:"F2b: gcp commit cost vs transaction span"
-      (List.map
-         (fun (k, mean_ms) ->
-           {
-             Report.label =
-               Printf.sprintf "%d object(s), %d data server(s)" k
-                 (min k data_servers);
-             paper = "-";
-             measured = Report.ms mean_ms;
-             note = "locks + 2-phase commit + WAL";
-           })
-         r.spans)
-
+      { modes; spans })
 
 let to_json (r : result) =
   let open Obs.Export in

@@ -18,10 +18,8 @@ type result = {
   modes : mode_point list;
   spans : (int * float) list;
       (** (objects one transaction touches, mean latency in ms) *)
-  samples : int;
 }
 
 val run : ?samples:int -> unit -> result
-val report : result -> string
 
 val to_json : result -> Obs.Export.json

@@ -1,22 +1,11 @@
 module V = Clouds.Value
 
-type point = {
-  parallel : int;
-  trials : int;
-  completions : int;
-  completion_rate : float;
-  mean_thread_ms : float;
-}
+type point = { parallel : int; completion_rate : float; mean_thread_ms : float }
 
-type result = {
-  replicas : int;
-  quorum : int;
-  points : point list;
-}
+type result = { replicas : int; quorum : int; trials : int; points : point list }
 
 let replicas = 3
 let quorum = 2
-let crash_profile = "compute crashes p=0.45, data crashes p=0.15, mid-run"
 
 (* One trial: boot a fresh cluster, schedule random crashes, run the
    resilient computation, report (completed, thread_ms). *)
@@ -74,33 +63,12 @@ let run ?(trials = 25) ?(parallel_counts = [ 1; 2; 3 ]) () =
         done;
         {
           parallel;
-          trials;
-          completions = !completions;
           completion_rate = float_of_int !completions /. float_of_int trials;
           mean_thread_ms = !cost /. float_of_int trials;
         })
       parallel_counts
   in
-  { replicas; quorum; points }
-
-let report r =
-  Report.table
-    ~title:
-      (Printf.sprintf
-         "F3: PET resilience vs resources (r=%d replicas, quorum=%d; %s)"
-         r.replicas r.quorum crash_profile)
-    (List.map
-       (fun p ->
-         {
-           Report.label = Printf.sprintf "%d parallel thread(s)" p.parallel;
-           paper = "-";
-           measured = Printf.sprintf "%.0f%% complete" (100.0 *. p.completion_rate);
-           note =
-             Printf.sprintf "%d/%d trials | %.0f thread-ms/trial"
-               p.completions p.trials p.mean_thread_ms;
-         })
-       r.points)
-
+  { replicas; quorum; trials; points }
 
 let to_json (r : result) =
   let open Obs.Export in
@@ -115,5 +83,6 @@ let to_json (r : result) =
   Obj
     [
       ("replicas", int r.replicas); ("quorum", int r.quorum);
+      ("trials", int r.trials);
       ("points", Arr (List.map point r.points));
     ]

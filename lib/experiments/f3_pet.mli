@@ -10,19 +10,17 @@
 
 type point = {
   parallel : int;
-  trials : int;
-  completions : int;  (** trials that committed to a quorum *)
-  completion_rate : float;
+  completion_rate : float;  (** share of trials that committed to a quorum *)
   mean_thread_ms : float;  (** resource cost per trial *)
 }
 
 type result = {
   replicas : int;
   quorum : int;
+  trials : int;  (** per point, on the same failure schedules *)
   points : point list;
 }
 
 val run : ?trials:int -> ?parallel_counts:int list -> unit -> result
-val report : result -> string
 
 val to_json : result -> Obs.Export.json

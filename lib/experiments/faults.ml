@@ -42,15 +42,6 @@ type outcome = {
   trace : string;  (** canonical per-call trace, for determinism checks *)
 }
 
-let summary o =
-  Printf.sprintf
-    "%s seed=%d calls=%d ok=%d to=%d ab=%d commit=%d retrans=%d drops=%d \
-     dups=%d viol=[%s] trace=%s"
-    o.scenario o.seed o.calls o.oks o.timeouts o.aborts o.commits
-    o.retransmissions o.drops o.duplicates
-    (String.concat "," o.violations)
-    o.trace
-
 (* ------------------------------------------------------------------ *)
 (* RaTP client/server scenarios: a pair of machines, a store service,
    sequential calls.  The "durable store" (what survives a crash)
@@ -441,18 +432,21 @@ let run ?(seed = 42) name =
 
 let run_all ?seed () = List.map (fun name -> run ?seed name) scenarios
 
-let report outcomes =
-  Report.table ~title:"Fault scenarios (deterministic; seed-reproducible)"
-    (List.map
-       (fun o ->
-         {
-           Report.label = o.scenario;
-           paper = "-";
-           measured =
-             (if o.violations = [] then "invariants ok" else "VIOLATED");
-           note =
-             Printf.sprintf
-               "%d calls: %d ok, %d to, %d ab | %d retrans, %d drops"
-               o.calls o.oks o.timeouts o.aborts o.retransmissions o.drops;
-         })
-       outcomes)
+(* For the text report only: the registry gives this experiment no
+   bench section. *)
+let to_json outcomes =
+  let open Obs.Export in
+  let outcome o =
+    Obj
+      [
+        ("scenario", Str o.scenario); ("seed", int o.seed);
+        ("calls", int o.calls); ("oks", int o.oks);
+        ("timeouts", int o.timeouts); ("aborts", int o.aborts);
+        ("commits", int o.commits);
+        ("retransmissions", int o.retransmissions); ("drops", int o.drops);
+        ("duplicates", int o.duplicates);
+        ("violations", Arr (List.map (fun v -> Str v) o.violations));
+        ("trace", Str o.trace);
+      ]
+  in
+  Obj [ ("scenarios", Arr (List.map outcome outcomes)) ]

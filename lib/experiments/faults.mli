@@ -40,9 +40,6 @@ val run : ?seed:int -> string -> outcome
 val run_all : ?seed:int -> unit -> outcome list
 (** Run every scenario. *)
 
-val summary : outcome -> string
-(** One-line canonical rendering of every field; equal strings mean
-    equal outcomes (used for determinism checks). *)
-
-val report : outcome list -> string
-(** Human-readable table for the experiment driver. *)
+val to_json : outcome list -> Obs.Export.json
+(** Every field of every outcome, one ["scenarios"] element each, for
+    the text report (the bench pins no faults section). *)

@@ -45,7 +45,6 @@ type point = {
   p95_ms : float;
   p99_ms : float;
   mean_ms : float;
-  max_ms : float;
   throughput : float;  (** completions per simulated second *)
   sim_ms : float;  (** simulated makespan of the measured window *)
   wall_s : float;  (** real seconds for the whole cell, engine metric *)
@@ -194,7 +193,6 @@ let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
     p95_ms = Sim.Stats.hist_percentile lat 95.0;
     p99_ms = Sim.Stats.hist_percentile lat 99.0;
     mean_ms = Sim.Stats.hist_mean lat;
-    max_ms = Sim.Stats.hist_max lat;
     throughput = float_of_int (Sim.Stats.hist_n lat) /. (sim_ms /. 1000.0);
     sim_ms;
     wall_s;
@@ -203,43 +201,6 @@ let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
 
 let run ?(seed = 42) ?(cells = smoke_cells) () =
   List.map (run_cell ~seed) cells
-
-let summary p =
-  Printf.sprintf
-    "%s nodes=%d clients=%d rate=%.0f/s inv=%d wr=%d%% %s: p50=%.1fms \
-     p95=%.1fms p99=%.1fms mean=%.1fms tput=%.0f/s sim=%.0fms wall=%.2fs \
-     top_heap=%.0fMB miss=%d retry=%d"
-    p.cell.label
-    (p.cell.data + p.cell.compute)
-    p.cell.clients p.cell.rate p.cell.invocations p.cell.write_pct
-    (if p.cell.sharded then "sharded" else "central")
-    p.p50_ms p.p95_ms p.p99_ms p.mean_ms p.throughput p.sim_ms p.wall_s
-    p.top_heap_mb p.misses p.retries
-
-let report points =
-  Report.table
-    ~title:
-      "Open-loop name-service load (nodes x clients x rate; latency from \
-       arrival to completion)"
-    (List.map
-       (fun p ->
-         {
-           Report.label = p.cell.label;
-           paper = "-";
-           measured =
-             Printf.sprintf "p50 %.1f / p95 %.1f / p99 %.1f ms" p.p50_ms
-               p.p95_ms p.p99_ms;
-           note =
-             Printf.sprintf
-               "%d nodes, %d clients, %.0f/s, %d inv (%d%% wr) %s: %.0f/s \
-                sustained, %.1f s simulated, %.2f s wall"
-               (p.cell.data + p.cell.compute)
-               p.cell.clients p.cell.rate p.cell.invocations p.cell.write_pct
-               (if p.cell.sharded then "sharded" else "central")
-               p.throughput (p.sim_ms /. 1000.0) p.wall_s;
-         })
-       points)
-
 
 (* Simulated metrics only: [wall_s] and [top_heap_mb] are host
    metrics and stay out. *)

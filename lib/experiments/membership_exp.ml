@@ -75,17 +75,6 @@ let arm_label (a : arm) =
   Printf.sprintf "r%d-kill%d%s" a.replication a.kills
     (if a.restart then "-restart" else "")
 
-let summary o =
-  Printf.sprintf
-    "%s seed=%d ops=%d ok=%d retried=%d(+%d) fail=%d detect=%.1fms \
-     unavail=%.1fms reheal=%.1fms copied=%d lost_seg=%d lost_w=%d \
-     epoch=%d viol=[%s] trace=%s"
-    o.arm o.seed o.ops o.oks o.retried o.retries o.failed o.detect_ms
-    o.unavail_ms o.reheal_ms o.pages_copied o.lost_segments
-    o.lost_writes o.final_epoch
-    (String.concat "," o.violations)
-    o.trace
-
 (* Tight detection bounds keep a whole arm under a simulated second:
    beats every 10 ms, suspicion after 30 ms of silence, condemnation
    after 80 ms. *)
@@ -315,43 +304,22 @@ let run_arm ~seed ~ops (a : arm) =
 let run ?(seed = 42) ?(arms = full_arms) ?(ops = 48) () =
   List.map (run_arm ~seed ~ops) arms
 
-let report outcomes =
-  Report.table
-    ~title:
-      "Membership: kill k of n data servers mid-workload (reheal vs \
-       replication factor)"
-    (List.map
-       (fun o ->
-         {
-           Report.label = o.arm;
-           paper = "-";
-           measured =
-             (if o.violations = [] then
-                Printf.sprintf "unavail %.0f ms" o.unavail_ms
-              else "VIOLATED");
-           note =
-             Printf.sprintf
-               "detect %.0f ms, reheal %.0f ms, %d pages copied | %d ops: %d \
-                ok, %d retried, %d lost writes"
-               o.detect_ms o.reheal_ms o.pages_copied o.ops o.oks o.retried
-               o.lost_writes;
-         })
-       outcomes)
-
-
 let to_json outcomes =
   let open Obs.Export in
   let arm (o : outcome) =
     Obj
       [
-        ("arm", Str o.arm); ("replication", int o.replication);
-        ("kills", int o.kills); ("ops", int o.ops);
-        ("oks", int o.oks); ("retried", int o.retried);
-        ("failed", int o.failed); ("detect_ms", Num o.detect_ms);
-        ("unavail_ms", Num o.unavail_ms); ("reheal_ms", Num o.reheal_ms);
-        ("pages_copied", int o.pages_copied);
+        ("arm", Str o.arm); ("seed", int o.seed);
+        ("replication", int o.replication); ("kills", int o.kills);
+        ("ops", int o.ops); ("oks", int o.oks); ("retried", int o.retried);
+        ("retries", int o.retries); ("failed", int o.failed);
+        ("detect_ms", Num o.detect_ms); ("unavail_ms", Num o.unavail_ms);
+        ("reheal_ms", Num o.reheal_ms); ("pages_copied", int o.pages_copied);
+        ("lost_segments", int o.lost_segments);
         ("lost_writes", int o.lost_writes);
-        ("final_epoch", int o.final_epoch); ("trace", Str o.trace);
+        ("final_epoch", int o.final_epoch);
+        ("violations", Arr (List.map (fun v -> Str v) o.violations));
+        ("trace", Str o.trace);
       ]
   in
   Obj [ ("arms", Arr (List.map arm outcomes)) ]

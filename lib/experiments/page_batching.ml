@@ -71,18 +71,6 @@ let flush_point pages =
 
 let run ?(flush_sizes = [ 1; 4; 16 ]) () = List.map flush_point flush_sizes
 
-let report r =
-  Report.table ~title:"Page batching: batched writeback (16-page segment)"
-    (List.map
-       (fun p ->
-         {
-           Report.label = Printf.sprintf "flush %d dirty pages" p.pages;
-           paper = "-";
-           measured = Report.ms p.batched_ms;
-           note = Printf.sprintf "%d RPCs" p.batched_rpcs;
-         })
-       r)
-
 let to_json (r : result) =
   let open Obs.Export in
   let flush f =

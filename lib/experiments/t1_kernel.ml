@@ -24,7 +24,7 @@ let measure_faults ~samples =
   Sim.exec (fun () ->
       let cpu = Ra.Cpu.create () in
       let mmu = Ra.Mmu.create ~cpu () in
-      let store = Store.Segment_store.create "local" in
+      let store = Store.Segment_store.create () in
       Ra.Mmu.set_resolver mmu (fun _ -> Store.Segment_store.local_partition store);
       let gen = Ra.Sysname.make_gen ~node:0 in
       let zero = Sim.Stats.series "zero" and data = Sim.Stats.series "data" in
@@ -50,30 +50,6 @@ let run ?(samples = 100) () =
   let context_switch_ms = measure_context_switch ~samples in
   let fault_zero_fill_ms, fault_data_ms = measure_faults ~samples in
   { context_switch_ms; fault_zero_fill_ms; fault_data_ms; samples }
-
-let report r =
-  Report.table ~title:"T1: kernel performance (paper section 4.3)"
-    [
-      {
-        Report.label = "context switch";
-        paper = "0.14 ms";
-        measured = Report.ms r.context_switch_ms;
-        note = Printf.sprintf "mean of %d handoffs" r.samples;
-      };
-      {
-        Report.label = "page fault, 8K zero-filled";
-        paper = "1.5 ms";
-        measured = Report.ms r.fault_zero_fill_ms;
-        note = "local page, never written";
-      };
-      {
-        Report.label = "page fault, 8K with data";
-        paper = "0.629 ms";
-        measured = Report.ms r.fault_data_ms;
-        note = "local page, data present";
-      };
-    ]
-
 
 let to_json (r : result) =
   let open Obs.Export in

@@ -12,6 +12,5 @@ type result = {
 }
 
 val run : ?samples:int -> unit -> result
-val report : result -> string
 
 val to_json : result -> Obs.Export.json

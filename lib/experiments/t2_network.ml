@@ -90,42 +90,6 @@ let run ?(samples = 50) () =
       let page_ftp_ms, page_nfs_ms = measure_comparators ether ~samples in
       { eth_rtt_ms; ratp_rtt_ms; page_ratp_ms; page_ftp_ms; page_nfs_ms; samples })
 
-let report r =
-  Report.table ~title:"T2: networking (paper section 4.3)"
-    [
-      {
-        Report.label = "Ethernet round trip, 72 bytes";
-        paper = "2.4 ms";
-        measured = Report.ms r.eth_rtt_ms;
-        note = "raw frames, echo server";
-      };
-      {
-        Report.label = "RaTP reliable round trip";
-        paper = "4.8 ms";
-        measured = Report.ms r.ratp_rtt_ms;
-        note = "null message transaction";
-      };
-      {
-        Report.label = "8K page via RaTP";
-        paper = "11.9 ms";
-        measured = Report.ms r.page_ratp_ms;
-        note = "fragmented + acknowledged";
-      };
-      {
-        Report.label = "8K via FTP-like protocol";
-        paper = "70 ms";
-        measured = Report.ms r.page_ftp_ms;
-        note = "control dialogue + stop-and-wait";
-      };
-      {
-        Report.label = "8K via NFS-like protocol";
-        paper = "50 ms";
-        measured = Report.ms r.page_nfs_ms;
-        note = "1K READ rpcs";
-      };
-    ]
-
-
 let to_json (r : result) =
   let open Obs.Export in
   Obj

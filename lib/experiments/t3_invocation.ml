@@ -57,30 +57,6 @@ let run ?(invocations = 200) () =
         locality_avg_ms = Sim.Stats.mean stats;
       })
 
-let report r =
-  Report.table ~title:"T3: null object invocation (paper section 4.3)"
-    [
-      {
-        Report.label = "minimum (object resident)";
-        paper = "8 ms";
-        measured = Report.ms r.warm_ms;
-        note = "mean of 20 warm invocations";
-      };
-      {
-        Report.label = "maximum (fetched from data server)";
-        paper = "103 ms";
-        measured = Report.ms r.cold_ms;
-        note = "cold activation: header, code, disk";
-      };
-      {
-        Report.label = "average under locality";
-        paper = "\"closer to the minimum\"";
-        measured = Report.ms r.locality_avg_ms;
-        note = "90% repeat invocations";
-      };
-    ]
-
-
 let to_json (r : result) =
   let open Obs.Export in
   Obj

@@ -13,6 +13,5 @@ type result = {
 }
 
 val run : ?invocations:int -> unit -> result
-val report : result -> string
 
 val to_json : result -> Obs.Export.json

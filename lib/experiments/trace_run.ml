@@ -51,7 +51,9 @@ let run ?(seed = 42) ?(cell = default_cell) () =
   }
 
 (* The bench "obs" section: span counts, the critical-path stage
-   decomposition and the cluster-wide registry rollup. *)
+   decomposition (mean, then the trace at each percentile, by id so it
+   can be found in the Chrome trace) and the cluster-wide registry
+   rollup. *)
 let to_json r =
   let open Obs.Export in
   let stages st =
@@ -60,16 +62,18 @@ let to_json r =
       ("commit_ms", Num st.commit_ms); ("other_ms", Num st.other_ms);
     ]
   in
+  let sum ts =
+    ("total_ms", Num ts.total_ms) :: ("spans", int ts.nspans) :: stages ts.st
+  in
   let pick = function
     | None -> Null
-    | Some ts ->
-        Obj (("total_ms", Num ts.total_ms) :: ("spans", int ts.nspans) :: stages ts.st)
+    | Some ts -> Obj (sum ts @ [ ("trace", int ts.trace) ])
   in
   let s = r.summary in
   Obj
     [
       ("cell", Str r.point.Load.cell.label); ("traces", int s.traces);
-      ("spans", int s.spans); ("mean", Obj (stages s.mean.st));
+      ("spans", int s.spans); ("mean", Obj (sum s.mean));
       ("p50", pick s.p50); ("p95", pick s.p95); ("p99", pick s.p99);
       ("registry", Obj (List.map (fun (path, v) -> (path, int v)) r.totals));
     ]

@@ -167,58 +167,14 @@ let run ?(losses = [ 0; 1; 5; 10 ]) ?(sizes = [ 1400; 8192; 65536 ])
   in
   { points; bypass = measure_bypass ~invocations }
 
-let arm_name p = if p.selective then "selective" else "full-burst"
-
-let report r =
-  let point_rows =
-    List.map
-      (fun p ->
-        {
-          Report.label =
-            Printf.sprintf "loss %2d%%, %5d B, %s" p.loss_pct p.size
-              (arm_name p);
-          paper = "-";
-          measured =
-            Printf.sprintf "%d B resent, %s" p.retrans_bytes
-              (Report.ms p.elapsed_ms);
-          note =
-            Printf.sprintf "%d/%d ok, %d retrans, %d nacks" p.oks p.calls
-              p.retrans p.nacks;
-        })
-      r.points
-  in
-  let b = r.bypass in
-  let bypass_rows =
-    [
-      {
-        Report.label = "same-node invocation (bypass)";
-        paper = "-";
-        measured = Report.ms b.local_ms;
-        note =
-          Printf.sprintf "%d invocations, %d took the bypass" b.invocations
-            b.local_invokes;
-      };
-      {
-        Report.label = "cross-node invocation (RaTP)";
-        paper = "-";
-        measured = Report.ms b.remote_ms;
-        note =
-          Printf.sprintf "%.1fx the bypass"
-            (if b.local_ms > 0.0 then b.remote_ms /. b.local_ms else 0.0);
-      };
-    ]
-  in
-  Report.table ~title:"Transport: selective retransmission, same-node bypass"
-    (point_rows @ bypass_rows)
-
-
 let to_json (r : result) =
   let open Obs.Export in
   let point p =
     Obj
       [
         ("loss_pct", int p.loss_pct); ("size", int p.size);
-        ("selective", Bool p.selective); ("oks", int p.oks);
+        ("selective", Bool p.selective); ("calls", int p.calls);
+        ("oks", int p.oks);
         ("timeouts", int p.timeouts); ("elapsed_ms", Num p.elapsed_ms);
         ("retrans", int p.retrans);
         ("retrans_bytes", int p.retrans_bytes);

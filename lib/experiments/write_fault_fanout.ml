@@ -86,38 +86,6 @@ let run ?(sizes = [ 1; 4; 8; 16 ]) () =
   in
   { rtt_ms; baseline_ms; healthy; suspected }
 
-let report r =
-  let rows_of tag points =
-    List.map
-      (fun p ->
-        {
-          Report.label =
-            Printf.sprintf "write fault, copyset %d%s" p.copyset
-              (if p.suspects > 0 then
-                 Printf.sprintf " (%d crashed)" p.suspects
-               else "");
-          paper = "-";
-          measured = Report.ms p.parallel_ms;
-          note = tag;
-        })
-      points
-  in
-  Report.table ~title:"Write-fault fan-out: concurrent invalidation"
-    ({
-       Report.label = "null RaTP round trip";
-       paper = "4.8 ms";
-       measured = Report.ms r.rtt_ms;
-       note = "scale for the rows below";
-     }
-     :: {
-          Report.label = "write fault, empty copyset";
-          paper = "-";
-          measured = Report.ms r.baseline_ms;
-          note = "no invalidations";
-        }
-     :: (rows_of "healthy" r.healthy @ rows_of "suspects" r.suspected))
-
-
 let to_json (r : result) =
   let open Obs.Export in
   let point p =

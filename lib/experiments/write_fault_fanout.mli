@@ -28,6 +28,5 @@ val run : ?sizes:int list -> unit -> result
 (** Run every (size, health) combination in its own
     deterministic simulation.  [sizes] defaults to [[1; 4; 8; 16]]. *)
 
-val report : result -> string
 
 val to_json : result -> Obs.Export.json

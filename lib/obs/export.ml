@@ -180,9 +180,8 @@ let line b tag (ts : trace_sum) =
        ts.st.other_ms ts.trace ts.nspans)
 
 (* Aggregate stage means and tail picks over the traces whose root
-   span has the given name (default "request", the load harness's
-   root): "p99 invocation = X ms transport + Y ms fault + Z ms
-   commit". *)
+   span is a "request", the load harness's root: "p99 invocation =
+   X ms transport + Y ms fault + Z ms commit". *)
 type summary = {
   traces : int;
   spans : int;
@@ -192,8 +191,10 @@ type summary = {
   p99 : trace_sum option;
 }
 
+let root = "request"
+
 (* [all] is [per_trace t], computed once by the caller. *)
-let summary_of ~root (t : Tracer.t) all =
+let summary_of (t : Tracer.t) all =
   let reqs =
     List.filter (fun ts -> String.equal ts.root root) all
     |> List.sort (fun a b -> Float.compare a.total_ms b.total_ms)
@@ -226,12 +227,11 @@ let summary_of ~root (t : Tracer.t) all =
     p99 = at 99.0;
   }
 
-let summarize ?(root = "request") (t : Tracer.t) =
-  summary_of ~root t (per_trace t)
+let summarize (t : Tracer.t) = summary_of t (per_trace t)
 
-let report ?(root = "request") (t : Tracer.t) =
+let report (t : Tracer.t) =
   let all = per_trace t in
-  let s = summary_of ~root t all in
+  let s = summary_of t all in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf

@@ -34,13 +34,13 @@ val per_trace : Tracer.t -> trace_sum list
     children, so the stage sums are a cost decomposition rather than
     a wall-clock partition. *)
 
-val report : ?root:string -> Tracer.t -> string
-(** Text critical-path report over traces rooted at [root] (default
-    ["request"]): mean stage decomposition plus the actual traces at
-    p50/p95/p99 of total latency. *)
+val report : Tracer.t -> string
+(** Text critical-path report over the traces rooted at a
+    ["request"] span: mean stage decomposition plus the actual traces
+    at p50/p95/p99 of total latency. *)
 
 type summary = {
-  traces : int;  (** traces with the requested root *)
+  traces : int;  (** traces rooted at a ["request"] span *)
   spans : int;
   mean : trace_sum;  (** per-stage means; trace id -1 *)
   p50 : trace_sum option;
@@ -48,7 +48,7 @@ type summary = {
   p99 : trace_sum option;
 }
 
-val summarize : ?root:string -> Tracer.t -> summary
+val summarize : Tracer.t -> summary
 (** The report's numbers in machine-readable form. *)
 
 val chrome_json : Tracer.t -> string

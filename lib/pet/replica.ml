@@ -1,11 +1,7 @@
 module P = Dsm.Protocol
 module Cl = Clouds.Cluster
 
-type t = {
-  class_name : string;
-  members : Ra.Sysname.t array;
-  homes : Net.Address.t array;
-}
+type t = { members : Ra.Sysname.t array; homes : Net.Address.t array }
 
 let create om ~class_name ~degree arg =
   let cl = Clouds.Object_manager.cluster om in
@@ -22,7 +18,7 @@ let create om ~class_name ~degree arg =
         Clouds.Object_manager.create_object om ~home ~class_name arg)
       homes
   in
-  { class_name; members; homes }
+  { members; homes }
 
 let degree t = Array.length t.members
 
@@ -35,70 +31,57 @@ let live_node cl =
   | Some n -> n
   | None -> invalid_arg "Replica: no live compute server"
 
-let descriptor_of om node obj =
-  let cl = Clouds.Object_manager.cluster om in
-  let home =
-    match Clouds.Placement.home cl.Cl.placement obj with
-    | Some h -> h
-    | None -> raise (Clouds.Object_manager.No_object obj)
-  in
-  match P.call node ~dst:home (P.Get_descriptor obj) with
-  | Ok (P.Descriptor (Some d)) -> Some (home, d)
-  | Ok _ | Error Ratp.Endpoint.Timeout -> None
-
-let persistent_entries d =
-  List.filter
-    (fun e -> not (String.equal e.Store.Directory.role "code"))
-    d.Store.Directory.entries
-
 let copy_state om t ~from_index ~to_index =
   let cl = Clouds.Object_manager.cluster om in
   let node = live_node cl in
-  match
-    ( descriptor_of om node t.members.(from_index),
-      descriptor_of om node t.members.(to_index) )
-  with
+  let locate seg = Clouds.Placement.locate cl.Cl.placement seg in
+  let persistent obj =
+    Clouds.Object_manager.fetch_descriptor om node obj
+    |> Option.map (fun d ->
+           List.filter
+             (fun e -> not (String.equal e.Store.Directory.role "code"))
+             d.Store.Directory.entries)
+  in
+  match (persistent t.members.(from_index), persistent t.members.(to_index)) with
   | None, _ | _, None -> false
-  | Some (src_home, src_desc), Some (dst_home, dst_desc) -> (
-      let pairs =
-        List.filter_map
-          (fun src_e ->
-            List.find_opt
-              (fun dst_e ->
-                String.equal dst_e.Store.Directory.role
-                  src_e.Store.Directory.role)
-              (persistent_entries dst_desc)
-            |> Option.map (fun dst_e -> (src_e, dst_e)))
-          (persistent_entries src_desc)
+  | Some src, Some dst -> (
+      (* the committed image of every source page, read from the
+         store with no coherence side effects; a page the store does
+         not return was never written and copies as zeros *)
+      let exception Unreachable in
+      let image (s : Store.Directory.entry) (d : Store.Directory.entry) =
+        let got = Hashtbl.create 8 in
+        if
+          not
+            (Clouds.Replicator.read_pages node ~src:(locate s.seg) s.seg
+               (fun pages ->
+                 List.iter (fun (p, b) -> Hashtbl.replace got p b) pages;
+                 true))
+        then raise Unreachable;
+        ( d.seg,
+          List.init (Ra.Page.count_for s.size) (fun p ->
+              ( d.seg,
+                p,
+                match Hashtbl.find_opt got p with
+                | Some b -> b
+                | None -> Ra.Page.zero () )) )
       in
-      let ok = ref true in
-      let writes = ref [] in
-      List.iter
-        (fun (src_e, dst_e) ->
-          let pages = Ra.Page.count_for src_e.Store.Directory.size in
-          for page = 0 to pages - 1 do
-            match
-              P.call node ~dst:src_home
-                (P.Get_page
-                   {
-                     seg = src_e.Store.Directory.seg;
-                     page;
-                     mode = Ra.Partition.Read;
-                   })
-            with
-            | Ok (P.Got_page (Ra.Partition.Data data)) ->
-                writes := (dst_e.Store.Directory.seg, page, data) :: !writes
-            | Ok (P.Got_page Ra.Partition.Zeroed) ->
-                writes :=
-                  (dst_e.Store.Directory.seg, page, Ra.Page.zero ()) :: !writes
-            | Ok _ | Error Ratp.Endpoint.Timeout -> ok := false
-          done)
-        pairs;
-      if not !ok then false
-      else
-        match P.call node ~dst:dst_home (P.Overwrite (List.rev !writes)) with
+      let overwrite (seg, writes) =
+        match P.call node ~dst:(locate seg) (P.Overwrite writes) with
         | Ok P.Batch_ok -> true
-        | Ok _ | Error Ratp.Endpoint.Timeout -> false)
+        | Ok _ | Error Ratp.Endpoint.Timeout -> false
+      in
+      match
+        List.filter_map
+          (fun (s : Store.Directory.entry) ->
+            List.find_opt
+              (fun (d : Store.Directory.entry) -> String.equal d.role s.role)
+              dst
+            |> Option.map (image s))
+          src
+      with
+      | images -> List.for_all overwrite images
+      | exception Unreachable -> false)
 
 let live_members om t =
   let cl = Clouds.Object_manager.cluster om in

@@ -6,7 +6,6 @@
     class, created identically, placed on distinct data servers. *)
 
 type t = {
-  class_name : string;
   members : Ra.Sysname.t array;  (** one instance per chosen data server *)
   homes : Net.Address.t array;  (** parallel: each member's data server *)
 }
@@ -34,8 +33,12 @@ val copy_state :
   from_index:int ->
   to_index:int ->
   bool
-(** Copy the persistent state (data + heap segments) of one member
-    onto another, page by page, through the data servers.  Returns
+(** Copy the committed persistent state (data + heap segments) of
+    one member onto another: each source segment is read from its
+    primary's store ({!Clouds.Replicator.read_pages}) and forced into
+    the target's primary with [Overwrite].  Nothing reads through DSM,
+    so no copyset gains the copying node and no frame is recalled;
+    writes not yet written back to the store are not copied.  Returns
     false if either side is unreachable. *)
 
 val live_members : Clouds.Object_manager.t -> t -> int list

@@ -5,7 +5,6 @@ type fetch_data = Zeroed | Data of bytes
 exception No_segment of Sysname.t
 
 type t = {
-  name : string;
   fetch : seg:Sysname.t -> page:int -> mode:mode -> fetch_data;
   writeback : seg:Sysname.t -> page:int -> (int * bytes) list -> unit;
 }

@@ -19,7 +19,6 @@ exception No_segment of Sysname.t
     (deleted or never created). *)
 
 type t = {
-  name : string;
   fetch : seg:Sysname.t -> page:int -> mode:mode -> fetch_data;
       (** Obtain a page in the given mode; blocks (disk or network).
           Fetching in [Write] mode acquires ownership under the

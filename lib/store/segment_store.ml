@@ -1,5 +1,4 @@
 type t = {
-  label : string;
   pages : (Ra.Sysname.t * int, bytes) Hashtbl.t;
   lsns : (Ra.Sysname.t * int, int) Hashtbl.t;
       (* page-LSN: the log sequence number of the commit record whose
@@ -9,9 +8,8 @@ type t = {
   sizes : int Ra.Sysname.Table.t;
 }
 
-let create label =
+let create () =
   {
-    label;
     pages = Hashtbl.create 256;
     lsns = Hashtbl.create 256;
     sizes = Ra.Sysname.Table.create 32;
@@ -82,7 +80,6 @@ let page_lsn t seg page =
 
 let local_partition t =
   {
-    Ra.Partition.name = t.label ^ "-local";
-    fetch = (fun ~seg ~page ~mode:_ -> read_page t seg page);
+    Ra.Partition.fetch = (fun ~seg ~page ~mode:_ -> read_page t seg page);
     writeback = (fun ~seg ~page spans -> ignore (apply_spans t seg page spans));
   }

@@ -7,7 +7,7 @@
 
 type t
 
-val create : string -> t
+val create : unit -> t
 
 val create_segment : t -> Ra.Sysname.t -> size:int -> unit
 (** Declare a segment of [size] bytes.  Raises [Invalid_argument] if

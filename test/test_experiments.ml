@@ -266,21 +266,99 @@ let test_registry_unique () =
     (Option.map (fun e -> e.id) (find "wf") = Some "fanout");
   check_bool "unknown ids do not" true (find "nosuch" = None)
 
+(* Every keyed entry at its quick size, run once for both tests. *)
+let quick_sections =
+  lazy
+    Experiments.(
+      List.filter_map
+        (fun e -> Option.map (fun _ -> (e.id, e.run ~quick:true)) e.key)
+        all)
+
 let test_registry_json_roundtrip () =
   (* every keyed section survives print -> parse: nothing diff can see
      changes, and reprinting is byte-identical *)
-  let open Experiments in
   List.iter
-    (fun e ->
-      if e.key <> None then
-        let v = (e.run ~quick:true).json in
-        let printed = Obs.Export.to_string v in
-        match Obs.Export.parse printed with
-        | Error msg -> Alcotest.failf "%s: %s" e.id msg
-        | Ok v' ->
-            Alcotest.(check (list string)) e.id [] (Obs.Export.diff v v');
-            Alcotest.(check string) e.id printed (Obs.Export.to_string v'))
-    all
+    (fun (id, (o : Experiments.output)) ->
+      let v = o.json in
+      let printed = Obs.Export.to_string v in
+      match Obs.Export.parse printed with
+      | Error msg -> Alcotest.failf "%s: %s" id msg
+      | Ok v' ->
+          Alcotest.(check (list string)) id [] (Obs.Export.diff v v');
+          Alcotest.(check string) id printed (Obs.Export.to_string v'))
+    (Lazy.force quick_sections)
+
+let contains text s =
+  let n = String.length s and m = String.length text in
+  let rec at i = i + n <= m && (String.sub text i n = s || at (i + 1)) in
+  at 0
+
+(* Every member name of [json] and every value that prints verbatim
+   (strings, booleans, integers) must appear in [text]; a [label],
+   [arm] or [scenario] string labels its row, so only its value
+   shows. *)
+let check_leaves id text json =
+  let module J = Obs.Export in
+  let seen what s =
+    check_bool (Printf.sprintf "%s: %s %S printed" id what s) true (contains text s)
+  in
+  let rec walk = function
+    | J.Obj ms ->
+        List.iter
+          (fun (k, v) ->
+            (match v with
+            | J.Str _ when List.mem k [ "label"; "arm"; "scenario" ] -> ()
+            | _ -> seen "member" k);
+            walk v)
+          ms
+    | J.Arr l -> List.iter walk l
+    | J.Str s -> seen "string" s
+    | J.Bool b -> seen "bool" (string_of_bool b)
+    | J.Num v when Float.is_integer v -> seen "integer" (Printf.sprintf "%.0f" v)
+    | J.Num _ | J.Null -> ()
+  in
+  walk json
+
+let test_report_prints_every_leaf () =
+  let module J = Obs.Export in
+  (* one of every shape: scalars, a nested object, labelled and
+     unlabelled arrays of objects, an array of scalars, and numbers
+     at each printed precision *)
+  let synthetic =
+    J.Obj
+      [
+        ("alpha_ms", J.Num 0.629); ("beta", J.Num 1234.5);
+        ("gamma", J.Num 12.345); ("delta", J.int 17); ("name", J.Str "zeta");
+        ("inner", J.Obj [ ("flag", J.Bool true); ("nothing", J.Null) ]);
+        ( "cells",
+          J.Arr
+            [
+              J.Obj [ ("label", J.Str "cell-a"); ("hits", J.int 31) ];
+              J.Obj [ ("label", J.Str "cell-b"); ("hits", J.int 32) ];
+            ] );
+        ("points", J.Arr [ J.Obj [ ("x", J.int 41); ("y", J.Num 2.5) ] ]);
+        ("tags", J.Arr [ J.Str "t1"; J.Str "t2" ]);
+      ]
+  in
+  let text =
+    Experiments.Report.render ~title:"synthetic" ~paper:[ ("delta", "16") ]
+      ~host:[ ("cell-b", "wall=_") ] synthetic
+  in
+  check_leaves "synthetic" text synthetic;
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "%S printed" s) true (contains text s))
+    [
+      "0.629"; "1234.5"; "12.35"; "inner.flag"; "inner.nothing"; "[0]";
+      "2.50"; "[t1, t2]"; "16"; "wall=_";
+    ];
+  List.iter
+    (fun (id, (o : Experiments.output)) -> check_leaves id o.text o.json)
+    (Lazy.force quick_sections);
+  (* the paper's three kernel figures stay beside the measured ones *)
+  let t1 = (List.assoc "t1" (Lazy.force quick_sections)).text in
+  List.iter
+    (fun fig -> check_bool ("T1 paper figure " ^ fig) true (contains t1 fig))
+    [ "0.14 ms"; "1.5 ms"; "0.629 ms" ]
 
 let () =
   Alcotest.run "experiments"
@@ -291,6 +369,8 @@ let () =
             test_registry_unique;
           Alcotest.test_case "quick sections round-trip" `Quick
             test_registry_json_roundtrip;
+          Alcotest.test_case "reports print every leaf" `Quick
+            test_report_prints_every_leaf;
         ] );
       ( "calibration",
         [

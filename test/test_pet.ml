@@ -83,6 +83,57 @@ let test_copy_state () =
         (Pet.Replica.copy_state env.sys.om group ~from_index:0 ~to_index:1);
       check_int "target caught up" 41 (member_value env group 1))
 
+(* The copy reads the source's committed pages from its store: the
+   copying node (the first live compute server) must not join any
+   source page's copyset, and the writer's frames must not be
+   recalled. *)
+let test_copy_state_no_coherence () =
+  with_env (fun env ->
+      let cl = env.sys.cluster in
+      let group = Pet.Replica.create env.sys.om ~class_name:"ledger" ~degree:2 Value.Unit in
+      let src = Pet.Replica.pick group 0 in
+      let writer = cl.Cluster.compute_nodes.(1) in
+      ignore (direct env ~node:writer src "apply" (Value.Int 9));
+      let copier = cl.Cluster.compute_nodes.(0).Ra.Node.id in
+      let entries =
+        match Object_manager.fetch_descriptor env.sys.om writer src with
+        | Some d ->
+            List.filter
+              (fun e -> e.Store.Directory.role <> "code")
+              d.Store.Directory.entries
+        | None -> Alcotest.fail "source descriptor missing"
+      in
+      let server_of seg =
+        Option.get
+          (Cluster.server_at cl (Placement.locate cl.Cluster.placement seg))
+      in
+      let downgrades () =
+        List.fold_left
+          (fun acc e ->
+            acc
+            + Obs.Registry.count
+                (Dsm.Dsm_server.metrics (server_of e.Store.Directory.seg))
+                "dsm/downgrades")
+          0 entries
+      in
+      let before = downgrades () in
+      check_bool "copy succeeds" true
+        (Pet.Replica.copy_state env.sys.om group ~from_index:0 ~to_index:1);
+      List.iter
+        (fun e ->
+          let seg = e.Store.Directory.seg in
+          for page = 0 to Ra.Page.count_for e.Store.Directory.size - 1 do
+            check_bool
+              (Printf.sprintf "%s page %d: copier not in copyset"
+                 e.Store.Directory.role page)
+              false
+              (List.mem copier
+                 (Dsm.Dsm_server.copyset_of (server_of seg) seg page))
+          done)
+        entries;
+      check_int "no frame recalled from the writer" before (downgrades ());
+      check_int "target caught up" 9 (member_value env group 1))
+
 let test_basic_pet_run () =
   with_env (fun env ->
       let group = Pet.Replica.create env.sys.om ~class_name:"ledger" ~degree:3 Value.Unit in
@@ -226,6 +277,8 @@ let () =
         [
           Alcotest.test_case "group creation" `Quick test_group_creation;
           Alcotest.test_case "copy state" `Quick test_copy_state;
+          Alcotest.test_case "copy state leaves copysets alone" `Quick
+            test_copy_state_no_coherence;
           Alcotest.test_case "live members" `Quick test_live_members;
         ] );
       ( "runs",

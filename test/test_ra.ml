@@ -186,8 +186,7 @@ let fake_partition () =
   let fetches = ref 0 in
   let partition =
     {
-      Partition.name = "fake";
-      fetch =
+      Partition.fetch =
         (fun ~seg ~page ~mode:_ ->
           incr fetches;
           match Hashtbl.find_opt pages (seg, page) with

@@ -70,7 +70,7 @@ let test_disk_append_tail () =
 (* Segment store *)
 
 let test_segment_lifecycle () =
-  let s = Store.Segment_store.create "s" in
+  let s = Store.Segment_store.create () in
   let seg = Ra.Sysname.fresh seg_gen in
   check_bool "absent" false (Store.Segment_store.exists s seg);
   Store.Segment_store.create_segment s seg ~size:(2 * Ra.Page.size);
@@ -85,7 +85,7 @@ let test_segment_lifecycle () =
   check_bool "deleted" false (Store.Segment_store.exists s seg)
 
 let test_segment_pages () =
-  let s = Store.Segment_store.create "s" in
+  let s = Store.Segment_store.create () in
   let seg = Ra.Sysname.fresh seg_gen in
   Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
   (match Store.Segment_store.read_page s seg 0 with
@@ -109,7 +109,7 @@ let test_segment_pages () =
 
 let test_local_partition () =
   Sim.exec (fun () ->
-      let s = Store.Segment_store.create "s" in
+      let s = Store.Segment_store.create () in
       let seg = Ra.Sysname.fresh seg_gen in
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       let p = Store.Segment_store.local_partition s in
@@ -133,7 +133,7 @@ let test_wal_recover_committed () =
   Sim.exec (fun () ->
       let disk = Store.Disk.create "d" in
       let wal = Store.Wal.create disk in
-      let s = Store.Segment_store.create "s" in
+      let s = Store.Segment_store.create () in
       let seg = Ra.Sysname.fresh seg_gen in
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       Store.Wal.append wal
@@ -179,7 +179,7 @@ let test_wal_recover_twice_applies_once () =
   Sim.exec (fun () ->
       let disk = Store.Disk.create "d" in
       let wal = Store.Wal.create disk in
-      let s = Store.Segment_store.create "s" in
+      let s = Store.Segment_store.create () in
       let seg = Ra.Sysname.fresh seg_gen in
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       Store.Wal.append wal
@@ -210,7 +210,7 @@ let test_wal_span_redo_twice () =
   Sim.exec (fun () ->
       let disk = Store.Disk.create "d" in
       let wal = Store.Wal.create disk in
-      let s = Store.Segment_store.create "s" in
+      let s = Store.Segment_store.create () in
       let seg = Ra.Sysname.fresh seg_gen in
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       Store.Segment_store.write_page s seg 0 (page_of_char '.');
@@ -241,7 +241,7 @@ let test_wal_span_redo_order () =
   Sim.exec (fun () ->
       let disk = Store.Disk.create "d" in
       let wal = Store.Wal.create disk in
-      let s = Store.Segment_store.create "s" in
+      let s = Store.Segment_store.create () in
       let seg = Ra.Sysname.fresh seg_gen in
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       let prep txn off str =
@@ -262,7 +262,7 @@ let test_wal_keep_in_doubt () =
   Sim.exec (fun () ->
       let disk = Store.Disk.create "d" in
       let wal = Store.Wal.create disk in
-      let s = Store.Segment_store.create "s" in
+      let s = Store.Segment_store.create () in
       let seg = Ra.Sysname.fresh seg_gen in
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       Store.Wal.append wal
@@ -328,7 +328,7 @@ let test_wal_undo_crash_window () =
           ~spawn:(fun name f -> ignore (Sim.Engine.spawn eng name f))
           disk
       in
-      let s = Store.Segment_store.create "s" in
+      let s = Store.Segment_store.create () in
       let seg = Ra.Sysname.fresh seg_gen in
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       (* the before-image is sparse: logged trimmed, restored padded *)
