@@ -5,10 +5,8 @@
    handles, so build them once and snapshot whenever. *)
 
 let node_registry label (node : Ra.Node.t) role_metrics =
-  let r = Obs.Registry.create label in
-  Obs.Registry.register_all r (Ratp.Endpoint.metrics node.Ra.Node.endpoint);
-  Obs.Registry.register_all r role_metrics;
-  r
+  Obs.Registry.make label
+    (Ratp.Endpoint.metrics node.Ra.Node.endpoint @ role_metrics)
 
 let registries ?om ?(extra = []) (cl : Cluster.t) =
   let data =
@@ -31,9 +29,9 @@ let registries ?om ?(extra = []) (cl : Cluster.t) =
              (Dsm.Dsm_client.metrics cl.Cluster.clients.(i)))
          cl.Cluster.compute_nodes)
   in
-  let cluster = Obs.Registry.create "cluster" in
-  (match om with
-  | Some om -> Obs.Registry.register_all cluster (Object_manager.metrics om)
-  | None -> ());
-  Obs.Registry.register_all cluster extra;
+  let cluster =
+    Obs.Registry.make "cluster"
+      ((match om with Some om -> Object_manager.metrics om | None -> [])
+      @ extra)
+  in
   (cluster :: data) @ compute

@@ -9,13 +9,13 @@ type owner_state = {
 }
 
 (* What a participant remembers about a prepared transaction: the
-   byte spans to apply at commit, (under group commit) the
-   before-images recovery needs to undo a crash-window apply, the
-   presumed-abort timer that a decision makes moot, and whether a
-   settler has already claimed it. *)
+   prepare record it logged (the byte spans to apply at commit and,
+   under group commit, the before-images recovery needs to undo a
+   crash-window apply), which a checkpoint logs again and recovery
+   reads back; the presumed-abort timer that a decision makes moot;
+   and whether a settler has already claimed it. *)
 type prep_entry = {
-  writes : P.span_set;
-  undo : (Ra.Sysname.t * int * bytes option) list;
+  prep : Store.Wal.prep;
   mutable timer : Sim.Engine.timer;
   mutable claimed : bool;
 }
@@ -367,11 +367,7 @@ let maybe_arm_checkpoint t =
               ignore
                 (Ra.Node.spawn t.node "wal-checkpoint" (fun () ->
                      let active =
-                       Hashtbl.fold
-                         (fun txn e acc ->
-                           { Store.Wal.txn; writes = e.writes; undo = e.undo }
-                           :: acc)
-                         t.prepared []
+                       Hashtbl.fold (fun _ e acc -> e.prep :: acc) t.prepared []
                        |> List.sort (fun a b ->
                               compare a.Store.Wal.txn b.Store.Wal.txn)
                      in
@@ -416,7 +412,7 @@ let commit_prepared t txn e =
         Store.Wal.flushed_lsn t.wal
       end
     in
-    let images = apply_spans t ~lsn e.writes in
+    let images = apply_spans t ~lsn e.prep.Store.Wal.writes in
     settle t txn e t.commit_count;
     (* the deferred-invalidation burst and the mirrors wait for
        durability: they make remote nodes see these pages, and a crash
@@ -487,9 +483,9 @@ let handle_prepare t txn writes =
     (* the vote leaves only after the prepare record is durable —
        under group commit it rides the next group flush with every
        other concurrently-preparing transaction *)
-    Store.Wal.append t.wal (Store.Wal.Prepared { txn; writes; undo });
-    Hashtbl.replace t.prepared txn
-      { writes; undo; timer = arm t txn; claimed = false };
+    let prep = { Store.Wal.txn; writes; undo } in
+    Store.Wal.append t.wal (Store.Wal.Prepared prep);
+    Hashtbl.replace t.prepared txn { prep; timer = arm t txn; claimed = false };
     P.Vote true
   end
 
@@ -771,16 +767,10 @@ let recover t =
   t.locks <- Lock_table.create ();
   let in_doubt = Store.Wal.recover t.wal t.store ~applied:(ref []) in
   List.iter
-    (fun (p : Store.Wal.prep) ->
-      let txn = p.Store.Wal.txn in
-      let writes = p.Store.Wal.writes in
+    (fun (prep : Store.Wal.prep) ->
+      let txn = prep.Store.Wal.txn in
       Hashtbl.replace t.prepared txn
-        {
-          writes;
-          undo = p.Store.Wal.undo;
-          timer = arm t txn;
-          claimed = false;
-        };
+        { prep; timer = arm t txn; claimed = false };
       (* recovery locking: the in-doubt transaction's write locks
          must be held again, or later transactions would read
          state its pending commit will overwrite *)
@@ -791,7 +781,7 @@ let recover t =
           | `Cancelled -> ())
         (List.sort_uniq
            (fun (a, _, _) (b, _, _) -> Ra.Sysname.compare a b)
-           writes);
+           prep.Store.Wal.writes);
       ignore (Ra.Node.spawn t.node "resolve" (fun () -> resolve t txn)))
     in_doubt
 

@@ -203,7 +203,7 @@ let all =
         ignore (valid "obs_metrics.json" (Obs.Export.parse r.registries_json));
         output
           ~title:
-            "Traced load cell: critical-path stages (one Chrome trace event \
+            "Traced load cell: self-time stages (one Chrome trace event \
              per span) and registry totals"
           ~host:[ ("cell", snd (load_host r.point)) ]
           ~files:

@@ -1,7 +1,7 @@
 (* The traced load run: install a tracer around one load cell — with
    the atomicity layer on, so binds pay a real lock/commit stage —
    and export everything the observability layer produces: the
-   Chrome trace, the critical-path report, and a snapshot of every
+   Chrome trace, the self-time stage table, and a snapshot of every
    node's metrics registry.
 
    The tracer only reads the sim clock, so the traced cell's
@@ -13,8 +13,6 @@ type result = {
   point : Load.point;
   tracer : Obs.Tracer.t;
   chrome : string;  (* Chrome trace-event JSON *)
-  report : string;  (* text critical-path report *)
-  summary : Obs.Export.summary;  (* machine-readable stage breakdown *)
   registries_json : string;  (* metrics-registry snapshot *)
   totals : (string * int) list;  (* cluster-wide counter rollup *)
 }
@@ -44,36 +42,59 @@ let run ?(seed = 42) ?(cell = default_cell) () =
     point;
     tracer;
     chrome = Obs.Export.chrome_json tracer;
-    report = Obs.Export.report tracer;
-    summary = Obs.Export.summarize tracer;
     registries_json = !registries_json;
     totals = !totals;
   }
 
-(* The bench "obs" section: span counts, the critical-path stage
-   decomposition (mean, then the trace at each percentile, by id so it
-   can be found in the Chrome trace) and the cluster-wide registry
-   rollup. *)
+(* The bench "obs" section: span counts, the self-time stage table
+   over the traces rooted at a "request" span (the mean, then the
+   trace at each percentile of total latency, by id so it can be found
+   in the Chrome trace) and the cluster-wide counter rollup.  Means
+   sum over the requests sorted by total; a percentile picks the
+   floor rank. *)
 let to_json r =
   let open Obs.Export in
-  let stages st =
+  let reqs =
+    List.filter (fun ts -> String.equal ts.root "request") (per_trace r.tracer)
+    |> List.sort (fun a b -> Float.compare a.total_ms b.total_ms)
+  in
+  let sorted = Array.of_list reqs in
+  let n = Array.length sorted in
+  let mean f =
+    if n = 0 then 0.0
+    else List.fold_left (fun acc ts -> acc +. f ts) 0.0 reqs /. float_of_int n
+  in
+  let sum ~total_ms ~nspans st =
     [
+      ("total_ms", Num total_ms); ("spans", int nspans);
       ("transport_ms", Num st.transport_ms); ("fault_ms", Num st.fault_ms);
       ("commit_ms", Num st.commit_ms); ("other_ms", Num st.other_ms);
     ]
   in
-  let sum ts =
-    ("total_ms", Num ts.total_ms) :: ("spans", int ts.nspans) :: stages ts.st
+  let at p =
+    if n = 0 then Null
+    else
+      let ts = sorted.(int_of_float (p /. 100.0 *. float_of_int (n - 1))) in
+      Obj
+        (sum ~total_ms:ts.total_ms ~nspans:ts.nspans ts.st
+        @ [ ("trace", int ts.trace) ])
   in
-  let pick = function
-    | None -> Null
-    | Some ts -> Obj (sum ts @ [ ("trace", int ts.trace) ])
+  let mean_spans = List.fold_left (fun a ts -> a + ts.nspans) 0 reqs / max 1 n in
+  let mean_st =
+    {
+      transport_ms = mean (fun ts -> ts.st.transport_ms);
+      fault_ms = mean (fun ts -> ts.st.fault_ms);
+      commit_ms = mean (fun ts -> ts.st.commit_ms);
+      other_ms = mean (fun ts -> ts.st.other_ms);
+    }
   in
-  let s = r.summary in
   Obj
     [
-      ("cell", Str r.point.Load.cell.label); ("traces", int s.traces);
-      ("spans", int s.spans); ("mean", Obj (sum s.mean));
-      ("p50", pick s.p50); ("p95", pick s.p95); ("p99", pick s.p99);
+      ("cell", Str r.point.Load.cell.label); ("traces", int n);
+      ("spans", int (Obs.Tracer.span_count r.tracer));
+      ( "mean",
+        Obj (sum ~total_ms:(mean (fun ts -> ts.total_ms)) ~nspans:mean_spans mean_st)
+      );
+      ("p50", at 50.0); ("p95", at 95.0); ("p99", at 99.0);
       ("registry", Obj (List.map (fun (path, v) -> (path, int v)) r.totals));
     ]

@@ -1,7 +1,7 @@
 (* Exports over a finished tracer: Chrome trace-event JSON (loadable
-   in Perfetto / chrome://tracing), a per-trace stage breakdown, and
-   a text critical-path report.  All output is deterministic: spans
-   render in creation order with fixed float formatting. *)
+   in Perfetto / chrome://tracing) and a per-trace self-time stage
+   breakdown.  All output is deterministic: spans render in creation
+   order with fixed float formatting. *)
 
 (* ------------------------------------------------------------------ *)
 (* Stage classification.
@@ -38,33 +38,35 @@ let stage_label = function
   | Other -> "other"
 
 (* ------------------------------------------------------------------ *)
-(* Per-trace stage breakdown *)
+(* Per-trace self-time stages *)
 
 type stages = {
-  mutable transport_ms : float;
-  mutable fault_ms : float;
-  mutable commit_ms : float;
-  mutable other_ms : float;
+  transport_ms : float;
+  fault_ms : float;
+  commit_ms : float;
+  other_ms : float;
 }
 
 type trace_sum = {
   trace : int;
   root : string;  (* root span name *)
   total_ms : float;  (* root span duration *)
-  mutable nspans : int;
+  nspans : int;
   st : stages;
 }
 
-let bump st stage v =
-  match stage with
-  | Transport -> st.transport_ms <- st.transport_ms +. v
-  | Fault -> st.fault_ms <- st.fault_ms +. v
-  | Commit -> st.commit_ms <- st.commit_ms +. v
-  | Other -> st.other_ms <- st.other_ms +. v
+let stage_index = function
+  | Transport -> 0
+  | Fault -> 1
+  | Commit -> 2
+  | Other -> 3
 
 (* Self time clamps at 0: fan-out children run concurrently, so
    their summed durations can exceed the parent's wall time — the
-   breakdown is a cost decomposition, not a wall-clock partition. *)
+   breakdown is a cost decomposition, not a wall-clock partition.
+   Each trace accumulates its root span, per-stage self time (summed
+   in span order) and span count locally; the records are built once
+   every span has been seen. *)
 let per_trace (t : Tracer.t) =
   let n = Tracer.span_count t in
   let child_sum = Array.make (max n 1) 0.0 in
@@ -75,35 +77,37 @@ let per_trace (t : Tracer.t) =
   let traces = Hashtbl.create 256 in
   let order = ref [] in
   Tracer.iter t (fun sp ->
-      let ts =
+      let _, self, count =
         match Hashtbl.find_opt traces sp.Tracer.trace with
-        | Some ts -> ts
+        | Some acc -> acc
         | None ->
-            let ts =
-              {
-                trace = sp.Tracer.trace;
-                root = sp.Tracer.name;
-                total_ms = Tracer.duration_ms sp;
-                nspans = 0;
-                st =
-                  {
-                    transport_ms = 0.0;
-                    fault_ms = 0.0;
-                    commit_ms = 0.0;
-                    other_ms = 0.0;
-                  };
-              }
-            in
-            Hashtbl.add traces sp.Tracer.trace ts;
+            let acc = (sp, Array.make 4 0.0, ref 0) in
+            Hashtbl.add traces sp.Tracer.trace acc;
             order := sp.Tracer.trace :: !order;
-            ts
+            acc
       in
-      let self =
-        Float.max 0.0 (Tracer.duration_ms sp -. child_sum.(sp.Tracer.id))
-      in
-      bump ts.st (stage_of sp.Tracer.name) self;
-      ts.nspans <- ts.nspans + 1);
-  List.rev_map (fun tid -> Hashtbl.find traces tid) !order
+      let i = stage_index (stage_of sp.Tracer.name) in
+      self.(i) <-
+        self.(i)
+        +. Float.max 0.0 (Tracer.duration_ms sp -. child_sum.(sp.Tracer.id));
+      incr count);
+  List.rev_map
+    (fun tid ->
+      let root, self, count = Hashtbl.find traces tid in
+      {
+        trace = tid;
+        root = root.Tracer.name;
+        total_ms = Tracer.duration_ms root;
+        nspans = !count;
+        st =
+          {
+            transport_ms = self.(0);
+            fault_ms = self.(1);
+            commit_ms = self.(2);
+            other_ms = self.(3);
+          };
+      })
+    !order
 
 (* ------------------------------------------------------------------ *)
 (* JSON values and the one printer every export goes through: ", " and
@@ -162,89 +166,6 @@ let to_string v =
   Buffer.contents b
 
 let int n = Num (float_of_int n)
-
-(* ------------------------------------------------------------------ *)
-(* Critical-path report *)
-
-let mean l =
-  match l with
-  | [] -> 0.0
-  | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
-let line b tag (ts : trace_sum) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "  %-5s %9.3f ms = %8.3f transport + %8.3f fault + %8.3f commit + \
-        %8.3f other  (trace %d, %d spans)\n"
-       tag ts.total_ms ts.st.transport_ms ts.st.fault_ms ts.st.commit_ms
-       ts.st.other_ms ts.trace ts.nspans)
-
-(* Aggregate stage means and tail picks over the traces whose root
-   span is a "request", the load harness's root: "p99 invocation =
-   X ms transport + Y ms fault + Z ms commit". *)
-type summary = {
-  traces : int;
-  spans : int;
-  mean : trace_sum;
-  p50 : trace_sum option;
-  p95 : trace_sum option;
-  p99 : trace_sum option;
-}
-
-let root = "request"
-
-(* [all] is [per_trace t], computed once by the caller. *)
-let summary_of (t : Tracer.t) all =
-  let reqs =
-    List.filter (fun ts -> String.equal ts.root root) all
-    |> List.sort (fun a b -> Float.compare a.total_ms b.total_ms)
-  in
-  let arr = Array.of_list reqs in
-  let n = Array.length arr in
-  let at p =
-    if n = 0 then None
-    else Some arr.(int_of_float (p /. 100.0 *. float_of_int (n - 1)))
-  in
-  {
-    traces = n;
-    spans = Tracer.span_count t;
-    mean =
-      {
-        trace = -1;
-        root;
-        total_ms = mean (List.map (fun ts -> ts.total_ms) reqs);
-        nspans = List.fold_left (fun a ts -> a + ts.nspans) 0 reqs / max 1 n;
-        st =
-          {
-            transport_ms = mean (List.map (fun ts -> ts.st.transport_ms) reqs);
-            fault_ms = mean (List.map (fun ts -> ts.st.fault_ms) reqs);
-            commit_ms = mean (List.map (fun ts -> ts.st.commit_ms) reqs);
-            other_ms = mean (List.map (fun ts -> ts.st.other_ms) reqs);
-          };
-      };
-    p50 = at 50.0;
-    p95 = at 95.0;
-    p99 = at 99.0;
-  }
-
-let summarize (t : Tracer.t) = summary_of t (per_trace t)
-
-let report (t : Tracer.t) =
-  let all = per_trace t in
-  let s = summary_of t all in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "critical path: %d %s traces of %d total, %d spans recorded\n" s.traces
-       root (List.length all) s.spans);
-  if s.traces = 0 then Buffer.add_string b "  (no traces with that root)\n"
-  else begin
-    line b "mean" s.mean;
-    List.iter
-      (fun (tag, p) -> Option.iter (line b tag) p)
-      [ ("p50", s.p50); ("p95", s.p95); ("p99", s.p99) ]
-  end;
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON *)

@@ -1,9 +1,9 @@
 (** Exports over a finished tracer.
 
     Deterministic renderings: Chrome trace-event JSON (Perfetto /
-    chrome://tracing), a per-trace transport/fault/commit stage
-    breakdown, a text critical-path report, and the one JSON printer,
-    reader and differ behind every machine-readable output. *)
+    chrome://tracing), a per-trace transport/fault/commit self-time
+    stage breakdown, and the one JSON printer, reader and differ
+    behind every machine-readable output. *)
 
 type stage = Transport | Fault | Commit | Other
 
@@ -14,42 +14,25 @@ val stage_of : string -> stage
     envelopes, compute) are other. *)
 
 type stages = {
-  mutable transport_ms : float;
-  mutable fault_ms : float;
-  mutable commit_ms : float;
-  mutable other_ms : float;
+  transport_ms : float;
+  fault_ms : float;
+  commit_ms : float;
+  other_ms : float;
 }
 
 type trace_sum = {
   trace : int;
   root : string;  (** root span name *)
   total_ms : float;  (** root span duration *)
-  mutable nspans : int;
+  nspans : int;
   st : stages;  (** per-stage self time (duration minus children) *)
 }
 
 val per_trace : Tracer.t -> trace_sum list
-(** One stage decomposition per trace, in trace-creation order.
-    Self time clamps at 0 for parents of concurrent fan-out
-    children, so the stage sums are a cost decomposition rather than
-    a wall-clock partition. *)
-
-val report : Tracer.t -> string
-(** Text critical-path report over the traces rooted at a
-    ["request"] span: mean stage decomposition plus the actual traces
-    at p50/p95/p99 of total latency. *)
-
-type summary = {
-  traces : int;  (** traces rooted at a ["request"] span *)
-  spans : int;
-  mean : trace_sum;  (** per-stage means; trace id -1 *)
-  p50 : trace_sum option;
-  p95 : trace_sum option;
-  p99 : trace_sum option;
-}
-
-val summarize : Tracer.t -> summary
-(** The report's numbers in machine-readable form. *)
+(** One self-time stage decomposition per trace, in trace-creation
+    order: the only producer of the stage table.  Self time clamps at
+    0 for parents of concurrent fan-out children, so the stage sums
+    are a cost decomposition rather than a wall-clock partition. *)
 
 val chrome_json : Tracer.t -> string
 (** Chrome trace-event JSON: one complete ("X") event per span,

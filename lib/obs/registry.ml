@@ -12,16 +12,23 @@ type metric =
   | Keyed of Sim.Stats.keyed
   | Hist of Sim.Stats.hist
 
-type t = { label : string; tbl : (string, metric) Hashtbl.t }
+(* [items] is sorted by path and holds each path once. *)
+type t = { label : string; items : (string * metric) list }
 
-let create label = { label; tbl = Hashtbl.create 32 }
-let register t path m =
-  if Hashtbl.mem t.tbl path then
-    invalid_arg
-      (Printf.sprintf "Registry.register: %s is already registered" path);
-  Hashtbl.replace t.tbl path m
-
-let register_all t ms = List.iter (fun (path, m) -> register t path m) ms
+let make label metrics =
+  let items =
+    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) metrics
+  in
+  let rec refuse_duplicates = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+        if String.equal a b then
+          invalid_arg
+            (Printf.sprintf "Registry.make: %s is registered twice" a);
+        refuse_duplicates rest
+    | _ -> ()
+  in
+  refuse_duplicates items;
+  { label; items }
 
 let find metrics path =
   match List.assoc_opt path metrics with
@@ -40,51 +47,45 @@ let hist metrics path =
   | Counter _ | Keyed _ ->
       invalid_arg (Printf.sprintf "Registry.hist: %s is not a histogram" path)
 
-let items t =
-  Hashtbl.fold (fun path m acc -> (path, m) :: acc) t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* Sum of integer-valued metrics (counters and keyed families) by
-   path across registries — the cluster-wide rollup bench reports. *)
+(* Sum of each counter by path across registries — the cluster-wide
+   rollup bench reports.  Keyed families and histograms stay in the
+   per-node snapshot: a family splits a counter that is already
+   rolled up, or holds a gauge whose sum means nothing. *)
 let totals regs =
   let acc = Hashtbl.create 32 in
-  let bump path v =
-    let cur = Option.value ~default:0 (Hashtbl.find_opt acc path) in
-    Hashtbl.replace acc path (cur + v)
-  in
   List.iter
     (fun r ->
       List.iter
         (fun (path, m) ->
           match m with
-          | Counter c -> bump path (Sim.Stats.value c)
-          | Keyed k ->
-              List.iter (fun (_, v) -> bump path v) (Sim.Stats.kitems k)
-          | Hist _ -> ())
-        (items r))
+          | Counter c ->
+              let cur = Option.value ~default:0 (Hashtbl.find_opt acc path) in
+              Hashtbl.replace acc path (cur + Sim.Stats.value c)
+          | Keyed _ | Hist _ -> ())
+        r.items)
     regs;
   Hashtbl.fold (fun path v l -> (path, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ---- JSON rendering, through the shared Export printer ---- *)
 
-let metric_json m =
-  let dist ~n ~mean ~p ~max =
-    Export.(
-      Obj
-        [
-          ("n", int n); ("mean_ms", Num mean); ("p50_ms", Num (p 50.0));
-          ("p95_ms", Num (p 95.0)); ("p99_ms", Num (p 99.0)); ("max_ms", Num max);
-        ])
-  in
-  match m with
+(* A histogram's summary keys carry no unit: a time histogram names
+   its unit in its path ("atomicity/commit_ms"), and the others hold
+   queue depths and batch sizes. *)
+let metric_json = function
   | Counter c -> Export.int (Sim.Stats.value c)
   | Keyed k ->
       Export.Obj
         (List.map (fun (key, v) -> (string_of_int key, Export.int v)) (Sim.Stats.kitems k))
   | Hist h ->
-      dist ~n:(Sim.Stats.hist_n h) ~mean:(Sim.Stats.hist_mean h)
-        ~p:(Sim.Stats.hist_percentile h) ~max:(Sim.Stats.hist_max h)
+      let p q = Export.Num (Sim.Stats.hist_percentile h q) in
+      Export.Obj
+        [
+          ("n", Export.int (Sim.Stats.hist_n h));
+          ("mean", Export.Num (Sim.Stats.hist_mean h)); ("p50", p 50.0);
+          ("p95", p 95.0); ("p99", p 99.0);
+          ("max", Export.Num (Sim.Stats.hist_max h));
+        ]
 
 let snapshot_json regs =
   let node t =
@@ -92,7 +93,7 @@ let snapshot_json regs =
       [
         ("node", Export.Str t.label);
         ( "metrics",
-          Export.Obj (List.map (fun (path, m) -> (path, metric_json m)) (items t)) );
+          Export.Obj (List.map (fun (path, m) -> (path, metric_json m)) t.items) );
       ]
   in
   Export.to_string (Export.Arr (List.map node regs))

@@ -5,7 +5,7 @@
     component exposes its live handles as [(path, metric)] pairs, a
     registry per node collects them, and a snapshot renders the
     whole forest as deterministic JSON (sorted keys, fixed float
-    format).  Registration is cheap and snapshot-time only reads —
+    format).  Building one is cheap and a snapshot only reads —
     the hot paths keep bumping the same [Sim.Stats] values they
     always did.
 
@@ -19,16 +19,13 @@ type metric =
 
 type t
 
-val create : string -> t
-(** A registry labelled with its owner, e.g. ["data-3"]. *)
-
-val register : t -> string -> metric -> unit
-(** [register t path m] adds the metric at a slash-separated path,
-    e.g. ["ratp/retrans"].  Raises [Invalid_argument] naming the path
-    if [t] already holds it, so two components that publish the same
-    path cannot silently drop one from every export. *)
-
-val register_all : t -> (string * metric) list -> unit
+val make : string -> (string * metric) list -> t
+(** [make label metrics] is the registry of one owner, e.g.
+    ["data-3"], holding every [(path, metric)] pair at its
+    slash-separated path, e.g. ["ratp/retrans"].  Raises
+    [Invalid_argument] naming a path the list holds twice, so two
+    components that publish the same path cannot silently drop one
+    from every export. *)
 
 val count : (string * metric) list -> string -> int
 (** [count metrics path] is the value of the counter at [path] in a
@@ -39,12 +36,14 @@ val hist : (string * metric) list -> string -> Sim.Stats.hist
 (** As {!count}, for the histogram at [path]. *)
 
 val totals : t list -> (string * int) list
-(** Integer metrics (counters; keyed families summed over keys)
-    rolled up across registries by path, sorted — the cluster-wide
-    view bench snapshots. *)
+(** Counters rolled up across registries by path, sorted — the
+    cluster-wide view bench snapshots.  Keyed families and histograms
+    are left out: a family is a per-peer split of a counter already
+    rolled up, or a gauge whose sum means nothing. *)
 
 val snapshot_json : t list -> string
 (** JSON array with one [{"node": label, "metrics": {path: value,
     ...}}] object per registry, in list order, paths sorted; counters
     render as integers, keyed families as objects, histograms as
-    summary objects. *)
+    unit-free [n]/[mean]/[p50]/[p95]/[p99]/[max] objects (a time
+    histogram names its unit in its path). *)

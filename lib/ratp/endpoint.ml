@@ -57,7 +57,7 @@ type server_state =
     }
 
 (* Per-destination round-trip estimator (Jacobson/Karels): every
-   call's retry timer, surfaced as the per-peer [ratp.rto_us] gauge. *)
+   call's retry timer, read per peer through [peer_stats]. *)
 type rto_state = {
   mutable srtt : float;  (* ns *)
   mutable rttvar : float;  (* ns *)
@@ -88,7 +88,6 @@ type t = {
   completed : Sim.Stats.counter;
   retrans_by : Sim.Stats.keyed;
   nacks_by : Sim.Stats.keyed;
-  rto_by : Sim.Stats.keyed;
   mutable rx_pid : Sim.Engine.pid;
 }
 
@@ -102,7 +101,6 @@ let metrics t =
     ("ratp/transactions", Obs.Registry.Counter t.completed);
     ("ratp/retrans_by", Obs.Registry.Keyed t.retrans_by);
     ("ratp/nacks_by", Obs.Registry.Keyed t.nacks_by);
-    ("ratp/rto_ms_by", Obs.Registry.Keyed t.rto_by);
   ]
 
 (* --- adaptive retransmission timeout -------------------------------- *)
@@ -125,8 +123,7 @@ let note_rtt t ~dst span =
         st
   in
   let rto = int_of_float (st.srtt +. (4.0 *. st.rttvar)) in
-  st.rto <- max rto_min (min rto_max rto);
-  Sim.Stats.kset t.rto_by dst (st.rto / 1_000)
+  st.rto <- max rto_min (min rto_max rto)
 
 (* A destination with no sample yet gets [retry_initial]. *)
 let rto_for t dst =
@@ -165,9 +162,9 @@ type peer_stats = {
 let peer_stats t =
   let keys = Hashtbl.create 8 in
   let note (k, _) = Hashtbl.replace keys k () in
+  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) t.rto;
   List.iter note (Sim.Stats.kitems t.retrans_by);
   List.iter note (Sim.Stats.kitems t.nacks_by);
-  List.iter note (Sim.Stats.kitems t.rto_by);
   Hashtbl.fold (fun k () acc -> k :: acc) keys []
   |> List.sort Net.Address.compare
   |> List.map (fun peer ->
@@ -474,7 +471,6 @@ let create ether ~addr ?group ?(config = default_config) () =
       completed = Sim.Stats.counter "ratp.transactions";
       retrans_by = Sim.Stats.keyed "ratp.retrans";
       nacks_by = Sim.Stats.keyed "ratp.nacks";
-      rto_by = Sim.Stats.keyed "ratp.rto_us";
       rx_pid = 0;
     }
   in

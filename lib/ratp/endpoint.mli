@@ -102,10 +102,11 @@ type peer_stats = {
 }
 
 val peer_stats : t -> peer_stats list
-(** Per-destination transport counters ([ratp.retrans], [ratp.nacks],
-    [ratp.rto_us] — backed by {!Sim.Stats.keyed}), sorted by peer.
-    Lets an experiment attribute retransmissions to the peer that
-    caused them. *)
+(** One entry per peer this endpoint has a round-trip sample for or
+    has retransmitted to or sent a Nack to, sorted by peer: the
+    per-destination counters ([ratp.retrans], [ratp.nacks], backed by
+    {!Sim.Stats.keyed}) beside the learned RTO.  Lets an experiment
+    attribute retransmissions to the peer that caused them. *)
 
 val metrics : t -> (string * Obs.Registry.metric) list
 (** Live metric handles under ["ratp/"] paths, for a per-node
@@ -117,4 +118,5 @@ val metrics : t -> (string * Obs.Registry.metric) list
     ["ratp/nacks"] (selective-retransmission bitmaps, {!Packet.Nack},
     sent by the server side), ["ratp/transactions"] (completed client
     transactions) and the per-destination families
-    ["ratp/retrans_by"], ["ratp/nacks_by"] and ["ratp/rto_ms_by"]. *)
+    ["ratp/retrans_by"] and ["ratp/nacks_by"].  The learned RTO is
+    read through {!peer_stats}, not the registry. *)

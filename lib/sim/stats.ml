@@ -81,7 +81,7 @@ let incr_by c k = c.v <- c.v + k
 let value c = c.v
 
 (* Counters keyed by a small integer key — in practice a peer address,
-   so a transport can attribute retransmissions or timeouts to the
+   so a transport can attribute retransmissions or NACKs to the
    destination that caused them.  Reads are sorted by key so reports
    and JSON stay deterministic regardless of hash order. *)
 
@@ -94,7 +94,6 @@ let kadd k key n =
   Hashtbl.replace k.tbl key (v + n)
 
 let kincr k key = kadd k key 1
-let kset k key v = Hashtbl.replace k.tbl key v
 
 let kvalue k key =
   match Hashtbl.find_opt k.tbl key with Some v -> v | None -> 0
@@ -107,7 +106,7 @@ let kitems k =
 (* ------------------------------------------------------------------ *)
 (* Streaming histogram: HDR-style logarithmic buckets.
 
-   A [hist] summarizes an unbounded stream of non-negative samples in
+   A [hist] condenses an unbounded stream of non-negative samples in
    O(1) memory: a fixed array of geometric buckets (ratio [1 + 2e]
    between bucket boundaries) plus exact count/sum/min/max.  A sample
    lands in the bucket whose boundaries bracket it and is later

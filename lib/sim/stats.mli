@@ -42,17 +42,13 @@ val value : counter -> int
 
 type keyed
 (** A family of counters keyed by a small integer key — typically a
-    peer address, so per-destination costs (retransmissions, NACKs,
-    timeout estimates) can be attributed to the peer that caused
-    them. *)
+    peer address, so per-destination costs (retransmissions, NACKs)
+    can be attributed to the peer that caused them. *)
 
 val keyed : string -> keyed
 (** A fresh, empty keyed counter family with a display name. *)
 
 val kincr : keyed -> int -> unit
-val kset : keyed -> int -> int -> unit
-(** [kset k key v] overwrites the value for [key] (used for gauges
-    such as a current timeout estimate, rather than event counts). *)
 
 val kvalue : keyed -> int -> int
 (** 0 for a key never touched. *)

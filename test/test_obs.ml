@@ -170,17 +170,29 @@ let test_json_printer () =
 let test_registry_snapshot () =
   let c = Sim.Stats.counter "hits" in
   Sim.Stats.incr_by c 7;
-  let h = Sim.Stats.hist "lat" in
+  let h = Sim.Stats.hist "depth" in
   List.iter (Sim.Stats.hadd h) [ 1.0; 2.0; 3.0 ];
-  let r = Registry.create "node-0" in
-  Registry.register r "cache/hits" (Registry.Counter c);
-  Registry.register r "cache/lat" (Registry.Hist h);
+  let r =
+    Registry.make "node-0"
+      [ ("cache/hits", Registry.Counter c); ("disk/queue_depth", Registry.Hist h) ]
+  in
   let json = Registry.snapshot_json [ r ] in
   (match Export.parse json with
-  | Ok (Export.Arr [ Export.Obj fields ]) ->
+  | Ok (Export.Arr [ Export.Obj fields ]) -> (
       (match List.assoc "node" fields with
       | Export.Str s -> check_str "label" "node-0" s
-      | _ -> Alcotest.fail "node is not a string")
+      | _ -> Alcotest.fail "node is not a string");
+      (* a queue depth is no time: its summary keys carry no unit *)
+      match Export.member "metrics" (Export.Obj fields) with
+      | Some ms -> (
+          match Export.member "disk/queue_depth" ms with
+          | Some (Export.Obj summary) ->
+              Alcotest.(check (list string))
+                "unit-free histogram keys"
+                [ "n"; "mean"; "p50"; "p95"; "p99"; "max" ]
+                (List.map fst summary)
+          | _ -> Alcotest.fail "histogram is not an object")
+      | None -> Alcotest.fail "no metrics member")
   | Ok _ -> Alcotest.fail "snapshot is not a one-object array"
   | Error e -> Alcotest.failf "snapshot does not parse: %s" e);
   Alcotest.(check (list (pair string int)))
@@ -292,13 +304,11 @@ let test_registry_lookup () =
       Registry.hist ms "cache/p99");
   check_names_path "count of a histogram" "cache/lat" (fun () ->
       Registry.count ms "cache/lat");
-  let r = Registry.create "node-0" in
-  Registry.register_all r ms;
-  check_names_path "a second registration" "cache/hits" (fun () ->
-      Registry.register r "cache/hits" (Registry.Counter c))
+  check_names_path "a path listed twice" "cache/hits" (fun () ->
+      Registry.make "node-0" (ms @ [ ("cache/hits", Registry.Counter c) ]))
 
 (* Every registry a booted cluster exports holds each path once:
-   [register] refuses a path it already holds, so a collision between
+   [make] refuses a list that holds a path twice, so a collision between
    two components' lists (the DSM server's own counters and its disk's
    and log's) fails here instead of dropping a metric from every
    export. *)
@@ -382,40 +392,82 @@ let test_trace_determinism_mid_cell () =
   check_str "registry snapshot identical"
     r1.Experiments.Trace_run.registries_json
     r2.Experiments.Trace_run.registries_json;
-  check_str "critical-path report identical" r1.Experiments.Trace_run.report
-    r2.Experiments.Trace_run.report;
+  check_str "obs section identical"
+    (Export.to_string (Experiments.Trace_run.to_json r1))
+    (Export.to_string (Experiments.Trace_run.to_json r2));
   (* and the export round-trips through our own validator *)
   match Export.validate_chrome r1.Experiments.Trace_run.chrome with
   | Ok events ->
       check_int "one event per span" (Tracer.span_count r1.Experiments.Trace_run.tracer) events
   | Error e -> Alcotest.failf "chrome export invalid: %s" e
 
-let test_summary_decomposes_p99 () =
-  let r = Experiments.Trace_run.run ~cell:smoke () in
-  let s = r.Experiments.Trace_run.summary in
+let num what = function
+  | Some (Export.Num f) -> f
+  | _ -> Alcotest.failf "%s is not a number" what
+
+(* the traced smoke cell, run once for the tests that read it *)
+let smoke_trace = lazy (Experiments.Trace_run.run ~cell:smoke ())
+
+let test_stages_decompose_p99 () =
+  let r = Lazy.force smoke_trace in
+  let obs = Experiments.Trace_run.to_json r in
   check_int "every request became a trace" smoke.Experiments.Load.invocations
-    s.Export.traces;
-  match s.Export.p99 with
-  | None -> Alcotest.fail "no p99 trace"
+    (int_of_float (num "traces" (Export.member "traces" obs)));
+  match Export.member "p99" obs with
+  | None | Some Export.Null -> Alcotest.fail "no p99 trace"
   | Some t ->
       (* the stage breakdown is a cost decomposition, not a
          wall-clock partition: concurrent fan-out children can sum
          past the root duration, but every stage is non-negative and
          the decomposition is non-trivial *)
-      let st = t.Export.st in
+      let stage key = num key (Export.member key t) in
+      let transport = stage "transport_ms" and fault = stage "fault_ms" in
+      let commit = stage "commit_ms" and other = stage "other_ms" in
       Alcotest.(check bool)
         "stages non-negative" true
-        (st.Export.transport_ms >= 0.0
-        && st.Export.fault_ms >= 0.0
-        && st.Export.commit_ms >= 0.0
-        && st.Export.other_ms >= 0.0);
-      let parts =
-        st.Export.transport_ms +. st.Export.fault_ms +. st.Export.commit_ms
-        +. st.Export.other_ms
-      in
+        (transport >= 0.0 && fault >= 0.0 && commit >= 0.0 && other >= 0.0);
+      let parts = transport +. fault +. commit +. other in
       Alcotest.(check bool)
         "decomposition is non-trivial" true
-        (parts > 0.0 && t.Export.total_ms > 0.0)
+        (parts > 0.0 && stage "total_ms" > 0.0)
+
+(* The rollup sums counters only: each of its paths is the sum of
+   that counter over the node registries, every counter is rolled
+   up, and no keyed family ([*_by]) appears. *)
+let test_rollup_counts_counters () =
+  let r = Lazy.force smoke_trace in
+  let nodes =
+    match Export.parse r.Experiments.Trace_run.registries_json with
+    | Ok (Export.Arr nodes) -> nodes
+    | Ok _ -> Alcotest.fail "snapshot is not an array"
+    | Error e -> Alcotest.failf "snapshot does not parse: %s" e
+  in
+  let sums = Hashtbl.create 64 in
+  List.iter
+    (fun node ->
+      match Export.member "metrics" node with
+      | Some (Export.Obj ms) ->
+          List.iter
+            (function
+              | path, Export.Num v ->
+                  let cur = Option.value ~default:0 (Hashtbl.find_opt sums path) in
+                  Hashtbl.replace sums path (cur + int_of_float v)
+              | _ -> ())
+            ms
+      | _ -> Alcotest.fail "node has no metrics object")
+    nodes;
+  let expected =
+    Hashtbl.fold (fun path v l -> (path, v) :: l) sums []
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair string int)))
+    "rollup = per-node counter sums" expected r.Experiments.Trace_run.totals;
+  List.iter
+    (fun (path, _) ->
+      Alcotest.(check bool)
+        (path ^ " is no keyed family") false
+        (String.ends_with ~suffix:"_by" path))
+    r.Experiments.Trace_run.totals
 
 let () =
   Alcotest.run "obs"
@@ -457,6 +509,8 @@ let () =
           Alcotest.test_case "mid-cell trace determinism" `Quick
             test_trace_determinism_mid_cell;
           Alcotest.test_case "p99 stage decomposition" `Quick
-            test_summary_decomposes_p99;
+            test_stages_decompose_p99;
+          Alcotest.test_case "rollup counts counters only" `Quick
+            test_rollup_counts_counters;
         ] );
     ]

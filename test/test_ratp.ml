@@ -612,6 +612,26 @@ let test_learned_rto_and_karn () =
         "Karn: no sample from a retransmitted transaction" settled (rto_of a);
       check_bool "the retry was recorded" true (ratp a "ratp/retrans" > 0))
 
+(* The learned RTO lives in the estimator alone: [peer_stats] reports
+   it for a peer with one sample and no retransmission, and no
+   registry path mirrors it. *)
+let test_rto_read_from_estimator () =
+  with_fast_pair ~config:Endpoint.default_config (fun _ether a b ->
+      serve_echo b;
+      warm_up a ~calls:1 ~size:64;
+      (match Endpoint.peer_stats a with
+      | [ { Endpoint.peer = 2; retrans = 0; nacks = 0; rto_ms } ] ->
+          check_bool
+            (Printf.sprintf "one sample sets the rto (%.2fms)" rto_ms)
+            true
+            (rto_ms < 50.0 && rto_ms >= 2.0)
+      | _ -> Alcotest.fail "expected one clean entry for peer 2");
+      List.iter
+        (fun (path, _) ->
+          check_bool (path ^ " is no rto gauge") false
+            (String.starts_with ~prefix:"ratp/rto" path))
+        (Endpoint.metrics a))
+
 let slow_service = 8
 
 let test_busy_answer_gives_sample () =
@@ -857,6 +877,8 @@ let () =
             test_selective_under_reorder_and_dup;
           Alcotest.test_case "adaptive rto and karn's rule" `Quick
             test_learned_rto_and_karn;
+          Alcotest.test_case "rto read from the estimator" `Quick
+            test_rto_read_from_estimator;
           Alcotest.test_case "busy answer gives an rtt sample" `Quick
             test_busy_answer_gives_sample;
           Alcotest.test_case "timer starts after the burst" `Quick
