@@ -522,15 +522,14 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
       Ra.Mmu.set_access_hook node.Ra.Node.mmu
         (Some (fun seg page mode -> hook t node seg page mode)))
     cl.Cl.compute_nodes;
-  (* the outcome oracle: a prepared data server asks it from one
-     place, its resolver, when the presumed-abort timer fires or
-     recovery finds the transaction in doubt.  Answerable only while
-     the coordinating machine is up (its volatile outcome table);
-     a dead coordinator yields [`Unknown], and the participant
-     aborts *)
+  (* the outcome oracle each data server's participant consults
+     ({!Dsm.Participant.set_oracle}).  It reads this machine's
+     volatile outcome table, so it can answer only while the
+     coordinator is up *)
   Array.iter
     (fun server ->
-      Dsm.Dsm_server.set_outcome_oracle server (fun txn ->
+      Dsm.Participant.set_oracle (Dsm.Dsm_server.participant server)
+        (fun txn ->
           let coordinator_alive =
             match Cl.node_by_id cl (fst txn) with
             | Some n -> n.Ra.Node.alive

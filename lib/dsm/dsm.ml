@@ -5,9 +5,10 @@
     coherence managers ({!Dsm_server}) and a client partition on every
     node ({!Dsm_client}).  Data servers also host the segment lock
     service ({!Lock_table}) and the participant side of two-phase
-    commit used by consistency-preserving threads. *)
+    commit used by consistency-preserving threads ({!Participant}). *)
 
 module Protocol = Protocol
 module Lock_table = Lock_table
+module Participant = Participant
 module Dsm_server = Dsm_server
 module Dsm_client = Dsm_client

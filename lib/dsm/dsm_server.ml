@@ -8,27 +8,10 @@ type owner_state = {
   mutable copyset : Net.Address.t list;
 }
 
-(* What a participant remembers about a prepared transaction: the
-   prepare record it logged (the byte spans to apply at commit and,
-   under group commit, the before-images recovery needs to undo a
-   crash-window apply), which a checkpoint logs again and recovery
-   reads back; the presumed-abort timer that a decision makes moot;
-   and whether a settler has already claimed it. *)
-type prep_entry = {
-  prep : Store.Wal.prep;
-  mutable timer : Sim.Engine.timer;
-  mutable claimed : bool;
-}
-
-(* How long a prepared participant waits for a decision before it
-   asks the outcome oracle. *)
-let presume_abort_after = Sim.Time.sec 60
-
 type t = {
   node : Ra.Node.t;
   store : Store.Segment_store.t;
   disk : Store.Disk.t;
-  wal : Store.Wal.t;
   directory : Store.Directory.t;
   mutable locks : Lock_table.t;
   owners : (Ra.Sysname.t * int, owner_state) Hashtbl.t;
@@ -52,18 +35,9 @@ type t = {
          its stamp, and only the difference against the recorded
          delta is applied — the transport's exactly-once cache only
          dedups retransmits of the same call, not a fresh call *)
-  prepared : (P.txn_id, prep_entry) Hashtbl.t;
-  checkpoint_every : Sim.Time.span option;
-  mutable cp_armed : bool;
-      (* checkpoints are activity-driven: the first prepare after a
-         quiet period arms a one-shot timer, so an idle server leaves
-         no perpetual event chain behind *)
-  mutable oracle : P.txn_id -> [ `Committed | `Aborted | `Pending | `Unknown ];
   served : Sim.Stats.counter;
   invals : Sim.Stats.counter;
   downs : Sim.Stats.counter;
-  commit_count : Sim.Stats.counter;
-  abort_count : Sim.Stats.counter;
   mirrored : Sim.Stats.counter;
   deferred : Sim.Stats.counter;
       (* per-copy invalidations a release-mode write fault skipped *)
@@ -72,12 +46,13 @@ type t = {
   flush_batch : Sim.Stats.hist;
       (* pages per Inval_batch RPC: how much each burst amortizes *)
   merges : Sim.Stats.counter;  (* commutative page merges applied *)
+  participant : Participant.t;
 }
 
 let node t = t.node
 let store t = t.store
 let directory t = t.directory
-let wal t = t.wal
+let participant t = t.participant
 
 let owner_state t key =
   match Hashtbl.find_opt t.owners key with
@@ -337,7 +312,7 @@ let apply_writes t writes =
    image is shared with readers' frames and messages in flight) and
    return the full images that result, for the copyset flush and the
    backups: a backup that missed an earlier fire-and-forget mirror
-   must not lay spans over a stale base.  [commit_prepared] and every
+   must not lay spans over a stale base.  A 2PC commit and every
    [Put_spans] writeback apply through here. *)
 let apply_spans ?lsn t writes =
   List.filter_map
@@ -347,155 +322,6 @@ let apply_spans ?lsn t writes =
           (seg, page, Store.Segment_store.apply_spans ?lsn t.store seg page spans)
       else None)
     writes
-
-(* Cut a fuzzy checkpoint [checkpoint_every] after the first prepare
-   of a busy period: the in-doubt table is snapshotted and logged
-   without quiescing (commits keep enqueueing around it), and the log
-   before the checkpoint record is truncated once it is durable. *)
-let maybe_arm_checkpoint t =
-  match t.checkpoint_every with
-  | None -> ()
-  | Some every ->
-      if not t.cp_armed then begin
-        t.cp_armed <- true;
-        let eng = t.node.Ra.Node.eng in
-        Sim.Engine.at eng
-          (Sim.Time.add (Sim.Engine.now eng) every)
-          (fun () ->
-            t.cp_armed <- false;
-            if t.node.Ra.Node.alive then
-              ignore
-                (Ra.Node.spawn t.node "wal-checkpoint" (fun () ->
-                     let active =
-                       Hashtbl.fold (fun _ e acc -> e.prep :: acc) t.prepared []
-                       |> List.sort (fun a b ->
-                              compare a.Store.Wal.txn b.Store.Wal.txn)
-                     in
-                     ignore (Store.Wal.checkpoint t.wal ~active))))
-      end
-
-(* The entry goes, and with it the timer; the outcome is counted and
-   the transaction's locks released. *)
-let settle t txn e outcome =
-  Sim.Engine.cancel t.node.Ra.Node.eng e.timer;
-  Hashtbl.remove t.prepared txn;
-  Sim.Stats.incr outcome;
-  Lock_table.release_txn t.locks txn
-
-(* The two ends of a prepared entry.  A Commit or Abort message, the
-   presumed-abort timer and recovery all settle through these, so
-   every outcome is logged, applied, counted and announced the same
-   way.  [fst txn] is the coordinator's node, the writer whose frames
-   stay valid.
-
-   The log call can block, and a resolver and a decision message may
-   both reach the entry in that window: the first claims it before
-   blocking, and a later one logs, applies, counts and releases
-   nothing. *)
-let claim e =
-  let first = not e.claimed in
-  e.claimed <- true;
-  first
-
-let commit_prepared t txn e =
-  if claim e then begin
-    (* the record is logged (forced first without a group-commit
-       daemon), the pages are applied tagged with its LSN and the
-       locks released, all in one scheduling quantum after the log
-       call, so no request can observe released locks with unapplied
-       pages *)
-    let lsn =
-      if Store.Wal.group_commit t.wal then
-        Store.Wal.enqueue t.wal (Store.Wal.Committed txn)
-      else begin
-        Store.Wal.append t.wal (Store.Wal.Committed txn);
-        Store.Wal.flushed_lsn t.wal
-      end
-    in
-    let images = apply_spans t ~lsn e.prep.Store.Wal.writes in
-    settle t txn e t.commit_count;
-    (* the deferred-invalidation burst and the mirrors wait for
-       durability: they make remote nodes see these pages, and a crash
-       before the group flush would un-commit writes they had already
-       observed.  The reply, which is the coordinator's ack, waits
-       too *)
-    Store.Wal.wait_durable t.wal lsn;
-    release_flush t images ~except:(fst txn);
-    mirror_writes t images
-  end
-
-let abort_prepared t txn e =
-  if claim e then begin
-    Store.Wal.append t.wal (Store.Wal.Aborted txn);
-    settle t txn e t.abort_count
-  end
-
-(* Presumed abort: a prepared participant that hears no decision for
-   [presume_abort_after] asks the oracle.  [resolve] is the only code
-   that decides between the two ends; [arm] the only code that builds
-   the timer. *)
-let rec arm t txn =
-  let eng = t.node.Ra.Node.eng in
-  Sim.Engine.timer eng
-    (Sim.Time.add (Sim.Engine.now eng) presume_abort_after)
-    (fun () ->
-      (* a crashed server settles nothing; [recover] re-arms *)
-      if t.node.Ra.Node.alive then
-        ignore (Ra.Node.spawn t.node "resolve" (fun () -> resolve t txn)))
-
-and resolve t txn =
-  match Hashtbl.find_opt t.prepared txn with
-  | None | Some { claimed = true; _ } -> ()
-  | Some e -> (
-      match t.oracle txn with
-      | `Committed -> commit_prepared t txn e
-      | `Aborted | `Unknown -> abort_prepared t txn e
-      | `Pending ->
-          Sim.Engine.cancel t.node.Ra.Node.eng e.timer;
-          e.timer <- arm t txn)
-
-let handle_prepare t txn writes =
-  if not (stores_all t (fun (seg, _, _) -> seg) writes) then P.Vote false
-  else begin
-    maybe_arm_checkpoint t;
-    let undo =
-      (* before-images are only needed under group commit: without a
-         daemon the commit record is durable before any page is
-         applied, so there is no crash window to undo *)
-      if Store.Wal.group_commit t.wal then begin
-        let seen = Hashtbl.create 8 in
-        List.filter_map
-          (fun (seg, page, _) ->
-            if Hashtbl.mem seen (seg, page) then None
-            else begin
-              Hashtbl.add seen (seg, page) ();
-              let before =
-                match Store.Segment_store.read_page t.store seg page with
-                | Ra.Partition.Data b -> Some (Store.Wal.trim_image b)
-                | Ra.Partition.Zeroed -> None
-              in
-              Some (seg, page, before)
-            end)
-          writes
-      end
-      else []
-    in
-    (* the vote leaves only after the prepare record is durable —
-       under group commit it rides the next group flush with every
-       other concurrently-preparing transaction *)
-    let prep = { Store.Wal.txn; writes; undo } in
-    Store.Wal.append t.wal (Store.Wal.Prepared prep);
-    Hashtbl.replace t.prepared txn { prep; timer = arm t txn; claimed = false };
-    P.Vote true
-  end
-
-(* A Commit or Abort message.  A participant that holds only locks
-   for [txn] has no entry: the decision just releases them. *)
-let handle_decision t txn settle_prepared =
-  (match Hashtbl.find_opt t.prepared txn with
-  | Some e -> settle_prepared t txn e
-  | None -> Lock_table.release_txn t.locks txn);
-  P.Txn_done
 
 (* Span names for served operations — static strings, so labelling a
    traced request allocates nothing. *)
@@ -674,56 +500,61 @@ let handle t ~src body =
   | P.Unregister_object obj ->
       Store.Directory.remove t.directory obj;
       P.Registered
-  | P.Prepare { txn; writes } -> handle_prepare t txn writes
-  | P.Commit { txn } -> handle_decision t txn commit_prepared
-  | P.Abort { txn } -> handle_decision t txn abort_prepared
+  | P.Prepare { txn; writes } ->
+      P.Vote (Participant.prepare t.participant txn writes)
+  | P.Commit { txn } ->
+      Participant.decide t.participant txn ~commit:true;
+      P.Txn_done
+  | P.Abort { txn } ->
+      Participant.decide t.participant txn ~commit:false;
+      P.Txn_done
   | P.List_objects -> P.Objects (Store.Directory.objects t.directory)
   | _ -> P.Page_error
 
 let create node ?group_commit_window ?checkpoint_every
     ?(consistency = fun _ -> Ra.Partition.One_copy) () =
   let disk = Store.Disk.create (Printf.sprintf "disk-%d" node.Ra.Node.id) in
-  let group_commit =
-    Option.map
-      (fun window -> { Store.Wal.window; max_batch = 64 })
-      group_commit_window
+  let store = Store.Segment_store.create () in
+  (* the participant calls back into the server it belongs to, so the
+     record is built lazily and forced at once; no callback runs
+     before [create] returns *)
+  let rec self =
+    lazy
+      {
+        node;
+        store;
+        disk;
+        directory = Store.Directory.create ();
+        locks = Lock_table.create ();
+        owners = Hashtbl.create 64;
+        suspects = Hashtbl.create 8;
+        mirrors = (fun _ -> []);
+        mode_of = consistency;
+        warmed = Ra.Sysname.Table.create 64;
+        merge_applied = Hashtbl.create 16;
+        served = Sim.Stats.counter "dsm.pages_served";
+        invals = Sim.Stats.counter "dsm.invalidations";
+        downs = Sim.Stats.counter "dsm.downgrades";
+        mirrored = Sim.Stats.counter "dsm.mirrored_writes";
+        deferred = Sim.Stats.counter "dsm.deferred_invals";
+        flush_bursts = Sim.Stats.counter "dsm.release_flush_bursts";
+        flush_batch = Sim.Stats.hist "dsm.release_flush_batch";
+        merges = Sim.Stats.counter "dsm.merges_applied";
+        participant =
+          Participant.create node store disk ~group_commit_window
+            ~checkpoint_every
+            ~stores_all:(fun writes ->
+              stores_all (Lazy.force self) (fun (seg, _, _) -> seg) writes)
+            ~apply_spans:(fun ~lsn writes ->
+              apply_spans ~lsn (Lazy.force self) writes)
+            ~locks:(fun () -> (Lazy.force self).locks)
+            ~publish:(fun ~except images ->
+              let t = Lazy.force self in
+              release_flush t images ~except;
+              mirror_writes t images);
+      }
   in
-  let t =
-    {
-      node;
-      store = Store.Segment_store.create ();
-      disk;
-      wal =
-        Store.Wal.create ?group_commit
-          ~spawn:(fun name f ->
-            (* a crashed server flushes nothing: a window timer armed
-               before the crash must not make its buffer durable *)
-            if node.Ra.Node.alive then ignore (Ra.Node.spawn node name f))
-          disk;
-      directory = Store.Directory.create ();
-      locks = Lock_table.create ();
-      owners = Hashtbl.create 64;
-      suspects = Hashtbl.create 8;
-      mirrors = (fun _ -> []);
-      mode_of = consistency;
-      warmed = Ra.Sysname.Table.create 64;
-      merge_applied = Hashtbl.create 16;
-      prepared = Hashtbl.create 8;
-      checkpoint_every;
-      cp_armed = false;
-      oracle = (fun _ -> `Unknown);
-      served = Sim.Stats.counter "dsm.pages_served";
-      invals = Sim.Stats.counter "dsm.invalidations";
-      downs = Sim.Stats.counter "dsm.downgrades";
-      commit_count = Sim.Stats.counter "dsm.commits";
-      abort_count = Sim.Stats.counter "dsm.aborts";
-      mirrored = Sim.Stats.counter "dsm.mirrored_writes";
-      deferred = Sim.Stats.counter "dsm.deferred_invals";
-      flush_bursts = Sim.Stats.counter "dsm.release_flush_bursts";
-      flush_batch = Sim.Stats.hist "dsm.release_flush_batch";
-      merges = Sim.Stats.counter "dsm.merges_applied";
-    }
-  in
+  let t = Lazy.force self in
   Ratp.Endpoint.serve node.Ra.Node.endpoint ~service:P.service
     (fun ~src body ->
       Obs.Tracer.with_span ~node:node.Ra.Node.id (op_label body) (fun () ->
@@ -731,7 +562,6 @@ let create node ?group_commit_window ?checkpoint_every
           (reply, P.request_bytes reply)));
   t
 
-let set_outcome_oracle t oracle = t.oracle <- oracle
 let set_mirrors t f = t.mirrors <- f
 
 (* The sticky-suspect fix: suspicion is owned by the membership view,
@@ -754,36 +584,13 @@ let suspected t =
   Hashtbl.fold (fun a () acc -> a :: acc) t.suspects []
   |> List.sort Net.Address.compare
 
-(* Runs inline, so it is safe from engine context: nothing here
-   blocks, and each in-doubt entry is settled by a spawned [resolve]. *)
+(* Coherence and lock state are volatile; the participant re-takes
+   the locks of whatever its log left in doubt. *)
 let recover t =
-  let eng = t.node.Ra.Node.eng in
-  (* a pre-crash timer would settle the re-installed entry behind the
-     resolver's back *)
-  Hashtbl.iter (fun _ e -> Sim.Engine.cancel eng e.timer) t.prepared;
-  Hashtbl.reset t.prepared;
   Hashtbl.reset t.owners;
   Hashtbl.reset t.suspects;
   t.locks <- Lock_table.create ();
-  let in_doubt = Store.Wal.recover t.wal t.store ~applied:(ref []) in
-  List.iter
-    (fun (prep : Store.Wal.prep) ->
-      let txn = prep.Store.Wal.txn in
-      Hashtbl.replace t.prepared txn
-        { prep; timer = arm t txn; claimed = false };
-      (* recovery locking: the in-doubt transaction's write locks
-         must be held again, or later transactions would read
-         state its pending commit will overwrite *)
-      List.iter
-        (fun (seg, _, _) ->
-          match Lock_table.acquire t.locks seg txn P.W with
-          | `Granted -> ()
-          | `Cancelled -> ())
-        (List.sort_uniq
-           (fun (a, _, _) (b, _, _) -> Ra.Sysname.compare a b)
-           prep.Store.Wal.writes);
-      ignore (Ra.Node.spawn t.node "resolve" (fun () -> resolve t txn)))
-    in_doubt
+  Participant.recover t.participant
 
 let owner_of t seg page =
   match Hashtbl.find_opt t.owners (seg, page) with
@@ -800,8 +607,6 @@ let metrics t =
     ("dsm/pages_served", Obs.Registry.Counter t.served);
     ("dsm/invalidations", Obs.Registry.Counter t.invals);
     ("dsm/downgrades", Obs.Registry.Counter t.downs);
-    ("dsm/commits", Obs.Registry.Counter t.commit_count);
-    ("dsm/aborts", Obs.Registry.Counter t.abort_count);
     ("dsm/mirrored_writes", Obs.Registry.Counter t.mirrored);
     ("dsm/mode/deferred_invals", Obs.Registry.Counter t.deferred);
     ("dsm/mode/release_flush_bursts", Obs.Registry.Counter t.flush_bursts);
@@ -809,4 +614,4 @@ let metrics t =
     ("dsm/mode/merges_applied", Obs.Registry.Counter t.merges);
   ]
   @ Store.Disk.metrics t.disk
-  @ Store.Wal.metrics t.wal
+  @ Participant.metrics t.participant

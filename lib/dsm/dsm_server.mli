@@ -8,7 +8,7 @@
     conflicting access.  It also provides the synchronization support
     the paper assigns to data servers: segment-level locks for
     consistency-preserving threads, and the participant side of
-    two-phase commit backed by a write-ahead log. *)
+    two-phase commit, which it dispatches to its {!Participant}. *)
 
 type t
 
@@ -20,7 +20,7 @@ val create :
   unit ->
   t
 (** Install the DSM service on a data-server node.  State in
-    {!Store.Segment_store} and {!Store.Wal} survives crashes;
+    {!Store.Segment_store} and the write-ahead log survives crashes;
     ownership, locks and prepared-transaction tables are volatile.
 
     Write-fault invalidations — owner recall plus every copyset
@@ -28,20 +28,10 @@ val create :
     one round trip regardless of copyset size
     ({!Experiments.Write_fault_fanout}).
 
-    [group_commit_window] turns on the WAL's group-commit daemon:
-    prepare votes and commit acks ride batched log flushes (at most
-    [window] of added latency, or sooner once 64 records are
-    buffered), the commit path pipelines — locks release at
-    commit-record-in-buffer, the ack waits for the flush — and
-    prepares capture before-images so recovery can undo a
-    crash-window apply.  Left unset (the default), every WAL record
-    is forced with its own synchronous disk write, the historical
-    behaviour.
-
-    [checkpoint_every] arms a fuzzy checkpoint that interval after
-    the first prepare of a busy period: the in-doubt transaction
-    table is logged without quiescing and the WAL is truncated up to
-    the checkpoint once it is durable.
+    [group_commit_window] and [checkpoint_every] configure the
+    server's two-phase-commit participant and its log
+    ({!Participant.create}); left unset, every log record is forced
+    with its own synchronous disk write and no checkpoint is cut.
 
     [consistency] maps a segment to its coherence mode (default: all
     [One_copy]), the same lookup the clients get
@@ -50,39 +40,21 @@ val create :
     the scope's dirty pages, batching one [Inval_batch] RPC per
     copyset member in a single fan-out; [Commutative] segments never
     invalidate and combine flushed deltas under their merge
-    operator.
-
-    A prepared participant that hears no decision for 60 s asks the
-    outcome oracle ({!set_outcome_oracle}): commit, abort, or wait
-    another 60 s if the transaction is still pending. *)
+    operator. *)
 
 val node : t -> Ra.Node.t
 val store : t -> Store.Segment_store.t
 val directory : t -> Store.Directory.t
-val wal : t -> Store.Wal.t
-
-val set_outcome_oracle :
-  t ->
-  (Protocol.txn_id -> [ `Committed | `Aborted | `Pending | `Unknown ]) ->
-  unit
-(** How a prepared participant learns the fate of a transaction whose
-    decision never arrived: ask the coordinator (the atomicity manager
-    installs this).  It is consulted in one place, when the
-    presumed-abort timer fires or recovery finds the transaction in
-    doubt.  [`Committed] commits; [`Aborted] and [`Unknown]
-    (coordinator crashed or forgot) abort; [`Pending] (the coordinator
-    is alive but has not decided) keeps the promise to commit and asks
-    again after another timeout.  Without an oracle every such
-    transaction is presumed aborted. *)
+val participant : t -> Participant.t
+(** The server's two-phase-commit participant: [Prepare], [Commit]
+    and [Abort] messages are handed to it, and it owns the log. *)
 
 val recover : t -> unit
-(** Run after {!Ra.Node.restart}: cancel the pre-crash timers, clear
-    volatile coherence and lock state, and replay the write-ahead log
-    into the segment store.  Each transaction left in doubt is
-    re-installed as prepared, with its write locks held again and its
-    presumed-abort timer armed, and a process is spawned that settles
-    it through the outcome oracle at once.  Nothing here blocks, so
-    it may be called from an engine callback. *)
+(** Run after {!Ra.Node.restart}: clear volatile coherence and lock
+    state, then let the participant replay its log and re-take the
+    locks of every transaction left in doubt ({!Participant.recover}).
+    Nothing here blocks, so it may be called from an engine
+    callback. *)
 
 val apply_view : t -> Membership.Monitor.view -> unit
 (** Fold a membership view into the suspect table: [Dead] members are
@@ -116,5 +88,5 @@ val metrics : t -> (string * Obs.Registry.metric) list
     relaxed-mode write faults), ["dsm/mode/release_flush_bursts"]
     (release flushes that sent at least one [Inval_batch] fan-out)
     and ["dsm/mode/merges_applied"] (commutative page merges combined
-    into the store); then the disk's and the log's
-    ({!Store.Disk.metrics}, {!Store.Wal.metrics}). *)
+    into the store); then the disk's and the participant's
+    ({!Store.Disk.metrics}, {!Participant.metrics}). *)

@@ -200,7 +200,7 @@ let run_cell ?(seed = 42) (c : cell) =
                           (Sim.Time.diff (Sim.now ()) t_start)))))
           sessions;
         let sim_ms = Sim.Ivar.read done_ivar in
-        let wal s = Store.Wal.metrics (Dsm.Dsm_server.wal s) in
+        let wal s = Dsm.Participant.metrics (Dsm.Dsm_server.participant s) in
         let sum path =
           Array.fold_left
             (fun acc s -> acc + Obs.Registry.count (wal s) path)
@@ -332,7 +332,9 @@ let run_crash ?(seed = 42) () =
       Sim.Ivar.read done_ivar;
       (* drain any commit still riding the last group flush *)
       Sim.sleep (Sim.Time.ms 50);
-      let victim_wal = Dsm.Dsm_server.wal cl.Cl.servers.(0) in
+      let victim_wal =
+        Dsm.Participant.wal (Dsm.Dsm_server.participant cl.Cl.servers.(0))
+      in
       let wal_metrics = Store.Wal.metrics victim_wal in
       let checkpoints = Obs.Registry.count wal_metrics "wal/checkpoints" in
       let log_truncated = Obs.Registry.count wal_metrics "wal/truncated" in

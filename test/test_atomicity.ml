@@ -11,6 +11,19 @@ let check_bool = Alcotest.(check bool)
 let atomicity mgr path =
   Obs.Registry.count (Atomicity.Manager.metrics mgr) path
 
+(* A data server's 2PC participant: its log, and the transactions it
+   still holds prepared. *)
+let wal server = Dsm.Participant.wal (Dsm.Dsm_server.participant server)
+
+let check_none_in_doubt label cluster =
+  Array.iteri
+    (fun i server ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%s: nothing in doubt on server %d" label (i + 1))
+        []
+        (Dsm.Participant.in_doubt (Dsm.Dsm_server.participant server)))
+    cluster.Cluster.servers
+
 (* A bank account: balance in the first persistent data word. *)
 let account =
   let get ctx = Memory.get_int ctx.Ctx.mem 0 in
@@ -405,7 +418,7 @@ let test_recalled_frame_commits_final_bytes () =
                     List.map (fun (off, b) -> (off, Bytes.to_string b)) spans)
                   p.Store.Wal.writes
             | _ -> [])
-          (Store.Wal.records (Dsm.Dsm_server.wal server))
+          (Store.Wal.records (wal server))
       in
       Alcotest.(check (list (pair int string)))
         "the prepare carries only the bytes after the recall"
@@ -580,7 +593,7 @@ let test_indoubt_participant_learns_commit () =
             let prepared =
               List.exists
                 (function Store.Wal.Prepared _ -> true | _ -> false)
-                (Store.Wal.records (Dsm.Dsm_server.wal server2))
+                (Store.Wal.records (wal server2))
             in
             if prepared then
               (* let the yes-vote reach the coordinator, then die
@@ -605,7 +618,8 @@ let test_indoubt_participant_learns_commit () =
       Dsm.Dsm_server.recover server2;
       Sim.sleep (Time.ms 200);
       check_int "B applied the in-doubt credit at recovery" 30
-        (stored_balance env b))
+        (stored_balance env b);
+      check_none_in_doubt "after recovery" env.sys.cluster)
 
 let test_money_conserved_under_random_server_crashes () =
   (* transfers against a data server that crashes and recovers at a
@@ -649,7 +663,8 @@ let test_money_conserved_under_random_server_crashes () =
         let total = stored_balance env a + stored_balance env b in
         Alcotest.(check int)
           (Printf.sprintf "money conserved (seed %d)" seed)
-          1000 total)
+          1000 total;
+        check_none_in_doubt (Printf.sprintf "seed %d" seed) sys.cluster)
   done
 
 let test_name_bindings_survive_compute_crash () =
@@ -675,7 +690,7 @@ let test_wal_records_commits () =
       match Cluster.server_at env.sys.cluster 1 with
       | None -> Alcotest.fail "no server"
       | Some server ->
-          let records = Store.Wal.records (Dsm.Dsm_server.wal server) in
+          let records = Store.Wal.records (wal server) in
           check_bool "prepare logged" true
             (List.exists
                (function Store.Wal.Prepared _ -> true | _ -> false)

@@ -9,6 +9,10 @@ let check_bool = Alcotest.(check bool)
 
 let dsm server path = Obs.Registry.count (Dsm.Dsm_server.metrics server) path
 
+(* A data server's 2PC participant, and its log. *)
+let participant server = Dsm.Dsm_server.participant server
+let wal server = Dsm.Participant.wal (participant server)
+
 (* Fast RaTP config so crash-timeout tests finish quickly. *)
 let fast_ratp =
   {
@@ -493,7 +497,7 @@ let test_two_phase_commit_applies () =
       check_int "one commit" 1 (dsm cl.server "dsm/commits");
       (* WAL has prepare + commit *)
       check_bool "wal recorded" true
-        (List.length (Store.Wal.records (Dsm.Dsm_server.wal cl.server)) >= 2))
+        (List.length (Store.Wal.records (wal cl.server)) >= 2))
 
 let test_two_phase_abort_discards () =
   with_cluster (fun cl ->
@@ -566,8 +570,6 @@ let test_server_crash_recovery () =
 (* The resolver: the presumed-abort timer and recovery settle an
    in-doubt entry through the outcome oracle *)
 
-type verdict = [ `Committed | `Aborted | `Pending | `Unknown ]
-
 (* Lock page 0 of [seg] for [txn] and prepare a write of [c] over it. *)
 let prepare_page cl txn seg c =
   (match rpc cl cl.n1 (P.Lock_segment { seg; kind = P.W; txn }) with
@@ -597,8 +599,8 @@ let restart_and_recover cl =
 let test_recovery_waits_out_pending () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
-      let verdict : verdict ref = ref `Pending in
-      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> !verdict);
+      let verdict : Dsm.Participant.verdict ref = ref `Pending in
+      Dsm.Participant.set_oracle (participant cl.server) (fun _ -> !verdict);
       prepare_page cl (2, 20) seg 'a';
       Sim.sleep (Time.ms 100);
       restart_and_recover cl;
@@ -617,7 +619,7 @@ let test_recovery_waits_out_pending () =
 let test_timer_asks_oracle () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
-      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> `Committed);
+      Dsm.Participant.set_oracle (participant cl.server) (fun _ -> `Committed);
       prepare_page cl (2, 21) seg 'b';
       Sim.sleep (Time.sec 61);
       check_byte "write applied" (Some 'b') (first_byte cl.server seg);
@@ -639,7 +641,7 @@ let test_resolved_commit_mirrored () =
             ~size:Ra.Page.size)
         [ seg; seg2 ];
       Dsm.Dsm_server.set_mirrors cl.server (fun _ -> [ nb.Ra.Node.id ]);
-      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> `Committed);
+      Dsm.Participant.set_oracle (participant cl.server) (fun _ -> `Committed);
       prepare_page cl (2, 22) seg 'c';
       Sim.sleep (Time.sec 61);
       check_byte "timer commit mirrored" (Some 'c') (first_byte backup seg);
@@ -658,7 +660,7 @@ let test_unknown_at_recovery_logs_abort () =
       let seg = new_seg cl ~pages:1 in
       Store.Segment_store.write_page (Dsm.Dsm_server.store cl.server) seg 0
         (Bytes.make Ra.Page.size 'o');
-      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> `Unknown);
+      Dsm.Participant.set_oracle (participant cl.server) (fun _ -> `Unknown);
       let t1 = (2, 24) in
       prepare_page cl t1 seg 'n';
       ignore
@@ -673,7 +675,7 @@ let test_unknown_at_recovery_logs_abort () =
       check_bool "abort logged" true
         (List.exists
            (function Store.Wal.Aborted t -> t = t1 | _ -> false)
-           (Store.Wal.records (Dsm.Dsm_server.wal cl.server)));
+           (Store.Wal.records (wal cl.server)));
       check_int "one abort" 1 (dsm cl.server "dsm/aborts");
       check_byte "before-image stands" (Some 'o') (first_byte cl.server seg);
       match rpc cl cl.n2 (P.Lock_segment { seg; kind = P.W; txn = (3, 1) }) with
@@ -686,7 +688,7 @@ let test_unknown_at_recovery_logs_abort () =
 let test_prepared_settles_once () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
-      Dsm.Dsm_server.set_outcome_oracle cl.server (fun _ -> `Committed);
+      Dsm.Participant.set_oracle (participant cl.server) (fun _ -> `Committed);
       let t1 = (2, 25) in
       prepare_page cl t1 seg 'e';
       restart_and_recover cl;
@@ -698,7 +700,7 @@ let test_prepared_settles_once () =
         (List.length
            (List.filter
               (function Store.Wal.Committed t -> t = t1 | _ -> false)
-              (Store.Wal.records (Dsm.Dsm_server.wal cl.server))));
+              (Store.Wal.records (wal cl.server))));
       check_int "one commit" 1 (dsm cl.server "dsm/commits");
       check_byte "write applied" (Some 'e') (first_byte cl.server seg))
 
@@ -707,11 +709,84 @@ let test_prepared_settles_once () =
    down. *)
 let test_crashed_server_flushes_nothing () =
   with_cluster ~group_commit_window:(Time.ms 5) (fun cl ->
-      let wal = Dsm.Dsm_server.wal cl.server in
+      let wal = wal cl.server in
       ignore (Store.Wal.enqueue wal (Store.Wal.Committed (2, 26)));
       Ra.Node.crash cl.nd;
       Sim.sleep (Time.ms 200);
       check_int "nothing flushed" 0 (Store.Wal.flushed_lsn wal))
+
+(* ------------------------------------------------------------------ *)
+(* The participant driven directly: no coordinator, and no RaTP round
+   trip for the step under test *)
+
+let in_doubt cl = Dsm.Participant.in_doubt (participant cl.server)
+let check_txns = Alcotest.(check (list (pair int int)))
+
+(* Prepare a write of [c] over page 0 of [seg] straight into the
+   participant, as a Prepare message would. *)
+let prepare_direct cl txn seg c =
+  check_bool "votes yes" true
+    (Dsm.Participant.prepare (participant cl.server) txn
+       [ (seg, 0, [ (0, Bytes.make Ra.Page.size c) ]) ])
+
+(* A prepared transaction outlives a crash: recovery re-installs it
+   with its write lock, and only the oracle's answer ends it. *)
+let test_in_doubt_survives_recovery () =
+  with_cluster (fun cl ->
+      let seg = new_seg cl ~pages:1 in
+      let verdict : Dsm.Participant.verdict ref = ref `Pending in
+      Dsm.Participant.set_oracle (participant cl.server) (fun _ -> !verdict);
+      let txn = (2, 30) in
+      prepare_direct cl txn seg 'f';
+      check_txns "prepared" [ txn ] (in_doubt cl);
+      restart_and_recover cl;
+      check_txns "still prepared after recovery" [ txn ] (in_doubt cl);
+      (* a free lock is granted within one round trip *)
+      let granted = ref false in
+      ignore
+        (Sim.spawn "rival" (fun () ->
+             match
+               rpc cl cl.n2 (P.Lock_segment { seg; kind = P.W; txn = (3, 1) })
+             with
+             | Ok P.Lock_granted -> granted := true
+             | Ok _ | Error _ -> ()));
+      Sim.sleep (Time.ms 100);
+      check_bool "write lock held again" false !granted;
+      check_txns "pending keeps it prepared" [ txn ] (in_doubt cl);
+      verdict := `Committed;
+      Sim.sleep (Time.sec 61);
+      check_txns "the oracle's answer settles it" [] (in_doubt cl);
+      check_byte "committed" (Some 'f') (first_byte cl.server seg))
+
+(* Each end of a prepared entry empties [in_doubt] and counts its
+   outcome once. *)
+let ends_in_doubt ~committed finish () =
+  with_cluster (fun cl ->
+      let seg = new_seg cl ~pages:1 in
+      let txn = (2, 31) in
+      prepare_direct cl txn seg 'g';
+      check_txns "prepared" [ txn ] (in_doubt cl);
+      finish cl txn;
+      check_txns "settled" [] (in_doubt cl);
+      check_int "commits"
+        (if committed then 1 else 0)
+        (dsm cl.server "dsm/commits");
+      check_int "aborts"
+        (if committed then 0 else 1)
+        (dsm cl.server "dsm/aborts");
+      check_byte "store"
+        (if committed then Some 'g' else None)
+        (first_byte cl.server seg))
+
+let by_decision ~commit cl txn =
+  Dsm.Participant.decide (participant cl.server) txn ~commit
+
+let by_timer _ _ = Sim.sleep (Time.sec 61)
+
+let by_resolver_after_recovery cl _ =
+  Dsm.Participant.set_oracle (participant cl.server) (fun _ -> `Committed);
+  restart_and_recover cl;
+  Sim.sleep (Time.sec 1)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -1395,5 +1470,18 @@ let () =
             test_unknown_at_recovery_logs_abort;
           Alcotest.test_case "prepared entry settles once" `Quick
             test_prepared_settles_once;
+        ] );
+      ( "participant",
+        [
+          Alcotest.test_case "in doubt survives recovery" `Quick
+            test_in_doubt_survives_recovery;
+          Alcotest.test_case "commit decision ends it" `Quick
+            (ends_in_doubt ~committed:true (by_decision ~commit:true));
+          Alcotest.test_case "abort decision ends it" `Quick
+            (ends_in_doubt ~committed:false (by_decision ~commit:false));
+          Alcotest.test_case "presumed abort ends it" `Quick
+            (ends_in_doubt ~committed:false by_timer);
+          Alcotest.test_case "resolver commit after recovery ends it" `Quick
+            (ends_in_doubt ~committed:true by_resolver_after_recovery);
         ] );
     ]
