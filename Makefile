@@ -73,11 +73,17 @@ size:
 # `module A =` split over two lines.  A mention in a comment or string,
 # or a record field written `Mod.v`, counts as a use, so such a dead
 # val goes unlisted.  Then every exported record field (FIELDS_AWK)
-# whose name is not a word of any .ml but its module's own, printed
-# as `Mod.field (field)`: a lower bound, since a field called `seq`
-# is "named" by any file that says seq.  One awk pass over every
-# file.  Exits non-zero whenever it prints anything, so CI fails on
-# a new unread export.
+# that no other file writes in field syntax, printed as
+# `Mod.field (field)`.  Field syntax is an access `e.f`, `e.M.f` or
+# `(e).f` (a dotted chain whose head is lowercase: `Mod.f` is a val),
+# or a slot inside `{ ... }` (after `{`, `;`, `with` or at a line
+# start) that names `[M.]f` followed by `=`, `;` or `}`.  The val rule
+# also counts: `Mod.f`, `A.f` through an alias, or a bare `f` in a
+# file that opens `Mod`.  String and character literals are skipped
+# when counting braces.  Still a lower bound: an access `x.seq` in any
+# file counts for every exported field called `seq`.  One awk pass
+# over every file.  Exits non-zero whenever it prints anything, so CI
+# fails on a new unread export.
 define UNUSED_AWK
 # .mli files first: every "val v" of module M, in file order.
 FNR == 1 {
@@ -119,6 +125,36 @@ FNR == 1 { files[++nf] = FILENAME }
   while (match(t, /[a-z_][A-Za-z0-9_']*/)) {
     word[f, substr(t, RSTART, RLENGTH)] = 1; t = substr(t, RSTART + RLENGTH)
   }
+  # field access: in a dotted chain, each lowercase part after the
+  # first lowercase part (or after a leading dot: `(e).f`)
+  t = s
+  while (match(t, /[A-Za-z0-9_'.]*\.[a-z_][A-Za-z0-9_'.]*/)) {
+    k = split(substr(t, RSTART, RLENGTH), ps, ".")
+    t = substr(t, RSTART + RLENGTH)
+    low = (ps[1] == "")
+    for (l = 1; l <= k; l++)
+      if (ps[l] ~ /^[a-z_]/) { if (low) fused[f, ps[l]] = 1; low = 1 }
+  }
+  # record syntax: a slot inside braces naming [M.]f, then = ; or }
+  if (FNR == 1) { depth = 0; slot = 0; pend = "" }
+  if (depth > 0) slot = 1
+  t = s
+  gsub(/"([^"\\]|\\.)*"|'([^'\\]|\\.)'/, " ", t)
+  while (match(t, /[A-Za-z_][A-Za-z0-9_'.]*|=+|[^ \t]/)) {
+    tok = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
+    if (pend != "" && (tok == "=" || tok == ";" || tok == "}"))
+      fused[f, pend] = 1
+    pend = ""
+    if (tok == "{") { depth++; slot = 1 }
+    else if (tok == "}") { if (depth > 0) depth--; slot = 0 }
+    else if (tok == ";" || tok == "with") slot = (depth > 0)
+    else {
+      if (slot && tok ~ /^([A-Z][A-Za-z0-9_']*\.)*[a-z_][A-Za-z0-9_']*$$/) {
+        pend = tok; sub(/.*\./, "", pend)
+      }
+      slot = 0
+    }
+  }
 }
 END {
   for (i = 1; i <= n; i++) {
@@ -133,10 +169,15 @@ END {
     if (!hit) print m "." v
   }
   for (i = 1; i <= nfld; i++) {
-    hit = 0
-    for (j = 1; j <= nf && !hit; j++)
-      if (files[j] != fown[i] && word[files[j], fname[i]]) hit = 1
-    if (!hit) print fmod[i] "." fname[i] " (field)"
+    m = fmod[i]; v = fname[i]; hit = 0
+    for (j = 1; j <= nf && !hit; j++) {
+      f = files[j]
+      if (f == fown[i]) continue
+      if (fused[f, v] || used[f, m, v] || (opened[f, m] && word[f, v])) hit = 1
+      k = split(alias[f, m], as, " ")
+      for (l = 1; l <= k && !hit; l++) if (used[f, as[l], v]) hit = 1
+    }
+    if (!hit) print m "." v " (field)"
   }
 }
 endef

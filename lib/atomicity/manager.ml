@@ -50,14 +50,15 @@ type t = {
 let object_manager t = t.om
 
 let metrics t =
-  [
-    ("atomicity/commits", Obs.Registry.Counter t.commit_count);
-    ("atomicity/aborts", Obs.Registry.Counter t.abort_count);
-    ("atomicity/retries", Obs.Registry.Counter t.retry_count);
-    ("atomicity/lock_rpcs", Obs.Registry.Counter t.lock_rpc_count);
-    ("atomicity/lock_upgrades", Obs.Registry.Counter t.lock_upgrade_count);
-    ("atomicity/commit_ms", Obs.Registry.Hist t.commit_hist);
-  ]
+  Sim.Stats.
+    [
+      Counter t.commit_count;
+      Counter t.abort_count;
+      Counter t.retry_count;
+      Counter t.lock_rpc_count;
+      Counter t.lock_upgrade_count;
+      Hist t.commit_hist;
+    ]
 
 let local_table t node_id =
   match Hashtbl.find_opt t.local_locks node_id with
@@ -509,12 +510,12 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
       write_intent = Hashtbl.create 64;
       deadlock_timeout;
       max_retries;
-      commit_count = Sim.Stats.counter "atomicity.commits";
-      abort_count = Sim.Stats.counter "atomicity.aborts";
-      retry_count = Sim.Stats.counter "atomicity.retries";
-      lock_rpc_count = Sim.Stats.counter "atomicity.lock_rpcs";
-      lock_upgrade_count = Sim.Stats.counter "atomicity.lock_upgrades";
-      commit_hist = Sim.Stats.hist "atomicity.commit_ms";
+      commit_count = Sim.Stats.counter "atomicity/commits";
+      abort_count = Sim.Stats.counter "atomicity/aborts";
+      retry_count = Sim.Stats.counter "atomicity/retries";
+      lock_rpc_count = Sim.Stats.counter "atomicity/lock_rpcs";
+      lock_upgrade_count = Sim.Stats.counter "atomicity/lock_upgrades";
+      commit_hist = Sim.Stats.hist "atomicity/commit_ms";
     }
   in
   Array.iter

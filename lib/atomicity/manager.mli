@@ -61,7 +61,7 @@ val abort_thread : t -> thread_id:int -> unit
     when a thread is killed externally (e.g. PET losers, crashed
     nodes). *)
 
-val metrics : t -> (string * Obs.Registry.metric) list
+val metrics : t -> Sim.Stats.metric list
 (** Live metric handles under ["atomicity/"] paths, for an
     {!Obs.Registry}: ["atomicity/commits"], ["atomicity/aborts"],
     ["atomicity/retries"], ["atomicity/lock_rpcs"] (lock requests sent

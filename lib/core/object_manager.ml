@@ -350,8 +350,8 @@ let create cl =
       visits = Hashtbl.create 32;
       activating = Hashtbl.create 8;
       daemons_started = Ra.Sysname.Table.create 8;
-      invoke_count = Sim.Stats.counter "om.invocations";
-      local_invokes = Sim.Stats.counter "om.local_invokes";
+      invoke_count = Sim.Stats.counter "om/invocations";
+      local_invokes = Sim.Stats.counter "om/local_invokes";
       entry_wrapper = (fun _label _ctx body -> body ());
     }
   in
@@ -529,7 +529,4 @@ let end_thread t thread_id =
   List.iter (Hashtbl.remove t.per_thread) stale
 
 let metrics t =
-  [
-    ("om/invocations", Obs.Registry.Counter t.invoke_count);
-    ("om/local_invokes", Obs.Registry.Counter t.local_invokes);
-  ]
+  Sim.Stats.[ Counter t.invoke_count; Counter t.local_invokes ]

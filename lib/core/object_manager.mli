@@ -103,7 +103,7 @@ val visited : t -> int -> Ra.Sysname.t list
 val end_thread : t -> int -> unit
 (** Release per-thread state (per-thread object memory, visit log). *)
 
-val metrics : t -> (string * Obs.Registry.metric) list
+val metrics : t -> Sim.Stats.metric list
 (** Live metric handles under ["om/"] paths, for an {!Obs.Registry}:
     ["om/invocations"] (entry-point executions performed through this
     manager) and ["om/local_invokes"] (invocations dispatched through

@@ -219,7 +219,7 @@ let install cl mon =
       known_dead = [];
       active = 0;
       last_heal_at = None;
-      copied = Sim.Stats.counter "repl.pages_copied";
+      copied = Sim.Stats.counter "repl/pages_copied";
     }
   in
   M.subscribe mon (fun v -> on_view t v);
@@ -232,4 +232,4 @@ let rec quiesce t =
   end
 
 let last_heal t = t.last_heal_at
-let pages_copied t = Sim.Stats.value t.copied
+let metrics t = [ Sim.Stats.Counter t.copied ]

@@ -46,5 +46,6 @@ val quiesce : t -> unit
 val last_heal : t -> Sim.Time.t option
 (** Completion instant of the most recent heal pass. *)
 
-val pages_copied : t -> int
-(** Pages shipped by heal passes over the replicator's lifetime. *)
+val metrics : t -> Sim.Stats.metric list
+(** [repl/pages_copied]: pages shipped by heal passes over the
+    replicator's lifetime. *)

@@ -1,12 +1,15 @@
-(* Build the cluster's metric registries: one per node (transport
-   plus its DSM role) and one cluster-wide (object manager and
-   whatever extra handles the caller wires in, e.g. the atomicity
-   layer's — a layer above this library).  Registries hold live
+(* Build the cluster's metric registries: one per node (transport,
+   MMU and CPU, plus its DSM role) and one cluster-wide (object
+   manager and whatever extra handles the caller wires in, e.g. the
+   atomicity layer's — a layer above this library).  Registries hold live
    handles, so build them once and snapshot whenever. *)
 
 let node_registry label (node : Ra.Node.t) role_metrics =
   Obs.Registry.make label
-    (Ratp.Endpoint.metrics node.Ra.Node.endpoint @ role_metrics)
+    (Ratp.Endpoint.metrics node.Ra.Node.endpoint
+    @ Ra.Mmu.metrics node.Ra.Node.mmu
+    @ Ra.Cpu.metrics node.Ra.Node.cpu
+    @ role_metrics)
 
 let registries ?om ?(extra = []) (cl : Cluster.t) =
   let data =

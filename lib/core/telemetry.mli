@@ -1,7 +1,8 @@
 (** The cluster's unified metrics registry.
 
     Collects every node's scattered [Sim.Stats] handles — transport
-    counters from its RaTP endpoint plus its DSM role (server on
+    counters from its RaTP endpoint, its MMU's page faults and its
+    CPU's context switches, plus its DSM role (server on
     data nodes, client on compute nodes) — into one {!Obs.Registry}
     per node, with a ["cluster"] registry for node-independent
     metrics (the object manager's, plus any [extra] handles a layer
@@ -9,7 +10,7 @@
 
 val registries :
   ?om:Object_manager.t ->
-  ?extra:(string * Obs.Registry.metric) list ->
+  ?extra:Sim.Stats.metric list ->
   Cluster.t ->
   Obs.Registry.t list
 (** The cluster registry first, then data nodes, then compute nodes

@@ -63,11 +63,11 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy) () =
       locate;
       mode_of = consistency;
       stale_dirty = Hashtbl.create 16;
-      fetches = Sim.Stats.counter "dsmc.fetches";
-      puts = Sim.Stats.counter "dsmc.puts";
-      invals = Sim.Stats.counter "dsmc.invals";
-      downs = Sim.Stats.counter "dsmc.downs";
-      merge_rpcs = Sim.Stats.counter "dsmc.merge_rpcs";
+      fetches = Sim.Stats.counter "dsmc/fetches";
+      puts = Sim.Stats.counter "dsmc/puts";
+      invals = Sim.Stats.counter "dsmc/invals";
+      downs = Sim.Stats.counter "dsmc/downs";
+      merge_rpcs = Sim.Stats.counter "dsm/mode/merge_rpcs";
     }
   in
   Ra.Mmu.set_resolver node.Ra.Node.mmu (fun _seg -> partition t);
@@ -203,10 +203,11 @@ let flush_segment t seg =
           List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty)
 
 let metrics t =
-  [
-    ("dsmc/fetches", Obs.Registry.Counter t.fetches);
-    ("dsmc/puts", Obs.Registry.Counter t.puts);
-    ("dsmc/invals", Obs.Registry.Counter t.invals);
-    ("dsmc/downs", Obs.Registry.Counter t.downs);
-    ("dsm/mode/merge_rpcs", Obs.Registry.Counter t.merge_rpcs);
-  ]
+  Sim.Stats.
+    [
+      Counter t.fetches;
+      Counter t.puts;
+      Counter t.invals;
+      Counter t.downs;
+      Counter t.merge_rpcs;
+    ]

@@ -57,7 +57,7 @@ val flush_segment : t -> Ra.Sysname.t -> unit
     longer stores raises {!Ra.Partition.No_segment} and leaves the
     frames dirty. *)
 
-val metrics : t -> (string * Obs.Registry.metric) list
+val metrics : t -> Sim.Stats.metric list
 (** Live metric handles under ["dsmc/"] paths, for a per-node
     {!Obs.Registry}: among them ["dsmc/puts"] (writeback RPCs issued:
     one [Put_spans] per one-copy or release segment flush or evicted

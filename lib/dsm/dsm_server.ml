@@ -532,14 +532,14 @@ let create node ?group_commit_window ?checkpoint_every
         mode_of = consistency;
         warmed = Ra.Sysname.Table.create 64;
         merge_applied = Hashtbl.create 16;
-        served = Sim.Stats.counter "dsm.pages_served";
-        invals = Sim.Stats.counter "dsm.invalidations";
-        downs = Sim.Stats.counter "dsm.downgrades";
-        mirrored = Sim.Stats.counter "dsm.mirrored_writes";
-        deferred = Sim.Stats.counter "dsm.deferred_invals";
-        flush_bursts = Sim.Stats.counter "dsm.release_flush_bursts";
-        flush_batch = Sim.Stats.hist "dsm.release_flush_batch";
-        merges = Sim.Stats.counter "dsm.merges_applied";
+        served = Sim.Stats.counter "dsm/pages_served";
+        invals = Sim.Stats.counter "dsm/invalidations";
+        downs = Sim.Stats.counter "dsm/downgrades";
+        mirrored = Sim.Stats.counter "dsm/mirrored_writes";
+        deferred = Sim.Stats.counter "dsm/mode/deferred_invals";
+        flush_bursts = Sim.Stats.counter "dsm/mode/release_flush_bursts";
+        flush_batch = Sim.Stats.hist "dsm/mode/release_flush_batch";
+        merges = Sim.Stats.counter "dsm/mode/merges_applied";
         participant =
           Participant.create node store disk ~group_commit_window
             ~checkpoint_every
@@ -603,15 +603,16 @@ let copyset_of t seg page =
   | None -> []
 
 let metrics t =
-  [
-    ("dsm/pages_served", Obs.Registry.Counter t.served);
-    ("dsm/invalidations", Obs.Registry.Counter t.invals);
-    ("dsm/downgrades", Obs.Registry.Counter t.downs);
-    ("dsm/mirrored_writes", Obs.Registry.Counter t.mirrored);
-    ("dsm/mode/deferred_invals", Obs.Registry.Counter t.deferred);
-    ("dsm/mode/release_flush_bursts", Obs.Registry.Counter t.flush_bursts);
-    ("dsm/mode/release_flush_batch", Obs.Registry.Hist t.flush_batch);
-    ("dsm/mode/merges_applied", Obs.Registry.Counter t.merges);
-  ]
+  Sim.Stats.
+    [
+      Counter t.served;
+      Counter t.invals;
+      Counter t.downs;
+      Counter t.mirrored;
+      Counter t.deferred;
+      Counter t.flush_bursts;
+      Hist t.flush_batch;
+      Counter t.merges;
+    ]
   @ Store.Disk.metrics t.disk
   @ Participant.metrics t.participant

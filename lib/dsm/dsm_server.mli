@@ -81,7 +81,7 @@ val owner_of : t -> Ra.Sysname.t -> int -> Net.Address.t option
 val copyset_of : t -> Ra.Sysname.t -> int -> Net.Address.t list
 (** Nodes holding read copies (tests); sorted. *)
 
-val metrics : t -> (string * Obs.Registry.metric) list
+val metrics : t -> Sim.Stats.metric list
 (** Live metric handles under ["dsm/"] paths, for a per-node
     {!Obs.Registry}: among them ["dsm/invalidations"],
     ["dsm/mode/deferred_invals"] (per-copy invalidations skipped by

@@ -62,8 +62,8 @@ let create node store disk ~group_commit_window ~checkpoint_every ~stores_all
     apply_spans;
     locks;
     publish;
-    commit_count = Sim.Stats.counter "dsm.commits";
-    abort_count = Sim.Stats.counter "dsm.aborts";
+    commit_count = Sim.Stats.counter "dsm/commits";
+    abort_count = Sim.Stats.counter "dsm/aborts";
   }
 
 let wal t = t.wal
@@ -252,8 +252,5 @@ let recover t =
     (Store.Wal.recover t.wal t.store ~applied:(ref []))
 
 let metrics t =
-  [
-    ("dsm/commits", Obs.Registry.Counter t.commit_count);
-    ("dsm/aborts", Obs.Registry.Counter t.abort_count);
-  ]
+  Sim.Stats.[ Counter t.commit_count; Counter t.abort_count ]
   @ Store.Wal.metrics t.wal

@@ -94,6 +94,6 @@ val in_doubt : t -> Protocol.txn_id list
 
 val wal : t -> Store.Wal.t
 
-val metrics : t -> (string * Obs.Registry.metric) list
+val metrics : t -> Sim.Stats.metric list
 (** ["dsm/commits"] and ["dsm/aborts"] (prepared entries settled
     each way), then the log's ({!Store.Wal.metrics}). *)

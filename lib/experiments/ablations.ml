@@ -138,7 +138,7 @@ let sort_with_frames ~max_frames =
         done
       done;
       ( Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0),
-        Ra.Mmu.evictions nc.Ra.Node.mmu ))
+        Obs.Registry.count (Ra.Mmu.metrics nc.Ra.Node.mmu) "mmu/evictions" ))
 
 (* three passes over ten pages *)
 let frame_cache () =

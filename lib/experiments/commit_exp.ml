@@ -155,7 +155,7 @@ let run_cell ?(seed = 42) (c : cell) =
               let arg = V.List (List.map V.of_sysname accounts) in
               (cl.Cl.compute_nodes.(i mod ncomp), batcher, arg))
         in
-        let lat = Sim.Stats.hist "commit.latency_ms" in
+        let lat = Sim.Stats.hist "commit/latency_ms" in
         let retries = ref 0 in
         let warmed = ref 0 in
         let finished = ref 0 in

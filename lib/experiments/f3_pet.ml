@@ -2,7 +2,7 @@ module V = Clouds.Value
 
 type point = { parallel : int; completion_rate : float; mean_thread_ms : float }
 
-type result = { replicas : int; quorum : int; trials : int; points : point list }
+type result = { trials : int; points : point list }
 
 let replicas = 3
 let quorum = 2
@@ -68,7 +68,7 @@ let run ?(trials = 25) ?(parallel_counts = [ 1; 2; 3 ]) () =
         })
       parallel_counts
   in
-  { replicas; quorum; trials; points }
+  { trials; points }
 
 let to_json (r : result) =
   let open Obs.Export in
@@ -82,7 +82,7 @@ let to_json (r : result) =
   in
   Obj
     [
-      ("replicas", int r.replicas); ("quorum", int r.quorum);
+      ("replicas", int replicas); ("quorum", int quorum);
       ("trials", int r.trials);
       ("points", Arr (List.map point r.points));
     ]

@@ -6,7 +6,8 @@
     trial injects random dynamic failures (compute servers and data
     servers crashing mid-run).  More PETs buy a higher completion
     probability at the price of more thread time — the paper's
-    resources/resilience trade-off. *)
+    resources/resilience trade-off.  The object has three replicas
+    and a run commits on a quorum of two. *)
 
 type point = {
   parallel : int;
@@ -15,8 +16,6 @@ type point = {
 }
 
 type result = {
-  replicas : int;
-  quorum : int;
   trials : int;  (** per point, on the same failure schedules *)
   points : point list;
 }

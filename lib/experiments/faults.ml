@@ -431,6 +431,7 @@ let run ?(seed = 42) name =
   | Some `Pet -> run_pet_crash name ~seed
 
 let run_all ?seed () = List.map (fun name -> run ?seed name) scenarios
+let violations o = o.violations
 
 (* For the text report only: the registry gives this experiment no
    bench section. *)

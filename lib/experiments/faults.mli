@@ -12,20 +12,12 @@
     scenario twice with the same seed yields identical statistics and
     trace, which the test suite asserts. *)
 
-type outcome = {
-  scenario : string;
-  seed : int;
-  calls : int;
-  oks : int;
-  timeouts : int;
-  aborts : int;  (** transaction aborts surfaced to the caller *)
-  commits : int;  (** handler/transaction effects committed *)
-  retransmissions : int;
-  drops : int;
-  duplicates : int;
-  violations : string list;  (** empty iff every invariant holds *)
-  trace : string;  (** canonical per-call trace for determinism checks *)
-}
+type outcome
+(** One scenario's counters (calls, completions, timeouts, aborts,
+    commits, retransmissions, drops, duplicates), its invariant
+    violations and its canonical per-call trace; {!to_json} prints
+    every field.  Two outcomes compare equal with [=] exactly when
+    every field does. *)
 
 val scenarios : string list
 (** The scenario names, in execution order: fragment-loss,
@@ -39,6 +31,9 @@ val run : ?seed:int -> string -> outcome
 
 val run_all : ?seed:int -> unit -> outcome list
 (** Run every scenario. *)
+
+val violations : outcome -> string list
+(** Empty iff every invariant held. *)
 
 val to_json : outcome list -> Obs.Export.json
 (** Every field of every outcome, one ["scenarios"] element each, for

@@ -121,7 +121,7 @@ let run_cell ?(seed = 42) ?(atomicity = false) ?observer (c : cell) =
         done;
         (* streaming histogram: O(1) memory, so the 1M-invocation
            cell carries the same footprint as the smoke cells *)
-        let lat = Sim.Stats.hist "load.latency_ms" in
+        let lat = Sim.Stats.hist "load/latency_ms" in
         let misses = ref 0 in
         (* a saturated stage (the centralized arm on purpose) can push
            a data server past the RaTP retry ladder; the open-loop

@@ -293,7 +293,10 @@ let run_arm ~seed ~ops (a : arm) =
         detect_ms;
         unavail_ms;
         reheal_ms;
-        pages_copied = Clouds.Replicator.pages_copied repl;
+        pages_copied =
+          Obs.Registry.count
+            (Clouds.Replicator.metrics repl)
+            "repl/pages_copied";
         lost_segments;
         lost_writes = !lost_writes;
         final_epoch = M.epoch mon;

@@ -46,7 +46,6 @@ type t = {
   mutable subscribers : (view -> unit) list;  (* reversed *)
   mutable stopped : bool;
   beats : Sim.Stats.counter;
-  trans : Sim.Stats.counter;
 }
 
 let host t = t.host
@@ -78,17 +77,14 @@ let last_death t a =
   | None -> None
 
 let subscribe t f = t.subscribers <- f :: t.subscribers
-let heartbeats t = Sim.Stats.value t.beats
-let transitions t = Sim.Stats.value t.trans
+let metrics t = [ Sim.Stats.Counter t.beats ]
 let stop t = t.stopped <- true
 
 let notify t =
   let v = view t in
   List.iter (fun f -> f v) (List.rev t.subscribers)
 
-let bump t =
-  t.epoch <- t.epoch + 1;
-  Sim.Stats.incr t.trans
+let bump t = t.epoch <- t.epoch + 1
 
 (* A beat arrived from [a]: refresh its clock and, if it had been
    condemned or suspected, announce the rejoin. *)
@@ -142,8 +138,7 @@ let create ?(config = default_config) host =
       epoch = 0;
       subscribers = [];
       stopped = false;
-      beats = Sim.Stats.counter "mbr.heartbeats";
-      trans = Sim.Stats.counter "mbr.transitions";
+      beats = Sim.Stats.counter "mbr/heartbeats";
     }
   in
   Ratp.Endpoint.serve host.Ra.Node.endpoint ~service (fun ~src:_ body ->

@@ -78,8 +78,6 @@ val stop : t -> unit
     wake-up; no further epoch bumps.  Required before the end of the
     simulation. *)
 
-val heartbeats : t -> int
-(** Heartbeats received over the monitor's lifetime. *)
-
-val transitions : t -> int
-(** Status transitions (epoch bumps) observed. *)
+val metrics : t -> Sim.Stats.metric list
+(** [mbr/heartbeats]: heartbeats received over the monitor's
+    lifetime.  The epoch ({!epoch}) counts status transitions. *)

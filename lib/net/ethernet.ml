@@ -36,8 +36,8 @@ let create eng ?(config = default_config) () =
     fault = Fault.create eng (Sim.Rng.split (Sim.Engine.rng eng));
     nics = Hashtbl.create 16;
     bus = Sim.Mutex.create ~label:"ether-bus" ();
-    frames = Sim.Stats.counter "ether.frames";
-    bytes = Sim.Stats.counter "ether.bytes";
+    frames = Sim.Stats.counter "net/frames";
+    bytes = Sim.Stats.counter "net/bytes";
   }
 
 let config t = t.cfg

@@ -1,29 +1,25 @@
 (* A named tree of live metric handles.
 
    Components keep updating their own [Sim.Stats] counters and publish
-   them as (path, handle) lists; a registry holds one node's lists so
-   one snapshot can walk everything it exposes, and [count]/[hist] read
-   a single path out of a list.  Snapshots render to JSON with
-   sorted keys and fixed float formatting, so fixed-seed runs are
-   byte-identical. *)
-
-type metric =
-  | Counter of Sim.Stats.counter
-  | Keyed of Sim.Stats.keyed
-  | Hist of Sim.Stats.hist
+   them as handle lists, each handle named by its path; a registry
+   holds one node's lists so one snapshot can walk everything it
+   exposes, and [count]/[hist] read a single path out of a list.
+   Snapshots render to JSON with sorted keys and fixed float
+   formatting, so fixed-seed runs are byte-identical. *)
 
 (* [items] is sorted by path and holds each path once. *)
-type t = { label : string; items : (string * metric) list }
+type t = { label : string; items : Sim.Stats.metric list }
+
+let by_name a b = String.compare (Sim.Stats.name a) (Sim.Stats.name b)
 
 let make label metrics =
-  let items =
-    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) metrics
-  in
+  let items = List.stable_sort by_name metrics in
   let rec refuse_duplicates = function
-    | (a, _) :: ((b, _) :: _ as rest) ->
-        if String.equal a b then
+    | a :: (b :: _ as rest) ->
+        if by_name a b = 0 then
           invalid_arg
-            (Printf.sprintf "Registry.make: %s is registered twice" a);
+            (Printf.sprintf "Registry.make: %s is registered twice"
+               (Sim.Stats.name a));
         refuse_duplicates rest
     | _ -> ()
   in
@@ -31,19 +27,21 @@ let make label metrics =
   { label; items }
 
 let find metrics path =
-  match List.assoc_opt path metrics with
+  match
+    List.find_opt (fun m -> String.equal (Sim.Stats.name m) path) metrics
+  with
   | Some m -> m
   | None -> invalid_arg (Printf.sprintf "Registry: no metric at %s" path)
 
 let count metrics path =
   match find metrics path with
-  | Counter c -> Sim.Stats.value c
+  | Sim.Stats.Counter c -> Sim.Stats.value c
   | Keyed _ | Hist _ ->
       invalid_arg (Printf.sprintf "Registry.count: %s is not a counter" path)
 
 let hist metrics path =
   match find metrics path with
-  | Hist h -> h
+  | Sim.Stats.Hist h -> h
   | Counter _ | Keyed _ ->
       invalid_arg (Printf.sprintf "Registry.hist: %s is not a histogram" path)
 
@@ -56,9 +54,10 @@ let totals regs =
   List.iter
     (fun r ->
       List.iter
-        (fun (path, m) ->
+        (fun m ->
           match m with
-          | Counter c ->
+          | Sim.Stats.Counter c ->
+              let path = Sim.Stats.name m in
               let cur = Option.value ~default:0 (Hashtbl.find_opt acc path) in
               Hashtbl.replace acc path (cur + Sim.Stats.value c)
           | Keyed _ | Hist _ -> ())
@@ -73,7 +72,7 @@ let totals regs =
    its unit in its path ("atomicity/commit_ms"), and the others hold
    queue depths and batch sizes. *)
 let metric_json = function
-  | Counter c -> Export.int (Sim.Stats.value c)
+  | Sim.Stats.Counter c -> Export.int (Sim.Stats.value c)
   | Keyed k ->
       Export.Obj
         (List.map (fun (key, v) -> (string_of_int key, Export.int v)) (Sim.Stats.kitems k))
@@ -93,7 +92,8 @@ let snapshot_json regs =
       [
         ("node", Export.Str t.label);
         ( "metrics",
-          Export.Obj (List.map (fun (path, m) -> (path, metric_json m)) t.items) );
+          Export.Obj
+            (List.map (fun m -> (Sim.Stats.name m, metric_json m)) t.items) );
       ]
   in
   Export.to_string (Export.Arr (List.map node regs))

@@ -2,37 +2,32 @@
 
     Unifies the [Sim.Stats] counters, keyed families and histograms
     scattered across components into one named tree: each
-    component exposes its live handles as [(path, metric)] pairs, a
-    registry per node collects them, and a snapshot renders the
-    whole forest as deterministic JSON (sorted keys, fixed float
-    format).  Building one is cheap and a snapshot only reads —
-    the hot paths keep bumping the same [Sim.Stats] values they
-    always did.
+    component exposes its live handles as a [Sim.Stats.metric list],
+    each handle named by its slash-separated path
+    ({!Sim.Stats.name}, e.g. ["ratp/retrans"]), a registry per node
+    collects them, and a snapshot renders the whole forest as
+    deterministic JSON (sorted keys, fixed float format).  Building
+    one is cheap and a snapshot only reads — the hot paths keep
+    bumping the same [Sim.Stats] values they always did.
 
     A component's [metrics] list is the only way to read its
     counters: {!count} and {!hist} look one path up in it. *)
 
-type metric =
-  | Counter of Sim.Stats.counter
-  | Keyed of Sim.Stats.keyed
-  | Hist of Sim.Stats.hist
-
 type t
 
-val make : string -> (string * metric) list -> t
+val make : string -> Sim.Stats.metric list -> t
 (** [make label metrics] is the registry of one owner, e.g.
-    ["data-3"], holding every [(path, metric)] pair at its
-    slash-separated path, e.g. ["ratp/retrans"].  Raises
+    ["data-3"], holding every handle at its path.  Raises
     [Invalid_argument] naming a path the list holds twice, so two
     components that publish the same path cannot silently drop one
     from every export. *)
 
-val count : (string * metric) list -> string -> int
+val count : Sim.Stats.metric list -> string -> int
 (** [count metrics path] is the value of the counter at [path] in a
     component's [metrics] list.  Raises [Invalid_argument] naming
     [path] if the list has no such path or it is not a counter. *)
 
-val hist : (string * metric) list -> string -> Sim.Stats.hist
+val hist : Sim.Stats.metric list -> string -> Sim.Stats.hist
 (** As {!count}, for the histogram at [path]. *)
 
 val totals : t list -> (string * int) list

@@ -1,7 +1,7 @@
 type t = {
   lock : Sim.Mutex.t;
   mutable last : int option;
-  mutable switches : int;
+  switches : Sim.Stats.counter;
   mutable active : int;
 }
 
@@ -12,7 +12,7 @@ let create () =
   {
     lock = Sim.Mutex.create ~label:"cpu" ();
     last = None;
-    switches = 0;
+    switches = Sim.Stats.counter "cpu/switches";
     active = 0;
   }
 
@@ -25,7 +25,7 @@ let rec consume_slices t ~key span =
   Sim.Mutex.with_lock t.lock (fun () ->
       let switching = match t.last with Some k -> k <> key | None -> true in
       if switching then begin
-        t.switches <- t.switches + 1;
+        Sim.Stats.incr t.switches;
         Sim.sleep Params.context_switch
       end;
       t.last <- Some key;
@@ -42,5 +42,5 @@ let consume t ~key span =
     ~finally:(fun () -> t.active <- t.active - 1)
     (fun () -> consume_slices t ~key span)
 
-let switches t = t.switches
+let metrics t = [ Sim.Stats.Counter t.switches ]
 let load t = t.active

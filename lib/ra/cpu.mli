@@ -18,8 +18,8 @@ val consume : t -> key:int -> Sim.Time.span -> unit
     CPU first.  Charges a context switch when [key] differs from the
     previous occupant. *)
 
-val switches : t -> int
-(** Context switches charged so far. *)
+val metrics : t -> Sim.Stats.metric list
+(** [cpu/switches]: context switches charged so far. *)
 
 val load : t -> int
 (** Schedulable entities currently running on or waiting for this

@@ -37,9 +37,9 @@ type t = {
   poisoned : (Sysname.t * int, unit) Hashtbl.t;
   mutable hook : (Sysname.t -> int -> Partition.mode -> unit) option;
   mutable twin_clock : int;  (* allocator for [base_stamp] *)
-  mutable faults : int;
-  mutable upgrades : int;
-  mutable evictions : int;
+  faults : Sim.Stats.counter;
+  upgrades : Sim.Stats.counter;
+  evictions : Sim.Stats.counter;
 }
 
 let create ?(max_frames = max_int) ~cpu () =
@@ -55,9 +55,9 @@ let create ?(max_frames = max_int) ~cpu () =
     poisoned = Hashtbl.create 8;
     hook = None;
     twin_clock = 0;
-    faults = 0;
-    upgrades = 0;
-    evictions = 0;
+    faults = Sim.Stats.counter "mmu/faults";
+    upgrades = Sim.Stats.counter "mmu/upgrades";
+    evictions = Sim.Stats.counter "mmu/evictions";
   }
 
 let set_resolver t resolver = t.resolver <- resolver
@@ -109,7 +109,7 @@ let evict_one t =
       (match Hashtbl.find_opt t.frames key with
       | Some f when f == frame && f.last_used = used ->
           Hashtbl.remove t.frames key;
-          t.evictions <- t.evictions + 1
+          Sim.Stats.incr t.evictions
       | Some _ | None -> ())
 
 let make_room t =
@@ -152,8 +152,8 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
             (fun () ->
               let self = Sim.self () in
               Cpu.consume t.cpu ~key:self Params.fault_trap;
-              t.faults <- t.faults + 1;
-              if existing <> None then t.upgrades <- t.upgrades + 1;
+              Sim.Stats.incr t.faults;
+              if existing <> None then Sim.Stats.incr t.upgrades;
               let partition = t.resolver seg in
               let fetched = partition.Partition.fetch ~seg ~page ~mode:need in
               let frame =
@@ -368,7 +368,6 @@ let clear t =
   Hashtbl.reset t.inflight;
   Hashtbl.reset t.poisoned
 
-let faults t = t.faults
-let upgrades t = t.upgrades
-let evictions t = t.evictions
+let metrics t =
+  Sim.Stats.[ Counter t.faults; Counter t.upgrades; Counter t.evictions ]
 let resident_frames t = Hashtbl.length t.frames

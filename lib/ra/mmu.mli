@@ -118,11 +118,11 @@ val drop_segment : t -> Sysname.t -> unit
 val clear : t -> unit
 (** Drop all frames (machine crash: volatile contents are lost). *)
 
-val faults : t -> int
-val upgrades : t -> int
-
-val evictions : t -> int
-(** Frames evicted to make room (see [max_frames]). *)
+val metrics : t -> Sim.Stats.metric list
+(** [mmu/faults] (page faults serviced through a partition),
+    [mmu/upgrades] (those that upgraded a resident read frame to
+    write) and [mmu/evictions] (frames evicted to make room, see
+    [max_frames]). *)
 
 val resident_frames : t -> int
 (** Frames currently held. *)

@@ -4,11 +4,12 @@ type mapping = {
   base : int;
   len : int;
   seg : Sysname.t;
-  seg_off : int;
   prot : prot;
 }
 
-type t = { mutable maps : mapping list (* sorted by base *) }
+(* each mapping with the offset of its window within the segment,
+   sorted by base *)
+type t = { mutable maps : (mapping * int) list }
 
 let create () = { maps = [] }
 
@@ -23,27 +24,32 @@ let map t ~base ~len ?(seg_off = 0) ~prot seg =
     invalid_arg "Virtual_space.map: unaligned mapping";
   if seg_off < 0 || not (aligned seg_off) then
     invalid_arg "Virtual_space.map: bad segment offset";
-  let m = { base; len; seg; seg_off; prot } in
-  if List.exists (overlaps m) t.maps then
+  let m = { base; len; seg; prot } in
+  if List.exists (fun (o, _) -> overlaps m o) t.maps then
     invalid_arg "Virtual_space.map: overlapping mapping";
-  t.maps <- List.sort (fun a b -> Int.compare a.base b.base) (m :: t.maps)
+  t.maps <-
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a.base b.base)
+      ((m, seg_off) :: t.maps)
 
 let unmap t ~base =
-  if not (List.exists (fun m -> m.base = base) t.maps) then raise Not_found;
-  t.maps <- List.filter (fun m -> m.base <> base) t.maps
+  if not (List.exists (fun (m, _) -> m.base = base) t.maps) then
+    raise Not_found;
+  t.maps <- List.filter (fun (m, _) -> m.base <> base) t.maps
 
 let translate t addr =
   let rec find = function
     | [] -> None
-    | m :: rest ->
+    | (m, seg_off) :: rest ->
         if addr >= m.base && addr < m.base + m.len then
-          Some (m, m.seg_off + (addr - m.base))
+          Some (m, seg_off + (addr - m.base))
         else find rest
   in
   find t.maps
 
 let segments t =
   List.fold_left
-    (fun acc m -> if List.exists (Sysname.equal m.seg) acc then acc else m.seg :: acc)
+    (fun acc (m, _) ->
+      if List.exists (Sysname.equal m.seg) acc then acc else m.seg :: acc)
     [] t.maps
   |> List.rev

@@ -12,7 +12,6 @@ type mapping = {
   base : int;  (** first virtual address; page-aligned *)
   len : int;  (** bytes; page-aligned *)
   seg : Sysname.t;
-  seg_off : int;  (** offset of the window within the segment *)
   prot : prot;
 }
 
@@ -22,8 +21,9 @@ val create : unit -> t
 
 val map :
   t -> base:int -> len:int -> ?seg_off:int -> prot:prot -> Sysname.t -> unit
-(** Add a mapping.  Raises [Invalid_argument] on overlap or
-    misalignment. *)
+(** Add a mapping: a window onto [Sysname.t] starting [seg_off]
+    bytes (default 0, page-aligned) into the segment.  Raises
+    [Invalid_argument] on overlap or misalignment. *)
 
 val unmap : t -> base:int -> unit
 (** Remove the mapping starting at [base].  Raises [Not_found] if

@@ -94,14 +94,15 @@ type t = {
 let server_cache_size t = Tid_table.length t.servers
 
 let metrics t =
-  [
-    ("ratp/retrans", Obs.Registry.Counter t.retrans);
-    ("ratp/retrans_bytes", Obs.Registry.Counter t.retrans_bytes);
-    ("ratp/nacks", Obs.Registry.Counter t.nacks);
-    ("ratp/transactions", Obs.Registry.Counter t.completed);
-    ("ratp/retrans_by", Obs.Registry.Keyed t.retrans_by);
-    ("ratp/nacks_by", Obs.Registry.Keyed t.nacks_by);
-  ]
+  Sim.Stats.
+    [
+      Counter t.retrans;
+      Counter t.retrans_bytes;
+      Counter t.nacks;
+      Counter t.completed;
+      Keyed t.retrans_by;
+      Keyed t.nacks_by;
+    ]
 
 (* --- adaptive retransmission timeout -------------------------------- *)
 
@@ -465,12 +466,12 @@ let create ether ~addr ?group ?(config = default_config) () =
       servers = Tid_table.create 16;
       services = Hashtbl.create 8;
       rto = Hashtbl.create 8;
-      retrans = Sim.Stats.counter "ratp.retrans";
-      retrans_bytes = Sim.Stats.counter "ratp.retrans_bytes";
-      nacks = Sim.Stats.counter "ratp.nacks";
-      completed = Sim.Stats.counter "ratp.transactions";
-      retrans_by = Sim.Stats.keyed "ratp.retrans";
-      nacks_by = Sim.Stats.keyed "ratp.nacks";
+      retrans = Sim.Stats.counter "ratp/retrans";
+      retrans_bytes = Sim.Stats.counter "ratp/retrans_bytes";
+      nacks = Sim.Stats.counter "ratp/nacks";
+      completed = Sim.Stats.counter "ratp/transactions";
+      retrans_by = Sim.Stats.keyed "ratp/retrans_by";
+      nacks_by = Sim.Stats.keyed "ratp/nacks_by";
       rx_pid = 0;
     }
   in

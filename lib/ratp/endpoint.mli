@@ -108,7 +108,7 @@ val peer_stats : t -> peer_stats list
     {!Sim.Stats.keyed}) beside the learned RTO.  Lets an experiment
     attribute retransmissions to the peer that caused them. *)
 
-val metrics : t -> (string * Obs.Registry.metric) list
+val metrics : t -> Sim.Stats.metric list
 (** Live metric handles under ["ratp/"] paths, for a per-node
     {!Obs.Registry}: ["ratp/retrans"] (request retransmissions, all
     transactions, probes included), ["ratp/retrans_bytes"] (payload

@@ -73,9 +73,9 @@ let stddev s =
     sqrt (sq /. float_of_int (s.count - 1))
   end
 
-type counter = { c_name : string; mutable v : int }
+type counter = { c_path : string; mutable v : int }
 
-let counter c_name = { c_name; v = 0 }
+let counter c_path = { c_path; v = 0 }
 let incr c = c.v <- c.v + 1
 let incr_by c k = c.v <- c.v + k
 let value c = c.v
@@ -85,9 +85,9 @@ let value c = c.v
    destination that caused them.  Reads are sorted by key so reports
    and JSON stay deterministic regardless of hash order. *)
 
-type keyed = { k_name : string; tbl : (int, int) Hashtbl.t }
+type keyed = { k_path : string; tbl : (int, int) Hashtbl.t }
 
-let keyed k_name = { k_name; tbl = Hashtbl.create 8 }
+let keyed k_path = { k_path; tbl = Hashtbl.create 8 }
 
 let kadd k key n =
   let v = match Hashtbl.find_opt k.tbl key with Some v -> v | None -> 0 in
@@ -129,7 +129,7 @@ let h_buckets =
   int_of_float (ceil (log (h_hi_edge /. h_lo_edge) /. h_log_ratio)) + 1
 
 type hist = {
-  h_name : string;
+  h_path : string;
   buckets : int array; (* buckets.(0) also holds samples <= lo_edge *)
   mutable h_count : int;
   mutable h_sum : float;
@@ -137,9 +137,9 @@ type hist = {
   mutable h_max : float;
 }
 
-let hist h_name =
+let hist h_path =
   {
-    h_name;
+    h_path;
     buckets = Array.make h_buckets 0;
     h_count = 0;
     h_sum = 0.0;
@@ -200,3 +200,9 @@ let hist_percentile h p =
     else !ans
   end
 
+type metric = Counter of counter | Keyed of keyed | Hist of hist
+
+let name = function
+  | Counter c -> c.c_path
+  | Keyed k -> k.k_path
+  | Hist h -> h.h_path

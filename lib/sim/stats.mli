@@ -2,7 +2,12 @@
 
     A [series] accumulates scalar samples (typically durations in
     milliseconds) and reports summary statistics.  A [counter] counts
-    discrete events (page faults, messages, retransmissions). *)
+    discrete events (page faults, messages, retransmissions).
+
+    A counter, keyed family or histogram is named by its metrics
+    registry path, e.g. ["ratp/retrans"]: the one name any export
+    prints it under.  A component publishes its handles as a
+    [metric list] ({!Obs.Registry} reads one path out of it). *)
 
 type series
 
@@ -36,6 +41,8 @@ val stddev : series -> float
 type counter
 
 val counter : string -> counter
+(** A fresh counter at zero, named by its registry path. *)
+
 val incr : counter -> unit
 val incr_by : counter -> int -> unit
 val value : counter -> int
@@ -46,7 +53,8 @@ type keyed
     can be attributed to the peer that caused them. *)
 
 val keyed : string -> keyed
-(** A fresh, empty keyed counter family with a display name. *)
+(** A fresh, empty keyed counter family, named by its registry
+    path. *)
 
 val kincr : keyed -> int -> unit
 
@@ -65,7 +73,8 @@ type hist
     samples. *)
 
 val hist : string -> hist
-(** A fresh, empty histogram with a display name. *)
+(** A fresh, empty histogram, named by its registry path (a time
+    histogram names its unit there, e.g. ["atomicity/commit_ms"]). *)
 
 val hadd : hist -> float -> unit
 (** Record one sample.  Negative or zero samples land in the lowest
@@ -91,3 +100,9 @@ val hist_percentile : hist -> float -> float
     of the bucket holding the rank-[p] sample (same rank convention
     as {!percentile}), clamped into [[min, max]]; ≤1% relative error
     vs the exact series.  0.0 on an empty histogram. *)
+
+type metric = Counter of counter | Keyed of keyed | Hist of hist
+(** One published handle, as a component's [metrics] list holds it. *)
+
+val name : metric -> string
+(** The path the handle was created with. *)

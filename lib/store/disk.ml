@@ -32,10 +32,10 @@ let create ?(config = default_config) label =
     lock = Sim.Mutex.create ~label ();
     queued = 0;
     at_tail = false;
-    ops_c = Sim.Stats.counter (label ^ ".ops");
-    bytes_c = Sim.Stats.counter (label ^ ".bytes");
-    busy_us = Sim.Stats.counter (label ^ ".busy_us");
-    qdepth = Sim.Stats.hist (label ^ ".queue_depth");
+    ops_c = Sim.Stats.counter "disk/ops";
+    bytes_c = Sim.Stats.counter "disk/bytes";
+    busy_us = Sim.Stats.counter "disk/busy_us";
+    qdepth = Sim.Stats.hist "disk/queue_depth";
   }
 
 (* [positioning] is charged under the device lock, at service time,
@@ -77,9 +77,10 @@ let append t ~bytes =
       pos)
 
 let metrics t =
-  [
-    ("disk/ops", Obs.Registry.Counter t.ops_c);
-    ("disk/bytes", Obs.Registry.Counter t.bytes_c);
-    ("disk/busy_us", Obs.Registry.Counter t.busy_us);
-    ("disk/queue_depth", Obs.Registry.Hist t.qdepth);
-  ]
+  Sim.Stats.
+    [
+      Counter t.ops_c;
+      Counter t.bytes_c;
+      Counter t.busy_us;
+      Hist t.qdepth;
+    ]

@@ -40,7 +40,7 @@ val append : t -> bytes:int -> unit
     when the previous operation was also an append, plus the same
     size-proportional transfer as {!write}. *)
 
-val metrics : t -> (string * Obs.Registry.metric) list
+val metrics : t -> Sim.Stats.metric list
 (** [disk/ops] (operations performed), [disk/bytes], [disk/busy_us]
     (accumulated device busy time, in microseconds) and
     [disk/queue_depth] (queue depth sampled at each request arrival,

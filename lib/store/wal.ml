@@ -65,11 +65,11 @@ let create ?group_commit ?spawn disk =
     armed = false;
     flushing = false;
     waiters = [];
-    appended_c = Sim.Stats.counter "wal.records";
-    flushes_c = Sim.Stats.counter "wal.flushes";
-    batch_h = Sim.Stats.hist "wal.flush_batch";
-    checkpoints_c = Sim.Stats.counter "wal.checkpoints";
-    truncated_c = Sim.Stats.counter "wal.truncated";
+    appended_c = Sim.Stats.counter "wal/records";
+    flushes_c = Sim.Stats.counter "wal/flushes";
+    batch_h = Sim.Stats.hist "wal/flush_batch";
+    checkpoints_c = Sim.Stats.counter "wal/checkpoints";
+    truncated_c = Sim.Stats.counter "wal/truncated";
   }
 
 let group_commit t = t.gc <> None
@@ -366,10 +366,11 @@ let recover t store ~applied =
 (* --- metrics --------------------------------------------------------- *)
 
 let metrics t =
-  [
-    ("wal/records", Obs.Registry.Counter t.appended_c);
-    ("wal/flushes", Obs.Registry.Counter t.flushes_c);
-    ("wal/flush_batch", Obs.Registry.Hist t.batch_h);
-    ("wal/checkpoints", Obs.Registry.Counter t.checkpoints_c);
-    ("wal/truncated", Obs.Registry.Counter t.truncated_c);
-  ]
+  Sim.Stats.
+    [
+      Counter t.appended_c;
+      Counter t.flushes_c;
+      Hist t.batch_h;
+      Counter t.checkpoints_c;
+      Counter t.truncated_c;
+    ]

@@ -123,6 +123,6 @@ val recover :
 val truncate : t -> unit
 (** Discard the whole log unconditionally (tests). *)
 
-val metrics : t -> (string * Obs.Registry.metric) list
+val metrics : t -> Sim.Stats.metric list
 (** [wal/records], [wal/flushes], [wal/flush_batch] (records per
     group flush), [wal/checkpoints] and [wal/truncated]. *)

@@ -9,6 +9,9 @@ let check_bool = Alcotest.(check bool)
 
 let dsm server path = Obs.Registry.count (Dsm.Dsm_server.metrics server) path
 
+let mmu_faults node =
+  Obs.Registry.count (Ra.Mmu.metrics node.Ra.Node.mmu) "mmu/faults"
+
 (* A data server's 2PC participant, and its log. *)
 let participant server = Dsm.Dsm_server.participant server
 let wal server = Dsm.Participant.wal (participant server)
@@ -1252,12 +1255,12 @@ let test_read_shares_write_isolates () =
       Alcotest.(check string) "A reads" "oooo" (read an vs ~addr:0 ~len:4);
       (* probe the sharing: a byte poked into the stored image shows
          through A's frame without another fault *)
-      let faults = Ra.Mmu.faults an.Ra.Node.mmu in
+      let faults = mmu_faults an in
       Bytes.set image 0 'p';
       Alcotest.(check string) "A's frame is the stored image" "pooo"
         (read an vs ~addr:0 ~len:4);
       Bytes.set image 0 'o';
-      check_int "no refault" faults (Ra.Mmu.faults an.Ra.Node.mmu);
+      check_int "no refault" faults (mmu_faults an);
       write bn vs ~addr:0 "WW";
       Alcotest.(check string) "B sees its write" "WWoo"
         (read bn vs ~addr:0 ~len:4);
@@ -1359,7 +1362,7 @@ let test_read_fault_allocates_no_page () =
           (Ra.Mmu.read cl.n1.Ra.Node.mmu vs ~addr:(p * Ra.Page.size) ~len:1)
       done;
       let per_fault = (direct_major () -. before) /. float_of_int pages in
-      check_int "one fault per page" pages (Ra.Mmu.faults cl.n1.Ra.Node.mmu);
+      check_int "one fault per page" pages (mmu_faults cl.n1);
       if per_fault >= 512.0 then
         Alcotest.failf "%.0f major-heap words per read fault (bound 512)"
           per_fault)

@@ -81,7 +81,11 @@ let test_f2_shape () =
       check_bool "lcp < gcp" true (lcp.mean_ms < gcp.mean_ms);
       check_bool "s pays no locking" true (s.lock_rpcs = 0);
       check_bool "lcp locks locally only" true (lcp.lock_rpcs = 0);
-      check_bool "gcp pays global locking" true (gcp.lock_rpcs > 0)
+      check_bool "gcp pays global locking" true (gcp.lock_rpcs > 0);
+      (* a deposit reads, then writes: only gcp's global read lock
+         has to upgrade *)
+      check_bool "only gcp upgrades a lock" true
+        (s.lock_upgrades = 0 && lcp.lock_upgrades = 0 && gcp.lock_upgrades > 0)
   | _ -> Alcotest.fail "expected three modes");
   let latencies = List.map snd r.Experiments.F2_consistency.spans in
   let rec monotone = function

@@ -8,7 +8,7 @@ let test_scenario name () =
   let o = Faults.run name in
   Alcotest.(check (list string))
     (name ^ " invariants hold")
-    [] o.Faults.violations
+    [] (Faults.violations o)
 
 let test_deterministic () =
   List.iter

@@ -168,14 +168,11 @@ let test_json_printer () =
 (* Registry *)
 
 let test_registry_snapshot () =
-  let c = Sim.Stats.counter "hits" in
+  let c = Sim.Stats.counter "cache/hits" in
   Sim.Stats.incr_by c 7;
-  let h = Sim.Stats.hist "depth" in
+  let h = Sim.Stats.hist "disk/queue_depth" in
   List.iter (Sim.Stats.hadd h) [ 1.0; 2.0; 3.0 ];
-  let r =
-    Registry.make "node-0"
-      [ ("cache/hits", Registry.Counter c); ("disk/queue_depth", Registry.Hist h) ]
-  in
+  let r = Registry.make "node-0" Sim.Stats.[ Counter c; Hist h ] in
   let json = Registry.snapshot_json [ r ] in
   (match Export.parse json with
   | Ok (Export.Arr [ Export.Obj fields ]) -> (
@@ -289,12 +286,10 @@ let check_names_path what path f =
       Alcotest.(check bool) (what ^ " names " ^ path) true (contains msg path)
 
 let test_registry_lookup () =
-  let c = Sim.Stats.counter "hits" in
+  let c = Sim.Stats.counter "cache/hits" in
   Sim.Stats.incr_by c 3;
-  let h = Sim.Stats.hist "lat" in
-  let ms =
-    [ ("cache/hits", Registry.Counter c); ("cache/lat", Registry.Hist h) ]
-  in
+  let h = Sim.Stats.hist "cache/lat" in
+  let ms = Sim.Stats.[ Counter c; Hist h ] in
   check_int "count reads the counter" 3 (Registry.count ms "cache/hits");
   Alcotest.(check bool) "hist is the live handle" true
     (Registry.hist ms "cache/lat" == h);
@@ -305,7 +300,7 @@ let test_registry_lookup () =
   check_names_path "count of a histogram" "cache/lat" (fun () ->
       Registry.count ms "cache/lat");
   check_names_path "a path listed twice" "cache/hits" (fun () ->
-      Registry.make "node-0" (ms @ [ ("cache/hits", Registry.Counter c) ]))
+      Registry.make "node-0" (ms @ [ Sim.Stats.Counter c ]))
 
 (* Every registry a booted cluster exports holds each path once:
    [make] refuses a list that holds a path twice, so a collision between
@@ -352,6 +347,123 @@ let test_registry_paths_distinct () =
         [ "dsm/commits"; "disk/ops"; "disk/queue_depth"; "wal/records";
           "wal/flush_batch"; "ratp/retrans" ])
     data_paths
+
+(* A metric has one name: the path its handle was created with is the
+   key every snapshot prints it under.  The registries of a 2+2
+   cluster with atomicity installed hold exactly the handles of the
+   components [Telemetry] wires in, each named [layer/metric]; every
+   node's registry carries its MMU and CPU counters, and one remote
+   read fault on a compute node moves that node's [mmu/faults] by
+   one. *)
+let test_metric_name_is_path () =
+  (* ^[a-z]+(/[a-z_0-9]+)+$ *)
+  let well_formed name =
+    let all ok w = w <> "" && String.for_all ok w in
+    let lower c = c >= 'a' && c <= 'z' in
+    let part c = lower c || c = '_' || (c >= '0' && c <= '9') in
+    match String.split_on_char '/' name with
+    | layer :: (_ :: _ as rest) ->
+        all lower layer && List.for_all (all part) rest
+    | _ -> false
+  in
+  let nodes json =
+    match Export.parse json with
+    | Ok (Export.Arr regs) ->
+        List.map
+          (function
+            | Export.Obj fields -> (
+                match
+                  (List.assoc "node" fields, List.assoc "metrics" fields)
+                with
+                | Export.Str node, Export.Obj ms -> (node, ms)
+                | _ -> Alcotest.fail "registry without node or metrics")
+            | _ -> Alcotest.fail "registry is not an object")
+          regs
+    | Ok _ -> Alcotest.fail "snapshot is not an array"
+    | Error e -> Alcotest.failf "snapshot does not parse: %s" e
+  in
+  let expected, before, after, reader =
+    Sim.exec ~seed:3 (fun () ->
+        let eng = Sim.engine () in
+        let sys = Clouds.boot eng ~compute:2 ~data:2 ~workstations:0 () in
+        let cl = sys.Clouds.cluster in
+        let mgr = Atomicity.Manager.install sys.Clouds.om () in
+        let regs =
+          Clouds.Telemetry.registries ~om:sys.Clouds.om
+            ~extra:(Atomicity.Manager.metrics mgr) cl
+        in
+        let node kind (n : Ra.Node.t) role =
+          ( Printf.sprintf "%s-%d" kind n.Ra.Node.id,
+            Ratp.Endpoint.metrics n.Ra.Node.endpoint
+            @ Ra.Mmu.metrics n.Ra.Node.mmu
+            @ Ra.Cpu.metrics n.Ra.Node.cpu
+            @ role )
+        in
+        let expected =
+          ( "cluster",
+            Clouds.Object_manager.metrics sys.Clouds.om
+            @ Atomicity.Manager.metrics mgr )
+          :: (Array.to_list
+                (Array.mapi
+                   (fun i n ->
+                     node "data" n
+                       (Dsm.Dsm_server.metrics cl.Clouds.Cluster.servers.(i)))
+                   cl.Clouds.Cluster.data_nodes)
+             @ Array.to_list
+                 (Array.mapi
+                    (fun i n ->
+                      node "compute" n
+                        (Dsm.Dsm_client.metrics cl.Clouds.Cluster.clients.(i)))
+                    cl.Clouds.Cluster.compute_nodes))
+          |> List.map (fun (label, ms) -> (label, List.map Sim.Stats.name ms))
+        in
+        (* one read of a fresh page homed on a data server *)
+        let data_node = cl.Clouds.Cluster.data_nodes.(0) in
+        let seg = Ra.Sysname.fresh data_node.Ra.Node.names in
+        Store.Segment_store.create_segment
+          (Dsm.Dsm_server.store cl.Clouds.Cluster.servers.(0))
+          seg ~size:Ra.Page.size;
+        Clouds.Placement.place cl.Clouds.Cluster.placement seg
+          [ data_node.Ra.Node.id ];
+        let vs = Ra.Virtual_space.create () in
+        Ra.Virtual_space.map vs ~base:0 ~len:Ra.Page.size
+          ~prot:Ra.Virtual_space.Read_only seg;
+        let reader = cl.Clouds.Cluster.compute_nodes.(0) in
+        let before = Registry.snapshot_json regs in
+        ignore (Ra.Mmu.read reader.Ra.Node.mmu vs ~addr:0 ~len:8);
+        ( expected,
+          before,
+          Registry.snapshot_json regs,
+          Printf.sprintf "compute-%d" reader.Ra.Node.id ))
+  in
+  let before = nodes before and after = nodes after in
+  Alcotest.(check (list string))
+    "one registry per component set" (List.map fst expected)
+    (List.map fst after);
+  List.iter
+    (fun (label, names) ->
+      let keys = List.map fst (List.assoc label after) in
+      Alcotest.(check (list string))
+        (label ^ ": each handle's name is its snapshot key")
+        (List.sort String.compare names) keys;
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (k ^ " is layer/metric") true (well_formed k))
+        keys;
+      if label <> "cluster" then
+        List.iter
+          (fun path ->
+            Alcotest.(check bool) (label ^ " holds " ^ path) true
+              (List.mem path keys))
+          [ "mmu/faults"; "cpu/switches" ])
+    expected;
+  let faults snap =
+    match List.assoc_opt "mmu/faults" (List.assoc reader snap) with
+    | Some (Export.Num n) -> int_of_float n
+    | _ -> Alcotest.failf "%s has no mmu/faults counter" reader
+  in
+  check_int "one remote read fault, one mmu/faults" (faults before + 1)
+    (faults after)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: traced load cells *)
@@ -501,6 +613,8 @@ let () =
             test_registry_lookup;
           Alcotest.test_case "paths are distinct" `Quick
             test_registry_paths_distinct;
+          Alcotest.test_case "a metric's name is its path" `Quick
+            test_metric_name_is_path;
         ] );
       ( "end-to-end",
         [

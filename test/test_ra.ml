@@ -6,6 +6,8 @@ open Ra
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let mmu_count mmu path = Obs.Registry.count (Mmu.metrics mmu) path
+let switches cpu = Obs.Registry.count (Cpu.metrics cpu) "cpu/switches"
 
 (* ------------------------------------------------------------------ *)
 (* Sysname *)
@@ -151,13 +153,13 @@ let test_cpu_context_switch_accounting () =
         Cpu.consume cpu ~key:1 (Time.us 100);
         Cpu.consume cpu ~key:1 (Time.us 100);
         Cpu.consume cpu ~key:2 (Time.us 100);
-        (Cpu.switches cpu, Sim.now ()))
+        (switches cpu, Sim.now ()))
   in
   check_int "two switches" 2 switches;
   check_int "time = 3 work + 2 cs" (Time.us (300 + 280)) elapsed
 
 let test_cpu_serializes () =
-  let elapsed =
+  let switched, elapsed =
     Sim.exec (fun () ->
         let cpu = Cpu.create () in
         let done_ = Semaphore.create 0 in
@@ -170,9 +172,10 @@ let test_cpu_serializes () =
         for _ = 1 to 3 do
           Semaphore.acquire done_
         done;
-        Sim.now ())
+        (switches cpu, Sim.now ()))
   in
   (* each job is a new entity: three switches *)
+  check_int "three switches" 3 switched;
   check_int "three 1ms jobs serialize"
     (Time.ms 3 + (3 * Params.context_switch))
     elapsed
@@ -275,7 +278,7 @@ let test_mmu_write_marks_dirty_and_upgrade () =
       check_int "no dirty yet" 0 (List.length (Mmu.dirty_pages mmu seg));
       Mmu.write mmu vs ~addr:0 (Bytes.of_string "a");
       check_bool "write mode" true (Mmu.resident mmu seg 0 = Some Partition.Write);
-      check_int "one upgrade" 1 (Mmu.upgrades mmu);
+      check_int "one upgrade" 1 (mmu_count mmu "mmu/upgrades");
       check_int "dirty" 1 (List.length (Mmu.dirty_pages mmu seg)))
 
 let test_mmu_segv_and_protection () =
@@ -368,7 +371,7 @@ let test_mmu_eviction_lru () =
       ignore (Mmu.read mmu vs ~addr:0 ~len:1);
       ignore (Mmu.read mmu vs ~addr:(3 * Page.size) ~len:1);
       check_int "still three resident" 3 (Mmu.resident_frames mmu);
-      check_int "one eviction" 1 (Mmu.evictions mmu);
+      check_int "one eviction" 1 (mmu_count mmu "mmu/evictions");
       check_bool "page 1 (lru) evicted" true (Mmu.resident mmu seg 1 = None);
       check_bool "page 0 kept" true (Mmu.resident mmu seg 0 <> None);
       (* the evicted page refetches on demand *)
@@ -401,12 +404,13 @@ let test_mmu_eviction_mixed_clean_dirty () =
       Mmu.write mmu vs ~addr:Page.size (Bytes.of_string "dirty-1");
       ignore (Mmu.read mmu vs ~addr:(2 * Page.size) ~len:1);
       ignore (Mmu.read mmu vs ~addr:(3 * Page.size) ~len:1);
-      check_int "at budget, no evictions yet" 0 (Mmu.evictions mmu);
+      check_int "at budget, no evictions yet" 0 (mmu_count mmu "mmu/evictions");
       (* pages 4..7 displace 0..3 in LRU order *)
       for p = 4 to 7 do
         ignore (Mmu.read mmu vs ~addr:(p * Page.size) ~len:1)
       done;
-      check_int "every displaced frame counted" 4 (Mmu.evictions mmu);
+      check_int "every displaced frame counted" 4
+        (mmu_count mmu "mmu/evictions");
       check_int "still at the frame budget" 4 (Mmu.resident_frames mmu);
       for p = 0 to 3 do
         check_bool
@@ -474,7 +478,7 @@ let test_mmu_eviction_failed_writeback_keeps_frame () =
       check_bool "page 0 still resident" true
         (Mmu.resident mmu seg 0 = Some Partition.Write);
       check_bool "page 0 still dirty" true (Mmu.is_dirty mmu seg 0);
-      check_int "nothing evicted" 0 (Mmu.evictions mmu);
+      check_int "nothing evicted" 0 (mmu_count mmu "mmu/evictions");
       Alcotest.(check string)
         "bytes intact" "keep-me"
         (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:7)))

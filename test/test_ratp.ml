@@ -627,7 +627,8 @@ let test_rto_read_from_estimator () =
             (rto_ms < 50.0 && rto_ms >= 2.0)
       | _ -> Alcotest.fail "expected one clean entry for peer 2");
       List.iter
-        (fun (path, _) ->
+        (fun m ->
+          let path = Sim.Stats.name m in
           check_bool (path ^ " is no rto gauge") false
             (String.starts_with ~prefix:"ratp/rto" path))
         (Endpoint.metrics a))
