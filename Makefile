@@ -1,4 +1,4 @@
-.PHONY: all build test check size unused faults experiments smoke determinism bench-diff bench-baseline clean
+.PHONY: all build test check size unused faults experiments smoke determinism bench-diff bench-baseline perf-ab clean
 
 all: build
 
@@ -220,6 +220,23 @@ bench-diff:
 
 bench-baseline:
 	dune exec bench/main.exe -- --json && cp BENCH_core.json bench/BENCH_baseline.json
+
+# Host cost against another revision, in interleaved pairs (host CPU
+# time drifts too much between separate runs to resolve a 25% change):
+#   make perf-ab BASE=<rev> W=<workload> N=<pairs>
+# builds clouds_perf from `git archive BASE` under _build/perf-ab and
+# hands both binaries to bench/perf_ab.sh.
+BASE ?= HEAD
+W ?= commit
+N ?= 8
+
+perf-ab:
+	dune build bench/perf/clouds_perf.exe
+	rm -rf _build/perf-ab && mkdir -p _build/perf-ab
+	git archive $(BASE) | tar -x -C _build/perf-ab
+	cd _build/perf-ab && DUNE_CACHE=disabled dune build --root . bench/perf/clouds_perf.exe
+	sh bench/perf_ab.sh _build/perf-ab/_build/default/bench/perf/clouds_perf.exe \
+	  _build/default/bench/perf/clouds_perf.exe $(W) $(N)
 
 clean:
 	dune clean

@@ -376,8 +376,5 @@ let start_membership t ?config () =
           remap_ring t v);
       m
 
-let stop_membership t =
-  match t.state.membership with
-  | Some m -> Membership.Monitor.stop m
-  | None -> ()
+let membership t = t.state.membership
 

@@ -153,11 +153,12 @@ val start_membership :
 (** Host a heartbeat monitor on the first compute server, watching
     every other node, and push each new view into all DSM servers
     (suspect lifetime) and the placement ring ({!remap_ring}).
-    Idempotent.  The caller must {!stop_membership} before the end of
-    the simulation or the periodic processes keep the engine alive
-    forever. *)
+    Idempotent.  The caller must {!Membership.Monitor.stop} it before
+    the end of the simulation or the periodic processes keep the
+    engine alive forever. *)
 
-val stop_membership : t -> unit
+val membership : t -> Membership.Monitor.t option
+(** The monitor {!start_membership} started, if any. *)
 
 val remap_ring : t -> Membership.Monitor.view -> unit
 (** Fold a membership view into the placement ring: rebuild it over

@@ -1,8 +1,9 @@
 (* Build the cluster's metric registries: one per node (transport,
    MMU and CPU, plus its DSM role) and one cluster-wide (object
-   manager and whatever extra handles the caller wires in, e.g. the
-   atomicity layer's — a layer above this library).  Registries hold live
-   handles, so build them once and snapshot whenever. *)
+   manager, membership monitor once started, and whatever extra
+   handles the caller wires in, e.g. the atomicity layer's — a layer
+   above this library).  Registries hold live handles, so build them
+   once and snapshot whenever. *)
 
 let node_registry label (node : Ra.Node.t) role_metrics =
   Obs.Registry.make label
@@ -35,6 +36,9 @@ let registries ?om ?(extra = []) (cl : Cluster.t) =
   let cluster =
     Obs.Registry.make "cluster"
       ((match om with Some om -> Object_manager.metrics om | None -> [])
+      @ (match Cluster.membership cl with
+        | Some m -> Membership.Monitor.metrics m
+        | None -> [])
       @ extra)
   in
   (cluster :: data) @ compute

@@ -5,8 +5,10 @@
     CPU's context switches, plus its DSM role (server on
     data nodes, client on compute nodes) — into one {!Obs.Registry}
     per node, with a ["cluster"] registry for node-independent
-    metrics (the object manager's, plus any [extra] handles a layer
-    above this library wires in, e.g. atomicity). *)
+    metrics (the object manager's, the membership monitor's once
+    {!Cluster.start_membership} has run, plus any [extra] handles a
+    layer above this library wires in, e.g. atomicity or the
+    {!Replicator}). *)
 
 val registries :
   ?om:Object_manager.t ->

@@ -6,22 +6,56 @@ type waiter = {
 }
 
 type entry = {
+  hash : int;  (* the segment's hash in [Ra.Sysname.Table] *)
+  born : int;  (* entries created before this one *)
   mutable readers : Protocol.txn_id list;
   mutable writer : Protocol.txn_id option;
   mutable queue : waiter list;  (* FIFO; inactive entries are skipped *)
 }
 
-type t = { entries : entry Ra.Sysname.Table.t }
+(* [entries] is never shrunk.  [by_txn] lists, per transaction, every
+   entry it has held or queued on since its last {!release_txn}: a
+   superset of what that release has to touch. *)
+type t = {
+  entries : entry Ra.Sysname.Table.t;
+  mutable buckets : int;  (* [entries]'s bucket count *)
+  by_txn : (Protocol.txn_id, entry list) Hashtbl.t;
+}
 
-let create () = { entries = Ra.Sysname.Table.create 32 }
+let initial_buckets = 32
+
+let create () =
+  {
+    entries = Ra.Sysname.Table.create initial_buckets;
+    buckets = initial_buckets;
+    by_txn = Hashtbl.create 32;
+  }
 
 let entry_of t seg =
   match Ra.Sysname.Table.find_opt t.entries seg with
   | Some e -> e
   | None ->
-      let e = { readers = []; writer = None; queue = [] } in
+      let born = Ra.Sysname.Table.length t.entries in
+      let e =
+        {
+          hash = Hashtbl.hash (seg : Ra.Sysname.t);
+          born;
+          readers = [];
+          writer = None;
+          queue = [];
+        }
+      in
       Ra.Sysname.Table.replace t.entries seg e;
+      (* the table doubles its buckets once it holds more than two
+         bindings per bucket *)
+      if born + 1 > 2 * t.buckets then t.buckets <- 2 * t.buckets;
       e
+
+let involve t txn e =
+  match Hashtbl.find_opt t.by_txn txn with
+  | None -> Hashtbl.replace t.by_txn txn [ e ]
+  | Some es ->
+      if not (List.memq e es) then Hashtbl.replace t.by_txn txn (e :: es)
 
 let txn_eq ((n, s) : Protocol.txn_id) ((n', s') : Protocol.txn_id) =
   Int.equal n n' && Int.equal s s'
@@ -74,6 +108,7 @@ let acquire t seg txn kind =
               || no_queue)
   in
   if immediate then begin
+    involve t txn e;
     (match kind with
     | Protocol.R ->
         if (not holds_writer) && not (is_reader e txn) then
@@ -88,6 +123,7 @@ let acquire t seg txn kind =
   else
     Sim.suspend "seg-lock" (fun wake ->
         let w = { w_txn = txn; w_kind = kind; w_active = true; wake } in
+        involve t txn e;
         e.queue <- e.queue @ [ w ])
 
 let holds t seg txn =
@@ -99,27 +135,44 @@ let holds t seg txn =
       else if is_reader e txn then Some Protocol.R
       else None
 
+(* Release [txn] on one entry: drop its hold, cancel its queued
+   requests, and grant whoever is now compatible. *)
+let release_entry txn e =
+  let held =
+    is_reader e txn
+    || (match e.writer with Some w -> txn_eq w txn | None -> false)
+  in
+  e.readers <- List.filter (fun r -> not (txn_eq r txn)) e.readers;
+  (match e.writer with
+  | Some w when txn_eq w txn -> e.writer <- None
+  | Some _ | None -> ());
+  let cancelled =
+    List.filter (fun w -> w.w_active && txn_eq w.w_txn txn) e.queue
+  in
+  List.iter
+    (fun w ->
+      w.w_active <- false;
+      ignore (w.wake `Cancelled))
+    cancelled;
+  if held || cancelled <> [] then drain e
+
+(* The entries [txn] is involved in, released in the order a walk of
+   the whole table would visit them, since each grant schedules a
+   wake-up: bucket by bucket ([hash] masked by the bucket count), and
+   within a bucket newest first (a binding is inserted at its bucket's
+   head, and a resize keeps each bucket's order). *)
 let release_txn t txn =
-  Ra.Sysname.Table.iter
-    (fun _seg e ->
-      let held =
-        is_reader e txn
-        || (match e.writer with Some w -> txn_eq w txn | None -> false)
+  match Hashtbl.find_opt t.by_txn txn with
+  | None -> ()
+  | Some es ->
+      Hashtbl.remove t.by_txn txn;
+      let mask = t.buckets - 1 in
+      let walk a b =
+        match Int.compare (a.hash land mask) (b.hash land mask) with
+        | 0 -> Int.compare b.born a.born
+        | c -> c
       in
-      e.readers <- List.filter (fun r -> not (txn_eq r txn)) e.readers;
-      (match e.writer with
-      | Some w when txn_eq w txn -> e.writer <- None
-      | Some _ | None -> ());
-      let cancelled =
-        List.filter (fun w -> w.w_active && txn_eq w.w_txn txn) e.queue
-      in
-      List.iter
-        (fun w ->
-          w.w_active <- false;
-          ignore (w.wake `Cancelled))
-        cancelled;
-      if held || cancelled <> [] then drain e)
-    t.entries
+      List.iter (release_entry txn) (List.sort walk es)
 
 let queue_length t seg =
   match Ra.Sysname.Table.find_opt t.entries seg with

@@ -120,8 +120,11 @@ let run_arm ~seed ~ops (a : arm) =
       in
       let cl = sys.Clouds.cluster in
       let mon = Cl.start_membership cl ~config:mon_config () in
-      Fun.protect ~finally:(fun () -> Cl.stop_membership cl) @@ fun () ->
+      Fun.protect ~finally:(fun () -> M.stop mon) @@ fun () ->
       let repl = Clouds.Replicator.install cl mon in
+      let registries =
+        Clouds.Telemetry.registries ~extra:(Clouds.Replicator.metrics repl) cl
+      in
       (* segment i homes at data server i+1, so kill-1 hits seg 0's
          primary while seg 1 keeps its primary up (mixed traffic) *)
       let segs =
@@ -294,9 +297,7 @@ let run_arm ~seed ~ops (a : arm) =
         unavail_ms;
         reheal_ms;
         pages_copied =
-          Obs.Registry.count
-            (Clouds.Replicator.metrics repl)
-            "repl/pages_copied";
+          List.assoc "repl/pages_copied" (Obs.Registry.totals registries);
         lost_segments;
         lost_writes = !lost_writes;
         final_epoch = M.epoch mon;

@@ -46,6 +46,7 @@ type t = {
   bursts : (Address.t * Address.t, int ref) Hashtbl.t;
   cuts : (Address.t * Address.t, unit) Hashtbl.t;
   mutable filter : filter option;
+  mutable quiet : bool;  (* see [refresh] *)
   mutable dropped : int;
   mutable duplicated : int;
 }
@@ -59,17 +60,32 @@ let create eng rng =
     bursts = Hashtbl.create 8;
     cuts = Hashtbl.create 8;
     filter = None;
+    quiet = true;
     dropped = 0;
     duplicated = 0;
   }
 
+(* [quiet]: no cut, no per-link profile, no filter, a pristine default
+   and no burst in progress, so [plan] delivers every frame once on
+   time without drawing from the RNG.  Only the setters below can end
+   it, and each recomputes it; a burst only starts when it is false. *)
+let refresh t =
+  t.quiet <-
+    Hashtbl.length t.cuts = 0
+    && Hashtbl.length t.links = 0
+    && Option.is_none t.filter
+    && t.default_profile = pristine
+    && Hashtbl.fold (fun _ b idle -> idle && !b = 0) t.bursts true
+
 let set_default t p =
   check_profile p;
-  t.default_profile <- p
+  t.default_profile <- p;
+  refresh t
 
 let set_link t a b p =
   check_profile p;
-  Hashtbl.replace t.links (a, b) p
+  Hashtbl.replace t.links (a, b) p;
+  refresh t
 
 let set_link_both t a b p =
   set_link t a b p;
@@ -77,18 +93,28 @@ let set_link_both t a b p =
 
 let set_drop_probability t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Fault.set_drop_probability";
-  t.default_profile <- { t.default_profile with drop = p }
+  t.default_profile <- { t.default_profile with drop = p };
+  refresh t
 
-let set_filter t f = t.filter <- Some f
-let clear_filter t = t.filter <- None
+let set_filter t f =
+  t.filter <- Some f;
+  refresh t
 
-let cut t a b = Hashtbl.replace t.cuts (a, b) ()
+let clear_filter t =
+  t.filter <- None;
+  refresh t
+
+let cut t a b =
+  Hashtbl.replace t.cuts (a, b) ();
+  refresh t
 
 let cut_both t a b =
   cut t a b;
   cut t b a
 
-let heal t a b = Hashtbl.remove t.cuts (a, b)
+let heal t a b =
+  Hashtbl.remove t.cuts (a, b);
+  refresh t
 
 let heal_both t a b =
   heal t a b;
@@ -119,9 +145,8 @@ let burst_state t key =
       Hashtbl.replace t.bursts key r;
       r
 
-(* The delays (in extra time past normal arrival) of every copy of
-   the frame to deliver; [] means the frame is lost. *)
-let plan t ~src ~dst frame =
+(* [plan] while some fault may apply. *)
+let faulty_plan t ~src ~dst frame =
   let key = (src, dst) in
   let drop () =
     t.dropped <- t.dropped + 1;
@@ -161,6 +186,13 @@ let plan t ~src ~dst frame =
         end
         else [ extra ]
       end
+
+let on_time = [ 0 ]
+
+(* The delays (in extra time past normal arrival) of every copy of
+   the frame to deliver; [] means the frame is lost. *)
+let plan t ~src ~dst frame =
+  if t.quiet then on_time else faulty_plan t ~src ~dst frame
 
 let drops t = t.dropped
 let duplicates t = t.duplicated

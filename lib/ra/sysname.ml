@@ -7,7 +7,9 @@ let compare a b =
   | 0 -> Int.compare a.local b.local
   | c -> c
 
-let hash t = Hashtbl.hash (t.node, t.local)
+(* The record hashes like the (node, local) pair it holds, so tables
+   keep their order, and no pair is built per lookup. *)
+let hash (t : t) = Hashtbl.hash t
 
 type gen = { g_node : int; mutable g_next : int }
 

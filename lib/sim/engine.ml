@@ -2,40 +2,58 @@ type pid = int
 
 exception Killed
 
-type proc = {
+(* What a scheduled event does when it fires.  A resumption carries
+   its continuation and value, so a sleep or a wake allocates one
+   event and no closure. *)
+type action =
+  | Nop  (* a cancelled ready-queue event *)
+  | Thunk of (unit -> unit)
+  | Start of proc * (unit -> unit)
+  | Resume : proc * ('a, unit) Effect.Deep.continuation * 'a -> action
+  | Abort : proc * ('a, unit) Effect.Deep.continuation -> action
+
+(* [pos] is the event's heap slot, [in_ready] while it waits in the
+   ready queue, or [gone] once it has fired or been cancelled. *)
+and event = {
+  time : Time.t;
+  order : int;
+  mutable pos : int;
+  mutable act : action;
+}
+
+(* Where a process is parked: what [kill] has to undo.  [Running]
+   also covers a process not started yet and one woken but not
+   resumed yet: neither has anything to cancel. *)
+and wait =
+  | Running
+  | Sleeping of event  (* its [Resume] event *)
+  | Suspended : ('a, unit) Effect.Deep.continuation -> wait
+
+and proc = {
   pid : int;
   name : string;
   group : int option;
   mutable alive : bool;
-  mutable cancel : (unit -> unit) option;
+  mutable wait : wait;
   mutable on_term : (unit -> unit) list;
-}
-
-type event = {
-  time : Time.t;
-  order : int;
-  mutable pos : int;  (* heap slot, or -1 once fired or cancelled *)
-  thunk : unit -> unit;
 }
 
 type timer = event
 
-(* The event queue is an indexed binary heap specialized to events:
-   the (time, order) comparison is two inline int compares instead of
-   a call through a comparator closure, the hot operations return
-   events directly (guarded by [is_empty]) rather than allocating an
-   option per peek/pop, and every move records the event's slot in
-   [pos] so [remove_at] can take out any event, not just the minimum.
-   Vacated slots are overwritten with a shared dummy so removed event
-   closures stay collectable. *)
-module Evq = struct
-  let dummy = { time = min_int; order = 0; pos = -1; thunk = ignore }
+let gone = -1
+let in_ready = -2
+let dummy = { time = min_int; order = 0; pos = gone; act = Nop }
 
+(* The timer heap: 4-ary and indexed.  Every move records the
+   event's slot in [pos] so [remove_at] can take out any event, not
+   just the minimum.  Vacated slots are overwritten with [dummy] so
+   removed event closures stay collectable.  A 4-ary heap is half as
+   deep as a binary one, so a sift moves an event (a write barrier
+   and a [pos] store) half as often for the same comparisons. *)
+module Heap = struct
   type t = { mutable arr : event array; mutable n : int }
 
   let create () = { arr = [||]; n = 0 }
-  let length q = q.n
-  let is_empty q = q.n = 0
 
   let[@inline] before a b =
     a.time < b.time || (a.time = b.time && a.order < b.order)
@@ -44,251 +62,343 @@ module Evq = struct
     arr.(i) <- ev;
     ev.pos <- i
 
-  (* Sift [ev] into the hole at [i]: parents that [ev] beats move
-     down, children that beat [ev] move up. *)
+  (* Sift [ev] into the hole at [i]: parents it beats move down,
+     children that beat it move up. *)
   let sift_up arr i ev =
     let i = ref i in
-    let sifting = ref true in
-    while !sifting && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      let p = arr.(parent) in
-      if before ev p then begin
-        place arr !i p;
-        i := parent
-      end
-      else sifting := false
+    while !i > 0 && before ev arr.((!i - 1) lsr 2) do
+      let p = (!i - 1) lsr 2 in
+      place arr !i arr.(p);
+      i := p
     done;
     place arr !i ev
 
   let sift_down arr n i ev =
-    let i = ref i in
-    let sifting = ref true in
+    let i = ref i and sifting = ref true in
     while !sifting do
-      let l = (2 * !i) + 1 in
-      if l >= n then sifting := false
+      let first = (4 * !i) + 1 in
+      if first >= n then sifting := false
       else begin
-        let c = if l + 1 < n && before arr.(l + 1) arr.(l) then l + 1 else l in
-        let child = arr.(c) in
-        if before child ev then begin
-          place arr !i child;
-          i := c
+        let c = ref first and least = ref arr.(first) in
+        let last = if first + 3 < n then first + 3 else n - 1 in
+        for j = first + 1 to last do
+          let x = arr.(j) in
+          if before x !least then begin
+            c := j;
+            least := x
+          end
+        done;
+        if before !least ev then begin
+          place arr !i !least;
+          i := !c
         end
         else sifting := false
       end
     done;
     place arr !i ev
 
-  let push q ev =
-    let cap = Array.length q.arr in
-    if q.n >= cap then begin
+  let push h ev =
+    let cap = Array.length h.arr in
+    if h.n >= cap then begin
       let arr = Array.make (if cap = 0 then 256 else 2 * cap) dummy in
-      Array.blit q.arr 0 arr 0 q.n;
-      q.arr <- arr
+      Array.blit h.arr 0 arr 0 h.n;
+      h.arr <- arr
     end;
-    let i = q.n in
-    q.n <- i + 1;
-    sift_up q.arr i ev
+    let i = h.n in
+    h.n <- i + 1;
+    sift_up h.arr i ev
 
-  (* Precondition for [min_elt] and [pop]: not empty. *)
-  let min_elt q = q.arr.(0)
+  (* Precondition: not empty. *)
+  let[@inline] top h = h.arr.(0)
 
   (* Take out the event at slot [i]: the last event fills the hole
      and sifts whichever way restores the heap order. *)
-  let remove_at q i =
-    let arr = q.arr in
+  let remove_at h i =
+    let arr = h.arr in
     let ev = arr.(i) in
-    let n = q.n - 1 in
-    q.n <- n;
+    let n = h.n - 1 in
+    h.n <- n;
     let last = arr.(n) in
     arr.(n) <- dummy;
     if i < n then
-      if i > 0 && before last arr.((i - 1) / 2) then sift_up arr i last
+      if i > 0 && before last arr.((i - 1) lsr 2) then sift_up arr i last
       else sift_down arr n i last;
-    ev.pos <- -1;
+    ev.pos <- gone;
+    ev
+end
+
+(* The ready queue: events due at the current instant, in scheduling
+   order, in a ring buffer.  A cancelled entry stays in its slot as
+   [Nop] until it reaches the head. *)
+module Ready = struct
+  type t = {
+    mutable evs : event array;
+    mutable head : int;
+    mutable len : int;  (* slots in use, cancelled ones included *)
+    mutable live : int;
+  }
+
+  let create () = { evs = Array.make 256 dummy; head = 0; len = 0; live = 0 }
+
+  let push q ev =
+    let cap = Array.length q.evs in
+    if q.len = cap then begin
+      let evs = Array.make (2 * cap) dummy in
+      for j = 0 to q.len - 1 do
+        evs.(j) <- q.evs.((q.head + j) land (cap - 1))
+      done;
+      q.evs <- evs;
+      q.head <- 0
+    end;
+    q.evs.((q.head + q.len) land (Array.length q.evs - 1)) <- ev;
+    q.len <- q.len + 1;
+    q.live <- q.live + 1;
+    ev.pos <- in_ready
+
+  let drop_head q =
+    q.evs.(q.head) <- dummy;
+    q.head <- (q.head + 1) land (Array.length q.evs - 1);
+    q.len <- q.len - 1
+
+  (* Skip cancelled entries: the live head, or [dummy] if none. *)
+  let rec head q =
+    if q.len = 0 then dummy
+    else
+      let ev = q.evs.(q.head) in
+      if ev.pos = in_ready then ev
+      else begin
+        drop_head q;
+        head q
+      end
+
+  (* Precondition: [head q] is live. *)
+  let pop q =
+    let ev = q.evs.(q.head) in
+    drop_head q;
+    q.live <- q.live - 1;
+    ev.pos <- gone;
     ev
 
-  let pop q = remove_at q 0
+  let cancel q ev =
+    ev.pos <- gone;
+    ev.act <- Nop;
+    q.live <- q.live - 1
 end
+
+(* Pids are handed out in sequence, so they are their own hash. *)
+module Pids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash pid = pid
+end)
 
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
-  events : Evq.t;
-  procs : (int, proc) Hashtbl.t;
+  heap : Heap.t;  (* events scheduled for a later instant *)
+  ready : Ready.t;  (* events scheduled for the current instant *)
+  procs : proc Pids.t;
   mutable next_pid : int;
-  (* the process currently executing, if any: set around every entry
-     into process code (initial run and each continuation resume) so
-     spawn/self need no dedicated effect round-trip *)
-  mutable cur : proc option;
+  (* the process currently executing, or [no_proc]: set around every
+     entry into process code (start and each resumption) so the one
+     handler, spawn and self find it without an effect round-trip *)
+  mutable cur : proc;
+  mutable handler : (unit, unit) Effect.Deep.handler;
   root_rng : Rng.t;
 }
 
-type _ Effect.t +=
-  | E_sleep : Time.span -> unit Effect.t
-  | E_suspend : string * (('a -> bool) -> unit) -> 'a Effect.t
-
-let create ?(seed = 42) () =
+let no_proc =
   {
-    clock = Time.zero;
-    seq = 0;
-    events = Evq.create ();
-    procs = Hashtbl.create 64;
-    next_pid = 1;
-    cur = None;
-    root_rng = Rng.create ~seed;
+    pid = 0;
+    name = "";
+    group = None;
+    alive = false;
+    wait = Running;
+    on_term = [];
   }
+
+(* The span of the sleep being performed.  It travels beside the
+   effect rather than in it, so a sleep allocates no effect value: the
+   handler that catches [E_sleep] reads it before any other code runs,
+   whichever engine that handler belongs to. *)
+let nap = ref 0
+
+type _ Effect.t +=
+  | E_sleep : unit Effect.t  (* for [nap] *)
+  | E_suspend : string * (('a -> bool) -> unit) -> 'a Effect.t
 
 let now t = t.clock
 let rng t = t.root_rng
-let pending t = Evq.length t.events
+let pending t = t.heap.Heap.n + t.ready.Ready.live
 
-let timer t time thunk =
+(* Every event takes the next sequence number, and an event due now
+   (or in the past) joins the ready queue behind the others due now.
+   The heap holds only events after the current instant, and the
+   clock moves only to the heap's minimum, which [next] takes only
+   once the ready queue is empty: so a ready event's time is always
+   the clock, and every heap event at the clock's instant was
+   scheduled before the clock reached it, ahead of every ready
+   event. *)
+let schedule_at t time act =
   t.seq <- t.seq + 1;
-  let time = if time < t.clock then t.clock else time in
-  let ev = { time; order = t.seq; pos = -1; thunk } in
-  Evq.push t.events ev;
+  let now = time <= t.clock in
+  let ev =
+    { time = (if now then t.clock else time); order = t.seq; pos = gone; act }
+  in
+  if now then Ready.push t.ready ev else Heap.push t.heap ev;
   ev
 
-let cancel t ev = if ev.pos >= 0 then ignore (Evq.remove_at t.events ev.pos)
+let schedule t act = ignore (schedule_at t t.clock act)
+let timer t time thunk = schedule_at t time (Thunk thunk)
+
+let cancel t ev =
+  if ev.pos >= 0 then ignore (Heap.remove_at t.heap ev.pos)
+  else if ev.pos = in_ready then Ready.cancel t.ready ev
+
 let at t time thunk = ignore (timer t time thunk)
-let schedule t thunk = at t t.clock thunk
 
 let finish t proc =
-  Hashtbl.remove t.procs proc.pid;
+  Pids.remove t.procs proc.pid;
   let callbacks = proc.on_term in
   proc.on_term <- [];
   List.iter (fun f -> f ()) (List.rev callbacks)
 
-(* Each process runs under its own deep handler.  Wakers and timers
-   always resume continuations from engine context (either directly
-   inside an event thunk, or by scheduling a fresh event), never from
-   inside another process, so at most one process executes at a time
-   — which is what lets [t.cur] stand in for the old E_self/E_spawn
-   effects: it is set around every entry into process code and
-   cleared when control returns to the engine. *)
-let rec run_proc : t -> proc -> (unit -> unit) -> unit =
- fun t proc f ->
-  let open Effect.Deep in
-  t.cur <- Some proc;
-  (match_with f ()
-     {
-       retc = (fun () -> finish t proc);
-       exnc =
-         (fun e ->
-           finish t proc;
-           match e with
-           | Killed -> ()
-           | e -> raise e);
-       effc =
-         (fun (type a) (eff : a Effect.t) ->
-           match eff with
-           | E_sleep span ->
-               Some
-                 (fun (k : (a, _) continuation) ->
-                   if not proc.alive then discontinue k Killed
-                   else begin
-                     let wakeup =
-                       timer t (Time.add t.clock span) (fun () ->
-                           proc.cancel <- None;
-                           t.cur <- Some proc;
-                           continue k ();
-                           t.cur <- None)
-                     in
-                     proc.cancel <-
-                       Some
-                         (fun () ->
-                           cancel t wakeup;
-                           schedule t (fun () ->
-                               t.cur <- Some proc;
-                               discontinue k Killed;
-                               t.cur <- None))
-                   end)
-           | E_suspend (_label, register) ->
-               Some
-                 (fun (k : (a, _) continuation) ->
-                   if not proc.alive then discontinue k Killed
-                   else begin
-                     let state = ref `Waiting in
-                     proc.cancel <-
-                       Some
-                         (fun () ->
-                           if !state = `Waiting then begin
-                             state := `Cancelled;
-                             schedule t (fun () ->
-                                 t.cur <- Some proc;
-                                 discontinue k Killed;
-                                 t.cur <- None)
-                           end);
-                     let wake v =
-                       if !state = `Waiting && proc.alive then begin
-                         state := `Woken;
-                         proc.cancel <- None;
-                         schedule t (fun () ->
-                             t.cur <- Some proc;
-                             continue k v;
-                             t.cur <- None);
-                         true
-                       end
-                       else false
-                     in
-                     register wake
-                   end)
-           | _ -> None);
-     });
-  t.cur <- None
+(* The handler's two suspensions.  Both run in the context of the
+   [continue] that last entered the process, with [t.cur] = [proc]. *)
+let sleep t proc span k =
+  if not proc.alive then Effect.Deep.discontinue k Killed
+  else
+    proc.wait <-
+      Sleeping (schedule_at t (Time.add t.clock span) (Resume (proc, k, ())))
+
+(* [w] is this suspension's identity: a wake finds it in [proc.wait]
+   only until the first wake or a kill replaces it. *)
+let suspend t proc register k =
+  if not proc.alive then Effect.Deep.discontinue k Killed
+  else begin
+    let w = Suspended k in
+    proc.wait <- w;
+    register (fun v ->
+        proc.wait == w
+        && begin
+             proc.wait <- Running;
+             schedule t (Resume (proc, k, v));
+             true
+           end)
+  end
+
+(* One deep handler per engine runs every process.  Events always
+   enter process code from engine context, never from inside another
+   process, so at most one process executes at a time, and [t.cur]
+   names the process the handler is serving.  A sleep's handler
+   function is allocated once, and finds the span in [nap]. *)
+let handler t =
+  let on_sleep = Some (fun k -> sleep t t.cur !nap k) in
+  {
+    Effect.Deep.retc = (fun () -> finish t t.cur);
+    exnc =
+      (fun e ->
+        finish t t.cur;
+        match e with Killed -> () | e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | E_sleep -> on_sleep
+        | E_suspend (_label, register) ->
+            Some (fun k -> suspend t t.cur register k)
+        | _ -> None);
+  }
+
+let create ?(seed = 42) () =
+  let t =
+    {
+      clock = Time.zero;
+      seq = 0;
+      heap = Heap.create ();
+      ready = Ready.create ();
+      procs = Pids.create 64;
+      next_pid = 1;
+      cur = no_proc;
+      handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
+      root_rng = Rng.create ~seed;
+    }
+  in
+  t.handler <- handler t;
+  t
+
+let fire t ev =
+  match ev.act with
+  | Nop -> ()
+  | Thunk f -> f ()
+  | Start (proc, f) ->
+      if proc.alive then begin
+        t.cur <- proc;
+        Effect.Deep.match_with f () t.handler;
+        t.cur <- no_proc
+      end
+      else finish t proc
+  | Resume (proc, k, v) ->
+      proc.wait <- Running;
+      t.cur <- proc;
+      Effect.Deep.continue k v;
+      t.cur <- no_proc
+  | Abort (proc, k) ->
+      t.cur <- proc;
+      Effect.Deep.discontinue k Killed;
+      t.cur <- no_proc
 
 (* [spawn] is an ordinary function call: a process spawning a sibling
-   pays no effect round-trip (the old E_spawn), and callers that hold
-   the engine — packet delivery, RaTP tx loops, load generators — can
-   spawn straight from engine context.  Group inheritance follows the
+   pays no effect round-trip, and callers that hold the engine —
+   packet delivery, RaTP tx loops, load generators — can spawn
+   straight from engine context.  Group inheritance follows the
    spawner when one is executing. *)
-and spawn : t -> ?group:int -> string -> (unit -> unit) -> pid =
- fun t ?group name f ->
-  let group =
-    match group with
-    | Some _ as g -> g
-    | None -> ( match t.cur with Some p -> p.group | None -> None)
-  in
+let spawn t ?group name f =
+  let group = match group with Some _ as g -> g | None -> t.cur.group in
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  let proc = { pid; name; group; alive = true; cancel = None; on_term = [] } in
-  Hashtbl.replace t.procs pid proc;
-  schedule t (fun () -> if proc.alive then run_proc t proc f else finish t proc);
+  let proc = { pid; name; group; alive = true; wait = Running; on_term = [] } in
+  Pids.replace t.procs pid proc;
+  schedule t (Start (proc, f));
   pid
 
 let kill t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | None -> ()
-  | Some proc ->
-      if proc.alive then begin
-        proc.alive <- false;
-        match proc.cancel with
-        | Some c ->
-            proc.cancel <- None;
-            c ()
-        | None -> ()
-      end
+  match Pids.find_opt t.procs pid with
+  | Some proc when proc.alive -> (
+      proc.alive <- false;
+      match proc.wait with
+      | Running -> ()
+      | Sleeping ({ act = Resume (_, k, _); _ } as ev) ->
+          proc.wait <- Running;
+          cancel t ev;
+          schedule t (Abort (proc, k))
+      | Sleeping _ -> assert false
+      | Suspended k ->
+          proc.wait <- Running;
+          schedule t (Abort (proc, k)))
+  | Some _ | None -> ()
 
 let kill_group t group =
   let victims =
-    Hashtbl.fold
+    Pids.fold
       (fun pid proc acc -> if proc.group = Some group then pid :: acc else acc)
       t.procs []
   in
   List.iter (kill t) (List.sort Int.compare victims)
 
 let on_terminate t pid f =
-  match Hashtbl.find_opt t.procs pid with
+  match Pids.find_opt t.procs pid with
   | Some proc -> proc.on_term <- f :: proc.on_term
   | None -> f ()
 
 let alive t pid =
-  match Hashtbl.find_opt t.procs pid with
+  match Pids.find_opt t.procs pid with
   | None -> false
   | Some proc -> proc.alive
 
 let procs t =
-  Hashtbl.fold
+  Pids.fold
     (fun pid proc acc -> if proc.alive then (pid, proc.name) :: acc else acc)
     t.procs []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -311,37 +421,59 @@ let with_running t f =
       running := saved;
       raise e
 
+(* Take the next event in (time, order), advancing the clock to it,
+   or return [dummy] if there is none at or before [limit]; then the
+   clock moves to [limit] unless the queue is empty.  While the ready
+   queue is not empty the next event is due at the clock, and a heap
+   event precedes the ready head only at that instant with a smaller
+   order (see [schedule_at]). *)
+let next t limit =
+  let h = t.heap and q = t.ready in
+  let r = Ready.head q in
+  if r != dummy then
+    if t.clock > limit then begin
+      (* [run ~until] in the past: the clock goes back to [limit], so
+         the ready events, still due at the old clock, wait in the
+         heap instead *)
+      while Ready.head q != dummy do
+        Heap.push h (Ready.pop q)
+      done;
+      t.clock <- limit;
+      dummy
+    end
+    else if h.Heap.n > 0 && Heap.before (Heap.top h) r then Heap.remove_at h 0
+    else Ready.pop q
+  else if h.Heap.n > 0 then begin
+    let ev = Heap.top h in
+    if ev.time > limit then begin
+      t.clock <- limit;
+      dummy
+    end
+    else begin
+      if ev.time > t.clock then t.clock <- ev.time;
+      Heap.remove_at h 0
+    end
+  end
+  else dummy
+
 let step t =
   with_running t (fun t ->
-      if Evq.is_empty t.events then false
-      else begin
-        let ev = Evq.pop t.events in
-        if ev.time > t.clock then t.clock <- ev.time;
-        ev.thunk ();
-        true
-      end)
+      let ev = next t max_int in
+      ev != dummy
+      && begin
+           fire t ev;
+           true
+         end)
 
-(* The drain loop pops at most once per iteration and never allocates
-   (no options, no double peek): at a million-event load run this loop
-   and the Evq sifts are the whole simulator. *)
+(* The drain loop allocates nothing per event: at a million-event
+   load run this loop and the heap sifts are the whole simulator. *)
 let run ?until t =
   let limit = match until with Some u -> u | None -> max_int in
   with_running t (fun t ->
-      let running = ref true in
-      while !running do
-        if Evq.is_empty t.events then running := false
-        else begin
-          let ev = Evq.min_elt t.events in
-          if ev.time > limit then begin
-            t.clock <- limit;
-            running := false
-          end
-          else begin
-            ignore (Evq.pop t.events);
-            if ev.time > t.clock then t.clock <- ev.time;
-            ev.thunk ()
-          end
-        end
+      let ev = ref (next t limit) in
+      while !ev != dummy do
+        fire t !ev;
+        ev := next t limit
       done)
 
 module Process = struct
@@ -349,17 +481,15 @@ module Process = struct
 
   let engine () =
     match !running with
-    | Some ({ cur = Some _; _ } as t) -> t
+    | Some t when t.cur != no_proc -> t
     | Some _ | None -> outside ()
 
   let now () = (engine ()).clock
+  let self () = (engine ()).cur.pid
+  let sleep span =
+    nap := span;
+    Effect.perform E_sleep
 
-  let self () =
-    match !running with
-    | Some { cur = Some p; _ } -> p.pid
-    | Some _ | None -> outside ()
-
-  let sleep span = Effect.perform (E_sleep span)
   let yield () = sleep 0
   let suspend label register = Effect.perform (E_suspend (label, register))
   let spawn ?group name f = spawn (engine ()) ?group name f

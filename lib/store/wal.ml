@@ -80,9 +80,12 @@ let group_commit t = t.gc <> None
    a few words), so the undo side of a prepare record costs bytes
    proportional to what the page actually holds — without this,
    steal/no-force would double every prepare's transfer time for
-   8 KB of zeros. *)
+   8 KB of zeros.  The scan skips zero words, then zero bytes. *)
 let trim_image b =
   let n = ref (Bytes.length b) in
+  while !n >= 8 && Bytes.get_int64_ne b (!n - 8) = 0L do
+    n := !n - 8
+  done;
   while !n > 0 && Bytes.get b (!n - 1) = '\000' do
     decr n
   done;

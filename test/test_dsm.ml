@@ -452,6 +452,61 @@ let test_locks_cancellation () =
       check_bool "holder unchanged" true
         (Dsm.Lock_table.holds lt seg (txn 1) = Some P.W))
 
+(* [release_txn] visits only the entries the transaction is involved
+   in, yet it must grant in the order a walk of the whole table gives,
+   since each grant schedules a wake-up.  Here a transaction holds W
+   on 2 of 200 segments, each with a writer queued behind it; the
+   reference order is a [Ra.Sysname.Table] holding the same 200
+   segments, filled in the same order.  Every pair adjacent in that
+   walk is tried, in both acquisition orders: such a pair often shares
+   a bucket, where the newer binding comes first. *)
+let test_locks_release_in_table_order () =
+  let gen = Ra.Sysname.make_gen ~node:3 in
+  let segs = List.init 200 (fun _ -> Ra.Sysname.fresh gen) in
+  let walk =
+    let tbl = Ra.Sysname.Table.create 32 in
+    List.iter (fun seg -> Ra.Sysname.Table.replace tbl seg ()) segs;
+    Ra.Sysname.Table.fold (fun seg () acc -> seg :: acc) tbl [] |> List.rev
+    |> Array.of_list
+  in
+  let granted_order first second =
+    Sim.exec (fun () ->
+        let lt = Dsm.Lock_table.create () in
+        List.iteri
+          (fun i seg ->
+            ignore (Dsm.Lock_table.acquire lt seg (txn (1000 + i)) P.R);
+            Dsm.Lock_table.release_txn lt (txn (1000 + i)))
+          segs;
+        ignore (Dsm.Lock_table.acquire lt first (txn 1) P.W);
+        ignore (Dsm.Lock_table.acquire lt second (txn 1) P.W);
+        let order = ref [] in
+        List.iteri
+          (fun i seg ->
+            ignore
+              (Sim.spawn "waiter" (fun () ->
+                   ignore (Dsm.Lock_table.acquire lt seg (txn (2 + i)) P.W);
+                   order := seg :: !order)))
+          [ first; second ];
+        Sim.sleep (Time.ms 1);
+        check_int "both queued" 2
+          (Dsm.Lock_table.queue_length lt first
+          + Dsm.Lock_table.queue_length lt second);
+        Dsm.Lock_table.release_txn lt (txn 1);
+        Sim.sleep (Time.ms 1);
+        List.rev !order)
+  in
+  for k = 0 to Array.length walk - 2 do
+    let a = walk.(k) and b = walk.(k + 1) in
+    List.iter
+      (fun (first, second) ->
+        if granted_order first second <> [ a; b ] then
+          Alcotest.failf "walk ranks %d, %d: granted out of table order" k
+            (k + 1))
+      [ (a, b); (b, a) ]
+  done;
+  let a = walk.(0) and b = walk.(Array.length walk - 1) in
+  check_bool "first and last of the walk" true (granted_order b a = [ a; b ])
+
 (* ------------------------------------------------------------------ *)
 (* Lock service over RaTP + 2PC *)
 
@@ -1443,6 +1498,8 @@ let () =
             test_locks_fifo_blocks_later_readers;
           Alcotest.test_case "upgrade" `Quick test_locks_upgrade;
           Alcotest.test_case "cancellation" `Quick test_locks_cancellation;
+          Alcotest.test_case "release in table order" `Quick
+            test_locks_release_in_table_order;
         ] );
       ( "commit",
         [

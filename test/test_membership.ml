@@ -190,7 +190,7 @@ let test_sticky_suspect_cleared_by_view () =
       in
       let cl = sys.Clouds.cluster in
       let mon = Cl.start_membership cl ~config:mon_config () in
-      Fun.protect ~finally:(fun () -> Cl.stop_membership cl) @@ fun () ->
+      Fun.protect ~finally:(fun () -> M.stop mon) @@ fun () ->
       let server = cl.Cl.servers.(0) in
       let seg = Ra.Sysname.fresh cl.Cl.data_nodes.(0).Ra.Node.names in
       Store.Segment_store.create_segment
@@ -234,7 +234,7 @@ let test_failover_reads_backup () =
       in
       let cl = sys.Clouds.cluster in
       let mon = Cl.start_membership cl ~config:mon_config () in
-      Fun.protect ~finally:(fun () -> Cl.stop_membership cl) @@ fun () ->
+      Fun.protect ~finally:(fun () -> M.stop mon) @@ fun () ->
       let repl = Clouds.Replicator.install cl mon in
       let seg = Ra.Sysname.fresh cl.Cl.data_nodes.(0).Ra.Node.names in
       let targets = Cl.replica_targets cl ~primary:1 in
@@ -321,7 +321,7 @@ let test_failover_skips_filling_backup () =
       in
       let cl = sys.Clouds.cluster in
       let mon = Cl.start_membership cl ~config:mon_config () in
-      Fun.protect ~finally:(fun () -> Cl.stop_membership cl) @@ fun () ->
+      Fun.protect ~finally:(fun () -> M.stop mon) @@ fun () ->
       let repl = Clouds.Replicator.install cl mon in
       let pages = 64 in
       let seg = Ra.Sysname.fresh cl.Cl.data_nodes.(0).Ra.Node.names in
@@ -390,7 +390,7 @@ let test_healed_home_keeps_release () =
       let cl = sys.Clouds.cluster in
       let pl = cl.Cl.placement in
       let mon = Cl.start_membership cl ~config:mon_config () in
-      Fun.protect ~finally:(fun () -> Cl.stop_membership cl) @@ fun () ->
+      Fun.protect ~finally:(fun () -> M.stop mon) @@ fun () ->
       let repl = Clouds.Replicator.install cl mon in
       Cl.register_class cl
         (Clouds.Obj_class.define ~name:"cell"
@@ -444,6 +444,45 @@ let test_healed_home_keeps_release () =
         (dsm "dsm/mode/deferred_invals");
       check_int "no invalidation sent at fault time" invals0
         (dsm "dsm/invalidations"))
+
+(* The cluster registry carries heartbeat traffic once membership has
+   started, and heal traffic when the replicator's metrics are passed
+   as [extra]: both reach a snapshot and the rollup. *)
+let test_registries_hold_membership () =
+  Sim.exec ~seed:3 (fun () ->
+      let eng = Sim.engine () in
+      let sys =
+        Clouds.boot eng ~ratp_config:fast_ratp ~replication:2 ~compute:2
+          ~data:2 ~workstations:0 ()
+      in
+      let cl = sys.Clouds.cluster in
+      let paths regs = List.map fst (Obs.Registry.totals regs) in
+      check_bool "no heartbeat metric before membership starts" false
+        (List.mem "mbr/heartbeats" (paths (Clouds.Telemetry.registries cl)));
+      let mon = Cl.start_membership cl ~config:mon_config () in
+      Fun.protect ~finally:(fun () -> M.stop mon) @@ fun () ->
+      let repl = Clouds.Replicator.install cl mon in
+      let regs =
+        Clouds.Telemetry.registries ~extra:(Clouds.Replicator.metrics repl) cl
+      in
+      Sim.sleep (Time.ms 50);
+      (* the cluster registry is the snapshot's first object *)
+      let cluster =
+        match Obs.Export.parse (Obs.Registry.snapshot_json regs) with
+        | Ok (Obs.Export.Arr (cluster :: _)) ->
+            Option.get (Obs.Export.member "metrics" cluster)
+        | Ok _ | Error _ -> Alcotest.fail "snapshot is not an array of nodes"
+      in
+      List.iter
+        (fun path ->
+          check_bool ("snapshot holds " ^ path) true
+            (Obs.Export.member path cluster <> None))
+        [ "mbr/heartbeats"; "repl/pages_copied" ];
+      let totals = Obs.Registry.totals regs in
+      check_int "heartbeats counted" (heartbeats mon)
+        (List.assoc "mbr/heartbeats" totals);
+      check_bool "heartbeats flowed" true (heartbeats mon > 0);
+      check_int "nothing to heal yet" 0 (List.assoc "repl/pages_copied" totals))
 
 (* ------------------------------------------------------------------ *)
 (* Kill k of n: reheal invariants *)
@@ -521,6 +560,8 @@ let () =
           Alcotest.test_case "placement table" `Quick test_placement_table;
           Alcotest.test_case "healed home keeps release" `Quick
             test_healed_home_keeps_release;
+          Alcotest.test_case "registries hold membership" `Quick
+            test_registries_hold_membership;
         ] );
       ( "reheal",
         [

@@ -201,6 +201,29 @@ let test_filter () =
       send "bad";
       check_bool "cleared filter delivers" true (Nic.try_recv n2 <> None))
 
+(* A burst in progress outlives its profile: once the default is
+   pristine again, the burst's remaining frames are still lost, and
+   only then does every frame go through on time.  A fault that never
+   had a profile draws nothing from its stream. *)
+let test_burst_outlives_profile () =
+  let eng = Engine.create () in
+  let frame = Frame.make ~src:1 ~dst:(Frame.Unicast 2) ~payload_bytes:10 (Frame.Raw "x") in
+  let plans fault n = List.init n (fun _ -> Fault.plan fault ~src:1 ~dst:2 frame) in
+  let fault = Fault.create eng (Rng.create ~seed:5) in
+  Fault.set_default fault { Fault.pristine with burst = 1.0; burst_len = 3 };
+  Alcotest.(check (list (list int))) "burst starts" [ [] ] (plans fault 1);
+  Fault.set_default fault Fault.pristine;
+  Alcotest.(check (list (list int)))
+    "the burst's last two frames are lost, then all pass"
+    [ []; []; [ 0 ]; [ 0 ] ]
+    (plans fault 4);
+  check_int "three drops" 3 (Fault.drops fault);
+  let rng = Rng.create ~seed:5 in
+  let untouched = Fault.create eng rng in
+  Alcotest.(check (list (list int))) "pristine" [ [ 0 ]; [ 0 ] ] (plans untouched 2);
+  check_int "no draw from the stream" (Rng.int (Rng.create ~seed:5) 1_000_000)
+    (Rng.int rng 1_000_000)
+
 let test_bus_serializes () =
   (* Two senders transmitting 1000-byte frames at once: the second
      frame arrives a full wire-time after the first. *)
@@ -320,6 +343,8 @@ let () =
           Alcotest.test_case "delay jitter" `Quick test_delay_jitter;
           Alcotest.test_case "timed partition" `Quick test_partition_for;
           Alcotest.test_case "payload filter" `Quick test_filter;
+          Alcotest.test_case "burst outlives its profile" `Quick
+            test_burst_outlives_profile;
         ] );
       qsuite "props" [ prop_wire_time_monotonic ];
     ]

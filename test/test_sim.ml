@@ -195,6 +195,189 @@ let test_cancel_idempotent () =
   check_int "empty" 0 (Engine.pending eng);
   check_int "clock at c" (Time.ms 3) (Engine.now eng)
 
+(* Random mixes of engine operations, driven from outside the engine
+   one step at a time.  The test keeps its own counter in step with
+   the engine's sequence numbers (one per timer, spawn, sleep and kill
+   of a sleeper) and tags every event it expects with its (time,
+   order) key; each firing logs its key.  Events due now (a timer at
+   or before the clock, a [sleep 0]) wait in the ready queue, later
+   ones in the heap, so the merge of the two is what is checked: keys
+   fire in increasing order, exactly the live ones fire, and
+   [Engine.pending] counts the live ones after every operation. *)
+type mix_op =
+  | Timer of int  (* at now + us, -1 (the past) to 3 *)
+  | Cancel of int  (* the k-th live timer *)
+  | Spawn of int  (* a process that sleeps this many us, 0 to 2 *)
+  | Kill of int  (* the k-th process *)
+  | Step
+
+let mix_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun d -> Timer d) (int_range (-1) 3));
+        (2, map (fun k -> Cancel k) small_nat);
+        (3, map (fun s -> Spawn s) (int_range 0 2));
+        (2, map (fun k -> Kill k) small_nat);
+        (4, return Step);
+      ])
+
+let print_mix_op = function
+  | Timer d -> Printf.sprintf "Timer %d" d
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Spawn s -> Printf.sprintf "Spawn %d" s
+  | Kill k -> Printf.sprintf "Kill %d" k
+  | Step -> "Step"
+
+type mix_proc = {
+  mutable mp_pid : Engine.pid;
+  mutable mp_state : [ `Unstarted of int * int | `Sleeping of int * int | `Done ];
+  mutable mp_end : (int * int) option;  (* the event its kill ends in *)
+}
+
+let prop_engine_mix =
+  QCheck.Test.make ~name:"ready queue and heap fire in (time, order)"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_mix_op)
+       QCheck.Gen.(
+         (* a same-instant timer cancelled while still in the ready
+            queue opens every mix *)
+         map (fun ops -> Timer 0 :: Cancel 0 :: ops) (list mix_op)))
+    (fun ops ->
+      let eng = Engine.create () in
+      let seq = ref 0 in
+      let live = Hashtbl.create 16 in
+      let fired = ref [] and ok = ref true in
+      let expect time =
+        incr seq;
+        let key = (max time (Engine.now eng), !seq) in
+        Hashtbl.replace live key ();
+        key
+      in
+      let fire ((time, _) as key) =
+        if not (Hashtbl.mem live key && Engine.now eng = time) then ok := false;
+        Hashtbl.remove live key;
+        fired := key :: !fired
+      in
+      let timers = ref [] and procs = ref [] in
+      let apply = function
+        | Timer d ->
+            let at = Time.add (Engine.now eng) (Time.us d) in
+            let key = expect at in
+            timers := (key, Engine.timer eng at (fun () -> fire key)) :: !timers
+        | Cancel k -> (
+            match List.filter (fun (key, _) -> Hashtbl.mem live key) !timers with
+            | [] -> ()
+            | pending ->
+                let key, tm = List.nth pending (k mod List.length pending) in
+                Engine.cancel eng tm;
+                Hashtbl.remove live key)
+        | Spawn span ->
+            let start = expect (Engine.now eng) in
+            let p = { mp_pid = 0; mp_state = `Unstarted start; mp_end = None } in
+            p.mp_pid <-
+              Engine.spawn eng "mix" (fun () ->
+                  fire start;
+                  let wake = expect (Time.add (Engine.now eng) (Time.us span)) in
+                  p.mp_state <- `Sleeping wake;
+                  Sim.sleep (Time.us span);
+                  p.mp_state <- `Done;
+                  fire wake);
+            Engine.on_terminate eng p.mp_pid (fun () -> Option.iter fire p.mp_end);
+            procs := p :: !procs
+        | Kill _ when !procs = [] -> ()
+        | Kill k ->
+            let p = List.nth !procs (k mod List.length !procs) in
+            (match p.mp_state with
+            | `Unstarted start ->
+                (* its start event still fires, and only ends it *)
+                p.mp_end <- Some start
+            | `Sleeping wake ->
+                Hashtbl.remove live wake;
+                p.mp_end <- Some (expect (Engine.now eng))
+            | `Done -> ());
+            p.mp_state <- `Done;
+            Engine.kill eng p.mp_pid
+        | Step -> ignore (Engine.step eng)
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          if Engine.pending eng <> Hashtbl.length live then ok := false)
+        ops;
+      Engine.run eng;
+      let order = List.rev !fired in
+      !ok
+      && Hashtbl.length live = 0
+      && Engine.pending eng = 0
+      && order = List.sort compare order)
+
+(* Two kills whose outcome depends on where the process is parked.
+   One parked in [yield] has its same-instant wake-up cancelled and
+   dies at once, running its cleanup; one already woken, whose
+   resumption is scheduled but has not run, still resumes with its
+   value and runs on until its next suspension point, where it dies. *)
+let test_kill_parked_in_yield_and_woken () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let yielder =
+    Engine.spawn eng "yielder" (fun () ->
+        Fun.protect
+          ~finally:(fun () -> note "yielder cleanup")
+          (fun () ->
+            Sim.yield ();
+            note "yielder resumed"))
+  in
+  Engine.at eng Time.zero (fun () ->
+      Engine.kill eng yielder;
+      note "yielder killed");
+  let iv = Ivar.create () in
+  let woken =
+    Engine.spawn eng "woken" (fun () ->
+        Fun.protect
+          ~finally:(fun () -> note "woken cleanup")
+          (fun () ->
+            note (Printf.sprintf "woken got %d" (Ivar.read iv));
+            Sim.sleep (Time.ms 1);
+            note "woken slept"))
+  in
+  Engine.on_terminate eng woken (fun () -> note "woken terminated");
+  Engine.at eng (Time.us 5) (fun () ->
+      Ivar.fill iv 7;
+      Engine.kill eng woken;
+      note "woken killed");
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "as before the ready queue"
+    [
+      "yielder killed"; "yielder cleanup"; "woken killed"; "woken got 7";
+      "woken cleanup"; "woken terminated";
+    ]
+    (List.rev !log);
+  check_bool "yielder dead" false (Engine.alive eng yielder);
+  check_bool "woken dead" false (Engine.alive eng woken);
+  check_int "nothing left" 0 (Engine.pending eng);
+  check_int "the woken process never slept its 1 ms" (Time.us 5) (Engine.now eng)
+
+(* [run ~until] before the clock sends the clock back; an event that
+   was due at the old clock still fires after one scheduled later for
+   an instant in between. *)
+let test_run_until_in_the_past () =
+  let eng = Engine.create () in
+  let order = ref [] in
+  Engine.at eng (Time.ms 5) (fun () ->
+      Engine.at eng (Engine.now eng) (fun () -> order := "due at 5" :: !order));
+  check_bool "stepped" true (Engine.step eng);
+  Engine.run ~until:(Time.ms 2) eng;
+  check_int "clock back at until" (Time.ms 2) (Engine.now eng);
+  check_int "still pending" 1 (Engine.pending eng);
+  Engine.at eng (Time.ms 3) (fun () -> order := "due at 3" :: !order);
+  Engine.run eng;
+  Alcotest.(check (list string)) "time order" [ "due at 3"; "due at 5" ]
+    (List.rev !order)
+
 (* ------------------------------------------------------------------ *)
 (* Engine basics *)
 
@@ -937,16 +1120,26 @@ let () =
           Alcotest.test_case "spawn order" `Quick test_spawn_ordering;
           Alcotest.test_case "same-instant fifo" `Quick test_same_instant_fifo;
           Alcotest.test_case "run until" `Quick test_run_until;
+          Alcotest.test_case "run until in the past" `Quick
+            test_run_until_in_the_past;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "nested spawn and self" `Quick
             test_nested_spawn_and_self;
           Alcotest.test_case "deadlock detection" `Quick
             test_exec_deadlock_detected;
         ] );
-      qsuite "engine-props" [ prop_sleepers_under_kills ];
+      ( "engine-props",
+        List.map QCheck_alcotest.to_alcotest [ prop_sleepers_under_kills ]
+        @ [
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| 33 |])
+              prop_engine_mix;
+          ] );
       ( "kill",
         [
           Alcotest.test_case "kill sleeping process" `Quick test_kill_sleeping;
+          Alcotest.test_case "kill parked in yield, kill woken" `Quick
+            test_kill_parked_in_yield_and_woken;
           Alcotest.test_case "kill group" `Quick test_kill_group;
           Alcotest.test_case "spawn inherits group" `Quick
             test_spawn_inherits_group;

@@ -371,7 +371,38 @@ let test_wal_trim_image () =
     (Bytes.length (Store.Wal.trim_image (Bytes.make Ra.Page.size '\000')));
   let full = Bytes.make Ra.Page.size 'x' in
   check_int "dense page keeps every byte" Ra.Page.size
-    (Bytes.length (Store.Wal.trim_image full))
+    (Bytes.length (Store.Wal.trim_image full));
+  (* the word-at-a-time scan must cut exactly where a byte-at-a-time
+     scan from the end does: at every trailing-zero length of a page,
+     whatever byte of a word the last non-zero one is, and for images
+     shorter than a word or not a whole number of words *)
+  let reference b =
+    let n = ref (Bytes.length b) in
+    while !n > 0 && Bytes.get b (!n - 1) = '\000' do
+      decr n
+    done;
+    Bytes.sub b 0 !n
+  in
+  let agree what b =
+    let trimmed = Store.Wal.trim_image b in
+    if not (Bytes.equal trimmed (reference b)) then
+      Alcotest.failf "%s: trimmed to %d bytes, byte scan %d" what
+        (Bytes.length trimmed) (Bytes.length (reference b))
+  in
+  for zeros = 0 to Ra.Page.size do
+    let b = Bytes.init Ra.Page.size (fun i -> Char.chr (1 + (i mod 255))) in
+    Bytes.fill b (Ra.Page.size - zeros) zeros '\000';
+    agree (Printf.sprintf "%d trailing zeros" zeros) b
+  done;
+  for len = 0 to 19 do
+    for last = -1 to len - 1 do
+      (* a zero-padded image whose last non-zero byte is at [last] *)
+      let b = Bytes.make len '\000' in
+      if last >= 0 then Bytes.set b last '\001';
+      if last > 0 then Bytes.set b 0 '\255';
+      agree (Printf.sprintf "%d-byte image, last non-zero at %d" len last) b
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Directory *)
