@@ -10,13 +10,18 @@
 # on a shared machine, so only runs taken side by side compare: the
 # script prints every pair's host_s ratio as it lands, then each
 # side's median and quartiles of host_s, setup_s and peak_rss_mb over
-# the pairs, and the ratio of the medians.  `make perf-ab` builds the
-# base binary and calls this.
+# the pairs, and the ratio of the medians.  It also compares each
+# pair's simulated figures (correct, failed, sim_mean_ms, sim_p99_ms,
+# sim_tput), which are seed-deterministic: it names every pair where
+# the two sides differ and then exits 1, so an A/B of a change meant
+# to leave the simulation alone doubles as its byte-identity check.
+# `make perf-ab` builds the base binary and calls this.
 set -eu
 [ $# -eq 4 ] || { echo "usage: $0 BASE_EXE NEW_EXE WORKLOAD PAIRS" >&2; exit 2; }
 base=$1 new=$2 workload=$3 pairs=$4
 
-# "host_s setup_s peak_rss_mb" of one run of [exe].
+# Two lines for one run of [exe]: "host_s setup_s peak_rss_mb ", then
+# its simulated figures as printed.
 run() {
   r=$("$1" bench --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -n 1)
   case $r in
@@ -26,10 +31,18 @@ run() {
   for m in host_s setup_s peak_rss_mb; do
     printf '%s\n' "$r" | sed -E 's/.*"'$m'": \{"value": ([-+.0-9eE]+).*/\1/'
   done | tr '\n' ' '
+  echo
+  printf '%s\n' "$r" | sed -E 's/.*"correct": ([a-z]+).*/correct=\1/' | tr '\n' ' '
+  printf '%s\n' "$r" | sed -E 's/.*"failed": ([0-9]+).*/failed=\1/' | tr '\n' ' '
+  for m in sim_mean_ms sim_p99_ms sim_tput; do
+    printf '%s\n' "$r" | sed -E 's/.*"'$m'": \{"value": ([-+.0-9eE]+).*/'$m'=\1/'
+  done | tr '\n' ' '
+  echo
 }
 
 results=$(mktemp)
 trap 'rm -f "$results"' EXIT
+differ=0
 i=1
 while [ "$i" -le "$pairs" ]; do
   if [ $((i % 2)) -eq 1 ]; then
@@ -37,6 +50,12 @@ while [ "$i" -le "$pairs" ]; do
   else
     n=$(run "$new"); b=$(run "$base")
   fi
+  bsim=$(printf '%s\n' "$b" | tail -n 1); nsim=$(printf '%s\n' "$n" | tail -n 1)
+  if [ "$bsim" != "$nsim" ]; then
+    printf 'pair %d  simulated figures differ\n  base %s\n  new  %s\n' "$i" "$bsim" "$nsim"
+    differ=1
+  fi
+  b=$(printf '%s\n' "$b" | head -n 1); n=$(printf '%s\n' "$n" | head -n 1)
   echo "$b$n" >> "$results"
   echo "$b$n" | awk -v i="$i" '{
     printf "pair %d  host_s base %.3f new %.3f  ratio %.3f\n", i, $1, $4, $4 / $1 }'
@@ -69,3 +88,7 @@ END {
       mn, quantile(n, NR, 0.25), quantile(n, NR, 0.75), mn / mb
   }
 }' "$results"
+if [ "$differ" -ne 0 ]; then
+  echo "simulated figures differ between base and new" >&2
+  exit 1
+fi

@@ -28,12 +28,15 @@ type state = {
   mutable rolled : bool;
 }
 
+(* Keyed by the pid of the process running a transaction. *)
+module Pids = Sim.Int_table
+
 type t = {
   om : Clouds.Object_manager.t;
   cl : Cl.t;
   txns : (P.txn_id, state) Hashtbl.t;
   outcomes : (P.txn_id, bool) Hashtbl.t;  (* true = committed *)
-  by_pid : (int, state) Hashtbl.t;
+  by_pid : state Pids.t;
   local_locks : (int, Dsm.Lock_table.t) Hashtbl.t;
   write_intent : (int * Ra.Sysname.t, unit) Hashtbl.t;
       (* (coordinating node id, seg) marks; see [ensure_lock] *)
@@ -241,7 +244,7 @@ let ensure_lock t st node seg kind =
 (* --- the MMU access hook ------------------------------------------- *)
 
 let hook t node seg _page mode =
-  match Hashtbl.find_opt t.by_pid (Sim.self ()) with
+  match Pids.find_opt t.by_pid (Sim.self ()) with
   | None -> ()
   | Some st ->
       if st.status <> Active then raise Txn_abort_signal;
@@ -408,16 +411,16 @@ let commit t st =
 
 let with_pid t st f =
   let pid = Sim.self () in
-  match Hashtbl.find_opt t.by_pid pid with
+  match Pids.find_opt t.by_pid pid with
   | Some existing when existing == st -> f ()
   | Some _ | None ->
-      let previous = Hashtbl.find_opt t.by_pid pid in
-      Hashtbl.replace t.by_pid pid st;
+      let previous = Pids.find_opt t.by_pid pid in
+      Pids.replace t.by_pid pid st;
       Fun.protect
         ~finally:(fun () ->
           match previous with
-          | Some prev -> Hashtbl.replace t.by_pid pid prev
-          | None -> Hashtbl.remove t.by_pid pid)
+          | Some prev -> Pids.replace t.by_pid pid prev
+          | None -> Pids.remove t.by_pid pid)
         f
 
 let run_txn t scope (ctx : Clouds.Ctx.t) body =
@@ -505,7 +508,7 @@ let install om ?(deadlock_timeout = Sim.Time.sec 5) ?(max_retries = 3) () =
       cl;
       txns = Hashtbl.create 32;
       outcomes = Hashtbl.create 64;
-      by_pid = Hashtbl.create 32;
+      by_pid = Pids.create 32;
       local_locks = Hashtbl.create 8;
       write_intent = Hashtbl.create 64;
       deadlock_timeout;
@@ -565,9 +568,9 @@ let abort_thread t ~thread_id =
       rollback t st;
       Hashtbl.remove t.txns st.txn;
       let pids =
-        Hashtbl.fold
+        Pids.fold
           (fun pid s acc -> if s == st then pid :: acc else acc)
           t.by_pid []
       in
-      List.iter (Hashtbl.remove t.by_pid) pids)
+      List.iter (Pids.remove t.by_pid) pids)
     victims

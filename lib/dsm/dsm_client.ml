@@ -6,7 +6,7 @@ type t = {
   node : Ra.Node.t;
   locate : Ra.Sysname.t -> Net.Address.t;
   mode_of : Ra.Sysname.t -> Ra.Partition.consistency;
-  stale_dirty : (Ra.Sysname.t * int, unit) Hashtbl.t;
+  stale_dirty : unit Ra.Sysname.Page_table.t;
       (* release-mode pages we kept through an Inval_batch because
          they held unflushed local writes; their unmodified bytes are
          stale, so our own flush drops the frame instead of rebasing *)
@@ -62,7 +62,7 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy) () =
       node;
       locate;
       mode_of = consistency;
-      stale_dirty = Hashtbl.create 16;
+      stale_dirty = Ra.Sysname.Page_table.create 16;
       fetches = Sim.Stats.counter "dsmc/fetches";
       puts = Sim.Stats.counter "dsmc/puts";
       invals = Sim.Stats.counter "dsmc/invals";
@@ -92,7 +92,7 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy) () =
               (fun (seg, page) ->
                 Sim.Stats.incr t.invals;
                 if Ra.Mmu.is_dirty node.Ra.Node.mmu seg page then
-                  Hashtbl.replace t.stale_dirty (seg, page) ()
+                  Ra.Sysname.Page_table.replace t.stale_dirty (seg, page) ()
                 else ignore (Ra.Mmu.invalidate node.Ra.Node.mmu seg page))
               pages;
             P.Batch_ok
@@ -136,11 +136,11 @@ let flush_release t seg dirty =
        dirty);
   List.iter
     (fun (page, _) ->
-      if Hashtbl.mem t.stale_dirty (seg, page) then begin
+      if Ra.Sysname.Page_table.mem t.stale_dirty (seg, page) then begin
         (* another scope flushed under us: our diff is home, but the
            frame's unmodified bytes are stale — refetch on next
            touch *)
-        Hashtbl.remove t.stale_dirty (seg, page);
+        Ra.Sysname.Page_table.remove t.stale_dirty (seg, page);
         ignore (Ra.Mmu.invalidate mmu seg page)
       end
       else begin

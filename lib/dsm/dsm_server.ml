@@ -14,7 +14,7 @@ type t = {
   disk : Store.Disk.t;
   directory : Store.Directory.t;
   mutable locks : Lock_table.t;
-  owners : (Ra.Sysname.t * int, owner_state) Hashtbl.t;
+  owners : owner_state Ra.Sysname.Page_table.t;
   suspects : (Net.Address.t, unit) Hashtbl.t;
       (* nodes whose recalls timed out, or that the membership view
          condemned; skipped until they speak again or the view turns
@@ -55,7 +55,7 @@ let directory t = t.directory
 let participant t = t.participant
 
 let owner_state t key =
-  match Hashtbl.find_opt t.owners key with
+  match Ra.Sysname.Page_table.find_opt t.owners key with
   | Some s -> s
   | None ->
       let s =
@@ -65,7 +65,7 @@ let owner_state t key =
           copyset = [];
         }
       in
-      Hashtbl.replace t.owners key s;
+      Ra.Sysname.Page_table.replace t.owners key s;
       s
 
 (* Forward committed page images to the backups of the segments they
@@ -191,15 +191,15 @@ let release_flush t writes ~except =
   let per_peer : (Net.Address.t, (Ra.Sysname.t * int) list ref) Hashtbl.t =
     Hashtbl.create 8
   in
-  let seen = Hashtbl.create 16 in
+  let seen = Ra.Sysname.Page_table.create 16 in
   List.iter
     (fun (seg, page, _) ->
       if
-        (not (Hashtbl.mem seen (seg, page)))
+        (not (Ra.Sysname.Page_table.mem seen (seg, page)))
         && t.mode_of seg = Ra.Partition.Release
       then begin
-        Hashtbl.add seen (seg, page) ();
-        match Hashtbl.find_opt t.owners (seg, page) with
+        Ra.Sysname.Page_table.add seen (seg, page) ();
+        match Ra.Sysname.Page_table.find_opt t.owners (seg, page) with
         | None -> ()
         | Some st ->
             List.iter
@@ -478,7 +478,7 @@ let handle t ~src body =
           t.merge_applied []
       in
       List.iter (Hashtbl.remove t.merge_applied) doomed;
-      Hashtbl.iter
+      Ra.Sysname.Page_table.iter
         (fun (s, _) st ->
           if Ra.Sysname.equal s seg then begin
             st.owner <- None;
@@ -526,7 +526,7 @@ let create node ?group_commit_window ?checkpoint_every
         disk;
         directory = Store.Directory.create ();
         locks = Lock_table.create ();
-        owners = Hashtbl.create 64;
+        owners = Ra.Sysname.Page_table.create 64;
         suspects = Hashtbl.create 8;
         mirrors = (fun _ -> []);
         mode_of = consistency;
@@ -587,18 +587,18 @@ let suspected t =
 (* Coherence and lock state are volatile; the participant re-takes
    the locks of whatever its log left in doubt. *)
 let recover t =
-  Hashtbl.reset t.owners;
+  Ra.Sysname.Page_table.reset t.owners;
   Hashtbl.reset t.suspects;
   t.locks <- Lock_table.create ();
   Participant.recover t.participant
 
 let owner_of t seg page =
-  match Hashtbl.find_opt t.owners (seg, page) with
+  match Ra.Sysname.Page_table.find_opt t.owners (seg, page) with
   | Some st -> st.owner
   | None -> None
 
 let copyset_of t seg page =
-  match Hashtbl.find_opt t.owners (seg, page) with
+  match Ra.Sysname.Page_table.find_opt t.owners (seg, page) with
   | Some st -> List.sort Net.Address.compare st.copyset
   | None -> []
 

@@ -19,11 +19,13 @@ let default_config =
     cost_per_byte_ns = 20;
   }
 
+module Nics = Sim.Int_table
+
 type t = {
   eng : Sim.Engine.t;
   cfg : config;
   fault : Fault.t;
-  nics : (Address.t, Nic.t) Hashtbl.t;
+  nics : Nic.t Nics.t;
   bus : Sim.Mutex.t;
   frames : Sim.Stats.counter;
   bytes : Sim.Stats.counter;
@@ -34,7 +36,7 @@ let create eng ?(config = default_config) () =
     eng;
     cfg = config;
     fault = Fault.create eng (Sim.Rng.split (Sim.Engine.rng eng));
-    nics = Hashtbl.create 16;
+    nics = Nics.create 16;
     bus = Sim.Mutex.create ~label:"ether-bus" ();
     frames = Sim.Stats.counter "net/frames";
     bytes = Sim.Stats.counter "net/bytes";
@@ -45,16 +47,15 @@ let fault t = t.fault
 let engine t = t.eng
 
 let attach t addr =
-  if Hashtbl.mem t.nics addr then
-    invalid_arg "Ethernet.attach: address in use";
+  if Nics.mem t.nics addr then invalid_arg "Ethernet.attach: address in use";
   let nic =
-    Nic.create ~addr ~recv_cost_per_frame:t.cfg.recv_cost_per_frame
+    Nic.create t.eng ~addr ~recv_cost_per_frame:t.cfg.recv_cost_per_frame
       ~recv_cost_per_byte_ns:t.cfg.cost_per_byte_ns
   in
-  Hashtbl.replace t.nics addr nic;
+  Nics.replace t.nics addr nic;
   nic
 
-let nic t addr = Hashtbl.find_opt t.nics addr
+let nic t addr = Nics.find_opt t.nics addr
 
 let detach t addr =
   match nic t addr with Some n -> Nic.set_attached n false | None -> ()
@@ -67,55 +68,161 @@ let wire_time cfg bytes =
   let ns = int_of_float (float_of_int bits /. float_of_int cfg.bandwidth_bps *. 1e9) in
   ns + cfg.frame_gap
 
+let push t addr frame =
+  match Nics.find_opt t.nics addr with
+  | Some n -> Nic.deliver n frame
+  | None -> ()
+
 (* Delivery happens [propagation] after the wire time ends; faults
    are evaluated per destination at delivery time.  The fault plan
    may suppress the frame, deliver extra copies, or push a copy
    later (jitter / reordering). *)
+let rec deliver_copies t addr frame = function
+  | [] -> ()
+  | extra :: rest ->
+      if extra <= 0 then push t addr frame
+      else
+        Sim.Engine.at t.eng
+          (Sim.Time.add (Sim.Engine.now t.eng) extra)
+          (fun () -> push t addr frame);
+      deliver_copies t addr frame rest
+
+let deliver_to t addr (frame : Frame.t) =
+  deliver_copies t addr frame (Fault.plan t.fault ~src:frame.src ~dst:addr frame)
+
 let deliver t (frame : Frame.t) =
-  let deliver_to addr =
-    let push () =
-      match Hashtbl.find_opt t.nics addr with
-      | Some n -> Nic.deliver n frame
-      | None -> ()
-    in
-    List.iter
-      (fun extra ->
-        if extra <= 0 then push ()
-        else
-          Sim.Engine.at t.eng
-            (Sim.Time.add (Sim.Engine.now t.eng) extra)
-            push)
-      (Fault.plan t.fault ~src:frame.src ~dst:addr frame)
-  in
   match frame.dst with
-  | Frame.Unicast addr -> deliver_to addr
+  | Frame.Unicast addr -> deliver_to t addr frame
   | Frame.Broadcast ->
       let addrs =
-        Hashtbl.fold
+        Nics.fold
           (fun addr _ acc ->
             if Address.equal addr frame.src then acc else addr :: acc)
           t.nics []
       in
-      List.iter deliver_to (List.sort Address.compare addrs)
+      List.iter (fun addr -> deliver_to t addr frame) (List.sort Address.compare addrs)
 
 let host_send_cost cfg (frame : Frame.t) =
   cfg.send_cost_per_frame + (cfg.cost_per_byte_ns * frame.bytes)
 
-let transmit_prepared t (frame : Frame.t) =
+(* --- a frame's passage over the bus, as engine events -------------- *)
+
+(* [Waiting] in the bus FIFO, [Granted] the bus with the grant's event
+   pending, [On_wire] until the wire-end event: the states of a
+   process that transmits (suspended, woken, sleeping), and a kill
+   stops the passage where it would stop that process. *)
+type phase = Off | Waiting | Granted | On_wire
+
+type sender = {
+  ether : t;
+  mutable frame : Frame.t;
+  mutable phase : phase;
+  mutable ev : Sim.Engine.timer;
+      (* the grant or wire-end event, pending or last, rearmed for the
+         next *)
+  mutable dead : bool;
+  mutable sent : unit -> unit;
+  mutable grant : unit -> bool;
+  mutable granted : unit -> unit;
+  mutable wire_end : unit -> unit;
+}
+
+let check_mtu t (frame : Frame.t) =
   if frame.bytes - Frame.header_bytes > t.cfg.mtu_payload then
-    invalid_arg "Ethernet.transmit: payload exceeds MTU";
-  Sim.Mutex.with_lock t.bus (fun () ->
-      Sim.sleep (wire_time t.cfg frame.bytes);
-      Sim.Stats.incr t.frames;
-      Sim.Stats.incr_by t.bytes frame.bytes;
-      let arrival = Sim.Time.add (Sim.now ()) t.cfg.propagation in
-      Sim.Engine.at t.eng arrival (fun () -> deliver t frame))
+    invalid_arg "Ethernet.transmit: payload exceeds MTU"
+
+let on_wire s =
+  let t = s.ether in
+  s.phase <- On_wire;
+  s.ev <-
+    Sim.Engine.retime t.eng s.ev
+      (Sim.Time.add (Sim.Engine.now t.eng) (wire_time t.cfg s.frame.bytes))
+      s.wire_end
+
+(* The bus FIFO's waker: the grant takes an event of its own, where
+   the woken process's resumption was. *)
+let grant s () =
+  (not s.dead)
+  && begin
+       let t = s.ether in
+       s.phase <- Granted;
+       s.ev <- Sim.Engine.retime t.eng s.ev (Sim.Engine.now t.eng) s.granted;
+       true
+     end
+
+(* Handed the bus after its owner died, the sender passes it on at
+   once, as the dying process's unwinding did. *)
+let granted s () =
+  if s.dead then begin
+    s.phase <- Off;
+    s.frame <- Frame.none;
+    Sim.Mutex.unlock s.ether.bus;
+    s.sent ()
+  end
+  else on_wire s
+
+let wire_end s () =
+  let t = s.ether and frame = s.frame in
+  s.frame <- Frame.none;
+  Sim.Stats.incr t.frames;
+  Sim.Stats.incr_by t.bytes frame.bytes;
+  Sim.Engine.at t.eng
+    (Sim.Time.add (Sim.Engine.now t.eng) t.cfg.propagation)
+    (fun () -> deliver t frame);
+  s.phase <- Off;
+  Sim.Mutex.unlock t.bus;
+  s.sent ()
+
+let sender t =
+  let s =
+    {
+      ether = t;
+      frame = Frame.none;
+      phase = Off;
+      ev = Sim.Engine.no_timer;
+      dead = false;
+      sent = ignore;
+      grant = (fun () -> false);
+      granted = ignore;
+      wire_end = ignore;
+    }
+  in
+  s.grant <- grant s;
+  s.granted <- granted s;
+  s.wire_end <- wire_end s;
+  s
+
+let put s frame sent =
+  check_mtu s.ether frame;
+  s.frame <- frame;
+  s.sent <- sent;
+  s.dead <- false;
+  if Sim.Mutex.acquire s.ether.bus s.grant then on_wire s
+  else s.phase <- Waiting
+
+let abort s =
+  let t = s.ether in
+  s.dead <- true;
+  match s.phase with
+  | On_wire ->
+      (* the frame is neither counted nor delivered, and the bus is
+         released in an event of its own, where a killed transmitting
+         process's abort releases it *)
+      Sim.Engine.cancel t.eng s.ev;
+      s.phase <- Off;
+      Sim.Engine.at t.eng (Sim.Engine.now t.eng) (fun () ->
+          Sim.Mutex.unlock t.bus);
+      true
+  | Granted -> false
+  | Waiting | Off -> true
 
 let transmit t (frame : Frame.t) =
-  if frame.bytes - Frame.header_bytes > t.cfg.mtu_payload then
-    invalid_arg "Ethernet.transmit: payload exceeds MTU";
+  check_mtu t frame;
   Sim.sleep (host_send_cost t.cfg frame);
-  transmit_prepared t frame
+  let s = sender t in
+  Sim.Engine.Process.park
+    (fun () -> abort s)
+    (fun p -> put s frame (fun () -> Sim.Engine.resume t.eng p))
 
 let frames_sent t = Sim.Stats.value t.frames
 let bytes_sent t = Sim.Stats.value t.bytes

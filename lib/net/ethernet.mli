@@ -5,9 +5,16 @@
     modeled as FIFO arbitration); a frame occupies the wire for its
     size divided by the bandwidth plus a fixed gap, then arrives at
     the destination NIC(s) after the propagation delay, unless the
-    fault model drops it.  Host-side costs are charged on the sending
-    process (here) and the receiving process ({!Nic.recv}), so bulk
-    transfers naturally pipeline sender processing with wire time. *)
+    fault model drops it.  Host-side costs are charged to the sender
+    ({!transmit}, or a {!sender}'s owner, which overlaps them with
+    the wire time of earlier frames) and to the receiver
+    ({!Nic.listen} or {!Nic.recv}).
+
+    A frame's passage over the bus is a chain of engine events: wait
+    for the bus (FIFO), hold it for the wire time, count the frame and
+    schedule its arrival, release the bus.  A {!sender} runs that
+    chain for engine-context code (RaTP's bursts); {!transmit} parks
+    the calling process on it. *)
 
 type config = {
   bandwidth_bps : int;  (** wire speed; 10 Mbit/s in the paper *)
@@ -45,14 +52,34 @@ val reattach : t -> Address.t -> unit
 val transmit : t -> Frame.t -> unit
 (** Send a frame from a process: charges the sender's host cost,
     waits for the bus, occupies it for the wire time, and schedules
-    delivery.  Raises [Invalid_argument] if the payload exceeds the
-    MTU. *)
+    delivery; returns when the bus is released.  Raises
+    [Invalid_argument] if the payload exceeds the MTU. *)
 
-val transmit_prepared : t -> Frame.t -> unit
-(** Like {!transmit} but without charging the sender's host cost: for
-    tx loops that overlap the driver cost of fragment [i+1] with the
-    wire time of fragment [i] and account for it themselves
-    ({!host_send_cost}). *)
+type sender
+(** One frame at a time over the bus, driven by engine events, for a
+    sender that charges its host cost itself. *)
+
+val sender : t -> sender
+(** An idle sender. *)
+
+val put : sender -> Frame.t -> (unit -> unit) -> unit
+(** [put s frame sent] starts the frame's passage: take the bus now if
+    it is free, or queue for it.  [sent ()] is called in engine
+    context when the passage ends: the bus released after the frame
+    was counted and its arrival scheduled, or, after {!abort}, the bus
+    passed on at a grant the sender no longer wants.  The sender must
+    be idle: new, or past the [sent] of its last passage.  Raises
+    [Invalid_argument] if the payload exceeds the MTU. *)
+
+val abort : sender -> bool
+(** Stop the sender where a killed sending process stopped: a frame
+    waiting for the bus gives up its place; a frame on the wire is
+    neither counted nor delivered, and the bus is released in an
+    event scheduled now; a sender granted the bus in this instant
+    passes it on when the grant's event fires, and then calls
+    [sent].  Returns false only in that last case: the owner of a
+    parked process resumes it from [sent] (see
+    {!Sim.Engine.Process.park}). *)
 
 val host_send_cost : config -> Frame.t -> Sim.Time.span
 (** Sender-side driver cost {!transmit} charges for a frame. *)

@@ -27,3 +27,7 @@ val header_bytes : int
 val make : src:Address.t -> dst:dst -> payload_bytes:int -> payload -> t
 (** Build a frame; [bytes] is [payload_bytes + header_bytes], clamped
     below by the 64-byte Ethernet minimum. *)
+
+val none : t
+(** A placeholder for a record's frame slot while it holds no frame; it
+    is never sent. *)

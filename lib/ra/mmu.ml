@@ -32,15 +32,32 @@ type t = {
   mutable access_clock : int;
   mutable resolver : Sysname.t -> Partition.t;
   mutable consistency : Sysname.t -> Partition.consistency;
-  frames : (Sysname.t * int, frame) Hashtbl.t;
-  inflight : (Sysname.t * int, unit Sim.Ivar.t) Hashtbl.t;
-  poisoned : (Sysname.t * int, unit) Hashtbl.t;
+  frames : frame Sysname.Page_table.t;
+  mutable last_seg : Sysname.t;
+  mutable last_page : int;
+  mutable last : frame;
+      (* a one-entry cache, as most accesses touch the page the one
+         before did: the frame [find_or_fault] last found for
+         (last_seg, last_page); [last_page] is -1 once [frames] has
+         changed *)
+  inflight : unit Sim.Ivar.t Sysname.Page_table.t;
+  poisoned : unit Sysname.Page_table.t;
   mutable hook : (Sysname.t -> int -> Partition.mode -> unit) option;
   mutable twin_clock : int;  (* allocator for [base_stamp] *)
   faults : Sim.Stats.counter;
   upgrades : Sim.Stats.counter;
   evictions : Sim.Stats.counter;
 }
+
+let no_frame =
+  {
+    mode = Partition.Read;
+    data = Bytes.empty;
+    spans = [];
+    last_used = 0;
+    base = None;
+    base_stamp = 0;
+  }
 
 let create ?(max_frames = max_int) ~cpu () =
   if max_frames < 1 then invalid_arg "Mmu.create: max_frames must be positive";
@@ -50,9 +67,12 @@ let create ?(max_frames = max_int) ~cpu () =
     access_clock = 0;
     resolver = (fun seg -> raise (Partition.No_segment seg));
     consistency = (fun _ -> Partition.One_copy);
-    frames = Hashtbl.create 256;
-    inflight = Hashtbl.create 8;
-    poisoned = Hashtbl.create 8;
+    frames = Sysname.Page_table.create 256;
+    last_seg = Sysname.well_known 0;
+    last_page = -1;
+    last = no_frame;
+    inflight = Sysname.Page_table.create 8;
+    poisoned = Sysname.Page_table.create 8;
     hook = None;
     twin_clock = 0;
     faults = Sim.Stats.counter "mmu/faults";
@@ -75,6 +95,8 @@ let snapshot_base t seg frame =
       frame.base <- Some (Page.copy frame.data);
       frame.base_stamp <- t.twin_clock
 
+let forget t = t.last_page <- -1
+
 let touch_frame t frame =
   t.access_clock <- t.access_clock + 1;
   frame.last_used <- t.access_clock
@@ -93,7 +115,7 @@ let written_spans f =
    spans twice, which is harmless. *)
 let evict_one t =
   let victim =
-    Hashtbl.fold
+    Sysname.Page_table.fold
       (fun key frame acc ->
         match acc with
         | Some (_, best) when best.last_used <= frame.last_used -> acc
@@ -106,14 +128,15 @@ let evict_one t =
       let used = frame.last_used in
       if frame.spans <> [] then
         (t.resolver seg).Partition.writeback ~seg ~page (written_spans frame);
-      (match Hashtbl.find_opt t.frames key with
+      (match Sysname.Page_table.find_opt t.frames key with
       | Some f when f == frame && f.last_used = used ->
-          Hashtbl.remove t.frames key;
+          forget t;
+          Sysname.Page_table.remove t.frames key;
           Sim.Stats.incr t.evictions
       | Some _ | None -> ())
 
 let make_room t =
-  while Hashtbl.length t.frames >= t.max_frames do
+  while Sysname.Page_table.length t.frames >= t.max_frames do
     evict_one t
   done
 
@@ -131,23 +154,26 @@ let mode_sufficient have need =
    frame) can overtake the page data still in flight to us, poisoning
    fetch after fetch.  Retrying after a randomized, growing delay
    lets the current owner finish before we steal the page back. *)
-let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
+let rec find_or_fault ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
   let key = (seg, page) in
-  match Hashtbl.find_opt t.frames key with
+  match Sysname.Page_table.find_opt t.frames key with
   | Some f when mode_sufficient f.mode need ->
       touch_frame t f;
+      t.last_seg <- seg;
+      t.last_page <- page;
+      t.last <- f;
       f
   | existing -> (
-      match Hashtbl.find_opt t.inflight key with
+      match Sysname.Page_table.find_opt t.inflight key with
       | Some iv ->
           Sim.Ivar.read iv;
-          ensure_resident t seg page need
+          find_or_fault t seg page need
       | None ->
           let iv = Sim.Ivar.create () in
-          Hashtbl.replace t.inflight key iv;
+          Sysname.Page_table.replace t.inflight key iv;
           Fun.protect
             ~finally:(fun () ->
-              Hashtbl.remove t.inflight key;
+              Sysname.Page_table.remove t.inflight key;
               Sim.Ivar.fill iv ())
             (fun () ->
               let self = Sim.self () in
@@ -191,15 +217,17 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
               snapshot_base t seg frame;
               touch_frame t frame;
               if existing = None then make_room t;
-              if Hashtbl.mem t.poisoned key then begin
+              if Sysname.Page_table.mem t.poisoned key then begin
                 (* invalidated while the fetch was in flight: discard
                    and fault again against the server's newer state *)
-                Hashtbl.remove t.poisoned key;
-                Hashtbl.remove t.frames key;
+                Sysname.Page_table.remove t.poisoned key;
+                forget t;
+                Sysname.Page_table.remove t.frames key;
                 None
               end
               else begin
-                Hashtbl.replace t.frames key frame;
+                forget t;
+                Sysname.Page_table.replace t.frames key frame;
                 Some frame
               end)
           |> function
@@ -207,9 +235,20 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
           | None ->
               let rng = Sim.Engine.rng (Sim.engine ()) in
               Sim.sleep (backoff + Sim.Rng.int rng (2 * backoff));
-              ensure_resident
+              find_or_fault
                 ~backoff:(min (8 * backoff) (Sim.Time.ms 64))
                 t seg page need)
+
+let ensure_resident t seg page need =
+  if
+    page = t.last_page
+    && Sysname.equal seg t.last_seg
+    && mode_sufficient t.last.mode need
+  then begin
+    touch_frame t t.last;
+    t.last
+  end
+  else find_or_fault t seg page need
 
 (* Walk [addr, addr+len) chunk by chunk, where a chunk never crosses
    a page or mapping boundary, and apply [f frame ~page_off ~buf_off
@@ -276,13 +315,13 @@ let write t vs ~addr src =
       note_write frame ~off:page_off ~n)
 
 let resident t seg page =
-  match Hashtbl.find_opt t.frames (seg, page) with
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | Some f -> Some f.mode
   | None -> None
 
 (* Each dirty frame of [seg], as [image f] of it, sorted by page. *)
 let dirty_by_page t seg image =
-  Hashtbl.fold
+  Sysname.Page_table.fold
     (fun (s, page) f acc ->
       if Sysname.equal s seg && f.spans <> [] then (page, image f) :: acc
       else acc)
@@ -294,18 +333,19 @@ let dirty_pages t seg = dirty_by_page t seg (fun f -> Page.copy f.data)
 let dirty_spans t seg = dirty_by_page t seg written_spans
 
 let invalidate t seg page =
-  if Hashtbl.mem t.inflight (seg, page) then
-    Hashtbl.replace t.poisoned (seg, page) ();
-  match Hashtbl.find_opt t.frames (seg, page) with
+  if Sysname.Page_table.mem t.inflight (seg, page) then
+    Sysname.Page_table.replace t.poisoned (seg, page) ();
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | None -> None
   | Some f ->
-      Hashtbl.remove t.frames (seg, page);
+      forget t;
+      Sysname.Page_table.remove t.frames (seg, page);
       if f.spans <> [] then Some f.data else None
 
 let downgrade t seg page =
-  if Hashtbl.mem t.inflight (seg, page) then
-    Hashtbl.replace t.poisoned (seg, page) ();
-  match Hashtbl.find_opt t.frames (seg, page) with
+  if Sysname.Page_table.mem t.inflight (seg, page) then
+    Sysname.Page_table.replace t.poisoned (seg, page) ();
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | None -> None
   | Some f ->
       let dirty = f.spans <> [] in
@@ -316,22 +356,22 @@ let downgrade t seg page =
       if dirty then Some f.data else None
 
 let mark_clean t seg page =
-  match Hashtbl.find_opt t.frames (seg, page) with
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | Some f -> f.spans <- []
   | None -> ()
 
 let is_dirty t seg page =
-  match Hashtbl.find_opt t.frames (seg, page) with
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | Some f -> f.spans <> []
   | None -> false
 
 let page_base t seg page =
-  match Hashtbl.find_opt t.frames (seg, page) with
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | Some { base = Some b; _ } -> Some b
   | _ -> None
 
 let twin_stamp t seg page =
-  match Hashtbl.find_opt t.frames (seg, page) with
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | Some { base = Some _; base_stamp; _ } -> base_stamp
   | _ -> 0
 
@@ -340,7 +380,7 @@ let twin_stamp t seg page =
    contents).  The frame gets a fresh copy: its old data may be a
    shared Read image, and [data] is a message body. *)
 let merge_refresh t seg page data =
-  match Hashtbl.find_opt t.frames (seg, page) with
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | None -> ()
   | Some f ->
       let fresh = Page.copy f.data in
@@ -350,24 +390,26 @@ let merge_refresh t seg page data =
       snapshot_base t seg f
 
 let rebase t seg page =
-  match Hashtbl.find_opt t.frames (seg, page) with
+  match Sysname.Page_table.find_opt t.frames (seg, page) with
   | None -> ()
   | Some f -> snapshot_base t seg f
 
 let drop_segment t seg =
   let keys =
-    Hashtbl.fold
+    Sysname.Page_table.fold
       (fun (s, page) _ acc ->
         if Sysname.equal s seg then (s, page) :: acc else acc)
       t.frames []
   in
-  List.iter (Hashtbl.remove t.frames) keys
+  forget t;
+  List.iter (Sysname.Page_table.remove t.frames) keys
 
 let clear t =
-  Hashtbl.reset t.frames;
-  Hashtbl.reset t.inflight;
-  Hashtbl.reset t.poisoned
+  forget t;
+  Sysname.Page_table.reset t.frames;
+  Sysname.Page_table.reset t.inflight;
+  Sysname.Page_table.reset t.poisoned
 
 let metrics t =
   Sim.Stats.[ Counter t.faults; Counter t.upgrades; Counter t.evictions ]
-let resident_frames t = Hashtbl.length t.frames
+let resident_frames t = Sysname.Page_table.length t.frames

@@ -32,3 +32,9 @@ val of_string : string -> t option
 
 (** Hash tables keyed by sysname. *)
 module Table : Hashtbl.S with type key = t
+
+(** Hash tables keyed by a (segment, page) pair.  The hash is
+    [Hashtbl.hash (seg, page)] computed without allocating or calling
+    the runtime, so a table walks its bindings in the order a
+    polymorphic [Hashtbl] keyed by the pair did. *)
+module Page_table : Hashtbl.S with type key = t * int

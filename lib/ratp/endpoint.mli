@@ -16,9 +16,15 @@
     Jacobson/Karels estimate, and a call gives up after a budget of
     silence rather than a count of attempts (DESIGN.md §12).
 
-    Each endpoint owns the NIC of one machine and runs a receive loop
-    process; server handlers run in their own processes so a slow
-    handler never blocks reception. *)
+    Each endpoint owns the NIC of one machine.  The transport itself
+    runs as engine events, not processes: the NIC hands each frame to
+    the endpoint after its receive cost ({!Net.Nic.listen}), and each
+    message's fragments go out as one chain of events per message
+    (DESIGN.md §12).  A reply, Ack, Busy or Nack is an engine task of
+    the endpoint's crash group, so a machine crash stops it where it
+    stood; a client's request burst parks the calling process until
+    the burst has left the host.  Server handlers run in processes of
+    their own, so a slow handler never blocks reception. *)
 
 type config = {
   retry_initial : Sim.Time.span;  (** RTO before the first RTT sample *)

@@ -12,11 +12,12 @@ type action =
   | Resume : proc * ('a, unit) Effect.Deep.continuation * 'a -> action
   | Abort : proc * ('a, unit) Effect.Deep.continuation -> action
 
-(* [pos] is the event's heap slot, [in_ready] while it waits in the
-   ready queue, or [gone] once it has fired or been cancelled. *)
+(* [pos] is the event's heap id while it waits in the timer heap,
+   [in_ready] while it waits in the ready queue, or [gone] once it
+   has fired or been cancelled. *)
 and event = {
-  time : Time.t;
-  order : int;
+  mutable time : Time.t;
+  mutable order : int;
   mutable pos : int;
   mutable act : action;
 }
@@ -28,6 +29,13 @@ and wait =
   | Running
   | Sleeping of event  (* its [Resume] event *)
   | Suspended : ('a, unit) Effect.Deep.continuation -> wait
+  | Parked of parked
+
+and parked = {
+  owner : proc;
+  k : (unit, unit) Effect.Deep.continuation;
+  on_kill : unit -> bool;
+}
 
 and proc = {
   pid : int;
@@ -40,91 +48,172 @@ and proc = {
 
 type timer = event
 
+(* A group member that is not a process, on a list in pid order (a
+   ring through a sentinel): [kill_group] merges it with the
+   processes of its group. *)
+type task = {
+  tpid : int;
+  tgroup : int option;
+  hook : unit -> unit;
+  mutable prev : task;
+  mutable next : task;
+}
+
 let gone = -1
 let in_ready = -2
 let dummy = { time = min_int; order = 0; pos = gone; act = Nop }
+let no_timer = dummy
 
-(* The timer heap: 4-ary and indexed.  Every move records the
-   event's slot in [pos] so [remove_at] can take out any event, not
-   just the minimum.  Vacated slots are overwritten with [dummy] so
-   removed event closures stay collectable.  A 4-ary heap is half as
-   deep as a binary one, so a sift moves an event (a write barrier
-   and a [pos] store) half as often for the same comparisons. *)
+(* The timer heap: 4-ary and indexed, with the keys out of the
+   events.  Heap slot [i] holds its event's time, order and id at
+   [tms.(i)], [ods.(i)] and [ids.(i)]; [evs] maps an id to its event
+   and [slot] an id to its heap slot, or a free id to the next free
+   one (the free ids form a stack).  A sift moves only ints, so it
+   pays no write barrier and touches no event, and a node's four
+   children have their times side by side; [evs] is written once when
+   an event is pushed and once when it leaves.  The id is the event's
+   [pos], so [cancel] finds any event's slot, not just the minimum's.
+   A 4-ary heap is half as deep as a binary one. *)
 module Heap = struct
-  type t = { mutable arr : event array; mutable n : int }
+  type t = {
+    mutable tms : int array;
+    mutable ods : int array;
+    mutable ids : int array;
+    mutable n : int;
+    mutable evs : event array;
+    mutable slot : int array;
+    mutable free : int;  (* the top free id, or -1 *)
+  }
 
-  let create () = { arr = [||]; n = 0 }
+  let create () =
+    {
+      tms = [||];
+      ods = [||];
+      ids = [||];
+      n = 0;
+      evs = [||];
+      slot = [||];
+      free = -1;
+    }
 
-  let[@inline] before a b =
-    a.time < b.time || (a.time = b.time && a.order < b.order)
+  let grow h =
+    let cap = Array.length h.evs in
+    let cap' = if cap = 0 then 256 else 2 * cap in
+    let extend a =
+      let b = Array.make cap' 0 in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    let evs = Array.make cap' dummy in
+    Array.blit h.evs 0 evs 0 cap;
+    h.tms <- extend h.tms;
+    h.ods <- extend h.ods;
+    h.ids <- extend h.ids;
+    h.slot <- extend h.slot;
+    h.evs <- evs;
+    (* every id below [cap] is in use; the new ones go on the stack *)
+    for j = cap to cap' - 2 do
+      h.slot.(j) <- j + 1
+    done;
+    h.slot.(cap' - 1) <- -1;
+    h.free <- cap
 
-  let[@inline] place arr i ev =
-    arr.(i) <- ev;
-    ev.pos <- i
+  let[@inline] before (t1 : int) (o1 : int) t2 o2 =
+    t1 < t2 || (t1 = t2 && o1 < o2)
 
-  (* Sift [ev] into the hole at [i]: parents it beats move down,
+  (* Write the key (tm, ord, id) into slot [i]. *)
+  let[@inline] place h i tm ord id =
+    Array.unsafe_set h.tms i tm;
+    Array.unsafe_set h.ods i ord;
+    Array.unsafe_set h.ids i id;
+    Array.unsafe_set h.slot id i
+
+  (* Sift the key into the hole at [i]: parents it beats move down,
      children that beat it move up. *)
-  let sift_up arr i ev =
+  let sift_up h i tm ord id =
+    let tms = h.tms and ods = h.ods in
     let i = ref i in
-    while !i > 0 && before ev arr.((!i - 1) lsr 2) do
+    while
+      !i > 0
+      &&
       let p = (!i - 1) lsr 2 in
-      place arr !i arr.(p);
+      before tm ord (Array.unsafe_get tms p) (Array.unsafe_get ods p)
+    do
+      let p = (!i - 1) lsr 2 in
+      place h !i (Array.unsafe_get tms p) (Array.unsafe_get ods p)
+        (Array.unsafe_get h.ids p);
       i := p
     done;
-    place arr !i ev
+    place h !i tm ord id
 
-  let sift_down arr n i ev =
+  (* A child's order is read only when its time ties. *)
+  let sift_down h i tm ord id =
+    let tms = h.tms and ods = h.ods and n = h.n in
     let i = ref i and sifting = ref true in
     while !sifting do
       let first = (4 * !i) + 1 in
       if first >= n then sifting := false
       else begin
-        let c = ref first and least = ref arr.(first) in
+        let c = ref first and ct = ref (Array.unsafe_get tms first) in
         let last = if first + 3 < n then first + 3 else n - 1 in
         for j = first + 1 to last do
-          let x = arr.(j) in
-          if before x !least then begin
+          let jt = Array.unsafe_get tms j in
+          if
+            jt < !ct
+            || (jt = !ct && Array.unsafe_get ods j < Array.unsafe_get ods !c)
+          then begin
             c := j;
-            least := x
+            ct := jt
           end
         done;
-        if before !least ev then begin
-          place arr !i !least;
+        let co = Array.unsafe_get ods !c in
+        if before !ct co tm ord then begin
+          place h !i !ct co (Array.unsafe_get h.ids !c);
           i := !c
         end
         else sifting := false
       end
     done;
-    place arr !i ev
+    place h !i tm ord id
 
   let push h ev =
-    let cap = Array.length h.arr in
-    if h.n >= cap then begin
-      let arr = Array.make (if cap = 0 then 256 else 2 * cap) dummy in
-      Array.blit h.arr 0 arr 0 h.n;
-      h.arr <- arr
-    end;
+    if h.free < 0 then grow h;
+    let id = h.free in
+    h.free <- h.slot.(id);
+    h.evs.(id) <- ev;
+    ev.pos <- id;
     let i = h.n in
     h.n <- i + 1;
-    sift_up h.arr i ev
+    sift_up h i ev.time ev.order id
 
-  (* Precondition: not empty. *)
-  let[@inline] top h = h.arr.(0)
+  (* Preconditions: not empty. *)
+  let[@inline] top_time h = Array.unsafe_get h.tms 0
+  let[@inline] top_order h = Array.unsafe_get h.ods 0
 
-  (* Take out the event at slot [i]: the last event fills the hole
-     and sifts whichever way restores the heap order. *)
+  (* Take out the event at slot [i]: the last key fills the hole and
+     sifts whichever way restores the heap order. *)
   let remove_at h i =
-    let arr = h.arr in
-    let ev = arr.(i) in
+    let id = h.ids.(i) in
+    let ev = h.evs.(id) in
+    h.evs.(id) <- dummy;
     let n = h.n - 1 in
     h.n <- n;
-    let last = arr.(n) in
-    arr.(n) <- dummy;
-    if i < n then
-      if i > 0 && before last arr.((i - 1) lsr 2) then sift_up arr i last
-      else sift_down arr n i last;
+    if i < n then begin
+      let tm = h.tms.(n) and ord = h.ods.(n) and lid = h.ids.(n) in
+      if
+        i > 0
+        &&
+        let p = (i - 1) lsr 2 in
+        before tm ord h.tms.(p) h.ods.(p)
+      then sift_up h i tm ord lid
+      else sift_down h i tm ord lid
+    end;
+    h.slot.(id) <- h.free;
+    h.free <- id;
     ev.pos <- gone;
     ev
+
+  let remove h ev = ignore (remove_at h h.slot.(ev.pos))
 end
 
 (* The ready queue: events due at the current instant, in scheduling
@@ -186,12 +275,7 @@ module Ready = struct
 end
 
 (* Pids are handed out in sequence, so they are their own hash. *)
-module Pids = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash pid = pid
-end)
+module Pids = Int_table
 
 type t = {
   mutable clock : Time.t;
@@ -199,6 +283,7 @@ type t = {
   heap : Heap.t;  (* events scheduled for a later instant *)
   ready : Ready.t;  (* events scheduled for the current instant *)
   procs : proc Pids.t;
+  tasks : task;  (* the sentinel of the task ring *)
   mutable next_pid : int;
   (* the process currently executing, or [no_proc]: set around every
      entry into process code (start and each resumption) so the one
@@ -224,8 +309,14 @@ let no_proc =
    whichever engine that handler belongs to. *)
 let nap = ref 0
 
+(* The kill hook and the registration of the park being performed,
+   beside the effect for the same reason. *)
+let park_hook = ref (fun () -> true)
+let park_register : (parked -> unit) ref = ref ignore
+
 type _ Effect.t +=
   | E_sleep : unit Effect.t  (* for [nap] *)
+  | E_park : unit Effect.t  (* for [park_hook] and [park_register] *)
   | E_suspend : string * (('a -> bool) -> unit) -> 'a Effect.t
 
 let now t = t.clock
@@ -252,8 +343,31 @@ let schedule_at t time act =
 let schedule t act = ignore (schedule_at t t.clock act)
 let timer t time thunk = schedule_at t time (Thunk thunk)
 
+(* A record that has fired, or was cancelled from the heap, is in
+   neither queue and can take a new key.  One cancelled from the ready
+   queue still has a slot there (its [act] is [Nop]), and [dummy] is
+   shared: both get a fresh record. *)
+let retime t ev time thunk =
+  if ev.pos <> gone || ev.act == Nop then timer t time thunk
+  else begin
+    (match ev.act with
+    | Thunk f when f == thunk -> ()
+    | _ -> ev.act <- Thunk thunk);
+    t.seq <- t.seq + 1;
+    ev.order <- t.seq;
+    if time <= t.clock then begin
+      ev.time <- t.clock;
+      Ready.push t.ready ev
+    end
+    else begin
+      ev.time <- time;
+      Heap.push t.heap ev
+    end;
+    ev
+  end
+
 let cancel t ev =
-  if ev.pos >= 0 then ignore (Heap.remove_at t.heap ev.pos)
+  if ev.pos >= 0 then Heap.remove t.heap ev
   else if ev.pos = in_ready then Ready.cancel t.ready ev
 
 let at t time thunk = ignore (timer t time thunk)
@@ -288,6 +402,14 @@ let suspend t proc register k =
            end)
   end
 
+let park proc on_kill register k =
+  if not proc.alive then Effect.Deep.discontinue k Killed
+  else begin
+    let p = { owner = proc; k; on_kill } in
+    proc.wait <- Parked p;
+    register p
+  end
+
 (* One deep handler per engine runs every process.  Events always
    enter process code from engine context, never from inside another
    process, so at most one process executes at a time, and [t.cur]
@@ -295,6 +417,7 @@ let suspend t proc register k =
    function is allocated once, and finds the span in [nap]. *)
 let handler t =
   let on_sleep = Some (fun k -> sleep t t.cur !nap k) in
+  let on_park = Some (fun k -> park t.cur !park_hook !park_register k) in
   {
     Effect.Deep.retc = (fun () -> finish t t.cur);
     exnc =
@@ -306,10 +429,15 @@ let handler t =
            ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
         | E_sleep -> on_sleep
+        | E_park -> on_park
         | E_suspend (_label, register) ->
             Some (fun k -> suspend t t.cur register k)
         | _ -> None);
   }
+
+let new_ring () =
+  let rec s = { tpid = 0; tgroup = None; hook = ignore; prev = s; next = s } in
+  s
 
 let create ?(seed = 42) () =
   let t =
@@ -319,6 +447,7 @@ let create ?(seed = 42) () =
       heap = Heap.create ();
       ready = Ready.create ();
       procs = Pids.create 64;
+      tasks = new_ring ();
       next_pid = 1;
       cur = no_proc;
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
@@ -351,7 +480,7 @@ let fire t ev =
 
 (* [spawn] is an ordinary function call: a process spawning a sibling
    pays no effect round-trip, and callers that hold the engine —
-   packet delivery, RaTP tx loops, load generators — can spawn
+   RaTP's request handlers, load generators — can spawn
    straight from engine context.  Group inheritance follows the
    spawner when one is executing. *)
 let spawn t ?group name f =
@@ -362,6 +491,28 @@ let spawn t ?group name f =
   Pids.replace t.procs pid proc;
   schedule t (Start (proc, f));
   pid
+
+(* A task takes the next pid, as a spawn would, and joins the tail of
+   the ring, which so stays in pid order.  It leaves when it retires
+   or is killed; a task off the ring points at itself. *)
+let task t ~group hook =
+  let group = match group with Some _ as g -> g | None -> t.cur.group in
+  let pid = t.next_pid in
+  t.next_pid <- pid + 1;
+  let last = t.tasks.prev in
+  let rec k = { tpid = pid; tgroup = group; hook; prev = last; next = k } in
+  k.next <- t.tasks;
+  last.next <- k;
+  t.tasks.prev <- k;
+  k
+
+let retire _ k =
+  if k.next != k then begin
+    k.prev.next <- k.next;
+    k.next.prev <- k.prev;
+    k.prev <- k;
+    k.next <- k
+  end
 
 let kill t pid =
   match Pids.find_opt t.procs pid with
@@ -376,16 +527,50 @@ let kill t pid =
       | Sleeping _ -> assert false
       | Suspended k ->
           proc.wait <- Running;
-          schedule t (Abort (proc, k)))
+          schedule t (Abort (proc, k))
+      | Parked p ->
+          proc.wait <- Running;
+          if p.on_kill () then schedule t (Abort (proc, p.k)))
   | Some _ | None -> ()
 
+let resume t p =
+  let proc = p.owner in
+  let saved = t.cur in
+  proc.wait <- Running;
+  t.cur <- proc;
+  if proc.alive then Effect.Deep.continue p.k ()
+  else Effect.Deep.discontinue p.k Killed;
+  t.cur <- saved
+
+let kill_task t k =
+  if k.next != k then begin
+    retire t k;
+    k.hook ()
+  end
+
+(* The group's processes and tasks, killed in pid order. *)
 let kill_group t group =
-  let victims =
+  let procs =
     Pids.fold
       (fun pid proc acc -> if proc.group = Some group then pid :: acc else acc)
       t.procs []
+    |> List.sort Int.compare
   in
-  List.iter (kill t) (List.sort Int.compare victims)
+  let rec tasks k acc =
+    if k == t.tasks then List.rev acc
+    else tasks k.next (if k.tgroup = Some group then k :: acc else acc)
+  in
+  let rec merge procs tasks =
+    match (procs, tasks) with
+    | pid :: ps, k :: _ when pid < k.tpid ->
+        kill t pid;
+        merge ps tasks
+    | _, k :: ks ->
+        kill_task t k;
+        merge procs ks
+    | ps, [] -> List.iter (kill t) ps
+  in
+  merge procs (tasks t.tasks.next [])
 
 let on_terminate t pid f =
   match Pids.find_opt t.procs pid with
@@ -441,16 +626,19 @@ let next t limit =
       t.clock <- limit;
       dummy
     end
-    else if h.Heap.n > 0 && Heap.before (Heap.top h) r then Heap.remove_at h 0
+    else if
+      h.Heap.n > 0
+      && Heap.before (Heap.top_time h) (Heap.top_order h) r.time r.order
+    then Heap.remove_at h 0
     else Ready.pop q
   else if h.Heap.n > 0 then begin
-    let ev = Heap.top h in
-    if ev.time > limit then begin
+    let time = Heap.top_time h in
+    if time > limit then begin
       t.clock <- limit;
       dummy
     end
     else begin
-      if ev.time > t.clock then t.clock <- ev.time;
+      if time > t.clock then t.clock <- time;
       Heap.remove_at h 0
     end
   end
@@ -491,6 +679,11 @@ module Process = struct
     Effect.perform E_sleep
 
   let yield () = sleep 0
+
+  let park on_kill register =
+    park_hook := on_kill;
+    park_register := register;
+    Effect.perform E_park
   let suspend label register = Effect.perform (E_suspend (label, register))
   let spawn ?group name f = spawn (engine ()) ?group name f
 end

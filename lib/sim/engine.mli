@@ -45,6 +45,17 @@ val timer : t -> Time.t -> (unit -> unit) -> timer
     mailboxes, ...).  Events at the same instant run in scheduling
     order. *)
 
+val retime : t -> timer -> Time.t -> (unit -> unit) -> timer
+(** [retime t tm time thunk] is [timer t time thunk], but returns [tm]
+    itself, rearmed, when [tm] has fired or was cancelled from the
+    heap: an owner with one timer pending at a time (a NIC's receive,
+    a burst) then allocates no event per step.  [tm] must be the
+    caller's own handle and must not be pending. *)
+
+val no_timer : timer
+(** A handle that never fires, for a timer not armed yet: cancelling it
+    is a no-op. *)
+
 val cancel : t -> timer -> unit
 (** [cancel t timer] removes a pending timer from the queue in
     O(log n): it never runs, it no longer counts in {!pending}, and
@@ -62,6 +73,33 @@ val kill : t -> pid -> unit
 
 val kill_group : t -> int -> unit
 (** Kill every live process of a group, in pid order. *)
+
+type task
+(** A group member that is not a process: an activity that runs as
+    timers and callbacks in engine context, such as a NIC's receive or
+    a message's transmission, and must stop where a killed process
+    would. *)
+
+val task : t -> group:int option -> (unit -> unit) -> task
+(** [task t ~group hook] registers a task.  It takes the next pid, as
+    {!spawn} would, so {!kill_group} reaches it in pid order among the
+    group's processes; the kill removes it and calls [hook] once.  A
+    [group] of [None] is the current process's, as for {!spawn}.
+    {!procs} does not list tasks. *)
+
+val retire : t -> task -> unit
+(** [retire t k] removes a task without calling its hook: it finished,
+    or its owner stops it itself.  A no-op if it is gone. *)
+
+type parked
+(** A process parked by {!Process.park}: an engine-context activity
+    holds it and {!resume}s it when the work it waits for is done. *)
+
+val resume : t -> parked -> unit
+(** [resume t p] continues the parked process at once, inside the
+    current event, or unwinds it with {!Killed} if it was killed while
+    its kill hook deferred the abort.  Call it once, from engine
+    context. *)
 
 val on_terminate : t -> pid -> (unit -> unit) -> unit
 (** Run a callback (in engine context) when the process finishes,
@@ -122,6 +160,17 @@ module Process : sig
       return means the process is already woken or dead and the
       caller should hand the wakeup to someone else (crash safety
       for lock handoffs).  [register] must not use process
+      operations. *)
+
+  val park : (unit -> bool) -> (parked -> unit) -> unit
+  (** [park on_kill register] parks the process on an engine-context
+      activity and calls [register p] in engine context; the activity
+      later calls {!resume}.  A {!kill} calls [on_kill ()]: the hook
+      stops the activity where the process would have stopped, and
+      returns true to have the process unwound now (as a sleeping or
+      suspended one is) or false when the activity will {!resume} it
+      within the current instant (as a woken one dies at its next
+      event).  [on_kill] and [register] must not use process
       operations. *)
 
   val spawn : ?group:int -> string -> (unit -> unit) -> pid

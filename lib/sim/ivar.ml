@@ -25,8 +25,17 @@ let read t =
   | Full v -> v
   | Empty _ -> Engine.Process.suspend t.label (register t)
 
-(* A fill cancels the deadline; a fired deadline unregisters the
-   reader before waking it, so a poll loop leaves nothing behind. *)
+(* A reader with a deadline: the fill cancels [timer]; a fired
+   deadline unregisters [waiter] before waking the reader, so a poll
+   loop leaves nothing behind. *)
+type 'a deadline = { mutable timer : Engine.timer; mutable waiter : 'a -> bool }
+
+let expire t d wake () =
+  (match t.state with
+  | Empty ws -> t.state <- Empty (List.filter (( != ) d.waiter) ws)
+  | Full _ -> ());
+  ignore (wake None)
+
 let read_timeout t span =
   match t.state with
   | Full v -> Some v
@@ -34,20 +43,13 @@ let read_timeout t span =
       let eng = Engine.Process.engine () in
       let deadline = Time.add (Engine.now eng) span in
       Engine.Process.suspend t.label (fun wake ->
-          let deadline_timer = ref None in
-          let waiter v =
-            Option.iter (Engine.cancel eng) !deadline_timer;
-            wake (Some v)
-          in
-          register t waiter;
-          deadline_timer :=
-            Some
-              (Engine.timer eng deadline (fun () ->
-                   (match t.state with
-                   | Empty ws ->
-                       t.state <- Empty (List.filter (( != ) waiter) ws)
-                   | Full _ -> ());
-                   ignore (wake None))))
+          let d = { timer = Engine.no_timer; waiter = (fun _ -> false) } in
+          d.waiter <-
+            (fun v ->
+              Engine.cancel eng d.timer;
+              wake (Some v));
+          register t d.waiter;
+          d.timer <- Engine.timer eng deadline (expire t d wake))
 
 let peek t = match t.state with Full v -> Some v | Empty _ -> None
 

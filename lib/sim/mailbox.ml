@@ -1,6 +1,6 @@
 (* Receivers wait in FIFO order.  A waker returns false when its
-   process already died (a killed rx loop): the value then goes to the
-   next waiter, or back to the queue. *)
+   process already died (a crashed machine's receiver): the value
+   then goes to the next waiter, or back to the queue. *)
 
 type 'a t = {
   label : string;

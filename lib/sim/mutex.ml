@@ -3,6 +3,17 @@ type t = { label : string; mutable held : bool; waiters : (unit -> bool) Queue.t
 let create ?(label = "mutex") () =
   { label; held = false; waiters = Queue.create () }
 
+let acquire t waker =
+  (not t.held)
+  && begin
+       t.held <- true;
+       true
+     end
+  || begin
+       Queue.add waker t.waiters;
+       false
+     end
+
 let lock t =
   if not t.held then t.held <- true
   else Engine.Process.suspend t.label (fun wake -> Queue.add wake t.waiters)

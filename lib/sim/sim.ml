@@ -7,6 +7,7 @@ module Semaphore = Semaphore
 module Mutex = Mutex
 module Stats = Stats
 module Fanout = Fanout
+module Int_table = Int_table
 
 exception Killed = Engine.Killed
 

@@ -18,6 +18,7 @@ module Semaphore = Semaphore
 module Mutex = Mutex
 module Stats = Stats
 module Fanout = Fanout
+module Int_table = Int_table
 
 exception Killed
 (** Alias of {!Engine.Killed}. *)

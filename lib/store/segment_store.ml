@@ -1,18 +1,26 @@
+module Pages = Ra.Sysname.Page_table
+
+module Ints = Sim.Int_table
+
 type t = {
-  pages : (Ra.Sysname.t * int, bytes) Hashtbl.t;
-  lsns : (Ra.Sysname.t * int, int) Hashtbl.t;
+  pages : bytes Pages.t;
+  lsns : int Pages.t;
       (* page-LSN: the log sequence number of the commit record whose
          write produced this page image; absent (0) for pages written
          outside the commit path.  Recovery's redo pass uses it to
          replay a committed write at most once. *)
   sizes : int Ra.Sysname.Table.t;
+  stored : unit Ints.t Ra.Sysname.Table.t;
+      (* each segment's pages held in [pages], so deleting a segment
+         visits only its own *)
 }
 
 let create () =
   {
-    pages = Hashtbl.create 256;
-    lsns = Hashtbl.create 256;
+    pages = Pages.create 256;
+    lsns = Pages.create 256;
     sizes = Ra.Sysname.Table.create 32;
+    stored = Ra.Sysname.Table.create 32;
   }
 
 let create_segment t seg ~size =
@@ -23,17 +31,15 @@ let create_segment t seg ~size =
 
 let delete_segment t seg =
   Ra.Sysname.Table.remove t.sizes seg;
-  let keys =
-    Hashtbl.fold
-      (fun (s, p) _ acc ->
-        if Ra.Sysname.equal s seg then (s, p) :: acc else acc)
-      t.pages []
-  in
-  List.iter
-    (fun k ->
-      Hashtbl.remove t.pages k;
-      Hashtbl.remove t.lsns k)
-    keys
+  match Ra.Sysname.Table.find_opt t.stored seg with
+  | None -> ()
+  | Some held ->
+      Ra.Sysname.Table.remove t.stored seg;
+      Ints.iter
+        (fun page () ->
+          Pages.remove t.pages (seg, page);
+          Pages.remove t.lsns (seg, page))
+        held
 
 let exists t seg = Ra.Sysname.Table.mem t.sizes seg
 
@@ -44,16 +50,27 @@ let size t seg =
 
 let read_page t seg page =
   if not (exists t seg) then raise (Ra.Partition.No_segment seg);
-  match Hashtbl.find_opt t.pages (seg, page) with
+  match Pages.find_opt t.pages (seg, page) with
   | Some data -> Ra.Partition.Data data
   | None -> Ra.Partition.Zeroed
 
+let note_stored t seg page =
+  let held =
+    match Ra.Sysname.Table.find_opt t.stored seg with
+    | Some held -> held
+    | None ->
+        let held = Ints.create 8 in
+        Ra.Sysname.Table.replace t.stored seg held;
+        held
+  in
+  Ints.replace held page ()
+
 let write_page ?lsn t seg page data =
   if not (exists t seg) then raise (Ra.Partition.No_segment seg);
-  Hashtbl.replace t.pages (seg, page) data;
-  match lsn with
-  | Some l -> Hashtbl.replace t.lsns (seg, page) l
-  | None -> ()
+  let key = (seg, page) in
+  if not (Pages.mem t.pages key) then note_stored t seg page;
+  Pages.replace t.pages key data;
+  match lsn with Some l -> Pages.replace t.lsns key l | None -> ()
 
 type spans = (int * bytes) list
 
@@ -72,11 +89,14 @@ let apply_spans ?lsn t seg page spans =
   img
 
 let clear_page t seg page =
-  Hashtbl.remove t.pages (seg, page);
-  Hashtbl.remove t.lsns (seg, page)
+  Pages.remove t.pages (seg, page);
+  Pages.remove t.lsns (seg, page);
+  match Ra.Sysname.Table.find_opt t.stored seg with
+  | Some held -> Ints.remove held page
+  | None -> ()
 
 let page_lsn t seg page =
-  match Hashtbl.find_opt t.lsns (seg, page) with Some l -> l | None -> 0
+  match Pages.find_opt t.lsns (seg, page) with Some l -> l | None -> 0
 
 let local_partition t =
   {

@@ -47,6 +47,137 @@ let prop_sysname_all_distinct =
           end)
         names)
 
+(* The parser and printer before they stopped using Scanf and Printf:
+   the reference the hand-written ones must agree with. *)
+let scanf_of_string s =
+  match Scanf.sscanf s "SYS-%d.%d%!" (fun node local -> (node, local)) with
+  | v -> Some v
+  | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> None
+
+let parsed s =
+  Option.map (fun (n : Sysname.t) -> (n.node, n.local)) (Sysname.of_string s)
+
+let parse_case s =
+  Alcotest.(check (option (pair int int))) (Printf.sprintf "%S" s)
+    (scanf_of_string s) (parsed s)
+
+let test_sysname_parse_table () =
+  List.iter parse_case
+    [
+      "SYS-1.2"; "SYS--1.5"; "SYS-+1.2"; "SYS-1_0.2"; "SYS-007.08";
+      "SYS-1.-2"; "SYS-1.+2"; "SYS-1__.2_"; "SYS-1.2x"; "SYS- 1.2";
+      "SYS-1. 2"; "SYS-1.2 "; "SYS-1."; "SYS-.2"; "SYS-1"; "SYS-"; "SYS";
+      "sys-1.2"; ""; "SYS-_1.2"; "SYS--_1.2"; "SYS-+-1.2"; "SYS-1..2";
+      "SYS-1.2.3"; "SYS-0x10.2"; "xSYS-1.2";
+      "SYS-4611686018427387903.0"; "SYS-4611686018427387904.0";
+      "SYS--4611686018427387904.0"; "SYS--4611686018427387905.0";
+      "SYS-1.99999999999999999999"; "SYS-46116860184273879030.1";
+    ]
+
+let prop_sysname_parse_agrees =
+  QCheck.Test.make ~name:"parser agrees with Scanf on noisy strings"
+    ~count:2000
+    QCheck.(
+      make
+        Gen.(
+          map2
+            (fun prefix tail -> if prefix then "SYS-" ^ tail else tail)
+            bool
+            (string_size ~gen:(oneofl (String.to_seq "0123456789.-+_ xS" |> List.of_seq))
+               (int_range 0 12))))
+    (fun s -> scanf_of_string s = parsed s)
+
+(* A page table must walk its bindings in the order a polymorphic
+   table keyed by the same pairs does: its hash is [Hashtbl.hash] of
+   the pair, computed by hand. *)
+let prop_page_table_order =
+  let edge =
+    [ 0; 1; -1; 2; max_int; min_int; 1 lsl 31; (1 lsl 31) - 1; -(1 lsl 31);
+      -(1 lsl 31) - 1; 1 lsl 32; 1 lsl 61; -(1 lsl 61); 123456789012345 ]
+  in
+  let int_gen =
+    QCheck.Gen.(
+      frequency
+        [ (3, int_range (-5) 500); (2, int); (1, oneofl edge) ])
+  in
+  QCheck.Test.make ~name:"page table walks as Hashtbl did" ~count:300
+    QCheck.(make Gen.(list_size (int_range 1 60) (triple int_gen int_gen int_gen)))
+    (fun keys ->
+      let poly = Hashtbl.create 4 and typed = Sysname.Page_table.create 4 in
+      List.iteri
+        (fun i (node, local, page) ->
+          let seg =
+            Option.get
+              (Sysname.of_string (Printf.sprintf "SYS-%d.%d" node local))
+          in
+          Hashtbl.replace poly (seg, page) i;
+          Sysname.Page_table.replace typed (seg, page) i;
+          if i mod 5 = 4 then begin
+            Hashtbl.remove poly (seg, page);
+            Sysname.Page_table.remove typed (seg, page)
+          end)
+        keys;
+      let walk fold tbl = fold (fun (s, p) v acc -> (s, p, v) :: acc) tbl [] in
+      walk Hashtbl.fold poly = walk Sysname.Page_table.fold typed)
+
+(* The same for a table keyed by sysname: [Sysname.hash] is
+   [Hashtbl.hash] of the record, computed by hand.  The large case
+   grows the table to 32768 buckets, so the walk depends on fifteen
+   bits of each hash. *)
+let sysname_walks_agree pairs =
+  let poly = Hashtbl.create 4 and typed = Sysname.Table.create 4 in
+  List.iteri
+    (fun i (node, local) ->
+      let seg =
+        Option.get (Sysname.of_string (Printf.sprintf "SYS-%d.%d" node local))
+      in
+      Hashtbl.replace poly seg i;
+      Sysname.Table.replace typed seg i;
+      if i mod 5 = 4 then begin
+        Hashtbl.remove poly seg;
+        Sysname.Table.remove typed seg
+      end)
+    pairs;
+  let walk fold tbl = fold (fun s v acc -> (s, v) :: acc) tbl [] in
+  walk Hashtbl.fold poly = walk Sysname.Table.fold typed
+
+let prop_sysname_table_order =
+  let int_gen =
+    QCheck.Gen.(
+      frequency
+        [ (3, int_range (-5) 500); (2, int); (1, oneofl [ max_int; min_int; -1 ]) ])
+  in
+  QCheck.Test.make ~name:"sysname table walks as Hashtbl did" ~count:300
+    QCheck.(make Gen.(list_size (int_range 1 60) (pair int_gen int_gen)))
+    sysname_walks_agree
+
+let test_sysname_table_order_large () =
+  let rng = Random.State.make [| 7 |] in
+  let pairs =
+    List.init 30_000 (fun i ->
+        if i mod 3 = 0 then (Random.State.bits rng - (1 lsl 29), i)
+        else (i mod 97, Random.State.bits rng))
+  in
+  check_bool "30k sysnames walk as Hashtbl did" true (sysname_walks_agree pairs)
+
+let prop_sysname_round_trip =
+  QCheck.Test.make ~name:"to_string round-trips" ~count:500
+    QCheck.(pair (int_range (-1000) 1_000_000) (int_range 0 300))
+    (fun (node, k) ->
+      let g = Sysname.make_gen ~node in
+      let names =
+        Sysname.well_known k :: Sysname.well_known (max_int - k)
+        :: List.init (k mod 7 + 1) (fun _ -> Sysname.fresh g)
+      in
+      List.for_all
+        (fun (n : Sysname.t) ->
+          let s = Sysname.to_string n in
+          s = Printf.sprintf "SYS-%d.%d" n.node n.local
+          && Option.map (fun (m : Sysname.t) -> Sysname.equal m n)
+               (Sysname.of_string s)
+             = Some true)
+        names)
+
 (* ------------------------------------------------------------------ *)
 (* Page *)
 
@@ -698,8 +829,19 @@ let () =
         [
           Alcotest.test_case "uniqueness" `Quick test_sysname_uniqueness;
           Alcotest.test_case "table" `Quick test_sysname_table;
+          Alcotest.test_case "parse as Scanf did" `Quick
+            test_sysname_parse_table;
+          Alcotest.test_case "table walks as Hashtbl did" `Quick
+            test_sysname_table_order_large;
         ] );
-      qsuite "sysname-props" [ prop_sysname_all_distinct ];
+      qsuite "sysname-props"
+        [
+          prop_sysname_all_distinct;
+          prop_sysname_parse_agrees;
+          prop_sysname_round_trip;
+          prop_page_table_order;
+          prop_sysname_table_order;
+        ];
       ("page", [ Alcotest.test_case "math" `Quick test_page_math ]);
       ( "vspace",
         [

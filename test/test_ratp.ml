@@ -230,26 +230,206 @@ let test_server_crash_times_out () =
   | Error Endpoint.Timeout -> ()
   | Ok _ -> Alcotest.fail "crashed server must not reply"
 
-let test_restart_single_rx_loop () =
-  (* Regression: [restart] used to spawn a fresh rx loop while the old
+let test_restart_single_receiver () =
+  (* Regression: [restart] used to start a fresh receiver while the old
      one kept running, so every restart added a duplicate reader
-     racing for packets. *)
-  let rx_loops, reply =
+     racing for packets.  After two restarts one call runs the handler
+     once, and the endpoint's receive and bursts are engine events,
+     not processes. *)
+  let executions, transport_procs, reply =
     with_pair (fun _ether a b ->
-        serve_echo b;
+        let count = ref 0 in
+        Endpoint.serve b ~service:echo_service (fun ~src:_ body ->
+            incr count;
+            (body, 8));
         Endpoint.restart b;
         Endpoint.restart b;
-        let rx_loops =
+        let reply =
+          Endpoint.call a ~dst:2 ~service:echo_service ~size:5 (Echo "hi")
+        in
+        let transport_procs =
           Engine.procs (Sim.engine ())
-          |> List.filter (fun (_, name) -> name = "ratp-rx-2")
+          |> List.filter (fun (_, name) ->
+                 String.starts_with ~prefix:"ratp-rx" name
+                 || String.starts_with ~prefix:"ratp-tx" name)
           |> List.length
         in
-        (rx_loops, Endpoint.call a ~dst:2 ~service:echo_service ~size:5 (Echo "hi")))
+        (!count, transport_procs, reply))
   in
-  check_int "one rx loop after two restarts" 1 rx_loops;
+  check_int "handler ran once after two restarts" 1 executions;
+  check_int "no receive or transmit process" 0 transport_procs;
   match reply with
-  | Ok (Echo "hi!") -> ()
+  | Ok (Echo "hi") -> ()
   | Ok _ | Error _ -> Alcotest.fail "call after restart failed"
+
+(* ------------------------------------------------------------------ *)
+(* Crashes: what a machine crash stops at its NIC and on the wire *)
+
+(* A single-fragment request from address 1 to 2, as a client sends
+   it: injected straight into a NIC to pin its arrival time. *)
+let request_frame ~seq s =
+  let pkt =
+    {
+      Packet.tid = { Packet.origin = 1; seq };
+      service = echo_service;
+      kind = Packet.Request;
+      frag = 0;
+      nfrags = 1;
+      total_size = 8;
+      body = Echo s;
+    }
+  in
+  Net.Frame.make ~src:1 ~dst:(Net.Frame.Unicast 2)
+    ~payload_bytes:(8 + Packet.header_bytes) (Packet.Ratp pkt)
+
+(* Endpoint 2 runs in crash group 2 and logs every request body its
+   handler sees; [crash] and [restart] are what [Ra.Node] does. *)
+let with_crashable f =
+  Sim.exec (fun () ->
+      let eng = Sim.engine () in
+      let ether = Net.Ethernet.create eng () in
+      let _a = Endpoint.create ether ~addr:1 () in
+      let b = Endpoint.create ether ~addr:2 ~group:2 () in
+      let handled = ref [] in
+      Endpoint.serve b ~service:echo_service (fun ~src:_ body ->
+          (match body with Echo s -> handled := s :: !handled | _ -> ());
+          (body, 8));
+      let nic = Option.get (Net.Ethernet.nic ether 2) in
+      let deliver_at time frame =
+        Engine.at eng time (fun () -> Net.Nic.deliver nic frame)
+      in
+      let crash () =
+        Net.Ethernet.detach ether 2;
+        Engine.kill_group eng 2
+      in
+      let restart () =
+        Net.Ethernet.reattach ether 2;
+        Endpoint.restart b
+      in
+      f eng ~deliver_at ~crash ~restart;
+      Sim.sleep (Time.ms 100);
+      List.rev !handled)
+
+let test_crash_drops_frame_in_receive () =
+  (* r0 is received normally.  r1 is 200 us into its 551 us receive
+     cost when the machine crashes: it is lost, and the restart does
+     not bring it back.  r2 arrives in the same instant as a crash
+     that lands after the receiver was woken for it but before it
+     ran: lost too. *)
+  let handled =
+    with_crashable (fun eng ~deliver_at ~crash ~restart ->
+        deliver_at (Time.ms 1) (request_frame ~seq:0 "r0");
+        deliver_at (Time.ms 10) (request_frame ~seq:1 "r1");
+        Engine.at eng (Time.ms 10 + Time.us 200) crash;
+        Engine.at eng (Time.ms 20) restart;
+        deliver_at (Time.ms 30) (request_frame ~seq:2 "r2");
+        Engine.at eng (Time.ms 30) crash;
+        Engine.at eng (Time.ms 40) restart)
+  in
+  Alcotest.(check (list string)) "only r0 handled" [ "r0" ] handled
+
+let test_crash_keeps_queued_frame () =
+  (* r1 and r2 arrive together: r1 is in receive and r2 queued behind
+     it at the crash.  r1 is lost; r2 is handled once, after the
+     restart. *)
+  let handled =
+    with_crashable (fun eng ~deliver_at ~crash ~restart ->
+        deliver_at (Time.ms 10) (request_frame ~seq:1 "r1");
+        deliver_at (Time.ms 10) (request_frame ~seq:2 "r2");
+        Engine.at eng (Time.ms 10 + Time.us 200) crash;
+        Engine.at eng (Time.ms 20) restart)
+  in
+  Alcotest.(check (list string)) "r2 handled once" [ "r2" ] handled
+
+let big_service = 8
+
+(* A six-fragment message from node 2 to node 1 is on the wire (a
+   reply burst when [client] is false, node 2's own request burst when
+   it is true).  When node 1 has received fragment [1], a third node
+   queues a 64-byte frame for the bus, and node 2 crashes [offset]
+   later, with fragment [2] on the wire.  Returns the crash time, the
+   time the third node's transmit returned, how many of node 2's
+   fragments node 1 was delivered, and the frame counter at the crash,
+   just after the third node's frame, and 20 ms later. *)
+let crash_mid_burst ~client ~offset =
+  Sim.exec (fun () ->
+      let eng = Sim.engine () in
+      let ether = Net.Ethernet.create eng () in
+      let a = Endpoint.create ether ~addr:1 () in
+      let b = Endpoint.create ether ~addr:2 ~group:2 () in
+      let _c = Net.Ethernet.attach ether 3 in
+      Endpoint.serve a ~service:big_service (fun ~src:_ _ -> (Blob 8, 8));
+      Endpoint.serve b ~service:big_service (fun ~src:_ _ ->
+          (Blob 8000, 8000));
+      let from_b = ref 0 and crash_at = ref 0 and c_done = ref 0 in
+      let frames_at_crash = ref 0 and frames_after_c = ref 0 in
+      Net.Fault.set_filter (Net.Ethernet.fault ether) (fun ~src ~dst:_ f ->
+          (match f.Net.Frame.payload with
+          | Packet.Ratp { Packet.frag; nfrags = 6; _ } when src = 2 ->
+              incr from_b;
+              if frag = 1 then begin
+                crash_at := Engine.now eng + offset;
+                ignore
+                  (Engine.spawn eng "third" (fun () ->
+                       Net.Ethernet.transmit ether
+                         (Net.Frame.make ~src:3 ~dst:(Net.Frame.Unicast 1)
+                            ~payload_bytes:10 (Net.Frame.Raw "c"));
+                       c_done := Sim.now ();
+                       frames_after_c := Net.Ethernet.frames_sent ether));
+                Engine.at eng !crash_at (fun () ->
+                    frames_at_crash := Net.Ethernet.frames_sent ether;
+                    Net.Ethernet.detach ether 2;
+                    Engine.kill_group eng 2)
+              end
+          | _ -> ());
+          true);
+      if client then
+        ignore
+          (Engine.spawn eng ~group:2 "client" (fun () ->
+               ignore
+                 (Endpoint.call b ~dst:1 ~service:big_service ~size:8000
+                    (Blob 8000))))
+      else
+        ignore
+          (Sim.spawn "client" (fun () ->
+               ignore
+                 (Endpoint.call a ~dst:2 ~service:big_service ~size:8
+                    (Blob 8))));
+      Sim.sleep (Time.ms 30);
+      let frames_later = Net.Ethernet.frames_sent ether in
+      ( !crash_at,
+        !c_done,
+        !from_b,
+        (!frames_at_crash, !frames_after_c, frames_later) ))
+
+let test_crash_mid_burst ~client () =
+  let crash_at, c_done, from_b, (at_crash, after_c, later) =
+    crash_mid_burst ~client ~offset:(Time.us 800)
+  in
+  let wire = Net.Ethernet.wire_time Net.Ethernet.default_config 64 in
+  check_int "the queued sender gets the bus at the crash" (crash_at + wire)
+    c_done;
+  check_int "two of six fragments delivered" 2 from_b;
+  check_int "only the queued sender's frame counted" (at_crash + 1) after_c;
+  check_int "no further fragment sent" after_c later
+
+(* Wherever in the burst the crash lands (waiting for the bus, holding
+   it, or handed it in the crash's instant), the bus is never frozen
+   and no fragment of the dead node reaches the wire afterwards. *)
+let test_crash_sweep () =
+  List.iter
+    (fun client ->
+      for step = 0 to 40 do
+        let offset = Time.us (37 * step) in
+        let _, c_done, from_b, (_, after_c, later) =
+          crash_mid_burst ~client ~offset
+        in
+        let where = Printf.sprintf "client=%b offset=%d" client offset in
+        check_bool (where ^ ": third node sent") true (c_done > 0);
+        check_bool (where ^ ": at most four fragments") true (from_b <= 4);
+        check_int (where ^ ": nothing sent after") after_c later
+      done)
+    [ false; true ]
 
 let test_selective_fragment_loss () =
   (* A 4000-byte request fragments into three frames; the middle one
@@ -854,11 +1034,24 @@ let () =
           Alcotest.test_case "server crash times out" `Quick
             test_server_crash_times_out;
           Alcotest.test_case "restart keeps a single rx loop" `Quick
-            test_restart_single_rx_loop;
+            test_restart_single_receiver;
           Alcotest.test_case "selective fragment loss" `Quick
             test_selective_fragment_loss;
           Alcotest.test_case "busy does not burn attempts" `Quick
             test_busy_does_not_burn_attempts;
+        ] );
+      ( "crash",
+        [
+          Alcotest.test_case "frame in receive dropped" `Quick
+            test_crash_drops_frame_in_receive;
+          Alcotest.test_case "queued frame handled once after restart" `Quick
+            test_crash_keeps_queued_frame;
+          Alcotest.test_case "crash mid reply burst" `Quick
+            (test_crash_mid_burst ~client:false);
+          Alcotest.test_case "crash mid request burst" `Quick
+            (test_crash_mid_burst ~client:true);
+          Alcotest.test_case "crash anywhere in a burst" `Quick
+            test_crash_sweep;
         ] );
       ( "selective-retransmit",
         [
